@@ -53,7 +53,8 @@ pub use proto::{
     WireReplicaStats, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 pub use server::{
-    NetConfig, NetServer, NetStats, PeerScrape, ReplicaHealth, ReplicaHook, ServerRole,
+    wake_acceptor, NetConfig, NetServer, NetStats, PeerScrape, ReplicaHealth, ReplicaHook,
+    ServerRole,
 };
 
 #[cfg(test)]
@@ -150,11 +151,13 @@ mod tests {
 
     #[test]
     fn in_flight_window_refuses_over_the_wire() {
-        // A slow driver so answers cannot race the third submit.
+        // A held-open window on a slow clock so answers cannot race the
+        // third submit.
         let net = net_server(
             13,
             ServerConfig {
                 coalesce_window: 2,
+                adaptive_window: false,
                 ..ServerConfig::default()
             },
             NetConfig {
@@ -341,12 +344,13 @@ mod tests {
 
     #[test]
     fn disconnect_mid_request_cancels_without_charges_or_leaks() {
-        // Slow ticks + a window so the request is still pending when the
-        // client vanishes.
+        // Slow ticks + a held-open window so the request is still pending
+        // when the client vanishes.
         let net = net_server(
             18,
             ServerConfig {
                 coalesce_window: 4,
+                adaptive_window: false,
                 queue_capacity: 8,
                 ..ServerConfig::default()
             },
@@ -395,6 +399,121 @@ mod tests {
         for id in ids {
             assert!(client.wait(id).is_ok());
         }
+        net.shutdown().unwrap();
+    }
+
+    /// One writer per socket: 64 pipelined submits and a `Goodbye` sent
+    /// without reading anything come back as exactly one answer per id,
+    /// then `Farewell` as the last frame, then EOF.
+    #[test]
+    fn pipelined_goodbye_answers_each_id_once_and_farewell_is_last() {
+        let net = net_server(31, ServerConfig::default(), NetConfig::default());
+        let mut raw = RawClient::connect(net.local_addr(), PROTOCOL_VERSION);
+        let token = match raw.call(&ClientMessage::OpenSession {
+            id: 2,
+            analyst: "p".into(),
+            total_bits: 100.0f64.to_bits(),
+        }) {
+            ServerMessage::SessionAttached { token, .. } => token,
+            other => panic!("expected SessionAttached, got {other:?}"),
+        };
+        let mut frames = Vec::new();
+        for i in 0..64u64 {
+            let request = Request::range(
+                "pol",
+                "ds",
+                eps(0.01),
+                i as usize % 40,
+                i as usize % 40 + 20,
+            );
+            frames.extend(bf_store::frame_bytes(
+                &ClientMessage::Submit {
+                    id: 100 + i,
+                    analyst: "p".into(),
+                    request: proto::WireRequest::from_request(&request),
+                    request_id: None,
+                    deadline_micros: None,
+                    trace_id: None,
+                    token: Some(token),
+                }
+                .encode(),
+            ));
+        }
+        frames.extend(bf_store::frame_bytes(
+            &ClientMessage::Goodbye { id: 999 }.encode(),
+        ));
+        std::io::Write::write_all(&mut raw.stream, &frames).unwrap();
+        let mut answered = std::collections::BTreeSet::new();
+        loop {
+            match raw.read_reply() {
+                ServerMessage::Answer { id, .. } => assert!(answered.insert(id), "id {id} twice"),
+                ServerMessage::Farewell { id } => {
+                    assert_eq!(id, 999);
+                    break;
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(
+            answered.into_iter().collect::<Vec<_>>(),
+            (100..164).collect::<Vec<_>>()
+        );
+        let mut rest = Vec::new();
+        std::io::Read::read_to_end(&mut raw.stream, &mut rest).unwrap();
+        assert!(
+            raw.buf.is_empty() && rest.is_empty(),
+            "Farewell must be the last frame"
+        );
+        assert_eq!(net.stats().disconnects_mid_request, 0);
+        net.shutdown().unwrap();
+    }
+
+    /// Shutdown wakes a reader blocked in `read` and acceptors blocked in
+    /// `accept`; it does not wait for the client to hang up.
+    #[test]
+    fn shutdown_with_an_idle_connected_client_returns_promptly() {
+        let net = net_server(32, ServerConfig::default(), NetConfig::default());
+        let mut client = Client::connect(net.local_addr()).unwrap();
+        client.open_session("idle", 1.0).unwrap();
+        let started = std::time::Instant::now();
+        net.shutdown().unwrap();
+        assert!(
+            started.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
+        assert!(client.budget("idle").is_err(), "the connection is closed");
+    }
+
+    /// Answers on one connection leave a release period apart (a lower
+    /// bound, so never flaky); frames that carry no answer are not paced.
+    #[test]
+    fn answers_are_paced_and_other_replies_are_not() {
+        let net = net_server(33, ServerConfig::default(), NetConfig::default());
+        let mut client = Client::connect(net.local_addr()).unwrap();
+        client.open_session("paced", 10.0).unwrap();
+        let started = std::time::Instant::now();
+        for lo in 0..21 {
+            client
+                .call(
+                    "paced",
+                    &Request::range("pol", "ds", eps(0.01), lo, lo + 20),
+                )
+                .unwrap();
+        }
+        // The first answer on a quiet connection leaves at once; each of
+        // the next twenty waits out the period since the one before.
+        assert!(started.elapsed() >= Duration::from_millis(25));
+        let started = std::time::Instant::now();
+        for _ in 0..2000 {
+            client.budget("paced").unwrap();
+        }
+        assert!(
+            started.elapsed() < Duration::from_millis(2500),
+            "2000 budget reads took {:?}",
+            started.elapsed()
+        );
+        client.goodbye().unwrap();
         net.shutdown().unwrap();
     }
 
@@ -955,12 +1074,8 @@ mod tests {
         find("span_stage_ns{stage=\"decode\"}");
         find("span_stage_ns{stage=\"reply\"}");
         find("span_stage_ns{stage=\"release\"}");
-        // Busy ticks were recorded (each served frame is a productive
-        // handler pass).
-        match find("net_tick_busy_ns") {
-            WireMetric::Histogram { count, .. } => assert!(*count > 0),
-            other => panic!("expected histogram, got {other:?}"),
-        }
+        // The poll-loop histograms went with the poll loop.
+        assert!(!metrics.iter().any(|m| m.name().starts_with("net_tick_")));
         // And the samples render through bf-obs unchanged.
         let snaps: Vec<bf_obs::MetricSnapshot> =
             metrics.iter().map(WireMetric::to_snapshot).collect();

@@ -11,10 +11,15 @@ use bf_obs::{
 use bf_server::{DriverHandle, Server, ServerError, ServerStats, Ticket};
 use bf_store::{fnv1a, frame_bytes, read_frame, FrameRead};
 use std::collections::{HashMap, HashSet};
+use std::future::Future;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::pin::Pin;
+use std::sync::atomic::{AtomicBool, AtomicU16, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// The replication layer's interposition points. One trait (held behind
@@ -152,12 +157,10 @@ pub struct NetConfig {
     /// [`WireError::WindowFull`] — per-connection backpressure layered
     /// on top of the server's per-analyst `QueueFull`.
     pub max_in_flight: usize,
-    /// Cadence of the background scheduler driver ticking the inner
-    /// [`Server`].
+    /// The coalescing window's time unit: the [`Server::start_driver`]
+    /// interval. Never an idle cadence — an arrival on an idle server is
+    /// ticked at once.
     pub tick_interval: Duration,
-    /// How long a connection handler blocks waiting for socket bytes
-    /// before polling its outstanding tickets for completions.
-    pub poll_interval: Duration,
     /// Deterministic fault injection for the reply path: each **answer
     /// frame** (`Answer` / `BatchAnswer`) advances the plan's op clock,
     /// and a due fault drops the connection, truncates the frame
@@ -191,7 +194,6 @@ impl Default for NetConfig {
             acceptors: 8,
             max_in_flight: 64,
             tick_interval: Duration::from_micros(500),
-            poll_interval: Duration::from_micros(200),
             fault_plan: None,
             role: ServerRole::Standalone,
             node_name: "standalone".into(),
@@ -216,12 +218,6 @@ struct NetCounters {
     /// Chaos-plan faults fired on the reply path (same label-in-name
     /// convention as the store's `faults_injected{layer="store"}`).
     faults_injected: Counter,
-    /// Duration of handler-loop passes that made progress (flushed a
-    /// reply, read bytes, or dispatched a frame).
-    tick_busy_ns: Histogram,
-    /// Duration of passes that found nothing to do (dominated by the
-    /// read timeout / drain sleep).
-    tick_idle_ns: Histogram,
     /// Submit-to-reply-flushed wall time per request, as observed by the
     /// wire layer (queue wait + schedule + release + encode included).
     request_ns: Histogram,
@@ -239,8 +235,6 @@ impl NetCounters {
             window_refusals: obs.counter("net_window_refusals_total"),
             disconnects_mid_request: obs.counter("net_disconnects_mid_request_total"),
             faults_injected: obs.counter("faults_injected{layer=\"net\"}"),
-            tick_busy_ns: obs.histogram("net_tick_busy_ns"),
-            tick_idle_ns: obs.histogram("net_tick_idle_ns"),
             request_ns: obs.histogram("net_request_ns"),
             window_occupancy: obs.histogram("net_window_occupancy"),
             obs,
@@ -279,10 +273,13 @@ pub struct NetStats {
 /// client processes ──TCP──► acceptor pool ──decode──► Server::submit ──► tickets ──encode──► replies
 /// ```
 ///
-/// The listener is non-blocking; a fixed pool of acceptor threads each
-/// serve one connection at a time (bounded concurrency), polling between
-/// socket reads and ticket completions so any number of pipelined
-/// requests per connection make progress without an executor. Dropping a
+/// A fixed pool of acceptor threads each serve one connection at a time
+/// (bounded concurrency). A connection is two threads and no polling: a
+/// reader blocked in `read` that decodes, dispatches and submits, and a
+/// writer — the socket's only writer — that owns the outstanding tickets
+/// and parks until a ticket's waker or the reader unparks it, so any
+/// number of pipelined requests per connection make progress without an
+/// executor; answers leave it one release period apart. Dropping a
 /// connection mid-request releases its tickets: work not yet dispatched
 /// is cancelled by the scheduler's sweep — no queue-slot leak, no ε
 /// charge for answers nobody can read.
@@ -292,6 +289,9 @@ pub struct NetServer {
     closing: Arc<AtomicBool>,
     counters: Arc<NetCounters>,
     acceptors: Vec<std::thread::JoinHandle<()>>,
+    /// One slot per acceptor: a clone of the connection it is serving,
+    /// kept so shutdown can wake a reader blocked in `read`.
+    live: Arc<Vec<Mutex<Option<TcpStream>>>>,
     driver: Option<DriverHandle>,
     /// Session tokens issued by this process: analyst → token. Shared
     /// across connections so a token survives reconnects (stable for
@@ -323,7 +323,6 @@ impl NetServer {
         config: NetConfig,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let closing = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(NetCounters::new(Arc::clone(server.engine().obs())));
@@ -347,7 +346,10 @@ impl NetServer {
             )))
         });
         let driver = server.start_driver(config.tick_interval);
-        let acceptors = (0..config.acceptors.max(1))
+        let pool = config.acceptors.max(1);
+        let live: Arc<Vec<Mutex<Option<TcpStream>>>> =
+            Arc::new((0..pool).map(|_| Mutex::new(None)).collect());
+        let acceptors = (0..pool)
             .map(|i| {
                 let listener = listener.try_clone().expect("clone listener");
                 let shared = AcceptorShared {
@@ -359,21 +361,18 @@ impl NetServer {
                     token_seed,
                     slo: slo.clone(),
                 };
+                let live = Arc::clone(&live);
                 std::thread::Builder::new()
                     .name(format!("bf-net-acceptor-{i}"))
-                    .spawn(move || loop {
-                        if shared.closing.load(Ordering::Acquire) {
-                            return;
-                        }
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                shared.counters.connections.inc();
-                                Connection::new(stream, &shared).run();
+                    .spawn(move || {
+                        // Blocking accept: shutdown wakes it with a
+                        // loopback connection of its own.
+                        while let Ok((stream, _)) = listener.accept() {
+                            if shared.closing.load(Ordering::SeqCst) {
+                                return;
                             }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(shared.config.poll_interval);
-                            }
-                            Err(_) => return,
+                            shared.counters.connections.inc();
+                            serve_connection(stream, &shared, &live[i]);
                         }
                     })
                     .expect("spawn acceptor")
@@ -385,6 +384,7 @@ impl NetServer {
             closing,
             counters,
             acceptors,
+            live,
             driver: Some(driver),
             tokens,
         })
@@ -435,23 +435,47 @@ impl NetServer {
     /// [`ServerError`] when the inner server's final checkpoint fails;
     /// the network side is down either way.
     pub fn shutdown(mut self) -> Result<ServerStats, ServerError> {
-        self.closing.store(true, Ordering::Release);
-        for handle in self.acceptors.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop_network();
         if let Some(driver) = self.driver.take() {
             driver.stop();
         }
         self.server.shutdown()
     }
+
+    /// Stops accepting and joins the acceptor pool. Blocked readers
+    /// wake on a shutdown of their read half (their writers still drain
+    /// what is in flight), blocked acceptors on a loopback connection.
+    fn stop_network(&mut self) {
+        self.closing.store(true, Ordering::SeqCst);
+        for slot in self.live.iter() {
+            if let Some(stream) = slot.lock().expect("live slot poisoned").as_ref() {
+                let _ = stream.shutdown(Shutdown::Read);
+            }
+        }
+        for _ in &self.acceptors {
+            wake_acceptor(self.addr);
+        }
+        for handle in self.acceptors.drain(..) {
+            let _ = handle.join();
+        }
+    }
+}
+
+/// Unblocks one thread blocked in `accept` on a listener bound at
+/// `addr` with a throwaway loopback connection, so it sees its flag.
+pub fn wake_acceptor(mut addr: SocketAddr) {
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        self.closing.store(true, Ordering::Release);
-        for handle in self.acceptors.drain(..) {
-            let _ = handle.join();
-        }
+        self.stop_network();
         // The driver handle (if still present) stops itself on drop.
     }
 }
@@ -477,9 +501,24 @@ struct OutstandingBatch {
     started: Instant,
 }
 
+/// What a connection's reader hands its writer, in order.
+enum Outgoing {
+    /// A direct reply (Welcome, Budget, Stats, a refusal, …).
+    Reply(ServerMessage),
+    Single(Outstanding),
+    Batch(OutstandingBatch),
+    /// A `Watch` subscription whose events the writer streams out.
+    Watch(u64, BusSubscriber),
+    /// Snapshot taken by the writer, so sealed traces of written answers
+    /// are in it.
+    Traces(u64),
+    /// The client said `Goodbye`: drain, then `Farewell` as last frame.
+    Goodbye(u64),
+}
+
 /// The process-shared state every connection on an acceptor borrows:
-/// built once per acceptor thread, lent to each [`Connection`] it
-/// serves in turn.
+/// built once per acceptor thread, lent to each connection it serves in
+/// turn.
 struct AcceptorShared {
     server: Arc<Server>,
     config: NetConfig,
@@ -490,225 +529,186 @@ struct AcceptorShared {
     slo: Option<Arc<Mutex<SloEngine>>>,
 }
 
-/// Per-connection state machine: owns the socket, the receive buffer,
-/// and the in-flight tickets.
+/// What a connection's reader and writer share.
+struct ConnShared {
+    /// Outstanding **requests** (batch members each count — a
+    /// thousand-member batch is a thousand queue slots, not one): the
+    /// reader adds at admission, the writer subtracts at completion.
+    in_flight: AtomicUsize,
+    /// The protocol version negotiated at `Hello` (the minimum of the
+    /// client's and ours, at least [`MIN_PROTOCOL_VERSION`]); every
+    /// frame on this connection encodes and decodes at it.
+    negotiated: AtomicU16,
+}
+
+/// Unparks the connection's writer when one of its tickets resolves.
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
+/// Serves one accepted connection to completion: the calling acceptor
+/// thread reads, one scoped thread writes. `live` holds a clone of the
+/// socket meanwhile so [`NetServer::stop_network`] can wake the reader.
+fn serve_connection(stream: TcpStream, shared: &AcceptorShared, live: &Mutex<Option<TcpStream>>) {
+    let _ = stream.set_nodelay(true);
+    // A client that stops READING would otherwise wedge the writer in
+    // write_all (and shutdown on the join): a stall this long is a dead peer.
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
+    let (Ok(write_half), Ok(kept)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
+    };
+    *live.lock().expect("live slot poisoned") = Some(kept);
+    // A shutdown that ran before the slot was filled is seen here.
+    if shared.closing.load(Ordering::SeqCst) {
+        let _ = stream.shutdown(Shutdown::Read);
+    }
+    let conn = ConnShared {
+        in_flight: AtomicUsize::new(0),
+        negotiated: AtomicU16::new(PROTOCOL_VERSION),
+    };
+    // Bounded, so a client that reads slower than it asks back-pressures
+    // the reader instead of growing the hand-over queue.
+    let (tx, rx) = mpsc::sync_channel(shared.config.max_in_flight.max(1));
+    std::thread::scope(|scope| {
+        let writer = Writer {
+            stream: write_half,
+            rx,
+            conn: &conn,
+            counters: &shared.counters,
+            shared,
+            reader_gone: false,
+            singles: Vec::new(),
+            batches: Vec::new(),
+            watch: None,
+            goodbye: None,
+            ready: Vec::new(),
+            answered: 0,
+            release: Instant::now(),
+        };
+        let writer = scope.spawn(move || writer.run());
+        Connection {
+            stream,
+            shared,
+            conn: &conn,
+            tx,
+            writer: writer.thread().clone(),
+            buf: Vec::new(),
+            hello_done: false,
+            attached: HashSet::new(),
+        }
+        .run();
+        // The reader's end of the channel is gone; the writer finishes.
+        writer.thread().unpark();
+    });
+    *live.lock().expect("live slot poisoned") = None;
+}
+
+/// The connection's reader: decodes and dispatches frames, handing
+/// every reply or ticket to the writer.
 struct Connection<'a> {
     stream: TcpStream,
-    server: &'a Arc<Server>,
-    config: &'a NetConfig,
-    closing: &'a AtomicBool,
-    counters: &'a NetCounters,
+    shared: &'a AcceptorShared,
+    conn: &'a ConnShared,
+    tx: mpsc::SyncSender<Outgoing>,
+    writer: Thread,
     buf: Vec<u8>,
     hello_done: bool,
-    /// The protocol version negotiated at `Hello`: the minimum of the
-    /// client's and ours, at least [`MIN_PROTOCOL_VERSION`]. Every
-    /// frame on this connection encodes and decodes at this version, so
-    /// a v2/v3 client sees exactly the wire format it shipped with.
-    negotiated: u16,
-    goodbye: Option<u64>,
     /// Analysts whose sessions this connection attached via
     /// `OpenSession`. `BudgetAudit` — per-record labels and exact ε
     /// charges, a materially larger disclosure than the aggregate
     /// `Budget` snapshot — is served only for analysts in this set.
     attached: HashSet<String>,
-    /// The server-wide session-token book (see [`NetServer::tokens`]).
-    tokens: &'a Mutex<HashMap<String, u64>>,
-    /// Seed for deriving fresh tokens (process-stable).
-    token_seed: u64,
-    singles: Vec<Outstanding>,
-    batches: Vec<OutstandingBatch>,
-    /// The process-wide SLO engine (`None` when no SLOs are
-    /// configured).
-    slo: &'a Option<Arc<Mutex<SloEngine>>>,
-    /// The live `Watch` subscription, if this connection opened one:
-    /// the watch's correlation id plus the bus subscription whose
-    /// queued events the handler loop pumps out as `Event` frames.
-    watch: Option<(u64, BusSubscriber)>,
 }
 
 /// Per-subscriber event-queue bound for `Watch` connections. A watcher
 /// that falls further behind than this loses events (visible as gaps
 /// in the sequence numbers) instead of growing server memory.
 const WATCH_QUEUE_CAPACITY: usize = 256;
-/// Max events flushed per handler-loop pass, so a hot bus cannot
-/// starve frame reads on the same connection.
+/// Max events flushed per writer pass, so a hot bus cannot starve
+/// replies on the same connection.
 const WATCH_BATCH: usize = 64;
+/// Park bound of a writer with an open `Watch`: events have no waker.
+const WATCH_POLL: Duration = Duration::from_millis(1);
+/// Release pacing: a connection's answers (`Answer`, `BatchAnswer`, a
+/// ticket's `Refused`) leave at least this far apart, each release
+/// carrying all resolved since the last; other frames go at once. The
+/// work behind an answer (a WAL fsync, four thread hand-offs) drifts
+/// 0.3–0.8 ms with the disk and the host clock; paced, a closed loop runs
+/// at one request a period whatever the weather, and a slower answer is
+/// late by its own excess only. A quorum write crosses two nodes' commit
+/// paths (0.9–1.6 ms), so a replica paces at twice the period.
+const RELEASE_EVERY: Duration = Duration::from_micros(1250);
 
-impl<'a> Connection<'a> {
-    fn new(stream: TcpStream, shared: &'a AcceptorShared) -> Self {
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(shared.config.poll_interval));
-        // A client that stops READING can otherwise wedge this thread
-        // forever in write_all once the TCP send buffer fills — which
-        // would also hang NetServer::shutdown on the acceptor join. A
-        // stalled write past this timeout is treated as a dead peer.
-        let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        Self {
-            stream,
-            server: &shared.server,
-            config: &shared.config,
-            closing: &shared.closing,
-            counters: &shared.counters,
-            buf: Vec::new(),
-            hello_done: false,
-            negotiated: PROTOCOL_VERSION,
-            goodbye: None,
-            attached: HashSet::new(),
-            tokens: &shared.tokens,
-            token_seed: shared.token_seed,
-            singles: Vec::new(),
-            batches: Vec::new(),
-            slo: &shared.slo,
-            watch: None,
-        }
-    }
-
-    /// Outstanding **requests** (batch members each count — the window
-    /// bounds server-side work per connection, and a thousand-member
-    /// batch is a thousand queue slots, not one).
-    fn in_flight(&self) -> usize {
-        self.singles.len() + self.batches.iter().map(|b| b.slots.len()).sum::<usize>()
-    }
-
-    /// Serves the connection to completion. Returning drops any
-    /// unresolved tickets — the scheduler's cancellation sweep then
-    /// skips their work before it charges anything.
-    ///
-    /// Each loop pass is a *tick*. A pass that made progress (flushed a
-    /// reply, read bytes, dispatched a frame) loops straight back around
-    /// instead of sleeping — the old behaviour of waiting out a full
-    /// `poll_interval` after productive work turned the interval into a
-    /// latency floor on pipelined streams. Only a pass that found
-    /// nothing to do pays the wait (the socket read timeout, or the
-    /// drain sleep while a `Goodbye` settles).
+impl Connection<'_> {
+    /// Reads and dispatches frames until `Goodbye`, EOF (client gone, or
+    /// server shutdown closing the read half) or a protocol violation.
+    /// Blocks in `read` with no time-out: completions are the writer's.
     fn run(mut self) {
+        let counters = &*self.shared.counters;
         let mut read_chunk = [0u8; 16 * 1024];
         loop {
-            let tick_started = self.counters.obs.is_enabled().then(Instant::now);
-            let mut progressed = false;
-
-            // 1. Flush completions (also detects a dead peer on write).
-            match self.flush_completions() {
-                Err(_) => {
-                    self.note_disconnect();
-                    return;
-                }
-                Ok(flushed) => progressed |= flushed > 0,
-            }
-
-            // 1b. Stream queued watch events (suspended once a Goodbye
-            //     starts draining, so the Farewell is the last frame).
-            if self.goodbye.is_none() {
-                match self.pump_watch() {
-                    Err(_) => {
-                        self.note_disconnect();
-                        return;
-                    }
-                    Ok(pumped) => progressed |= pumped > 0,
-                }
-            }
-
-            // 2. Orderly endings.
-            if let Some(id) = self.goodbye {
-                if self.in_flight() == 0 {
-                    let _ = self.write_message(&ServerMessage::Farewell { id });
-                    let _ = self.stream.shutdown(std::net::Shutdown::Both);
-                    return;
-                }
-                // Still draining; don't read further frames. Re-poll
-                // immediately after a productive pass, sleep otherwise.
-                if !progressed {
-                    std::thread::sleep(self.config.poll_interval);
-                }
-                self.note_tick(tick_started, progressed);
-                continue;
-            }
-            if self.closing.load(Ordering::Acquire) && self.in_flight() == 0 {
-                // Server shutting down and nothing owed to this client.
-                let _ = self.stream.shutdown(std::net::Shutdown::Both);
-                return;
-            }
-
-            // 3. Pull bytes (blocking up to the poll timeout only when
-            //    idle); decode complete frames.
             match self.stream.read(&mut read_chunk) {
-                Ok(0) => {
-                    // EOF: client gone. In-flight tickets drop here.
-                    self.note_disconnect();
-                    return;
-                }
-                Ok(n) => {
-                    self.buf.extend_from_slice(&read_chunk[..n]);
-                    progressed = true;
-                }
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
-                Err(_) => {
-                    self.note_disconnect();
-                    return;
-                }
+                // EOF (client gone or shutdown) or a dead socket.
+                Ok(0) | Err(_) => return,
+                Ok(n) => self.buf.extend_from_slice(&read_chunk[..n]),
             }
             loop {
-                match read_frame(&self.buf) {
+                let protocol_error = match read_frame(&self.buf) {
                     FrameRead::Incomplete => break,
-                    FrameRead::Corrupt => {
-                        self.counters.protocol_errors.inc();
-                        let _ = self.write_message(&ServerMessage::Refused {
-                            id: 0,
-                            error: WireError::Protocol("corrupt frame".into()),
-                            trace_id: None,
-                        });
-                        return;
-                    }
+                    FrameRead::Corrupt => "corrupt frame",
                     FrameRead::Complete { payload, consumed } => {
-                        self.counters.frames_in.inc();
-                        let mut span = self.counters.obs.span();
-                        let msg = ClientMessage::decode_for(payload, self.negotiated);
-                        self.counters.obs.span_mark(&mut span, Stage::Decode);
+                        counters.frames_in.inc();
+                        let mut span = counters.obs.span();
+                        let msg = ClientMessage::decode_for(payload, self.negotiated());
+                        counters.obs.span_mark(&mut span, Stage::Decode);
                         let decode_elapsed = span.elapsed().unwrap_or_default();
                         self.buf.drain(..consumed);
                         match msg {
                             Some(msg) => {
-                                progressed = true;
                                 if !self.dispatch(msg, decode_elapsed) {
                                     return;
                                 }
+                                continue;
                             }
-                            None => {
-                                self.counters.protocol_errors.inc();
-                                let _ = self.write_message(&ServerMessage::Refused {
-                                    id: 0,
-                                    error: WireError::Protocol("undecodable message".into()),
-                                    trace_id: None,
-                                });
-                                return;
-                            }
+                            None => "undecodable message",
                         }
                     }
-                }
+                };
+                counters.protocol_errors.inc();
+                self.refuse(0, WireError::Protocol(protocol_error.into()), None);
+                return;
             }
-            self.note_tick(tick_started, progressed);
         }
     }
 
-    /// Feeds the busy/idle tick histograms; inert when metrics are off
-    /// (no clock read happened).
-    fn note_tick(&self, started: Option<Instant>, progressed: bool) {
-        if let Some(t0) = started {
-            let h = if progressed {
-                &self.counters.tick_busy_ns
-            } else {
-                &self.counters.tick_idle_ns
-            };
-            h.record_duration(t0.elapsed());
-        }
+    fn negotiated(&self) -> u16 {
+        self.conn.negotiated.load(Ordering::Relaxed)
     }
 
-    fn note_disconnect(&self) {
-        if self.in_flight() > 0 {
-            self.counters.disconnects_mid_request.inc();
-        }
+    /// Hands `out` to the writer and wakes it. `false` when the writer
+    /// is gone (dead peer) and the connection must close.
+    fn send(&self, out: Outgoing) -> bool {
+        let sent = self.tx.send(out).is_ok();
+        self.writer.unpark();
+        sent
+    }
+
+    /// Queues a direct reply frame behind whatever the writer already
+    /// holds.
+    fn reply(&self, msg: ServerMessage) -> bool {
+        self.send(Outgoing::Reply(msg))
+    }
+
+    fn refuse(&self, id: u64, error: WireError, trace_id: Option<u64>) -> bool {
+        self.reply(ServerMessage::Refused {
+            id,
+            error,
+            trace_id,
+        })
     }
 
     /// Handles one decoded message. Returns `false` when the connection
@@ -718,47 +718,43 @@ impl<'a> Connection<'a> {
     fn dispatch(&mut self, msg: ClientMessage, decode_elapsed: Duration) -> bool {
         let id = msg.id();
         if !self.hello_done && !matches!(msg, ClientMessage::Hello { .. }) {
-            self.counters.protocol_errors.inc();
-            let _ = self.write_message(&ServerMessage::Refused {
+            self.shared.counters.protocol_errors.inc();
+            self.refuse(
                 id,
-                error: WireError::Protocol("first frame must be Hello".into()),
-                trace_id: None,
-            });
+                WireError::Protocol("first frame must be Hello".into()),
+                None,
+            );
             return false;
         }
         match msg {
             ClientMessage::Hello { id, version } => {
                 if self.hello_done {
-                    self.counters.protocol_errors.inc();
-                    let _ = self.write_message(&ServerMessage::Refused {
-                        id,
-                        error: WireError::Protocol("duplicate Hello".into()),
-                        trace_id: None,
-                    });
+                    self.shared.counters.protocol_errors.inc();
+                    self.refuse(id, WireError::Protocol("duplicate Hello".into()), None);
                     return false;
                 }
                 if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
-                    let _ = self.write_message(&ServerMessage::Refused {
+                    self.refuse(
                         id,
-                        error: WireError::Protocol(format!(
+                        WireError::Protocol(format!(
                             "version mismatch: server speaks \
                              {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, client {version}"
                         )),
-                        trace_id: None,
-                    });
+                        None,
+                    );
                     return false;
                 }
                 // Negotiate down to the client's version: every later
                 // frame on this connection speaks it, so optional v3/v4
                 // fields (trace ids, session tokens) are simply absent
                 // rather than misparsed.
-                self.negotiated = version.min(PROTOCOL_VERSION);
+                let negotiated = version.min(PROTOCOL_VERSION);
+                self.conn.negotiated.store(negotiated, Ordering::Relaxed);
                 self.hello_done = true;
-                self.write_message(&ServerMessage::Welcome {
+                self.reply(ServerMessage::Welcome {
                     id,
-                    version: self.negotiated,
+                    version: negotiated,
                 })
-                .is_ok()
             }
             ClientMessage::OpenSession {
                 id,
@@ -776,8 +772,9 @@ impl<'a> Connection<'a> {
                         // entry — every replica must agree on the
                         // analyst's total before any charge sequences
                         // after it.
-                        let attached = match &self.config.role {
+                        let attached = match &self.shared.config.role {
                             ServerRole::Standalone => self
+                                .shared
                                 .server
                                 .engine()
                                 .attach_session(&analyst, total)
@@ -801,7 +798,7 @@ impl<'a> Connection<'a> {
                         }
                     }
                 };
-                self.write_message(&reply).is_ok()
+                self.reply(reply)
             }
             ClientMessage::Submit {
                 id,
@@ -813,29 +810,17 @@ impl<'a> Connection<'a> {
                 token,
             } => {
                 if let Some(error) = self.token_refusal(&analyst, token) {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error,
-                            trace_id,
-                        })
-                        .is_ok();
+                    return self.refuse(id, error, trace_id);
                 }
                 if let Some(refusal) = self.window_refusal(1) {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error: refusal,
-                            trace_id,
-                        })
-                        .is_ok();
+                    return self.refuse(id, refusal, trace_id);
                 }
                 // A traced submit mints the request's travelling context
                 // here, at the wire boundary, and backfills the Decode
                 // span the frame just paid.
                 let trace = match trace_id {
                     Some(tid) => {
-                        let t = self.counters.obs.begin_trace(TraceId(tid), &analyst);
+                        let t = self.shared.counters.obs.begin_trace(TraceId(tid), &analyst);
                         if t.is_active() {
                             t.record_elapsed(Stage::Decode, decode_elapsed, "ok");
                         }
@@ -844,25 +829,19 @@ impl<'a> Connection<'a> {
                     None => TraceContext::inert(),
                 };
                 match self.submit_one(&analyst, &request, request_id, deadline_micros, &trace) {
-                    Ok(ticket) => {
-                        self.singles.push(Outstanding {
+                    Ok(ticket) => self.admit(
+                        1,
+                        Outgoing::Single(Outstanding {
                             id,
                             ticket,
                             started: Instant::now(),
                             trace_id,
                             trace,
-                        });
-                        self.note_occupancy();
-                        true
-                    }
+                        }),
+                    ),
                     Err(error) => {
                         trace.finish("refused");
-                        self.write_message(&ServerMessage::Refused {
-                            id,
-                            error,
-                            trace_id,
-                        })
-                        .is_ok()
+                        self.refuse(id, error, trace_id)
                     }
                 }
             }
@@ -875,51 +854,30 @@ impl<'a> Connection<'a> {
                 // The batch path charges the same ε budget as single
                 // submits, so it passes the same session-token gate.
                 if let Some(refusal) = self.token_refusal(&analyst, token) {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error: refusal,
-                            trace_id: None,
-                        })
-                        .is_ok();
+                    return self.refuse(id, refusal, None);
                 }
                 if let Some(refusal) = self.window_refusal(requests.len()) {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error: refusal,
-                            trace_id: None,
-                        })
-                        .is_ok();
+                    return self.refuse(id, refusal, None);
                 }
-                // Each member submits independently — compatible members
-                // land in the same coalescing window and share releases;
-                // a refused member fails only its own slot.
-                let slots = requests
-                    .iter()
-                    .map(|request| {
-                        self.submit_one(&analyst, request, None, None, &TraceContext::inert())
-                    })
-                    .collect();
-                self.batches.push(OutstandingBatch {
-                    id,
-                    slots,
-                    started: Instant::now(),
-                });
-                self.note_occupancy();
-                true
+                // Each member submits independently — a refused member
+                // fails only its own slot — but no tick may drain between
+                // them: compatible members land in the same coalescing
+                // window and share releases.
+                let slots = self.submit_batch(&analyst, &requests);
+                self.admit(
+                    slots.len(),
+                    Outgoing::Batch(OutstandingBatch {
+                        id,
+                        slots,
+                        started: Instant::now(),
+                    }),
+                )
             }
             ClientMessage::Budget { id, analyst } => {
                 if let Some(error) = self.read_refusal() {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error,
-                            trace_id: None,
-                        })
-                        .is_ok();
+                    return self.refuse(id, error, None);
                 }
-                let reply = match self.server.engine().session_snapshot(&analyst) {
+                let reply = match self.shared.server.engine().session_snapshot(&analyst) {
                     Ok(snap) => ServerMessage::BudgetReport {
                         id,
                         total_bits: snap.total().value().to_bits(),
@@ -933,17 +891,11 @@ impl<'a> Connection<'a> {
                         trace_id: None,
                     },
                 };
-                self.write_message(&reply).is_ok()
+                self.reply(reply)
             }
             ClientMessage::Stats { id } => {
                 if let Some(error) = self.read_refusal() {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error,
-                            trace_id: None,
-                        })
-                        .is_ok();
+                    return self.refuse(id, error, None);
                 }
                 // One merged snapshot covering every layer: engine,
                 // store, server and net metrics all live on the two
@@ -953,18 +905,11 @@ impl<'a> Connection<'a> {
                     .iter()
                     .map(WireMetric::from_snapshot)
                     .collect();
-                self.write_message(&ServerMessage::StatsReport { id, metrics })
-                    .is_ok()
+                self.reply(ServerMessage::StatsReport { id, metrics })
             }
             ClientMessage::ClusterStats { id } => {
                 if let Some(error) = self.read_refusal() {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error,
-                            trace_id: None,
-                        })
-                        .is_ok();
+                    return self.refuse(id, error, None);
                 }
                 // The serving node's own slice first, then one entry
                 // per configured peer (scraped over the replication
@@ -977,16 +922,16 @@ impl<'a> Connection<'a> {
                     .iter()
                     .map(WireMetric::from_snapshot)
                     .collect();
-                let node = match &self.config.role {
+                let node = match &self.shared.config.role {
                     ServerRole::Replica(hook) => hook.node_name(),
-                    ServerRole::Standalone => self.config.node_name.clone(),
+                    ServerRole::Standalone => self.shared.config.node_name.clone(),
                 };
                 let mut replicas = vec![WireReplicaStats {
                     node,
                     reachable: true,
                     metrics: local,
                 }];
-                if let ServerRole::Replica(hook) = &self.config.role {
+                if let ServerRole::Replica(hook) = &self.shared.config.role {
                     for peer in hook.scrape_peers() {
                         replicas.push(WireReplicaStats {
                             node: peer.node,
@@ -995,14 +940,13 @@ impl<'a> Connection<'a> {
                         });
                     }
                 }
-                self.write_message(&ServerMessage::ClusterStatsReport { id, replicas })
-                    .is_ok()
+                self.reply(ServerMessage::ClusterStatsReport { id, replicas })
             }
             ClientMessage::Health { id } => {
                 // No read-refusal gate: a lagging or fenced replica
                 // must still report *that* it is lagging — health is
                 // what a load balancer decides eviction by.
-                let health = match &self.config.role {
+                let health = match &self.shared.config.role {
                     ServerRole::Replica(hook) => {
                         hook.refresh_observability();
                         hook.health()
@@ -1011,7 +955,7 @@ impl<'a> Connection<'a> {
                 };
                 // Snapshot after the hook's peer probes: they refresh
                 // the cluster-lag gauge the SLO evaluation reads.
-                let snaps = self.server.engine().metrics_snapshot();
+                let snaps = self.shared.server.engine().metrics_snapshot();
                 let firing = self.observe_slos(&snaps);
                 let gauge_sum = |prefix: &str| {
                     snaps
@@ -1030,7 +974,7 @@ impl<'a> Connection<'a> {
                     Some(h) => (h.role, h.epoch, h.applied, h.lag, h.unreachable),
                     None => ("standalone".to_owned(), 0, 0, 0, Vec::new()),
                 };
-                self.write_message(&ServerMessage::HealthReport {
+                self.reply(ServerMessage::HealthReport {
                     id,
                     role,
                     epoch,
@@ -1041,41 +985,29 @@ impl<'a> Connection<'a> {
                     unreachable,
                     firing,
                 })
-                .is_ok()
             }
             ClientMessage::Watch { id } => {
-                // Attach a bounded bus subscription; the handler loop
-                // pumps its events out as `Event` frames echoing this
-                // id. One watch per connection: a second Watch
-                // replaces the first (whose queued events are
-                // dropped with it).
-                let sub = self.counters.obs.bus().subscribe(WATCH_QUEUE_CAPACITY);
-                self.watch = Some((id, sub));
-                true
+                // Attach a bounded bus subscription; the writer pumps
+                // its events out as `Event` frames echoing this id.
+                // One watch per connection: a second Watch replaces
+                // the first (whose queued events are dropped with it).
+                let sub = self
+                    .shared
+                    .counters
+                    .obs
+                    .bus()
+                    .subscribe(WATCH_QUEUE_CAPACITY);
+                self.send(Outgoing::Watch(id, sub))
             }
             ClientMessage::Traces { id } => {
                 if let Some(error) = self.read_refusal() {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error,
-                            trace_id: None,
-                        })
-                        .is_ok();
+                    return self.refuse(id, error, None);
                 }
-                let traces = self.counters.obs.trace_buffer().snapshot();
-                self.write_message(&ServerMessage::TraceReport { id, traces })
-                    .is_ok()
+                self.send(Outgoing::Traces(id))
             }
             ClientMessage::BudgetAudit { id, analyst, token } => {
                 if let Some(error) = self.read_refusal() {
-                    return self
-                        .write_message(&ServerMessage::Refused {
-                            id,
-                            error,
-                            trace_id: None,
-                        })
-                        .is_ok();
+                    return self.refuse(id, error, None);
                 }
                 // Per-record provenance (exact labels and ε per query)
                 // is only served to a connection that attached the
@@ -1100,7 +1032,7 @@ impl<'a> Connection<'a> {
                         trace_id: None,
                     }
                 } else {
-                    match self.server.engine().ledger_history(&analyst) {
+                    match self.shared.server.engine().ledger_history(&analyst) {
                         Ok(entries) => ServerMessage::AuditReport { id, entries },
                         Err(e) => ServerMessage::Refused {
                             id,
@@ -1109,7 +1041,7 @@ impl<'a> Connection<'a> {
                         },
                     }
                 };
-                self.write_message(&reply).is_ok()
+                self.reply(reply)
             }
             ClientMessage::LogCatchup { id, .. }
             | ClientMessage::ReplicateAck { id, .. }
@@ -1117,19 +1049,20 @@ impl<'a> Connection<'a> {
                 // Replication frames travel replica-to-replica on the
                 // peer port; a client sending one here is confused or
                 // probing.
-                self.counters.protocol_errors.inc();
-                self.write_message(&ServerMessage::Refused {
+                self.shared.counters.protocol_errors.inc();
+                self.refuse(
                     id,
-                    error: WireError::Protocol(
+                    WireError::Protocol(
                         "replication frames are peer-to-peer, not served on the client port".into(),
                     ),
-                    trace_id: None,
-                })
-                .is_ok()
+                    None,
+                )
             }
             ClientMessage::Goodbye { id } => {
-                self.goodbye = Some(id);
-                true
+                // Ends reading: nothing after a Goodbye is served, so
+                // the writer's Farewell stays the last frame.
+                self.send(Outgoing::Goodbye(id));
+                false
             }
         }
     }
@@ -1138,9 +1071,9 @@ impl<'a> Connection<'a> {
     /// process-stable: a reconnecting client reattaching the same
     /// session gets the same token back.
     fn issue_token(&self, analyst: &str) -> u64 {
-        let mut book = self.tokens.lock().expect("token book poisoned");
+        let mut book = self.shared.tokens.lock().expect("token book poisoned");
         *book.entry(analyst.to_owned()).or_insert_with(|| {
-            let mut bytes = self.token_seed.to_le_bytes().to_vec();
+            let mut bytes = self.shared.token_seed.to_le_bytes().to_vec();
             bytes.extend_from_slice(analyst.as_bytes());
             // Zero means "no token" on the wire, so never issue it.
             fnv1a(&bytes).max(1)
@@ -1153,10 +1086,11 @@ impl<'a> Connection<'a> {
     /// upgrades keep working) and only once a wire `OpenSession` issued
     /// a token for the analyst; sessions opened in-process are exempt.
     fn token_refusal(&self, analyst: &str, presented: Option<u64>) -> Option<WireError> {
-        if self.negotiated < 4 {
+        if self.negotiated() < 4 {
             return None;
         }
         let expected = self
+            .shared
             .tokens
             .lock()
             .expect("token book poisoned")
@@ -1175,7 +1109,7 @@ impl<'a> Connection<'a> {
     /// The replication layer's veto on serving reads locally (`None`
     /// under [`ServerRole::Standalone`]).
     fn read_refusal(&self) -> Option<WireError> {
-        match &self.config.role {
+        match &self.shared.config.role {
             ServerRole::Standalone => None,
             ServerRole::Replica(hook) => hook.refuse_read(),
         }
@@ -1187,18 +1121,18 @@ impl<'a> Connection<'a> {
     /// updated `slo_*` gauges. Without configured SLOs this is one
     /// snapshot and nothing else.
     fn scrape_local(&self) -> Vec<MetricSnapshot> {
-        if let ServerRole::Replica(hook) = &self.config.role {
+        if let ServerRole::Replica(hook) = &self.shared.config.role {
             hook.refresh_observability();
         }
-        let snaps = self.server.engine().metrics_snapshot();
-        if self.slo.is_none() {
+        let snaps = self.shared.server.engine().metrics_snapshot();
+        if self.shared.slo.is_none() {
             return snaps;
         }
         self.observe_slos(&snaps);
         // Re-read so the reply carries the slo_* gauges this very
         // scrape just updated (scrapes are rare; the second pass is
         // cheaper than serving stale SLO state).
-        self.server.engine().metrics_snapshot()
+        self.shared.server.engine().metrics_snapshot()
     }
 
     /// Feeds one scrape sample through the SLO engine (no-op without
@@ -1206,12 +1140,12 @@ impl<'a> Connection<'a> {
     /// firing/ok flips on the live event bus, and returns the names
     /// currently firing.
     fn observe_slos(&self, snaps: &[MetricSnapshot]) -> Vec<String> {
-        let Some(slo) = self.slo.as_ref() else {
+        let Some(slo) = self.shared.slo.as_ref() else {
             return Vec::new();
         };
         let mut slo = slo.lock().expect("slo engine poisoned");
         for flip in slo.observe(snaps) {
-            self.counters.obs.bus().publish(
+            self.shared.counters.obs.bus().publish(
                 ClusterEventKind::Slo,
                 &flip.slo,
                 u64::from(flip.firing),
@@ -1220,9 +1154,216 @@ impl<'a> Connection<'a> {
         slo.firing()
     }
 
+    /// Counts `n` admitted requests against the window and hands their
+    /// tickets to the writer.
+    fn admit(&self, n: usize, out: Outgoing) -> bool {
+        let in_flight = self.conn.in_flight.fetch_add(n, Ordering::SeqCst) + n;
+        if self.shared.counters.obs.is_enabled() {
+            self.shared
+                .counters
+                .window_occupancy
+                .record(in_flight as u64);
+        }
+        self.send(out)
+    }
+
+    /// Refuses when admitting `incoming` more requests would overflow
+    /// the connection's window.
+    fn window_refusal(&self, incoming: usize) -> Option<WireError> {
+        let in_flight = self.conn.in_flight.load(Ordering::SeqCst);
+        if in_flight + incoming > self.shared.config.max_in_flight {
+            self.shared.counters.window_refusals.inc();
+            Some(WireError::WindowFull {
+                capacity: self.shared.config.max_in_flight as u64,
+            })
+        } else {
+            None
+        }
+    }
+
+    /// One slot per batch member, in order. Standalone, the members that
+    /// decode enqueue under one hold of the scheduler lock.
+    fn submit_batch(
+        &self,
+        analyst: &str,
+        requests: &[crate::proto::WireRequest],
+    ) -> Vec<Result<Ticket, WireError>> {
+        let inert = TraceContext::inert();
+        if !matches!(self.shared.config.role, ServerRole::Standalone)
+            || self.shared.closing.load(Ordering::Acquire)
+        {
+            return requests
+                .iter()
+                .map(|request| self.submit_one(analyst, request, None, None, &inert))
+                .collect();
+        }
+        let mut sound = Vec::with_capacity(requests.len());
+        let decoded: Vec<_> = requests
+            .iter()
+            .map(|request| request.to_request().map(|r| sound.push(r)))
+            .collect();
+        let mut tickets = self.shared.server.submit_many(analyst, sound).into_iter();
+        decoded
+            .into_iter()
+            .map(|decoded| {
+                decoded?;
+                let ticket = tickets.next().expect("one ticket per decoded member");
+                ticket.map_err(|e| WireError::from_server_error(&e))
+            })
+            .collect()
+    }
+
+    fn submit_one(
+        &self,
+        analyst: &str,
+        request: &crate::proto::WireRequest,
+        request_id: Option<u64>,
+        deadline_micros: Option<u64>,
+        trace: &TraceContext,
+    ) -> Result<Ticket, WireError> {
+        if self.shared.closing.load(Ordering::Acquire) {
+            return Err(WireError::ShutDown);
+        }
+        // The top quarter of the id space is reserved for log-position-
+        // derived idempotency keys (see `RESERVED_REQUEST_ID_BASE`);
+        // letting a client key land there could alias another request's
+        // cached reply.
+        if request_id.is_some_and(|rid| rid >= crate::proto::RESERVED_REQUEST_ID_BASE) {
+            return Err(WireError::InvalidRequest(format!(
+                "request_id {} is in the reserved range (>= 2^62); \
+                 pick an id below {}",
+                request_id.unwrap_or(0),
+                crate::proto::RESERVED_REQUEST_ID_BASE,
+            )));
+        }
+        let request = request.to_request()?;
+        match &self.shared.config.role {
+            ServerRole::Standalone => self
+                .shared
+                .server
+                .submit_traced(
+                    analyst,
+                    request,
+                    request_id,
+                    deadline_micros.map(Duration::from_micros),
+                    trace.clone(),
+                )
+                .map_err(|e| WireError::from_server_error(&e)),
+            // Replicated writes sequence through the log instead of the
+            // local scheduler; the deadline is dropped (wall-clock
+            // dependent — see [`ReplicaHook::sequence_submit`]).
+            ServerRole::Replica(hook) => hook.sequence_submit(analyst, request_id, request),
+        }
+    }
+}
+
+/// The connection's writer — the socket's **only** writer, so frames
+/// never interleave and the chaos op clock counts answers in write
+/// order. Owns the outstanding tickets; dropping them (client gone) lets
+/// the scheduler's sweep cancel their work before any charge.
+struct Writer<'a> {
+    stream: TcpStream,
+    rx: mpsc::Receiver<Outgoing>,
+    conn: &'a ConnShared,
+    shared: &'a AcceptorShared,
+    counters: &'a NetCounters,
+    /// The reader exited (its end of `rx` is gone).
+    reader_gone: bool,
+    singles: Vec<Outstanding>,
+    batches: Vec<OutstandingBatch>,
+    /// The live `Watch` subscription, if any: its correlation id and the
+    /// bus subscription whose events go out as `Event` frames.
+    watch: Option<(u64, BusSubscriber)>,
+    goodbye: Option<u64>,
+    /// Replies off resolved tickets, and the window slots they free,
+    /// waiting to leave together at `release` (see [`RELEASE_EVERY`]).
+    ready: Vec<(ServerMessage, TraceContext, &'static str)>,
+    answered: usize,
+    release: Instant,
+}
+
+impl Writer<'_> {
+    /// Writes until the connection's ending, parking whenever there is
+    /// nothing to write — with no time-out but a held release's: a
+    /// ticket's waker or the reader unparks it. Each pass re-checks all
+    /// state before parking, so the park token keeps a wake-up that lands
+    /// in between.
+    fn run(mut self) {
+        let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+        while let Ok(written) = self.pass(&waker) {
+            let in_flight = self.conn.in_flight.load(Ordering::SeqCst);
+            let done = match self.goodbye {
+                // Orderly ending: everything owed is answered.
+                Some(id) => {
+                    in_flight == 0 && {
+                        let _ = self.write_message(&ServerMessage::Farewell { id });
+                        true
+                    }
+                }
+                // Reader EOF: a server shutdown still owes what is in
+                // flight; a gone client's tickets drop with `self`.
+                None => {
+                    self.reader_gone
+                        && (in_flight == 0 || !self.shared.closing.load(Ordering::SeqCst))
+                }
+            };
+            if done {
+                break;
+            }
+            if written == 0 {
+                let held = (!self.ready.is_empty())
+                    .then(|| self.release.saturating_duration_since(Instant::now()));
+                let watch = self.watch.as_ref().map(|_| WATCH_POLL);
+                match held.into_iter().chain(watch).min() {
+                    Some(bound) => std::thread::park_timeout(bound),
+                    None => std::thread::park(),
+                }
+            }
+        }
+        if self.conn.in_flight.load(Ordering::SeqCst) > 0 {
+            self.counters.disconnects_mid_request.inc();
+        }
+        // Also wakes a reader still blocked in `read`.
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+
+    /// One pass over everything that can produce a frame, returning how
+    /// many were written (an error means the peer is dead).
+    fn pass(&mut self, waker: &Waker) -> std::io::Result<usize> {
+        let mut written = 0;
+        loop {
+            match self.rx.try_recv() {
+                Ok(Outgoing::Reply(msg)) => {
+                    self.write_message(&msg)?;
+                    written += 1;
+                }
+                Ok(Outgoing::Traces(id)) => {
+                    let traces = self.counters.obs.trace_buffer().snapshot();
+                    self.write_message(&ServerMessage::TraceReport { id, traces })?;
+                    written += 1;
+                }
+                Ok(Outgoing::Single(o)) => self.singles.push(o),
+                Ok(Outgoing::Batch(b)) => self.batches.push(b),
+                Ok(Outgoing::Watch(id, sub)) => self.watch = Some((id, sub)),
+                Ok(Outgoing::Goodbye(id)) => self.goodbye = Some(id),
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    self.reader_gone = true;
+                    break;
+                }
+            }
+        }
+        written += self.flush_completions(waker)?;
+        // Watch events are suspended once a Goodbye starts draining, so
+        // the Farewell is the last frame.
+        if self.goodbye.is_none() {
+            written += self.pump_watch()?;
+        }
+        Ok(written)
+    }
+
     /// Writes out every event queued on the connection's `Watch`
-    /// subscription (bounded per pass), returning how many went — the
-    /// handler loop's progress signal.
+    /// subscription (bounded per pass), returning how many went.
     fn pump_watch(&mut self) -> std::io::Result<usize> {
         let (watch_id, events) = match &self.watch {
             Some((id, sub)) => (*id, sub.drain(WATCH_BATCH)),
@@ -1240,110 +1381,52 @@ impl<'a> Connection<'a> {
         Ok(events.len())
     }
 
-    /// Records the connection's in-flight depth after an accepted
-    /// submit (metrics-off: no-op).
-    fn note_occupancy(&self) {
-        if self.counters.obs.is_enabled() {
-            self.counters
-                .window_occupancy
-                .record(self.in_flight() as u64);
-        }
-    }
-
-    /// Refuses when admitting `incoming` more requests would overflow
-    /// the connection's window.
-    fn window_refusal(&self, incoming: usize) -> Option<WireError> {
-        if self.in_flight() + incoming > self.config.max_in_flight {
-            self.counters.window_refusals.inc();
-            Some(WireError::WindowFull {
-                capacity: self.config.max_in_flight as u64,
-            })
-        } else {
-            None
-        }
-    }
-
-    fn submit_one(
-        &self,
-        analyst: &str,
-        request: &crate::proto::WireRequest,
-        request_id: Option<u64>,
-        deadline_micros: Option<u64>,
-        trace: &TraceContext,
-    ) -> Result<Ticket, WireError> {
-        if self.closing.load(Ordering::Acquire) {
-            return Err(WireError::ShutDown);
-        }
-        // The top quarter of the id space is reserved for log-position-
-        // derived idempotency keys (see `RESERVED_REQUEST_ID_BASE`);
-        // letting a client key land there could alias another request's
-        // cached reply.
-        if request_id.is_some_and(|rid| rid >= crate::proto::RESERVED_REQUEST_ID_BASE) {
-            return Err(WireError::InvalidRequest(format!(
-                "request_id {} is in the reserved range (>= 2^62); \
-                 pick an id below {}",
-                request_id.unwrap_or(0),
-                crate::proto::RESERVED_REQUEST_ID_BASE,
-            )));
-        }
-        let request = request.to_request()?;
-        match &self.config.role {
-            ServerRole::Standalone => self
-                .server
-                .submit_traced(
-                    analyst,
-                    request,
-                    request_id,
-                    deadline_micros.map(Duration::from_micros),
-                    trace.clone(),
-                )
-                .map_err(|e| WireError::from_server_error(&e)),
-            // Replicated writes sequence through the log instead of the
-            // local scheduler; the deadline is dropped (wall-clock
-            // dependent — see [`ReplicaHook::sequence_submit`]).
-            ServerRole::Replica(hook) => hook.sequence_submit(analyst, request_id, request),
-        }
-    }
-
-    /// Writes replies for every resolved ticket and completed batch,
-    /// returning how many went out (the handler loop's progress signal).
-    fn flush_completions(&mut self) -> std::io::Result<usize> {
+    /// Collects the reply of every resolved ticket and completed batch
+    /// and writes what is collected once its release has come, returning
+    /// how many went out. Polling with `waker` is what arms each
+    /// still-pending ticket to unpark this thread when it resolves.
+    fn flush_completions(&mut self, waker: &Waker) -> std::io::Result<usize> {
+        let mut cx = Context::from_waker(waker);
         let metrics_on = self.counters.obs.is_enabled();
         let request_ns = &self.counters.request_ns;
-        let mut replies: Vec<(ServerMessage, TraceContext, &'static str)> = Vec::new();
-        self.singles.retain(|o| match o.ticket.try_take() {
-            None => true,
-            Some(result) => {
-                if metrics_on {
-                    request_ns.record_duration(o.started.elapsed());
+        let mut replies = std::mem::take(&mut self.ready);
+        let mut answered = std::mem::take(&mut self.answered);
+        let waiting = !replies.is_empty();
+        self.singles
+            .retain_mut(|o| match Pin::new(&mut o.ticket).poll(&mut cx) {
+                Poll::Pending => true,
+                Poll::Ready(result) => {
+                    if metrics_on {
+                        request_ns.record_duration(o.started.elapsed());
+                    }
+                    let (msg, outcome) = match result {
+                        Ok(response) => (
+                            ServerMessage::Answer {
+                                id: o.id,
+                                response: WireResponse::from_response(&response),
+                                trace_id: o.trace_id,
+                            },
+                            "ok",
+                        ),
+                        Err(e) => (
+                            ServerMessage::Refused {
+                                id: o.id,
+                                error: WireError::from_server_error(&e),
+                                trace_id: o.trace_id,
+                            },
+                            "refused",
+                        ),
+                    };
+                    replies.push((msg, o.trace.clone(), outcome));
+                    answered += 1;
+                    false
                 }
-                let (msg, outcome) = match result {
-                    Ok(response) => (
-                        ServerMessage::Answer {
-                            id: o.id,
-                            response: WireResponse::from_response(&response),
-                            trace_id: o.trace_id,
-                        },
-                        "ok",
-                    ),
-                    Err(e) => (
-                        ServerMessage::Refused {
-                            id: o.id,
-                            error: WireError::from_server_error(&e),
-                            trace_id: o.trace_id,
-                        },
-                        "refused",
-                    ),
-                };
-                replies.push((msg, o.trace.clone(), outcome));
-                false
-            }
-        });
+            });
         let mut finished: Vec<usize> = Vec::new();
-        for (i, batch) in self.batches.iter().enumerate() {
-            let done = batch.slots.iter().all(|slot| match slot {
+        for (i, batch) in self.batches.iter_mut().enumerate() {
+            let done = batch.slots.iter_mut().all(|slot| match slot {
                 Err(_) => true,
-                Ok(ticket) => ticket.try_take().is_some(),
+                Ok(ticket) => Pin::new(ticket).poll(&mut cx).is_ready(),
             });
             if done {
                 finished.push(i);
@@ -1351,6 +1434,7 @@ impl<'a> Connection<'a> {
         }
         for i in finished.into_iter().rev() {
             let batch = self.batches.swap_remove(i);
+            answered += batch.slots.len();
             if metrics_on {
                 // One sample per member: a batch of n occupied n window
                 // slots for its whole flight.
@@ -1378,31 +1462,42 @@ impl<'a> Connection<'a> {
                 "ok",
             ));
         }
-        let flushed = replies.len();
-        if flushed > 0 {
-            let mut span = self.counters.obs.span();
-            let timer = TraceTimer::any(replies.iter().map(|(_, t, _)| t));
-            for (reply, _, _) in &replies {
-                self.write_message(reply)?;
-            }
-            self.counters.obs.span_mark(&mut span, Stage::Reply);
-            // Close out every traced request that just flushed: record
-            // its Reply span and seal the tree into the trace buffer.
-            for (_, trace, outcome) in &replies {
-                if trace.is_active() {
-                    trace.record(Stage::Reply, &timer, outcome);
-                    trace.finish(outcome);
-                }
+        let now = Instant::now();
+        if !waiting {
+            // The first reply collected after a release sets the next.
+            self.release = self.release.max(now);
+        }
+        if replies.is_empty() || now < self.release {
+            (self.ready, self.answered) = (replies, answered);
+            return Ok(0);
+        }
+        self.release += match self.shared.config.role {
+            ServerRole::Standalone => RELEASE_EVERY,
+            ServerRole::Replica(_) => 2 * RELEASE_EVERY,
+        };
+        self.conn.in_flight.fetch_sub(answered, Ordering::SeqCst);
+        let mut span = self.counters.obs.span();
+        let timer = TraceTimer::any(replies.iter().map(|(_, t, _)| t));
+        for (reply, _, _) in &replies {
+            self.write_message(reply)?;
+        }
+        self.counters.obs.span_mark(&mut span, Stage::Reply);
+        // Close out every traced request that just flushed: record its
+        // Reply span and seal the tree into the trace buffer.
+        for (_, trace, outcome) in &replies {
+            if trace.is_active() {
+                trace.record(Stage::Reply, &timer, outcome);
+                trace.finish(outcome);
             }
         }
-        Ok(flushed)
+        Ok(replies.len())
     }
 
     fn write_message(&mut self, msg: &ServerMessage) -> std::io::Result<()> {
         // The chaos plan's op clock ticks once per **answer** frame, so a
         // scripted schedule addresses "the 3rd answer" no matter how many
         // handshake or stats frames interleave.
-        if let Some(plan) = &self.config.fault_plan {
+        if let Some(plan) = &self.shared.config.fault_plan {
             if matches!(
                 msg,
                 ServerMessage::Answer { .. } | ServerMessage::BatchAnswer { .. }
@@ -1411,17 +1506,17 @@ impl<'a> Connection<'a> {
                     self.counters.faults_injected.inc();
                     match fault {
                         bf_chaos::NetFault::DropConnection => {
-                            let _ = self.stream.shutdown(std::net::Shutdown::Both);
+                            let _ = self.stream.shutdown(Shutdown::Both);
                             return Err(std::io::Error::new(
                                 std::io::ErrorKind::ConnectionReset,
                                 "chaos: connection dropped before reply",
                             ));
                         }
                         bf_chaos::NetFault::TruncateReply => {
-                            let framed = frame_bytes(&msg.encode_for(self.negotiated));
+                            let framed = self.frame(msg);
                             self.counters.frames_out.inc();
                             let _ = self.stream.write_all(&framed[..framed.len() / 2]);
-                            let _ = self.stream.shutdown(std::net::Shutdown::Both);
+                            let _ = self.stream.shutdown(Shutdown::Both);
                             return Err(std::io::Error::new(
                                 std::io::ErrorKind::ConnectionReset,
                                 "chaos: reply frame truncated mid-write",
@@ -1435,7 +1530,11 @@ impl<'a> Connection<'a> {
             }
         }
         self.counters.frames_out.inc();
-        self.stream
-            .write_all(&frame_bytes(&msg.encode_for(self.negotiated)))
+        let framed = self.frame(msg);
+        self.stream.write_all(&framed)
+    }
+
+    fn frame(&self, msg: &ServerMessage) -> Vec<u8> {
+        frame_bytes(&msg.encode_for(self.conn.negotiated.load(Ordering::Relaxed)))
     }
 }

@@ -38,9 +38,13 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How long blocked threads sleep before re-checking shutdown flags.
+/// Read time-out of a peer-port handshake (to re-check the shutdown
+/// flag) and back-off after a failed `accept`; no request waits on it.
 const POLL: Duration = Duration::from_millis(2);
-/// Condvar wait granularity for the applier and [`Replica::promote`].
+/// Liveness heartbeat of the condvar waits (applier, streamers,
+/// [`Replica::promote`]) and the follower's stream read. Work always
+/// arrives with a `notify_all` or as bytes; this only bounds how long a
+/// flag set without either goes unseen.
 const WAIT: Duration = Duration::from_millis(25);
 /// Max log entries per [`ServerMessage::Replicate`] frame.
 const BATCH: usize = 64;
@@ -622,7 +626,11 @@ impl Node {
             let waiters = st.waiters.remove(&next).unwrap_or_default();
             drop(st);
 
-            // Engine execution happens outside the state lock.
+            // Engine execution and the answers happen outside the state
+            // lock. Waiters are answered only after `mark_applied`: a
+            // client holding an answer finds it already counted in
+            // `applied` and in the store's state (whose digest covers
+            // the durable mark).
             match &entry.op {
                 WireLogOp::OpenSession { total_bits } => {
                     let outcome = Epsilon::new(f64::from_bits(*total_bits))
@@ -636,6 +644,7 @@ impl Node {
                                 .attach_session(&entry.analyst, eps)
                                 .map_err(|e| WireError::from_engine_error(&e))
                         });
+                    self.mark_applied(next);
                     for w in waiters {
                         if let Waiter::Open(tx) = w {
                             let _ = tx.send(outcome.clone());
@@ -653,6 +662,7 @@ impl Node {
                                 .serve_tagged(&entry.analyst, entry.request_id, &req)
                                 .map_err(ServerError::Engine)
                         });
+                    self.mark_applied(next);
                     for w in waiters {
                         if let Waiter::Submit(resolver) = w {
                             resolver.resolve(outcome.clone());
@@ -660,38 +670,42 @@ impl Node {
                     }
                 }
             }
-
-            // Durable execution mark: recovery resumes exactly here. A
-            // crash between the engine's Replied record and this mark
-            // replays into the reply cache at zero ε.
-            if self
-                .store
-                .commit(&[Record::LogApplied { index: next }])
-                .is_err()
-            {
-                self.dead.store(true, Ordering::SeqCst);
-            }
             st = self.state.lock().unwrap();
-            st.applied = st.applied.max(next);
-            self.evict_applied(&mut st);
-            self.update_gauges(&st);
-            self.cv.notify_all();
         }
+    }
+
+    /// Durable execution mark: recovery resumes exactly here. A crash
+    /// between the engine's Replied record and this mark replays into
+    /// the reply cache at zero ε.
+    fn mark_applied(&self, index: u64) {
+        if self.store.commit(&[Record::LogApplied { index }]).is_err() {
+            self.dead.store(true, Ordering::SeqCst);
+        }
+        let mut st = self.state.lock().unwrap();
+        st.applied = st.applied.max(index);
+        self.evict_applied(&mut st);
+        self.update_gauges(&st);
+        self.cv.notify_all();
     }
 
     // -----------------------------------------------------------------
     // Peer port: the leader side of log shipping
     // -----------------------------------------------------------------
 
+    /// Blocking accept; [`Replica::shutdown`] wakes it with a loopback
+    /// connection of its own.
     fn peer_listener_loop(self: &Arc<Node>, listener: TcpListener) {
-        while !self.closing.load(Ordering::SeqCst) {
-            match listener.accept() {
+        loop {
+            let accepted = listener.accept();
+            if self.closing.load(Ordering::SeqCst) {
+                return;
+            }
+            match accepted {
                 Ok((stream, _)) => {
                     let node = Arc::clone(self);
                     let handle = std::thread::spawn(move || node.peer_conn(stream));
                     self.handlers.lock().unwrap().push(handle);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
                 Err(_) => std::thread::sleep(POLL),
             }
         }
@@ -706,7 +720,7 @@ impl Node {
         let mut buf: Vec<u8> = Vec::new();
 
         // Handshake: peers always speak the current protocol.
-        let hello = match self.read_peer_frame(&mut stream, &mut buf, true) {
+        let hello = match self.read_peer_frame(&mut stream, &mut buf) {
             Some(ClientMessage::Hello { id, version }) if version >= PROTOCOL_VERSION => {
                 let _ = write_frame(
                     &mut stream,
@@ -734,7 +748,7 @@ impl Node {
         };
         let _ = hello;
 
-        let (corr, mut send_next) = match self.read_peer_frame(&mut stream, &mut buf, true) {
+        let (corr, send_next) = match self.read_peer_frame(&mut stream, &mut buf) {
             Some(ClientMessage::PeerStatus { id }) => {
                 // Read-only probe (the pre-promotion longest-log check):
                 // report the durable position and close. A killed node
@@ -867,16 +881,57 @@ impl Node {
             self.recompute_commit(&mut st);
         }
 
+        // From here on nothing polls: acks get a blocking reader of their
+        // own on a clone of the socket; the streamer waits on the condvar.
+        let _ = stream.set_read_timeout(None);
+        let acks_ended = AtomicBool::new(false);
+        if let Ok(mut ack_stream) = stream.try_clone() {
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    self.ack_loop(&mut ack_stream, &mut buf, conn_id);
+                    acks_ended.store(true, Ordering::SeqCst);
+                    // Under the lock, so the streamer is either yet to
+                    // check the flag or already waiting.
+                    let _st = self.state.lock().unwrap();
+                    self.cv.notify_all();
+                });
+                self.ship_loop(&mut stream, corr, send_next, &acks_ended);
+                // Wakes the ack reader out of its blocking read.
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            });
+        }
+        let mut st = self.state.lock().unwrap();
+        st.follower_acks.remove(&conn_id);
+    }
+
+    /// The per-follower streamer: ships every entry from `send_next` on,
+    /// and every commit advance, as the node condvar announces it.
+    /// Returns when this node stops leading, dies or closes, the
+    /// follower's acks end, or a write fails.
+    fn ship_loop(
+        &self,
+        stream: &mut TcpStream,
+        corr: u64,
+        mut send_next: u64,
+        acks_ended: &AtomicBool,
+    ) {
         let mut last_commit_sent = u64::MAX;
         loop {
-            if self.closing.load(Ordering::SeqCst) || self.dead.load(Ordering::SeqCst) {
-                break;
-            }
             // Snapshot the batch under the lock; ship it outside.
             let (entries, epoch, commit) = {
-                let st = self.state.lock().unwrap();
-                if st.role != Role::Leader {
-                    break;
+                let mut st = self.state.lock().unwrap();
+                loop {
+                    if self.closing.load(Ordering::SeqCst)
+                        || self.dead.load(Ordering::SeqCst)
+                        || acks_ended.load(Ordering::SeqCst)
+                        || st.role != Role::Leader
+                    {
+                        return;
+                    }
+                    if st.high_water() >= send_next || st.commit_index != last_commit_sent {
+                        break;
+                    }
+                    st = self.cv.wait_timeout(st, WAIT).unwrap().0;
                 }
                 let mut batch = Vec::new();
                 while send_next + (batch.len() as u64) <= st.high_water() && batch.len() < BATCH {
@@ -894,59 +949,47 @@ impl Node {
                 }
                 (batch, st.epoch, st.commit_index)
             };
-            if !entries.is_empty() || commit != last_commit_sent {
-                let n = entries.len() as u64;
-                if write_frame(
-                    &mut stream,
-                    &ServerMessage::Replicate {
-                        id: corr,
-                        epoch,
-                        commit_index: commit,
-                        entries,
-                    },
-                )
-                .is_err()
-                {
-                    break;
-                }
-                send_next += n;
-                last_commit_sent = commit;
+            let n = entries.len() as u64;
+            let frame = ServerMessage::Replicate {
+                id: corr,
+                epoch,
+                commit_index: commit,
+                entries,
+            };
+            if write_frame(stream, &frame).is_err() {
+                return;
             }
-            // Poll for cumulative acks (short read timeout).
-            match self.read_peer_frame(&mut stream, &mut buf, false) {
-                Some(ClientMessage::ReplicateAck { epoch, index, .. }) => {
-                    let mut st = self.state.lock().unwrap();
-                    if epoch > st.epoch {
-                        self.step_down(&mut st, epoch);
-                        break;
-                    }
-                    // Clamp to our own durable mark: an ack above it
-                    // covers entries we never sequenced and must not
-                    // count toward any quorum.
-                    let hw = st.high_water();
-                    let ack = st.follower_acks.entry(conn_id).or_insert(0);
-                    *ack = (*ack).max(index.min(hw));
-                    self.recompute_commit(&mut st);
-                }
-                Some(ClientMessage::Goodbye { .. }) | Some(_) => break,
-                None => {} // timeout or nothing buffered: keep streaming
-            }
+            send_next += n;
+            last_commit_sent = commit;
         }
-        let mut st = self.state.lock().unwrap();
-        st.follower_acks.remove(&conn_id);
     }
 
-    /// Reads one peer frame. `block` waits until a frame or disconnect;
-    /// otherwise one short-timeout read attempt is made and `None`
-    /// means "nothing yet". Corrupt frames and EOF read as `None` with
-    /// the buffer poisoned (callers break their loops on the next
-    /// write failure or read).
-    fn read_peer_frame(
-        &self,
-        stream: &mut TcpStream,
-        buf: &mut Vec<u8>,
-        block: bool,
-    ) -> Option<ClientMessage> {
+    /// Feeds the follower's cumulative acks (blocking reads) into the
+    /// commit rule, which notifies the applier and streamers. Returns on
+    /// EOF, any other frame, or a fencing epoch.
+    fn ack_loop(&self, stream: &mut TcpStream, buf: &mut Vec<u8>, conn_id: u64) {
+        while let Some(ClientMessage::ReplicateAck { epoch, index, .. }) =
+            self.read_peer_frame(stream, buf)
+        {
+            let mut st = self.state.lock().unwrap();
+            if epoch > st.epoch {
+                self.step_down(&mut st, epoch);
+                return;
+            }
+            // Clamp to our own durable mark: an ack above it covers
+            // entries we never sequenced and must not count toward any
+            // quorum.
+            let hw = st.high_water();
+            let ack = st.follower_acks.entry(conn_id).or_insert(0);
+            *ack = (*ack).max(index.min(hw));
+            self.recompute_commit(&mut st);
+        }
+    }
+
+    /// Reads one peer frame, blocking until a frame, a disconnect, or
+    /// (when the socket has a read time-out) a time-out that finds the
+    /// node closing. Corrupt frames and EOF read as `None`.
+    fn read_peer_frame(&self, stream: &mut TcpStream, buf: &mut Vec<u8>) -> Option<ClientMessage> {
         let mut chunk = [0u8; 16 * 1024];
         loop {
             match read_frame(buf) {
@@ -968,12 +1011,7 @@ impl Node {
                     if matches!(
                         e.kind(),
                         std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    if !block {
-                        return None;
-                    }
-                }
+                    ) => {}
                 Err(_) => return None,
             }
         }
@@ -1426,7 +1464,6 @@ impl Replica {
         let node = Arc::new(Node::recover(engine, store, &cfg)?);
 
         let peer_listener = TcpListener::bind(peer_addr)?;
-        peer_listener.set_nonblocking(true)?;
         let peer_addr = peer_listener.local_addr()?;
 
         let server = Arc::new(Server::new(Arc::clone(&node.engine), cfg.server));
@@ -1620,7 +1657,15 @@ impl Replica {
     /// [`ReplicaError::Server`] when the inner server's drain fails.
     pub fn shutdown(self) -> Result<(), ReplicaError> {
         self.node.closing.store(true, Ordering::SeqCst);
-        self.node.cv.notify_all();
+        {
+            // The lock orders the flag against every check-then-wait.
+            // Parked clients read `ShutDown`: the applier that would
+            // have answered them is about to be joined.
+            let mut st = self.node.state.lock().unwrap();
+            self.node.drop_waiters(&mut st);
+            self.node.cv.notify_all();
+        }
+        bf_net::wake_acceptor(self.peer_addr);
         for t in self.threads {
             let _ = t.join();
         }

@@ -32,10 +32,14 @@
 //!   refuse at the door with [`ServerError`]s instead of occupying
 //!   scheduler state.
 //! * **The window adapts to load.** With
-//!   [`ServerConfig::adaptive_window`] the coalescing window scales
-//!   with queue depth — zero ticks when idle (minimum latency), up to
-//!   `coalesce_window` ticks under burst (maximum one-release-many-
-//!   answers amplification).
+//!   [`ServerConfig::adaptive_window`] (the default) the coalescing
+//!   window scales with queue depth — zero ticks when idle (minimum
+//!   latency), up to `coalesce_window` ticks under burst (maximum
+//!   one-release-many-answers amplification).
+//! * **Wake-ups, not timers.** The background driver
+//!   ([`Server::start_driver`]) sleeps on a condvar until a submission
+//!   arrives and ticks back-to-back while work is queued; its interval
+//!   is only the time unit of a held-open window.
 //! * **Sessions and processes have lifecycles.**
 //!   [`ServerConfig::session_ttl`] sweeps idle engine sessions into the
 //!   parked state (spent ε preserved, reattach on reopen);
@@ -302,6 +306,86 @@ mod tests {
             .unwrap();
         let answer = t.wait().unwrap();
         assert!(matches!(answer, Response::Histogram(_)));
+        driver.stop();
+    }
+
+    /// The driver is arrival-driven: no ticks while idle, and a stop
+    /// that does not wait out the interval.
+    #[test]
+    fn idle_driver_does_not_tick_and_stops_promptly() {
+        let engine = engine(8);
+        engine.open_session("a", eps(1.0)).unwrap();
+        let server = Arc::new(Server::with_defaults(engine));
+        let driver = server.start_driver(std::time::Duration::from_secs(10));
+        let t = server
+            .submit("a", Request::range("pol", "ds", eps(0.2), 0, 9))
+            .unwrap();
+        assert!(
+            t.wait().is_ok(),
+            "answered without waiting out the interval"
+        );
+        let ticks = server.stats().ticks;
+        std::thread::sleep(std::time::Duration::from_millis(100));
+        assert_eq!(server.stats().ticks, ticks, "an idle driver must not tick");
+        let stopping = std::time::Instant::now();
+        driver.stop();
+        assert!(stopping.elapsed() < std::time::Duration::from_millis(100));
+    }
+
+    /// A `submit_many` batch goes in under one hold of the scheduler
+    /// lock, so a racing driver cannot split it: even with a driver
+    /// awake and ticking back-to-back, both ranges share one release.
+    #[test]
+    fn submit_many_is_never_split_across_ticks() {
+        for seed in 0..20 {
+            let engine = engine(seed);
+            engine.open_session("a", eps(1.0)).unwrap();
+            let server = Arc::new(Server::with_defaults(engine));
+            let driver = server.start_driver(std::time::Duration::from_millis(1));
+            let tickets = server.submit_many(
+                "a",
+                vec![
+                    Request::range("pol", "ds", eps(0.1), 0, 9),
+                    Request::range("pol", "ds", eps(2.0), 0, 9),
+                    Request::range("pol", "ds", eps(0.1), 5, 20),
+                ],
+            );
+            let [first, refused, second] = <[_; 3]>::try_from(tickets).unwrap();
+            assert!(matches!(refused, Err(ServerError::BudgetExhausted { .. })));
+            assert!(first.unwrap().wait().is_ok());
+            assert!(second.unwrap().wait().is_ok());
+            driver.stop();
+            let stats = server.stats();
+            assert_eq!((stats.releases, stats.batched_range_answers), (1, 2));
+        }
+    }
+
+    /// The TTL sweep used to ride on the tick count; a driver that does
+    /// not tick while idle must still evict the idle sessions.
+    #[test]
+    fn idle_driver_still_sweeps_expired_sessions() {
+        let engine = engine(10);
+        engine.open_session("a", eps(1.0)).unwrap();
+        let server = Arc::new(Server::new(
+            Arc::clone(&engine),
+            ServerConfig {
+                session_ttl: Some(std::time::Duration::from_millis(20)),
+                ..ServerConfig::default()
+            },
+        ));
+        let driver = server.start_driver(std::time::Duration::from_millis(1));
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
+        while engine.parked_session("a").is_none() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "idle session never parked: {:?}",
+                server.stats()
+            );
+            std::thread::sleep(std::time::Duration::from_millis(5));
+        }
+        let stats = server.stats();
+        assert_eq!((stats.submitted, stats.ticks), (0, 0));
+        assert_eq!(stats.evicted_sessions, 1);
         driver.stop();
     }
 

@@ -214,8 +214,13 @@ impl SchedState {
         due
     }
 
+    /// Whether any analyst queue holds an undrained request.
+    pub(crate) fn has_queued(&self) -> bool {
+        self.queues.values().any(|q| !q.queue.is_empty())
+    }
+
     /// Whether any queued or pending work remains.
     pub(crate) fn is_busy(&self) -> bool {
-        !self.pending.is_empty() || self.queues.values().any(|q| !q.queue.is_empty())
+        !self.pending.is_empty() || self.has_queued()
     }
 }

@@ -7,7 +7,7 @@ use bf_engine::{Engine, Request, TaggedGroup};
 use bf_obs::{Counter, Histogram, Registry, Stage, TraceContext};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 /// Tuning knobs for the front-end.
@@ -27,6 +27,8 @@ pub struct ServerConfig {
     /// form (minimum latency), a backlogged one waits up to
     /// `coalesce_window` ticks so more identical requests fold into each
     /// release (maximum amplification). See [`adaptive_window_ticks`].
+    /// On by default; `false` holds every group open for the full
+    /// `coalesce_window`, however idle the server is.
     pub adaptive_window: bool,
     /// Requests per unit of analyst weight drained per tick (the DRR
     /// quantum).
@@ -47,7 +49,8 @@ pub struct ServerConfig {
     /// queue. `None` disables shedding.
     pub shed_depth: Option<usize>,
     /// Evict engine sessions idle for at least this long (checked every
-    /// [`EVICT_CHECK_EVERY`] ticks). Evicted ledgers park — spent ε is
+    /// [`EVICT_CHECK_EVERY`] ticks, and by an idle background driver
+    /// once per `session_ttl`). Evicted ledgers park — spent ε is
     /// preserved (and durable when the engine has a store) — and
     /// reattach on the analyst's next `open_session`. `None` disables
     /// eviction.
@@ -59,7 +62,7 @@ impl Default for ServerConfig {
         Self {
             queue_capacity: 128,
             coalesce_window: 2,
-            adaptive_window: false,
+            adaptive_window: true,
             quantum: 8,
             admission_control: true,
             shed_depth: None,
@@ -201,6 +204,9 @@ pub struct Server {
     engine: Arc<Engine>,
     config: ServerConfig,
     state: Mutex<SchedState>,
+    /// Paired with `state`: submissions notify it after enqueueing, the
+    /// background driver waits on it while nothing is queued.
+    wake: Condvar,
     counters: Counters,
     /// The engine's metrics registry (shared handle — the server's
     /// instruments live alongside the engine's).
@@ -234,6 +240,7 @@ impl Server {
             engine,
             config,
             state: Mutex::new(SchedState::new()),
+            wake: Condvar::new(),
             counters,
             obs,
             ticket_ns,
@@ -363,6 +370,47 @@ impl Server {
                 analyst: analyst.to_owned(),
             });
         }
+        let deadline_at = deadline.map(|d| std::time::Instant::now() + d);
+        let mut state = self.state.lock().expect("scheduler state poisoned");
+        self.submit_locked(&mut state, analyst, request, request_id, deadline_at, trace)
+    }
+
+    /// [`Server::submit`] for each request under **one** hold of the
+    /// scheduler lock: no tick can drain between them, so compatible
+    /// members land in the same coalescing window however a driver's
+    /// wake-up races the caller. A refused member fails only its slot.
+    pub fn submit_many(
+        &self,
+        analyst: &str,
+        requests: Vec<Request>,
+    ) -> Vec<Result<Ticket, ServerError>> {
+        let mut state = self.state.lock().expect("scheduler state poisoned");
+        let inert = TraceContext::inert;
+        requests
+            .into_iter()
+            .map(|r| self.submit_locked(&mut state, analyst, r, None, None, inert()))
+            .collect()
+    }
+
+    /// Admission and enqueue, under the caller's hold of the scheduler
+    /// lock; wakes the driver.
+    fn submit_locked(
+        &self,
+        state: &mut SchedState,
+        analyst: &str,
+        request: Request,
+        request_id: Option<u64>,
+        deadline_at: Option<std::time::Instant>,
+        trace: TraceContext,
+    ) -> Result<Ticket, ServerError> {
+        // Checked under the state lock: shutdown() sets the flag and
+        // then takes this lock as a barrier before its final drain, so
+        // an enqueue that saw `closed == false` here is guaranteed to
+        // happen before that drain — no ticket can slip in after the
+        // last tick and hang forever.
+        if self.closed.load(Ordering::Acquire) {
+            return Err(ServerError::ShutDown);
+        }
         let remaining = self
             .engine
             .session_remaining(analyst)
@@ -374,16 +422,6 @@ impl Server {
                 requested: request.epsilon.value(),
                 remaining,
             });
-        }
-        let deadline_at = deadline.map(|d| std::time::Instant::now() + d);
-        let mut state = self.state.lock().expect("scheduler state poisoned");
-        // Re-check under the state lock: shutdown() sets the flag and
-        // then takes this lock as a barrier before its final drain, so
-        // an enqueue that saw `closed == false` here is guaranteed to
-        // happen before that drain — no ticket can slip in after the
-        // last tick and hang forever.
-        if self.closed.load(Ordering::Acquire) {
-            return Err(ServerError::ShutDown);
         }
         // Shed gate on the AGGREGATE backlog, before the per-analyst
         // capacity check: under overload every queue may individually
@@ -410,6 +448,9 @@ impl Server {
         queue.queue.push_back(sub);
         queue.depth.set(queue.queue.len() as f64);
         self.counters.submitted.inc();
+        // Under the state lock: a driver that found the queues empty is
+        // already waiting when this fires.
+        self.wake.notify_all();
         Ok(ticket)
     }
 
@@ -724,45 +765,52 @@ impl Server {
         }
 
         // TTL sweep last, so requests served this tick count as
-        // activity before idleness is judged. Analysts with queued or
-        // pending work are exempt: idleness is time since last charge,
-        // and a backlogged analyst waiting out the scheduler is not
-        // idle — evicting them would fail their admitted tickets.
+        // activity before idleness is judged.
         if evict_now {
-            if let Some(ttl) = self.config.session_ttl {
-                let busy: Vec<String> = {
-                    let state = self.state.lock().expect("scheduler state poisoned");
-                    state
-                        .queues
-                        .iter()
-                        .filter(|(_, q)| !q.queue.is_empty())
-                        .map(|(a, _)| a.clone())
-                        .chain(
-                            state
-                                .pending
-                                .iter()
-                                .flat_map(|g| g.waiters.iter().map(|w| w.analyst.clone())),
-                        )
-                        .collect()
-                };
-                let evicted = self.engine.evict_idle_sessions_except(ttl, &busy);
-                self.counters.evicted_sessions.add(evicted.len() as u64);
-                if !evicted.is_empty() {
-                    // Retire the evicted analysts' queue structures and
-                    // unregister their depth gauges, so scrapes stop
-                    // carrying dead `server_queue_depth{analyst=…}`
-                    // series. Eviction exempted busy analysts, so the
-                    // queues being dropped are empty.
-                    let mut state = self.state.lock().expect("scheduler state poisoned");
-                    for analyst in &evicted {
-                        state.queues.remove(analyst);
-                        self.obs
-                            .remove(&format!("server_queue_depth{{analyst={analyst:?}}}"));
-                    }
-                }
-            }
+            self.evict_idle_sessions();
         }
         resolved
+    }
+
+    /// The session-TTL sweep (no-op without [`ServerConfig::session_ttl`]).
+    /// Analysts with queued or pending work are exempt: idleness is time
+    /// since last charge, and a backlogged analyst waiting out the
+    /// scheduler is not idle — evicting them would fail their admitted
+    /// tickets.
+    fn evict_idle_sessions(&self) {
+        let Some(ttl) = self.config.session_ttl else {
+            return;
+        };
+        let busy: Vec<String> = {
+            let state = self.state.lock().expect("scheduler state poisoned");
+            state
+                .queues
+                .iter()
+                .filter(|(_, q)| !q.queue.is_empty())
+                .map(|(a, _)| a.clone())
+                .chain(
+                    state
+                        .pending
+                        .iter()
+                        .flat_map(|g| g.waiters.iter().map(|w| w.analyst.clone())),
+                )
+                .collect()
+        };
+        let evicted = self.engine.evict_idle_sessions_except(ttl, &busy);
+        self.counters.evicted_sessions.add(evicted.len() as u64);
+        if !evicted.is_empty() {
+            // Retire the evicted analysts' queue structures and
+            // unregister their depth gauges, so scrapes stop carrying
+            // dead `server_queue_depth{analyst=…}` series. Eviction
+            // exempted busy analysts, so the queues being dropped are
+            // empty.
+            let mut state = self.state.lock().expect("scheduler state poisoned");
+            for analyst in &evicted {
+                state.queues.remove(analyst);
+                self.obs
+                    .remove(&format!("server_queue_depth{{analyst={analyst:?}}}"));
+            }
+        }
     }
 
     /// Records the submit → resolution latency of one ticket
@@ -833,22 +881,52 @@ impl Server {
         }
     }
 
-    /// Spawns a background thread ticking every `interval` until the
-    /// returned handle is stopped (or dropped).
+    /// Spawns a background driver thread, running until the returned
+    /// handle is stopped (or dropped). The driver is arrival-driven: it
+    /// sleeps on a condvar while nothing is queued (bounded by
+    /// `session_ttl`, so idle sessions still get swept), ticks
+    /// back-to-back while any queue holds work, and waits `interval`
+    /// only between ticks that merely hold a coalescing window open —
+    /// or, with `adaptive_window: false`, between all ticks while a
+    /// window is open, so a fixed window lasts `coalesce_window`
+    /// intervals however busy the queues are.
     pub fn start_driver(self: &Arc<Self>, interval: Duration) -> DriverHandle {
         let server = Arc::clone(self);
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
-            while !stop_flag.load(Ordering::Acquire) {
-                server.tick();
-                std::thread::sleep(interval);
+            let stopped = || stop_flag.load(Ordering::Acquire);
+            loop {
+                let state = server.state.lock().expect("scheduler state poisoned");
+                // A fixed window is counted in ticks, so while one is
+                // open the ticks keep `interval` apart whatever arrives.
+                let paced = !server.config.adaptive_window && !state.pending.is_empty();
+                let idle = |s: &mut SchedState| !stopped() && (paced || !s.has_queued());
+                let (wait, sweeps) = match server.config.session_ttl {
+                    _ if !state.pending.is_empty() => (interval, false),
+                    Some(ttl) => (ttl.max(interval), true),
+                    None => (Duration::MAX, false),
+                };
+                let (state, waited) = server
+                    .wake
+                    .wait_timeout_while(state, wait, idle)
+                    .expect("scheduler state poisoned");
+                drop(state);
+                if stopped() {
+                    break;
+                }
+                if sweeps && waited.timed_out() {
+                    server.evict_idle_sessions();
+                } else {
+                    server.tick();
+                }
             }
             // Final flush so in-flight work is answered, not stranded.
             server.pump_until_idle();
         });
         DriverHandle {
             stop,
+            server: Arc::clone(self),
             thread: Some(thread),
         }
     }
@@ -880,6 +958,7 @@ impl Server {
 #[derive(Debug)]
 pub struct DriverHandle {
     stop: Arc<AtomicBool>,
+    server: Arc<Server>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -891,6 +970,10 @@ impl DriverHandle {
 
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Release);
+        // Taking the state lock orders the store against the driver's
+        // check-then-wait, so the notification cannot be lost.
+        drop(self.server.state.lock().expect("scheduler state poisoned"));
+        self.server.wake.notify_all();
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }

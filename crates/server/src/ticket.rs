@@ -102,9 +102,16 @@ impl Future for Ticket {
         if let Some(result) = self.resolve() {
             return Poll::Ready(result);
         }
-        Pin::new(&mut self.rx)
+        let polled = Pin::new(&mut self.rx)
             .poll(cx)
-            .map(|r| r.unwrap_or(Err(ServerError::ShutDown)))
+            .map(|r| r.unwrap_or(Err(ServerError::ShutDown)));
+        if let Poll::Ready(result) = &polled {
+            // An answer that landed between the probe above and this
+            // poll is cached like any other, so a later `try_take` or
+            // re-poll still observes it.
+            *self.resolved.lock().expect("ticket state poisoned") = Some(result.clone());
+        }
+        polled
     }
 }
 

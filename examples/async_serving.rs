@@ -43,6 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::clone(&engine),
         ServerConfig {
             coalesce_window: 2,
+            adaptive_window: false,
             ..ServerConfig::default()
         },
     ));

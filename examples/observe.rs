@@ -115,7 +115,6 @@ fn main() {
             || l.starts_with("server_releases_total")
             || l.starts_with("engine_epsilon_spent")
             || l.starts_with("store_commits_total")
-            || l.starts_with("net_tick_")
     }) {
         println!("   {line}");
     }

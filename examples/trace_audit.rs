@@ -73,6 +73,7 @@ fn run(
         Arc::new(engine),
         ServerConfig {
             coalesce_window: 8,
+            adaptive_window: false,
             ..ServerConfig::default()
         },
     ));

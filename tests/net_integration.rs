@@ -321,6 +321,7 @@ fn mid_stream_disconnect_is_a_regression_guard_at_the_facade() {
         None,
         ServerConfig {
             coalesce_window: 8,
+            adaptive_window: false,
             ..ServerConfig::default()
         },
         NetConfig {
@@ -348,5 +349,40 @@ fn mid_stream_disconnect_is_a_regression_guard_at_the_facade() {
     client
         .call("flaky", &Request::range("pol", "ds", eps(0.9), 0, 30))
         .unwrap();
+    net.shutdown().unwrap();
+}
+
+/// A request never waits on the scheduler's clock: with `tick_interval`
+/// at five seconds, a serial analyst still gets an answer every release
+/// period (1.25 ms) — arrivals wake the driver, completions wake the
+/// connection's writer.
+#[test]
+fn serial_calls_never_wait_on_the_tick_interval() {
+    let net = build_net(
+        37,
+        None,
+        ServerConfig::default(),
+        NetConfig {
+            tick_interval: Duration::from_secs(5),
+            ..NetConfig::default()
+        },
+    );
+    let mut client = Client::connect(net.local_addr()).unwrap();
+    client.open_session("serial", 10.0).unwrap();
+    let started = std::time::Instant::now();
+    for i in 0..50 {
+        client
+            .call(
+                "serial",
+                &Request::range("pol", "ds", eps(0.01), i % 30, i % 30 + 20),
+            )
+            .unwrap();
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(2),
+        "50 serial calls took {:?}",
+        started.elapsed()
+    );
+    client.goodbye().unwrap();
     net.shutdown().unwrap();
 }

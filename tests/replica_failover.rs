@@ -282,3 +282,40 @@ fn same_seed_clusters_agree_byte_for_byte() {
     assert_eq!(answers_a, answers_b, "same-seed clusters must agree");
     assert_eq!(sig_a, sig_b);
 }
+
+/// The ship loop is wake-up driven: a serial writer on a quorum-2
+/// cluster gets an answer every replica release period (2.5 ms), not
+/// after a chain of poll intervals (which used to make this 8 ms a
+/// write), and the replicas still end byte-identical.
+#[test]
+fn serial_replicated_writes_never_wait_on_a_poll() {
+    let leader = spawn("failover-serial-l", 74, 2, None);
+    let f1 = spawn("failover-serial-f1", 74, 2, None);
+    let f2 = spawn("failover-serial-f2", 74, 2, None);
+    leader.lead();
+    let hint = leader.client_addr().to_string();
+    f1.follow(leader.peer_addr(), &hint);
+    f2.follow(leader.peer_addr(), &hint);
+
+    let mut client = Client::connect(leader.client_addr()).unwrap();
+    client.open_session("serial", 100.0).unwrap();
+    let started = Instant::now();
+    for rid in 1..=200 {
+        call(&mut client, "serial", rid).unwrap();
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "200 serial replicated writes took {:?}",
+        started.elapsed()
+    );
+
+    let digest = |r: &Replica| r.engine().store().unwrap().current_state().digest();
+    for r in [&leader, &f1, &f2] {
+        await_applied(r, 201);
+        assert_eq!(digest(r), digest(&leader), "replica state diverged");
+    }
+    client.goodbye().unwrap();
+    f2.shutdown().unwrap();
+    f1.shutdown().unwrap();
+    leader.shutdown().unwrap();
+}

@@ -50,6 +50,7 @@ fn traced_request_covers_all_seven_stages_with_linked_coalesced_release() {
         Some(store),
         ServerConfig {
             coalesce_window: 8,
+            adaptive_window: false,
             ..ServerConfig::default()
         },
         NetConfig {
