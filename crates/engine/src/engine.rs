@@ -1319,34 +1319,33 @@ impl Engine {
         // Group batchable range requests by (policy, data, ε bits). A
         // member with out-of-bounds endpoints is left OUT of its group so
         // it fails individually on the single-request path instead of
-        // poisoning its siblings' shared release.
-        let mut groups: BTreeMap<(String, String, u64), Vec<usize>> = BTreeMap::new();
+        // poisoning its siblings' shared release. So is every range under
+        // a constrained policy, which cannot calibrate the shared
+        // cumulative release a group rides on; those go through the
+        // single-request Laplace path instead.
+        //
+        // Each distinct (policy, data) is looked up once per batch, not
+        // once per member: the dataset's domain size (`None` when it is
+        // unknown, so the members fail as a group) and whether the policy
+        // is constrained.
+        let mut resolved: BTreeMap<(&str, &str), (Option<usize>, bool)> = BTreeMap::new();
+        let mut groups: BTreeMap<(&str, &str, u64), Vec<usize>> = BTreeMap::new();
         for (i, req) in requests.iter().enumerate() {
             if let RequestKind::Range { lo, hi } = req.kind {
-                let in_bounds = lo <= hi
-                    && self
-                        .dataset_entry(&req.data)
-                        .map(|e| hi < e.dataset.domain().size())
-                        .unwrap_or(true); // unknown dataset: fail as a group
-                if !in_bounds {
-                    continue;
-                }
-                // Constrained policies cannot calibrate the shared
-                // cumulative release a group rides on; their ranges go
-                // through the single-request Laplace path instead.
-                if self
-                    .policies
-                    .get(&req.policy)
-                    .is_some_and(|e| e.constrained_bound.is_some())
-                {
+                let (policy, data) = (req.policy.as_str(), req.data.as_str());
+                let (size, constrained) = *resolved.entry((policy, data)).or_insert_with(|| {
+                    (
+                        self.datasets.get_with(data, |e| e.dataset.domain().size()),
+                        self.policies
+                            .get_with(policy, |e| e.constrained_bound.is_some())
+                            .unwrap_or(false),
+                    )
+                });
+                if lo > hi || size.is_some_and(|size| hi >= size) || constrained {
                     continue;
                 }
                 groups
-                    .entry((
-                        req.policy.clone(),
-                        req.data.clone(),
-                        req.epsilon.value().to_bits(),
-                    ))
+                    .entry((policy, data, req.epsilon.value().to_bits()))
                     .or_default()
                     .push(i);
             }
@@ -1379,7 +1378,7 @@ impl Engine {
                     _ => unreachable!("group members are ranges"),
                 })
                 .collect();
-            match self.prepare_range_group(analyst, &policy_name, &data_name, epsilon, &ranges) {
+            match self.prepare_range_group(analyst, policy_name, data_name, epsilon, &ranges) {
                 Ok((mech, cumulative, record, rng, flights)) => {
                     charge_records.extend(record);
                     prepared.push(PreparedGroup {
@@ -2310,7 +2309,7 @@ impl Engine {
                     nonnegative: false,
                 };
                 let release = mech.release(&entry.cumulative, &mut *rng)?;
-                Ok(Response::Prefixes(release.prefixes().to_vec()))
+                Ok(Response::Prefixes(release.into_prefixes()))
             }
             RequestKind::Range { lo, hi } => {
                 let exact = entry
@@ -2318,8 +2317,7 @@ impl Engine {
                     .range_count(*lo, *hi)
                     .map_err(EngineError::Domain)?;
                 let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
-                let noisy = mech.release(&[exact], &mut *rng);
-                Ok(Response::Scalar(noisy[0]))
+                Ok(Response::Scalar(mech.release_scalar(exact, &mut *rng)))
             }
             RequestKind::Linear { weights } => {
                 let exact: f64 = weights
@@ -2328,8 +2326,7 @@ impl Engine {
                     .map(|(w, c)| w * c)
                     .sum();
                 let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
-                let noisy = mech.release(&[exact], &mut *rng);
-                Ok(Response::Scalar(noisy[0]))
+                Ok(Response::Scalar(mech.release_scalar(exact, &mut *rng)))
             }
             RequestKind::KMeans { .. } => {
                 unreachable!("k-means is routed before execute()")

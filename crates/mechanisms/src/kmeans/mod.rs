@@ -34,15 +34,22 @@ pub fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> usize {
     best
 }
 
-/// Points below which parallel assignment is not worth the scoped-pool
-/// spawn overhead.
-const PAR_ASSIGN_MIN_POINTS: usize = 4096;
+/// Points below which [`assign`] stays sequential.
+const PAR_ASSIGN_MIN_POINTS: usize = 65_536;
 
 /// Assigns every point to its nearest centroid. Large point sets are
 /// split into chunks assigned in parallel across the available cores
 /// (the Lloyd assignment step is the `O(n·k·d)` bulk of each private and
 /// non-private iteration); the result is identical to the sequential
 /// pass since assignment is pure per-point arithmetic.
+///
+/// Each parallel call spawns and joins scoped OS threads, which at
+/// `k = 4, d = 4` on 2 cores measured (chunked vs sequential map, µs):
+/// 4 096 points 146 vs 64, 20 000 points 319–456 vs 314, 65 536 points
+/// 772–1 250 vs 1 056, 131 072 points 1 414–2 380 vs 2 126 — the low
+/// ends with the second core idle, the high ends with it busy. The
+/// chunked path breaks even past 20 000 points at best, so it starts at
+/// 65 536.
 pub fn assign(points: &PointSet, centroids: &[Vec<f64>]) -> Vec<usize> {
     let n = points.len();
     let workers = rayon::current_num_threads();

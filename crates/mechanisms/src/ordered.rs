@@ -14,7 +14,7 @@
 
 use crate::isotonic::{isotonic_regression, isotonic_regression_nonneg};
 use bf_core::sensitivity::cumulative_histogram_sensitivity;
-use bf_core::{sample_laplace, CoreError, Epsilon, LaplaceMechanism, Policy};
+use bf_core::{CoreError, Epsilon, LaplaceMechanism, Policy};
 use bf_domain::CumulativeHistogram;
 use rand::Rng;
 
@@ -121,10 +121,7 @@ impl OrderedMechanism {
     ) -> Result<OrderedRelease, CoreError> {
         let mech = LaplaceMechanism::new(self.epsilon, self.sensitivity)?;
         let mut noisy = cumulative.prefixes().to_vec();
-        let scale = mech.scale();
-        for v in &mut noisy {
-            *v += sample_laplace(rng, scale);
-        }
+        mech.release_in_place(&mut noisy, rng);
         let final_prefix = if self.constrained_inference {
             if self.nonnegative {
                 isotonic_regression_nonneg(&noisy)
@@ -161,6 +158,11 @@ impl OrderedRelease {
     /// All noisy prefix counts.
     pub fn prefixes(&self) -> &[f64] {
         &self.prefix
+    }
+
+    /// The noisy prefix counts, by value.
+    pub fn into_prefixes(self) -> Vec<f64> {
+        self.prefix
     }
 
     /// Answers many linear queries `Σ_x w(x)·c̃(x)` against the

@@ -40,21 +40,32 @@ proptest! {
         }
     }
 
-    /// Isotonic regression returns a sorted sequence, preserves the sum,
-    /// and never does worse (L2) than the best constant sequence.
+    /// Isotonic regression returns a sequence that is non-decreasing with
+    /// no tolerance, preserves the weighted sum, and never does worse
+    /// (L2) than the best constant sequence — on up to 2 000 cells of
+    /// magnitude up to 10¹², with and without weights.
     #[test]
-    fn isotonic_invariants(values in proptest::collection::vec(-100.0f64..100.0, 1..50)) {
-        let z = isotonic_regression(&values);
+    fn isotonic_invariants(
+        unit in proptest::collection::vec(-1.0f64..1.0, 1..2001),
+        weights in proptest::option::of(proptest::collection::vec(0.001f64..1000.0, 2000)),
+        exponent in 0i32..13,
+    ) {
+        let values: Vec<f64> = unit.iter().map(|u| u * 10f64.powi(exponent)).collect();
+        let weights = weights.as_deref().map(|w| &w[..values.len()]);
+        let z = isotonic_regression_weighted(&values, weights);
         prop_assert_eq!(z.len(), values.len());
-        prop_assert!(z.windows(2).all(|w| w[0] <= w[1] + 1e-9));
-        let sum_in: f64 = values.iter().sum();
-        let sum_out: f64 = z.iter().sum();
-        prop_assert!((sum_in - sum_out).abs() < 1e-6);
+        prop_assert!(z.windows(2).all(|w| w[0] <= w[1]));
+        let weight = |i: usize| weights.map_or(1.0, |w| w[i]);
+        let weighted = |v: &[f64]| -> f64 { v.iter().enumerate().map(|(i, x)| weight(i) * x).sum() };
+        let (sum_in, sum_out) = (weighted(&values), weighted(&z));
+        let total: f64 = values.iter().enumerate().map(|(i, x)| (weight(i) * x).abs()).sum();
+        prop_assert!((sum_in - sum_out).abs() <= 1e-9 * total.max(1.0));
         // Optimality vs the constant-mean competitor (always monotone).
-        let mean = sum_in / values.len() as f64;
-        let cost_z: f64 = z.iter().zip(&values).map(|(a, b)| (a - b) * (a - b)).sum();
-        let cost_mean: f64 = values.iter().map(|v| (v - mean) * (v - mean)).sum();
-        prop_assert!(cost_z <= cost_mean + 1e-6);
+        let mean = sum_in / (0..values.len()).map(weight).sum::<f64>();
+        let cost = |c: &[f64]| -> f64 {
+            c.iter().zip(&values).enumerate().map(|(i, (a, b))| weight(i) * (a - b) * (a - b)).sum()
+        };
+        prop_assert!(cost(&z) <= cost(&vec![mean; values.len()]) * (1.0 + 1e-9));
     }
 
     /// Weighted isotonic regression with uniform weights equals the
