@@ -126,20 +126,22 @@ impl RangeQuery {
     /// Policy-specific sensitivity as a standalone count release: a single
     /// move changes the count by at most 1 (the tuple either enters or
     /// leaves the range), so the sensitivity is 1 when some secret edge
-    /// crosses the range boundary and 0 when none does. The crossing check
-    /// enumerates the graph's actual edges and stops at the first crossing
-    /// (`O(|E|)` worst case instead of the old all-pairs `O(|T|²)` scan);
-    /// for the complete graph *any* two values cross unless the range
-    /// covers the whole domain.
+    /// crosses the range boundary and 0 when none does. A *connected*
+    /// graph — `G^full`, `G^attr`, and `G^{L1,θ}` with θ ≥ 1, on any
+    /// domain — has such an edge exactly when the range meets the domain
+    /// in a non-empty proper subset, which is `O(1)` to decide; the other
+    /// graphs enumerate their actual edges and stop at the first crossing
+    /// (`O(|E|)` worst case).
     pub fn sensitivity(&self, policy: &Policy) -> f64 {
         let domain = policy.domain();
         let inside = |x: usize| self.lo <= x && x <= self.hi;
         let crossing = match policy.graph() {
-            SecretGraph::Full => {
-                // Any two values cross iff `inside ∩ T` is nonempty and
-                // not all of `T` — stated on the intersection so raw
-                // (unvalidated) endpoints past the domain or inverted
-                // degrade exactly like the all-pairs scan did.
+            SecretGraph::Full
+            | SecretGraph::Attribute
+            | SecretGraph::L1Threshold { theta: 1.. } => {
+                // Stated on `inside ∩ T` so raw (unvalidated) endpoints
+                // past the domain or inverted degrade exactly like the
+                // edge scan does.
                 let n = domain.size();
                 self.lo <= self.hi && self.lo < n && (self.lo > 0 || self.hi < n - 1)
             }
@@ -305,6 +307,40 @@ mod tests {
                 scan(lo, hi),
                 "full-graph range [{lo}, {hi}] on |T|={n}"
             );
+        }
+    }
+
+    #[test]
+    fn range_closed_form_agrees_with_the_edge_scan() {
+        // Every (lo, hi) — inverted and past-the-end ones included — under
+        // every graph the closed form answers (and θ = 0, which it leaves
+        // to the scan), on lines and on multi-attribute domains.
+        let mut domains: Vec<Domain> = (1..=12).map(|n| Domain::line(n).unwrap()).collect();
+        for cards in [&[2, 2][..], &[4, 3], &[1, 3], &[2, 1, 2], &[4, 3, 2]] {
+            domains.push(Domain::from_cardinalities(cards).unwrap());
+        }
+        for domain in domains {
+            let n = domain.size();
+            let graphs = (0..=5)
+                .map(|theta| SecretGraph::L1Threshold { theta })
+                .chain([SecretGraph::Attribute, SecretGraph::Full]);
+            for graph in graphs {
+                let policy = Policy::new(domain.clone(), graph.clone());
+                for lo in 0..n + 3 {
+                    for hi in 0..n + 3 {
+                        let inside = |x: usize| lo <= x && x <= hi;
+                        let scan = graph
+                            .find_edge(&domain, |x, y| inside(x) != inside(y))
+                            .is_some();
+                        assert_eq!(
+                            RangeQuery { lo, hi }.sensitivity(&policy),
+                            if scan { 1.0 } else { 0.0 },
+                            "{} range [{lo}, {hi}] on {domain:?}",
+                            graph.label()
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -169,6 +169,7 @@ impl PointSet {
     }
 
     /// Squared L2 distance between two points.
+    #[inline] // bf-mechanisms' k-means pass calls this per point and centroid
     pub fn sq_l2(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
     }

@@ -10,7 +10,7 @@ use bf_constraints::policy_graph::PolicyGraph;
 use bf_constraints::sparse::DEFAULT_SCAN_CAP;
 use bf_core::{Epsilon, LaplaceMechanism, Policy, Predicate, QueryClass};
 use bf_domain::{CumulativeHistogram, Dataset, Histogram, PointSet};
-use bf_mechanisms::kmeans::{init_random, PrivateKmeans};
+use bf_mechanisms::kmeans::{init_random, KmeansSecretSpec, PrivateKmeans};
 use bf_mechanisms::{HistogramMechanism, OrderedMechanism, RangeAnswerer};
 use bf_obs::{
     merge_snapshots, next_link_id, Counter, Gauge, MetricSnapshot, Registry, Stage, TraceContext,
@@ -30,6 +30,12 @@ use std::time::Duration;
 /// [`TraceContext`] inert unless the request carried a client trace id
 /// — plus the request they share.
 pub type TaggedGroup = (Vec<(String, Option<u64>, TraceContext)>, Request);
+
+/// Most Lloyd iterations one k-means request may ask for. The paper uses
+/// 10, and `ε' = ε/(2·iterations)` leaves only noise long before this;
+/// the wire carries a `u64`, and an unbounded count is charged and then
+/// pins the serving thread.
+const MAX_KMEANS_ITERATIONS: usize = 1_000;
 
 /// Counts releases currently executing against a registry entry, so
 /// deregistration can refuse instead of pulling data out from under a
@@ -1216,8 +1222,22 @@ impl Engine {
                         points.len()
                     )));
                 }
-                if *iterations == 0 {
-                    return Err(EngineError::InvalidRequest("0 k-means iterations".into()));
+                if *iterations == 0 || *iterations > MAX_KMEANS_ITERATIONS {
+                    return Err(EngineError::InvalidRequest(format!(
+                        "k-means needs 1 ≤ iterations ≤ {MAX_KMEANS_ITERATIONS}, got {iterations}"
+                    )));
+                }
+                // Wire decoding passes the spec's f64 bits through, and
+                // `qsum_sensitivity` asserts on these as invariants.
+                let spec_ok = match spec {
+                    KmeansSecretSpec::L1Threshold(theta) => theta.is_finite() && *theta > 0.0,
+                    KmeansSecretSpec::PartitionMaxDiameter(d) => d.is_finite() && *d >= 0.0,
+                    _ => true,
+                };
+                if !spec_ok {
+                    return Err(EngineError::InvalidRequest(format!(
+                        "k-means needs a finite θ > 0 or block diameter ≥ 0, got {spec:?}"
+                    )));
                 }
                 let free =
                     spec.qsize_sensitivity() == 0.0 && spec.qsum_sensitivity(points.bbox()) == 0.0;

@@ -187,6 +187,43 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, EngineError::InvalidRequest(_)));
         assert!((engine.session_remaining("alice").unwrap() - 3.0).abs() < 1e-12);
+        // So does every spec `qsum_sensitivity` would assert on, and an
+        // iteration count past the cap: refused, not panicked, not charged.
+        let bad = [
+            (3, KmeansSecretSpec::L1Threshold(0.0)),
+            (3, KmeansSecretSpec::L1Threshold(-1.0)),
+            (3, KmeansSecretSpec::L1Threshold(f64::NAN)),
+            (3, KmeansSecretSpec::L1Threshold(f64::INFINITY)),
+            (3, KmeansSecretSpec::PartitionMaxDiameter(-1.0)),
+            (3, KmeansSecretSpec::PartitionMaxDiameter(f64::NAN)),
+            (1_001, KmeansSecretSpec::Full),
+            (1 << 40, KmeansSecretSpec::Full),
+        ];
+        for (iterations, spec) in bad {
+            let err = engine
+                .serve(
+                    "alice",
+                    &Request::kmeans("pol", "pts", eps(1.0), 2, iterations, spec),
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, EngineError::InvalidRequest(_)),
+                "{iterations} iterations of {spec:?}: {err:?}"
+            );
+            assert_eq!(engine.session_remaining("alice").unwrap(), 3.0);
+        }
+        // The boundary values are served.
+        for (iterations, spec) in [
+            (1_000, KmeansSecretSpec::L1Threshold(f64::MIN_POSITIVE)),
+            (1, KmeansSecretSpec::PartitionMaxDiameter(0.0)),
+        ] {
+            engine
+                .serve(
+                    "alice",
+                    &Request::kmeans("pol", "pts", eps(0.5), 2, iterations, spec),
+                )
+                .unwrap();
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Non-private Lloyd iteration — the utility reference point for Figure 1.
 
-use super::assign;
+use super::{accumulate, flatten};
 use bf_domain::PointSet;
 
 /// Runs `iterations` Lloyd updates from the given initial centroids and
@@ -9,28 +9,21 @@ use bf_domain::PointSet;
 /// Empty clusters keep their previous centroid (the same convention the
 /// private variant uses, so the two runs are directly comparable).
 pub fn lloyd_kmeans(points: &PointSet, initial: &[Vec<f64>], iterations: usize) -> Vec<Vec<f64>> {
-    let k = initial.len();
     let dim = points.dim();
-    let mut centroids: Vec<Vec<f64>> = initial.to_vec();
+    let mut centroids = flatten(initial, dim);
+    let mut counts = vec![0.0; initial.len()];
+    let mut sums = vec![0.0; centroids.len()];
     for _ in 0..iterations {
-        let labels = assign(points, &centroids);
-        let mut sums = vec![vec![0.0; dim]; k];
-        let mut counts = vec![0usize; k];
-        for (p, &j) in points.iter().zip(&labels) {
-            counts[j] += 1;
-            for (s, &v) in sums[j].iter_mut().zip(p) {
-                *s += v;
-            }
-        }
-        for j in 0..k {
-            if counts[j] > 0 {
-                for (c, s) in centroids[j].iter_mut().zip(&sums[j]) {
-                    *c = s / counts[j] as f64;
+        accumulate(points, &centroids, &mut counts, &mut sums);
+        for (j, &count) in counts.iter().enumerate() {
+            if count > 0.0 {
+                for (c, s) in centroids[j * dim..][..dim].iter_mut().zip(&sums[j * dim..]) {
+                    *c = s / count;
                 }
             }
         }
     }
-    centroids
+    centroids.chunks_exact(dim).map(<[f64]>::to_vec).collect()
 }
 
 #[cfg(test)]

@@ -2,7 +2,7 @@
 //! policy via [`KmeansSecretSpec`].
 
 use super::sensitivity::KmeansSecretSpec;
-use super::{assign, objective};
+use super::{accumulate, flatten, objective};
 use bf_core::{sample_laplace, Epsilon};
 use bf_domain::PointSet;
 use rand::Rng;
@@ -78,36 +78,28 @@ impl PrivateKmeans {
             "need one initial centroid per cluster"
         );
         let dim = points.dim();
-        let bbox = points.bbox().clone();
         let per_query_eps = self.epsilon.value() / (2.0 * self.iterations as f64);
         let size_scale = self.spec.qsize_sensitivity() / per_query_eps;
-        let sum_scale = self.spec.qsum_sensitivity(&bbox) / per_query_eps;
+        let sum_scale = self.spec.qsum_sensitivity(points.bbox()) / per_query_eps;
 
-        let mut centroids = initial.to_vec();
+        let mut centroids = flatten(initial, dim);
+        let mut counts = vec![0.0; self.k];
+        let mut sums = vec![0.0; centroids.len()];
         for _ in 0..self.iterations {
-            let labels = assign(points, &centroids);
-            let mut sums = vec![vec![0.0; dim]; self.k];
-            let mut counts = vec![0.0f64; self.k];
-            for (p, &j) in points.iter().zip(&labels) {
-                counts[j] += 1.0;
-                for (s, &v) in sums[j].iter_mut().zip(p) {
-                    *s += v;
-                }
-            }
-            for j in 0..self.k {
-                let noisy_count = counts[j] + sample_laplace(rng, size_scale);
+            accumulate(points, &centroids, &mut counts, &mut sums);
+            for (j, &count) in counts.iter().enumerate() {
+                let noisy_count = count + sample_laplace(rng, size_scale);
                 if noisy_count < 1.0 {
                     continue; // keep the previous centroid
                 }
-                let mut new_c = Vec::with_capacity(dim);
-                for s in &sums[j] {
-                    new_c.push((s + sample_laplace(rng, sum_scale)) / noisy_count);
+                let centroid = &mut centroids[j * dim..][..dim];
+                for (c, s) in centroid.iter_mut().zip(&sums[j * dim..]) {
+                    *c = (s + sample_laplace(rng, sum_scale)) / noisy_count;
                 }
-                bbox.clamp(&mut new_c);
-                centroids[j] = new_c;
+                points.bbox().clamp(centroid);
             }
         }
-        centroids
+        centroids.chunks_exact(dim).map(<[f64]>::to_vec).collect()
     }
 
     /// Convenience: runs the mechanism and reports the objective ratio

@@ -2,7 +2,7 @@
 //! a WAL-backed engine behind the async server behind the TCP
 //! front-end, exercised by real sockets.
 
-use blowfish::net::{Client, NetConfig, NetError, NetServer, RetryPolicy};
+use blowfish::net::{Client, NetConfig, NetError, NetServer, RetryPolicy, WireError};
 use blowfish::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -65,6 +65,43 @@ fn kmeans_crosses_the_wire_with_its_spec() {
     assert_eq!(centroids.len(), 2);
     assert!(centroids.iter().all(|c| c.len() == 2));
     assert!((client.budget("km").unwrap().remaining - 3.0).abs() < 1e-12);
+    net.shutdown().unwrap();
+}
+
+#[test]
+fn invalid_kmeans_spec_is_an_error_reply_not_a_dead_driver() {
+    // The spec's f64 bits and the iteration count cross the wire
+    // unchecked; each of these used to panic the scheduler driver (or
+    // pin it), taking every later request on the server with it.
+    let net = build_net(43, None, ServerConfig::default(), NetConfig::default());
+    let mut client = Client::connect(net.local_addr()).unwrap();
+    client.open_session("km", 5.0).unwrap();
+    let bad = [
+        (3, KmeansSecretSpec::L1Threshold(0.0)),
+        (3, KmeansSecretSpec::L1Threshold(-1.0)),
+        (3, KmeansSecretSpec::L1Threshold(f64::NAN)),
+        (3, KmeansSecretSpec::PartitionMaxDiameter(-1.0)),
+        (3, KmeansSecretSpec::PartitionMaxDiameter(f64::NAN)),
+        (1 << 40, KmeansSecretSpec::Full),
+    ];
+    for (iterations, spec) in bad {
+        let reply = client.call(
+            "km",
+            &Request::kmeans("pol", "pts", eps(2.0), 2, iterations, spec),
+        );
+        assert!(
+            matches!(reply, Err(NetError::Remote(WireError::InvalidRequest(_)))),
+            "{iterations} iterations of {spec:?}: {reply:?}"
+        );
+        assert_eq!(client.budget("km").unwrap().remaining, 5.0);
+    }
+    // The same connection, and the driver behind it, still serve.
+    let ok = Request::kmeans("pol", "pts", eps(2.0), 2, 3, KmeansSecretSpec::Full);
+    assert_eq!(
+        client.call("km", &ok).unwrap().centroids().unwrap().len(),
+        2
+    );
+    assert_eq!(client.budget("km").unwrap().remaining, 3.0);
     net.shutdown().unwrap();
 }
 
