@@ -15,12 +15,15 @@
 //! so heterogeneous task lengths still balance.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Number of worker threads parallel helpers will use: the machine's
-/// available parallelism (1 when it cannot be determined).
+/// available parallelism (1 when it cannot be determined), read once —
+/// like upstream's pool size, and because the query walks cgroup files
+/// (≈ 15 µs), which a caller on a per-request path cannot afford.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// A scope handle: tasks spawned on it may borrow anything that outlives

@@ -24,13 +24,43 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// One coalesced group for the tagged serving entry points: the waiters
-/// — each an `(analyst, idempotency tag, trace context)` triple,
-/// `Some(request_id)` marking a retryable submission, the
-/// [`TraceContext`] inert unless the request carried a client trace id
-/// — plus the request they share.
-pub type TaggedGroup = (Vec<(String, Option<u64>, TraceContext)>, Request);
+/// One party owed an answer by [`Engine::serve_groups`].
+#[derive(Debug, Clone, Copy)]
+pub struct Waiter<'a> {
+    /// Whose ledger pays for the release.
+    pub analyst: &'a str,
+    /// The client's idempotency key: `Some(request_id)` marks a retryable
+    /// submission, whose answer is cached durably beside its charge.
+    pub tag: Option<u64>,
+    /// The request's trace context — inert unless the request carried a
+    /// client trace id.
+    pub trace: &'a TraceContext,
+}
 
+/// One coalesced group for [`Engine::serve_groups`]: a request and the
+/// waiters who submitted it (identically) and share its answer.
+#[derive(Debug, Clone, Copy)]
+pub struct Group<'a> {
+    /// The request every waiter of the group asked.
+    pub request: &'a Request,
+    /// Who is owed the answer, in arrival order.
+    pub waiters: &'a [Waiter<'a>],
+}
+
+/// What [`Engine::serve_groups`] did with its groups.
+#[derive(Debug)]
+pub struct Served {
+    /// One slot per waiter, mirroring the input shape.
+    pub slots: Vec<Vec<Result<Response, EngineError>>>,
+    /// The release plans in charge order, each listing the groups (by
+    /// input index) one mechanism release answered; every group rides
+    /// exactly one. A plan of two or more groups is a set of range
+    /// groups folded into one Ordered release.
+    pub releases: Vec<Vec<usize>>,
+}
+
+/// One waiter's answer while the pipeline runs; `None` until resolved.
+type Slot = Option<Result<Response, EngineError>>;
 /// Most Lloyd iterations one k-means request may ask for. The paper uses
 /// 10, and `ε' = ε/(2·iterations)` leaves only noise long before this;
 /// the wire carries a `u64`, and an unbounded count is charged and then
@@ -107,6 +137,72 @@ struct PolicyEntry {
     in_flight: Arc<AtomicU64>,
 }
 
+/// What a plan's mechanism runs on.
+#[derive(Debug)]
+enum Source {
+    /// A dataset's precomputed aggregates and the calibrated `S(f, P)`.
+    Table {
+        entry: DatasetEntry,
+        sensitivity: f64,
+    },
+    /// A k-means point set and the configured mechanism (its
+    /// sensitivities come from the physical-unit spec).
+    Points {
+        points: Arc<PointSet>,
+        mech: PrivateKmeans,
+    },
+}
+
+impl Source {
+    /// Zero-sensitivity releases are exact, hence free (Section 5): the
+    /// ledger records them at ε = 0.
+    fn is_free(&self) -> bool {
+        match self {
+            Source::Table { sensitivity, .. } => *sensitivity == 0.0,
+            Source::Points { points, mech } => {
+                mech.spec.qsize_sensitivity() == 0.0
+                    && mech.spec.qsum_sensitivity(points.bbox()) == 0.0
+            }
+        }
+    }
+}
+
+/// A release plan resolved, validated and calibrated — nothing charged
+/// yet, no data touched.
+#[derive(Debug)]
+struct Calibrated {
+    source: Source,
+    /// The release identity indexing the per-identity noise ordinals;
+    /// `None` for k-means, whose runs have no stable identity.
+    fingerprint: Option<u64>,
+    /// In-flight guards pinning the policy and data object against
+    /// deregistration until the release lands.
+    _flights: (FlightGuard, FlightGuard),
+}
+
+/// A release plan that was resolved, validated, calibrated and charged,
+/// and holds the generator assigned to it: everything its mechanism
+/// needs, so independent plans can execute in parallel.
+#[derive(Debug)]
+struct Prepared<'a> {
+    /// The groups riding the release (indices into the call's groups).
+    plan: &'a [usize],
+    calibrated: Calibrated,
+    rng: StdRng,
+    label: String,
+    /// ε the release costs each charged analyst (0 when free).
+    spent: f64,
+    /// Per charged analyst, the slot of their first live waiter — the
+    /// one whose frame carries their ε — in waiter order.
+    carriers: Vec<usize>,
+    /// Active trace contexts of the waiters the release will answer.
+    traces: Vec<&'a TraceContext>,
+    /// Shared-span link id when the release answers more than one
+    /// waiter — every waiter's `Release` span carries it, so coalescing
+    /// amplification is visible per-trace.
+    link: Option<u64>,
+}
+
 /// A multi-tenant Blowfish query-serving engine.
 ///
 /// The engine owns four registries — policies, tabular datasets, point
@@ -115,16 +211,26 @@ struct PolicyEntry {
 /// behind locks, so one `Arc<Engine>` can serve requests from many
 /// threads concurrently.
 ///
-/// Serving a request runs four stages:
+/// Every request — a lone [`Engine::serve`], a tagged retry, a batch, a
+/// server tick's worth of coalesced groups — goes through **one**
+/// pipeline, in one order:
 ///
-/// 1. **resolve** — look up the named policy and data object,
-/// 2. **calibrate** — fetch `S(f, P)` from the cache (computing the
+/// 1. **replay** — a tagged request that was already acknowledged is
+///    answered from the reply cache at zero ε and goes no further,
+/// 2. **resolve** — look up the named policy and data object and
+///    validate the query against them,
+/// 3. **calibrate** — fetch `S(f, P)` from the cache (computing the
 ///    closed form on first use),
-/// 3. **charge** — draw the request's ε from the analyst's ledger
-///    (refusing *before* any data is touched when the budget cannot
-///    cover it; zero-sensitivity releases are recorded free),
-/// 4. **execute** — run the mechanism the paper prescribes for the
-///    request kind and return the typed [`Response`].
+/// 4. **charge** — draw the request's ε from the ledger of each distinct
+///    analyst the release will answer (refusing *before* any data is
+///    touched when a budget cannot cover it; zero-sensitivity releases
+///    are recorded free),
+/// 5. **execute** — run the mechanism the paper prescribes for the
+///    request kind, on a generator derived from the release's identity,
+/// 6. **commit** — with a store attached, every charge of the call (and
+///    each tagged waiter's encoded answer) reaches the WAL in one group
+///    commit,
+/// 7. **acknowledge** — only then is any typed [`Response`] returned.
 ///
 /// # Examples
 ///
@@ -250,11 +356,10 @@ impl Engine {
     ///   the name again requires the identical content fingerprint, so a
     ///   swapped policy or dataset cannot inherit the original's ledgers;
     /// * every subsequent charge is **acknowledge-after-durable**: the
-    ///   WAL commit happens before the answer is acknowledged (for the
-    ///   single-request path, before the release even executes; the
-    ///   fan-out and tagged paths commit after the release so a tagged
-    ///   request's charge and answer share one atomic `Replied` frame),
-    ///   so recovered spent always covers every answer an analyst saw.
+    ///   release executes, then its charge is committed to the WAL —
+    ///   a tagged request's charge and answer in one atomic `Replied`
+    ///   frame — and only then is the answer acknowledged, so recovered
+    ///   spent always covers every answer an analyst saw.
     pub fn with_store(seed: u64, store: Arc<Store>) -> Self {
         let engine = Self::with_seed(seed);
         let recovered = store.recovered_state();
@@ -921,51 +1026,6 @@ impl Engine {
             .collect()
     }
 
-    /// Charges in memory, then commits the charge durably **before** the
-    /// caller may execute any release — acknowledge-after-durable. On a
-    /// store failure the in-memory ledger keeps the spend (conservative:
-    /// budget may be lost to the failure, never resurrected) and the
-    /// release must not run.
-    fn charge_durable(
-        &self,
-        session: &Arc<Mutex<AnalystSession>>,
-        label: String,
-        epsilon: Epsilon,
-        free: bool,
-        trace: &TraceContext,
-    ) -> Result<(), EngineError> {
-        let analyst = {
-            let mut s = session.lock().expect("session poisoned");
-            s.charge(label.clone(), epsilon, free)?;
-            s.analyst().to_owned()
-        };
-        if let Some(store) = &self.store {
-            let spent = if free { 0.0 } else { epsilon.value() };
-            let mut span = self.obs.span();
-            store
-                .commit_traced(&[Record::charged(&analyst, &label, spent)], &[trace])
-                .map_err(EngineError::Store)?;
-            self.obs.span_mark(&mut span, Stage::WalCommit);
-        }
-        Ok(())
-    }
-
-    /// Charges the in-memory ledger only — the tagged-request path, where
-    /// durability rides the combined charge-and-reply frame committed
-    /// *after* the release executes (see [`Engine::commit_reply`]).
-    fn charge_memory(
-        &self,
-        session: &Arc<Mutex<AnalystSession>>,
-        label: String,
-        epsilon: Epsilon,
-        free: bool,
-    ) -> Result<(), EngineError> {
-        session
-            .lock()
-            .expect("session poisoned")
-            .charge(label, epsilon, free)
-    }
-
     /// The cached answer for a tagged request this engine — or a durable
     /// predecessor, via recovery — already acknowledged. A hit is a safe
     /// retry: it replays the identical bytes, charges **zero** additional
@@ -989,44 +1049,6 @@ impl Engine {
             let oldest = *cache.keys().next().expect("cache is non-empty");
             cache.remove(&oldest);
         }
-    }
-
-    /// Commits the combined charge-and-reply frame for one tagged request
-    /// and mirrors it. The release has already executed; the answer is
-    /// acknowledged only if this **single atomic frame** lands, so a
-    /// crash can never separate the charge from the cached reply — the
-    /// torn-tail failure mode that would let a retry double-charge. On a
-    /// store failure the in-memory charge stands (conservative — budget
-    /// is lost to the failure, never resurrected) and the caller
-    /// surfaces the error instead of the answer.
-    fn commit_reply(
-        &self,
-        analyst: &str,
-        request_id: u64,
-        label: &str,
-        spent: f64,
-        response: &Response,
-        trace: &TraceContext,
-    ) -> Result<(), EngineError> {
-        let payload = response.to_bytes();
-        if let Some(store) = &self.store {
-            let mut span = self.obs.span();
-            store
-                .commit_traced(
-                    &[Record::replied(
-                        analyst,
-                        request_id,
-                        label,
-                        spent,
-                        payload.clone(),
-                    )],
-                    &[trace],
-                )
-                .map_err(EngineError::Store)?;
-            self.obs.span_mark(&mut span, Stage::WalCommit);
-        }
-        self.mirror_reply(analyst, request_id, payload);
-        Ok(())
     }
 
     /// Every analyst with an open session, in unspecified order.
@@ -1136,9 +1158,10 @@ impl Engine {
     /// queries (including query kinds a constrained policy cannot
     /// calibrate),
     /// [`EngineError::BudgetRefused`] when the ledger cannot cover ε
-    /// (nothing is released in that case).
+    /// (nothing is released in that case), [`EngineError::Store`] when
+    /// the charge cannot be made durable (the answer is withheld).
     pub fn serve(&self, analyst: &str, request: &Request) -> Result<Response, EngineError> {
-        self.serve_with_tag(analyst, None, request, &TraceContext::inert())
+        self.serve_one(analyst, None, request)
     }
 
     /// [`Engine::serve`] for a request stamped with a durable idempotency
@@ -1147,184 +1170,56 @@ impl Engine {
     /// If the key was already acknowledged (by this engine or, after a
     /// crash, by a durable predecessor), the original answer is replayed
     /// **bit-identically** from the reply cache at **zero** additional ε
-    /// charge. Otherwise the request is served with
-    /// executed-then-durable ordering: the in-memory charge and the
-    /// release run first, then one atomic `Replied` WAL frame carries
-    /// both the charge and the encoded answer, and only after it lands
-    /// is the answer returned. A crash at any point leaves the retry
-    /// safe — before the frame, nothing durable was charged and nothing
-    /// was acknowledged; after it, the retry hits the cache.
+    /// charge. Otherwise one atomic `Replied` WAL frame carries both the
+    /// charge and the encoded answer, and only after it lands is the
+    /// answer returned. A crash at any point leaves the retry safe —
+    /// before the frame, nothing durable was charged and nothing was
+    /// acknowledged; after it, the retry hits the cache.
     ///
     /// # Errors
     ///
-    /// As [`Engine::serve`], plus [`EngineError::Store`] when the
-    /// combined frame cannot be committed (the answer is withheld).
+    /// As [`Engine::serve`].
     pub fn serve_tagged(
         &self,
         analyst: &str,
         request_id: u64,
         request: &Request,
     ) -> Result<Response, EngineError> {
-        self.serve_with_tag(analyst, Some(request_id), request, &TraceContext::inert())
+        self.serve_one(analyst, Some(request_id), request)
     }
 
-    /// [`Engine::serve`] / [`Engine::serve_tagged`] with request-trace
-    /// attribution: the mechanism release and the charge's WAL commit
-    /// are recorded as `Release` / `WalCommit` spans on `trace`. An
-    /// inert context makes this byte-identical to the untraced entry
-    /// points — tracing is observation only.
-    ///
-    /// # Errors
-    ///
-    /// As [`Engine::serve_tagged`].
-    pub fn serve_traced(
+    /// A lone request is a plan of one group with one waiter.
+    fn serve_one(
         &self,
         analyst: &str,
         tag: Option<u64>,
         request: &Request,
-        trace: &TraceContext,
     ) -> Result<Response, EngineError> {
-        self.serve_with_tag(analyst, tag, request, trace)
+        let trace = TraceContext::inert();
+        let waiter = Waiter {
+            analyst,
+            tag,
+            trace: &trace,
+        };
+        let group = Group {
+            request,
+            waiters: std::slice::from_ref(&waiter),
+        };
+        let mut slot = [None];
+        self.run(std::slice::from_ref(&group), &[&[0]], &mut slot);
+        let [slot] = slot;
+        slot.expect("every slot filled")
     }
 
-    fn serve_with_tag(
-        &self,
-        analyst: &str,
-        tag: Option<u64>,
-        request: &Request,
-        trace: &TraceContext,
-    ) -> Result<Response, EngineError> {
-        if let Some(rid) = tag {
-            if let Some(cached) = self.cached_reply(analyst, rid) {
-                return Ok(cached);
-            }
-        }
-        let session = self.session(analyst)?;
-        let (policy_entry, _policy_flight) = self.pinned_policy_entry(&request.policy)?;
-        match &request.kind {
-            RequestKind::KMeans {
-                k,
-                iterations,
-                spec,
-            } => {
-                if policy_entry.constrained_bound.is_some() {
-                    return Err(EngineError::InvalidRequest(
-                        "k-means sensitivities come from the physical-unit spec and do not \
-                         account for policy constraints; use a constraint-free policy"
-                            .into(),
-                    ));
-                }
-                let (points_entry, _points_flight) = self.pinned_points_entry(&request.data)?;
-                let points = points_entry.points;
-                if *k == 0 || *k > points.len() {
-                    return Err(EngineError::InvalidRequest(format!(
-                        "k-means needs 1 ≤ k ≤ n, got k={k} with n={}",
-                        points.len()
-                    )));
-                }
-                if *iterations == 0 || *iterations > MAX_KMEANS_ITERATIONS {
-                    return Err(EngineError::InvalidRequest(format!(
-                        "k-means needs 1 ≤ iterations ≤ {MAX_KMEANS_ITERATIONS}, got {iterations}"
-                    )));
-                }
-                // Wire decoding passes the spec's f64 bits through, and
-                // `qsum_sensitivity` asserts on these as invariants.
-                let spec_ok = match spec {
-                    KmeansSecretSpec::L1Threshold(theta) => theta.is_finite() && *theta > 0.0,
-                    KmeansSecretSpec::PartitionMaxDiameter(d) => d.is_finite() && *d >= 0.0,
-                    _ => true,
-                };
-                if !spec_ok {
-                    return Err(EngineError::InvalidRequest(format!(
-                        "k-means needs a finite θ > 0 or block diameter ≥ 0, got {spec:?}"
-                    )));
-                }
-                let free =
-                    spec.qsize_sensitivity() == 0.0 && spec.qsum_sensitivity(points.bbox()) == 0.0;
-                match tag {
-                    None => self.charge_durable(
-                        &session,
-                        request.label(),
-                        request.epsilon,
-                        free,
-                        trace,
-                    )?,
-                    Some(_) => {
-                        self.charge_memory(&session, request.label(), request.epsilon, free)?
-                    }
-                }
-                let mech = PrivateKmeans::new(*k, *iterations, request.epsilon, *spec);
-                let mut rng = self.release_rng();
-                let init = init_random(&points, *k, &mut rng);
-                let mut span = self.obs.span();
-                let timer = trace.timer();
-                let centroids = mech.run(&points, &init, &mut rng);
-                trace.record(Stage::Release, &timer, "ok");
-                self.obs.span_mark(&mut span, Stage::Release);
-                let response = Response::Centroids(centroids);
-                if let Some(rid) = tag {
-                    let spent = if free { 0.0 } else { request.epsilon.value() };
-                    self.commit_reply(analyst, rid, &request.label(), spent, &response, trace)?;
-                }
-                Ok(response)
-            }
-            kind => {
-                let (entry, _data_flight) = self.pinned_dataset_entry(&request.data)?;
-                let class = request
-                    .query_class()
-                    .expect("non-kmeans kinds always map to a query class");
-                self.validate(kind, &policy_entry.policy, &entry)?;
-                let sensitivity = self.sensitivity_for(&policy_entry, &class)?;
-                let free = sensitivity == 0.0;
-                match tag {
-                    None => self.charge_durable(
-                        &session,
-                        request.label(),
-                        request.epsilon,
-                        free,
-                        trace,
-                    )?,
-                    Some(_) => {
-                        self.charge_memory(&session, request.label(), request.epsilon, free)?
-                    }
-                }
-                let fp = release_fingerprint(
-                    &policy_entry.policy,
-                    &request.data,
-                    request.epsilon,
-                    &class,
-                );
-                let mut rng = self.release_rng_keyed(fp);
-                let timer = trace.timer();
-                let response =
-                    self.execute_with_rng(kind, &entry, request.epsilon, sensitivity, &mut rng)?;
-                trace.record(Stage::Release, &timer, "ok");
-                if let Some(rid) = tag {
-                    let spent = if free { 0.0 } else { request.epsilon.value() };
-                    self.commit_reply(analyst, rid, &request.label(), spent, &response, trace)?;
-                }
-                Ok(response)
-            }
-        }
-    }
-
-    /// Serves a batch, answering compatible range queries from **one**
-    /// noisy release per group, executing independent groups **in
-    /// parallel**.
-    ///
-    /// Range requests that share `(policy, data, ε)` are grouped: the
-    /// engine spends ε once, performs a single Ordered Mechanism release
-    /// of the cumulative histogram (Section 7.1), and answers every range
-    /// in the group as a two-prefix read — N answers for one release's
-    /// privacy cost and one release's noise, instead of N independent
-    /// Laplace draws. All other requests fall through to [`Engine::serve`]
-    /// semantics unchanged.
-    ///
-    /// Groups are *prepared* sequentially in deterministic order —
-    /// resolution, validation, the budget charge, and the release RNG
-    /// assignment — and only the expensive mechanism releases fan out
-    /// across threads, so same-seed engines produce identical batches
-    /// regardless of scheduling.
+    /// Serves a batch for one analyst — one single-waiter group per
+    /// request through [`Engine::serve_groups`] — so compatible range
+    /// queries are answered from **one** noisy release: range requests
+    /// that share `(policy, data, ε)` spend ε once on a single Ordered
+    /// Mechanism release of the cumulative histogram (Section 7.1) and
+    /// each reads its answer as two prefixes — N answers for one
+    /// release's privacy cost and one release's noise, instead of N
+    /// independent Laplace draws. All other requests are served with
+    /// [`Engine::serve`] semantics unchanged.
     ///
     /// Results come back in request order; each slot carries its own
     /// `Result` so one refused request does not poison the batch.
@@ -1333,217 +1228,21 @@ impl Engine {
         analyst: &str,
         requests: &[Request],
     ) -> Vec<Result<Response, EngineError>> {
-        let mut out: Vec<Option<Result<Response, EngineError>>> =
-            (0..requests.len()).map(|_| None).collect();
-
-        // Group batchable range requests by (policy, data, ε bits). A
-        // member with out-of-bounds endpoints is left OUT of its group so
-        // it fails individually on the single-request path instead of
-        // poisoning its siblings' shared release. So is every range under
-        // a constrained policy, which cannot calibrate the shared
-        // cumulative release a group rides on; those go through the
-        // single-request Laplace path instead.
-        //
-        // Each distinct (policy, data) is looked up once per batch, not
-        // once per member: the dataset's domain size (`None` when it is
-        // unknown, so the members fail as a group) and whether the policy
-        // is constrained.
-        let mut resolved: BTreeMap<(&str, &str), (Option<usize>, bool)> = BTreeMap::new();
-        let mut groups: BTreeMap<(&str, &str, u64), Vec<usize>> = BTreeMap::new();
-        for (i, req) in requests.iter().enumerate() {
-            if let RequestKind::Range { lo, hi } = req.kind {
-                let (policy, data) = (req.policy.as_str(), req.data.as_str());
-                let (size, constrained) = *resolved.entry((policy, data)).or_insert_with(|| {
-                    (
-                        self.datasets.get_with(data, |e| e.dataset.domain().size()),
-                        self.policies
-                            .get_with(policy, |e| e.constrained_bound.is_some())
-                            .unwrap_or(false),
-                    )
-                });
-                if lo > hi || size.is_some_and(|size| hi >= size) || constrained {
-                    continue;
-                }
-                groups
-                    .entry((policy, data, req.epsilon.value().to_bits()))
-                    .or_default()
-                    .push(i);
-            }
-        }
-
-        // Prepare groups sequentially (resolve → validate → charge →
-        // draw the release RNG) in BTreeMap order, then run the
-        // mechanism releases in parallel: preparation is microseconds of
-        // ledger math that must stay deterministic, the release is the
-        // `O(|T|)` noise-and-inference pass worth the threads.
-        struct PreparedGroup {
-            indices: Vec<usize>,
-            ranges: Vec<(usize, usize)>,
-            mech: OrderedMechanism,
-            cumulative: Arc<CumulativeHistogram>,
-            rng: StdRng,
-            _flights: (FlightGuard, FlightGuard),
-        }
-        let mut prepared: Vec<PreparedGroup> = Vec::new();
-        let mut charge_records: Vec<Record> = Vec::new();
-        for ((policy_name, data_name, _), indices) in groups {
-            if indices.len() < 2 {
-                continue; // a lone range gains nothing from batching
-            }
-            let epsilon = requests[indices[0]].epsilon;
-            let ranges: Vec<(usize, usize)> = indices
-                .iter()
-                .map(|&i| match requests[i].kind {
-                    RequestKind::Range { lo, hi } => (lo, hi),
-                    _ => unreachable!("group members are ranges"),
-                })
-                .collect();
-            match self.prepare_range_group(analyst, policy_name, data_name, epsilon, &ranges) {
-                Ok((mech, cumulative, record, rng, flights)) => {
-                    charge_records.extend(record);
-                    prepared.push(PreparedGroup {
-                        indices,
-                        ranges,
-                        mech,
-                        cumulative,
-                        rng,
-                        _flights: flights,
-                    });
-                }
-                Err(e) => {
-                    for &i in &indices {
-                        out[i] = Some(Err(e.clone()));
-                    }
-                }
-            }
-        }
-        // Acknowledge-after-durable: every group's charge reaches the WAL
-        // in one group commit before any shared release executes. On a
-        // store failure nothing is released (the in-memory spend stands —
-        // budget is only ever lost to a failure, never resurrected).
-        let durable = match &self.store {
-            Some(store) if !charge_records.is_empty() => {
-                let mut span = self.obs.span();
-                let err = store
-                    .commit(&charge_records)
-                    .map_err(EngineError::Store)
-                    .err();
-                self.obs.span_mark(&mut span, Stage::WalCommit);
-                err
-            }
-            _ => None,
-        };
-        if let Some(e) = durable {
-            for group in &prepared {
-                for &i in &group.indices {
-                    out[i] = Some(Err(e.clone()));
-                }
-            }
-            prepared.clear();
-        }
-        let execute = |g: &PreparedGroup| -> Result<Vec<f64>, EngineError> {
-            let mut rng = g.rng.clone();
-            let mut span = self.obs.span();
-            let release = g.mech.release(&g.cumulative, &mut rng)?;
-            self.obs.span_mark(&mut span, Stage::Release);
-            Ok(release.answer_batch(&g.ranges))
-        };
-        // par_map runs 0- and 1-group batches inline, so no special case.
-        let results = rayon::par_map(&prepared, execute);
-        for (group, result) in prepared.iter().zip(results) {
-            match result {
-                Ok(answers) => {
-                    for (&i, a) in group.indices.iter().zip(answers) {
-                        out[i] = Some(Ok(Response::Scalar(a)));
-                    }
-                }
-                Err(e) => {
-                    for &i in &group.indices {
-                        out[i] = Some(Err(e.clone()));
-                    }
-                }
-            }
-        }
-
-        // Everything not answered by a group goes through the single path.
-        for (i, req) in requests.iter().enumerate() {
-            if out[i].is_none() {
-                out[i] = Some(self.serve(analyst, req));
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every slot filled"))
-            .collect()
-    }
-
-    /// Resolves, validates and charges one range group, returning the
-    /// calibrated mechanism, the cumulative histogram it will release,
-    /// the WAL record the caller must commit **before** executing (when
-    /// a store is attached), and the in-flight guards pinning the policy
-    /// and dataset against deregistration until the release lands. The
-    /// release itself is left to the caller so independent groups can
-    /// run their releases in parallel after charging deterministically.
-    #[allow(clippy::type_complexity)]
-    fn prepare_range_group(
-        &self,
-        analyst: &str,
-        policy_name: &str,
-        data_name: &str,
-        epsilon: Epsilon,
-        ranges: &[(usize, usize)],
-    ) -> Result<
-        (
-            OrderedMechanism,
-            Arc<CumulativeHistogram>,
-            Option<Record>,
-            StdRng,
-            (FlightGuard, FlightGuard),
-        ),
-        EngineError,
-    > {
-        let session = self.session(analyst)?;
-        let (policy_entry, policy_flight) = self.pinned_policy_entry(policy_name)?;
-        let (entry, data_flight) = self.pinned_dataset_entry(data_name)?;
-        let flights = (policy_flight, data_flight);
-        let size = entry.dataset.domain().size();
-        if policy_entry.policy.domain().size() != size {
-            return Err(EngineError::InvalidRequest(format!(
-                "dataset domain size {size} does not match policy domain size {}",
-                policy_entry.policy.domain().size()
-            )));
-        }
-        for &(lo, hi) in ranges {
-            if lo > hi || hi >= size {
-                return Err(EngineError::InvalidRequest(format!(
-                    "range [{lo}, {hi}] outside domain of size {size}"
-                )));
-            }
-        }
-        let sensitivity = self.sensitivity_for(&policy_entry, &QueryClass::CumulativeHistogram)?;
-        let label = format!("batch:{}xrange@{policy_name}/{data_name}", ranges.len());
-        let free = sensitivity == 0.0;
-        session
-            .lock()
-            .expect("session poisoned")
-            .charge(label.clone(), epsilon, free)?;
-        let record = self
-            .store
-            .is_some()
-            .then(|| Record::charged(analyst, &label, if free { 0.0 } else { epsilon.value() }));
-        let mech = OrderedMechanism {
-            epsilon,
-            sensitivity,
-            constrained_inference: true,
-            nonnegative: false,
-        };
-        let fp = release_fingerprint(
-            &policy_entry.policy,
-            data_name,
-            epsilon,
-            &QueryClass::CumulativeHistogram,
-        );
-        let rng = self.release_rng_keyed(fp);
-        Ok((mech, Arc::clone(&entry.cumulative), record, rng, flights))
+        let trace = TraceContext::inert();
+        let waiter = [Waiter {
+            analyst,
+            tag: None,
+            trace: &trace,
+        }];
+        let groups: Vec<Group<'_>> = requests
+            .iter()
+            .map(|request| Group {
+                request,
+                waiters: &waiter,
+            })
+            .collect();
+        let slots = self.serve_groups(&groups).slots;
+        slots.into_iter().flatten().collect()
     }
 
     /// The key under which requests from **different analysts** may share
@@ -1574,238 +1273,253 @@ impl Engine {
         )))
     }
 
-    /// Serves one identical request to several analysts from **one**
-    /// mechanism release.
+    /// Serves coalesced groups — each a request and the waiters, from
+    /// any analysts, who share its answer — with ONE WAL group commit for
+    /// the whole call. This is the entry point the async server drains
+    /// everything due into, once per tick.
     ///
-    /// Every analyst is charged the request's ε on their own ledger (a
-    /// refused charge refuses only that analyst's slot); if at least one
-    /// charge succeeds the engine performs a single release and fans the
-    /// answer out to every charged analyst. Slots come back in `analysts`
-    /// order. With a single analyst this is byte-identical to
-    /// [`Engine::serve`] — same charge, same release ordinal, same noise.
-    pub fn serve_coalesced(
-        &self,
-        analysts: &[String],
-        request: &Request,
-    ) -> Vec<Result<Response, EngineError>> {
-        let group = [(analysts.to_vec(), request.clone())];
-        self.serve_coalesced_many(&group)
-            .pop()
-            .expect("one group in, one group out")
-    }
-
-    /// [`Engine::serve_coalesced`] over many independent groups: groups
-    /// are prepared and charged **sequentially** in slice order (so
-    /// same-seed engines assign the same release ordinals regardless of
-    /// thread scheduling), then the mechanism releases execute **in
-    /// parallel** across cores, mirroring [`Engine::serve_batch`].
+    /// Every group is answered by one mechanism release fanned out to
+    /// its waiters, and range groups that share `(policy, data, ε)` but
+    /// differ in endpoints are folded further, into one Ordered release
+    /// answered as two-prefix reads. Each **distinct** analyst a release
+    /// answers is charged its ε once on their own ledger — exactly what
+    /// they would pay alone, however many of their waiter slots it fills
+    /// — and a refused charge (or unknown analyst) fails only that
+    /// analyst's slots. A lone group with a lone untagged waiter is
+    /// byte-identical to [`Engine::serve`] — same charge, same release
+    /// ordinal, same noise.
     ///
-    /// This is the entry point the async server's coalescing window
-    /// drains into once per tick.
-    pub fn serve_coalesced_many(
-        &self,
-        groups: &[(Vec<String>, Request)],
-    ) -> Vec<Vec<Result<Response, EngineError>>> {
-        let untagged: Vec<TaggedGroup> = groups
+    /// Plans charge **sequentially**, folded plans first and otherwise in
+    /// slice order (so same-seed engines assign the same release
+    /// ordinals regardless of thread scheduling), then the mechanism
+    /// releases execute **in parallel** across cores.
+    pub fn serve_groups(&self, groups: &[Group<'_>]) -> Served {
+        let releases = self.fold(groups);
+        let plans: Vec<&[usize]> = releases.iter().map(Vec::as_slice).collect();
+        let mut flat: Vec<Slot> = groups
             .iter()
-            .map(|(analysts, request)| {
-                (
-                    analysts
-                        .iter()
-                        .map(|a| (a.clone(), None, TraceContext::inert()))
-                        .collect(),
-                    request.clone(),
-                )
-            })
+            .flat_map(|g| g.waiters)
+            .map(|_| None)
             .collect();
-        self.serve_coalesced_many_tagged(&untagged)
+        self.run(groups, &plans, &mut flat);
+        let mut flat = flat
+            .into_iter()
+            .map(|slot| slot.expect("every slot filled"));
+        let slots = groups
+            .iter()
+            .map(|g| flat.by_ref().take(g.waiters.len()).collect())
+            .collect();
+        Served { slots, releases }
     }
 
-    /// [`Engine::serve_coalesced_many`] with a per-waiter idempotency
-    /// tag: `Some(request_id)` marks a retryable submission.
+    /// Partitions groups into release plans: which range groups fold
+    /// into one Ordered release, and the order plans charge in.
     ///
-    /// Tagged waiters whose `(analyst, request_id)` key was already
-    /// acknowledged are answered from the reply cache before any group
-    /// forms — bit-identical bytes, zero additional ε. The rest charge
-    /// and release as usual, with **durable-before-acknowledge**
-    /// ordering: the releases execute, then the whole tick's charges
-    /// reach the WAL in one group commit — `Charged` frames for untagged
-    /// waiters, atomic charge-plus-answer `Replied` frames for tagged
-    /// ones (duplicate tags of an already-charged analyst are cached at
-    /// zero ε) — and only then is any slot acknowledged. On a store
-    /// failure nothing is acknowledged; the in-memory spend stands.
-    pub fn serve_coalesced_many_tagged(
-        &self,
-        groups: &[TaggedGroup],
-    ) -> Vec<Vec<Result<Response, EngineError>>> {
-        struct PreparedRelease {
-            group: usize,
-            kind: RequestKind,
-            entry: DatasetEntry,
-            epsilon: Epsilon,
-            sensitivity: f64,
-            rng: StdRng,
-            label: String,
-            /// ε the release actually costs each charged analyst.
-            spent: f64,
-            /// Analysts charged for this group, first-appearance order.
-            charged: Vec<String>,
-            /// Active trace contexts of the live waiters this release
-            /// will answer.
-            traces: Vec<TraceContext>,
-            /// Shared-span link id when this release answers more than
-            /// one waiter — every waiter's `Release` span carries it,
-            /// so coalescing amplification is visible per-trace.
-            link: Option<u64>,
-            _flights: (FlightGuard, FlightGuard),
+    /// Two or more range groups fold when they share `(policy cache key,
+    /// dataset, ε bits)` — endpoints do not split a fold, and neither
+    /// does naming two registrations of one structurally equal policy. A
+    /// member with out-of-bounds endpoints is left OUT so it fails
+    /// individually instead of poisoning its siblings' shared release;
+    /// so is every range under an unknown policy, or a constrained one,
+    /// whose bound does not calibrate the shared cumulative release.
+    /// Those, every other kind, and a fold of one — a lone range is
+    /// cheaper as a plain Laplace count — are plans of their own.
+    ///
+    /// Folded plans come first because they draw their generators first:
+    /// a fold and a cumulative-histogram request share a release
+    /// fingerprint, hence a noise ordinal sequence. The rest keep input
+    /// order.
+    fn fold(&self, groups: &[Group<'_>]) -> Vec<Vec<usize>> {
+        let ranges = groups
+            .iter()
+            .enumerate()
+            .filter_map(|(gi, g)| match g.request.kind {
+                RequestKind::Range { lo, hi } => Some((gi, g.request, lo, hi)),
+                _ => None,
+            });
+        // Each distinct policy and dataset is looked up once per call,
+        // not once per member: the policy's cache key (`None` for one
+        // that cannot fold) and the dataset's domain size (`None` when
+        // it is unknown, so the members fail as a group).
+        let mut cache_keys: BTreeMap<&str, Option<String>> = BTreeMap::new();
+        let mut sizes: BTreeMap<&str, Option<usize>> = BTreeMap::new();
+        for (_, request, ..) in ranges.clone() {
+            cache_keys.entry(&request.policy).or_insert_with(|| {
+                let foldable =
+                    |e: &PolicyEntry| e.constrained_bound.is_none().then(|| e.policy.cache_key());
+                self.policies.get_with(&request.policy, foldable).flatten()
+            });
+            sizes.entry(&request.data).or_insert_with(|| {
+                let size = |e: &DatasetEntry| e.dataset.domain().size();
+                self.datasets.get_with(&request.data, size)
+            });
         }
-        let mut out: Vec<Vec<Option<Result<Response, EngineError>>>> = groups
-            .iter()
-            .map(|(waiters, _)| (0..waiters.len()).map(|_| None).collect())
-            .collect();
-
-        // Replay pass: a tagged waiter whose key is cached is a retry of
-        // an acknowledged answer — fill its slot now so it neither
-        // charges nor joins the fan-out.
-        for (gi, (waiters, _)) in groups.iter().enumerate() {
-            for (ai, (analyst, tag, _)) in waiters.iter().enumerate() {
-                if let Some(rid) = tag {
-                    if let Some(cached) = self.cached_reply(analyst, *rid) {
-                        out[gi][ai] = Some(Ok(cached));
-                    }
-                }
+        let mut folds: BTreeMap<(&str, &str, u64), Vec<usize>> = BTreeMap::new();
+        for (gi, request, lo, hi) in ranges {
+            let Some(cache_key) = &cache_keys[request.policy.as_str()] else {
+                continue;
+            };
+            if lo <= hi && sizes[request.data.as_str()].is_none_or(|size| hi < size) {
+                let epsilon = request.epsilon.value().to_bits();
+                let fold = folds.entry((cache_key, &request.data, epsilon));
+                fold.or_default().push(gi);
             }
         }
+        let mut plans: Vec<Vec<usize>> = folds.into_values().filter(|m| m.len() >= 2).collect();
+        let mut folded = vec![false; groups.len()];
+        for &gi in plans.iter().flatten() {
+            folded[gi] = true;
+        }
+        plans.extend(
+            (0..groups.len())
+                .filter(|&gi| !folded[gi])
+                .map(|gi| vec![gi]),
+        );
+        plans
+    }
 
-        let mut prepared: Vec<PreparedRelease> = Vec::new();
+    /// THE serve pipeline — every public entry point above is a front-end
+    /// to it, so what an analyst is charged and which release answers
+    /// them is decided in exactly one place. `plans` partitions `groups`
+    /// into releases (a plan of two or more groups is a fold of ranges,
+    /// see [`Engine::fold`]); `slots` holds one slot per waiter, groups
+    /// concatenated in order, and comes back with every slot filled.
+    ///
+    /// The one order, for every kind of traffic: **replay** cached
+    /// tagged waiters → per plan, sequentially: **resolve, validate,
+    /// calibrate** → **charge** each distinct analyst once, in memory →
+    /// **draw** the release generator → **execute** all charged plans,
+    /// in parallel → one WAL **frame** per charged analyst and plan →
+    /// ONE group **commit** → **mirror** the cached replies →
+    /// **acknowledge**. Nothing is acknowledged before its charge is
+    /// durable, and a charge is only ever lost to a failure, never
+    /// resurrected.
+    fn run(&self, groups: &[Group<'_>], plans: &[&[usize]], slots: &mut [Slot]) {
+        // Replay: a tagged waiter whose key is cached is a retry of an
+        // acknowledged answer — valid however the rest of the call
+        // fares, so its slot is filled now and it neither charges nor
+        // joins a release. Nothing is allocated up to here, so a lone
+        // retry costs two map lookups.
+        let waiters = groups.iter().flat_map(|g| g.waiters);
+        for (slot, w) in slots.iter_mut().zip(waiters) {
+            *slot = w
+                .tag
+                .and_then(|rid| self.cached_reply(w.analyst, rid))
+                .map(Ok);
+        }
+        if slots.iter().all(Option::is_some) {
+            return;
+        }
+        let mut starts = Vec::with_capacity(groups.len());
+        let mut end = 0;
+        for g in groups {
+            starts.push(end);
+            end += g.waiters.len();
+        }
+        let slots_of = |gi: usize| starts[gi]..starts[gi] + groups[gi].waiters.len();
 
-        for (gi, (waiters, request)) in groups.iter().enumerate() {
-            if out[gi].iter().all(|slot| slot.is_some()) {
+        // Prepare plans sequentially: preparation is microseconds of
+        // ledger math that must stay deterministic — the WAL reads like
+        // the charge sequence — while the release is the `O(|T|)`
+        // noise-and-inference pass worth the threads.
+        let mut prepared: Vec<Prepared<'_>> = Vec::new();
+        for &plan in plans {
+            // Every (slot index, waiter) riding the plan, in order.
+            let riders = || {
+                plan.iter()
+                    .flat_map(|&gi| (starts[gi]..).zip(groups[gi].waiters))
+            };
+            let live = riders().filter(|(si, _)| slots[*si].is_none()).count();
+            if live == 0 {
                 continue; // every waiter was replayed from the cache
             }
-            // Resolve and validate once per group.
-            let resolved =
-                (|| -> Result<(DatasetEntry, f64, u64, (FlightGuard, FlightGuard)), EngineError> {
-                    if matches!(request.kind, RequestKind::KMeans { .. }) {
-                        return Err(EngineError::InvalidRequest(
-                            "k-means requests are not coalescible; serve them individually".into(),
-                        ));
-                    }
-                    let (policy_entry, policy_flight) =
-                        self.pinned_policy_entry(&request.policy)?;
-                    let (entry, data_flight) = self.pinned_dataset_entry(&request.data)?;
-                    let flights = (policy_flight, data_flight);
-                    self.validate(&request.kind, &policy_entry.policy, &entry)?;
-                    let class = request
-                        .query_class()
-                        .expect("non-kmeans kinds always map to a query class");
-                    let sensitivity = self.sensitivity_for(&policy_entry, &class)?;
-                    let fp = release_fingerprint(
-                        &policy_entry.policy,
-                        &request.data,
-                        request.epsilon,
-                        &class,
-                    );
-                    Ok((entry, sensitivity, fp, flights))
-                })();
-            match resolved {
+            let request = groups[plan[0]].request;
+            let calibrated = match self.calibrate(groups, plan) {
+                Ok(calibrated) => calibrated,
                 Err(e) => {
-                    for slot in &mut out[gi] {
-                        if slot.is_none() {
-                            *slot = Some(Err(e.clone()));
-                        }
+                    for &gi in plan {
+                        fill(&mut slots[slots_of(gi)], Err(e.clone()));
                     }
+                    continue;
                 }
-                Ok((entry, sensitivity, fp, flights)) => {
-                    let live = out[gi].iter().filter(|slot| slot.is_none()).count();
-                    let label = if live > 1 {
-                        format!("coalesced:{live}x{}", request.label())
-                    } else {
-                        request.label()
-                    };
-                    let free = sensitivity == 0.0;
-                    // Charge each DISTINCT analyst once on their own
-                    // ledger — publishing one release to an analyst
-                    // costs them ε regardless of how many waiter slots
-                    // of theirs it answers (reading a release twice is
-                    // post-processing). This matches `serve_batch` and
-                    // `serve_range_groups`, so an analyst's spend never
-                    // depends on which dispatch path unrelated traffic
-                    // routed them through. A refusal (or unknown
-                    // analyst) fails only that analyst's slots. Charges
-                    // stay in slice order so the WAL reads like the
-                    // deterministic charge sequence.
-                    let mut any_charged = false;
-                    let mut verdicts: HashMap<&str, Result<(), EngineError>> = HashMap::new();
-                    let mut charged: Vec<String> = Vec::new();
-                    for (ai, (analyst, _, _)) in waiters.iter().enumerate() {
-                        if out[gi][ai].is_some() {
-                            continue; // replayed — costs nothing
-                        }
-                        let verdict = verdicts
-                            .entry(analyst.as_str())
-                            .or_insert_with(|| {
-                                self.session(analyst).and_then(|session| {
-                                    session.lock().expect("session poisoned").charge(
-                                        label.clone(),
-                                        request.epsilon,
-                                        free,
-                                    )
-                                })
-                            })
-                            .clone();
-                        match verdict {
-                            // Slot stays None: filled by the release.
-                            Ok(()) => {
-                                any_charged = true;
-                                if !charged.iter().any(|a| a == analyst) {
-                                    charged.push(analyst.clone());
-                                }
-                            }
-                            Err(e) => out[gi][ai] = Some(Err(e)),
+            };
+            let free = calibrated.source.is_free();
+            let label = if plan.len() > 1 {
+                format!(
+                    "batch:{}xrange@{}/{}",
+                    plan.len(),
+                    request.policy,
+                    request.data
+                )
+            } else if live > 1 {
+                format!("coalesced:{live}x{}", request.label())
+            } else {
+                request.label()
+            };
+            // Charge each DISTINCT analyst once on their own ledger —
+            // publishing one release to an analyst costs them ε
+            // regardless of how many waiter slots of theirs it answers
+            // (reading a release twice is post-processing), so an
+            // analyst's spend never depends on how unrelated traffic was
+            // grouped around them. A refusal (or unknown analyst) fails
+            // only that analyst's slots. Charges stay in waiter order.
+            let mut verdicts: HashMap<&str, Result<(), EngineError>> = HashMap::new();
+            let mut carriers = Vec::new();
+            let mut traces = Vec::new();
+            let mut answering = 0usize;
+            for (si, w) in riders() {
+                if slots[si].is_some() {
+                    continue; // replayed — costs nothing
+                }
+                let verdict = verdicts.entry(w.analyst).or_insert_with(|| {
+                    let verdict = self.session(w.analyst).and_then(|session| {
+                        let mut session = session.lock().expect("session poisoned");
+                        session.charge(label.clone(), request.epsilon, free)
+                    });
+                    if verdict.is_ok() {
+                        carriers.push(si);
+                    }
+                    verdict
+                });
+                match verdict {
+                    // Slot stays None: filled by the release.
+                    Ok(()) => {
+                        answering += 1;
+                        if w.trace.is_active() {
+                            traces.push(w.trace);
                         }
                     }
-                    if any_charged {
-                        // Live waiters (charged, not replayed) own the
-                        // release: their traces get the Release span,
-                        // linked when the release fans to more than one.
-                        let traces: Vec<TraceContext> = waiters
-                            .iter()
-                            .enumerate()
-                            .filter(|(ai, _)| out[gi][*ai].is_none())
-                            .filter(|(_, (_, _, t))| t.is_active())
-                            .map(|(_, (_, _, t))| t.clone())
-                            .collect();
-                        let live = out[gi].iter().filter(|slot| slot.is_none()).count();
-                        let link = (live > 1 && !traces.is_empty()).then(next_link_id);
-                        prepared.push(PreparedRelease {
-                            group: gi,
-                            kind: request.kind.clone(),
-                            entry,
-                            epsilon: request.epsilon,
-                            sensitivity,
-                            rng: self.release_rng_keyed(fp),
-                            label,
-                            spent: if free { 0.0 } else { request.epsilon.value() },
-                            charged,
-                            traces,
-                            link,
-                            _flights: flights,
-                        });
-                    }
+                    Err(e) => slots[si] = Some(Err(e.clone())),
                 }
             }
+            if carriers.is_empty() {
+                continue; // nobody could pay: no release, no noise ordinal
+            }
+            let rng = match calibrated.fingerprint {
+                Some(fingerprint) => self.release_rng_keyed(fingerprint),
+                None => self.release_rng(),
+            };
+            prepared.push(Prepared {
+                plan,
+                calibrated,
+                rng,
+                label,
+                spent: if free { 0.0 } else { request.epsilon.value() },
+                carriers,
+                link: (answering > 1 && !traces.is_empty()).then(next_link_id),
+                traces,
+            });
         }
 
-        // One release per prepared group, fanned across threads. Every
-        // waiter's trace records the same release region; with more
-        // than one waiter the spans share `p.link`, making the fan-out
-        // legible from any single trace.
-        let answers = rayon::par_map(&prepared, |p| {
-            let mut rng = p.rng.clone();
-            let timer = TraceTimer::any(&p.traces);
-            let result =
-                self.execute_with_rng(&p.kind, &p.entry, p.epsilon, p.sensitivity, &mut rng);
+        // One release per prepared plan, fanned across threads (par_map
+        // runs 0 and 1 plans inline). Every waiter's trace records the
+        // same release region; with more than one waiter the spans share
+        // `p.link`, making the fan-out legible from any single trace.
+        let results = rayon::par_map(&prepared, |p| {
+            let timer = TraceTimer::any(p.traces.iter().copied());
+            let mut span = self.obs.span();
+            let result = self.execute(groups, p);
+            self.obs.span_mark(&mut span, Stage::Release);
             let outcome = if result.is_ok() { "ok" } else { "failed" };
             for t in &p.traces {
                 t.record_linked(Stage::Release, &timer, outcome, p.link);
@@ -1813,457 +1527,153 @@ impl Engine {
             result
         });
 
-        // Durable-before-acknowledge: the whole tick's fan-out charges —
-        // every waiter of every group — reach the WAL in ONE group
-        // commit before any slot is acknowledged. Each charged analyst's
-        // spend rides exactly one frame, in first-appearance order: a
-        // `Replied` frame (charge + answer, atomic) when their first
-        // live waiter is tagged, a `Charged` frame otherwise; further
-        // tagged waiters of an already-charged analyst cache their
-        // answer at zero ε.
+        // Durable-before-acknowledge: every charge of the call reaches
+        // the WAL in ONE group commit before any slot is acknowledged.
+        // Each charged analyst's spend rides exactly one frame per plan:
+        // a `Replied` frame — the charge and that waiter's own answer in
+        // one atomic frame, so a crash can never separate them and let a
+        // retry double-charge — when their first live waiter is tagged,
+        // a `Charged` frame otherwise; further tagged waiters of an
+        // already-charged analyst cache their answer at zero ε.
+        let durable = self.store.is_some();
         let mut records: Vec<Record> = Vec::new();
-        let mut mirrors: Vec<(String, u64, Vec<u8>)> = Vec::new();
+        let mut mirrors: Vec<(&str, u64, Vec<u8>)> = Vec::new();
         let mut commit_traces: Vec<&TraceContext> = Vec::new();
-        for (p, answer) in prepared.iter().zip(&answers) {
-            let Ok(response) = answer else {
-                continue; // a failed release charges nothing durable
+        for (p, result) in prepared.iter().zip(&results) {
+            let Ok(answers) = result else {
+                continue; // a failed release writes nothing durable
             };
-            commit_traces.extend(p.traces.iter());
-            let payload = response.to_bytes();
-            let (waiters, _) = &groups[p.group];
-            for analyst in &p.charged {
-                let mut carried = false;
-                for (ai, (a, tag, _)) in waiters.iter().enumerate() {
-                    if a != analyst || out[p.group][ai].is_some() {
-                        continue;
+            commit_traces.extend(&p.traces);
+            let mut carriers = p.carriers.iter().peekable();
+            for (&gi, answer) in p.plan.iter().zip(answers) {
+                let mut payload: Option<Vec<u8>> = None;
+                for (si, w) in slots_of(gi).zip(groups[gi].waiters) {
+                    if slots[si].is_some() {
+                        continue; // replayed or refused
                     }
-                    match tag {
+                    let carries = carriers.next_if_eq(&&si).is_some();
+                    let spent = if carries { p.spent } else { 0.0 };
+                    match w.tag {
                         Some(rid) => {
-                            let eps = if carried { 0.0 } else { p.spent };
-                            records.push(Record::replied(
-                                analyst,
-                                *rid,
-                                &p.label,
-                                eps,
-                                payload.clone(),
-                            ));
-                            mirrors.push((analyst.clone(), *rid, payload.clone()));
-                            carried = true;
+                            let payload = payload.get_or_insert_with(|| answer.to_bytes());
+                            if durable {
+                                records.push(Record::replied(
+                                    w.analyst,
+                                    rid,
+                                    &p.label,
+                                    spent,
+                                    payload.clone(),
+                                ));
+                            }
+                            mirrors.push((w.analyst, rid, payload.clone()));
                         }
-                        None if !carried => {
-                            records.push(Record::charged(analyst, &p.label, p.spent));
-                            carried = true;
+                        None if carries && durable => {
+                            records.push(Record::charged(w.analyst, &p.label, spent));
                         }
                         None => {}
                     }
                 }
             }
         }
-        let durable = match &self.store {
+        let committed = match &self.store {
             Some(store) if !records.is_empty() => {
                 let mut span = self.obs.span();
-                let err = store
+                let committed = store
                     .commit_traced(&records, &commit_traces)
-                    .map_err(EngineError::Store)
-                    .err();
+                    .map_err(EngineError::Store);
                 self.obs.span_mark(&mut span, Stage::WalCommit);
-                err
+                committed
             }
-            _ => None,
+            _ => Ok(()),
         };
-        if let Some(e) = durable {
-            // Nothing is acknowledged: the in-memory charges stand
-            // (conservative — budget is lost to the failure, never
-            // resurrected) and no waiter sees an answer.
-            for p in &prepared {
-                for slot in &mut out[p.group] {
-                    if slot.is_none() {
-                        *slot = Some(Err(e.clone()));
-                    }
-                }
-            }
-        } else {
+        if committed.is_ok() {
             for (analyst, rid, payload) in mirrors {
-                self.mirror_reply(&analyst, rid, payload);
-            }
-            for (p, answer) in prepared.iter().zip(answers) {
-                for slot in &mut out[p.group] {
-                    if slot.is_none() {
-                        *slot = Some(answer.clone());
-                    }
-                }
+                self.mirror_reply(analyst, rid, payload);
             }
         }
-        out.into_iter()
-            .map(|group| {
-                group
-                    .into_iter()
-                    .map(|slot| slot.expect("every slot filled"))
-                    .collect()
-            })
-            .collect()
+        // On a store failure nothing is acknowledged: charged slots
+        // surface the store error, refused slots keep their own, and the
+        // in-memory charges stand (conservative — budget is lost to the
+        // failure, never resurrected).
+        for (p, result) in prepared.iter().zip(results) {
+            let mut answers = committed.clone().and(result).map(Vec::into_iter);
+            for &gi in p.plan {
+                let answer = match &mut answers {
+                    Ok(answers) => Ok(answers.next().expect("one answer per group")),
+                    Err(e) => Err(e.clone()),
+                };
+                fill(&mut slots[slots_of(gi)], answer);
+            }
+        }
     }
 
-    /// The key under which range requests with **different endpoints**
-    /// may still share one Ordered release: `Some` of
-    /// `(policy cache key, dataset, ε bits)` for an in-bounds range
-    /// against a constraint-free policy, `None` otherwise (non-range
-    /// kinds; constrained policies, whose bound does not calibrate the
-    /// shared cumulative release; out-of-bounds ranges, which must fail
-    /// individually instead of poisoning a shared release).
-    ///
-    /// This is [`Engine::serve_batch`]'s grouping criterion exposed to
-    /// the front-end scheduler, which uses it to fold same-window range
-    /// traffic from *different analysts* into
-    /// [`Engine::serve_range_groups`] calls.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownPolicy`] when the request names an
-    /// unregistered policy.
-    pub fn range_group_key(&self, request: &Request) -> Result<Option<String>, EngineError> {
-        let RequestKind::Range { lo, hi } = request.kind else {
-            return Ok(None);
-        };
-        let Some(entry) = self.policies.get(&request.policy) else {
-            return Err(EngineError::UnknownPolicy(request.policy.clone()));
-        };
-        if entry.constrained_bound.is_some() {
-            return Ok(None);
-        }
-        let in_bounds = lo <= hi
-            && self
-                .datasets
-                .get(&request.data)
-                .map(|e| hi < e.dataset.domain().size())
-                .unwrap_or(true); // unknown dataset: fail as a group
-        if !in_bounds {
-            return Ok(None);
-        }
-        Ok(Some(format!(
-            "{}|{}|{:016x}",
-            entry.policy.cache_key(),
-            request.data,
-            request.epsilon.value().to_bits()
-        )))
-    }
-
-    /// Serves several coalesced **range** groups that share
-    /// `(policy, data, ε)` but differ in endpoints from **one** Ordered
-    /// Mechanism release — [`Engine::serve_batch`]'s grouping lifted
-    /// across analysts. Every inner `(analysts, request)` pair is one
-    /// coalesced group (identical endpoints); across the slice the
-    /// policy, dataset and ε must agree (the contract
-    /// [`Engine::range_group_key`] equality establishes).
-    ///
-    /// Each **distinct** analyst in the union of waiters is charged ε
-    /// once on their own ledger — exactly what they would pay for a lone
-    /// range — then a single cumulative release executes and every
-    /// waiter's range is answered as a two-prefix read. A refused charge
-    /// fails only that analyst's slots. Slots mirror the input shape.
-    pub fn serve_range_groups(
-        &self,
-        groups: &[(Vec<String>, Request)],
-    ) -> Vec<Vec<Result<Response, EngineError>>> {
-        let untagged: Vec<TaggedGroup> = groups
-            .iter()
-            .map(|(analysts, request)| {
-                (
-                    analysts
-                        .iter()
-                        .map(|a| (a.clone(), None, TraceContext::inert()))
-                        .collect(),
-                    request.clone(),
-                )
-            })
-            .collect();
-        self.serve_range_groups_tagged(&untagged)
-    }
-
-    /// [`Engine::serve_range_groups`] with per-waiter idempotency tags —
-    /// the same replay / durable-before-acknowledge semantics as
-    /// [`Engine::serve_coalesced_many_tagged`]: cached tagged waiters
-    /// replay for free before the shared release forms; everyone else's
-    /// charge rides one post-release group commit (`Replied` frames,
-    /// carrying each tagged waiter's own range answer, for tagged
-    /// waiters; `Charged` frames otherwise) before any slot is
-    /// acknowledged.
-    pub fn serve_range_groups_tagged(
-        &self,
-        groups: &[TaggedGroup],
-    ) -> Vec<Vec<Result<Response, EngineError>>> {
-        let Some((_, first)) = groups.first() else {
-            return Vec::new();
-        };
-        let mut out: Vec<Vec<Option<Result<Response, EngineError>>>> = groups
-            .iter()
-            .map(|(waiters, _)| (0..waiters.len()).map(|_| None).collect())
-            .collect();
-        // Replay pass first: a cached tagged waiter is a retry of an
-        // acknowledged answer, valid regardless of how the rest of the
-        // batch fares.
-        for (gi, (waiters, _)) in groups.iter().enumerate() {
-            for (ai, (analyst, tag, _)) in waiters.iter().enumerate() {
-                if let Some(rid) = tag {
-                    if let Some(cached) = self.cached_reply(analyst, *rid) {
-                        out[gi][ai] = Some(Ok(cached));
-                    }
+    /// Resolves, validates and calibrates one plan.
+    fn calibrate(&self, groups: &[Group<'_>], plan: &[usize]) -> Result<Calibrated, EngineError> {
+        let request = groups[plan[0]].request;
+        let (policy_entry, policy_flight) = self.pinned_policy_entry(&request.policy)?;
+        let class = match &request.kind {
+            RequestKind::KMeans {
+                k,
+                iterations,
+                spec,
+            } => {
+                if policy_entry.constrained_bound.is_some() {
+                    return Err(EngineError::InvalidRequest(
+                        "k-means sensitivities come from the physical-unit spec and do not \
+                         account for policy constraints; use a constraint-free policy"
+                            .into(),
+                    ));
                 }
-            }
-        }
-        let finish = |out: Vec<Vec<Option<Result<Response, EngineError>>>>| {
-            out.into_iter()
-                .map(|group| {
-                    group
-                        .into_iter()
-                        .map(|slot| slot.expect("every slot filled"))
-                        .collect()
-                })
-                .collect()
-        };
-        let fail_unfilled = |mut out: Vec<Vec<Option<Result<Response, EngineError>>>>,
-                             e: EngineError| {
-            for group in &mut out {
-                for slot in group.iter_mut() {
-                    if slot.is_none() {
-                        *slot = Some(Err(e.clone()));
-                    }
-                }
-            }
-            finish(out)
-        };
-        let mut ranges = Vec::with_capacity(groups.len());
-        for (_, request) in groups {
-            let RequestKind::Range { lo, hi } = request.kind else {
-                return fail_unfilled(
-                    out,
-                    EngineError::InvalidRequest(
-                        "serve_range_groups takes range requests only".into(),
-                    ),
-                );
-            };
-            if request.policy != first.policy
-                || request.data != first.data
-                || request.epsilon.value().to_bits() != first.epsilon.value().to_bits()
-            {
-                return fail_unfilled(
-                    out,
-                    EngineError::InvalidRequest(
-                        "serve_range_groups requires one shared (policy, data, ε)".into(),
-                    ),
-                );
-            }
-            ranges.push((lo, hi));
-        }
-        if out
-            .iter()
-            .all(|group| group.iter().all(|slot| slot.is_some()))
-        {
-            return finish(out); // every waiter was replayed from the cache
-        }
-
-        // Resolve, validate and calibrate the one shared release.
-        let prepared = (|| {
-            let (policy_entry, policy_flight) = self.pinned_policy_entry(&first.policy)?;
-            let (entry, data_flight) = self.pinned_dataset_entry(&first.data)?;
-            let size = entry.dataset.domain().size();
-            if policy_entry.policy.domain().size() != size {
-                return Err(EngineError::InvalidRequest(format!(
-                    "dataset domain size {size} does not match policy domain size {}",
-                    policy_entry.policy.domain().size()
-                )));
-            }
-            for &(lo, hi) in &ranges {
-                if lo > hi || hi >= size {
+                let (points_entry, points_flight) = self.pinned_points_entry(&request.data)?;
+                let points = points_entry.points;
+                if *k == 0 || *k > points.len() {
                     return Err(EngineError::InvalidRequest(format!(
-                        "range [{lo}, {hi}] outside domain of size {size}"
+                        "k-means needs 1 ≤ k ≤ n, got k={k} with n={}",
+                        points.len()
                     )));
                 }
-            }
-            let sensitivity =
-                self.sensitivity_for(&policy_entry, &QueryClass::CumulativeHistogram)?;
-            let fp = release_fingerprint(
-                &policy_entry.policy,
-                &first.data,
-                first.epsilon,
-                &QueryClass::CumulativeHistogram,
-            );
-            Ok((entry, sensitivity, fp, (policy_flight, data_flight)))
-        })();
-        let (entry, sensitivity, fp, _flights) = match prepared {
-            Ok(p) => p,
-            Err(e) => return fail_unfilled(out, e),
-        };
-
-        // Charge each distinct analyst with at least one live (uncached)
-        // waiter once, in first-appearance order (deterministic — the
-        // WAL reads like the charge sequence).
-        let label = format!(
-            "coalesced-batch:{}xrange@{}/{}",
-            ranges.len(),
-            first.policy,
-            first.data
-        );
-        let free = sensitivity == 0.0;
-        let spent = if free { 0.0 } else { first.epsilon.value() };
-        let mut verdicts: BTreeMap<&str, Result<(), EngineError>> = BTreeMap::new();
-        let mut charged: Vec<&str> = Vec::new();
-        for (gi, (waiters, _)) in groups.iter().enumerate() {
-            for (ai, (analyst, _, _)) in waiters.iter().enumerate() {
-                if out[gi][ai].is_some() || verdicts.contains_key(analyst.as_str()) {
-                    continue;
+                if *iterations == 0 || *iterations > MAX_KMEANS_ITERATIONS {
+                    return Err(EngineError::InvalidRequest(format!(
+                        "k-means needs 1 ≤ iterations ≤ {MAX_KMEANS_ITERATIONS}, got {iterations}"
+                    )));
                 }
-                let verdict = self.session(analyst).and_then(|session| {
-                    session.lock().expect("session poisoned").charge(
-                        label.clone(),
-                        first.epsilon,
-                        free,
-                    )
-                });
-                if verdict.is_ok() {
-                    charged.push(analyst.as_str());
-                }
-                verdicts.insert(analyst.as_str(), verdict);
-            }
-        }
-        if charged.is_empty() {
-            for (gi, (waiters, _)) in groups.iter().enumerate() {
-                for (ai, (analyst, _, _)) in waiters.iter().enumerate() {
-                    if out[gi][ai].is_none() {
-                        out[gi][ai] = Some(Err(verdicts[analyst.as_str()].clone().unwrap_err()));
-                    }
-                }
-            }
-            return finish(out);
-        }
-        // The shared Ordered release answers every live charged waiter
-        // across every group from ONE noise draw — the strongest
-        // amplification the engine performs, so every such waiter's
-        // trace records the same linked Release span.
-        let mut traces: Vec<&TraceContext> = Vec::new();
-        let mut live = 0usize;
-        for (gi, (waiters, _)) in groups.iter().enumerate() {
-            for (ai, (analyst, _, trace)) in waiters.iter().enumerate() {
-                if out[gi][ai].is_some() || !matches!(verdicts.get(analyst.as_str()), Some(Ok(())))
-                {
-                    continue;
-                }
-                live += 1;
-                if trace.is_active() {
-                    traces.push(trace);
-                }
-            }
-        }
-        let link = (live > 1 && !traces.is_empty()).then(next_link_id);
-        // Durable-before-acknowledge: the shared release executes, then
-        // every fan-out charge rides ONE commit — each charged analyst's
-        // spend on exactly one frame (`Replied` with their own range
-        // answer when their first live waiter is tagged, `Charged`
-        // otherwise; further tagged waiters cache at zero ε) — and only
-        // then is any slot acknowledged. On a store failure charged
-        // slots surface the store error, refused slots keep their own
-        // charge error, and the in-memory spend stands.
-        let release_timer = TraceTimer::any(traces.iter().copied());
-        let answers = self.execute_range_group(&entry, first.epsilon, sensitivity, fp, &ranges);
-        if release_timer.is_running() {
-            let outcome = if answers.is_ok() { "ok" } else { "failed" };
-            for t in &traces {
-                t.record_linked(Stage::Release, &release_timer, outcome, link);
-            }
-        }
-        let committed = match (&answers, &self.store) {
-            (Ok(batch), store) => {
-                let mut records: Vec<Record> = Vec::new();
-                let mut mirrors: Vec<(String, u64, Vec<u8>)> = Vec::new();
-                let mut carried: Vec<&str> = Vec::new();
-                for (gi, (waiters, _)) in groups.iter().enumerate() {
-                    for (ai, (analyst, tag, _)) in waiters.iter().enumerate() {
-                        if out[gi][ai].is_some()
-                            || !matches!(verdicts.get(analyst.as_str()), Some(Ok(())))
-                        {
-                            continue;
-                        }
-                        let carries = !carried.contains(&analyst.as_str());
-                        match tag {
-                            Some(rid) => {
-                                let payload = Response::Scalar(batch[gi]).to_bytes();
-                                records.push(Record::replied(
-                                    analyst,
-                                    *rid,
-                                    &label,
-                                    if carries { spent } else { 0.0 },
-                                    payload.clone(),
-                                ));
-                                mirrors.push((analyst.clone(), *rid, payload));
-                                carried.push(analyst.as_str());
-                            }
-                            None if carries => {
-                                records.push(Record::charged(analyst, &label, spent));
-                                carried.push(analyst.as_str());
-                            }
-                            None => {}
-                        }
-                    }
-                }
-                let result = match store {
-                    Some(store) if !records.is_empty() => {
-                        let mut span = self.obs.span();
-                        let committed = store
-                            .commit_traced(&records, &traces)
-                            .map_err(EngineError::Store);
-                        self.obs.span_mark(&mut span, Stage::WalCommit);
-                        committed
-                    }
-                    _ => Ok(()),
+                // Wire decoding passes the spec's f64 bits through, and
+                // `qsum_sensitivity` asserts on these as invariants.
+                let spec_ok = match spec {
+                    KmeansSecretSpec::L1Threshold(theta) => theta.is_finite() && *theta > 0.0,
+                    KmeansSecretSpec::PartitionMaxDiameter(d) => d.is_finite() && *d >= 0.0,
+                    _ => true,
                 };
-                if result.is_ok() {
-                    for (analyst, rid, payload) in mirrors {
-                        self.mirror_reply(&analyst, rid, payload);
-                    }
+                if !spec_ok {
+                    return Err(EngineError::InvalidRequest(format!(
+                        "k-means needs a finite θ > 0 or block diameter ≥ 0, got {spec:?}"
+                    )));
                 }
-                result
-            }
-            (Err(_), _) => Ok(()), // a failed release charges nothing durable
-        };
-        for (gi, (waiters, _)) in groups.iter().enumerate() {
-            for (ai, (analyst, _, _)) in waiters.iter().enumerate() {
-                if out[gi][ai].is_some() {
-                    continue;
-                }
-                out[gi][ai] = Some(match &verdicts[analyst.as_str()] {
-                    Err(e) => Err(e.clone()),
-                    Ok(()) => match (&answers, &committed) {
-                        (_, Err(e)) => Err(e.clone()),
-                        (Err(e), _) => Err(e.clone()),
-                        (Ok(batch), Ok(())) => Ok(Response::Scalar(batch[gi])),
-                    },
+                let mech = PrivateKmeans::new(*k, *iterations, request.epsilon, *spec);
+                return Ok(Calibrated {
+                    source: Source::Points { points, mech },
+                    fingerprint: None,
+                    _flights: (policy_flight, points_flight),
                 });
             }
-        }
-        finish(out)
-    }
-
-    /// The shared Ordered release behind [`Engine::serve_range_groups`]:
-    /// one noise draw, one inference pass, one answer per range.
-    fn execute_range_group(
-        &self,
-        entry: &DatasetEntry,
-        epsilon: Epsilon,
-        sensitivity: f64,
-        fp: u64,
-        ranges: &[(usize, usize)],
-    ) -> Result<Vec<f64>, EngineError> {
-        let mech = OrderedMechanism {
-            epsilon,
-            sensitivity,
-            constrained_inference: true,
-            nonnegative: false,
+            // A fold releases the cumulative histogram its ranges read.
+            _ if plan.len() > 1 => QueryClass::CumulativeHistogram,
+            _ => request
+                .query_class()
+                .expect("non-kmeans kinds always map to a query class"),
         };
-        let mut rng = self.release_rng_keyed(fp);
-        let mut span = self.obs.span();
-        let release = mech.release(&entry.cumulative, &mut rng)?;
-        self.obs.span_mark(&mut span, Stage::Release);
-        Ok(release.answer_batch(ranges))
+        let (entry, data_flight) = self.pinned_dataset_entry(&request.data)?;
+        for &gi in plan {
+            self.validate(&groups[gi].request.kind, &policy_entry.policy, &entry)?;
+        }
+        let sensitivity = self.sensitivity_for(&policy_entry, &class)?;
+        let fingerprint =
+            release_fingerprint(&policy_entry.policy, &request.data, request.epsilon, &class);
+        Ok(Calibrated {
+            source: Source::Table { entry, sensitivity },
+            fingerprint: Some(fingerprint),
+            _flights: (policy_flight, data_flight),
+        })
     }
 
     fn validate(
@@ -2303,33 +1713,55 @@ impl Engine {
         Ok(())
     }
 
-    /// Runs the mechanism for one release with an externally assigned
-    /// generator, so callers that charge several releases sequentially
-    /// (for determinism) can still execute them in parallel.
-    fn execute_with_rng(
+    /// Runs a prepared plan's mechanism with the generator assigned to
+    /// it at charge time — so plans that charged sequentially (for
+    /// determinism) can still execute in parallel — and returns one
+    /// answer per group of the plan.
+    fn execute(
         &self,
-        kind: &RequestKind,
-        entry: &DatasetEntry,
-        epsilon: Epsilon,
-        sensitivity: f64,
-        rng: &mut StdRng,
-    ) -> Result<Response, EngineError> {
-        let mut span = self.obs.span();
-        let result = match kind {
+        groups: &[Group<'_>],
+        p: &Prepared<'_>,
+    ) -> Result<Vec<Response>, EngineError> {
+        let request = groups[p.plan[0]].request;
+        let epsilon = request.epsilon;
+        let mut rng = p.rng.clone();
+        let (entry, sensitivity) = match &p.calibrated.source {
+            Source::Points { points, mech } => {
+                let init = init_random(points, mech.k, &mut rng);
+                let centroids = mech.run(points, &init, &mut rng);
+                return Ok(vec![Response::Centroids(centroids)]);
+            }
+            Source::Table { entry, sensitivity } => (entry, *sensitivity),
+        };
+        let ordered = OrderedMechanism {
+            epsilon,
+            sensitivity,
+            constrained_inference: true,
+            nonnegative: false,
+        };
+        if p.plan.len() > 1 {
+            // The shared Ordered release of a fold: one noise draw, one
+            // inference pass, one two-prefix read per range.
+            let ranges: Vec<(usize, usize)> = p
+                .plan
+                .iter()
+                .map(|&gi| match groups[gi].request.kind {
+                    RequestKind::Range { lo, hi } => (lo, hi),
+                    _ => unreachable!("only ranges fold"),
+                })
+                .collect();
+            let release = ordered.release(&entry.cumulative, &mut rng)?;
+            let answers = release.answer_batch(&ranges);
+            return Ok(answers.into_iter().map(Response::Scalar).collect());
+        }
+        let response = match &request.kind {
             RequestKind::Histogram => {
                 let mech = HistogramMechanism::with_sensitivity(epsilon, sensitivity)?;
-                let noisy = mech.release_counts(entry.histogram.counts(), &mut *rng);
-                Ok(Response::Histogram(noisy))
+                Response::Histogram(mech.release_counts(entry.histogram.counts(), &mut rng))
             }
             RequestKind::CumulativeHistogram => {
-                let mech = OrderedMechanism {
-                    epsilon,
-                    sensitivity,
-                    constrained_inference: true,
-                    nonnegative: false,
-                };
-                let release = mech.release(&entry.cumulative, &mut *rng)?;
-                Ok(Response::Prefixes(release.into_prefixes()))
+                let release = ordered.release(&entry.cumulative, &mut rng)?;
+                Response::Prefixes(release.into_prefixes())
             }
             RequestKind::Range { lo, hi } => {
                 let exact = entry
@@ -2337,7 +1769,7 @@ impl Engine {
                     .range_count(*lo, *hi)
                     .map_err(EngineError::Domain)?;
                 let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
-                Ok(Response::Scalar(mech.release_scalar(exact, &mut *rng)))
+                Response::Scalar(mech.release_scalar(exact, &mut rng))
             }
             RequestKind::Linear { weights } => {
                 let exact: f64 = weights
@@ -2346,14 +1778,24 @@ impl Engine {
                     .map(|(w, c)| w * c)
                     .sum();
                 let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
-                Ok(Response::Scalar(mech.release_scalar(exact, &mut *rng)))
+                Response::Scalar(mech.release_scalar(exact, &mut rng))
             }
-            RequestKind::KMeans { .. } => {
-                unreachable!("k-means is routed before execute()")
-            }
+            RequestKind::KMeans { .. } => unreachable!("k-means calibrates to a point set"),
         };
-        self.obs.span_mark(&mut span, Stage::Release);
-        result
+        Ok(vec![response])
+    }
+}
+
+/// Resolves every still-open slot to `value`, which moves into the last
+/// of them (a whole-domain answer is copied only when it fans out).
+fn fill(slots: &mut [Slot], value: Result<Response, EngineError>) {
+    let mut open = slots.iter_mut().filter(|slot| slot.is_none()).peekable();
+    while let Some(slot) = open.next() {
+        if open.peek().is_none() {
+            *slot = Some(value);
+            return;
+        }
+        *slot = Some(value.clone());
     }
 }
 

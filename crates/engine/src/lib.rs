@@ -16,34 +16,47 @@
 //!   Sensitivities depend only on the **public** policy and query shape,
 //!   never on data, so sharing the cache across analysts is free of
 //!   privacy cost — and it removes the secret-graph edge scans from the
-//!   hot path entirely (see `crates/bench/benches/engine.rs`). Entries
-//!   are **single-flight**: N threads stampeding one cold key run the
-//!   closed form exactly once.
+//!   hot path entirely (`bfbench --trace 1`: `engine.cold_serve_us`,
+//!   `engine.cache_hit_rate`). Entries are **single-flight**: N threads
+//!   stampeding one cold key run the closed form exactly once.
 //! * [`AnalystSession`] wraps `bf_core::BudgetAccountant`: every analyst
 //!   spends from their own ε-ledger under sequential composition
 //!   (Theorem 4.1) and is refused — before any data is touched — once
 //!   the ledger cannot cover a request. Zero-sensitivity releases are
 //!   recorded at ε = 0 (Section 5: they are exact and free).
+//! * **One serve pipeline.** What an analyst is charged (sequential
+//!   composition) and which release answers them (a lone Laplace count
+//!   or a shared Ordered release, Section 7.1) *is* the Blowfish
+//!   guarantee as served, so the engine decides it in exactly one
+//!   place. [`Engine::serve`], [`Engine::serve_tagged`],
+//!   [`Engine::serve_batch`] and [`Engine::serve_groups`] are
+//!   front-ends a few lines long over one private pipeline that runs a
+//!   list of release plans in one order: *replay* cached tagged retries
+//!   → *resolve, validate, calibrate* → *charge* each distinct analyst
+//!   once → *draw* the release's generator → *execute* → one WAL frame
+//!   per charged analyst → **one** group commit → *acknowledge*. Plans
+//!   charge sequentially (so same-seed runs are reproducible) and then
+//!   execute their releases **in parallel** across the available cores.
 //! * [`Engine::serve_batch`] answers N compatible range queries from
 //!   **one** Ordered Mechanism release (Section 7.1) instead of N
 //!   independent releases: one ε spend, one noise draw, N two-prefix
-//!   reads. Independent groups charge sequentially (so same-seed runs
-//!   are reproducible) and then execute their releases **in parallel**
-//!   across the available cores.
-//!
-//! * [`Engine::serve_coalesced_many`] answers **identical** requests
-//!   from *different* analysts out of one release: every waiter is
+//!   reads.
+//! * [`Engine::serve_groups`] answers **identical** requests from
+//!   *different* analysts out of one release: every waiter's analyst is
 //!   charged on their own ledger, then a single mechanism release fans
-//!   out to all of them. This is the entry point the `bf-server`
-//!   front-end's cross-session coalescing window drains into.
+//!   out to all of them — and range groups that differ only in
+//!   endpoints fold further, into one Ordered release, by the same rule
+//!   `serve_batch` folds by. This is the entry point the `bf-server`
+//!   front-end drains everything due in a tick into: one call, one WAL
+//!   group commit.
 //! * Policies **with constraints** register through the
 //!   `bf-constraints` policy graph: the Theorem 8.2 bound is computed
 //!   once at registration and calibrates histogram / range / linear
 //!   releases (cumulative and k-means are refused — no sound
 //!   constrained calibration exists for them).
 //! * **Durability** ([`Engine::with_store`]): with a `bf-store` WAL
-//!   attached, every charge is committed durably *before* its release
-//!   executes (acknowledge-after-durable), sessions recovered after a
+//!   attached, every charge is committed durably *before* it is
+//!   acknowledged (acknowledge-after-durable), sessions recovered after a
 //!   crash resume with their spent ε intact, and re-registration after
 //!   recovery is fingerprint-checked so a swapped policy or dataset
 //!   cannot inherit the original's ledgers.
@@ -52,8 +65,8 @@
 //!   commits its charge and its encoded answer in **one atomic WAL
 //!   frame** after the release executes; a retry — in-process or after
 //!   a crash — replays the identical bytes from the bounded reply cache
-//!   at zero additional ε. The coalesced fan-out paths accept the same
-//!   tags per waiter.
+//!   at zero additional ε. A [`Waiter`] of a coalesced group carries
+//!   the same tag.
 //! * **Lifecycle**: idle sessions can be evicted
 //!   ([`Engine::evict_idle_sessions`]) — their ledgers park and
 //!   reattach on the next `open_session`, so eviction never forgets
@@ -76,7 +89,7 @@ mod session;
 mod shard;
 
 pub use cache::{CacheStats, SensitivityCache};
-pub use engine::{Engine, ParkedSession, TaggedGroup};
+pub use engine::{Engine, Group, ParkedSession, Served, Waiter};
 pub use error::EngineError;
 pub use request::{Request, RequestKind, Response};
 pub use session::AnalystSession;
@@ -93,6 +106,37 @@ mod tests {
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
+    }
+
+    /// A coalesced group in owned form: `(analyst, tag)` waiters sharing
+    /// one request.
+    type OwnedGroup<'a> = (Vec<(&'a str, Option<u64>)>, &'a Request);
+
+    /// `(analysts, request) → group`: one untagged waiter per analyst.
+    fn group<'a>(analysts: &[&'a str], request: &'a Request) -> OwnedGroup<'a> {
+        (analysts.iter().map(|&a| (a, None)).collect(), request)
+    }
+
+    /// [`Engine::serve_groups`] over owned groups, untraced.
+    fn serve_groups(engine: &Engine, groups: &[OwnedGroup<'_>]) -> Served {
+        let trace = bf_obs::TraceContext::inert();
+        let waiters: Vec<Vec<Waiter<'_>>> = groups
+            .iter()
+            .map(|(waiters, _)| {
+                let waiter = |&(analyst, tag)| Waiter {
+                    analyst,
+                    tag,
+                    trace: &trace,
+                };
+                waiters.iter().map(waiter).collect()
+            })
+            .collect();
+        let groups: Vec<Group<'_>> = groups
+            .iter()
+            .zip(&waiters)
+            .map(|(&(_, request), waiters)| Group { request, waiters })
+            .collect();
+        engine.serve_groups(&groups)
     }
 
     fn engine_with_line_policy(size: usize, theta: u64) -> Engine {
@@ -503,7 +547,10 @@ mod tests {
             engine.open_session(a, eps(1.0)).unwrap();
         }
         let req = Request::range("pol", "ds", eps(0.3), 10, 30);
-        let out = engine.serve_coalesced(&analysts, &req);
+        let names: Vec<&str> = analysts.iter().map(String::as_str).collect();
+        let out = serve_groups(&engine, &[group(&names, &req)])
+            .slots
+            .remove(0);
         assert_eq!(out.len(), 5);
         let answers: Vec<f64> = out
             .iter()
@@ -526,7 +573,9 @@ mod tests {
         engine.open_session("rich", eps(5.0)).unwrap();
         engine.open_session("broke", eps(0.1)).unwrap();
         let req = Request::range("pol", "ds", eps(0.5), 0, 10);
-        let out = engine.serve_coalesced(&["rich".into(), "broke".into(), "ghost".into()], &req);
+        let out = serve_groups(&engine, &[group(&["rich", "broke", "ghost"], &req)])
+            .slots
+            .remove(0);
         assert!(out[0].is_ok());
         assert!(matches!(out[1], Err(EngineError::BudgetRefused { .. })));
         assert!(matches!(out[2], Err(EngineError::UnknownAnalyst(_))));
@@ -546,7 +595,7 @@ mod tests {
         let b = {
             let engine = engine_with_line_policy(64, 3);
             engine.open_session("alice", eps(1.0)).unwrap();
-            engine.serve_coalesced(&["alice".into()], &req)[0]
+            serve_groups(&engine, &[group(&["alice"], &req)]).slots[0][0]
                 .as_ref()
                 .unwrap()
                 .scalar()
@@ -564,7 +613,9 @@ mod tests {
             let engine = engine_with_line_policy(64, 2);
             engine.open_session("broke", eps(0.01)).unwrap();
             engine.open_session("alice", eps(1.0)).unwrap();
-            let out = engine.serve_coalesced(&["broke".into()], &probe);
+            let out = serve_groups(&engine, &[group(&["broke"], &probe)])
+                .slots
+                .remove(0);
             assert!(matches!(out[0], Err(EngineError::BudgetRefused { .. })));
             engine.serve("alice", &probe).unwrap().scalar().unwrap()
         };
@@ -941,7 +992,10 @@ mod tests {
                 engine.open_session(a, eps(1.0)).unwrap();
             }
             let req = Request::range("pol", "ds", eps(0.25), 5, 30);
-            let out = engine.serve_coalesced(&analysts, &req);
+            let names: Vec<&str> = analysts.iter().map(String::as_str).collect();
+            let out = serve_groups(&engine, &[group(&names, &req)])
+                .slots
+                .remove(0);
             assert!(out.iter().all(|r| r.is_ok()));
             let stats = engine.store().unwrap().stats();
             // 5 opens + 5 fan-out charges + 2 registrations appended; the
@@ -1021,24 +1075,54 @@ mod tests {
         assert!((engine.session_remaining("alice").unwrap() - 0.5).abs() < 1e-12);
     }
 
+    /// The fold rule, asserted on what it does: which pairs of requests
+    /// ride one Ordered release (one plan, one `batch:2xrange` charge)
+    /// and which stay two releases.
     #[test]
     fn range_group_key_discriminates_kinds_policies_and_bounds() {
         let engine = engine_with_line_policy(32, 2);
-        let key = |r: &Request| engine.range_group_key(r).unwrap();
-        let a = key(&Request::range("pol", "ds", eps(0.5), 2, 10)).expect("batchable");
-        let b = key(&Request::range("pol", "ds", eps(0.5), 5, 20)).expect("batchable");
-        assert_eq!(a, b, "endpoints do not split the group");
-        let c = key(&Request::range("pol", "ds", eps(0.25), 2, 10)).expect("batchable");
-        assert_ne!(a, c, "a different \u{03b5} does split");
-        assert!(key(&Request::histogram("pol", "ds", eps(0.5))).is_none());
+        engine.open_session("alice", eps(100.0)).unwrap();
+        let pair = |a: &Request, b: &Request| {
+            let before = engine.session_snapshot("alice").unwrap().ledger().len();
+            let served = serve_groups(&engine, &[group(&["alice"], a), group(&["alice"], b)]);
+            let ledger = engine.session_snapshot("alice").unwrap().ledger()[before..].to_vec();
+            (served, ledger)
+        };
+        let base = Request::range("pol", "ds", eps(0.5), 2, 10);
+
+        let (served, ledger) = pair(&base, &Request::range("pol", "ds", eps(0.5), 5, 20));
+        assert_eq!(served.releases, [[0, 1]], "endpoints do not split the fold");
+        assert_eq!(ledger.len(), 1, "one release, one charge");
+        assert!(ledger[0].0.starts_with("batch:2xrange@pol/ds"));
+        assert!(served.slots.iter().all(|s| s[0].is_ok()));
+
+        let (served, ledger) = pair(&base, &Request::range("pol", "ds", eps(0.25), 2, 10));
+        assert_eq!(
+            served.releases,
+            [[0], [1]],
+            "a different \u{03b5} does split"
+        );
+        assert_eq!(ledger.len(), 2);
+
+        let (served, _) = pair(&base, &Request::histogram("pol", "ds", eps(0.5)));
+        assert_eq!(served.releases, [[0], [1]], "only ranges fold");
+
+        let (served, ledger) = pair(&base, &Request::range("pol", "ds", eps(0.5), 30, 40));
+        assert_eq!(served.releases, [[0], [1]]);
+        assert!(served.slots[0][0].is_ok());
         assert!(
-            key(&Request::range("pol", "ds", eps(0.5), 30, 40)).is_none(),
+            matches!(served.slots[1][0], Err(EngineError::InvalidRequest(_))),
             "out-of-bounds ranges fail individually"
         );
+        assert_eq!(ledger.len(), 1, "and charge nothing");
+
+        let (served, _) = pair(&Request::range("nope", "ds", eps(0.5), 2, 10), &base);
+        assert_eq!(served.releases, [[0], [1]]);
         assert!(matches!(
-            engine.range_group_key(&Request::range("nope", "ds", eps(0.5), 2, 10)),
+            served.slots[0][0],
             Err(EngineError::UnknownPolicy(_))
         ));
+        assert!(served.slots[1][0].is_ok());
     }
 
     #[test]
@@ -1048,17 +1132,10 @@ mod tests {
             for a in ["a", "b", "c"] {
                 engine.open_session(a, eps(1.0)).unwrap();
             }
-            let groups = vec![
-                (
-                    vec!["a".to_owned(), "b".to_owned()],
-                    Request::range("pol", "ds", eps(0.5), 8, 24),
-                ),
-                (
-                    vec!["c".to_owned()],
-                    Request::range("pol", "ds", eps(0.5), 2, 30),
-                ),
-            ];
-            let slots = engine.serve_range_groups(&groups);
+            let wide = Request::range("pol", "ds", eps(0.5), 8, 24);
+            let wider = Request::range("pol", "ds", eps(0.5), 2, 30);
+            let groups = [group(&["a", "b"], &wide), group(&["c"], &wider)];
+            let slots = serve_groups(&engine, &groups).slots;
             let answers: Vec<Vec<f64>> = slots
                 .iter()
                 .map(|g| {
@@ -1100,11 +1177,8 @@ mod tests {
         let engine = engine_with_line_policy(64, 2);
         engine.open_session("rich", eps(1.0)).unwrap();
         engine.open_session("poor", eps(0.1)).unwrap();
-        let groups = vec![(
-            vec!["rich".to_owned(), "poor".to_owned()],
-            Request::range("pol", "ds", eps(0.5), 8, 24),
-        )];
-        let slots = engine.serve_range_groups(&groups);
+        let request = Request::range("pol", "ds", eps(0.5), 8, 24);
+        let slots = serve_groups(&engine, &[group(&["rich", "poor"], &request)]).slots;
         assert!(slots[0][0].is_ok());
         assert!(matches!(
             slots[0][1],
@@ -1143,17 +1217,17 @@ mod tests {
 
     /// The charge-per-release discipline is path-independent: an
     /// analyst with several waiter slots on one coalesced release pays
-    /// ε once — exactly what serve_batch and serve_range_groups charge —
+    /// ε once — exactly what a batch or a fold of ranges charges —
     /// so a ledger never depends on which dispatch path unrelated
     /// traffic routed the request through.
     #[test]
     fn duplicate_waiters_of_one_release_are_charged_once() {
         let engine = engine_with_line_policy(32, 2);
         engine.open_session("dup", eps(1.0)).unwrap();
-        let slots = engine.serve_coalesced(
-            &["dup".to_owned(), "dup".to_owned()],
-            &Request::range("pol", "ds", eps(0.4), 4, 20),
-        );
+        let request = Request::range("pol", "ds", eps(0.4), 4, 20);
+        let slots = serve_groups(&engine, &[group(&["dup", "dup"], &request)])
+            .slots
+            .remove(0);
         assert_eq!(slots.len(), 2);
         assert!(slots.iter().all(|s| s.is_ok()));
         let snap = engine.session_snapshot("dup").unwrap();
@@ -1405,16 +1479,8 @@ mod tests {
             engine.open_session(a, eps(1.0)).unwrap();
         }
         let req = Request::range("pol", "ds", eps(0.3), 10, 30);
-        let inert = bf_obs::TraceContext::inert;
-        let groups = vec![(
-            vec![
-                ("a".to_owned(), Some(1), inert()),
-                ("a".to_owned(), Some(2), inert()),
-                ("b".to_owned(), None, inert()),
-            ],
-            req.clone(),
-        )];
-        let slots = engine.serve_coalesced_many_tagged(&groups);
+        let groups = [(vec![("a", Some(1)), ("a", Some(2)), ("b", None)], &req)];
+        let slots = serve_groups(&engine, &groups).slots;
         assert!(slots[0].iter().all(|s| s.is_ok()));
         // One release: everyone sees the same answer; "a" paid once for
         // two waiter slots.
@@ -1438,13 +1504,7 @@ mod tests {
         // Retrying through the fan-out path itself also hits the cache:
         // the whole group is replayed, nothing is charged, and no release
         // ordinal is consumed.
-        let replayed = engine.serve_coalesced_many_tagged(&[(
-            vec![
-                ("a".to_owned(), Some(1), inert()),
-                ("a".to_owned(), Some(2), inert()),
-            ],
-            req.clone(),
-        )]);
+        let replayed = serve_groups(&engine, &[(vec![("a", Some(1)), ("a", Some(2))], &req)]).slots;
         assert!(replayed[0]
             .iter()
             .all(|s| s.as_ref().unwrap().to_bytes() == bits[0]));
@@ -1460,12 +1520,8 @@ mod tests {
         engine.open_session("a", eps(1.0)).unwrap();
         let r1 = Request::range("pol", "ds", eps(0.5), 8, 24);
         let r2 = Request::range("pol", "ds", eps(0.5), 2, 30);
-        let inert = bf_obs::TraceContext::inert;
-        let groups = vec![
-            (vec![("a".to_owned(), Some(11), inert())], r1.clone()),
-            (vec![("a".to_owned(), Some(12), inert())], r2.clone()),
-        ];
-        let slots = engine.serve_range_groups_tagged(&groups);
+        let groups = [(vec![("a", Some(11))], &r1), (vec![("a", Some(12))], &r2)];
+        let slots = serve_groups(&engine, &groups).slots;
         let a1 = slots[0][0].as_ref().unwrap().clone();
         let a2 = slots[1][0].as_ref().unwrap().clone();
         assert!((engine.session_snapshot("a").unwrap().spent() - 0.5).abs() < 1e-12);

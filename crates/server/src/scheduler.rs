@@ -105,11 +105,21 @@ pub(crate) struct Waiter {
     pub tx: oneshot::Sender<Result<Response, ServerError>>,
     pub submitted_at: Instant,
     /// The waiter's tracing context, carried from submission into the
-    /// engine's tagged serve paths.
+    /// engine.
     pub trace: TraceContext,
 }
 
 impl Waiter {
+    /// The engine's borrowed view of this waiter: who pays, the
+    /// idempotency tag, the trace context.
+    pub(crate) fn for_engine(&self) -> bf_engine::Waiter<'_> {
+        bf_engine::Waiter {
+            analyst: &self.analyst,
+            tag: self.request_id,
+            trace: &self.trace,
+        }
+    }
+
     fn from_submitted(sub: Submitted) -> Self {
         Self {
             analyst: sub.analyst,
@@ -134,6 +144,19 @@ pub(crate) struct CoalesceGroup {
     pub formed_at: Instant,
     /// The group's waiters, in join order.
     pub waiters: Vec<Waiter>,
+}
+
+impl CoalesceGroup {
+    /// A group of one, formed now around `sub`'s request.
+    pub(crate) fn new(key: String, sub: Submitted, deadline: u64) -> Self {
+        Self {
+            key,
+            request: sub.request.clone(),
+            deadline,
+            formed_at: Instant::now(),
+            waiters: vec![Waiter::from_submitted(sub)],
+        }
+    }
 }
 
 /// Everything the scheduler mutates under the server's state lock.
@@ -187,14 +210,7 @@ impl SchedState {
             self.pending[i].waiters.push(Waiter::from_submitted(sub));
         } else {
             self.index.insert(key.clone(), self.pending.len());
-            let request = sub.request.clone();
-            self.pending.push(CoalesceGroup {
-                key,
-                request,
-                deadline,
-                formed_at: Instant::now(),
-                waiters: vec![Waiter::from_submitted(sub)],
-            });
+            self.pending.push(CoalesceGroup::new(key, sub, deadline));
         }
     }
 

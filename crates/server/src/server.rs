@@ -1,11 +1,10 @@
 //! The server: submission, admission control, the tick loop, dispatch.
 
 use crate::error::ServerError;
-use crate::scheduler::{SchedState, Submitted};
+use crate::scheduler::{CoalesceGroup, SchedState, Submitted};
 use crate::ticket::Ticket;
-use bf_engine::{Engine, Request, TaggedGroup};
+use bf_engine::{Engine, Group, Request, Served, Waiter};
 use bf_obs::{Counter, Histogram, Registry, Stage, TraceContext};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -317,9 +316,9 @@ impl Server {
     /// resubmit the same id and read back the identical bytes. The
     /// replay path deliberately skips admission control: the original
     /// request already paid, so an exhausted ledger must not block the
-    /// retry. Tagged requests that do queue are threaded through the
-    /// engine's tagged serve paths, which persist the answer alongside
-    /// its charge in one atomic WAL frame.
+    /// retry. Tagged requests that do queue carry their tag into the
+    /// engine, which persists the answer alongside its charge in one
+    /// atomic WAL frame.
     pub fn submit_tagged(
         &self,
         analyst: &str,
@@ -474,7 +473,7 @@ impl Server {
         // (coalesce keys) touch only engine-internal locks. The span
         // times this locked phase (`stage="schedule"`).
         let mut sched_span = self.obs.span();
-        let (due, immediate, dead_letters, evict_now) = {
+        let (mut due, dead_letters, evict_now) = {
             let mut state = self.state.lock().expect("scheduler state poisoned");
             state.tick += 1;
             let now = state.tick;
@@ -507,12 +506,12 @@ impl Server {
                         .record_elapsed(Stage::Queue, sub.submitted_at.elapsed(), "drained");
                 }
             }
-            let mut immediate = Vec::new();
+            let mut solo = Vec::new();
             let mut dead_letters = Vec::new();
             for sub in drained {
                 match self.engine.coalesce_key(&sub.request) {
-                    // Not coalescible (k-means): serve individually.
-                    Ok(None) => immediate.push(sub),
+                    // Not coalescible (k-means): a group of one, due now.
+                    Ok(None) => solo.push(CoalesceGroup::new(String::new(), sub, now)),
                     Ok(Some(key)) => {
                         let deadline = now + window;
                         state.join_group(key, sub, deadline);
@@ -522,7 +521,9 @@ impl Server {
                 }
             }
             let evict_now = self.config.session_ttl.is_some() && now % EVICT_CHECK_EVERY == 1;
-            (state.take_due(now), immediate, dead_letters, evict_now)
+            let mut due = state.take_due(now);
+            due.append(&mut solo);
+            (due, dead_letters, evict_now)
         };
         self.obs.span_mark(&mut sched_span, Stage::Schedule);
         self.counters.ticks.inc();
@@ -535,15 +536,9 @@ impl Server {
             }
         }
         // Per-trace schedule/coalesce spans. Everything dispatching this
-        // tick passed through this tick's locked phase; group waiters
-        // additionally held a coalescing window open since formation.
+        // tick passed through this tick's locked phase and held a
+        // coalescing window open since its group formed.
         let sched_elapsed = sched_span.elapsed().unwrap_or_default();
-        for sub in &immediate {
-            if sub.trace.is_active() {
-                sub.trace
-                    .record_elapsed(Stage::Schedule, sched_elapsed, "routed");
-            }
-        }
         for g in &due {
             for w in &g.waiters {
                 if w.trace.is_active() {
@@ -555,9 +550,11 @@ impl Server {
             }
         }
 
-        // Phase 2 (no server lock): talk to the engine and resolve
-        // tickets. Group charges happen sequentially inside the engine
-        // (deterministic ordinals); releases fan out across cores.
+        // Phase 2 (no server lock): sweep out what must not be charged,
+        // then hand the engine everything still due in ONE call — its
+        // charges happen sequentially (deterministic ordinals), its
+        // releases fan out across cores, and the whole tick rides one
+        // WAL group commit.
         let mut resolved = 0usize;
         for (sub, e) in dead_letters {
             self.counters.failed.inc();
@@ -571,7 +568,6 @@ impl Server {
         // it would charge ε for an answer nobody can read. Dropped here,
         // BEFORE any charge: the queue slot was already freed by the
         // drain, and the ledger is never touched.
-        let (mut due, immediate) = (due, immediate);
         let mut cancelled = 0u64;
         for g in &mut due {
             g.waiters.retain(|w| {
@@ -580,15 +576,6 @@ impl Server {
                 live
             });
         }
-        due.retain(|g| !g.waiters.is_empty());
-        let immediate: Vec<Submitted> = immediate
-            .into_iter()
-            .filter(|sub| {
-                let live = !sub.tx.is_closed();
-                cancelled += u64::from(!live);
-                live
-            })
-            .collect();
         if cancelled > 0 {
             self.counters.cancelled.add(cancelled);
         }
@@ -619,15 +606,6 @@ impl Server {
             g.waiters = kept;
         }
         due.retain(|g| !g.waiters.is_empty());
-        let mut kept_immediate = Vec::with_capacity(immediate.len());
-        for sub in immediate {
-            if sub.deadline.is_some_and(|d| d <= now_wall) {
-                expired.push((sub.analyst, sub.tx, sub.submitted_at));
-            } else {
-                kept_immediate.push(sub);
-            }
-        }
-        let immediate = kept_immediate;
         for (analyst, tx, submitted_at) in expired {
             self.counters.deadline_refusals.inc();
             self.counters.failed.inc();
@@ -636,132 +614,55 @@ impl Server {
             resolved += 1;
         }
 
-        // Fold due range groups that share `(policy, data, ε)` but
-        // differ in endpoints into ONE Ordered release each
-        // (serve_batch's grouping applied across analysts at dispatch);
-        // everything else dispatches through the plain coalesced path.
-        let mut supers: Vec<Vec<crate::scheduler::CoalesceGroup>> = Vec::new();
-        let mut super_index: HashMap<String, usize> = HashMap::new();
-        let mut singles: Vec<crate::scheduler::CoalesceGroup> = Vec::new();
-        for g in due {
-            match self.engine.range_group_key(&g.request) {
-                Ok(Some(key)) => {
-                    if let Some(&i) = super_index.get(&key) {
-                        supers[i].push(g);
-                    } else {
-                        super_index.insert(key, supers.len());
-                        supers.push(vec![g]);
-                    }
-                }
-                // Non-range, constrained, out-of-bounds, or a lookup
-                // error: the plain path serves (or fails) it per group.
-                _ => singles.push(g),
-            }
-        }
-        // A super-group of one gains nothing from the shared cumulative
-        // release — a lone range is cheaper as a plain Laplace count.
-        let mut batched: Vec<Vec<crate::scheduler::CoalesceGroup>> = Vec::new();
-        for mut members in supers {
-            if members.len() >= 2 {
-                batched.push(members);
-            } else {
-                singles.append(&mut members);
-            }
-        }
-
-        for members in batched {
-            let groups: Vec<TaggedGroup> = members
-                .iter()
-                .map(|g| {
-                    (
-                        g.waiters
-                            .iter()
-                            .map(|w| (w.analyst.clone(), w.request_id, w.trace.clone()))
-                            .collect(),
-                        g.request.clone(),
-                    )
-                })
-                .collect();
-            let results = self.engine.serve_range_groups_tagged(&groups);
-            if results.iter().flatten().any(|s| s.is_ok()) {
+        // The engine decides which release answers each group: one per
+        // group, except that range groups sharing `(policy, data, ε)`
+        // but differing in endpoints fold into one Ordered release.
+        let waiters: Vec<Vec<Waiter<'_>>> = due
+            .iter()
+            .map(|g| g.waiters.iter().map(|w| w.for_engine()).collect())
+            .collect();
+        let groups: Vec<Group<'_>> = due
+            .iter()
+            .zip(&waiters)
+            .map(|(g, waiters)| Group {
+                request: &g.request,
+                waiters,
+            })
+            .collect();
+        let Served { slots, releases } = self.engine.serve_groups(&groups);
+        // What a group's answers count as: `folded` when its release
+        // answered two or more range groups, `shared` when it answered
+        // two or more waiters.
+        let mut counts_as = vec![(false, false); due.len()];
+        for members in &releases {
+            if members.iter().any(|&g| slots[g].iter().any(Result::is_ok)) {
                 self.counters.releases.inc();
             }
-            let total_waiters: usize = members.iter().map(|m| m.waiters.len()).sum();
-            let shared = total_waiters >= 2;
-            for (group, slots) in members.into_iter().zip(results) {
-                for (w, slot) in group.waiters.into_iter().zip(slots) {
-                    match &slot {
-                        Ok(_) => {
-                            self.counters.answered.inc();
+            let riders: usize = members.iter().map(|&g| slots[g].len()).sum();
+            for &g in members {
+                counts_as[g] = (members.len() >= 2, riders >= 2);
+            }
+        }
+        for ((group, slots), (folded, shared)) in due.into_iter().zip(slots).zip(counts_as) {
+            for (w, slot) in group.waiters.into_iter().zip(slots) {
+                match &slot {
+                    Ok(_) => {
+                        self.counters.answered.inc();
+                        if folded {
                             self.counters.batched_range_answers.inc();
-                            if shared {
-                                self.counters.coalesced_answers.inc();
-                            }
                         }
-                        Err(_) => {
-                            self.counters.failed.inc();
+                        if shared {
+                            self.counters.coalesced_answers.inc();
                         }
                     }
-                    self.note_resolved(w.submitted_at);
-                    let _ = w.tx.send(slot.map_err(ServerError::Engine));
-                    resolved += 1;
-                }
-            }
-        }
-
-        if !singles.is_empty() {
-            let groups: Vec<TaggedGroup> = singles
-                .iter()
-                .map(|g| {
-                    (
-                        g.waiters
-                            .iter()
-                            .map(|w| (w.analyst.clone(), w.request_id, w.trace.clone()))
-                            .collect(),
-                        g.request.clone(),
-                    )
-                })
-                .collect();
-            let results = self.engine.serve_coalesced_many_tagged(&groups);
-            for (group, slots) in singles.into_iter().zip(results) {
-                let shared = group.waiters.len() >= 2;
-                if slots.iter().any(|s| s.is_ok()) {
-                    self.counters.releases.inc();
-                }
-                for (w, slot) in group.waiters.into_iter().zip(slots) {
-                    match &slot {
-                        Ok(_) => {
-                            self.counters.answered.inc();
-                            if shared {
-                                self.counters.coalesced_answers.inc();
-                            }
-                        }
-                        Err(_) => {
-                            self.counters.failed.inc();
-                        }
+                    Err(_) => {
+                        self.counters.failed.inc();
                     }
-                    self.note_resolved(w.submitted_at);
-                    let _ = w.tx.send(slot.map_err(ServerError::Engine));
-                    resolved += 1;
                 }
+                self.note_resolved(w.submitted_at);
+                let _ = w.tx.send(slot.map_err(ServerError::Engine));
+                resolved += 1;
             }
-        }
-        for sub in immediate {
-            let result =
-                self.engine
-                    .serve_traced(&sub.analyst, sub.request_id, &sub.request, &sub.trace);
-            match &result {
-                Ok(_) => {
-                    self.counters.answered.inc();
-                    self.counters.releases.inc();
-                }
-                Err(_) => {
-                    self.counters.failed.inc();
-                }
-            }
-            self.note_resolved(sub.submitted_at);
-            let _ = sub.tx.send(result.map_err(ServerError::Engine));
-            resolved += 1;
         }
 
         // TTL sweep last, so requests served this tick count as

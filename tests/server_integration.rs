@@ -1,7 +1,8 @@
 //! End-to-end tests of the async serving front-end: deterministic
-//! cross-analyst coalescing, fairness under a flooding analyst, a
-//! multi-thread scheduler stress, and a property test pinning coalesced
-//! answers to sequential `Engine::serve` answers.
+//! cross-analyst coalescing, the range fold across two registrations of
+//! one policy, fairness under a flooding analyst, a multi-thread
+//! scheduler stress, and a property test pinning coalesced answers to
+//! sequential `Engine::serve` answers.
 
 use blowfish::prelude::*;
 use proptest::prelude::*;
@@ -69,6 +70,48 @@ fn same_seed_coalescing_is_deterministic() {
     assert_eq!(stats_a.releases, 1);
     assert_eq!(stats_a.answered, 6);
     assert_eq!(stats_a, stats_b);
+}
+
+/// The fold rule lives in one place and keys on what a policy *is*: two
+/// range requests naming two registrations of one structurally equal
+/// policy that meet in one tick fold into one Ordered release, exactly
+/// as if both had named the same registration. (The scheduler and the
+/// engine used to disagree on this, and both requests came back
+/// `InvalidRequest`.)
+#[test]
+fn structurally_equal_policies_fold_into_one_release() {
+    let engine = Engine::with_seed(19);
+    let domain = Domain::line(64).unwrap();
+    for name in ["pol_a", "pol_b"] {
+        engine
+            .register_policy(name, Policy::distance_threshold(domain.clone(), 3))
+            .unwrap();
+    }
+    let rows: Vec<usize> = (0..320).map(|i| (i * 11) % 64).collect();
+    engine
+        .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
+        .unwrap();
+    let engine = Arc::new(engine);
+    engine.open_session("alice", eps(1.0)).unwrap();
+    engine.open_session("bob", eps(1.0)).unwrap();
+    let server = Server::with_defaults(Arc::clone(&engine));
+    let alice = server
+        .submit("alice", Request::range("pol_a", "ds", eps(0.25), 3, 20))
+        .unwrap();
+    let bob = server
+        .submit("bob", Request::range("pol_b", "ds", eps(0.25), 5, 30))
+        .unwrap();
+    server.pump_until_idle();
+    assert!(alice.wait().unwrap().scalar().unwrap().is_finite());
+    assert!(bob.wait().unwrap().scalar().unwrap().is_finite());
+    for analyst in ["alice", "bob"] {
+        let snap = engine.session_snapshot(analyst).unwrap();
+        assert!((snap.spent() - 0.25).abs() < 1e-12, "{analyst} pays ε once");
+        assert_eq!(snap.ledger().len(), 1);
+    }
+    let stats = server.stats();
+    assert_eq!(stats.releases, 1);
+    assert_eq!(stats.batched_range_answers, 2);
 }
 
 /// A flooding analyst cannot starve a light one: the light analyst's

@@ -189,6 +189,51 @@ fn server_shutdown_and_restart_reattach() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// One tick is one engine call and therefore one WAL group commit,
+/// whatever mix is due: a fold of two ranges, a histogram and a k-means
+/// run — three releases — cost exactly one fsync between them.
+#[test]
+fn one_tick_is_one_wal_commit() {
+    let dir = scratch_dir("one-tick-one-fsync");
+    let store = Arc::new(Store::open(&dir).unwrap());
+    let engine = build_engine(31, Arc::clone(&store));
+    let points = PointSet::new(
+        (0..40)
+            .map(|i| vec![f64::from(i % 8), f64::from(i / 8)])
+            .collect(),
+        BoundingBox::new(vec![0.0, 0.0], vec![8.0, 8.0]),
+    );
+    engine.register_points("pts", points).unwrap();
+    engine.open_session("alice", eps(4.0)).unwrap();
+    engine.open_session("bob", eps(4.0)).unwrap();
+    let server = Server::with_defaults(Arc::new(engine));
+    let tickets = [
+        ("alice", Request::range("pol", "ds", eps(0.25), 3, 20)),
+        ("bob", Request::range("pol", "ds", eps(0.25), 5, 30)),
+        ("alice", Request::histogram("pol", "ds", eps(0.25))),
+        (
+            "bob",
+            Request::kmeans("pol", "pts", eps(1.0), 2, 3, KmeansSecretSpec::Full),
+        ),
+    ]
+    .map(|(analyst, request)| server.submit(analyst, request).unwrap());
+    let syncs_before = store.stats().syncs;
+    assert_eq!(
+        server.tick(),
+        4,
+        "an idle server dispatches the tick work arrives"
+    );
+    assert_eq!(store.stats().syncs - syncs_before, 1, "one tick, one fsync");
+    for ticket in tickets {
+        ticket.wait().unwrap();
+    }
+    let stats = server.stats();
+    assert_eq!((stats.releases, stats.batched_range_answers), (3, 2));
+    drop(server);
+    drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Builds one WAL of `n` charges with exactly representable ε values
 /// and returns (wal bytes, per-charge ε, segment path, dir).
 fn charged_wal(tag: &str, n: usize) -> (Vec<u8>, Vec<f64>, std::path::PathBuf) {
@@ -353,52 +398,47 @@ fn corruption_at_any_offset_is_rejected_by_checksum() {
     }
 }
 
+/// A store whose `op`-th WAL write (1-based) fails before any byte
+/// reaches the file, with the plan that says whether it fired.
+fn store_failing_write(
+    dir: &std::path::Path,
+    op: u64,
+) -> (Arc<Store>, Arc<blowfish::chaos::StorePlan>) {
+    use blowfish::chaos::{StoreFault, StorePlan};
+    use blowfish::store::StoreConfig;
+    let plan = Arc::new(StorePlan::scripted([(op, StoreFault::FailWrite)]));
+    let config = StoreConfig {
+        fault_plan: Some(Arc::clone(&plan)),
+        ..StoreConfig::default()
+    };
+    (Arc::new(Store::open_with(dir, config).unwrap()), plan)
+}
+
+/// Dry run with a plan that never fires: the WAL writes a clean
+/// [`build_engine`] plus alice's `open_session` perform, so a scripted
+/// fault at the next op lands exactly on the first serve's commit no
+/// matter how registration batching evolves.
+fn ops_before_first_serve(seed: u64) -> u64 {
+    let dir = scratch_dir("ops-dry");
+    let (store, plan) = store_failing_write(&dir, u64::MAX);
+    let engine = build_engine(seed, store);
+    engine.open_session("alice", eps(4.0)).unwrap();
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+    plan.ops()
+}
+
 /// Crash point 1 of the exactly-once story: the fault kills the very
 /// commit carrying the charge, so nothing durable was charged and
 /// nothing was acknowledged. A restart-and-retry under the same
 /// idempotency key performs the work — and charges — exactly once.
 #[test]
 fn retry_after_precommit_crash_charges_exactly_once() {
-    use blowfish::chaos::{StoreFault, StorePlan};
-    use blowfish::store::StoreConfig;
     let request = Request::range("pol", "ds", eps(0.4), 4, 20);
-    // Dry run with an unarmed plan: count the WAL writes a clean run
-    // performs before the serve, so the scripted fault lands exactly on
-    // the charge commit no matter how registration batching evolves.
-    let ops_before_serve = {
-        let dir = scratch_dir("precommit-dry");
-        let plan = Arc::new(StorePlan::none());
-        let store = Store::open_with(
-            &dir,
-            StoreConfig {
-                fault_plan: Some(Arc::clone(&plan)),
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap();
-        let engine = build_engine(99, Arc::new(store));
-        engine.open_session("alice", eps(1.0)).unwrap();
-        drop(engine);
-        let n = plan.ops();
-        std::fs::remove_dir_all(&dir).unwrap();
-        n
-    };
-
     let dir = scratch_dir("precommit");
     {
-        let plan = Arc::new(StorePlan::scripted([(
-            ops_before_serve + 1,
-            StoreFault::FailWrite,
-        )]));
-        let store = Store::open_with(
-            &dir,
-            StoreConfig {
-                fault_plan: Some(Arc::clone(&plan)),
-                ..StoreConfig::default()
-            },
-        )
-        .unwrap();
-        let engine = build_engine(99, Arc::new(store));
+        let (store, plan) = store_failing_write(&dir, ops_before_first_serve(99) + 1);
+        let engine = build_engine(99, store);
         engine.open_session("alice", eps(1.0)).unwrap();
         let denied = engine.serve_tagged("alice", 7, &request);
         assert!(
@@ -425,6 +465,63 @@ fn retry_after_precommit_crash_charges_exactly_once() {
         (engine.session_remaining("alice").unwrap() - 0.6).abs() < 1e-12,
         "the replay must cost zero ε"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The untagged paths run the order all wire traffic runs — charge in
+/// memory → execute → commit → acknowledge — so a store failure on the
+/// charge's commit withholds the answer: `serve`, and every charged
+/// slot of a `serve_batch`, surface the store error; nothing is cached
+/// for a retry; the in-memory spend stands; and recovery finds no more
+/// than that spend (budget is lost to the failure, never resurrected).
+#[test]
+fn failed_charge_commit_withholds_untagged_answers_and_resurrects_nothing() {
+    let dir = scratch_dir("untagged-fault");
+    let in_memory_spent = {
+        let (store, plan) = store_failing_write(&dir, ops_before_first_serve(77) + 1);
+        let engine = build_engine(77, store);
+        engine.open_session("alice", eps(4.0)).unwrap();
+        let denied = engine.serve("alice", &Request::range("pol", "ds", eps(0.5), 4, 20));
+        assert!(
+            matches!(denied, Err(EngineError::Store(_))),
+            "got {denied:?}"
+        );
+        assert_eq!(plan.injected(), 1, "the scripted fault must have fired");
+        // The failed write poisoned the store, so the batch's one group
+        // commit fails too: a fold of three ranges, a histogram beside
+        // it, and a range that was never charged.
+        let batch = [
+            Request::range("pol", "ds", eps(0.25), 0, 9),
+            Request::range("pol", "ds", eps(0.25), 10, 19),
+            Request::range("pol", "ds", eps(0.25), 20, 29),
+            Request::histogram("pol", "ds", eps(0.125)),
+            Request::range("pol", "ds", eps(0.25), 60, 99),
+        ];
+        let slots = engine.serve_batch("alice", &batch);
+        for slot in &slots[..4] {
+            assert!(matches!(slot, Err(EngineError::Store(_))), "got {slot:?}");
+        }
+        assert!(
+            matches!(slots[4], Err(EngineError::InvalidRequest(_))),
+            "an uncharged slot keeps its own error: {:?}",
+            slots[4]
+        );
+        // A tagged request is withheld the same way, and its answer is
+        // not mirrored into the reply cache ahead of its frame.
+        let tagged = engine.serve_tagged("alice", 7, &Request::histogram("pol", "ds", eps(0.125)));
+        assert!(matches!(tagged, Err(EngineError::Store(_))));
+        assert!(engine.cached_reply("alice", 7).is_none());
+        // serve 0.5 + fold 0.25 + histogram 0.125 + tagged 0.125.
+        let spent = engine.session_snapshot("alice").unwrap().spent();
+        assert_eq!(spent, 1.0, "the in-memory spend stands");
+        spent
+    }; // die without ceremony
+
+    let store = Store::open(&dir).unwrap();
+    let recovered = store.recovered_state().sessions["alice"].spent;
+    assert!(recovered <= in_memory_spent, "recovery resurrected budget");
+    assert_eq!(recovered, 0.0, "no failed commit left a durable charge");
+    drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
