@@ -7,9 +7,9 @@ use crate::proto::{
 };
 use bf_engine::{Request, Response};
 use bf_obs::{ClusterEvent, TraceTree};
-use bf_store::{frame_bytes, read_frame, FrameRead, LedgerEntry};
+use bf_store::{frame_into, FrameBuf, FrameRead, LedgerEntry};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -127,7 +127,10 @@ fn transient(e: &NetError) -> bool {
 pub struct Client {
     addr: SocketAddr,
     stream: TcpStream,
-    buf: Vec<u8>,
+    /// Received bytes not yet handed out as frames.
+    frames: FrameBuf,
+    /// The frame being sent, encoded in place; reused by every send.
+    out: Vec<u8>,
     next_id: u64,
     /// Correlation ids sent and not yet answered.
     pending: HashSet<u64>,
@@ -179,7 +182,8 @@ impl Client {
         let mut client = Client {
             addr,
             stream,
-            buf: Vec::new(),
+            frames: FrameBuf::new(),
+            out: Vec::new(),
             next_id: 1,
             pending: HashSet::new(),
             ready: HashMap::new(),
@@ -314,8 +318,9 @@ impl Client {
     }
 
     fn send(&mut self, msg: &ClientMessage) -> Result<(), NetError> {
-        self.stream
-            .write_all(&frame_bytes(&msg.encode_for(self.negotiated)))?;
+        self.out.clear();
+        frame_into(&mut self.out, |out| msg.encode_into(self.negotiated, out));
+        self.stream.write_all(&self.out)?;
         self.pending.insert(msg.id());
         Ok(())
     }
@@ -324,14 +329,11 @@ impl Client {
     /// [`Client::set_timeout`] (forever when unset).
     fn recv_message(&mut self) -> Result<ServerMessage, NetError> {
         let deadline = self.timeout.map(|t| Instant::now() + t);
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match read_frame(&self.buf) {
-                FrameRead::Complete { payload, consumed } => {
-                    let msg = ServerMessage::decode_for(payload, self.negotiated)
-                        .ok_or_else(|| NetError::Protocol("undecodable server message".into()))?;
-                    self.buf.drain(..consumed);
-                    return Ok(msg);
+            match self.frames.next_frame() {
+                FrameRead::Complete { payload, .. } => {
+                    return ServerMessage::decode_for(payload, self.negotiated)
+                        .ok_or_else(|| NetError::Protocol("undecodable server message".into()));
                 }
                 FrameRead::Corrupt => {
                     return Err(NetError::Protocol("corrupt frame from server".into()))
@@ -345,13 +347,13 @@ impl Client {
                 }
                 self.stream.set_read_timeout(Some(remaining))?;
             }
-            match self.stream.read(&mut chunk) {
+            match self.frames.fill(&mut self.stream) {
                 Ok(0) => {
                     let mut in_flight: Vec<u64> = self.pending.drain().collect();
                     in_flight.sort_unstable();
                     return Err(NetError::ConnectionLost { in_flight });
                 }
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -955,7 +957,7 @@ impl Client {
 
     fn reconnect_once(&mut self) -> Result<Vec<(String, f64)>, NetError> {
         self.stream = Self::dial(self.addr)?;
-        self.buf.clear();
+        self.frames.clear();
         self.pending.clear();
         self.ready.clear();
         self.handshake()?;

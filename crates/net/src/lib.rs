@@ -12,10 +12,12 @@
 //! ```
 //!
 //! * **One protocol, one framing.** [`proto`] defines a versioned,
-//!   length-prefixed, FNV-checksummed binary protocol reusing the WAL's
-//!   record-framing discipline (`bf_store::frame_bytes` /
-//!   `bf_store::read_frame`), with typed error replies mirroring
-//!   `ServerError` / `EngineError` and every ε as exact `f64` bits.
+//!   length-prefixed, XXH64-checksummed binary protocol reusing the
+//!   WAL's record-framing discipline (`bf_store::frame_into` /
+//!   `bf_store::read_frame` / `bf_store::FrameBuf`; a peer still sealing
+//!   frames with byte-wise FNV-1a is refused at its first frame), with
+//!   typed error replies mirroring `ServerError` / `EngineError` and
+//!   every ε as exact `f64` bits.
 //! * **The scheduler is reused, not reimplemented.** [`NetServer`]
 //!   decodes frames into `Server::submit` tickets: per-analyst fair
 //!   queues, cross-analyst coalescing, same-`(policy, data, ε)` range

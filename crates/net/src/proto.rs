@@ -4,7 +4,7 @@
 //!
 //! Every message travels in one frame, reusing `bf-store`'s WAL
 //! record-framing discipline byte for byte
-//! ([`bf_store::frame_bytes`] / [`bf_store::read_frame`]):
+//! ([`bf_store::frame_into`] / [`bf_store::read_frame`]):
 //!
 //! ```text
 //! ┌───────────┬───────────────┬──────────────┐
@@ -12,12 +12,15 @@
 //! └───────────┴───────────────┴──────────────┘
 //! ```
 //!
-//! `checksum` is FNV-1a over the payload. A frame that fails its
-//! checksum, exceeds [`bf_store::MAX_RECORD_LEN`], or decodes to
-//! anything but a well-formed message kills the connection — framing
-//! damage is never "wait for more bytes", and a flipped byte is never
-//! misparsed as a different message (the corruption sweep in the tests
-//! pins this).
+//! `checksum` is [`bf_store::frame_sum`] — XXH64 — over the payload. A
+//! frame that fails its checksum, exceeds [`bf_store::MAX_RECORD_LEN`],
+//! or decodes to anything but a well-formed message kills the
+//! connection — framing damage is never "wait for more bytes", and a
+//! flipped byte is never misparsed as a different message (the
+//! corruption sweep in the tests pins this). A peer built before the
+//! checksum changed sealed its frames with byte-wise FNV-1a: its first
+//! frame fails here like any corrupt one, and the `corrupt frame`
+//! refusal it is sent fails the same way at its end.
 //!
 //! ## Message catalog
 //!
@@ -1248,10 +1251,32 @@ fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_bits_vec(out: &mut Vec<u8>, bits: &[u64]) {
-    put_u64(out, bits.len() as u64);
-    for b in bits {
-        put_u64(out, *b);
+/// A vector element that travels as 8 little-endian bytes: wire bits as
+/// they are, an engine float as its exact bit pattern.
+trait WireBits: Copy {
+    fn wire_bits(self) -> u64;
+}
+
+impl WireBits for u64 {
+    fn wire_bits(self) -> u64 {
+        self
+    }
+}
+
+impl WireBits for f64 {
+    fn wire_bits(self) -> u64 {
+        self.to_bits()
+    }
+}
+
+/// A count, then the elements — the room for all of them made once and
+/// filled as one slice.
+fn put_bits_vec<T: WireBits>(out: &mut Vec<u8>, values: &[T]) {
+    put_u64(out, values.len() as u64);
+    let start = out.len();
+    out.resize(start + 8 * values.len(), 0);
+    for (bytes, value) in out[start..].chunks_exact_mut(8).zip(values) {
+        bytes.copy_from_slice(&value.wire_bits().to_le_bytes());
     }
 }
 
@@ -1288,13 +1313,19 @@ fn bounded_capacity(n: u64) -> usize {
 }
 
 fn read_bits_vec(r: &mut Reader<'_>) -> Option<Vec<u64>> {
-    let len = r.u64()?;
-    // A length no frame could actually carry is malformed, not a
-    // gigabyte allocation.
-    if len > (bf_store::MAX_RECORD_LEN as u64) / 8 {
-        return None;
-    }
-    (0..len).map(|_| r.u64()).collect()
+    // The elements are taken off the payload as one slice before the
+    // `Vec` is sized from it: a count the bytes present cannot back is
+    // malformed, never an allocation.
+    let len = usize::try_from(r.u64()?).ok()?;
+    let bytes = r.take(len.checked_mul(8)?)?;
+    Some(
+        bytes
+            .as_chunks::<8>()
+            .0
+            .iter()
+            .map(|word| u64::from_le_bytes(*word))
+            .collect(),
+    )
 }
 
 fn encode_trace_span(out: &mut Vec<u8>, s: &TraceSpan) {
@@ -1502,25 +1533,98 @@ fn decode_request(r: &mut Reader<'_>) -> Option<WireRequest> {
     })
 }
 
-fn encode_response(out: &mut Vec<u8>, resp: &WireResponse) {
-    match resp {
-        WireResponse::Histogram(v) => {
-            out.push(RESP_HISTOGRAM);
-            put_bits_vec(out, v);
+/// The two forms an answer's body is encoded from — the wire mirror a
+/// decoder produced, and the engine's own [`Response`] on the server's
+/// way out — to the same bytes.
+trait EncodeResponse {
+    fn encode_response(&self, out: &mut Vec<u8>);
+}
+
+fn put_centroids<T: WireBits>(out: &mut Vec<u8>, centroids: &[Vec<T>]) {
+    put_u64(out, centroids.len() as u64);
+    for c in centroids {
+        put_bits_vec(out, c);
+    }
+}
+
+impl EncodeResponse for WireResponse {
+    fn encode_response(&self, out: &mut Vec<u8>) {
+        match self {
+            WireResponse::Histogram(v) => {
+                out.push(RESP_HISTOGRAM);
+                put_bits_vec(out, v);
+            }
+            WireResponse::Prefixes(v) => {
+                out.push(RESP_PREFIXES);
+                put_bits_vec(out, v);
+            }
+            WireResponse::Scalar(b) => {
+                out.push(RESP_SCALAR);
+                put_u64(out, *b);
+            }
+            WireResponse::Centroids(cs) => {
+                out.push(RESP_CENTROIDS);
+                put_centroids(out, cs);
+            }
         }
-        WireResponse::Prefixes(v) => {
-            out.push(RESP_PREFIXES);
-            put_bits_vec(out, v);
+    }
+}
+
+impl EncodeResponse for Response {
+    fn encode_response(&self, out: &mut Vec<u8>) {
+        match self {
+            Response::Histogram(v) => {
+                out.push(RESP_HISTOGRAM);
+                put_bits_vec(out, v);
+            }
+            Response::Prefixes(v) => {
+                out.push(RESP_PREFIXES);
+                put_bits_vec(out, v);
+            }
+            Response::Scalar(x) => {
+                out.push(RESP_SCALAR);
+                put_u64(out, x.to_bits());
+            }
+            Response::Centroids(cs) => {
+                out.push(RESP_CENTROIDS);
+                put_centroids(out, cs);
+            }
         }
-        WireResponse::Scalar(b) => {
-            out.push(RESP_SCALAR);
-            put_u64(out, *b);
-        }
-        WireResponse::Centroids(cs) => {
-            out.push(RESP_CENTROIDS);
-            put_u64(out, cs.len() as u64);
-            for c in cs {
-                put_bits_vec(out, c);
+    }
+}
+
+fn encode_answer(
+    out: &mut Vec<u8>,
+    version: u16,
+    id: u64,
+    response: &impl EncodeResponse,
+    trace_id: Option<u64>,
+) {
+    out.push(TAG_ANSWER);
+    put_u64(out, id);
+    response.encode_response(out);
+    if version >= 3 {
+        put_opt_u64(out, trace_id);
+    }
+}
+
+fn encode_batch_answer<R: EncodeResponse>(
+    out: &mut Vec<u8>,
+    id: u64,
+    slots: &[Result<R, WireError>],
+) {
+    out.push(TAG_BATCH_ANSWER);
+    put_u64(out, id);
+    put_u64(out, slots.len() as u64);
+    for slot in slots {
+        match slot {
+            Ok(response) => {
+                out.push(SLOT_OK);
+                response.encode_response(out);
+            }
+            Err(e) => {
+                out.push(SLOT_ERR);
+                encode_error(out, e);
             }
         }
     }
@@ -1751,11 +1855,19 @@ impl ClientMessage {
     /// connection stays byte-compatible with a genuine old peer.
     pub fn encode_for(&self, version: u16) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(version, &mut out);
+        out
+    }
+
+    /// [`ClientMessage::encode_for`] appended to `out` — the form
+    /// [`bf_store::frame_into`] takes, so a message is encoded straight
+    /// into the frame that carries it.
+    pub fn encode_into(&self, version: u16, out: &mut Vec<u8>) {
         match self {
             ClientMessage::Hello { id, version } => {
                 out.push(TAG_HELLO);
-                put_u64(&mut out, *id);
-                put_u16(&mut out, *version);
+                put_u64(out, *id);
+                put_u16(out, *version);
             }
             ClientMessage::OpenSession {
                 id,
@@ -1763,9 +1875,9 @@ impl ClientMessage {
                 total_bits,
             } => {
                 out.push(TAG_OPEN_SESSION);
-                put_u64(&mut out, *id);
-                put_str(&mut out, analyst);
-                put_u64(&mut out, *total_bits);
+                put_u64(out, *id);
+                put_str(out, analyst);
+                put_u64(out, *total_bits);
             }
             ClientMessage::Submit {
                 id,
@@ -1777,16 +1889,16 @@ impl ClientMessage {
                 token,
             } => {
                 out.push(TAG_SUBMIT);
-                put_u64(&mut out, *id);
-                put_str(&mut out, analyst);
-                encode_request(&mut out, request);
-                put_opt_u64(&mut out, *request_id);
-                put_opt_u64(&mut out, *deadline_micros);
+                put_u64(out, *id);
+                put_str(out, analyst);
+                encode_request(out, request);
+                put_opt_u64(out, *request_id);
+                put_opt_u64(out, *deadline_micros);
                 if version >= 3 {
-                    put_opt_u64(&mut out, *trace_id);
+                    put_opt_u64(out, *trace_id);
                 }
                 if version >= 4 {
-                    put_opt_u64(&mut out, *token);
+                    put_opt_u64(out, *token);
                 }
             }
             ClientMessage::SubmitBatch {
@@ -1796,35 +1908,35 @@ impl ClientMessage {
                 token,
             } => {
                 out.push(TAG_SUBMIT_BATCH);
-                put_u64(&mut out, *id);
-                put_str(&mut out, analyst);
-                put_u64(&mut out, requests.len() as u64);
+                put_u64(out, *id);
+                put_str(out, analyst);
+                put_u64(out, requests.len() as u64);
                 for r in requests {
-                    encode_request(&mut out, r);
+                    encode_request(out, r);
                 }
                 if version >= 4 {
-                    put_opt_u64(&mut out, *token);
+                    put_opt_u64(out, *token);
                 }
             }
             ClientMessage::Budget { id, analyst } => {
                 out.push(TAG_BUDGET);
-                put_u64(&mut out, *id);
-                put_str(&mut out, analyst);
+                put_u64(out, *id);
+                put_str(out, analyst);
             }
             ClientMessage::Stats { id } => {
                 out.push(TAG_STATS);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
             ClientMessage::Traces { id } => {
                 out.push(TAG_TRACES);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
             ClientMessage::BudgetAudit { id, analyst, token } => {
                 out.push(TAG_BUDGET_AUDIT);
-                put_u64(&mut out, *id);
-                put_str(&mut out, analyst);
+                put_u64(out, *id);
+                put_str(out, analyst);
                 if version >= 4 {
-                    put_opt_u64(&mut out, *token);
+                    put_opt_u64(out, *token);
                 }
             }
             ClientMessage::LogCatchup {
@@ -1834,39 +1946,38 @@ impl ClientMessage {
                 last_epoch,
             } => {
                 out.push(TAG_LOG_CATCHUP);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *from_index);
-                put_u64(&mut out, *last_epoch);
+                put_u64(out, *id);
+                put_u64(out, *epoch);
+                put_u64(out, *from_index);
+                put_u64(out, *last_epoch);
             }
             ClientMessage::ReplicateAck { id, epoch, index } => {
                 out.push(TAG_REPLICATE_ACK);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *index);
+                put_u64(out, *id);
+                put_u64(out, *epoch);
+                put_u64(out, *index);
             }
             ClientMessage::PeerStatus { id } => {
                 out.push(TAG_PEER_STATUS);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
             ClientMessage::ClusterStats { id } => {
                 out.push(TAG_CLUSTER_STATS);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
             ClientMessage::Health { id } => {
                 out.push(TAG_HEALTH);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
             ClientMessage::Watch { id } => {
                 out.push(TAG_WATCH);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
             ClientMessage::Goodbye { id } => {
                 out.push(TAG_GOODBYE);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
         }
-        out
     }
 
     /// Decodes a payload produced by [`ClientMessage::encode`]; `None`
@@ -1999,11 +2110,18 @@ impl ServerMessage {
     /// [`ClientMessage::encode_for`]).
     pub fn encode_for(&self, version: u16) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
+        self.encode_into(version, &mut out);
+        out
+    }
+
+    /// [`ServerMessage::encode_for`] appended to `out` (see
+    /// [`ClientMessage::encode_into`]).
+    pub fn encode_into(&self, version: u16, out: &mut Vec<u8>) {
         match self {
             ServerMessage::Welcome { id, version } => {
                 out.push(TAG_WELCOME);
-                put_u64(&mut out, *id);
-                put_u16(&mut out, *version);
+                put_u64(out, *id);
+                put_u16(out, *version);
             }
             ServerMessage::SessionAttached {
                 id,
@@ -2011,41 +2129,18 @@ impl ServerMessage {
                 token,
             } => {
                 out.push(TAG_SESSION_ATTACHED);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *remaining_bits);
+                put_u64(out, *id);
+                put_u64(out, *remaining_bits);
                 if version >= 4 {
-                    put_u64(&mut out, *token);
+                    put_u64(out, *token);
                 }
             }
             ServerMessage::Answer {
                 id,
                 response,
                 trace_id,
-            } => {
-                out.push(TAG_ANSWER);
-                put_u64(&mut out, *id);
-                encode_response(&mut out, response);
-                if version >= 3 {
-                    put_opt_u64(&mut out, *trace_id);
-                }
-            }
-            ServerMessage::BatchAnswer { id, slots } => {
-                out.push(TAG_BATCH_ANSWER);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, slots.len() as u64);
-                for slot in slots {
-                    match slot {
-                        Ok(resp) => {
-                            out.push(SLOT_OK);
-                            encode_response(&mut out, resp);
-                        }
-                        Err(e) => {
-                            out.push(SLOT_ERR);
-                            encode_error(&mut out, e);
-                        }
-                    }
-                }
-            }
+            } => encode_answer(out, version, *id, response, *trace_id),
+            ServerMessage::BatchAnswer { id, slots } => encode_batch_answer(out, *id, slots),
             ServerMessage::BudgetReport {
                 id,
                 total_bits,
@@ -2054,34 +2149,34 @@ impl ServerMessage {
                 served,
             } => {
                 out.push(TAG_BUDGET_REPORT);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *total_bits);
-                put_u64(&mut out, *spent_bits);
-                put_u64(&mut out, *remaining_bits);
-                put_u64(&mut out, *served);
+                put_u64(out, *id);
+                put_u64(out, *total_bits);
+                put_u64(out, *spent_bits);
+                put_u64(out, *remaining_bits);
+                put_u64(out, *served);
             }
             ServerMessage::StatsReport { id, metrics } => {
                 out.push(TAG_STATS_REPORT);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, metrics.len() as u64);
+                put_u64(out, *id);
+                put_u64(out, metrics.len() as u64);
                 for m in metrics {
-                    encode_metric(&mut out, m);
+                    encode_metric(out, m);
                 }
             }
             ServerMessage::TraceReport { id, traces } => {
                 out.push(TAG_TRACE_REPORT);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, traces.len() as u64);
+                put_u64(out, *id);
+                put_u64(out, traces.len() as u64);
                 for t in traces {
-                    encode_trace_tree(&mut out, t);
+                    encode_trace_tree(out, t);
                 }
             }
             ServerMessage::AuditReport { id, entries } => {
                 out.push(TAG_AUDIT_REPORT);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, entries.len() as u64);
+                put_u64(out, *id);
+                put_u64(out, entries.len() as u64);
                 for e in entries {
-                    encode_ledger_entry(&mut out, e);
+                    encode_ledger_entry(out, e);
                 }
             }
             ServerMessage::Refused {
@@ -2090,10 +2185,10 @@ impl ServerMessage {
                 trace_id,
             } => {
                 out.push(TAG_REFUSED);
-                put_u64(&mut out, *id);
-                encode_error(&mut out, error);
+                put_u64(out, *id);
+                encode_error(out, error);
                 if version >= 3 {
-                    put_opt_u64(&mut out, *trace_id);
+                    put_opt_u64(out, *trace_id);
                 }
             }
             ServerMessage::Replicate {
@@ -2103,12 +2198,12 @@ impl ServerMessage {
                 entries,
             } => {
                 out.push(TAG_REPLICATE);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *commit_index);
-                put_u64(&mut out, entries.len() as u64);
+                put_u64(out, *id);
+                put_u64(out, *epoch);
+                put_u64(out, *commit_index);
+                put_u64(out, entries.len() as u64);
                 for e in entries {
-                    encode_log_entry(&mut out, e);
+                    encode_log_entry(out, e);
                 }
             }
             ServerMessage::PeerStatusReport {
@@ -2118,21 +2213,21 @@ impl ServerMessage {
                 applied,
             } => {
                 out.push(TAG_PEER_STATUS_REPORT);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *high_water);
-                put_u64(&mut out, *applied);
+                put_u64(out, *id);
+                put_u64(out, *epoch);
+                put_u64(out, *high_water);
+                put_u64(out, *applied);
             }
             ServerMessage::ClusterStatsReport { id, replicas } => {
                 out.push(TAG_CLUSTER_STATS_REPORT);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, replicas.len() as u64);
+                put_u64(out, *id);
+                put_u64(out, replicas.len() as u64);
                 for rep in replicas {
-                    put_str(&mut out, &rep.node);
+                    put_str(out, &rep.node);
                     out.push(rep.reachable as u8);
-                    put_u64(&mut out, rep.metrics.len() as u64);
+                    put_u64(out, rep.metrics.len() as u64);
                     for m in &rep.metrics {
-                        encode_metric(&mut out, m);
+                        encode_metric(out, m);
                     }
                 }
             }
@@ -2148,20 +2243,20 @@ impl ServerMessage {
                 firing,
             } => {
                 out.push(TAG_HEALTH_REPORT);
-                put_u64(&mut out, *id);
-                put_str(&mut out, role);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *applied);
-                put_u64(&mut out, *lag);
-                put_u64(&mut out, *wal_segments);
-                put_u64(&mut out, *queue_depth);
-                put_u64(&mut out, unreachable.len() as u64);
+                put_u64(out, *id);
+                put_str(out, role);
+                put_u64(out, *epoch);
+                put_u64(out, *applied);
+                put_u64(out, *lag);
+                put_u64(out, *wal_segments);
+                put_u64(out, *queue_depth);
+                put_u64(out, unreachable.len() as u64);
                 for peer in unreachable {
-                    put_str(&mut out, peer);
+                    put_str(out, peer);
                 }
-                put_u64(&mut out, firing.len() as u64);
+                put_u64(out, firing.len() as u64);
                 for slo in firing {
-                    put_str(&mut out, slo);
+                    put_str(out, slo);
                 }
             }
             ServerMessage::Event {
@@ -2172,23 +2267,47 @@ impl ServerMessage {
                 value,
             } => {
                 out.push(TAG_EVENT);
-                put_u64(&mut out, *id);
-                put_u64(&mut out, *seq);
+                put_u64(out, *id);
+                put_u64(out, *seq);
                 out.push(match kind {
                     WireEventKind::Stage => EVENT_STAGE,
                     WireEventKind::Trace => EVENT_TRACE,
                     WireEventKind::Role => EVENT_ROLE,
                     WireEventKind::Slo => EVENT_SLO,
                 });
-                put_str(&mut out, detail);
-                put_u64(&mut out, *value);
+                put_str(out, detail);
+                put_u64(out, *value);
             }
             ServerMessage::Farewell { id } => {
                 out.push(TAG_FAREWELL);
-                put_u64(&mut out, *id);
+                put_u64(out, *id);
             }
         }
-        out
+    }
+
+    /// Appends the payload of the [`ServerMessage::Answer`] that carries
+    /// `response` — the bytes `WireResponse::from_response(response)`
+    /// would encode to inside one, without building it: the server's
+    /// writer turns each float into its wire bits as it lands in the
+    /// frame.
+    pub fn encode_answer_into(
+        version: u16,
+        out: &mut Vec<u8>,
+        id: u64,
+        response: &Response,
+        trace_id: Option<u64>,
+    ) {
+        encode_answer(out, version, id, response, trace_id);
+    }
+
+    /// [`ServerMessage::encode_answer_into`] for a
+    /// [`ServerMessage::BatchAnswer`].
+    pub fn encode_batch_answer_into(
+        out: &mut Vec<u8>,
+        id: u64,
+        slots: &[Result<Response, WireError>],
+    ) {
+        encode_batch_answer(out, id, slots);
     }
 
     /// Decodes a payload produced by [`ServerMessage::encode`]; `None`
@@ -2402,7 +2521,7 @@ impl ServerMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bf_store::{frame_bytes, read_frame, FrameRead};
+    use bf_store::{frame_bytes, frame_into, read_frame, FrameBuf, FrameRead};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -2917,6 +3036,166 @@ mod tests {
         }
     }
 
+    proptest! {
+        /// `encode_into` appends, to whatever the buffer already holds,
+        /// exactly the bytes `encode_for` returns — at every negotiated
+        /// version, both directions — and the writer's two
+        /// engine-`Response` encoders produce the `Answer` /
+        /// `BatchAnswer` payloads of the wire mirror they skip.
+        #[test]
+        fn encode_into_appends_what_encode_for_returns(seed in 0u64..512) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let cm = arb_client_message(&mut rng);
+            let sm = arb_server_message(&mut rng);
+            let response = arb_response(&mut rng);
+            let slots: Vec<Result<WireResponse, WireError>> = (0..rng.random_range(0..4usize))
+                .map(|i| if i % 2 == 0 { Ok(arb_response(&mut rng)) } else { Err(arb_error(&mut rng)) })
+                .collect();
+            let engine_slots: Vec<Result<Response, WireError>> = slots
+                .iter()
+                .map(|slot| slot.as_ref().map(WireResponse::to_response).map_err(Clone::clone))
+                .collect();
+            let trace_id = arb_opt_u64(&mut rng);
+            for v in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
+                let after = |encode: &dyn Fn(&mut Vec<u8>)| {
+                    let mut out = b"what was framed before".to_vec();
+                    encode(&mut out);
+                    prop_assert_eq!(&out[..22], &b"what was framed before"[..]);
+                    Ok(out.split_off(22))
+                };
+                prop_assert_eq!(after(&|out| cm.encode_into(v, out))?, cm.encode_for(v));
+                prop_assert_eq!(after(&|out| sm.encode_into(v, out))?, sm.encode_for(v));
+                let answer = ServerMessage::Answer { id: seed, response: response.clone(), trace_id };
+                prop_assert_eq!(
+                    after(&|out| ServerMessage::encode_answer_into(
+                        v, out, seed, &response.to_response(), trace_id
+                    ))?,
+                    answer.encode_for(v)
+                );
+                let batch = ServerMessage::BatchAnswer { id: seed, slots: slots.clone() };
+                prop_assert_eq!(
+                    after(&|out| ServerMessage::encode_batch_answer_into(out, seed, &engine_slots))?,
+                    batch.encode_for(v)
+                );
+            }
+        }
+    }
+
+    /// A byte stream that hands out at most the next of `steps` bytes per
+    /// `read` (cycling), the way a socket delivers a frame in pieces.
+    struct Pieces<'a> {
+        rest: &'a [u8],
+        steps: Vec<usize>,
+        reads: usize,
+    }
+
+    impl std::io::Read for Pieces<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let step = self.steps[self.reads % self.steps.len()];
+            self.reads += 1;
+            let n = step.min(buf.len()).min(self.rest.len());
+            buf[..n].copy_from_slice(&self.rest[..n]);
+            self.rest = &self.rest[n..];
+            Ok(n)
+        }
+    }
+
+    /// Everything `frames` hands out until the stream ends, and whether
+    /// it ended on a corrupt frame.
+    fn drain(stream: &[u8], steps: Vec<usize>) -> (Vec<Vec<u8>>, bool) {
+        let mut pieces = Pieces {
+            rest: stream,
+            steps,
+            reads: 0,
+        };
+        let mut frames = FrameBuf::new();
+        let mut seen = Vec::new();
+        loop {
+            match frames.next_frame() {
+                FrameRead::Complete { payload, .. } => seen.push(payload.to_vec()),
+                FrameRead::Incomplete => {
+                    if frames.fill(&mut pieces).unwrap() == 0 {
+                        return (seen, false);
+                    }
+                }
+                FrameRead::Corrupt => {
+                    // Final: more bytes and more asking change nothing.
+                    let _ = frames.fill(&mut pieces).unwrap();
+                    assert_eq!(frames.next_frame(), FrameRead::Corrupt);
+                    return (seen, true);
+                }
+            }
+        }
+    }
+
+    /// 32 framed messages — scalars beside a 32 KiB histogram answer —
+    /// as one byte stream, with each frame's payload.
+    fn framed_stream(seed: u64) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut stream = Vec::new();
+        let payloads: Vec<Vec<u8>> = (0..32)
+            .map(|i| {
+                let version =
+                    MIN_PROTOCOL_VERSION + i % (PROTOCOL_VERSION - MIN_PROTOCOL_VERSION + 1);
+                let payload = match i {
+                    11 => ServerMessage::Answer {
+                        id: 11,
+                        response: WireResponse::Histogram(
+                            (0..4096).map(|_| rng.random()).collect(),
+                        ),
+                        trace_id: None,
+                    }
+                    .encode_for(version),
+                    _ if i % 2 == 0 => arb_client_message(&mut rng).encode_for(version),
+                    _ => arb_server_message(&mut rng).encode_for(version),
+                };
+                frame_into(&mut stream, |out| out.extend_from_slice(&payload));
+                payload
+            })
+            .collect();
+        (stream, payloads)
+    }
+
+    /// However the stream is cut into reads, `FrameBuf` hands out the
+    /// same 32 payloads in order.
+    #[test]
+    fn frame_buf_yields_the_same_frames_at_any_chunking() {
+        for seed in 0..4 {
+            let (stream, payloads) = framed_stream(seed);
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xC0FFEE);
+            let random: Vec<usize> = (0..257).map(|_| rng.random_range(1..40_000usize)).collect();
+            for steps in [vec![1], vec![7], vec![16 * 1024], vec![usize::MAX], random] {
+                let what = format!("seed {seed}, steps {:?}", &steps[..steps.len().min(4)]);
+                let (seen, corrupt) = drain(&stream, steps);
+                assert!(!corrupt, "{what}");
+                assert_eq!(seen, payloads, "{what}");
+            }
+        }
+    }
+
+    /// A damaged frame mid-stream ends it: the frames before it come out,
+    /// then `Corrupt` — never a frame from behind the damage.
+    #[test]
+    fn a_corrupt_frame_mid_stream_yields_its_predecessors_then_corrupt() {
+        let (stream, payloads) = framed_stream(9);
+        let mut rng = StdRng::seed_from_u64(0xBAD);
+        let mut start = 0;
+        for (k, payload) in payloads.iter().enumerate() {
+            // One bit, somewhere in frame k's checksum or payload (a
+            // flipped length is a different failure: a stall or a
+            // `Corrupt`, decided by what the bytes after it look like).
+            let mut damaged = stream.clone();
+            let at = start + 4 + rng.random_range(0..8 + payload.len());
+            damaged[at] ^= 1 << rng.random_range(0..8u32);
+            for steps in [vec![1], vec![16 * 1024], vec![usize::MAX]] {
+                let (seen, corrupt) = drain(&damaged, steps);
+                assert!(corrupt, "frame {k}, byte {at}");
+                assert_eq!(seen, payloads[..k], "frame {k}, byte {at}");
+            }
+            start += bf_store::FRAME_HEADER_LEN + payload.len();
+        }
+    }
+
     /// Trailing garbage after a well-formed message must not decode.
     #[test]
     fn trailing_garbage_is_rejected() {
@@ -2962,7 +3241,7 @@ mod tests {
                         FrameRead::Complete { payload: p, .. } => {
                             // The only acceptable "complete" readings are
                             // impossible: the flip changed some byte, so
-                            // an intact checksum would be an FNV-1a
+                            // an intact checksum would be a `frame_sum`
                             // collision one bit-flip away — fail loudly.
                             panic!(
                                 "flip at byte {pos} (bit {bit:#x}) of case {case} \

@@ -2,17 +2,17 @@
 
 use crate::proto::{
     ClientMessage, ServerMessage, WireError, WireEventKind, WireMetric, WireReplicaStats,
-    WireResponse, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
 };
 use bf_obs::{
     BusSubscriber, ClusterEventKind, Counter, Histogram, MetricSnapshot, Registry, SloEngine,
     SloSpec, Stage, TraceContext, TraceId, TraceTimer,
 };
 use bf_server::{DriverHandle, Server, ServerError, ServerStats, Ticket};
-use bf_store::{fnv1a, frame_bytes, read_frame, FrameRead};
+use bf_store::{fnv1a, frame_into, FrameBuf, FrameRead};
 use std::collections::{HashMap, HashSet};
 use std::future::Future;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, AtomicU16, AtomicUsize, Ordering};
@@ -165,9 +165,11 @@ pub struct NetConfig {
     /// frame** (`Answer` / `BatchAnswer`) advances the plan's op clock,
     /// and a due fault drops the connection, truncates the frame
     /// mid-write, or delays it — the failure modes a client's retry
-    /// logic must survive. Injections count into
-    /// `faults_injected{layer="net"}`. `None` (the default) injects
-    /// nothing.
+    /// logic must survive. The answers of one release leave in one
+    /// write; a fault addresses one frame of it all the same — the
+    /// frames before it arrive whole, then the fault happens.
+    /// Injections count into `faults_injected{layer="net"}`. `None`
+    /// (the default) injects nothing.
     pub fault_plan: Option<Arc<bf_chaos::NetPlan>>,
     /// Routing for writes and reads: [`ServerRole::Standalone`] (the
     /// default) feeds the scheduler directly; [`ServerRole::Replica`]
@@ -497,8 +499,32 @@ struct Outstanding {
 /// out once all are done.
 struct OutstandingBatch {
     id: u64,
-    slots: Vec<Result<Ticket, WireError>>,
+    slots: Vec<BatchSlot>,
     started: Instant,
+}
+
+/// One member of a batch: a resolved ticket hands its answer over once,
+/// by move, so the slot keeps it until the whole batch is done.
+enum BatchSlot {
+    Waiting(Ticket),
+    Done(Result<bf_engine::Response, WireError>),
+}
+
+/// The reply off a resolved ticket or finished batch, held as the engine
+/// delivered it until its release encodes it straight into the
+/// connection's output buffer.
+enum Reply {
+    Answer {
+        id: u64,
+        response: bf_engine::Response,
+        trace_id: Option<u64>,
+    },
+    Batch {
+        id: u64,
+        slots: Vec<Result<bf_engine::Response, WireError>>,
+    },
+    /// A `Refused` for a ticket that resolved to an error.
+    Refused(ServerMessage),
 }
 
 /// What a connection's reader hands its writer, in order.
@@ -588,6 +614,7 @@ fn serve_connection(stream: TcpStream, shared: &AcceptorShared, live: &Mutex<Opt
             ready: Vec::new(),
             answered: 0,
             release: Instant::now(),
+            out: Vec::new(),
         };
         let writer = scope.spawn(move || writer.run());
         Connection {
@@ -596,7 +623,7 @@ fn serve_connection(stream: TcpStream, shared: &AcceptorShared, live: &Mutex<Opt
             conn: &conn,
             tx,
             writer: writer.thread().clone(),
-            buf: Vec::new(),
+            frames: FrameBuf::new(),
             hello_done: false,
             attached: HashSet::new(),
         }
@@ -615,7 +642,7 @@ struct Connection<'a> {
     conn: &'a ConnShared,
     tx: mpsc::SyncSender<Outgoing>,
     writer: Thread,
-    buf: Vec<u8>,
+    frames: FrameBuf,
     hello_done: bool,
     /// Analysts whose sessions this connection attached via
     /// `OpenSession`. `BudgetAudit` — per-record labels and exact ε
@@ -633,6 +660,9 @@ const WATCH_QUEUE_CAPACITY: usize = 256;
 const WATCH_BATCH: usize = 64;
 /// Park bound of a writer with an open `Watch`: events have no waker.
 const WATCH_POLL: Duration = Duration::from_millis(1);
+/// Direct replies (no ticket, no release) framed in one writer pass are
+/// flushed once they add up to this much, however many more are queued.
+const DIRECT_REPLY_HIGH_WATER: usize = 256 * 1024;
 /// Release pacing: a connection's answers (`Answer`, `BatchAnswer`, a
 /// ticket's `Refused`) leave at least this far apart, each release
 /// carrying all resolved since the last; other frames go at once. The
@@ -649,24 +679,23 @@ impl Connection<'_> {
     /// Blocks in `read` with no time-out: completions are the writer's.
     fn run(mut self) {
         let counters = &*self.shared.counters;
-        let mut read_chunk = [0u8; 16 * 1024];
         loop {
-            match self.stream.read(&mut read_chunk) {
+            match self.frames.fill(&mut self.stream) {
                 // EOF (client gone or shutdown) or a dead socket.
                 Ok(0) | Err(_) => return,
-                Ok(n) => self.buf.extend_from_slice(&read_chunk[..n]),
+                Ok(_) => {}
             }
             loop {
-                let protocol_error = match read_frame(&self.buf) {
+                let version = self.negotiated();
+                let protocol_error = match self.frames.next_frame() {
                     FrameRead::Incomplete => break,
                     FrameRead::Corrupt => "corrupt frame",
-                    FrameRead::Complete { payload, consumed } => {
+                    FrameRead::Complete { payload, .. } => {
                         counters.frames_in.inc();
                         let mut span = counters.obs.span();
-                        let msg = ClientMessage::decode_for(payload, self.negotiated());
+                        let msg = ClientMessage::decode_for(payload, version);
                         counters.obs.span_mark(&mut span, Stage::Decode);
                         let decode_elapsed = span.elapsed().unwrap_or_default();
-                        self.buf.drain(..consumed);
                         match msg {
                             Some(msg) => {
                                 if !self.dispatch(msg, decode_elapsed) {
@@ -863,7 +892,14 @@ impl Connection<'_> {
                 // fails only its own slot — but no tick may drain between
                 // them: compatible members land in the same coalescing
                 // window and share releases.
-                let slots = self.submit_batch(&analyst, &requests);
+                let slots: Vec<BatchSlot> = self
+                    .submit_batch(&analyst, &requests)
+                    .into_iter()
+                    .map(|slot| match slot {
+                        Ok(ticket) => BatchSlot::Waiting(ticket),
+                        Err(refusal) => BatchSlot::Done(Err(refusal)),
+                    })
+                    .collect();
                 self.admit(
                     slots.len(),
                     Outgoing::Batch(OutstandingBatch {
@@ -1277,9 +1313,13 @@ struct Writer<'a> {
     goodbye: Option<u64>,
     /// Replies off resolved tickets, and the window slots they free,
     /// waiting to leave together at `release` (see [`RELEASE_EVERY`]).
-    ready: Vec<(ServerMessage, TraceContext, &'static str)>,
+    ready: Vec<(Reply, TraceContext, &'static str)>,
     answered: usize,
     release: Instant,
+    /// Frames encoded and not yet written. Every frame is encoded in
+    /// place here ([`Writer::frame`]) and leaves in [`Writer::flush`], so
+    /// a release is one `write_all` however many answers it carries.
+    out: Vec<u8>,
 }
 
 impl Writer<'_> {
@@ -1296,7 +1336,8 @@ impl Writer<'_> {
                 // Orderly ending: everything owed is answered.
                 Some(id) => {
                     in_flight == 0 && {
-                        let _ = self.write_message(&ServerMessage::Farewell { id });
+                        self.frame_message(&ServerMessage::Farewell { id });
+                        let _ = self.flush();
                         true
                     }
                 }
@@ -1334,12 +1375,17 @@ impl Writer<'_> {
         loop {
             match self.rx.try_recv() {
                 Ok(Outgoing::Reply(msg)) => {
-                    self.write_message(&msg)?;
+                    self.frame_message(&msg);
                     written += 1;
+                    // A reader that keeps this loop fed must not grow
+                    // the buffer without bound.
+                    if self.out.len() >= DIRECT_REPLY_HIGH_WATER {
+                        self.flush()?;
+                    }
                 }
                 Ok(Outgoing::Traces(id)) => {
                     let traces = self.counters.obs.trace_buffer().snapshot();
-                    self.write_message(&ServerMessage::TraceReport { id, traces })?;
+                    self.frame_message(&ServerMessage::TraceReport { id, traces });
                     written += 1;
                 }
                 Ok(Outgoing::Single(o)) => self.singles.push(o),
@@ -1357,28 +1403,29 @@ impl Writer<'_> {
         // Watch events are suspended once a Goodbye starts draining, so
         // the Farewell is the last frame.
         if self.goodbye.is_none() {
-            written += self.pump_watch()?;
+            written += self.pump_watch();
         }
+        self.flush()?;
         Ok(written)
     }
 
-    /// Writes out every event queued on the connection's `Watch`
-    /// subscription (bounded per pass), returning how many went.
-    fn pump_watch(&mut self) -> std::io::Result<usize> {
+    /// Frames every event queued on the connection's `Watch`
+    /// subscription (bounded per pass), returning how many there were.
+    fn pump_watch(&mut self) -> usize {
         let (watch_id, events) = match &self.watch {
             Some((id, sub)) => (*id, sub.drain(WATCH_BATCH)),
-            None => return Ok(0),
+            None => return 0,
         };
         for event in &events {
-            self.write_message(&ServerMessage::Event {
+            self.frame_message(&ServerMessage::Event {
                 id: watch_id,
                 seq: event.seq,
                 kind: WireEventKind::from(event.kind),
                 detail: event.detail.clone(),
                 value: event.value,
-            })?;
+            });
         }
-        Ok(events.len())
+        events.len()
     }
 
     /// Collects the reply of every resolved ticket and completed batch
@@ -1399,34 +1446,43 @@ impl Writer<'_> {
                     if metrics_on {
                         request_ns.record_duration(o.started.elapsed());
                     }
-                    let (msg, outcome) = match result {
+                    let (reply, outcome) = match result {
                         Ok(response) => (
-                            ServerMessage::Answer {
+                            Reply::Answer {
                                 id: o.id,
-                                response: WireResponse::from_response(&response),
+                                response,
                                 trace_id: o.trace_id,
                             },
                             "ok",
                         ),
                         Err(e) => (
-                            ServerMessage::Refused {
+                            Reply::Refused(ServerMessage::Refused {
                                 id: o.id,
                                 error: WireError::from_server_error(&e),
                                 trace_id: o.trace_id,
-                            },
+                            }),
                             "refused",
                         ),
                     };
-                    replies.push((msg, o.trace.clone(), outcome));
+                    replies.push((reply, o.trace.clone(), outcome));
                     answered += 1;
                     false
                 }
             });
         let mut finished: Vec<usize> = Vec::new();
         for (i, batch) in self.batches.iter_mut().enumerate() {
-            let done = batch.slots.iter_mut().all(|slot| match slot {
-                Err(_) => true,
-                Ok(ticket) => Pin::new(ticket).poll(&mut cx).is_ready(),
+            let done = batch.slots.iter_mut().all(|slot| {
+                if let BatchSlot::Waiting(ticket) = slot {
+                    match Pin::new(ticket).poll(&mut cx) {
+                        Poll::Pending => return false,
+                        Poll::Ready(result) => {
+                            *slot = BatchSlot::Done(
+                                result.map_err(|e| WireError::from_server_error(&e)),
+                            );
+                        }
+                    }
+                }
+                true
             });
             if done {
                 finished.push(i);
@@ -1446,15 +1502,12 @@ impl Writer<'_> {
                 .slots
                 .into_iter()
                 .map(|slot| match slot {
-                    Err(e) => Err(e),
-                    Ok(ticket) => match ticket.try_take().expect("resolved above") {
-                        Ok(response) => Ok(WireResponse::from_response(&response)),
-                        Err(e) => Err(WireError::from_server_error(&e)),
-                    },
+                    BatchSlot::Done(result) => result,
+                    BatchSlot::Waiting(_) => unreachable!("every slot resolved above"),
                 })
                 .collect();
             replies.push((
-                ServerMessage::BatchAnswer {
+                Reply::Batch {
                     id: batch.id,
                     slots,
                 },
@@ -1479,8 +1532,21 @@ impl Writer<'_> {
         let mut span = self.counters.obs.span();
         let timer = TraceTimer::any(replies.iter().map(|(_, t, _)| t));
         for (reply, _, _) in &replies {
-            self.write_message(reply)?;
+            match reply {
+                Reply::Answer {
+                    id,
+                    response,
+                    trace_id,
+                } => self.frame_answer(|version, out| {
+                    ServerMessage::encode_answer_into(version, out, *id, response, *trace_id)
+                })?,
+                Reply::Batch { id, slots } => self.frame_answer(|_, out| {
+                    ServerMessage::encode_batch_answer_into(out, *id, slots)
+                })?,
+                Reply::Refused(refusal) => self.frame_message(refusal),
+            }
         }
+        self.flush()?;
         self.counters.obs.span_mark(&mut span, Stage::Reply);
         // Close out every traced request that just flushed: record its
         // Reply span and seal the tree into the trace buffer.
@@ -1493,48 +1559,61 @@ impl Writer<'_> {
         Ok(replies.len())
     }
 
-    fn write_message(&mut self, msg: &ServerMessage) -> std::io::Result<()> {
-        // The chaos plan's op clock ticks once per **answer** frame, so a
-        // scripted schedule addresses "the 3rd answer" no matter how many
-        // handshake or stats frames interleave.
-        if let Some(plan) = &self.shared.config.fault_plan {
-            if matches!(
-                msg,
-                ServerMessage::Answer { .. } | ServerMessage::BatchAnswer { .. }
-            ) {
-                if let Some(fault) = plan.next() {
-                    self.counters.faults_injected.inc();
-                    match fault {
-                        bf_chaos::NetFault::DropConnection => {
-                            let _ = self.stream.shutdown(Shutdown::Both);
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::ConnectionReset,
-                                "chaos: connection dropped before reply",
-                            ));
-                        }
-                        bf_chaos::NetFault::TruncateReply => {
-                            let framed = self.frame(msg);
-                            self.counters.frames_out.inc();
-                            let _ = self.stream.write_all(&framed[..framed.len() / 2]);
-                            let _ = self.stream.shutdown(Shutdown::Both);
-                            return Err(std::io::Error::new(
-                                std::io::ErrorKind::ConnectionReset,
-                                "chaos: reply frame truncated mid-write",
-                            ));
-                        }
-                        bf_chaos::NetFault::DelayReplyMicros(us) => {
-                            std::thread::sleep(Duration::from_micros(us));
-                        }
-                    }
-                }
-            }
-        }
+    /// Encodes one frame, at the negotiated version, onto the end of the
+    /// output buffer; [`Writer::flush`] sends it.
+    fn frame(&mut self, encode: impl FnOnce(u16, &mut Vec<u8>)) {
         self.counters.frames_out.inc();
-        let framed = self.frame(msg);
-        self.stream.write_all(&framed)
+        let version = self.conn.negotiated.load(Ordering::Relaxed);
+        frame_into(&mut self.out, |out| encode(version, out));
     }
 
-    fn frame(&self, msg: &ServerMessage) -> Vec<u8> {
-        frame_bytes(&msg.encode_for(self.conn.negotiated.load(Ordering::Relaxed)))
+    fn frame_message(&mut self, msg: &ServerMessage) {
+        self.frame(|version, out| msg.encode_into(version, out));
+    }
+
+    /// [`Writer::frame`] for an **answer** frame (`Answer` /
+    /// `BatchAnswer`), the unit the chaos plan's op clock counts — so a
+    /// scripted schedule addresses "the 3rd answer" no matter how many
+    /// handshake or stats frames interleave, or how many answers share a
+    /// release: a due fault cuts the buffer at this frame's boundary, and
+    /// what was framed before it is written whole first.
+    fn frame_answer(&mut self, encode: impl FnOnce(u16, &mut Vec<u8>)) -> std::io::Result<()> {
+        let fault = self.shared.config.fault_plan.as_ref();
+        let Some(fault) = fault.and_then(|plan| plan.next()) else {
+            self.frame(encode);
+            return Ok(());
+        };
+        self.counters.faults_injected.inc();
+        self.flush()?;
+        let ending = match fault {
+            bf_chaos::NetFault::DelayReplyMicros(us) => {
+                std::thread::sleep(Duration::from_micros(us));
+                self.frame(encode);
+                return Ok(());
+            }
+            bf_chaos::NetFault::DropConnection => "chaos: connection dropped before reply",
+            bf_chaos::NetFault::TruncateReply => {
+                // Alone in the buffer since the flush above.
+                self.frame(encode);
+                self.out.truncate(self.out.len() / 2);
+                let _ = self.flush();
+                "chaos: reply frame truncated mid-write"
+            }
+        };
+        let _ = self.stream.shutdown(Shutdown::Both);
+        Err(std::io::Error::new(
+            std::io::ErrorKind::ConnectionReset,
+            ending,
+        ))
+    }
+
+    /// Sends everything framed since the last flush in one `write_all`.
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.out.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(&self.out);
+        self.out.clear();
+        sent
     }
 }

@@ -28,9 +28,9 @@ use bf_net::{
 };
 use bf_obs::{ClusterEventKind, Gauge, Histogram, MetricSnapshot};
 use bf_server::{Server, ServerConfig, ServerError, Ticket, TicketResolver};
-use bf_store::{frame_bytes, read_frame, FrameRead, Record, Store, StoreError};
+use bf_store::{frame_into, FrameBuf, FrameRead, Record, Store, StoreError};
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -717,13 +717,15 @@ impl Node {
     fn peer_conn(self: Arc<Node>, mut stream: TcpStream) {
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(POLL));
-        let mut buf: Vec<u8> = Vec::new();
+        let mut buf = FrameBuf::new();
+        let mut out = Vec::new();
 
         // Handshake: peers always speak the current protocol.
         let hello = match self.read_peer_frame(&mut stream, &mut buf) {
             Some(ClientMessage::Hello { id, version }) if version >= PROTOCOL_VERSION => {
                 let _ = write_frame(
                     &mut stream,
+                    &mut out,
                     &ServerMessage::Welcome {
                         id,
                         version: PROTOCOL_VERSION,
@@ -734,6 +736,7 @@ impl Node {
             Some(ClientMessage::Hello { id, .. }) => {
                 let _ = write_frame(
                     &mut stream,
+                    &mut out,
                     &ServerMessage::Refused {
                         id,
                         error: WireError::Protocol(
@@ -768,7 +771,7 @@ impl Node {
                         applied: st.applied,
                     }
                 };
-                let _ = write_frame(&mut stream, &reply);
+                let _ = write_frame(&mut stream, &mut out, &reply);
                 return;
             }
             Some(ClientMessage::Stats { id }) => {
@@ -795,7 +798,7 @@ impl Node {
                             .collect(),
                     }
                 };
-                let _ = write_frame(&mut stream, &reply);
+                let _ = write_frame(&mut stream, &mut out, &reply);
                 return;
             }
             Some(ClientMessage::LogCatchup {
@@ -811,6 +814,7 @@ impl Node {
                     drop(st);
                     let _ = write_frame(
                         &mut stream,
+                        &mut out,
                         &ServerMessage::Refused {
                             id,
                             error: WireError::NotLeader { leader: hint },
@@ -828,6 +832,7 @@ impl Node {
                     // a new member starts from a mirrored WAL instead.
                     let _ = write_frame(
                         &mut stream,
+                        &mut out,
                         &ServerMessage::Refused {
                             id,
                             error: WireError::Protocol(format!(
@@ -856,6 +861,7 @@ impl Node {
                     drop(st);
                     let _ = write_frame(
                         &mut stream,
+                        &mut out,
                         &ServerMessage::Refused {
                             id,
                             error: WireError::LogDiverged {
@@ -895,7 +901,7 @@ impl Node {
                     let _st = self.state.lock().unwrap();
                     self.cv.notify_all();
                 });
-                self.ship_loop(&mut stream, corr, send_next, &acks_ended);
+                self.ship_loop(&mut stream, &mut out, corr, send_next, &acks_ended);
                 // Wakes the ack reader out of its blocking read.
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             });
@@ -911,6 +917,7 @@ impl Node {
     fn ship_loop(
         &self,
         stream: &mut TcpStream,
+        out: &mut Vec<u8>,
         corr: u64,
         mut send_next: u64,
         acks_ended: &AtomicBool,
@@ -956,7 +963,7 @@ impl Node {
                 commit_index: commit,
                 entries,
             };
-            if write_frame(stream, &frame).is_err() {
+            if write_frame(stream, out, &frame).is_err() {
                 return;
             }
             send_next += n;
@@ -967,7 +974,7 @@ impl Node {
     /// Feeds the follower's cumulative acks (blocking reads) into the
     /// commit rule, which notifies the applier and streamers. Returns on
     /// EOF, any other frame, or a fencing epoch.
-    fn ack_loop(&self, stream: &mut TcpStream, buf: &mut Vec<u8>, conn_id: u64) {
+    fn ack_loop(&self, stream: &mut TcpStream, buf: &mut FrameBuf, conn_id: u64) {
         while let Some(ClientMessage::ReplicateAck { epoch, index, .. }) =
             self.read_peer_frame(stream, buf)
         {
@@ -989,24 +996,19 @@ impl Node {
     /// Reads one peer frame, blocking until a frame, a disconnect, or
     /// (when the socket has a read time-out) a time-out that finds the
     /// node closing. Corrupt frames and EOF read as `None`.
-    fn read_peer_frame(&self, stream: &mut TcpStream, buf: &mut Vec<u8>) -> Option<ClientMessage> {
-        let mut chunk = [0u8; 16 * 1024];
+    fn read_peer_frame(&self, stream: &mut TcpStream, buf: &mut FrameBuf) -> Option<ClientMessage> {
         loop {
-            match read_frame(buf) {
-                FrameRead::Complete { payload, consumed } => {
-                    let msg = ClientMessage::decode(payload);
-                    buf.drain(..consumed);
-                    return msg;
-                }
+            match buf.next_frame() {
+                FrameRead::Complete { payload, .. } => return ClientMessage::decode(payload),
                 FrameRead::Corrupt => return None,
                 FrameRead::Incomplete => {}
             }
             if self.closing.load(Ordering::SeqCst) {
                 return None;
             }
-            match stream.read(&mut chunk) {
+            match buf.fill(stream) {
                 Ok(0) => return None,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
+                Ok(_) => {}
                 Err(e)
                     if matches!(
                         e.kind(),
@@ -1053,10 +1055,12 @@ impl Node {
         let mut stream = TcpStream::connect_timeout(&target, Duration::from_millis(500)).ok()?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(WAIT));
-        let mut buf: Vec<u8> = Vec::new();
+        let mut buf = FrameBuf::new();
+        let mut out = Vec::new();
 
         write_frame(
             &mut stream,
+            &mut out,
             &ClientMessage::Hello {
                 id: 1,
                 version: PROTOCOL_VERSION,
@@ -1073,6 +1077,7 @@ impl Node {
         };
         write_frame(
             &mut stream,
+            &mut out,
             &ClientMessage::LogCatchup {
                 id: 2,
                 epoch,
@@ -1161,6 +1166,7 @@ impl Node {
                     };
                     write_frame(
                         &mut stream,
+                        &mut out,
                         &ClientMessage::ReplicateAck {
                             id: 0,
                             epoch: ack.0,
@@ -1198,9 +1204,11 @@ impl Node {
         let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf: Vec<u8> = Vec::new();
+        let mut buf = FrameBuf::new();
+        let mut out = Vec::new();
         write_frame(
             &mut stream,
+            &mut out,
             &ClientMessage::Hello {
                 id: 1,
                 version: PROTOCOL_VERSION,
@@ -1211,7 +1219,7 @@ impl Node {
             ServerMessage::Welcome { .. } => {}
             _ => return None,
         }
-        write_frame(&mut stream, &ClientMessage::PeerStatus { id: 2 }).ok()?;
+        write_frame(&mut stream, &mut out, &ClientMessage::PeerStatus { id: 2 }).ok()?;
         match self.read_peer_server_frame(&mut stream, &mut buf)? {
             ServerMessage::PeerStatusReport {
                 epoch,
@@ -1231,9 +1239,11 @@ impl Node {
         let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
         let _ = stream.set_nodelay(true);
         let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf: Vec<u8> = Vec::new();
+        let mut buf = FrameBuf::new();
+        let mut out = Vec::new();
         write_frame(
             &mut stream,
+            &mut out,
             &ClientMessage::Hello {
                 id: 1,
                 version: PROTOCOL_VERSION,
@@ -1244,7 +1254,7 @@ impl Node {
             ServerMessage::Welcome { .. } => {}
             _ => return None,
         }
-        write_frame(&mut stream, &ClientMessage::Stats { id: 2 }).ok()?;
+        write_frame(&mut stream, &mut out, &ClientMessage::Stats { id: 2 }).ok()?;
         match self.read_peer_server_frame(&mut stream, &mut buf)? {
             ServerMessage::StatsReport { metrics, .. } => {
                 Some(metrics.iter().map(WireMetric::to_snapshot).collect())
@@ -1253,34 +1263,21 @@ impl Node {
         }
     }
 
+    /// Reads one frame off a link this node dialled. A time-out, EOF and
+    /// a corrupt or undecodable frame all read as `None`.
     fn read_peer_server_frame(
         &self,
         stream: &mut TcpStream,
-        buf: &mut Vec<u8>,
+        buf: &mut FrameBuf,
     ) -> Option<ServerMessage> {
-        let mut chunk = [0u8; 16 * 1024];
         loop {
-            match read_frame(buf) {
-                FrameRead::Complete { payload, consumed } => {
-                    let msg = ServerMessage::decode(payload);
-                    buf.drain(..consumed);
-                    return msg;
-                }
+            match buf.next_frame() {
+                FrameRead::Complete { payload, .. } => return ServerMessage::decode(payload),
                 FrameRead::Corrupt => return None,
                 FrameRead::Incomplete => {}
             }
-            match stream.read(&mut chunk) {
-                Ok(0) => return None,
-                Ok(n) => buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return None
-                }
-                Err(_) => return None,
+            if buf.fill(stream).ok()? == 0 {
+                return None;
             }
         }
     }
@@ -1404,25 +1401,33 @@ impl ReplicaHook for Node {
     }
 }
 
-fn write_frame<M: WireEncode>(stream: &mut TcpStream, msg: &M) -> std::io::Result<()> {
-    stream.write_all(&frame_bytes(&msg.encode_bytes()))
+/// Sends `msg` as one frame, encoded in place in `out` — the
+/// connection's send buffer, reused from frame to frame.
+fn write_frame<M: WireEncode>(
+    stream: &mut TcpStream,
+    out: &mut Vec<u8>,
+    msg: &M,
+) -> std::io::Result<()> {
+    out.clear();
+    frame_into(out, |out| msg.encode_into(out));
+    stream.write_all(out)
 }
 
-/// Both message directions travel the peer link; this keeps
-/// [`write_frame`] one function.
+/// Both message directions travel the peer link, always at the current
+/// protocol version; this keeps [`write_frame`] one function.
 trait WireEncode {
-    fn encode_bytes(&self) -> Vec<u8>;
+    fn encode_into(&self, out: &mut Vec<u8>);
 }
 
 impl WireEncode for ClientMessage {
-    fn encode_bytes(&self) -> Vec<u8> {
-        self.encode()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        ClientMessage::encode_into(self, PROTOCOL_VERSION, out);
     }
 }
 
 impl WireEncode for ServerMessage {
-    fn encode_bytes(&self) -> Vec<u8> {
-        self.encode()
+    fn encode_into(&self, out: &mut Vec<u8>) {
+        ServerMessage::encode_into(self, PROTOCOL_VERSION, out);
     }
 }
 

@@ -13,10 +13,14 @@ use std::task::{Context, Poll};
 ///
 /// Await it on an executor, probe it non-blockingly with
 /// [`Ticket::try_take`], or block a plain thread with [`Ticket::wait`].
-/// The resolved answer is cached inside the ticket, so probing and then
-/// awaiting (in any combination) always observes the same result. If
-/// the server shuts down before answering, the ticket resolves to
-/// [`ServerError::ShutDown`] rather than hanging.
+/// A probe caches the answer inside the ticket and hands out clones, so
+/// probing any number of times and then awaiting always observes the
+/// same result; the await itself — [`Ticket::wait`], or the `poll` that
+/// returns `Ready` — takes the answer out **by move**, and like any
+/// finished `Future` the ticket must not be polled or probed after it
+/// (it would read [`ServerError::ShutDown`]). If the server shuts down
+/// before answering, the ticket resolves to [`ServerError::ShutDown`]
+/// rather than hanging.
 ///
 /// **Dropping a ticket cancels the request** (if it has not been
 /// dispatched yet): an answer nobody can read is pure ε waste, so the
@@ -25,8 +29,9 @@ use std::task::{Context, Poll};
 #[derive(Debug)]
 pub struct Ticket {
     rx: oneshot::Receiver<Result<Response, ServerError>>,
-    /// The answer once the oneshot delivered it — kept so `try_take`
-    /// stays idempotent and a later `wait`/`await` still succeeds.
+    /// The answer once a probe took it off the oneshot — kept so
+    /// `try_take` stays idempotent and a later `wait`/`await` still
+    /// succeeds.
     resolved: Mutex<Option<Result<Response, ServerError>>>,
 }
 
@@ -48,9 +53,11 @@ impl Ticket {
         (TicketResolver { tx }, Ticket::new(rx))
     }
 
-    /// Moves a freshly delivered (or shutdown) result into the cache,
-    /// returning a clone of whatever is resolved so far.
-    fn resolve(&self) -> Option<Result<Response, ServerError>> {
+    /// Non-blocking, idempotent probe: `Some` once the scheduler
+    /// answered (or the server shut down), `None` while the request is
+    /// still queued or waiting out its coalescing window. Probing does
+    /// not consume the answer — `wait`/`await` afterwards returns it.
+    pub fn try_take(&self) -> Option<Result<Response, ServerError>> {
         let mut resolved = self.resolved.lock().expect("ticket state poisoned");
         if resolved.is_none() {
             *resolved = self
@@ -59,14 +66,6 @@ impl Ticket {
                 .map(|r| r.unwrap_or(Err(ServerError::ShutDown)));
         }
         resolved.clone()
-    }
-
-    /// Non-blocking, idempotent probe: `Some` once the scheduler
-    /// answered (or the server shut down), `None` while the request is
-    /// still queued or waiting out its coalescing window. Probing does
-    /// not consume the answer — `wait`/`await` afterwards returns it.
-    pub fn try_take(&self) -> Option<Result<Response, ServerError>> {
-        self.resolve()
     }
 
     /// Blocks the current thread until the answer arrives.
@@ -98,20 +97,23 @@ impl TicketResolver {
 impl Future for Ticket {
     type Output = Result<Response, ServerError>;
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(result) = self.resolve() {
+    /// Hands the answer to its one consumer by move — out of the cache
+    /// when an earlier [`Ticket::try_take`] put it there, else straight
+    /// off the oneshot — so a 32 KiB vector answer is never cloned on its
+    /// way to the wire.
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        let ticket = self.get_mut();
+        let probed = ticket
+            .resolved
+            .get_mut()
+            .expect("ticket state poisoned")
+            .take();
+        if let Some(result) = probed {
             return Poll::Ready(result);
         }
-        let polled = Pin::new(&mut self.rx)
+        Pin::new(&mut ticket.rx)
             .poll(cx)
-            .map(|r| r.unwrap_or(Err(ServerError::ShutDown)));
-        if let Poll::Ready(result) = &polled {
-            // An answer that landed between the probe above and this
-            // poll is cached like any other, so a later `try_take` or
-            // re-poll still observes it.
-            *self.resolved.lock().expect("ticket state poisoned") = Some(result.clone());
-        }
-        polled
+            .map(|r| r.unwrap_or(Err(ServerError::ShutDown)))
     }
 }
 

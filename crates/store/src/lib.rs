@@ -19,7 +19,9 @@
 //! * **Recovery** — [`Store::open`] loads the newest snapshot, replays
 //!   later segments, tolerates the torn tail of a crash mid-append
 //!   (those records were never acknowledged), and refuses checksummed
-//!   damage anywhere it could resurrect spent budget.
+//!   damage anywhere it could resurrect spent budget — a segment whose
+//!   frames an older build sealed with byte-wise FNV-1a included
+//!   ([`StoreError::OldFrameChecksum`]).
 //!
 //! The engine integration (in `bf-engine`) is
 //! **acknowledge-after-durable**: a charge is committed here *before*
@@ -34,9 +36,9 @@ mod store;
 
 pub use error::StoreError;
 pub use record::{
-    fnv1a, frame_bytes, has_intact_frame_after, put_bytes, put_str, put_u64, read_frame,
-    scan_frames, FrameRead, Reader, Record, RegistryKind, ScanEnd, FRAME_HEADER_LEN,
-    MAX_RECORD_LEN,
+    fnv1a, frame_bytes, frame_into, frame_sum, has_intact_frame_after, put_bytes, put_str, put_u64,
+    read_frame, scan_frames, FrameBuf, FrameRead, Reader, Record, RegistryKind, ScanEnd,
+    FRAME_HEADER_LEN, MAX_RECORD_LEN,
 };
 pub use state::{CachedReply, PendingLogEntry, SessionState, StoreState, REPLY_CACHE_PER_ANALYST};
 pub use store::{LedgerEntry, RecoveryReport, Store, StoreConfig, StoreStats};

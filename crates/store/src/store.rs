@@ -30,7 +30,9 @@
 //! ([`StoreStats::amortization`]).
 
 use crate::error::StoreError;
-use crate::record::{fnv1a, scan_frames, Record, ScanEnd};
+use crate::record::{
+    fnv1a, frame_into, has_intact_frame_after, is_fnv1a_frame, scan_frames, Record, ScanEnd,
+};
 use crate::state::StoreState;
 use bf_obs::{Counter, Gauge, Histogram, Registry, Stage, TraceContext, TraceTimer};
 use std::collections::BTreeMap;
@@ -348,6 +350,9 @@ impl Store {
     /// its checksum (starting empty instead would resurrect spent ε), or
     /// when mid-history corruption is followed by intact frames (skipping
     /// it would silently drop acknowledged charges);
+    /// [`StoreError::OldFrameChecksum`] when a segment was written by a
+    /// build that sealed frames with byte-wise FNV-1a (read as a torn
+    /// tail it would open with every ledger reset);
     /// [`StoreError::Io`] when a segment cannot be read mid-stream or
     /// the new segment cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Store, StoreError> {
@@ -409,32 +414,9 @@ impl Store {
             });
             report.segments_replayed += 1;
             report.records_applied += applied;
-            match end {
-                ScanEnd::Clean => {}
-                // A stop before the end of the bytes is either a crash
-                // tear (torn header/payload, or a checksum mismatch on
-                // never-synced garbage) — in which case nothing past it
-                // was ever acknowledged and skipping is sound — or
-                // damage *inside* durable history. The two are told
-                // apart by what follows: group commit fsyncs batch N
-                // before batch N+1 is written, so an **intact frame
-                // after the stop** proves the stopped-on region was once
-                // durable (a corrupted length field can even fabricate a
-                // fake "torn tail" that swallows acknowledged records).
-                // Skipping would silently drop acknowledged charges —
-                // refuse and make the operator decide.
-                ScanEnd::TornTail | ScanEnd::Corrupt => {
-                    if crate::record::has_intact_frame_after(&bytes, offset) {
-                        return Err(StoreError::CorruptSnapshot {
-                            path: path.display().to_string(),
-                            detail: format!(
-                                "damaged record at byte {offset} of segment {n:#x} \
-                                 with durable records after it"
-                            ),
-                        });
-                    }
-                    report.tail_skipped = true;
-                }
+            if end != ScanEnd::Clean {
+                refuse_durable_damage(path, *n, &bytes, offset)?;
+                report.tail_skipped = true;
             }
         }
 
@@ -561,10 +543,10 @@ impl Store {
         if let Some(msg) = &g.poisoned {
             return Err(StoreError::Poisoned(msg.clone()));
         }
+        let inner = &mut *g;
         for r in records {
-            g.state.apply(r);
-            let frame = r.frame();
-            g.pending.extend_from_slice(&frame);
+            inner.state.apply(r);
+            frame_into(&mut inner.pending, |out| r.encode_into(out));
         }
         g.pending_records += records.len() as u64;
         g.counters.appended.add(records.len() as u64);
@@ -794,10 +776,12 @@ impl Store {
     ///
     /// [`StoreError::Io`] when a segment cannot be read;
     /// [`StoreError::CorruptSnapshot`] when damage is followed by
-    /// intact frames (the same refuse-to-guess rule recovery applies —
-    /// a plain torn tail ends only that segment's scan and the audit
-    /// continues with the next segment, exactly like recovery, so a
-    /// crash-torn mid-history segment never hides later charges).
+    /// intact frames, [`StoreError::OldFrameChecksum`] for a segment
+    /// from before [`crate::frame_sum`] (the same refuse-to-guess rules
+    /// recovery applies — a plain torn tail ends only that segment's
+    /// scan and the audit continues with the next segment, exactly like
+    /// recovery, so a crash-torn mid-history segment never hides later
+    /// charges).
     pub fn ledger_history(&self, analyst: &str) -> Result<Vec<LedgerEntry>, StoreError> {
         let _g = self.inner.lock().expect("store lock poisoned");
         let mut paths = sorted_wal_segments(&self.dir.join("archive"));
@@ -830,22 +814,13 @@ impl Store {
                 }
                 seq += 1;
             });
-            if !matches!(end, ScanEnd::Clean) {
-                if crate::record::has_intact_frame_after(&bytes, offset) {
-                    return Err(StoreError::CorruptSnapshot {
-                        path: path.display().to_string(),
-                        detail: format!(
-                            "damaged record at byte {offset} of segment {n:#x} \
-                             with durable records after it"
-                        ),
-                    });
-                }
+            if end != ScanEnd::Clean {
                 // A torn tail was never acknowledged; the audit skips
                 // it and keeps scanning later segments exactly like
                 // recovery does — post-crash stores rotate to a fresh
                 // segment, and every durable charge booked there must
                 // still appear in the report.
-                continue;
+                refuse_durable_damage(&path, n, &bytes, offset)?;
             }
         }
         Ok(out)
@@ -863,6 +838,46 @@ impl Store {
             segment: g.segment,
         }
     }
+}
+
+/// Decides what a segment scan that stopped at `offset`, short of the
+/// end of `bytes`, may do next. `Ok` means the stop is a crash tear
+/// (torn header or payload, or a checksum mismatch on never-synced
+/// garbage): nothing past it was ever acknowledged, and skipping it is
+/// sound. Two things are refused instead:
+///
+/// * a frame at the stop that verifies under byte-wise FNV-1a — the
+///   segment is whole, written by a build from before
+///   [`crate::frame_sum`], and skipping it would reset every ledger in
+///   it to unspent;
+/// * damage *inside* durable history. Group commit fsyncs batch N before
+///   batch N+1 is written, so an **intact frame after the stop** proves
+///   the stopped-on region was once durable (a corrupted length field
+///   can even fabricate a fake "torn tail" that swallows acknowledged
+///   records). Skipping would silently drop acknowledged charges — the
+///   operator decides.
+fn refuse_durable_damage(
+    path: &Path,
+    segment: u64,
+    bytes: &[u8],
+    offset: usize,
+) -> Result<(), StoreError> {
+    if is_fnv1a_frame(&bytes[offset..]) {
+        return Err(StoreError::OldFrameChecksum {
+            path: path.display().to_string(),
+            offset: offset as u64,
+        });
+    }
+    if has_intact_frame_after(bytes, offset) {
+        return Err(StoreError::CorruptSnapshot {
+            path: path.display().to_string(),
+            detail: format!(
+                "damaged record at byte {offset} of segment {segment:#x} \
+                 with durable records after it"
+            ),
+        });
+    }
+    Ok(())
 }
 
 fn load_snapshot(path: &Path, bytes: &[u8]) -> Result<StoreState, StoreError> {

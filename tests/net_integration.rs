@@ -323,6 +323,71 @@ fn call_idempotent_retries_through_a_dropped_reply() {
     net.shutdown().unwrap();
 }
 
+/// The chaos plan addresses one **answer frame**, however many answers
+/// share a release. Eight identical requests fold into one group, so one
+/// tick resolves all eight tickets and the writer holds their answers
+/// together; the plan's fault is on the 5th. The client must decode
+/// answers 1–4 whole, then lose the connection with exactly the other
+/// four still owed — and the counters read as if each frame had been
+/// written alone: one fault; handshake + attach + four answers, plus the
+/// truncated frame (counted when its first half leaves) or not the
+/// dropped one (never framed).
+#[test]
+fn a_fault_on_the_fifth_answer_of_one_release_loses_exactly_the_last_four() {
+    use blowfish::chaos::{NetFault, NetPlan};
+    for (fault, frames_out) in [(NetFault::TruncateReply, 7), (NetFault::DropConnection, 6)] {
+        let net = build_net(
+            44,
+            None,
+            ServerConfig {
+                coalesce_window: 2,
+                adaptive_window: false,
+                ..ServerConfig::default()
+            },
+            NetConfig {
+                max_in_flight: 8,
+                tick_interval: Duration::from_millis(20),
+                fault_plan: Some(Arc::new(NetPlan::scripted([(5, fault)]))),
+                ..NetConfig::default()
+            },
+        );
+        let mut client = Client::connect(net.local_addr()).unwrap();
+        client.open_session("burst", 1.0).unwrap();
+        let request = Request::range("pol", "ds", eps(0.1), 3, 33);
+        let ids: Vec<u64> = (0..8)
+            .map(|_| client.submit("burst", &request).unwrap())
+            .collect();
+        let answers: Vec<Response> = ids[..4]
+            .iter()
+            .map(|&id| {
+                client
+                    .wait(id)
+                    .expect("answers before the fault arrive whole")
+            })
+            .collect();
+        assert!(
+            answers.iter().all(|a| a == &answers[0]),
+            "one shared release"
+        );
+        match client.wait(ids[4]) {
+            Err(NetError::ConnectionLost { in_flight }) => {
+                assert_eq!(in_flight, ids[4..], "{fault:?}")
+            }
+            other => panic!("{fault:?}: expected ConnectionLost, got {other:?}"),
+        }
+        let faults = net
+            .server()
+            .engine()
+            .obs()
+            .counter("faults_injected{layer=\"net\"}");
+        assert_eq!(faults.get(), 1, "{fault:?}");
+        // The writer counts a frame before its bytes leave, so by the
+        // time the client saw EOF this is final.
+        assert_eq!(net.stats().frames_out, frames_out, "{fault:?}");
+        net.shutdown().unwrap();
+    }
+}
+
 /// The robustness counters ride the ordinary stats scrape: one
 /// `StatsReport` covers fault injection, retries, replay hits, deadline
 /// refusals and load shedding alongside the engine and store metrics.

@@ -398,6 +398,61 @@ fn corruption_at_any_offset_is_rejected_by_checksum() {
     }
 }
 
+/// WAL segments carry no version, and builds before the word-wise
+/// `frame_sum` sealed every frame with byte-wise FNV-1a. To this build
+/// such a segment fails its checksum at byte 0 with nothing intact after
+/// it — exactly what a torn tail looks like — so unless recovery tells
+/// the two apart the directory opens **empty**: every analyst's spent ε
+/// silently reset. It must refuse instead, by name; a genuinely torn
+/// tail of this build's own frames still recovers.
+#[test]
+fn a_wal_from_before_the_frame_checksum_changed_is_refused_not_read_as_empty() {
+    use blowfish::store::{fnv1a, StoreError};
+    let old_frame = |record: &Record| {
+        let payload = record.encode();
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+        frame.extend_from_slice(&payload);
+        frame
+    };
+    let records = [
+        Record::session_opened("alice", 1.0),
+        Record::charged("alice", "q0", 0.75),
+    ];
+    let old: Vec<u8> = records.iter().flat_map(old_frame).collect();
+    match try_recover_bytes("old-framing", &old) {
+        Err(StoreError::OldFrameChecksum { path, offset }) => {
+            assert!(path.ends_with("wal-0000000000000000.log"), "{path}");
+            assert_eq!(offset, 0);
+        }
+        Ok((spent, ..)) => panic!("opened with alice's 0.75 spent read as {spent}"),
+        Err(other) => panic!("refused, but not by name: {other}"),
+    }
+    // The same when this build's own frames come first (a directory the
+    // two builds were alternated on): the refusal names where the old
+    // ones begin, and no later open may skip them as a tail.
+    let mut mixed = records[0].frame();
+    mixed.extend_from_slice(&old_frame(&records[1]));
+    match try_recover_bytes("old-framing-mixed", &mixed) {
+        Err(StoreError::OldFrameChecksum { offset, .. }) => {
+            assert_eq!(offset, records[0].frame().len() as u64);
+        }
+        other => panic!("expected the old-checksum refusal, got {other:?}"),
+    }
+    // Half a frame of the current framing is still just a torn tail.
+    let mut torn = records[0].frame();
+    let second = records[1].frame();
+    torn.extend_from_slice(&second[..second.len() / 2]);
+    let (spent, served, report) = recover_bytes("new-framing-torn", &torn);
+    assert_eq!(
+        (spent, served),
+        (0.0, 0),
+        "the open survives, the torn charge does not"
+    );
+    assert!(report.tail_skipped);
+    assert_eq!(report.records_applied, 1);
+}
+
 /// A store whose `op`-th WAL write (1-based) fails before any byte
 /// reaches the file, with the plan that says whether it fired.
 fn store_failing_write(
