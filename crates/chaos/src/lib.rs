@@ -9,7 +9,8 @@
 //! * `bf-store` asks its [`StorePlan`] before every WAL write+fsync
 //!   (group-commit batches *and* compaction flushes): the plan can fail
 //!   the write outright, persist a torn prefix, or fail the fsync after
-//!   a complete write — the three ways a real disk dies.
+//!   a complete write — the three ways a real disk dies — or complete
+//!   the sync late, the way a busy one stalls.
 //! * `bf-net` asks its [`NetPlan`] before every reply frame it writes:
 //!   the plan can drop the connection, truncate the frame mid-header,
 //!   or delay it past the client's patience — the three ways a real
@@ -95,6 +96,12 @@ pub enum StoreFault {
     /// The write completes but the fsync fails — durability unknown, the
     /// store must poison rather than guess.
     FailSync,
+    /// The write and fsync succeed, this many microseconds late — a slow
+    /// disk, and the store-side twin of [`NetFault::DelayReplyMicros`].
+    /// A commit is the scheduler's coalescing window, so a test that
+    /// wants a wide one scripts a slow commit for a primer request and
+    /// lets the rest arrive behind it.
+    DelaySyncMicros(u64),
 }
 
 /// The ways a reply frame can die on the wire.

@@ -221,10 +221,12 @@ pub fn linear_query_sensitivity(policy: &Policy, weights: &[f64]) -> f64 {
         }
         graph => {
             // Structured edge enumeration: O(|E|) instead of the old
-            // all-pairs O(|T|²) candidate scan (see bf_graph::enumerate);
-            // on large G^attr / G^{L1,θ} domains the reduction shards
-            // over vertex ranges across cores (bf_graph::parallel).
-            graph.par_max_over_edges(domain, |x, y| (weights[x] - weights[y]).abs())
+            // all-pairs O(|T|²) candidate scan (see bf_graph::enumerate).
+            let mut best: f64 = 0.0;
+            graph.for_each_edge(domain, |x, y| {
+                best = best.max((weights[x] - weights[y]).abs());
+            });
+            best
         }
     }
 }
@@ -366,6 +368,33 @@ mod tests {
             }
         }
         best
+    }
+
+    /// The cases the retired vertex-sharded reduction was checked on —
+    /// single- and multi-attribute domains under `G^attr` and
+    /// `G^{L1,θ}`, and an edgeless graph — against the all-pairs oracle.
+    #[test]
+    fn linear_sensitivity_matches_all_pairs_on_structured_families() {
+        for cards in [vec![64], vec![8, 9], vec![3, 5, 7]] {
+            let domain = Domain::from_cardinalities(&cards).unwrap();
+            let weights: Vec<f64> = (0..domain.size())
+                .map(|x| ((x * 31 + 17) % 101) as f64)
+                .collect();
+            for policy in [
+                Policy::attribute(domain.clone()),
+                Policy::distance_threshold(domain.clone(), 1),
+                Policy::distance_threshold(domain.clone(), 3),
+            ] {
+                assert_eq!(
+                    linear_query_sensitivity(&policy, &weights),
+                    linear_sensitivity_all_pairs(&policy, &weights),
+                    "{} on {cards:?}",
+                    policy.label()
+                );
+            }
+        }
+        let lone = Policy::distance_threshold(Domain::line(1).unwrap(), 2);
+        assert_eq!(linear_query_sensitivity(&lone, &[99.0]), 0.0);
     }
 
     /// All-pairs reference for the partition-histogram crossing check.

@@ -70,7 +70,7 @@ const MAX_KMEANS_ITERATIONS: usize = 1_000;
 /// Counts releases currently executing against a registry entry, so
 /// deregistration can refuse instead of pulling data out from under a
 /// running mechanism. Incremented on construction, decremented on drop;
-/// the guard rides inside prepared-release structs across threads.
+/// the guard rides inside prepared-release structs.
 #[derive(Debug)]
 struct FlightGuard(Arc<AtomicU64>);
 
@@ -182,7 +182,7 @@ struct Calibrated {
 
 /// A release plan that was resolved, validated, calibrated and charged,
 /// and holds the generator assigned to it: everything its mechanism
-/// needs, so independent plans can execute in parallel.
+/// needs.
 #[derive(Debug)]
 struct Prepared<'a> {
     /// The groups riding the release (indices into the call's groups).
@@ -1291,8 +1291,8 @@ impl Engine {
     ///
     /// Plans charge **sequentially**, folded plans first and otherwise in
     /// slice order (so same-seed engines assign the same release
-    /// ordinals regardless of thread scheduling), then the mechanism
-    /// releases execute **in parallel** across cores.
+    /// ordinals however the call was grouped), then the mechanism
+    /// releases execute in plan order on the calling thread.
     pub fn serve_groups(&self, groups: &[Group<'_>]) -> Served {
         let releases = self.fold(groups);
         let plans: Vec<&[usize]> = releases.iter().map(Vec::as_slice).collect();
@@ -1388,8 +1388,8 @@ impl Engine {
     /// The one order, for every kind of traffic: **replay** cached
     /// tagged waiters → per plan, sequentially: **resolve, validate,
     /// calibrate** → **charge** each distinct analyst once, in memory →
-    /// **draw** the release generator → **execute** all charged plans,
-    /// in parallel → one WAL **frame** per charged analyst and plan →
+    /// **draw** the release generator → **execute** all charged plans
+    /// → one WAL **frame** per charged analyst and plan →
     /// ONE group **commit** → **mirror** the cached replies →
     /// **acknowledge**. Nothing is acknowledged before its charge is
     /// durable, and a charge is only ever lost to a failure, never
@@ -1418,10 +1418,9 @@ impl Engine {
         }
         let slots_of = |gi: usize| starts[gi]..starts[gi] + groups[gi].waiters.len();
 
-        // Prepare plans sequentially: preparation is microseconds of
-        // ledger math that must stay deterministic — the WAL reads like
-        // the charge sequence — while the release is the `O(|T|)`
-        // noise-and-inference pass worth the threads.
+        // Prepare every plan before executing any: preparation is
+        // microseconds of ledger math whose order is the WAL's order,
+        // and a plan's generator is drawn here, at charge time.
         let mut prepared: Vec<Prepared<'_>> = Vec::new();
         for &plan in plans {
             // Every (slot index, waiter) riding the plan, in order.
@@ -1511,21 +1510,28 @@ impl Engine {
             });
         }
 
-        // One release per prepared plan, fanned across threads (par_map
-        // runs 0 and 1 plans inline). Every waiter's trace records the
+        // One release per prepared plan, one after another on the
+        // caller's thread: the generators were drawn above, so the order
+        // cannot change a byte, and on the serving path the caller is
+        // the scheduler's driver, whose other core is serving sockets —
+        // spawning and joining workers per call cost more than the
+        // releases they overlapped. Every waiter's trace records the
         // same release region; with more than one waiter the spans share
         // `p.link`, making the fan-out legible from any single trace.
-        let results = rayon::par_map(&prepared, |p| {
-            let timer = TraceTimer::any(p.traces.iter().copied());
-            let mut span = self.obs.span();
-            let result = self.execute(groups, p);
-            self.obs.span_mark(&mut span, Stage::Release);
-            let outcome = if result.is_ok() { "ok" } else { "failed" };
-            for t in &p.traces {
-                t.record_linked(Stage::Release, &timer, outcome, p.link);
-            }
-            result
-        });
+        let results: Vec<_> = prepared
+            .iter()
+            .map(|p| {
+                let timer = TraceTimer::any(p.traces.iter().copied());
+                let mut span = self.obs.span();
+                let result = self.execute(groups, p);
+                self.obs.span_mark(&mut span, Stage::Release);
+                let outcome = if result.is_ok() { "ok" } else { "failed" };
+                for t in &p.traces {
+                    t.record_linked(Stage::Release, &timer, outcome, p.link);
+                }
+                result
+            })
+            .collect();
 
         // Durable-before-acknowledge: every charge of the call reaches
         // the WAL in ONE group commit before any slot is acknowledged.
@@ -1714,9 +1720,7 @@ impl Engine {
     }
 
     /// Runs a prepared plan's mechanism with the generator assigned to
-    /// it at charge time — so plans that charged sequentially (for
-    /// determinism) can still execute in parallel — and returns one
-    /// answer per group of the plan.
+    /// it at charge time and returns one answer per group of the plan.
     fn execute(
         &self,
         groups: &[Group<'_>],

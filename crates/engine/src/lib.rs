@@ -35,8 +35,8 @@
 //!   → *resolve, validate, calibrate* → *charge* each distinct analyst
 //!   once → *draw* the release's generator → *execute* → one WAL frame
 //!   per charged analyst → **one** group commit → *acknowledge*. Plans
-//!   charge sequentially (so same-seed runs are reproducible) and then
-//!   execute their releases **in parallel** across the available cores.
+//!   charge, then execute, in one order on the calling thread, so
+//!   same-seed runs are reproducible.
 //! * [`Engine::serve_batch`] answers N compatible range queries from
 //!   **one** Ordered Mechanism release (Section 7.1) instead of N
 //!   independent releases: one ε spend, one noise draw, N two-prefix

@@ -142,7 +142,15 @@ impl SecretGraph {
                 }
             }
             SecretGraph::Attribute => {
-                self.try_for_each_edge_from(domain, 0..n, &mut f)?;
+                let strides = strides(domain);
+                for x in 0..n {
+                    for (a, &stride) in strides.iter().enumerate() {
+                        let v = domain.attribute_value(x, a) as usize;
+                        for w in (v + 1)..domain.attribute(a).cardinality() {
+                            f(x, x + (w - v) * stride)?;
+                        }
+                    }
+                }
             }
             SecretGraph::Partition(p) => {
                 // Block member lists are ascending, so x < y holds.
@@ -154,8 +162,20 @@ impl SecretGraph {
                     }
                 }
             }
-            SecretGraph::L1Threshold { .. } => {
-                self.try_for_each_edge_from(domain, 0..n, &mut f)?;
+            SecretGraph::L1Threshold { theta } => {
+                let offsets = l1_offsets(domain, *theta, true);
+                let strides = strides(domain);
+                let mut vals = vec![0u32; domain.arity()];
+                for x in 0..n {
+                    for (i, v) in vals.iter_mut().enumerate() {
+                        *v = domain.attribute_value(x, i);
+                    }
+                    for off in &offsets {
+                        if let Some(y) = apply_offset(x, &vals, off, &strides, domain) {
+                            f(x, y)?;
+                        }
+                    }
+                }
             }
             SecretGraph::Custom(g) => {
                 // Clamp to the domain: the all-pairs reference only ever
@@ -168,62 +188,6 @@ impl SecretGraph {
                     }
                 }
             }
-        }
-        ControlFlow::Continue(())
-    }
-
-    /// Visits every edge whose **smaller endpoint** lies in `xs`, for the
-    /// per-vertex families (`G^attr`, `G^{L1,θ}`) whose enumeration is
-    /// keyed by the smaller endpoint. Disjoint ranges visit disjoint edge
-    /// sets and together cover `E` exactly once — the property the
-    /// parallel reduction in [`crate::parallel`] shards on.
-    ///
-    /// # Panics
-    ///
-    /// For the variants whose enumeration is not per-vertex (full,
-    /// partition, custom) — callers route those through
-    /// [`SecretGraph::try_for_each_edge`].
-    pub(crate) fn try_for_each_edge_from<B, F>(
-        &self,
-        domain: &Domain,
-        xs: std::ops::Range<usize>,
-        f: &mut F,
-    ) -> ControlFlow<B>
-    where
-        F: FnMut(usize, usize) -> ControlFlow<B>,
-    {
-        match self {
-            SecretGraph::Attribute => {
-                let strides = strides(domain);
-                for x in xs {
-                    for (a, &stride) in strides.iter().enumerate() {
-                        let v = domain.attribute_value(x, a) as usize;
-                        for w in (v + 1)..domain.attribute(a).cardinality() {
-                            f(x, x + (w - v) * stride)?;
-                        }
-                    }
-                }
-            }
-            SecretGraph::L1Threshold { theta } => {
-                let offsets = l1_offsets(domain, *theta, true);
-                let strides = strides(domain);
-                let m = domain.arity();
-                let mut vals = vec![0u32; m];
-                for x in xs {
-                    for (i, v) in vals.iter_mut().enumerate() {
-                        *v = domain.attribute_value(x, i);
-                    }
-                    for off in &offsets {
-                        if let Some(y) = apply_offset(x, &vals, off, &strides, domain) {
-                            f(x, y)?;
-                        }
-                    }
-                }
-            }
-            other => panic!(
-                "per-vertex range enumeration is only defined for G^attr and G^L1 (got {})",
-                other.label()
-            ),
         }
         ControlFlow::Continue(())
     }

@@ -24,14 +24,11 @@
 //! `neighbors_of`, `edge_count`, `max_degree` — visiting the `O(|E|)`
 //! actual edges instead of scanning all `Θ(|T|²)` candidate pairs, which
 //! is what lets sensitivity closed forms and sparsity checks run on
-//! 64K-cell domains in microseconds. The [`parallel`] module shards the
-//! per-vertex families (`G^attr`, `G^{L1,θ}`) over vertex ranges for
-//! multi-core max-reductions on large domains.
+//! 64K-cell domains in microseconds.
 
 pub mod adjacency;
 pub mod digraph;
 pub mod enumerate;
-pub mod parallel;
 pub mod secret;
 
 pub use adjacency::Graph;

@@ -91,6 +91,43 @@ mod tests {
         NetServer::bind("127.0.0.1:0", server, net_config).unwrap()
     }
 
+    /// How long [`held_net_server`]'s commits take: long against a
+    /// loopback round trip, short against a test.
+    const HOLD: Duration = Duration::from_millis(60);
+
+    /// A WAL-backed server whose every commit takes at least [`HOLD`]
+    /// (`StoreFault::DelaySyncMicros`). The commit is the scheduler's
+    /// window, so whatever a test sends while one request's epoch
+    /// commits is still queued when it returns, and is served together
+    /// as the next epoch. Returns the WAL directory for the test to
+    /// remove.
+    fn held_net_server(
+        seed: u64,
+        server_config: ServerConfig,
+        net_config: NetConfig,
+    ) -> (NetServer, std::path::PathBuf) {
+        use bf_chaos::{StoreFault, StorePlan};
+        let dir = bf_store::scratch_dir(&format!("net-held-{seed}"));
+        let fault = StoreFault::DelaySyncMicros(HOLD.as_micros() as u64);
+        let config = bf_store::StoreConfig {
+            fault_plan: Some(Arc::new(StorePlan::every_kth(1, fault))),
+            ..bf_store::StoreConfig::default()
+        };
+        let store = Arc::new(bf_engine::Store::open_with(&dir, config).unwrap());
+        let engine = Engine::with_store(seed, store);
+        let domain = Domain::line(64).unwrap();
+        engine
+            .register_policy("pol", Policy::distance_threshold(domain.clone(), 2))
+            .unwrap();
+        let rows: Vec<usize> = (0..640).map(|i| (i * 7) % 64).collect();
+        engine
+            .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
+            .unwrap();
+        let server = Arc::new(Server::new(Arc::new(engine), server_config));
+        let net = NetServer::bind("127.0.0.1:0", server, net_config).unwrap();
+        (net, dir)
+    }
+
     #[test]
     fn loopback_round_trip_all_request_kinds() {
         let net = net_server(11, ServerConfig::default(), NetConfig::default());
@@ -153,18 +190,13 @@ mod tests {
 
     #[test]
     fn in_flight_window_refuses_over_the_wire() {
-        // A held-open window on a slow clock so answers cannot race the
-        // third submit.
-        let net = net_server(
+        // Slow commits, so the first answer cannot race the third
+        // submit.
+        let (net, dir) = held_net_server(
             13,
-            ServerConfig {
-                coalesce_window: 2,
-                adaptive_window: false,
-                ..ServerConfig::default()
-            },
+            ServerConfig::default(),
             NetConfig {
                 max_in_flight: 2,
-                tick_interval: Duration::from_millis(100),
                 ..NetConfig::default()
             },
         );
@@ -189,24 +221,15 @@ mod tests {
         assert!(client.wait(b).is_ok());
         assert_eq!(net.stats().window_refusals, 1);
         net.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn batch_over_the_wire_folds_ranges_into_shared_releases() {
-        // A generous window so all batch members land in one fold even
-        // when the test host is under load (the batch arrives in one
-        // frame, but ticks keep running while it is dispatched).
-        let net = net_server(
-            14,
-            ServerConfig {
-                coalesce_window: 8,
-                ..ServerConfig::default()
-            },
-            NetConfig {
-                tick_interval: Duration::from_millis(10),
-                ..NetConfig::default()
-            },
-        );
+        // The batch arrives in one frame and is submitted under one
+        // hold of the scheduler lock, so no tick can split it: all six
+        // members ride one epoch, whatever the load on the test host.
+        let net = net_server(14, ServerConfig::default(), NetConfig::default());
         let mut client = Client::connect(net.local_addr()).unwrap();
         client.open_session("b", 10.0).unwrap();
         let requests: Vec<Request> = (0..6)
@@ -219,14 +242,10 @@ mod tests {
         }
         let stats = net.server().stats();
         assert_eq!(stats.answered, 6);
-        assert!(
-            stats.releases < 6,
-            "same-(policy, data, ε) ranges must share releases, got {} releases",
-            stats.releases
-        );
-        assert!(
-            stats.batched_range_answers >= 2,
-            "at least one shared Ordered release, got {stats:?}"
+        assert_eq!(
+            (stats.releases, stats.batched_range_answers),
+            (1, 6),
+            "same-(policy, data, ε) ranges share one Ordered release"
         );
         // One charge per shared release, not one per slot.
         let snap = net.server().engine().session_snapshot("b").unwrap();
@@ -238,13 +257,9 @@ mod tests {
     fn batch_members_count_against_the_window() {
         let net = net_server(
             20,
-            ServerConfig {
-                coalesce_window: 2,
-                ..ServerConfig::default()
-            },
+            ServerConfig::default(),
             NetConfig {
                 max_in_flight: 4,
-                tick_interval: Duration::from_millis(100),
                 ..NetConfig::default()
             },
         );
@@ -346,29 +361,34 @@ mod tests {
 
     #[test]
     fn disconnect_mid_request_cancels_without_charges_or_leaks() {
-        // Slow ticks + a held-open window so the request is still pending
-        // when the client vanishes.
-        let net = net_server(
+        // Slow commits, and a primer request whose epoch is committing,
+        // so the request is still queued when the client vanishes.
+        let (net, dir) = held_net_server(
             18,
             ServerConfig {
-                coalesce_window: 4,
-                adaptive_window: false,
                 queue_capacity: 8,
                 ..ServerConfig::default()
             },
-            NetConfig {
-                tick_interval: Duration::from_millis(50),
-                ..NetConfig::default()
-            },
+            NetConfig::default(),
         );
         let addr = net.local_addr();
+        let mut primer = Client::connect(addr).unwrap();
+        primer.open_session("primer", 1.0).unwrap();
         {
             let mut client = Client::connect(addr).unwrap();
             client.open_session("gone", 1.0).unwrap();
+            let primed = primer
+                .submit("primer", &Request::range("pol", "ds", eps(0.5), 0, 10))
+                .unwrap();
+            while net.server().stats().ticks == 0 {
+                std::thread::yield_now();
+            }
             client
                 .submit("gone", &Request::range("pol", "ds", eps(0.5), 0, 10))
                 .unwrap();
             // Dropped here: the socket closes with the request in flight.
+            drop(client);
+            primer.wait(primed).unwrap();
         }
         // The handler notices EOF, releases the ticket, and the next
         // sweep cancels the undispatched work.
@@ -402,6 +422,7 @@ mod tests {
             assert!(client.wait(id).is_ok());
         }
         net.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// One writer per socket: 64 pipelined submits and a `Goodbye` sent

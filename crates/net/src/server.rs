@@ -157,9 +157,11 @@ pub struct NetConfig {
     /// [`WireError::WindowFull`] — per-connection backpressure layered
     /// on top of the server's per-analyst `QueueFull`.
     pub max_in_flight: usize,
-    /// The coalescing window's time unit: the [`Server::start_driver`]
-    /// interval. Never an idle cadence — an arrival on an idle server is
-    /// ticked at once.
+    /// Kept for source compatibility and **ignored**. It was the time
+    /// unit of the scheduler's coalescing window, handed to
+    /// [`Server::start_driver`]; a scheduler tick is now an epoch —
+    /// everything queued when the last WAL commit returned — so the
+    /// commit is the window and there is no interval to set.
     pub tick_interval: Duration,
     /// Deterministic fault injection for the reply path: each **answer
     /// frame** (`Answer` / `BatchAnswer`) advances the plan's op clock,
@@ -890,8 +892,8 @@ impl Connection<'_> {
                 }
                 // Each member submits independently — a refused member
                 // fails only its own slot — but no tick may drain between
-                // them: compatible members land in the same coalescing
-                // window and share releases.
+                // them: compatible members land in the same epoch and
+                // share releases.
                 let slots: Vec<BatchSlot> = self
                     .submit_batch(&analyst, &requests)
                     .into_iter()

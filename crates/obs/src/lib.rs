@@ -15,7 +15,7 @@
 //!   registry lock again.
 //! * **[`Stage`] / [`Span`]** — a request's lifecycle decomposed into
 //!   the seven stages of the serving pipeline (frame decode → analyst
-//!   queue → DRR schedule → coalesce window → WAL commit → mechanism
+//!   queue → epoch drain → coalesce grouping → WAL commit → mechanism
 //!   release → reply flush), each recorded into a per-stage histogram
 //!   and appended to the bounded [`Journal`] ring for post-mortem dumps.
 //! * **[`render_prometheus`]** — text exposition of a

@@ -12,11 +12,13 @@ use std::time::{Duration, Instant};
 pub enum Stage {
     /// Wire frame parsed into a typed message (`bf-net`).
     Decode,
-    /// Waiting in the analyst's DRR queue (`bf-server`).
+    /// Waiting in the analyst's submission queue (`bf-server`).
     Queue,
-    /// The scheduler tick's locked drain-and-route phase (`bf-server`).
+    /// The scheduler tick's locked phase: draining one epoch
+    /// (`bf-server`).
     Schedule,
-    /// Waiting in a cross-analyst coalescing window (`bf-server`).
+    /// Grouping the epoch's requests by coalescing key, outside the
+    /// scheduler lock (`bf-server`).
     Coalesce,
     /// The charge's WAL group commit, fsync included (`bf-engine` →
     /// `bf-store`).

@@ -1,32 +1,60 @@
-//! Scheduler state: per-analyst queues under weighted deficit round
-//! robin, plus the cross-analyst coalescing window.
+//! Scheduler state: per-analyst queues drained an **epoch** at a time
+//! under weighted round robin, and the grouping of one epoch's requests
+//! into shared releases.
+//!
+//! **Epochs.** A tick takes everything queued when it starts — whole
+//! rounds over the analysts, in name order, until the queues are empty
+//! or the epoch holds [`EPOCH_MAX_REQUESTS`] — and nothing drained ever
+//! outlives its tick: there is no pending state between ticks. What
+//! arrives while an epoch is being released and committed is the next
+//! epoch, so the batch widens by itself under load and is one request
+//! on an idle server.
 //!
 //! **Fairness.** Each analyst owns a bounded FIFO of submitted requests.
-//! Every tick, each backlogged analyst's *deficit* grows by
-//! `quantum × weight` and the scheduler drains one request per unit of
-//! deficit, so over any window the served share converges to the weight
-//! ratio no matter how hard one analyst floods: a chatty analyst fills
-//! their own queue (and starts seeing `QueueFull` backpressure) while
-//! everyone else keeps their `quantum × weight` per tick. Deficits reset
-//! when a queue empties — an idle analyst cannot bank credit and burst
-//! past the others later (classic DRR, Shreedhar & Varghese).
+//! A round hands every backlogged analyst `quantum × weight` requests,
+//! so within an epoch cut short by the bound — and over any run of such
+//! epochs — the served share follows the weight ratio no matter how hard
+//! one analyst floods: a chatty analyst fills their own queue (and
+//! starts seeing `QueueFull` backpressure) while everyone else's work
+//! rides the same epoch. Requests cost one unit each, so there is no
+//! deficit to carry between rounds (Shreedhar & Varghese's DRR with unit
+//! packets is weighted round robin).
 //!
-//! **Coalescing.** Drained requests with equal engine coalescing keys
-//! (`(policy cache key, dataset, ε, query class)`) join one pending
-//! group; a group formed at tick `t` dispatches at `t + window`, so
-//! identical requests from *different* analysts arriving within the
-//! window share one mechanism release. Iteration is deterministic —
-//! analyst queues drain in name order, groups dispatch in creation
-//! order — so a same-seed engine behind a same-order submission stream
-//! produces byte-identical answers.
+//! **Coalescing.** Within an epoch, requests with equal engine
+//! coalescing keys (`(policy cache key, dataset, ε, query class)`) form
+//! one group, so identical requests from *different* analysts share one
+//! mechanism release. Iteration is deterministic — analyst queues drain
+//! in name order, groups form in drain order — so a same-seed engine
+//! behind a same-order submission stream produces byte-identical
+//! answers.
 
 use crate::error::ServerError;
 use crate::Ticket;
-use bf_engine::{Request, Response};
+use bf_engine::{EngineError, Request, Response};
 use bf_obs::{Gauge, TraceContext};
 use futures_lite::oneshot;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
+
+/// The most requests one epoch takes before it stops starting rounds
+/// (the round in progress completes, so an epoch can overshoot by less
+/// than one round).
+///
+/// An epoch's requests are charged, released, committed and acknowledged
+/// together, so its size is both the delay a flooder can impose on an
+/// analyst who arrives just after it starts (one epoch, never more) and
+/// the work at stake in one WAL commit. 256 is four connections' worth
+/// of the wire layer's default in-flight window (`NetConfig::
+/// max_in_flight`, 64) and twice the default `queue_capacity`, so every
+/// `bfbench` workload — and any backlog the default configuration can
+/// hold for one analyst — drains in one epoch. Measured on the 2-core
+/// sandbox (release build, in-memory engine, 4 096-cell line domain, two
+/// analysts): one 256-request epoch takes 468 µs when its ranges fold
+/// into one Ordered release and 859 µs in the worst case for this
+/// request mix — 256 distinct ε, so 256 lone releases — both under the
+/// wire layer's 1.25 ms release period, so a light analyst queued
+/// behind a flooder is late by less than the pacing they already pay.
+pub const EPOCH_MAX_REQUESTS: usize = 256;
 
 /// One queued request: who asked, what they asked, where the answer
 /// goes, and when it arrived (for queue-wait and ticket-latency
@@ -72,12 +100,21 @@ impl Submitted {
             Ticket::new(rx),
         )
     }
+
+    /// The engine's borrowed view of this request's waiter: who pays,
+    /// the idempotency tag, the trace context.
+    pub(crate) fn for_engine(&self) -> bf_engine::Waiter<'_> {
+        bf_engine::Waiter {
+            analyst: &self.analyst,
+            tag: self.request_id,
+            trace: &self.trace,
+        }
+    }
 }
 
-/// One analyst's submission queue plus their DRR accounting.
+/// One analyst's submission queue plus their round-robin weight.
 pub(crate) struct AnalystQueue {
     pub weight: u32,
-    pub deficit: u64,
     pub queue: VecDeque<Submitted>,
     /// The analyst's `server_queue_depth{...}` gauge, resolved once at
     /// queue creation so the hot paths never pay a registry lookup.
@@ -88,75 +125,38 @@ impl AnalystQueue {
     pub(crate) fn new(weight: u32, depth: Gauge) -> Self {
         Self {
             weight: weight.max(1),
-            deficit: 0,
             queue: VecDeque::new(),
             depth,
         }
     }
 }
 
-/// One coalescing-group waiter: who is owed the answer, how to deliver
-/// it, the idempotency tag and deadline carried from submission, and
-/// when they submitted (feeds the ticket-latency histogram).
-pub(crate) struct Waiter {
-    pub analyst: String,
-    pub request_id: Option<u64>,
-    pub deadline: Option<Instant>,
-    pub tx: oneshot::Sender<Result<Response, ServerError>>,
-    pub submitted_at: Instant,
-    /// The waiter's tracing context, carried from submission into the
-    /// engine.
-    pub trace: TraceContext,
-}
-
-impl Waiter {
-    /// The engine's borrowed view of this waiter: who pays, the
-    /// idempotency tag, the trace context.
-    pub(crate) fn for_engine(&self) -> bf_engine::Waiter<'_> {
-        bf_engine::Waiter {
-            analyst: &self.analyst,
-            tag: self.request_id,
-            trace: &self.trace,
+/// Groups one epoch's requests by `key_of` (the engine's coalescing
+/// key): equal keys share a group — its request is its first member's —
+/// `None` (k-means) is a group of its own, and a request whose key
+/// cannot be computed (unknown policy) is returned with its error
+/// instead. Groups come back in the drain order of their first member.
+pub(crate) fn coalesce(
+    drained: Vec<Submitted>,
+    key_of: impl Fn(&Request) -> Result<Option<String>, EngineError>,
+) -> (Vec<Vec<Submitted>>, Vec<(Submitted, ServerError)>) {
+    let mut groups: Vec<Vec<Submitted>> = Vec::new();
+    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut dead_letters = Vec::new();
+    for sub in drained {
+        match key_of(&sub.request) {
+            Ok(Some(key)) => {
+                let gi = *index.entry(key).or_insert(groups.len());
+                if gi == groups.len() {
+                    groups.push(Vec::new());
+                }
+                groups[gi].push(sub);
+            }
+            Ok(None) => groups.push(vec![sub]),
+            Err(e) => dead_letters.push((sub, ServerError::Engine(e))),
         }
     }
-
-    fn from_submitted(sub: Submitted) -> Self {
-        Self {
-            analyst: sub.analyst,
-            request_id: sub.request_id,
-            deadline: sub.deadline,
-            tx: sub.tx,
-            submitted_at: sub.submitted_at,
-            trace: sub.trace,
-        }
-    }
-}
-
-/// A pending coalescing group: identical requests waiting out the
-/// window together.
-pub(crate) struct CoalesceGroup {
-    /// The engine coalescing key the group formed under.
-    pub key: String,
-    pub request: Request,
-    /// Tick at which the group dispatches (formation tick + window).
-    pub deadline: u64,
-    /// When the group formed (feeds the coalesce-window histogram).
-    pub formed_at: Instant,
-    /// The group's waiters, in join order.
-    pub waiters: Vec<Waiter>,
-}
-
-impl CoalesceGroup {
-    /// A group of one, formed now around `sub`'s request.
-    pub(crate) fn new(key: String, sub: Submitted, deadline: u64) -> Self {
-        Self {
-            key,
-            request: sub.request.clone(),
-            deadline,
-            formed_at: Instant::now(),
-            waiters: vec![Waiter::from_submitted(sub)],
-        }
-    }
+    (groups, dead_letters)
 }
 
 /// Everything the scheduler mutates under the server's state lock.
@@ -164,10 +164,10 @@ pub(crate) struct SchedState {
     /// Per-analyst queues in **name order** — the deterministic drain
     /// order fairness and reproducibility both lean on.
     pub queues: BTreeMap<String, AnalystQueue>,
-    /// Pending coalescing groups in creation order.
-    pub pending: Vec<CoalesceGroup>,
-    /// Coalescing key → index into `pending`.
-    pub index: HashMap<String, usize>,
+    /// Requests queued across every analyst: the shed gate's depth and
+    /// the driver's "is there work" test, kept as a running total so
+    /// neither walks the queues.
+    pub queued: usize,
     pub tick: u64,
 }
 
@@ -175,68 +175,32 @@ impl SchedState {
     pub(crate) fn new() -> Self {
         Self {
             queues: BTreeMap::new(),
-            pending: Vec::new(),
-            index: HashMap::new(),
+            queued: 0,
             tick: 0,
         }
     }
 
-    /// Drains up to `quantum × weight` fresh deficit worth of requests
-    /// from every backlogged analyst, in name order.
-    pub(crate) fn drain_round(&mut self, quantum: u32) -> Vec<Submitted> {
-        let mut drained = Vec::new();
-        for q in self.queues.values_mut() {
-            if q.queue.is_empty() {
-                q.deficit = 0; // no banking credit while idle
-                continue;
-            }
-            q.deficit += u64::from(quantum) * u64::from(q.weight);
-            while q.deficit >= 1 {
-                let Some(sub) = q.queue.pop_front() else {
-                    q.deficit = 0;
-                    break;
-                };
-                q.deficit -= 1;
-                drained.push(sub);
+    /// Drains one epoch: whole rounds — `quantum × weight` requests from
+    /// every backlogged analyst, in name order — until nothing is queued
+    /// or the epoch holds `bound` requests.
+    pub(crate) fn drain_epoch(&mut self, quantum: u32, bound: usize) -> Vec<Submitted> {
+        let mut drained = Vec::with_capacity(self.queued.min(bound));
+        while self.queued > 0 && drained.len() < bound {
+            for q in self.queues.values_mut() {
+                let share = u64::from(quantum) * u64::from(q.weight);
+                let take = q
+                    .queue
+                    .len()
+                    .min(usize::try_from(share).unwrap_or(usize::MAX));
+                drained.extend(q.queue.drain(..take));
+                self.queued -= take;
             }
         }
         drained
     }
 
-    /// Joins `sub` to the pending group under `key`, forming a new group
-    /// with the given deadline when none is open.
-    pub(crate) fn join_group(&mut self, key: String, sub: Submitted, deadline: u64) {
-        if let Some(&i) = self.index.get(&key) {
-            self.pending[i].waiters.push(Waiter::from_submitted(sub));
-        } else {
-            self.index.insert(key.clone(), self.pending.len());
-            self.pending.push(CoalesceGroup::new(key, sub, deadline));
-        }
-    }
-
-    /// Removes and returns every group due at `now`, preserving creation
-    /// order, and reindexes the remainder.
-    pub(crate) fn take_due(&mut self, now: u64) -> Vec<CoalesceGroup> {
-        if self.pending.iter().all(|g| g.deadline > now) {
-            return Vec::new();
-        }
-        let (due, remaining): (Vec<_>, Vec<_>) =
-            self.pending.drain(..).partition(|g| g.deadline <= now);
-        self.index.clear();
-        for (i, g) in remaining.iter().enumerate() {
-            self.index.insert(g.key.clone(), i);
-        }
-        self.pending = remaining;
-        due
-    }
-
     /// Whether any analyst queue holds an undrained request.
     pub(crate) fn has_queued(&self) -> bool {
-        self.queues.values().any(|q| !q.queue.is_empty())
-    }
-
-    /// Whether any queued or pending work remains.
-    pub(crate) fn is_busy(&self) -> bool {
-        !self.pending.is_empty() || self.has_queued()
+        self.queued > 0
     }
 }

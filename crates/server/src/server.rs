@@ -1,7 +1,7 @@
 //! The server: submission, admission control, the tick loop, dispatch.
 
 use crate::error::ServerError;
-use crate::scheduler::{CoalesceGroup, SchedState, Submitted};
+use crate::scheduler::{coalesce, AnalystQueue, SchedState, Submitted, EPOCH_MAX_REQUESTS};
 use crate::ticket::Ticket;
 use bf_engine::{Engine, Group, Request, Served, Waiter};
 use bf_obs::{Counter, Histogram, Registry, Stage, TraceContext};
@@ -15,22 +15,13 @@ pub struct ServerConfig {
     /// Per-analyst submission-queue bound; a full queue refuses with
     /// [`ServerError::QueueFull`] (backpressure).
     pub queue_capacity: usize,
-    /// Ticks a freshly formed coalescing group waits for identical
-    /// requests from other sessions before dispatching. `0` dispatches
-    /// the same tick (coalescing only among same-tick arrivals). With
-    /// [`ServerConfig::adaptive_window`] set this is the **maximum**
-    /// window.
-    pub coalesce_window: u64,
-    /// Scale the coalescing window with queue depth instead of using a
-    /// fixed tick count: an idle server dispatches groups the tick they
-    /// form (minimum latency), a backlogged one waits up to
-    /// `coalesce_window` ticks so more identical requests fold into each
-    /// release (maximum amplification). See [`adaptive_window_ticks`].
-    /// On by default; `false` holds every group open for the full
-    /// `coalesce_window`, however idle the server is.
-    pub adaptive_window: bool,
-    /// Requests per unit of analyst weight drained per tick (the DRR
-    /// quantum).
+    /// The round-robin fairness weight unit: each round of an epoch
+    /// hands every backlogged analyst `quantum × weight` requests. It
+    /// is **not** a drain size — a tick takes rounds until the queues
+    /// are empty or the epoch holds
+    /// [`EPOCH_MAX_REQUESTS`](crate::EPOCH_MAX_REQUESTS) — so it only
+    /// shows when that bound cuts an epoch short: the smaller the
+    /// quantum, the finer the interleaving of analysts at the cut.
     pub quantum: u32,
     /// Refuse at submission when the request's ε exceeds the analyst's
     /// remaining budget ([`ServerError::BudgetExhausted`]). The charge
@@ -60,8 +51,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             queue_capacity: 128,
-            coalesce_window: 2,
-            adaptive_window: true,
             quantum: 8,
             admission_control: true,
             shed_depth: None,
@@ -76,20 +65,10 @@ impl Default for ServerConfig {
 /// deterministic tests honest.
 pub const EVICT_CHECK_EVERY: u64 = 32;
 
-/// The load-adaptive coalescing window: `0` when the backlog fits in
-/// one quantum (dispatch immediately — nothing more is coming), growing
-/// logarithmically with the number of quanta queued, capped at
-/// `max_window`. Deterministic in the queue depth, so same-trace runs
-/// pick the same windows.
-pub fn adaptive_window_ticks(depth: usize, quantum: u32, max_window: u64) -> u64 {
-    let mut quanta = depth / quantum.max(1) as usize;
-    let mut window = 0u64;
-    while quanta > 0 && window < max_window {
-        window += 1;
-        quanta >>= 1;
-    }
-    window
-}
+/// The least an idle background driver waits between TTL sweeps: a
+/// `session_ttl` of zero (evict at the next opportunity) must not turn
+/// the driver's idle wait into a spin.
+const MIN_SWEEP_WAIT: Duration = Duration::from_millis(1);
 
 /// The server's counters, registered in the engine's `bf-obs` registry
 /// as `server_*_total`; [`ServerStats`] stays a thin shim over them.
@@ -151,7 +130,7 @@ pub struct ServerStats {
     pub coalesced_answers: u64,
     /// Answers served from an Ordered release shared across **different
     /// endpoints** — range requests with equal `(policy, data, ε)` that
-    /// arrived in one coalescing window and were folded into a single
+    /// arrived in one epoch and were folded into a single
     /// cumulative release (serve_batch's grouping, applied cross-analyst
     /// at dispatch).
     pub batched_range_answers: u64,
@@ -190,14 +169,14 @@ impl ServerStats {
 /// The asynchronous request-serving front-end over an [`Engine`].
 ///
 /// ```text
-///  submit() ──► per-analyst queues ──► DRR drain ──► coalescing window ──► engine releases ──► tickets
+///  submit() ──► per-analyst queues ──► epoch drain ──► group by key ──► engine releases + 1 commit ──► tickets
 /// ```
 ///
 /// Submissions return immediately with a [`Ticket`] future; a scheduler
 /// *tick* (driven manually via [`Server::tick`] /
 /// [`Server::pump_until_idle`], or by a background thread from
-/// [`Server::start_driver`]) drains the queues fairly and dispatches
-/// coalesced groups to the engine. See the crate docs for the full
+/// [`Server::start_driver`]) takes everything queued as one epoch and
+/// serves it with one engine call. See the crate docs for the full
 /// request lifecycle.
 pub struct Server {
     engine: Arc<Engine>,
@@ -212,6 +191,9 @@ pub struct Server {
     obs: Arc<Registry>,
     /// Submit → resolution latency (`server_ticket_ns`).
     ticket_ns: Histogram,
+    /// Requests drained per epoch (`server_epoch_requests`): the width
+    /// the commit-is-the-window clock actually reached.
+    epoch_requests: Histogram,
     /// Set by [`Server::shutdown`]: submissions refuse, ticks continue
     /// until the queues drain.
     closed: AtomicBool,
@@ -228,13 +210,14 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// A server over `engine` with the given configuration. A zero
-    /// quantum is clamped to 1 — it would drain nothing per tick and
-    /// hang `pump_until_idle` forever.
+    /// quantum is clamped to 1 — its rounds would drain nothing and an
+    /// epoch would never end.
     pub fn new(engine: Arc<Engine>, mut config: ServerConfig) -> Self {
         config.quantum = config.quantum.max(1);
         let obs = Arc::clone(engine.obs());
         let counters = Counters::new(&obs);
         let ticket_ns = obs.histogram("server_ticket_ns");
+        let epoch_requests = obs.histogram("server_epoch_requests");
         Self {
             engine,
             config,
@@ -243,6 +226,7 @@ impl Server {
             counters,
             obs,
             ticket_ns,
+            epoch_requests,
             closed: AtomicBool::new(false),
         }
     }
@@ -262,17 +246,15 @@ impl Server {
         &self.config
     }
 
-    /// Sets an analyst's DRR weight (default 1, minimum 1): an analyst
-    /// with weight `w` drains `w × quantum` requests per tick when
-    /// backlogged.
+    /// Sets an analyst's round-robin weight (default 1, minimum 1): an
+    /// analyst with weight `w` is handed `w × quantum` requests per
+    /// round of an epoch when backlogged.
     pub fn set_weight(&self, analyst: &str, weight: u32) {
         let mut state = self.state.lock().expect("scheduler state poisoned");
         state
             .queues
             .entry(analyst.to_owned())
-            .or_insert_with(|| {
-                crate::scheduler::AnalystQueue::new(1, self.queue_depth_gauge(analyst))
-            })
+            .or_insert_with(|| AnalystQueue::new(1, self.queue_depth_gauge(analyst)))
             .weight = weight.max(1);
     }
 
@@ -376,8 +358,8 @@ impl Server {
 
     /// [`Server::submit`] for each request under **one** hold of the
     /// scheduler lock: no tick can drain between them, so compatible
-    /// members land in the same coalescing window however a driver's
-    /// wake-up races the caller. A refused member fails only its slot.
+    /// members land in the same epoch however a driver's wake-up races
+    /// the caller. A refused member fails only its slot.
     pub fn submit_many(
         &self,
         analyst: &str,
@@ -427,15 +409,16 @@ impl Server {
         // look fine while their sum guarantees queueing delay no
         // deadline survives.
         if let Some(limit) = self.config.shed_depth {
-            let depth: usize = state.queues.values().map(|q| q.queue.len()).sum();
+            let depth = state.queued;
             if depth >= limit {
                 self.counters.shed_requests.inc();
                 return Err(ServerError::Overloaded { depth, limit });
             }
         }
-        let queue = state.queues.entry(analyst.to_owned()).or_insert_with(|| {
-            crate::scheduler::AnalystQueue::new(1, self.queue_depth_gauge(analyst))
-        });
+        let queue = state
+            .queues
+            .entry(analyst.to_owned())
+            .or_insert_with(|| AnalystQueue::new(1, self.queue_depth_gauge(analyst)));
         if queue.queue.len() >= self.config.queue_capacity {
             self.counters.refused_queue_full.inc();
             return Err(ServerError::QueueFull {
@@ -446,6 +429,7 @@ impl Server {
         let (sub, ticket) = Submitted::tagged(analyst, request, request_id, deadline_at, trace);
         queue.queue.push_back(sub);
         queue.depth.set(queue.queue.len() as f64);
+        state.queued += 1;
         self.counters.submitted.inc();
         // Under the state lock: a driver that found the queues empty is
         // already waiting when this fires.
@@ -460,102 +444,71 @@ impl Server {
             .gauge(&format!("server_queue_depth{{analyst={analyst:?}}}"))
     }
 
-    /// Runs one scheduler tick: drain every backlogged analyst's fair
-    /// share, fold the drained requests into coalescing groups, dispatch
-    /// every group whose window elapsed, and resolve the answered
-    /// tickets. Returns the number of tickets resolved this tick.
+    /// Runs one scheduler tick — one **epoch**: take everything queued
+    /// (whole fair rounds, up to [`EPOCH_MAX_REQUESTS`]), group it by
+    /// coalescing key, serve every group with one engine call and one
+    /// WAL commit, and resolve every ticket taken. Nothing drained
+    /// outlives the tick. Returns the number of tickets resolved.
     ///
-    /// Ticks are serialized by the state lock; calling this from several
-    /// threads is safe but pointless — use one driver.
+    /// Only the drain holds the state lock, so submissions keep landing
+    /// while an epoch is released and committed — they are the next
+    /// epoch. Calling this from several threads is safe but pointless —
+    /// use one driver.
     pub fn tick(&self) -> usize {
-        // Phase 1 (under the state lock): advance time, drain fairly,
-        // route into groups, pull out whatever is due. Engine lookups
-        // (coalesce keys) touch only engine-internal locks. The span
-        // times this locked phase (`stage="schedule"`).
-        let mut sched_span = self.obs.span();
-        let (mut due, dead_letters, evict_now) = {
+        // Phase 1 (under the state lock): advance time and drain the
+        // epoch (`stage="schedule"`).
+        let mut span = self.obs.span();
+        let (drained, evict_now) = {
             let mut state = self.state.lock().expect("scheduler state poisoned");
             state.tick += 1;
-            let now = state.tick;
-            // The adaptive window reads the backlog *before* draining:
-            // an idle server dispatches this tick's groups immediately,
-            // a deep backlog holds them open for more identical work.
-            let window = if self.config.adaptive_window {
-                let depth: usize = state.queues.values().map(|q| q.queue.len()).sum();
-                adaptive_window_ticks(depth, self.config.quantum, self.config.coalesce_window)
-            } else {
-                self.config.coalesce_window
-            };
-            let drained = state.drain_round(self.config.quantum);
+            let drained = state.drain_epoch(self.config.quantum, EPOCH_MAX_REQUESTS);
             if self.obs.is_enabled() {
-                // Queue-wait per drained request, and the post-drain
-                // depth of every backlogged queue. Reading clocks and
-                // setting gauges here is a side channel: nothing below
-                // consults them.
-                for sub in &drained {
-                    self.obs
-                        .record_stage(Stage::Queue, sub.submitted_at.elapsed());
-                }
+                // The post-drain depth of every queue. Setting gauges
+                // here is a side channel: nothing below consults them.
                 for q in state.queues.values() {
                     q.depth.set(q.queue.len() as f64);
                 }
             }
-            for sub in &drained {
-                if sub.trace.is_active() {
-                    sub.trace
-                        .record_elapsed(Stage::Queue, sub.submitted_at.elapsed(), "drained");
-                }
-            }
-            let mut solo = Vec::new();
-            let mut dead_letters = Vec::new();
-            for sub in drained {
-                match self.engine.coalesce_key(&sub.request) {
-                    // Not coalescible (k-means): a group of one, due now.
-                    Ok(None) => solo.push(CoalesceGroup::new(String::new(), sub, now)),
-                    Ok(Some(key)) => {
-                        let deadline = now + window;
-                        state.join_group(key, sub, deadline);
-                    }
-                    // Unknown policy: the ticket fails without queueing.
-                    Err(e) => dead_letters.push((sub, ServerError::Engine(e))),
-                }
-            }
-            let evict_now = self.config.session_ttl.is_some() && now % EVICT_CHECK_EVERY == 1;
-            let mut due = state.take_due(now);
-            due.append(&mut solo);
-            (due, dead_letters, evict_now)
+            let evict_now =
+                self.config.session_ttl.is_some() && state.tick % EVICT_CHECK_EVERY == 1;
+            (drained, evict_now)
         };
-        self.obs.span_mark(&mut sched_span, Stage::Schedule);
+        self.obs.span_mark(&mut span, Stage::Schedule);
+        let sched_elapsed = span.elapsed().unwrap_or_default();
         self.counters.ticks.inc();
-        if self.obs.is_enabled() {
-            // How long each dispatching group actually held its window
-            // open (`stage="coalesce"`).
-            for g in &due {
-                self.obs
-                    .record_stage(Stage::Coalesce, g.formed_at.elapsed());
-            }
+        if !drained.is_empty() {
+            self.epoch_requests.record(drained.len() as u64);
         }
-        // Per-trace schedule/coalesce spans. Everything dispatching this
-        // tick passed through this tick's locked phase and held a
-        // coalescing window open since its group formed.
-        let sched_elapsed = sched_span.elapsed().unwrap_or_default();
-        for g in &due {
-            for w in &g.waiters {
-                if w.trace.is_active() {
-                    w.trace
-                        .record_elapsed(Stage::Schedule, sched_elapsed, "routed");
-                    w.trace
-                        .record_elapsed(Stage::Coalesce, g.formed_at.elapsed(), "due");
-                }
+        for sub in &drained {
+            // Queue-wait per drained request. Reading clocks here is a
+            // side channel too.
+            if self.obs.is_enabled() {
+                self.obs
+                    .record_stage(Stage::Queue, sub.submitted_at.elapsed());
+            }
+            if sub.trace.is_active() {
+                sub.trace
+                    .record_elapsed(Stage::Queue, sub.submitted_at.elapsed(), "drained");
+                sub.trace
+                    .record_elapsed(Stage::Schedule, sched_elapsed, "drained");
             }
         }
 
-        // Phase 2 (no server lock): sweep out what must not be charged,
-        // then hand the engine everything still due in ONE call — its
-        // charges happen sequentially (deterministic ordinals), its
-        // releases fan out across cores, and the whole tick rides one
-        // WAL group commit.
+        // Phase 2 (no server lock): group by coalescing key
+        // (`stage="coalesce"`; the lookups touch only engine-internal
+        // locks), sweep out what must not be charged, then hand the
+        // engine the whole epoch in ONE call — its charges happen
+        // sequentially (deterministic ordinals) and ride one WAL group
+        // commit.
+        let (mut groups, dead_letters) = coalesce(drained, |r| self.engine.coalesce_key(r));
+        self.obs.span_mark(&mut span, Stage::Coalesce);
+        let coalesce_elapsed = span.elapsed().unwrap_or_default() - sched_elapsed;
+        for sub in groups.iter().flatten().filter(|s| s.trace.is_active()) {
+            sub.trace
+                .record_elapsed(Stage::Coalesce, coalesce_elapsed, "grouped");
+        }
         let mut resolved = 0usize;
+        // Unknown policy: the ticket fails without reaching the engine.
         for (sub, e) in dead_letters {
             self.counters.failed.inc();
             self.note_resolved(sub.submitted_at);
@@ -568,18 +521,7 @@ impl Server {
         // it would charge ε for an answer nobody can read. Dropped here,
         // BEFORE any charge: the queue slot was already freed by the
         // drain, and the ledger is never touched.
-        let mut cancelled = 0u64;
-        for g in &mut due {
-            g.waiters.retain(|w| {
-                let live = !w.tx.is_closed();
-                cancelled += u64::from(!live);
-                live
-            });
-        }
-        if cancelled > 0 {
-            self.counters.cancelled.add(cancelled);
-        }
-
+        //
         // Deadline sweep, also BEFORE any charge: a request whose
         // deadline lapsed in the queue is refused with a typed error —
         // the client has (or will have) given up, and an answer nobody
@@ -588,52 +530,53 @@ impl Server {
         // stale work at dispatch, and between them an overloaded server
         // burns budget only on answers that are still wanted.
         let now_wall = std::time::Instant::now();
-        type Expired = (
-            String,
-            futures_lite::oneshot::Sender<Result<bf_engine::Response, ServerError>>,
-            std::time::Instant,
-        );
-        let mut expired: Vec<Expired> = Vec::new();
-        for g in &mut due {
-            let mut kept = Vec::with_capacity(g.waiters.len());
-            for w in g.waiters.drain(..) {
-                if w.deadline.is_some_and(|d| d <= now_wall) {
-                    expired.push((w.analyst, w.tx, w.submitted_at));
+        let expired = |s: &Submitted| s.deadline.is_some_and(|d| d <= now_wall);
+        let mut cancelled = 0u64;
+        for group in &mut groups {
+            if !group.iter().any(|s| s.tx.is_closed() || expired(s)) {
+                continue; // the common case: nothing to sweep
+            }
+            for sub in std::mem::take(group) {
+                if sub.tx.is_closed() {
+                    cancelled += 1;
+                } else if expired(&sub) {
+                    self.counters.deadline_refusals.inc();
+                    self.counters.failed.inc();
+                    self.note_resolved(sub.submitted_at);
+                    let _ = sub.tx.send(Err(ServerError::DeadlineExceeded {
+                        analyst: sub.analyst,
+                    }));
+                    resolved += 1;
                 } else {
-                    kept.push(w);
+                    group.push(sub);
                 }
             }
-            g.waiters = kept;
         }
-        due.retain(|g| !g.waiters.is_empty());
-        for (analyst, tx, submitted_at) in expired {
-            self.counters.deadline_refusals.inc();
-            self.counters.failed.inc();
-            self.note_resolved(submitted_at);
-            let _ = tx.send(Err(ServerError::DeadlineExceeded { analyst }));
-            resolved += 1;
+        if cancelled > 0 {
+            self.counters.cancelled.add(cancelled);
         }
+        groups.retain(|g| !g.is_empty());
 
         // The engine decides which release answers each group: one per
         // group, except that range groups sharing `(policy, data, ε)`
         // but differing in endpoints fold into one Ordered release.
-        let waiters: Vec<Vec<Waiter<'_>>> = due
+        let waiters: Vec<Vec<Waiter<'_>>> = groups
             .iter()
-            .map(|g| g.waiters.iter().map(|w| w.for_engine()).collect())
+            .map(|g| g.iter().map(Submitted::for_engine).collect())
             .collect();
-        let groups: Vec<Group<'_>> = due
+        let engine_groups: Vec<Group<'_>> = groups
             .iter()
             .zip(&waiters)
             .map(|(g, waiters)| Group {
-                request: &g.request,
+                request: &g[0].request,
                 waiters,
             })
             .collect();
-        let Served { slots, releases } = self.engine.serve_groups(&groups);
+        let Served { slots, releases } = self.engine.serve_groups(&engine_groups);
         // What a group's answers count as: `folded` when its release
         // answered two or more range groups, `shared` when it answered
         // two or more waiters.
-        let mut counts_as = vec![(false, false); due.len()];
+        let mut counts_as = vec![(false, false); groups.len()];
         for members in &releases {
             if members.iter().any(|&g| slots[g].iter().any(Result::is_ok)) {
                 self.counters.releases.inc();
@@ -643,8 +586,8 @@ impl Server {
                 counts_as[g] = (members.len() >= 2, riders >= 2);
             }
         }
-        for ((group, slots), (folded, shared)) in due.into_iter().zip(slots).zip(counts_as) {
-            for (w, slot) in group.waiters.into_iter().zip(slots) {
+        for ((group, slots), (folded, shared)) in groups.into_iter().zip(slots).zip(counts_as) {
+            for (sub, slot) in group.into_iter().zip(slots) {
                 match &slot {
                     Ok(_) => {
                         self.counters.answered.inc();
@@ -659,8 +602,8 @@ impl Server {
                         self.counters.failed.inc();
                     }
                 }
-                self.note_resolved(w.submitted_at);
-                let _ = w.tx.send(slot.map_err(ServerError::Engine));
+                self.note_resolved(sub.submitted_at);
+                let _ = sub.tx.send(slot.map_err(ServerError::Engine));
                 resolved += 1;
             }
         }
@@ -674,10 +617,9 @@ impl Server {
     }
 
     /// The session-TTL sweep (no-op without [`ServerConfig::session_ttl`]).
-    /// Analysts with queued or pending work are exempt: idleness is time
-    /// since last charge, and a backlogged analyst waiting out the
-    /// scheduler is not idle — evicting them would fail their admitted
-    /// tickets.
+    /// Analysts with queued work are exempt: idleness is time since last
+    /// charge, and a backlogged analyst waiting out the scheduler is not
+    /// idle — evicting them would fail their admitted tickets.
     fn evict_idle_sessions(&self) {
         let Some(ttl) = self.config.session_ttl else {
             return;
@@ -689,12 +631,6 @@ impl Server {
                 .iter()
                 .filter(|(_, q)| !q.queue.is_empty())
                 .map(|(a, _)| a.clone())
-                .chain(
-                    state
-                        .pending
-                        .iter()
-                        .flat_map(|g| g.waiters.iter().map(|w| w.analyst.clone())),
-                )
                 .collect()
         };
         let evicted = self.engine.evict_idle_sessions_except(ttl, &busy);
@@ -751,72 +687,62 @@ impl Server {
         Ok(self.stats())
     }
 
-    /// Whether the server has no queued or window-pending work — a
-    /// drain probe for external drivers that tick on their own schedule
-    /// (the same predicate [`Server::pump_until_idle`] loops on). With a
-    /// background driver running, `is_idle() == true` means every
-    /// accepted ticket has been resolved.
+    /// Whether the server has no queued work — a drain probe for
+    /// external drivers that tick on their own schedule (the same
+    /// predicate [`Server::pump_until_idle`] loops on). An epoch a
+    /// driver has drained but not yet acknowledged is not counted:
+    /// stop the driver (or watch [`ServerStats`]) to know every accepted
+    /// ticket has resolved.
     pub fn is_idle(&self) -> bool {
         !self
             .state
             .lock()
             .expect("scheduler state poisoned")
-            .is_busy()
+            .has_queued()
     }
 
-    /// Ticks until no queued or pending work remains, returning the
-    /// total number of tickets resolved. This is the deterministic way
-    /// to flush the server in tests and benches.
+    /// Ticks until nothing is queued, returning the total number of
+    /// tickets resolved. This is the deterministic way to flush the
+    /// server in tests and benches.
     pub fn pump_until_idle(&self) -> usize {
         let mut total = 0;
-        loop {
-            let busy = self
-                .state
-                .lock()
-                .expect("scheduler state poisoned")
-                .is_busy();
-            if !busy {
-                return total;
-            }
+        while !self.is_idle() {
             total += self.tick();
         }
+        total
     }
 
     /// Spawns a background driver thread, running until the returned
-    /// handle is stopped (or dropped). The driver is arrival-driven: it
-    /// sleeps on a condvar while nothing is queued (bounded by
-    /// `session_ttl`, so idle sessions still get swept), ticks
-    /// back-to-back while any queue holds work, and waits `interval`
-    /// only between ticks that merely hold a coalescing window open —
-    /// or, with `adaptive_window: false`, between all ticks while a
-    /// window is open, so a fixed window lasts `coalesce_window`
-    /// intervals however busy the queues are.
-    pub fn start_driver(self: &Arc<Self>, interval: Duration) -> DriverHandle {
+    /// handle is stopped (or dropped). The driver has one clock, the
+    /// epoch: it sleeps on a condvar while nothing is queued (bounded by
+    /// `session_ttl`, so idle sessions still get swept) and otherwise
+    /// ticks back-to-back — each tick takes everything that arrived
+    /// while the previous epoch was being released and committed.
+    ///
+    /// `_interval` is kept for source compatibility and **ignored**: it
+    /// was the time unit of the coalescing window, and the commit is the
+    /// window now.
+    pub fn start_driver(self: &Arc<Self>, _interval: Duration) -> DriverHandle {
         let server = Arc::clone(self);
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
         let thread = std::thread::spawn(move || {
             let stopped = || stop_flag.load(Ordering::Acquire);
+            let idle_wait = match server.config.session_ttl {
+                Some(ttl) => ttl.max(MIN_SWEEP_WAIT),
+                None => Duration::MAX,
+            };
             loop {
                 let state = server.state.lock().expect("scheduler state poisoned");
-                // A fixed window is counted in ticks, so while one is
-                // open the ticks keep `interval` apart whatever arrives.
-                let paced = !server.config.adaptive_window && !state.pending.is_empty();
-                let idle = |s: &mut SchedState| !stopped() && (paced || !s.has_queued());
-                let (wait, sweeps) = match server.config.session_ttl {
-                    _ if !state.pending.is_empty() => (interval, false),
-                    Some(ttl) => (ttl.max(interval), true),
-                    None => (Duration::MAX, false),
-                };
                 let (state, waited) = server
                     .wake
-                    .wait_timeout_while(state, wait, idle)
+                    .wait_timeout_while(state, idle_wait, |s| !stopped() && !s.has_queued())
                     .expect("scheduler state poisoned");
                 drop(state);
                 if stopped() {
                     break;
                 }
-                if sweeps && waited.timed_out() {
+                if waited.timed_out() {
                     server.evict_idle_sessions();
                 } else {
                     server.tick();

@@ -55,7 +55,7 @@ impl Ticket {
 
     /// Non-blocking, idempotent probe: `Some` once the scheduler
     /// answered (or the server shut down), `None` while the request is
-    /// still queued or waiting out its coalescing window. Probing does
+    /// still queued or its epoch has not committed yet. Probing does
     /// not consume the answer — `wait`/`await` afterwards returns it.
     pub fn try_take(&self) -> Option<Result<Response, ServerError>> {
         let mut resolved = self.resolved.lock().expect("ticket state poisoned");

@@ -299,7 +299,7 @@ fn sync_dir(dir: &Path) {
 /// failures exercise exactly the code paths a real ENOSPC or dying disk
 /// would. A torn write persists (and syncs) half the batch before
 /// failing, which is the crash signature recovery's torn-tail logic
-/// must absorb.
+/// must absorb; a delayed sync stalls, then writes and syncs in full.
 fn write_and_sync(
     file: &File,
     batch: &[u8],
@@ -325,6 +325,10 @@ fn write_and_sync(
                 faults.inc();
                 (&*file).write_all(batch)?;
                 return Err(injected("fsync failure after a complete write"));
+            }
+            Some(StoreFault::DelaySyncMicros(micros)) => {
+                faults.inc();
+                std::thread::sleep(std::time::Duration::from_micros(micros));
             }
             None => {}
         }
@@ -1316,6 +1320,35 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         let s = &store.recovered_state().sessions["a"];
         assert_eq!(s.spent, 0.5);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn injected_sync_delay_is_late_but_durable_and_counted() {
+        use bf_chaos::{StoreFault, StorePlan};
+        let dir = scratch_dir("chaos-delaysync");
+        let delay = std::time::Duration::from_millis(30);
+        {
+            let fault = StoreFault::DelaySyncMicros(delay.as_micros() as u64);
+            let store =
+                Store::open_with(&dir, chaos_config(StorePlan::scripted([(2, fault)]))).unwrap();
+            store.commit(&[Record::session_opened("a", 1.0)]).unwrap();
+            let started = std::time::Instant::now();
+            store.commit(&[Record::charged("a", "q", 0.5)]).unwrap();
+            assert!(started.elapsed() >= delay, "the commit returns late");
+            assert!(!store.is_poisoned(), "late is not lost");
+            assert_eq!(store.stats().syncs, 2);
+            assert_eq!(
+                store
+                    .obs()
+                    .counter("faults_injected{layer=\"store\"}")
+                    .get(),
+                1
+            );
+        }
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.recovered_state().sessions["a"].spent, 0.5);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

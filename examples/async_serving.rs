@@ -1,32 +1,48 @@
 //! Async serving: the front-end end-to-end.
 //!
 //! Eight epidemiology teams hit one Blowfish server with the *same*
-//! monthly length-of-stay dashboard queries at the same time. The
-//! server's coalescing window folds the identical `(policy, data, ε,
-//! range)` requests from different sessions together, and since the
-//! twelve monthly ranges also share `(policy, data, ε)`, the dispatcher
-//! folds THEM into shared Ordered releases (serve_batch's grouping,
-//! applied cross-analyst) — a handful of releases answer ~a hundred
-//! requests, every team pays ε once per release it was answered from on
-//! its own ledger, and the deficit-round-robin scheduler keeps any one
-//! team from starving the rest.
+//! monthly length-of-stay dashboard queries at the same time. A
+//! scheduler tick is an **epoch** — everything queued when the last WAL
+//! commit returned — so the commit is the coalescing window: whatever
+//! arrives while one epoch's charges are being made durable is served
+//! together as the next. Identical `(policy, data, ε, range)` requests
+//! from different sessions share a group, and since the twelve monthly
+//! ranges also share `(policy, data, ε)`, the engine folds THEM into one
+//! Ordered release (serve_batch's grouping, applied cross-analyst) — one
+//! release and one fsync answer ~a hundred requests, every team pays ε
+//! once per release it was answered from on its own ledger, and fair
+//! rounds keep any one team from starving the rest.
 //!
-//! 1. build the engine (policy + dataset) and one session per team,
+//! 1. build a WAL-backed engine (policy + dataset) on a disk that takes
+//!    50 ms to sync — scripted with the chaos plan, so the example reads
+//!    the same on any machine — and one session per team,
 //! 2. start the server with a background driver thread,
-//! 3. spawn one async task per team on the vendored executor; each task
-//!    submits its dashboard and awaits the tickets,
-//! 4. read the coalescing amplification off the server stats.
+//! 3. send one warm-up request; while its commit is in flight, spawn one
+//!    async task per team on the vendored executor; each task submits
+//!    its dashboard and awaits the tickets,
+//! 4. read the epoch widths and the coalescing amplification off the
+//!    server's metrics.
 //!
 //! Run with `cargo run --release --example async_serving`.
 
+use blowfish::chaos::{StoreFault, StorePlan};
 use blowfish::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    // ── Engine: one policy, one dataset, eight sessions ───────────────
+    // ── Engine: one policy, one dataset, eight sessions, a slow disk ──
+    let dir = blowfish::store::scratch_dir("async-serving");
+    let slow_disk = StoreConfig {
+        fault_plan: Some(Arc::new(StorePlan::every_kth(
+            1,
+            StoreFault::DelaySyncMicros(50_000),
+        ))),
+        ..StoreConfig::default()
+    };
+    let store = Arc::new(Store::open_with(&dir, slow_disk)?);
     let domain = Domain::line(365)?;
-    let engine = Arc::new(Engine::with_seed(2014));
+    let engine = Arc::new(Engine::with_store(2014, store));
     engine.register_policy("los", Policy::distance_threshold(domain.clone(), 14))?;
     let rows: Vec<usize> = (0..50_000)
         .map(|i| (((i * 37) % 97) * ((i * 13) % 11)) % 365)
@@ -37,21 +53,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for team in &teams {
         engine.open_session(team, Epsilon::new(2.0)?)?;
     }
+    engine.open_session("warm-up", Epsilon::new(1.0)?)?;
 
-    // ── Server: fair scheduling + a 2-tick coalescing window ──────────
-    let server = Arc::new(Server::new(
-        Arc::clone(&engine),
-        ServerConfig {
-            coalesce_window: 2,
-            adaptive_window: false,
-            ..ServerConfig::default()
-        },
-    ));
-    let driver = server.start_driver(Duration::from_millis(1));
+    // ── Server: fair scheduling, one clock (the interval is ignored) ──
+    let server = Arc::new(Server::with_defaults(Arc::clone(&engine)));
+    let driver = server.start_driver(Duration::ZERO);
 
-    // ── Clients: one async task per team on the vendored executor ─────
+    // One request opens the window: its epoch is drained at once and
+    // spends the next 50 ms committing.
     let executor = Executor::new(4);
     let eps = Epsilon::new(0.1)?;
+    let warm_up = server.submit("warm-up", Request::histogram("los", "admissions", eps))?;
+    while server.stats().ticks == 0 {
+        std::thread::yield_now();
+    }
+
+    // ── Clients: one async task per team on the vendored executor ─────
     let handles: Vec<_> = teams
         .iter()
         .map(|team| {
@@ -84,6 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map(|h| h.join().expect("task completed"))
         .collect();
     results.sort_by(|a, b| a.0.cmp(&b.0));
+    warm_up.wait()?;
     driver.stop();
 
     for (team, monthly) in &results {
@@ -121,6 +139,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
+    // ── The clock: the commit was the window ─────────────────────────
+    let widths = engine.obs().histogram("server_epoch_requests").summary();
+    println!(
+        "epochs: {} (server_epoch_requests: widest {}, {} requests in all)",
+        widths.count, widths.max, widths.sum
+    );
+    assert_eq!(
+        (widths.count, widths.max),
+        (2, 96),
+        "everything that arrived during the warm-up's commit is ONE epoch"
+    );
+
     // ── The amplification: releases ≪ requests ────────────────────────
     let stats = server.stats();
     println!(
@@ -131,10 +161,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.amplification(),
         stats.ticks
     );
-    assert_eq!(stats.answered, 96);
+    assert_eq!(stats.answered, 97);
     assert!(
         stats.releases < stats.answered,
         "coalescing must perform fewer releases than requests"
     );
+    std::fs::remove_dir_all(&dir)?;
     Ok(())
 }

@@ -9,8 +9,10 @@
 //! then:
 //!
 //! 1. **Traces requests over the wire.** Two analysts submit identical
-//!    range queries stamped with client-assigned trace ids; the
-//!    coalescing window folds them into one mechanism release.
+//!    range queries stamped with client-assigned trace ids while a
+//!    primer request's (scripted-slow) commit is in flight, so one
+//!    scheduler epoch takes both and serves them from one mechanism
+//!    release.
 //!    `Client::traces()` fetches the retained trace trees and the
 //!    example prints each request's span waterfall — decode → queue →
 //!    schedule → coalesce → wal_commit → release → reply — with the
@@ -24,12 +26,12 @@
 //!    be byte-identical — tracing reads clocks and appends spans, but
 //!    never touches noise, charging or scheduling.
 
+use blowfish::chaos::{StoreFault, StorePlan};
 use blowfish::net::{Client, NetConfig, NetServer};
 use blowfish::obs::Stage;
 use blowfish::prelude::*;
 use blowfish::store::{fnv1a, StoreConfig};
 use std::sync::Arc;
-use std::time::Duration;
 
 const SEED: u64 = 0x7EAC_E0DE;
 
@@ -53,7 +55,13 @@ fn run(
             dir,
             StoreConfig {
                 archive_replayed_segments: true,
-                ..StoreConfig::default()
+                // Every commit takes 30 ms: the commit is the scheduler's
+                // coalescing window, and a scripted one makes both runs
+                // group their requests identically on any machine.
+                fault_plan: Some(Arc::new(StorePlan::every_kth(
+                    1,
+                    StoreFault::DelaySyncMicros(30_000),
+                ))),
             },
         )
         .unwrap(),
@@ -69,23 +77,8 @@ fn run(
     engine
         .register_dataset("payroll", Dataset::from_rows(domain, rows).unwrap())
         .unwrap();
-    let server = Arc::new(Server::new(
-        Arc::new(engine),
-        ServerConfig {
-            coalesce_window: 8,
-            adaptive_window: false,
-            ..ServerConfig::default()
-        },
-    ));
-    let net = NetServer::bind(
-        "127.0.0.1:0",
-        server,
-        NetConfig {
-            tick_interval: Duration::from_millis(5),
-            ..NetConfig::default()
-        },
-    )
-    .unwrap();
+    let server = Arc::new(Server::with_defaults(Arc::new(engine)));
+    let net = NetServer::bind("127.0.0.1:0", server, NetConfig::default()).unwrap();
 
     let mut digest: u64 = 0xcbf2_9ce4_8422_2325; // FNV offset basis
     let mut fold = |bits: u64| digest = fnv1a(&[digest.to_le_bytes(), bits.to_le_bytes()].concat());
@@ -93,9 +86,24 @@ fn run(
     let mut client = Client::connect(net.local_addr()).unwrap();
     client.open_session("ann", 8.0).unwrap();
     client.open_session("bee", 8.0).unwrap();
-    // Identical traced requests from two analysts: the window folds
-    // them into one release, linked across both trace trees.
+    client.open_session("primer", 8.0).unwrap();
+    // Identical traced requests from two analysts, sent while a primer's
+    // epoch commits: the next epoch takes both and serves them from one
+    // release, linked across both trace trees.
     for round in 0..4u64 {
+        // The primer is charged (in memory) the moment its epoch is
+        // drained; its commit then takes 30 ms. The ledger is the one
+        // signal that also moves with observability switched off.
+        let spent = client.budget("primer").unwrap().spent;
+        let primer = client
+            .submit(
+                "primer",
+                &Request::histogram("salary", "payroll", eps(0.25)),
+            )
+            .unwrap();
+        while client.budget("primer").unwrap().spent == spent {
+            std::thread::yield_now();
+        }
         let req = Request::range(
             "salary",
             "payroll",
@@ -110,6 +118,7 @@ fn run(
         let b = client
             .submit_traced("bee", &req, None, None, trace(1))
             .unwrap();
+        client.wait(primer).unwrap();
         fold(client.wait(a).unwrap().scalar().unwrap().to_bits());
         fold(client.wait(b).unwrap().scalar().unwrap().to_bits());
     }

@@ -131,3 +131,78 @@ fn cache_is_shared_across_analysts() {
     assert_eq!(stats.misses, misses_before, "bob's request must not miss");
     assert!(stats.hits >= 1);
 }
+
+/// One `serve_groups` call carrying several release plans returns, plan
+/// for plan, the bytes `serve` returns one request at a time on a
+/// same-seed engine — and the same ledgers: generators are drawn at
+/// charge time, in plan order, so how the releases then execute (one
+/// after another on the calling thread) cannot change a byte.
+#[test]
+fn a_call_of_several_plans_matches_serving_them_one_by_one() {
+    use blowfish::engine::{Group, Waiter};
+    let build = || {
+        let engine = build_engine(128, 3, 2024);
+        let points = PointSet::new(
+            (0..60)
+                .map(|i| vec![f64::from(i % 10), f64::from(i / 10)])
+                .collect(),
+            BoundingBox::new(vec![0.0, 0.0], vec![10.0, 6.0]),
+        );
+        engine.register_points("pts", points).unwrap();
+        engine.open_session("alice", eps(10.0)).unwrap();
+        engine.open_session("bob", eps(10.0)).unwrap();
+        engine
+    };
+    let weights: Vec<f64> = (0..128).map(|i| ((i * 5) % 11) as f64).collect();
+    let requests = [
+        Request::histogram("pol", "ds", eps(0.5)),
+        Request::cumulative_histogram("pol", "ds", eps(0.25)),
+        Request::range("pol", "ds", eps(0.125), 9, 77),
+        Request::linear("pol", "ds", eps(0.5), weights),
+        Request::kmeans("pol", "pts", eps(1.0), 3, 4, KmeansSecretSpec::Full),
+        Request::cumulative_histogram("pol", "ds", eps(0.25)),
+    ];
+    let who = |i: usize| ["alice", "bob"][i % 2];
+
+    let one_by_one = build();
+    let expected: Vec<Response> = requests
+        .iter()
+        .enumerate()
+        .map(|(i, r)| one_by_one.serve(who(i), r).unwrap())
+        .collect();
+
+    let together = build();
+    let trace = TraceContext::inert();
+    let waiters: Vec<[Waiter<'_>; 1]> = (0..requests.len())
+        .map(|i| {
+            [Waiter {
+                analyst: who(i),
+                tag: None,
+                trace: &trace,
+            }]
+        })
+        .collect();
+    let groups: Vec<Group<'_>> = requests
+        .iter()
+        .zip(&waiters)
+        .map(|(request, waiters)| Group { request, waiters })
+        .collect();
+    let served = together.serve_groups(&groups);
+    assert_eq!(
+        served.releases.len(),
+        requests.len(),
+        "one plan per request"
+    );
+    let answers: Vec<Response> = served
+        .slots
+        .into_iter()
+        .map(|slot| slot.into_iter().next().unwrap().unwrap())
+        .collect();
+    assert_eq!(answers, expected, "plan for plan, byte for byte");
+    for analyst in ["alice", "bob"] {
+        assert_eq!(
+            together.session_snapshot(analyst).unwrap().ledger(),
+            one_by_one.session_snapshot(analyst).unwrap().ledger()
+        );
+    }
+}

@@ -17,8 +17,49 @@ fn build_net(
     server_config: ServerConfig,
     net_config: NetConfig,
 ) -> NetServer {
-    let engine = match store_dir {
-        Some(dir) => Engine::with_store(seed, Arc::new(Store::open(dir).unwrap())),
+    let store = store_dir.map(|dir| Arc::new(Store::open(dir).unwrap()));
+    build_net_on(seed, store, server_config, net_config)
+}
+
+/// How long [`held_store`]'s commits take: long against a loopback
+/// round trip, short against a test.
+const HOLD: Duration = Duration::from_millis(100);
+
+/// A store whose every commit takes at least [`HOLD`]. The commit is the
+/// scheduler's window, so whatever a test sends while one request's
+/// epoch commits is still queued when it returns, and is served together
+/// as the next epoch.
+fn held_store(dir: &std::path::Path) -> Arc<Store> {
+    use blowfish::chaos::{StoreFault, StorePlan};
+    let fault = StoreFault::DelaySyncMicros(HOLD.as_micros() as u64);
+    let config = StoreConfig {
+        fault_plan: Some(Arc::new(StorePlan::every_kth(1, fault))),
+        ..StoreConfig::default()
+    };
+    Arc::new(Store::open_with(dir, config).unwrap())
+}
+
+/// Submits a primer request for `analyst` and returns once its epoch is
+/// drained — that is, while its (held) commit is in flight.
+fn prime(net: &NetServer, client: &mut Client, analyst: &str) -> u64 {
+    let ticks = net.server().stats().ticks;
+    let id = client
+        .submit(analyst, &Request::range("pol", "ds", eps(0.01), 1, 2))
+        .unwrap();
+    while net.server().stats().ticks == ticks {
+        std::thread::yield_now();
+    }
+    id
+}
+
+fn build_net_on(
+    seed: u64,
+    store: Option<Arc<Store>>,
+    server_config: ServerConfig,
+    net_config: NetConfig,
+) -> NetServer {
+    let engine = match store {
+        Some(store) => Engine::with_store(seed, store),
         None => Engine::with_seed(seed),
     };
     let domain = Domain::line(64).unwrap();
@@ -141,18 +182,7 @@ fn wal_recovered_spend_equals_wire_observed_spend() {
 
 #[test]
 fn goodbye_drains_in_flight_work_before_closing() {
-    let net = build_net(
-        33,
-        None,
-        ServerConfig {
-            coalesce_window: 2,
-            ..ServerConfig::default()
-        },
-        NetConfig {
-            tick_interval: Duration::from_millis(10),
-            ..NetConfig::default()
-        },
-    );
+    let net = build_net(33, None, ServerConfig::default(), NetConfig::default());
     let mut client = Client::connect(net.local_addr()).unwrap();
     client.open_session("polite", 1.0).unwrap();
     for i in 0..4 {
@@ -324,39 +354,39 @@ fn call_idempotent_retries_through_a_dropped_reply() {
 }
 
 /// The chaos plan addresses one **answer frame**, however many answers
-/// share a release. Eight identical requests fold into one group, so one
-/// tick resolves all eight tickets and the writer holds their answers
-/// together; the plan's fault is on the 5th. The client must decode
-/// answers 1–4 whole, then lose the connection with exactly the other
-/// four still owed — and the counters read as if each frame had been
-/// written alone: one fault; handshake + attach + four answers, plus the
-/// truncated frame (counted when its first half leaves) or not the
-/// dropped one (never framed).
+/// share a release. Eight identical requests sent while a primer's epoch
+/// commits form one group of the next epoch, so one tick resolves all
+/// eight tickets and the writer holds their answers together; the plan's
+/// fault is on the 5th of them (the 6th answer frame, after the
+/// primer's). The client must decode answers 1–4 whole, then lose the
+/// connection with exactly the other four still owed — and the counters
+/// read as if each frame had been written alone: one fault; handshake +
+/// attach + the primer's answer + four answers, plus the truncated frame
+/// (counted when its first half leaves) or not the dropped one (never
+/// framed).
 #[test]
 fn a_fault_on_the_fifth_answer_of_one_release_loses_exactly_the_last_four() {
     use blowfish::chaos::{NetFault, NetPlan};
-    for (fault, frames_out) in [(NetFault::TruncateReply, 7), (NetFault::DropConnection, 6)] {
-        let net = build_net(
+    for (fault, frames_out) in [(NetFault::TruncateReply, 8), (NetFault::DropConnection, 7)] {
+        let dir = blowfish::store::scratch_dir("net-fifth-answer");
+        let net = build_net_on(
             44,
-            None,
-            ServerConfig {
-                coalesce_window: 2,
-                adaptive_window: false,
-                ..ServerConfig::default()
-            },
+            Some(held_store(&dir)),
+            ServerConfig::default(),
             NetConfig {
-                max_in_flight: 8,
-                tick_interval: Duration::from_millis(20),
-                fault_plan: Some(Arc::new(NetPlan::scripted([(5, fault)]))),
+                max_in_flight: 9,
+                fault_plan: Some(Arc::new(NetPlan::scripted([(6, fault)]))),
                 ..NetConfig::default()
             },
         );
         let mut client = Client::connect(net.local_addr()).unwrap();
         client.open_session("burst", 1.0).unwrap();
+        let primer = prime(&net, &mut client, "burst");
         let request = Request::range("pol", "ds", eps(0.1), 3, 33);
         let ids: Vec<u64> = (0..8)
             .map(|_| client.submit("burst", &request).unwrap())
             .collect();
+        client.wait(primer).unwrap();
         let answers: Vec<Response> = ids[..4]
             .iter()
             .map(|&id| {
@@ -385,7 +415,86 @@ fn a_fault_on_the_fifth_answer_of_one_release_loses_exactly_the_last_four() {
         // time the client saw EOF this is final.
         assert_eq!(net.stats().frames_out, frames_out, "{fault:?}");
         net.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// The commit is the window: requests from two connections that arrive
+/// while one (held) commit is in flight come back from exactly one epoch
+/// — one tick, hence one `serve_groups` call; one fsync; one folded
+/// release — with each analyst charged once.
+#[test]
+fn requests_arriving_during_one_commit_are_served_as_one_epoch() {
+    let dir = blowfish::store::scratch_dir("net-commit-window");
+    let store = held_store(&dir);
+    let net = build_net_on(
+        45,
+        Some(Arc::clone(&store)),
+        ServerConfig::default(),
+        NetConfig::default(),
+    );
+    let mut ann = Client::connect(net.local_addr()).unwrap();
+    let mut bee = Client::connect(net.local_addr()).unwrap();
+    ann.open_session("ann", 2.0).unwrap();
+    bee.open_session("bee", 2.0).unwrap();
+    let (before, syncs_before) = (net.server().stats(), store.stats().syncs);
+
+    let primer = prime(&net, &mut ann, "ann");
+    let per_connection = 12;
+    let burst = |client: &mut Client, analyst: &str, width: usize| -> Vec<u64> {
+        (0..per_connection)
+            .map(|i| {
+                let r = Request::range("pol", "ds", eps(0.25), i, i + width);
+                client.submit(analyst, &r).unwrap()
+            })
+            .collect()
+    };
+    let ids_ann = burst(&mut ann, "ann", 30);
+    let ids_bee = burst(&mut bee, "bee", 20);
+    let sent = 1 + 2 * per_connection as u64;
+    while net.server().stats().submitted < before.submitted + sent {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        net.server().stats().ticks,
+        before.ticks + 1,
+        "the whole burst must be queued inside the primer's commit"
+    );
+    ann.wait(primer).unwrap();
+    for id in ids_ann {
+        ann.wait(id).unwrap();
+    }
+    for id in ids_bee {
+        bee.wait(id).unwrap();
+    }
+
+    let after = net.server().stats();
+    assert_eq!(
+        after.ticks,
+        before.ticks + 2,
+        "the primer's epoch, then ONE"
+    );
+    assert_eq!(
+        store.stats().syncs,
+        syncs_before + 2,
+        "one fsync for the primer, one for the whole burst"
+    );
+    assert_eq!(after.releases, before.releases + 2, "the burst is one fold");
+    assert_eq!(after.batched_range_answers, 2 * per_connection as u64);
+    let widths = net
+        .server()
+        .engine()
+        .obs()
+        .histogram("server_epoch_requests")
+        .summary();
+    assert_eq!((widths.count, widths.sum, widths.max), (2, sent, sent - 1));
+    // Each analyst pays for the shared release once.
+    let engine = net.server().engine();
+    let ledger = |who: &str| engine.session_snapshot(who).unwrap().ledger().len();
+    assert_eq!((ledger("ann"), ledger("bee")), (2, 1));
+    assert!((engine.session_snapshot("bee").unwrap().spent() - 0.25).abs() < 1e-12);
+    net.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The robustness counters ride the ordinary stats scrape: one
@@ -418,27 +527,27 @@ fn stats_report_exposes_the_chaos_and_retry_counters() {
 
 #[test]
 fn mid_stream_disconnect_is_a_regression_guard_at_the_facade() {
-    let net = build_net(
+    let dir = blowfish::store::scratch_dir("net-mid-stream");
+    let net = build_net_on(
         36,
-        None,
-        ServerConfig {
-            coalesce_window: 8,
-            adaptive_window: false,
-            ..ServerConfig::default()
-        },
-        NetConfig {
-            tick_interval: Duration::from_millis(50),
-            ..NetConfig::default()
-        },
+        Some(held_store(&dir)),
+        ServerConfig::default(),
+        NetConfig::default(),
     );
     let addr = net.local_addr();
+    let mut steady = Client::connect(addr).unwrap();
+    steady.open_session("steady", 1.0).unwrap();
     {
         let mut client = Client::connect(addr).unwrap();
         client.open_session("flaky", 1.0).unwrap();
+        // Queued behind the primer's commit when the connection drops.
+        let primer = prime(&net, &mut steady, "steady");
         client
             .submit("flaky", &Request::range("pol", "ds", eps(0.9), 0, 30))
             .unwrap();
-    } // dropped mid-request
+        drop(client); // dropped mid-request
+        steady.wait(primer).unwrap();
+    }
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     while net.server().stats().cancelled == 0 {
         assert!(std::time::Instant::now() < deadline, "no cancellation seen");
@@ -452,10 +561,11 @@ fn mid_stream_disconnect_is_a_regression_guard_at_the_facade() {
         .call("flaky", &Request::range("pol", "ds", eps(0.9), 0, 30))
         .unwrap();
     net.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// A request never waits on the scheduler's clock: with `tick_interval`
-/// at five seconds, a serial analyst still gets an answer every release
+/// A request never waits on a timer: `tick_interval` is ignored (five
+/// seconds here), and a serial analyst gets an answer every release
 /// period (1.25 ms) — arrivals wake the driver, completions wake the
 /// connection's writer.
 #[test]

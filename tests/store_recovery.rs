@@ -9,7 +9,7 @@
 
 use blowfish::engine::{Engine, EngineError, Request, Response, Store};
 use blowfish::prelude::*;
-use blowfish::server::{Server, ServerConfig};
+use blowfish::server::Server;
 use blowfish::store::{scan_frames, scratch_dir, Record, ScanEnd};
 use std::sync::Arc;
 
@@ -126,13 +126,7 @@ fn server_shutdown_and_restart_reattach() {
         for i in 0..4 {
             engine.open_session(format!("a{i}"), eps(1.0)).unwrap();
         }
-        let server = Server::new(
-            Arc::clone(&engine),
-            ServerConfig {
-                adaptive_window: true,
-                ..ServerConfig::default()
-            },
-        );
+        let server = Server::with_defaults(Arc::clone(&engine));
         let tickets: Vec<_> = (0..4)
             .map(|i| {
                 server
@@ -459,9 +453,16 @@ fn store_failing_write(
     dir: &std::path::Path,
     op: u64,
 ) -> (Arc<Store>, Arc<blowfish::chaos::StorePlan>) {
-    use blowfish::chaos::{StoreFault, StorePlan};
+    store_with_faults(dir, [(op, blowfish::chaos::StoreFault::FailWrite)])
+}
+
+/// A store with `faults` scripted on its WAL op clock, and the plan.
+fn store_with_faults(
+    dir: &std::path::Path,
+    faults: impl IntoIterator<Item = (u64, blowfish::chaos::StoreFault)>,
+) -> (Arc<Store>, Arc<blowfish::chaos::StorePlan>) {
     use blowfish::store::StoreConfig;
-    let plan = Arc::new(StorePlan::scripted([(op, StoreFault::FailWrite)]));
+    let plan = Arc::new(blowfish::chaos::StorePlan::scripted(faults));
     let config = StoreConfig {
         fault_plan: Some(Arc::clone(&plan)),
         ..StoreConfig::default()
@@ -577,6 +578,100 @@ fn failed_charge_commit_withholds_untagged_answers_and_resurrects_nothing() {
     assert!(recovered <= in_memory_spent, "recovery resurrected budget");
     assert_eq!(recovered, 0.0, "no failed commit left a durable charge");
     drop(store);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// An acknowledgement never precedes its epoch's commit, and a failed
+/// commit fails its own epoch only. Epoch 1's commit is slow: its
+/// tickets stay unresolved for as long as the sync is in flight, and
+/// resolve once it lands. Epoch 2's fsync fails: exactly its tickets
+/// surface the store error, epoch 1's acknowledged answer stands (and
+/// still replays), and the scheduler lives on — epoch 3's tickets
+/// resolve, refused by the now fail-stop store rather than hung — until
+/// a restart over the same directory serves again on a ledger that
+/// holds everything ever acknowledged.
+#[test]
+fn an_epoch_acknowledges_after_its_commit_and_fails_alone() {
+    use blowfish::chaos::StoreFault;
+    let dir = scratch_dir("epoch-ack-order");
+    let hold = std::time::Duration::from_millis(150);
+    let first_serve = ops_before_first_serve(61) + 1;
+    let (store, plan) = store_with_faults(
+        &dir,
+        [
+            (
+                first_serve,
+                StoreFault::DelaySyncMicros(hold.as_micros() as u64),
+            ),
+            (first_serve + 1, StoreFault::FailSync),
+        ],
+    );
+    let engine = Arc::new(build_engine(61, Arc::clone(&store)));
+    engine.open_session("alice", eps(4.0)).unwrap();
+    let server = Arc::new(Server::with_defaults(Arc::clone(&engine)));
+    let range = |lo| Request::range("pol", "ds", eps(0.25), lo, lo + 20);
+    let store_error = |r: Result<Response, ServerError>| {
+        matches!(r, Err(ServerError::Engine(EngineError::Store(_))))
+    };
+
+    // Epoch 1: drained, released, and stuck in its slow commit.
+    let tagged = server
+        .submit_tagged("alice", range(1), Some(7), None)
+        .unwrap();
+    let plain = server.submit("alice", range(2)).unwrap();
+    let syncs = store.stats().syncs;
+    let ticking = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.tick())
+    };
+    while server.stats().ticks == 0 {
+        std::thread::yield_now();
+    }
+    assert!(
+        tagged.try_take().is_none() && plain.try_take().is_none(),
+        "no acknowledgement while the epoch's commit is in flight"
+    );
+    assert_eq!(store.stats().syncs, syncs);
+    assert_eq!(ticking.join().unwrap(), 2);
+    assert_eq!(store.stats().syncs, syncs + 1);
+    let first = tagged.try_take().unwrap().unwrap();
+    assert!(plain.try_take().unwrap().is_ok());
+
+    // Epoch 2: the fsync fails, and only this epoch's tickets with it.
+    let doomed = [
+        server.submit("alice", range(3)).unwrap(),
+        server.submit("alice", range(4)).unwrap(),
+    ];
+    assert_eq!(server.tick(), 2);
+    assert_eq!(plan.injected(), 2, "both scripted faults must have fired");
+    for t in doomed {
+        assert!(store_error(t.try_take().unwrap()));
+    }
+
+    // Epoch 3: the scheduler still turns. The store is fail-stop, so
+    // fresh charges are refused, typed — but nothing hangs, and the
+    // retry of epoch 1's acknowledged answer still replays.
+    let refused = server.submit("alice", range(5)).unwrap();
+    assert_eq!(server.tick(), 1);
+    assert!(store_error(refused.try_take().unwrap()));
+    let replay = server
+        .submit_tagged("alice", range(1), Some(7), None)
+        .unwrap();
+    assert_eq!(replay.wait().unwrap(), first);
+    drop((server, engine, store));
+
+    // Restart: the directory serves again, and holds epoch 1's
+    // acknowledged charge (one fold, one ε) plus epoch 2's (written
+    // whole, never acknowledged: budget lost to the failure, never
+    // resurrected). Epoch 3's never reached the file.
+    let store = Arc::new(Store::open(&dir).unwrap());
+    let engine = Arc::new(build_engine(61, store));
+    engine.open_session("alice", eps(4.0)).unwrap();
+    assert_eq!(engine.session_snapshot("alice").unwrap().spent(), 0.5);
+    let server = Server::with_defaults(Arc::clone(&engine));
+    let served = server.submit("alice", range(6)).unwrap();
+    server.pump_until_idle();
+    assert!(served.wait().is_ok());
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

@@ -9,7 +9,6 @@ use blowfish::obs::Stage;
 use blowfish::prelude::*;
 use blowfish::store::StoreConfig;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
@@ -37,31 +36,39 @@ fn build_net(
     NetServer::bind("127.0.0.1:0", server, net_config).unwrap()
 }
 
-/// Two analysts submit the identical range request with trace ids; the
-/// coalescing window folds them into one release. Both trace trees must
-/// cover all seven stages end to end, and their release spans must carry
-/// the same link id — amplification readable off either trace alone.
+/// Two analysts submit the identical range request with trace ids while
+/// a primer's (slow) commit is in flight, so one epoch takes both and
+/// serves them from one release. Both trace trees must cover all seven
+/// stages end to end, and their release spans must carry the same link
+/// id — amplification readable off either trace alone.
 #[test]
 fn traced_request_covers_all_seven_stages_with_linked_coalesced_release() {
+    use blowfish::chaos::{StoreFault, StorePlan};
     let dir = blowfish::store::scratch_dir("trace-seven-stages");
-    let store = Arc::new(Store::open(&dir).unwrap());
+    let slow_commits = StoreConfig {
+        fault_plan: Some(Arc::new(StorePlan::every_kth(
+            1,
+            StoreFault::DelaySyncMicros(100_000),
+        ))),
+        ..StoreConfig::default()
+    };
+    let store = Arc::new(Store::open_with(&dir, slow_commits).unwrap());
     let net = build_net(
         51,
         Some(store),
-        ServerConfig {
-            coalesce_window: 8,
-            adaptive_window: false,
-            ..ServerConfig::default()
-        },
-        NetConfig {
-            tick_interval: Duration::from_millis(10),
-            ..NetConfig::default()
-        },
+        ServerConfig::default(),
+        NetConfig::default(),
     );
     let mut client = Client::connect(net.local_addr()).unwrap();
     client.open_session("ann", 4.0).unwrap();
     client.open_session("bee", 4.0).unwrap();
-    // Identical requests within one window: one shared release.
+    let primer = client
+        .submit("ann", &Request::histogram("pol", "ds", eps(0.5)))
+        .unwrap();
+    while net.server().stats().ticks == 0 {
+        std::thread::yield_now();
+    }
+    // Identical requests within one commit: one shared release.
     let req = Request::range("pol", "ds", eps(0.5), 8, 40);
     let a = client
         .submit_traced("ann", &req, None, None, Some(0xA11CE))
@@ -69,6 +76,7 @@ fn traced_request_covers_all_seven_stages_with_linked_coalesced_release() {
     let b = client
         .submit_traced("bee", &req, None, None, Some(0xB0B))
         .unwrap();
+    client.wait(primer).unwrap();
     assert!(client.wait(a).unwrap().scalar().is_some());
     assert!(client.wait(b).unwrap().scalar().is_some());
 
@@ -104,8 +112,8 @@ fn traced_request_covers_all_seven_stages_with_linked_coalesced_release() {
     let lb = link_of(bee);
     assert!(la.is_some(), "coalesced release span must carry a link id");
     assert_eq!(la, lb, "both waiters must share the release's link id");
-    // Exactly one release backed both answers.
-    assert_eq!(net.server().stats().releases, 1);
+    // Exactly one release (after the primer's) backed both answers.
+    assert_eq!(net.server().stats().releases, 2);
     net.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 }
