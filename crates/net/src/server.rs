@@ -671,8 +671,9 @@ const DIRECT_REPLY_HIGH_WATER: usize = 256 * 1024;
 /// work behind an answer (a WAL fsync, four thread hand-offs) drifts
 /// 0.3–0.8 ms with the disk and the host clock; paced, a closed loop runs
 /// at one request a period whatever the weather, and a slower answer is
-/// late by its own excess only. A quorum write crosses two nodes' commit
-/// paths (0.9–1.6 ms), so a replica paces at twice the period.
+/// late by its own excess only. A replica keeps the same period: a
+/// quorum write waits on three fsyncs in series (leader append, follower
+/// append, charge commit — ≈ 0.8 ms) and fits inside it.
 const RELEASE_EVERY: Duration = Duration::from_micros(1250);
 
 impl Connection<'_> {
@@ -1526,10 +1527,7 @@ impl Writer<'_> {
             (self.ready, self.answered) = (replies, answered);
             return Ok(0);
         }
-        self.release += match self.shared.config.role {
-            ServerRole::Standalone => RELEASE_EVERY,
-            ServerRole::Replica(_) => 2 * RELEASE_EVERY,
-        };
+        self.release += RELEASE_EVERY;
         self.conn.in_flight.fetch_sub(answered, Ordering::SeqCst);
         let mut span = self.counters.obs.span();
         let timer = TraceTimer::any(replies.iter().map(|(_, t, _)| t));

@@ -17,6 +17,16 @@
 //!
 //! Every mutation of the shared [`NodeState`] happens under one mutex;
 //! engine execution and socket I/O always happen **outside** it.
+//!
+//! ## What an entry costs in fsyncs
+//!
+//! Two per node: the `Replicated` append (the leader's in `sequence`, a
+//! follower's once per `Replicate` frame however many entries it
+//! carries) and the charge the engine commits when the applier executes
+//! the entry. The `LogApplied` mark is staged ([`Store::stage`]) and
+//! rides the next of those. So a quorum write waits on three in series —
+//! leader append, one follower's append, the leader's charge — and the
+//! cluster pays about six.
 
 use bf_chaos::{ReplicaFault, ReplicaPlan};
 use bf_core::Epsilon;
@@ -307,6 +317,22 @@ impl Node {
         store: Arc<Store>,
         cfg: &ReplicaConfig,
     ) -> Result<Node, ReplicaError> {
+        // A replica's sessions are opened by log entries, not by whoever
+        // is connected: a leader whose clients never saw this node
+        // restart keeps shipping writes for them. So recovered sessions
+        // go live at once — parked, every such write would refuse here
+        // with `SessionEvicted` and this ledger fall behind its peers'.
+        for analyst in engine.parked_analysts() {
+            let reattached = engine
+                .parked_session(&analyst)
+                .and_then(|parked| Epsilon::new(parked.total).ok())
+                .map(|total| engine.attach_session(&analyst, total));
+            if !matches!(reattached, Some(Ok(_))) {
+                return Err(ReplicaError::Corrupt(format!(
+                    "recovered session {analyst:?} does not reattach: {reattached:?}"
+                )));
+            }
+        }
         let snap = store.current_state();
         let mut log = Vec::with_capacity(snap.log_pending.len());
         for (expect, (&index, pending)) in (snap.log_applied + 1..).zip(snap.log_pending.iter()) {
@@ -630,7 +656,7 @@ impl Node {
             // lock. Waiters are answered only after `mark_applied`: a
             // client holding an answer finds it already counted in
             // `applied` and in the store's state (whose digest covers
-            // the durable mark).
+            // the mark).
             match &entry.op {
                 WireLogOp::OpenSession { total_bits } => {
                     let outcome = Epsilon::new(f64::from_bits(*total_bits))
@@ -674,11 +700,20 @@ impl Node {
         }
     }
 
-    /// Durable execution mark: recovery resumes exactly here. A crash
-    /// between the engine's Replied record and this mark replays into
-    /// the reply cache at zero ε.
+    /// The execution mark, *staged*: counted in `applied` and in the
+    /// store's state (and its digest) before any waiter is answered, and
+    /// durable with whatever this store commits next — the next entry's
+    /// `Replicated` or charge, a compaction — not with an fsync of its
+    /// own. A crash before then recovers `applied` short of `index`, and
+    /// the applier runs those entries again. That is sound because what
+    /// an entry commits is durable before its mark is staged, and the
+    /// mark precedes in the WAL whatever later entries commit: an entry
+    /// that charged finds its `Replied` record and replays from the
+    /// reply cache at zero ε; one that committed nothing (a replay, a
+    /// refusal) runs against the very ledger it first ran against,
+    /// because nothing after its lost mark survived either.
     fn mark_applied(&self, index: u64) {
-        if self.store.commit(&[Record::LogApplied { index }]).is_err() {
+        if self.store.stage(&[Record::LogApplied { index }]).is_err() {
             self.dead.store(true, Ordering::SeqCst);
         }
         let mut st = self.state.lock().unwrap();
@@ -1114,8 +1149,13 @@ impl Node {
                             return None; // stale leader: drop the link
                         }
                         st.epoch = st.epoch.max(epoch);
+                        // Check the whole frame against the local log
+                        // first; what it adds is appended below in one
+                        // commit.
+                        let mut fresh: Vec<LogEntry> = Vec::new();
                         for e in entries {
-                            if e.index < st.next_index() {
+                            let next = st.next_index() + fresh.len() as u64;
+                            if e.index < next {
                                 // Overlap with the local log: the same
                                 // index must hold the same entry. A
                                 // different epoch is a divergent suffix
@@ -1127,37 +1167,43 @@ impl Node {
                                 if same {
                                     continue; // duplicate resend
                                 }
-                                if !self.truncate_suffix(&mut st, e.index - 1) {
-                                    return None; // conflict reached the commit point
+                                // A leader's frame ascends, so a conflict
+                                // comes before anything fresh; and one at
+                                // the commit point halts the node.
+                                if !fresh.is_empty() || !self.truncate_suffix(&mut st, e.index - 1)
+                                {
+                                    return None;
                                 }
-                            }
-                            if e.index > st.next_index() {
+                            } else if e.index > next {
                                 return None; // gap: resubscribe
                             }
-                            // Durable-first: the WAL append is what an
-                            // ack means.
-                            if self
-                                .store
-                                .commit(&[Record::Replicated {
-                                    epoch: e.epoch,
-                                    index: e.index,
-                                    analyst: e.analyst.clone(),
-                                    request_id: e.request_id,
-                                    payload: e.op.encode(),
-                                }])
-                                .is_err()
-                            {
-                                self.dead.store(true, Ordering::SeqCst);
-                                return None;
-                            }
-                            st.last_epoch = e.epoch;
-                            st.log.push(LogEntry {
+                            fresh.push(LogEntry {
                                 epoch: e.epoch,
                                 index: e.index,
                                 analyst: e.analyst,
                                 request_id: e.request_id,
                                 op: e.op,
                             });
+                        }
+                        if let Some(last) = fresh.last() {
+                            // Durable-first: the WAL append is what an
+                            // ack means — one fsync for the frame.
+                            let records: Vec<Record> = fresh
+                                .iter()
+                                .map(|e| Record::Replicated {
+                                    epoch: e.epoch,
+                                    index: e.index,
+                                    analyst: e.analyst.clone(),
+                                    request_id: e.request_id,
+                                    payload: e.op.encode(),
+                                })
+                                .collect();
+                            if self.store.commit(&records).is_err() {
+                                self.dead.store(true, Ordering::SeqCst);
+                                return None;
+                            }
+                            st.last_epoch = last.epoch;
+                            st.log.append(&mut fresh);
                         }
                         st.commit_index = st.commit_index.max(commit_index.min(st.high_water()));
                         self.update_gauges(&st);
@@ -1463,7 +1509,24 @@ impl Replica {
         cfg: ReplicaConfig,
         setup: impl FnOnce(&Engine),
     ) -> Result<Replica, ReplicaError> {
-        let store = Arc::new(Store::open(dir)?);
+        Self::start_on(
+            Arc::new(Store::open(dir)?),
+            client_addr,
+            peer_addr,
+            cfg,
+            setup,
+        )
+    }
+
+    /// [`Replica::start`] on a store the caller opened (tests open one
+    /// with a fault plan).
+    fn start_on(
+        store: Arc<Store>,
+        client_addr: impl ToSocketAddrs,
+        peer_addr: impl ToSocketAddrs,
+        cfg: ReplicaConfig,
+        setup: impl FnOnce(&Engine),
+    ) -> Result<Replica, ReplicaError> {
         let engine = Arc::new(Engine::with_store(cfg.seed, Arc::clone(&store)));
         setup(&engine);
         let node = Arc::new(Node::recover(engine, store, &cfg)?);
@@ -2251,6 +2314,269 @@ mod tests {
             0.5,
             "replay after restart must not double-charge"
         );
+        r.shutdown().unwrap();
+    }
+
+    /// A scripted leader's end of one follower link: the test sends the
+    /// `Replicate` frames it wants and reads the acks they earn.
+    struct Link {
+        stream: TcpStream,
+        buf: FrameBuf,
+        out: Vec<u8>,
+        /// Where the follower's `LogCatchup` subscribed from.
+        from_index: u64,
+    }
+
+    impl Link {
+        /// Accepts the follower's next dial and answers its handshake.
+        fn accept(listener: &TcpListener) -> Link {
+            let (stream, _) = listener.accept().unwrap();
+            stream
+                .set_read_timeout(Some(Duration::from_secs(5)))
+                .unwrap();
+            let mut link = Link {
+                stream,
+                buf: FrameBuf::new(),
+                out: Vec::new(),
+                from_index: 0,
+            };
+            let Some(ClientMessage::Hello { id, .. }) = link.read() else {
+                panic!("a follower link opens with Hello");
+            };
+            let welcome = ServerMessage::Welcome {
+                id,
+                version: PROTOCOL_VERSION,
+            };
+            write_frame(&mut link.stream, &mut link.out, &welcome).unwrap();
+            let Some(ClientMessage::LogCatchup { from_index, .. }) = link.read() else {
+                panic!("a follower subscribes with LogCatchup");
+            };
+            link.from_index = from_index;
+            link
+        }
+
+        fn read(&mut self) -> Option<ClientMessage> {
+            loop {
+                match self.buf.next_frame() {
+                    FrameRead::Complete { payload, .. } => return ClientMessage::decode(payload),
+                    FrameRead::Corrupt => return None,
+                    FrameRead::Incomplete => {}
+                }
+                if self.buf.fill(&mut self.stream).ok()? == 0 {
+                    return None;
+                }
+            }
+        }
+
+        /// Ships entries `(index, epoch)` in one frame.
+        fn ship(&mut self, epoch: u64, commit_index: u64, entries: &[(u64, u64)]) {
+            let entries = entries
+                .iter()
+                .map(|&(index, epoch)| WireLogEntry {
+                    epoch,
+                    index,
+                    analyst: format!("n{index}"),
+                    request_id: RESERVED_REQUEST_ID_BASE | index,
+                    op: WireLogOp::OpenSession {
+                        total_bits: 1.0f64.to_bits(),
+                    },
+                })
+                .collect();
+            let frame = ServerMessage::Replicate {
+                id: 2,
+                epoch,
+                commit_index,
+                entries,
+            };
+            write_frame(&mut self.stream, &mut self.out, &frame).unwrap();
+        }
+
+        /// The next cumulative ack's index; `None` once the follower has
+        /// dropped the link.
+        fn ack(&mut self) -> Option<u64> {
+            match self.read()? {
+                ClientMessage::ReplicateAck { index, .. } => Some(index),
+                other => panic!("expected an ack, got {other:?}"),
+            }
+        }
+    }
+
+    /// A follower dialling a scripted leader, linked and subscribed.
+    fn scripted_follower(tag: &str) -> (Replica, TcpListener, Link) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let follower = replica(tag, ReplicaConfig::default());
+        follower.follow(listener.local_addr().unwrap(), "scripted");
+        let link = Link::accept(&listener);
+        (follower, listener, link)
+    }
+
+    fn syncs(r: &Replica) -> u64 {
+        r.node.store.stats().syncs
+    }
+
+    /// Copies a live node's WAL directory — what a crash at this instant
+    /// would leave on disk (the `LOCK` file is the dead process's).
+    fn crash_image(r: &Replica, tag: &str) -> PathBuf {
+        let image = scratch_dir(tag);
+        for entry in std::fs::read_dir(r.node.store.dir()).unwrap() {
+            let entry = entry.unwrap();
+            if entry.file_name() != "LOCK" {
+                std::fs::copy(entry.path(), image.join(entry.file_name())).unwrap();
+            }
+        }
+        image
+    }
+
+    #[test]
+    fn a_replicate_frame_is_appended_in_one_sync_and_acked_once() {
+        let (follower, _listener, mut link) = scripted_follower("replica-batch-one");
+        assert_eq!(link.from_index, 1);
+        let before = syncs(&follower);
+        let frame: Vec<(u64, u64)> = (1..=BATCH as u64).map(|i| (i, 0)).collect();
+        link.ship(0, 0, &frame);
+        // One ack, at the frame's high water, after one fsync.
+        assert_eq!(link.ack(), Some(BATCH as u64));
+        assert_eq!(syncs(&follower), before + 1);
+        assert_eq!(follower.status().log_index, BATCH as u64);
+        assert_eq!(follower.status().applied, 0, "nothing committed yet");
+
+        // A frame whose first entries the log already holds: those are
+        // skipped, the rest appended — again one fsync, one ack.
+        link.ship(0, 0, &[(63, 0), (64, 0), (65, 0), (66, 0)]);
+        assert_eq!(link.ack(), Some(66));
+        assert_eq!(syncs(&follower), before + 2);
+        // A pure resend appends nothing and syncs nothing.
+        link.ship(0, 0, &[(65, 0), (66, 0)]);
+        assert_eq!(link.ack(), Some(66));
+        assert_eq!(syncs(&follower), before + 2);
+        assert_eq!(follower.node.store.current_state().log_pending.len(), 66);
+        follower.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_frame_diverging_midway_truncates_then_appends_the_rest() {
+        let (follower, _listener, mut link) = scripted_follower("replica-batch-div");
+        link.ship(0, 0, &[(1, 0), (2, 0), (3, 0), (4, 0)]);
+        assert_eq!(link.ack(), Some(4));
+        let before = syncs(&follower);
+        // Epoch 1's leader holds 1–3 as we do, and its own 4–6.
+        link.ship(1, 0, &[(3, 0), (4, 1), (5, 1), (6, 1)]);
+        assert_eq!(link.ack(), Some(6));
+        // The truncation is one commit, the three fresh entries another.
+        assert_eq!(syncs(&follower), before + 2);
+        let pending = follower.node.store.current_state().log_pending;
+        let epochs: Vec<u64> = pending.values().map(|e| e.epoch).collect();
+        assert_eq!(epochs, [0, 0, 0, 1, 1, 1]);
+        {
+            let st = follower.node.state.lock().unwrap();
+            assert_eq!(st.high_water(), 6);
+            assert_eq!(st.last_epoch, 1);
+            assert_eq!(st.entry_at(4).unwrap().epoch, 1);
+        }
+        assert!(!follower.status().dead);
+        follower.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_conflict_at_the_commit_point_halts_the_follower() {
+        let (follower, _listener, mut link) = scripted_follower("replica-batch-halt");
+        link.ship(0, 2, &[(1, 0), (2, 0), (3, 0)]);
+        assert_eq!(link.ack(), Some(3));
+        drain_to(&follower, 2);
+        // Entry 2 is quorum-durable; a leader that contradicts it was
+        // promoted over a stale log. Nothing of its frame is appended.
+        let before = syncs(&follower);
+        link.ship(1, 2, &[(2, 1), (3, 1), (4, 1)]);
+        assert_eq!(link.ack(), None, "the link is dropped, unacked");
+        assert!(follower.status().dead);
+        assert_eq!(follower.status().log_index, 3);
+        assert_eq!(syncs(&follower), before);
+        assert_eq!(follower.node.store.current_state().log_index, 3);
+        follower.shutdown().unwrap();
+    }
+
+    #[test]
+    fn an_image_torn_inside_a_batch_recovers_a_prefix_and_resubscribes_after_it() {
+        let (follower, listener, mut link) = scripted_follower("replica-batch-torn");
+        let frame: Vec<(u64, u64)> = (1..=BATCH as u64).map(|i| (i, 0)).collect();
+        link.ship(0, 0, &frame);
+        assert_eq!(link.ack(), Some(BATCH as u64));
+        let image = crash_image(&follower, "replica-batch-torn-image");
+        follower.shutdown().unwrap();
+        drop(link);
+
+        // The whole frame is one write: cut it in half.
+        let segment = std::fs::read_dir(&image)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .max_by_key(|p| std::fs::metadata(p).unwrap().len())
+            .unwrap();
+        let bytes = std::fs::read(&segment).unwrap();
+        std::fs::write(&segment, &bytes[..bytes.len() / 2]).unwrap();
+
+        let restarted = Replica::start(
+            &image,
+            "127.0.0.1:0",
+            "127.0.0.1:0",
+            ReplicaConfig::default(),
+            setup,
+        )
+        .unwrap();
+        let held = restarted.status().log_index;
+        assert!(0 < held && held < BATCH as u64, "a prefix, got {held}");
+        assert!(restarted.node.store.recovery_report().tail_skipped);
+        restarted.follow(listener.local_addr().unwrap(), "scripted");
+        let mut link = Link::accept(&listener);
+        assert_eq!(link.from_index, held + 1);
+        link.ship(0, 0, &frame[held as usize..]);
+        assert_eq!(link.ack(), Some(BATCH as u64));
+        restarted.shutdown().unwrap();
+    }
+
+    /// The write's ticket stays unresolved — and `applied` unmoved —
+    /// while the commit of its charge is in flight: staging the mark
+    /// took an fsync off the path, not the order.
+    #[test]
+    fn a_replicated_write_is_acknowledged_after_its_charge_commit() {
+        use bf_chaos::{StoreFault, StorePlan};
+        use bf_store::StoreConfig;
+        let slow = StorePlan::every_kth(1, StoreFault::DelaySyncMicros(100_000));
+        let config = StoreConfig {
+            fault_plan: Some(Arc::new(slow)),
+            ..StoreConfig::default()
+        };
+        let store = Arc::new(Store::open_with(scratch_dir("replica-ack-order"), config).unwrap());
+        let r = Replica::start_on(
+            Arc::clone(&store),
+            "127.0.0.1:0",
+            "127.0.0.1:0",
+            ReplicaConfig::default(),
+            setup,
+        )
+        .unwrap();
+        r.lead();
+        let mut client = Client::connect(r.client_addr()).unwrap();
+        client.open_session("k", 2.0).unwrap();
+        let before = store.stats();
+
+        // Returns once the entry's own append is durable …
+        let request = Request::range("pol", "ds", eps(0.5), 0, 8);
+        let ticket = r.node.sequence_submit("k", Some(9), request).unwrap();
+        assert_eq!(store.stats().syncs, before.syncs + 1);
+        // … and the applier's charge commit is the next one entered.
+        while store.stats().commits < before.commits + 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(store.stats().syncs, before.syncs + 1, "still in flight");
+        assert!(ticket.try_take().is_none(), "no answer before the commit");
+        assert_eq!(r.status().applied, 1);
+
+        ticket.wait().unwrap();
+        // Two fsyncs for the entry, the mark among neither.
+        assert_eq!(store.stats().syncs, before.syncs + 2);
+        assert_eq!(r.status().applied, 2);
+        assert_eq!(store.current_state().log_applied, 2);
+        client.goodbye().unwrap();
         r.shutdown().unwrap();
     }
 

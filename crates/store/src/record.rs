@@ -165,11 +165,13 @@ pub enum Record {
         payload: Vec<u8>,
     },
     /// Execution high-water mark of the replicated log: every entry at
-    /// or below `index` has been applied through the engine. Written
-    /// after each applied entry so recovery resumes execution exactly
-    /// where it stopped; a crash between an entry's `Replied` record and
-    /// its `LogApplied` record is harmless — re-execution hits the reply
-    /// cache at zero ε and re-writes the mark.
+    /// or below `index` has been applied through the engine. Staged
+    /// after each applied entry (durable with the store's next commit,
+    /// see `Store::stage`) so recovery resumes execution where it
+    /// stopped or a few entries short; a crash between an entry's
+    /// `Replied` record and its `LogApplied` record is harmless —
+    /// re-execution hits the reply cache at zero ε and re-writes the
+    /// mark.
     LogApplied {
         /// Highest applied log index.
         index: u64,

@@ -27,7 +27,9 @@
 //! *leader*, writes the whole buffer and fsyncs once, and every caller
 //! whose records rode along returns. Under N concurrent charges the
 //! store performs ~1 fsync for the batch instead of N
-//! ([`StoreStats::amortization`]).
+//! ([`StoreStats::amortization`]). [`Store::stage`] puts frames in the
+//! same buffer and returns at once: they ride the next fsync anyone
+//! pays for.
 
 use crate::error::StoreError;
 use crate::record::{
@@ -197,6 +199,27 @@ struct Inner {
     syncing: bool,
     counters: Counters,
     poisoned: Option<String>,
+}
+
+impl Inner {
+    /// Applies `records` to the mirror and frames them, in order, into
+    /// the pending buffer — what [`Store::commit`] and [`Store::stage`]
+    /// share. A poisoned store appends nothing.
+    fn append(&mut self, records: &[Record]) -> Result<(), StoreError> {
+        if let Some(msg) = &self.poisoned {
+            return Err(StoreError::Poisoned(msg.clone()));
+        }
+        for r in records {
+            self.state.apply(r);
+            frame_into(&mut self.pending, |out| r.encode_into(out));
+        }
+        self.pending_records += records.len() as u64;
+        self.counters.appended.add(records.len() as u64);
+        self.counters
+            .release_seq_identities
+            .set(self.state.release_seqs.len() as f64);
+        Ok(())
+    }
 }
 
 /// A durable ε-budget ledger: WAL + snapshots in one directory.
@@ -544,20 +567,8 @@ impl Store {
             return Ok(());
         }
         let mut g = self.inner.lock().expect("store lock poisoned");
-        if let Some(msg) = &g.poisoned {
-            return Err(StoreError::Poisoned(msg.clone()));
-        }
-        let inner = &mut *g;
-        for r in records {
-            inner.state.apply(r);
-            frame_into(&mut inner.pending, |out| r.encode_into(out));
-        }
-        g.pending_records += records.len() as u64;
-        g.counters.appended.add(records.len() as u64);
+        g.append(records)?;
         g.counters.commits.inc();
-        g.counters
-            .release_seq_identities
-            .set(g.state.release_seqs.len() as f64);
         let my_seq = g.next_seq;
         g.next_seq += 1;
 
@@ -600,6 +611,27 @@ impl Store {
             }
             self.commit_cv.notify_all();
         }
+    }
+
+    /// Appends `records` **without** waiting for durability: they are in
+    /// the mirror ([`Store::current_state`], its digest) when this
+    /// returns, and reach disk with whatever this store makes durable
+    /// next — a [`Store::commit`] (ahead of that call's own records), a
+    /// [`Store::compact`] — in call order like everything else. A crash
+    /// before then loses them, always as a suffix of the WAL.
+    ///
+    /// Only for a record whose loss recovery repairs by itself:
+    /// `bf-replica`'s `LogApplied` mark, which replay re-derives at zero
+    /// ε. Nothing staged may be acknowledged to anyone as durable.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Poisoned`] after any earlier write failure.
+    pub fn stage(&self, records: &[Record]) -> Result<(), StoreError> {
+        self.inner
+            .lock()
+            .expect("store lock poisoned")
+            .append(records)
     }
 
     /// Compacts the log: flushes anything pending, rotates to a fresh
@@ -1349,6 +1381,144 @@ mod tests {
         }
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.recovered_state().sessions["a"].spent, 0.5);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// What a crash right now would leave: the records of every live
+    /// segment, read off disk while the store stays open.
+    fn records_on_disk(dir: &Path) -> Vec<Record> {
+        let mut out = Vec::new();
+        for (_, path) in sorted_wal_segments(dir) {
+            let (end, _) = scan_frames(&std::fs::read(path).unwrap(), |r| out.push(r));
+            assert_eq!(end, ScanEnd::Clean);
+        }
+        out
+    }
+
+    #[test]
+    fn staged_records_are_mirrored_at_once_and_ride_the_next_commit_in_call_order() {
+        let dir = scratch_dir("stage-order");
+        let store = Store::open(&dir).unwrap();
+        let entry = |index| Record::Replicated {
+            epoch: 0,
+            index,
+            analyst: "a".into(),
+            request_id: index,
+            payload: vec![1],
+        };
+        store.commit(&[entry(1), entry(2)]).unwrap();
+        let before = store.stats();
+
+        store.stage(&[Record::LogApplied { index: 1 }]).unwrap();
+        store.stage(&[Record::LogApplied { index: 2 }]).unwrap();
+        // Counted in the mirror (and so in its digest) at once …
+        assert_eq!(store.current_state().log_applied, 2);
+        // … at no fsync, and in no segment.
+        let after = store.stats();
+        assert_eq!(after.syncs, before.syncs);
+        assert_eq!(after.commits, before.commits);
+        assert_eq!(after.appended_records, before.appended_records + 2);
+        assert_eq!(records_on_disk(&dir), [entry(1), entry(2)]);
+
+        // The next commit carries them, ahead of its own record and in
+        // the order they were staged: WAL order is call order.
+        store.commit(&[entry(3)]).unwrap();
+        assert_eq!(store.stats().syncs, before.syncs + 1);
+        assert_eq!(
+            records_on_disk(&dir),
+            [
+                entry(1),
+                entry(2),
+                Record::LogApplied { index: 1 },
+                Record::LogApplied { index: 2 },
+                entry(3),
+            ]
+        );
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.recovered_state().log_applied, 2);
+        assert_eq!(store.recovered_state().log_pending.len(), 1);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Staging moves *when* a frame reaches disk, never what is there: a
+    /// segment written with a staged mark is byte for byte the one
+    /// written by a commit per record, as builds before `stage` did —
+    /// either reads the other's directories.
+    #[test]
+    fn a_staged_record_leaves_the_same_bytes_as_its_own_commit() {
+        let records = [
+            Record::session_opened("a", 1.0),
+            Record::LogApplied { index: 1 },
+            Record::replied("a", 1, "q", 0.25, vec![9]),
+        ];
+        let segment = |tag: &str, stage_mark: bool| {
+            let dir = scratch_dir(tag);
+            let store = Store::open(&dir).unwrap();
+            store.commit(&records[..1]).unwrap();
+            if stage_mark {
+                store.stage(&records[1..2]).unwrap();
+            } else {
+                store.commit(&records[1..2]).unwrap();
+            }
+            store.commit(&records[2..]).unwrap();
+            let bytes = std::fs::read(segment_path(&dir, 0)).unwrap();
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+            bytes
+        };
+        assert_eq!(
+            segment("stage-bytes-a", true),
+            segment("stage-bytes-b", false)
+        );
+    }
+
+    #[test]
+    fn a_crash_loses_staged_records_and_compaction_flushes_them() {
+        let dir = scratch_dir("stage-flush");
+        {
+            let store = Store::open(&dir).unwrap();
+            store.commit(&[Record::session_opened("a", 1.0)]).unwrap();
+            store.stage(&[Record::LogApplied { index: 7 }]).unwrap();
+        } // dropped with the mark still staged: the crash case
+        {
+            let store = Store::open(&dir).unwrap();
+            assert_eq!(store.recovered_state().log_applied, 0, "never durable");
+            assert_eq!(store.recovered_state().sessions["a"].total, 1.0);
+            store.stage(&[Record::LogApplied { index: 7 }]).unwrap();
+            // `compact` is what a clean shutdown ends with.
+            store.compact().unwrap();
+        }
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(store.recovered_state().log_applied, 7);
+        assert_eq!(
+            store.recovery_report().records_applied,
+            0,
+            "in the snapshot"
+        );
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_poisoned_store_refuses_to_stage() {
+        use bf_chaos::{StoreFault, StorePlan};
+        let dir = scratch_dir("stage-poisoned");
+        let store = Store::open_with(
+            &dir,
+            chaos_config(StorePlan::scripted([(1, StoreFault::FailWrite)])),
+        )
+        .unwrap();
+        store
+            .commit(&[Record::session_opened("a", 1.0)])
+            .unwrap_err();
+        assert!(matches!(
+            store.stage(&[Record::LogApplied { index: 1 }]),
+            Err(StoreError::Poisoned(_))
+        ));
+        assert_eq!(store.current_state().log_applied, 0, "nothing appended");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

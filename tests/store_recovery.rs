@@ -331,6 +331,88 @@ fn truncation_at_any_offset_recovers_a_monotone_prefix() {
     assert!(!report.tail_skipped);
 }
 
+/// The same sweep over a replica's segment, where each commit carries
+/// the staged `LogApplied` mark of the entry before it (`Store::stage`):
+/// `Replicated i` · `Replied i` · mark `i`, the mark reaching disk with
+/// `Replicated i + 1`. Cut anywhere, recovery yields a prefix — spent
+/// monotone in the cut and never invented — whose execution mark never
+/// runs ahead of the charges: entry `k` reads as applied only if its
+/// `Replied` record (charge and answer, one frame) was recovered too.
+#[test]
+fn truncation_inside_commits_carrying_staged_marks_recovers_a_monotone_prefix() {
+    const ENTRIES: u64 = 8;
+    let dir = scratch_dir("truncate-staged");
+    {
+        let store = Store::open(&dir).unwrap();
+        store
+            .commit(&[Record::session_opened("alice", 1e6)])
+            .unwrap();
+        for i in 1..=ENTRIES {
+            store
+                .commit(&[Record::Replicated {
+                    epoch: 0,
+                    index: i,
+                    analyst: "alice".into(),
+                    request_id: i,
+                    payload: vec![i as u8; 9],
+                }])
+                .unwrap();
+            let spend = i as f64 / 1024.0;
+            store
+                .commit(&[Record::replied("alice", i, "q", spend, vec![i as u8])])
+                .unwrap();
+            store.stage(&[Record::LogApplied { index: i }]).unwrap();
+        }
+        assert_eq!(store.stats().syncs, 1 + 2 * ENTRIES, "no sync for a mark");
+    } // the last mark dies with the process
+    let bytes = std::fs::read(dir.join("wal-0000000000000000.log")).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let mut last = (0u64, 0u64, 0u64); // served, applied, logged
+    for cut in 0..=bytes.len() {
+        let dir = scratch_dir("truncate-staged-cut");
+        std::fs::write(dir.join("wal-0000000000000000.log"), &bytes[..cut]).unwrap();
+        let store = Store::open(&dir).unwrap();
+        let state = store.recovered_state();
+        let (spent, served) = state
+            .sessions
+            .get("alice")
+            .map_or((0.0, 0), |s| (s.spent, s.served));
+        // Spends are distinct, so the prefix sum names the prefix.
+        let expected = (1..=served).fold(0.0, |sum, i| sum + i as f64 / 1024.0);
+        assert_eq!(spent.to_bits(), expected.to_bits(), "cut {cut}");
+        assert!(
+            state.log_applied <= served,
+            "cut {cut}: entry {} marked applied, {served} charges recovered",
+            state.log_applied
+        );
+        for k in 1..=served {
+            assert!(state.cached_reply("alice", k).is_some(), "cut {cut}");
+        }
+        // An entry is logged before it is charged, and the pending
+        // entries are exactly those between the mark and the log's end.
+        assert!(served <= state.log_index, "cut {cut}");
+        assert!(
+            state
+                .log_pending
+                .keys()
+                .copied()
+                .eq(state.log_applied + 1..=state.log_index),
+            "cut {cut}"
+        );
+        let now = (served, state.log_applied, state.log_index);
+        assert!(
+            last.0 <= now.0 && last.1 <= now.1 && last.2 <= now.2,
+            "cut {cut}: {last:?} → {now:?} went backwards"
+        );
+        last = now;
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    // Whole, the segment holds every charge and every mark but the last.
+    assert_eq!(last, (ENTRIES, ENTRIES - 1, ENTRIES));
+}
+
 /// Property: flipping any single byte makes the checksum reject that
 /// record. A flip in the **final** record looks like a crash tear
 /// (nothing durable follows), so recovery accepts exactly the intact
