@@ -124,7 +124,9 @@ impl SecretGraph {
 
     /// Largest L1 length (ordinal embedding) of any single edge:
     /// `max_{(x,y)∈E} ||x − y||₁`. This drives the Blowfish sensitivity of
-    /// `q_sum` (Lemma 6.1) and of the cumulative histogram (Section 7.2):
+    /// `q_sum` (Lemma 6.1) and, on a one-attribute domain — where an
+    /// edge's L1 length is its index span — of the cumulative histogram
+    /// (Section 7.2):
     ///
     /// * full: domain diameter `d(T)`,
     /// * attribute: `max_A (|A| − 1)`,

@@ -303,6 +303,46 @@ mod tests {
         );
     }
 
+    /// The two claims above at the paper's domain size, where a release
+    /// runs the pre-pooling pass of `isotonic_regression` end to end:
+    /// inference still buys what it bought, and a range still costs under
+    /// Theorem 7.1's `4/ε²` with inference on.
+    #[test]
+    fn inference_and_the_range_bound_hold_at_65_536_cells() {
+        let size = 65_536;
+        let eps = Epsilon::new(0.1).unwrap();
+        let cum = sparse_cumulative(size);
+        let with = OrderedMechanism::line_graph(eps);
+        let without = with.without_inference();
+        let mut rng = StdRng::seed_from_u64(78);
+        let (mut err_with, mut err_without, mut range_se) = (0.0, 0.0, 0.0);
+        let (trials, ranges) = (4, 2_000);
+        for _ in 0..trials {
+            let rw = with.release(&cum, &mut rng).unwrap();
+            let ro = without.release(&cum, &mut rng).unwrap();
+            for i in 0..size {
+                let t = cum.prefix(i);
+                err_with += (rw.prefix(i) - t).powi(2);
+                err_without += (ro.prefix(i) - t).powi(2);
+            }
+            for _ in 0..ranges {
+                let lo = rng.random_range(0..size);
+                let hi = rng.random_range(lo..size);
+                range_se += (rw.range(lo, hi) - cum.range_count(lo, hi).unwrap()).powi(2);
+            }
+        }
+        assert!(
+            err_with <= 0.8 * err_without,
+            "prefix error with inference {err_with} vs raw {err_without}"
+        );
+        let range_mse = range_se / (trials * ranges) as f64;
+        assert!(
+            range_mse < with.range_error_bound(),
+            "range MSE {range_mse} over the 4/ε² bound {}",
+            with.range_error_bound()
+        );
+    }
+
     #[test]
     fn policy_calibration() {
         use bf_domain::Domain;

@@ -113,6 +113,56 @@ fn batched_ranges_spend_once_and_answer_all() {
     assert!((snap.spent() - 0.8).abs() < 1e-12, "batch must spend once");
 }
 
+/// On a multi-attribute domain a cumulative release — asked for by name,
+/// or as the shared release under a fold of ranges — is calibrated at the
+/// largest *index span* of a secret edge, not its L1 length: on 3 × 4
+/// cells under `G^{L1,1}` that is 4 (one step of the first attribute),
+/// where the closed form used to say 1 and the release went out with a
+/// quarter of the noise the policy needs. Read statistically: the
+/// prefixes are 1 000 apart, so inference never moves them and the last
+/// prefix (and a range from cell 0) carries one `Lap(4/ε)` draw, whose
+/// mean magnitude is 4/ε.
+#[test]
+fn cumulative_releases_on_a_grid_are_calibrated_at_the_index_span() {
+    let engine = Engine::with_seed(41);
+    let domain = Domain::from_cardinalities(&[3, 4]).unwrap();
+    engine
+        .register_policy("grid", Policy::distance_threshold(domain.clone(), 1))
+        .unwrap();
+    let rows: Vec<usize> = (0..12_000).map(|i| i % 12).collect();
+    engine
+        .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
+        .unwrap();
+    let releases = 2_000;
+    engine
+        .open_session("dana", eps(2.0 * releases as f64))
+        .unwrap();
+    let e = eps(1.0);
+    let (mut direct, mut folded) = (0.0, 0.0);
+    for _ in 0..releases {
+        let response = engine
+            .serve("dana", &Request::cumulative_histogram("grid", "ds", e))
+            .unwrap();
+        let Response::Prefixes(prefixes) = response else {
+            panic!("a cumulative request answers with prefixes");
+        };
+        direct += (prefixes[11] - 12_000.0).abs();
+        let fold = [
+            Request::range("grid", "ds", e, 0, 5),
+            Request::range("grid", "ds", e, 0, 11),
+        ];
+        let answers = engine.serve_batch("dana", &fold);
+        folded += (answers[1].as_ref().unwrap().scalar().unwrap() - 12_000.0).abs();
+    }
+    for (what, sum) in [("cumulative request", direct), ("2-range fold", folded)] {
+        let mean = sum / releases as f64;
+        assert!(
+            (mean - 4.0).abs() < 0.4,
+            "{what}: mean |noise| {mean}, expected 4/ε = 4"
+        );
+    }
+}
+
 /// Serving through the facade fills the shared cache: a new analyst
 /// asking an already-served class is a pure cache hit.
 #[test]

@@ -54,6 +54,69 @@ fn unconstrained_closed_forms_match_brute_force() {
     }
 }
 
+/// One graph of every `SecretGraph` variant on `domain`: full,
+/// attribute, `G^{L1,1}`, `G^{L1,2}`, a partition whose blocks straddle
+/// the rows of a grid, and a custom graph with a long and a short edge.
+fn every_graph_variant(domain: &Domain) -> Vec<Policy> {
+    let size = domain.size();
+    let blocks: Vec<u32> = (0..size).map(|x| (x % 3) as u32).collect();
+    let mut custom = blowfish::graph::Graph::new(size);
+    custom.add_edge(1, size - 2);
+    custom.add_edge(0, 1);
+    vec![
+        Policy::differential_privacy(domain.clone()),
+        Policy::attribute(domain.clone()),
+        Policy::distance_threshold(domain.clone(), 1),
+        Policy::distance_threshold(domain.clone(), 2),
+        Policy::partitioned(domain.clone(), Partition::new(blocks).unwrap()),
+        Policy::new(domain.clone(), SecretGraph::Custom(custom)),
+    ]
+}
+
+/// The cumulative histogram's sensitivity is an edge's *index span*, which
+/// is its L1 length on one attribute only: on grids the closed form used
+/// to return the L1 length (1 for `G^{L1,1}` on 3 × 4, where a step of the
+/// first attribute moves 4 prefixes) and under-calibrated every Ordered
+/// release there.
+#[test]
+fn cumulative_sensitivity_is_the_index_span_on_grids() {
+    for cards in [vec![3, 4], vec![2, 2, 3]] {
+        let domain = Domain::from_cardinalities(&cards).unwrap();
+        for policy in every_graph_variant(&domain) {
+            // One row is the whole definition for a counting query: a
+            // neighbour moves one tuple along one edge.
+            assert_eq!(
+                brute_force_sensitivity(&policy, 1, &cumulative, CAP).unwrap(),
+                cumulative_histogram_sensitivity(&policy),
+                "{} on {cards:?}",
+                policy.label()
+            );
+        }
+    }
+    let grid = Domain::from_cardinalities(&[3, 4]).unwrap();
+    let on_grid = |p: Policy| cumulative_histogram_sensitivity(&p);
+    assert_eq!(on_grid(Policy::distance_threshold(grid.clone(), 1)), 4.0);
+    assert_eq!(on_grid(Policy::attribute(grid.clone())), 8.0);
+    assert_eq!(on_grid(Policy::differential_privacy(grid)), 11.0);
+}
+
+/// On one attribute nothing moved: every variant still returns the L1
+/// closed form, so every existing release is calibrated as before.
+#[test]
+fn cumulative_sensitivity_on_a_line_is_the_l1_closed_form() {
+    for size in [4, 7, 64] {
+        let domain = Domain::line(size).unwrap();
+        for policy in every_graph_variant(&domain) {
+            assert_eq!(
+                cumulative_histogram_sensitivity(&policy),
+                policy.graph().max_edge_l1(&domain) as f64,
+                "{} on a line of {size}",
+                policy.label()
+            );
+        }
+    }
+}
+
 #[test]
 fn qsum_lemma_6_1_on_line_domain() {
     let domain = Domain::line(6).unwrap();
