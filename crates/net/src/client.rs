@@ -544,33 +544,45 @@ impl Client {
         policy: &RetryPolicy,
     ) -> Result<Response, NetError> {
         let rid = self.fresh_request_id();
-        let attempts = policy.max_attempts.max(1);
-        let mut rng = bf_chaos::ChaosRng::new(policy.seed ^ rid);
-        let mut last = None;
-        for attempt in 0..attempts {
+        self.with_retries(policy, policy.seed ^ rid, transient, |client, attempt| {
             if attempt > 0 {
-                std::thread::sleep(policy.wait(&mut rng, attempt - 1));
-                match self.reconnect_with(policy) {
-                    Ok(_) => {}
-                    Err(e) if transient(&e) => {
-                        self.advance_member();
-                        last = Some(e);
-                        continue;
-                    }
-                    Err(e) => return Err(e),
-                }
+                client.reconnect_with(policy)?;
             }
-            let outcome = self
-                .submit_tagged(analyst, request, Some(rid), None)
-                .and_then(|id| self.wait(id));
-            match outcome {
-                Ok(response) => return Ok(response),
+            let id = client.submit_tagged(analyst, request, Some(rid), None)?;
+            client.wait(id)
+        })
+    }
+
+    /// The attempt / back-off loop behind [`Client::call_idempotent`]
+    /// and [`Client::reconnect_with`]: runs `attempt` (handed its
+    /// 0-based number) up to `policy.max_attempts` times, sleeping the
+    /// policy's back-off — jitter stream seeded by `seed` — before each
+    /// retry. A `NotLeader` refusal follows its redirect; an error
+    /// `retryable` accepts rotates to the next cluster member — a dead
+    /// one refuses the dial outright; anything else is deterministic,
+    /// would only repeat, and surfaces at once.
+    fn with_retries<T>(
+        &mut self,
+        policy: &RetryPolicy,
+        seed: u64,
+        retryable: fn(&NetError) -> bool,
+        mut attempt: impl FnMut(&mut Client, u32) -> Result<T, NetError>,
+    ) -> Result<T, NetError> {
+        let attempts = policy.max_attempts.max(1);
+        let mut rng = bf_chaos::ChaosRng::new(seed);
+        let mut last = None;
+        for n in 0..attempts {
+            if n > 0 {
+                std::thread::sleep(policy.wait(&mut rng, n - 1));
+            }
+            match attempt(self, n) {
+                Ok(done) => return Ok(done),
                 Err(NetError::Remote(WireError::NotLeader { leader }))
                     if self.redirect(&leader) =>
                 {
                     last = Some(NetError::Remote(WireError::NotLeader { leader }));
                 }
-                Err(e) if transient(&e) => {
+                Err(e) if retryable(&e) => {
                     self.advance_member();
                     last = Some(e);
                 }
@@ -904,35 +916,12 @@ impl Client {
     ///
     /// As for [`Client::reconnect`].
     pub fn reconnect_with(&mut self, policy: &RetryPolicy) -> Result<Vec<(String, f64)>, NetError> {
-        let attempts = policy.max_attempts.max(1);
-        let mut rng = bf_chaos::ChaosRng::new(policy.seed);
-        let mut last = None;
-        for attempt in 0..attempts {
-            if attempt > 0 {
-                std::thread::sleep(policy.wait(&mut rng, attempt - 1));
-            }
-            match self.reconnect_once() {
-                Ok(reattached) => return Ok(reattached),
-                // Reattaching on a follower is refused with NotLeader:
-                // follow the redirect and dial again, like any other
-                // failed attempt.
-                Err(NetError::Remote(WireError::NotLeader { leader }))
-                    if self.redirect(&leader) =>
-                {
-                    last = Some(NetError::Remote(WireError::NotLeader { leader }));
-                }
-                Err(e @ (NetError::Remote(_) | NetError::VersionMismatch { .. })) => return Err(e),
-                Err(e) => {
-                    // A dead member refuses the dial outright — rotate
-                    // to the next one before the retry.
-                    self.advance_member();
-                    last = Some(e);
-                }
-            }
-        }
-        Err(NetError::RetriesExhausted {
-            attempts,
-            last: Box::new(last.expect("at least one attempt ran")),
+        // Reattaching on a follower is refused with NotLeader, which the
+        // loop redirects like any other failed attempt.
+        let retryable =
+            |e: &NetError| !matches!(e, NetError::Remote(_) | NetError::VersionMismatch { .. });
+        self.with_retries(policy, policy.seed, retryable, |client, _| {
+            client.reconnect_once()
         })
     }
 

@@ -18,6 +18,19 @@
 //! Every mutation of the shared [`NodeState`] happens under one mutex;
 //! engine execution and socket I/O always happen **outside** it.
 //!
+//! ## What a thread waits on
+//!
+//! Nothing here wakes up to look around. The applier, the streamers,
+//! [`Replica::promote`] and an unplaced follower wait on the node
+//! condvar; the follower and the ack readers block in `read`; the
+//! listener blocks in `accept`. So every change they care about has to
+//! reach them: state changes `notify_all` under the lock, a role change,
+//! halt or shutdown also cuts the follower's uplink (`Node::cut_uplink`,
+//! before the notify — see `WAIT`), and shutdown cuts the handlers'
+//! sockets and dials the listener. The timed waits that remain — one
+//! re-dial back-off, the handshake read time-outs — are listed above
+//! `WAIT`, and CI holds that list.
+//!
 //! ## What an entry costs in fsyncs
 //!
 //! Two per node: the `Replicated` append (the leader's in `sequence`, a
@@ -48,14 +61,29 @@ use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Read time-out of a peer-port handshake (to re-check the shutdown
-/// flag) and back-off after a failed `accept`; no request waits on it.
-const POLL: Duration = Duration::from_millis(2);
-/// Liveness heartbeat of the condvar waits (applier, streamers,
-/// [`Replica::promote`]) and the follower's stream read. Work always
-/// arrives with a `notify_all` or as bytes; this only bounds how long a
-/// flag set without either goes unseen.
+// Every timed wait in this file's non-test code, one reason a line. CI
+// holds the list (`ci.yml`, "Replica timer allow-list"): a new timer
+// has to argue its way in here first.
+//   wait_timeout_while(.., WAIT)    follower_loop: a leader that refused or is not up sends no wake-up
+//   thread::sleep(ACCEPT_BACKOFF)   peer_listener_loop: nothing announces that `accept` can succeed again
+//   set_read_timeout(Some(DIAL))    peer_conn: a peer that connects and says nothing must not hold a thread
+//   set_read_timeout(Some(DIAL))    dial: handshakes and probes of a peer that accepts and says nothing
+
+/// The follower's back-off before re-dialling a leader that refused it
+/// or is not up — the one wait here with nothing to be woken by, and a
+/// re-point or shutdown still cuts it short. Every other wait is a plain
+/// condvar `wait` or a blocking read. That is sound because of one
+/// ordering rule: whoever changes what a loop waits on does so **under
+/// the state lock, cuts the follower's uplink, then `notify_all`s**
+/// ([`Node::halt`], [`Node::cut_uplink`]). Cut after unlocking instead,
+/// and a follower woken by the notify has already dialled its new leader
+/// and registered that link — which the late cut then shuts.
 const WAIT: Duration = Duration::from_millis(25);
+/// Connect and read time-out of a peer-link handshake or probe, on both
+/// the dialling and the accepting side.
+const DIAL: Duration = Duration::from_millis(500);
+/// Pause after a failed `accept` (out of descriptors, say).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
 /// Max log entries per [`ServerMessage::Replicate`] frame.
 const BATCH: usize = 64;
 
@@ -240,6 +268,9 @@ struct NodeState {
     self_hint: String,
     /// The leader's peer address a follower should stream from.
     follow_target: Option<SocketAddr>,
+    /// A handle on the link the follower thread is reading, registered
+    /// by [`Node::follow_once`]; [`Node::cut_uplink`] ends that read.
+    uplink: Option<TcpStream>,
     /// Durable high-water mark per connected follower (by conn id).
     follower_acks: HashMap<u64, u64>,
     /// When each not-yet-committed entry was sequenced (leader only;
@@ -247,8 +278,8 @@ struct NodeState {
     pending_since: HashMap<u64, Instant>,
     /// Clients parked on an index.
     waiters: HashMap<u64, Vec<Waiter>>,
-    /// Bumped by every role change; long-lived loops re-check it and
-    /// reconnect/park when it moves.
+    /// Moved on by [`Node::cut_uplink`] at every role change, halt and
+    /// shutdown; a follower session belongs to the one it started under.
     generation: u64,
 }
 
@@ -283,8 +314,9 @@ struct Node {
     log_retain: u64,
     fault_plan: Option<Arc<ReplicaPlan>>,
     conn_ids: AtomicU64,
-    /// Joinable per-follower stream handlers.
-    handlers: Mutex<Vec<JoinHandle<()>>>,
+    /// Peer-port connection handlers, each with a handle on its socket
+    /// so that [`Replica::shutdown`] can end its blocking read.
+    handlers: Mutex<Vec<(TcpStream, JoinHandle<()>)>>,
     /// The `replica` label this node reports on scrapes and health.
     name: Mutex<String>,
     /// Named peer-port addresses of the other cluster members, for
@@ -371,6 +403,7 @@ impl Node {
                 leader_hint: String::new(),
                 self_hint: String::new(),
                 follow_target: None,
+                uplink: None,
                 follower_acks: HashMap::new(),
                 pending_since: HashMap::new(),
                 waiters: HashMap::new(),
@@ -429,6 +462,26 @@ impl Node {
             .publish(ClusterEventKind::Role, &format!("{role}@{epoch}"), epoch);
     }
 
+    /// Retires the placement the long-lived loops were started under:
+    /// moves the generation on and ends the follower thread's read of
+    /// its current link, if it has one. Callers hold the state lock and
+    /// notify afterwards — see [`WAIT`] for why in that order.
+    fn cut_uplink(&self, st: &mut NodeState) {
+        st.generation += 1;
+        if let Some(link) = st.uplink.take() {
+            let _ = link.shutdown(std::net::Shutdown::Both);
+        }
+    }
+
+    /// The one way this node is marked dead: under the state lock, with
+    /// the uplink cut and every condvar waiter woken, so no loop is left
+    /// waiting on a flag nobody announced.
+    fn halt(&self, st: &mut NodeState) {
+        self.dead.store(true, Ordering::SeqCst);
+        self.cut_uplink(st);
+        self.cv.notify_all();
+    }
+
     /// Leader-side commit rule: the quorum-th largest durable high-water
     /// mark among {self} ∪ followers. With fewer acking members than the
     /// quorum nothing commits — never "commit with whoever showed up".
@@ -478,7 +531,7 @@ impl Node {
             st.pending_since.clear();
             let commit = st.commit_index;
             st.waiters.retain(|&i, _| i <= commit);
-            st.generation += 1;
+            self.cut_uplink(st);
             self.publish_role("follower", seen_epoch);
         }
         self.update_gauges(st);
@@ -504,8 +557,7 @@ impl Node {
                 .commit(&[Record::LogTruncated { index: keep }])
                 .is_err()
         {
-            self.dead.store(true, Ordering::SeqCst);
-            self.cv.notify_all();
+            self.halt(st);
             return false;
         }
         // keep >= commit >= applied >= log_start - 1, and eviction keeps
@@ -610,13 +662,11 @@ impl Node {
     /// process (and its WAL) stays — this models a fenced, deposed
     /// process, and tests restart from the same directory.
     fn kill(&self) {
-        self.dead.store(true, Ordering::SeqCst);
         let mut st = self.state.lock().unwrap();
+        self.halt(&mut st);
         self.drop_waiters(&mut st);
-        st.generation += 1;
         self.publish_role("dead", st.epoch);
         self.update_gauges(&st);
-        self.cv.notify_all();
     }
 
     // -----------------------------------------------------------------
@@ -631,12 +681,12 @@ impl Node {
             }
             if self.dead.load(Ordering::SeqCst) {
                 self.drop_waiters(&mut st);
-                st = self.cv.wait_timeout(st, WAIT).unwrap().0;
+                st = self.cv.wait(st).unwrap();
                 continue;
             }
             let frontier = st.commit_index.min(st.high_water());
             if st.applied >= frontier {
-                st = self.cv.wait_timeout(st, WAIT).unwrap().0;
+                st = self.cv.wait(st).unwrap();
                 continue;
             }
             let next = st.applied + 1;
@@ -645,7 +695,7 @@ impl Node {
                 // Applied entries are only evicted past `applied`, so a
                 // miss here means recovery handed us a hole; stop.
                 None => {
-                    self.dead.store(true, Ordering::SeqCst);
+                    self.halt(&mut st);
                     continue;
                 }
             };
@@ -713,10 +763,11 @@ impl Node {
     /// refusal) runs against the very ledger it first ran against,
     /// because nothing after its lost mark survived either.
     fn mark_applied(&self, index: u64) {
-        if self.store.stage(&[Record::LogApplied { index }]).is_err() {
-            self.dead.store(true, Ordering::SeqCst);
-        }
+        let staged = self.store.stage(&[Record::LogApplied { index }]);
         let mut st = self.state.lock().unwrap();
+        if staged.is_err() {
+            self.halt(&mut st);
+        }
         st.applied = st.applied.max(index);
         self.evict_applied(&mut st);
         self.update_gauges(&st);
@@ -735,68 +786,63 @@ impl Node {
             if self.closing.load(Ordering::SeqCst) {
                 return;
             }
-            match accepted {
-                Ok((stream, _)) => {
-                    let node = Arc::clone(self);
-                    let handle = std::thread::spawn(move || node.peer_conn(stream));
-                    self.handlers.lock().unwrap().push(handle);
-                }
-                Err(_) => std::thread::sleep(POLL),
-            }
+            let Ok((stream, sock)) = accepted.and_then(|(s, _)| Ok((s.try_clone()?, s))) else {
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            };
+            let node = Arc::clone(self);
+            let handle = std::thread::spawn(move || {
+                let mut stream = stream;
+                node.peer_conn(&mut stream);
+                // The registered clone keeps the descriptor; end the
+                // connection for the peer now.
+                let _ = stream.shutdown(std::net::Shutdown::Both);
+            });
+            let mut handlers = self.handlers.lock().unwrap();
+            handlers.retain(|(_, h)| !h.is_finished());
+            handlers.push((sock, handle));
         }
     }
 
     /// One follower's connection: handshake, catchup registration, then
     /// the stream loop until either side closes or this node stops
     /// leading.
-    fn peer_conn(self: Arc<Node>, mut stream: TcpStream) {
+    fn peer_conn(&self, stream: &mut TcpStream) {
         let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(POLL));
+        // One time-out bounds each handshake read: a peer that connects
+        // and says nothing is dropped, not waited on.
+        let _ = stream.set_read_timeout(Some(DIAL));
         let mut buf = FrameBuf::new();
         let mut out = Vec::new();
 
         // Handshake: peers always speak the current protocol.
-        let hello = match self.read_peer_frame(&mut stream, &mut buf) {
+        match read_frame(stream, &mut buf, ClientMessage::decode) {
             Some(ClientMessage::Hello { id, version }) if version >= PROTOCOL_VERSION => {
                 let _ = write_frame(
-                    &mut stream,
+                    stream,
                     &mut out,
                     &ServerMessage::Welcome {
                         id,
                         version: PROTOCOL_VERSION,
                     },
                 );
-                id
             }
             Some(ClientMessage::Hello { id, .. }) => {
-                let _ = write_frame(
-                    &mut stream,
-                    &mut out,
-                    &ServerMessage::Refused {
-                        id,
-                        error: WireError::Protocol(
-                            "replica peers must speak the current protocol".into(),
-                        ),
-                        trace_id: None,
-                    },
-                );
+                let error =
+                    WireError::Protocol("replica peers must speak the current protocol".into());
+                let _ = write_frame(stream, &mut out, &refused(id, error));
                 return;
             }
             _ => return,
-        };
-        let _ = hello;
+        }
 
-        let (corr, send_next) = match self.read_peer_frame(&mut stream, &mut buf) {
+        let (corr, send_next) = match read_frame(stream, &mut buf, ClientMessage::decode) {
             Some(ClientMessage::PeerStatus { id }) => {
                 // Read-only probe (the pre-promotion longest-log check):
                 // report the durable position and close. A killed node
                 // models a crashed process and answers nothing useful.
                 let reply = if self.dead.load(Ordering::SeqCst) {
-                    ServerMessage::Refused {
-                        id,
-                        error: WireError::ShutDown,
-                        trace_id: None,
-                    }
+                    refused(id, WireError::ShutDown)
                 } else {
                     let st = self.state.lock().unwrap();
                     ServerMessage::PeerStatusReport {
@@ -806,7 +852,7 @@ impl Node {
                         applied: st.applied,
                     }
                 };
-                let _ = write_frame(&mut stream, &mut out, &reply);
+                let _ = write_frame(stream, &mut out, &reply);
                 return;
             }
             Some(ClientMessage::Stats { id }) => {
@@ -816,11 +862,7 @@ impl Node {
                 // this instant, not the last role change; a killed
                 // node models a crashed process and reports nothing.
                 let reply = if self.dead.load(Ordering::SeqCst) {
-                    ServerMessage::Refused {
-                        id,
-                        error: WireError::ShutDown,
-                        trace_id: None,
-                    }
+                    refused(id, WireError::ShutDown)
                 } else {
                     self.refresh_gauges();
                     ServerMessage::StatsReport {
@@ -833,7 +875,7 @@ impl Node {
                             .collect(),
                     }
                 };
-                let _ = write_frame(&mut stream, &mut out, &reply);
+                let _ = write_frame(stream, &mut out, &reply);
                 return;
             }
             Some(ClientMessage::LogCatchup {
@@ -842,69 +884,45 @@ impl Node {
                 from_index,
                 last_epoch,
             }) => {
-                let mut st = self.state.lock().unwrap();
-                self.step_down(&mut st, epoch);
-                if st.role != Role::Leader || self.dead.load(Ordering::SeqCst) {
-                    let hint = st.leader_hint.clone();
-                    drop(st);
-                    let _ = write_frame(
-                        &mut stream,
-                        &mut out,
-                        &ServerMessage::Refused {
-                            id,
-                            error: WireError::NotLeader { leader: hint },
-                            trace_id: None,
-                        },
-                    );
-                    return;
-                }
-                if from_index < st.log_start {
-                    let log_start = st.log_start;
-                    drop(st);
-                    // The entries before log_start are applied and
-                    // evicted; serving them would need snapshot
-                    // transfer, which this crate does not implement —
-                    // a new member starts from a mirrored WAL instead.
-                    let _ = write_frame(
-                        &mut stream,
-                        &mut out,
-                        &ServerMessage::Refused {
-                            id,
-                            error: WireError::Protocol(format!(
-                                "catchup from {from_index} predates retained log start {log_start}"
-                            )),
-                            trace_id: None,
-                        },
-                    );
-                    return;
-                }
-                // Log-matching check (the Raft consistency argument).
-                // A follower ahead of this leader, or one whose entry
-                // just below the subscription point carries a different
-                // epoch, holds an orphan suffix from a dead epoch:
-                // refuse with our high water so it truncates back to
-                // its commit point and resubscribes. Acking such a
-                // follower would count entries this leader never
-                // sequenced toward the quorum.
-                let diverged = from_index > st.high_water() + 1
-                    || from_index
-                        .checked_sub(1)
-                        .and_then(|i| st.entry_at(i))
-                        .is_some_and(|prev| prev.epoch != last_epoch);
-                if diverged {
-                    let hw = st.high_water();
-                    drop(st);
-                    let _ = write_frame(
-                        &mut stream,
-                        &mut out,
-                        &ServerMessage::Refused {
-                            id,
-                            error: WireError::LogDiverged {
-                                leader_high_water: hw,
-                            },
-                            trace_id: None,
-                        },
-                    );
+                let refusal = {
+                    let mut st = self.state.lock().unwrap();
+                    self.step_down(&mut st, epoch);
+                    // Log-matching check (the Raft consistency argument).
+                    // A follower ahead of this leader, or one whose entry
+                    // just below the subscription point carries a
+                    // different epoch, holds an orphan suffix from a dead
+                    // epoch: refuse with our high water so it truncates
+                    // back to its commit point and resubscribes. Acking
+                    // such a follower would count entries this leader
+                    // never sequenced toward the quorum.
+                    let diverged = from_index > st.high_water() + 1
+                        || from_index
+                            .checked_sub(1)
+                            .and_then(|i| st.entry_at(i))
+                            .is_some_and(|prev| prev.epoch != last_epoch);
+                    if st.role != Role::Leader || self.dead.load(Ordering::SeqCst) {
+                        Some(WireError::NotLeader {
+                            leader: st.leader_hint.clone(),
+                        })
+                    } else if from_index < st.log_start {
+                        // The entries before log_start are applied and
+                        // evicted; serving them would need snapshot
+                        // transfer, which this crate does not implement —
+                        // a new member starts from a mirrored WAL instead.
+                        Some(WireError::Protocol(format!(
+                            "catchup from {from_index} predates retained log start {}",
+                            st.log_start
+                        )))
+                    } else if diverged {
+                        Some(WireError::LogDiverged {
+                            leader_high_water: st.high_water(),
+                        })
+                    } else {
+                        None
+                    }
+                };
+                if let Some(error) = refusal {
+                    let _ = write_frame(stream, &mut out, &refused(id, error));
                     return;
                 }
                 (id, from_index)
@@ -936,7 +954,7 @@ impl Node {
                     let _st = self.state.lock().unwrap();
                     self.cv.notify_all();
                 });
-                self.ship_loop(&mut stream, &mut out, corr, send_next, &acks_ended);
+                self.ship_loop(stream, &mut out, corr, send_next, &acks_ended);
                 // Wakes the ack reader out of its blocking read.
                 let _ = stream.shutdown(std::net::Shutdown::Both);
             });
@@ -973,7 +991,7 @@ impl Node {
                     if st.high_water() >= send_next || st.commit_index != last_commit_sent {
                         break;
                     }
-                    st = self.cv.wait_timeout(st, WAIT).unwrap().0;
+                    st = self.cv.wait(st).unwrap();
                 }
                 let mut batch = Vec::new();
                 while send_next + (batch.len() as u64) <= st.high_water() && batch.len() < BATCH {
@@ -1011,7 +1029,7 @@ impl Node {
     /// EOF, any other frame, or a fencing epoch.
     fn ack_loop(&self, stream: &mut TcpStream, buf: &mut FrameBuf, conn_id: u64) {
         while let Some(ClientMessage::ReplicateAck { epoch, index, .. }) =
-            self.read_peer_frame(stream, buf)
+            read_frame(stream, buf, ClientMessage::decode)
         {
             let mut st = self.state.lock().unwrap();
             if epoch > st.epoch {
@@ -1028,115 +1046,82 @@ impl Node {
         }
     }
 
-    /// Reads one peer frame, blocking until a frame, a disconnect, or
-    /// (when the socket has a read time-out) a time-out that finds the
-    /// node closing. Corrupt frames and EOF read as `None`.
-    fn read_peer_frame(&self, stream: &mut TcpStream, buf: &mut FrameBuf) -> Option<ClientMessage> {
-        loop {
-            match buf.next_frame() {
-                FrameRead::Complete { payload, .. } => return ClientMessage::decode(payload),
-                FrameRead::Corrupt => return None,
-                FrameRead::Incomplete => {}
-            }
-            if self.closing.load(Ordering::SeqCst) {
-                return None;
-            }
-            match buf.fill(stream) {
-                Ok(0) => return None,
-                Ok(_) => {}
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {}
-                Err(_) => return None,
-            }
-        }
-    }
-
     // -----------------------------------------------------------------
     // Follower side: dial the leader, mirror the log
     // -----------------------------------------------------------------
 
-    fn follower_loop(self: &Arc<Node>) {
+    /// Waits on the node condvar for a leader to follow, then mirrors it
+    /// one session after another for as long as that placement stands.
+    fn follower_loop(&self) {
+        let mut st = self.state.lock().unwrap();
         while !self.closing.load(Ordering::SeqCst) {
-            if self.dead.load(Ordering::SeqCst) {
-                std::thread::sleep(WAIT);
-                continue;
-            }
-            let (target, generation) = {
-                let st = self.state.lock().unwrap();
-                if st.role != Role::Follower {
-                    (None, st.generation)
-                } else {
-                    (st.follow_target, st.generation)
-                }
-            };
+            let target = st
+                .follow_target
+                .filter(|_| !self.dead.load(Ordering::SeqCst));
             let Some(target) = target else {
-                std::thread::sleep(WAIT);
+                st = self.cv.wait(st).unwrap();
                 continue;
             };
-            if self.follow_once(target, generation).is_none() {
-                // Connection failed or was refused: back off briefly so
-                // a promoting leader has time to finish replay.
-                std::thread::sleep(WAIT);
-            }
+            let generation = st.generation;
+            drop(st);
+            self.follow_once(target, generation);
+            // The session is over. If the placement still stands, the
+            // leader refused us, went away or is not up yet, and nothing
+            // will say when that changes: back off, then dial again.
+            st = self.state.lock().unwrap();
+            st = self
+                .cv
+                .wait_timeout_while(st, WAIT, |st| st.generation == generation)
+                .unwrap()
+                .0;
         }
     }
 
-    /// One streaming session against the leader at `target`. Returns
-    /// `None` when the session ended abnormally (caller backs off).
-    fn follow_once(self: &Arc<Node>, target: SocketAddr, generation: u64) -> Option<()> {
-        let mut stream = TcpStream::connect_timeout(&target, Duration::from_millis(500)).ok()?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(WAIT));
+    /// One session against the leader at `target`, under the placement
+    /// `generation` names. The link is registered as the node's uplink
+    /// before its first byte, and only while that placement stands — so
+    /// whatever retires the placement finds the link and cuts it.
+    fn follow_once(&self, target: SocketAddr, generation: u64) {
+        let Some((mut stream, link)) = dial(target).and_then(|s| Some((s.try_clone().ok()?, s)))
+        else {
+            return;
+        };
+        let catchup = {
+            let mut st = self.state.lock().unwrap();
+            if st.generation != generation {
+                return;
+            }
+            st.uplink = Some(link);
+            ClientMessage::LogCatchup {
+                id: 2,
+                epoch: st.epoch,
+                from_index: st.high_water() + 1,
+                last_epoch: st.last_epoch,
+            }
+        };
+        let _ = self.mirror(&mut stream, &catchup, generation);
+        // Still this session's, unless a cut took it first.
+        self.state.lock().unwrap().uplink = None;
+    }
+
+    /// The body of a follower session: subscribe with `catchup`, then
+    /// append and acknowledge what the leader ships until the link ends
+    /// (`None`) — by the leader's doing, a frame this node cannot take,
+    /// or [`Node::cut_uplink`].
+    fn mirror(
+        &self,
+        stream: &mut TcpStream,
+        catchup: &ClientMessage,
+        generation: u64,
+    ) -> Option<()> {
         let mut buf = FrameBuf::new();
         let mut out = Vec::new();
-
-        write_frame(
-            &mut stream,
-            &mut out,
-            &ClientMessage::Hello {
-                id: 1,
-                version: PROTOCOL_VERSION,
-            },
-        )
-        .ok()?;
-        match self.read_peer_server_frame(&mut stream, &mut buf)? {
-            ServerMessage::Welcome { .. } => {}
-            _ => return None,
-        }
-        let (epoch, from_index, last_epoch) = {
-            let st = self.state.lock().unwrap();
-            (st.epoch, st.high_water() + 1, st.last_epoch)
-        };
-        write_frame(
-            &mut stream,
-            &mut out,
-            &ClientMessage::LogCatchup {
-                id: 2,
-                epoch,
-                from_index,
-                last_epoch,
-            },
-        )
-        .ok()?;
-
+        greet(stream, &mut buf, &mut out, catchup)?;
+        // Past the handshake nothing is timed: the read below returns
+        // with a frame or with the end of the link.
+        let _ = stream.set_read_timeout(None);
         loop {
-            if self.closing.load(Ordering::SeqCst) || self.dead.load(Ordering::SeqCst) {
-                return Some(());
-            }
-            {
-                let st = self.state.lock().unwrap();
-                if st.generation != generation || st.role != Role::Follower {
-                    return Some(());
-                }
-            }
-            let msg = match self.read_peer_server_frame(&mut stream, &mut buf) {
-                Some(m) => m,
-                None => continue, // timeout: poll the flags again
-            };
-            match msg {
+            match read_frame(stream, &mut buf, ServerMessage::decode)? {
                 ServerMessage::Replicate {
                     epoch,
                     commit_index,
@@ -1145,8 +1130,9 @@ impl Node {
                 } => {
                     let ack = {
                         let mut st = self.state.lock().unwrap();
-                        if epoch < st.epoch {
-                            return None; // stale leader: drop the link
+                        // A frame read before a cut, or a stale leader's.
+                        if st.generation != generation || epoch < st.epoch {
+                            return None;
                         }
                         st.epoch = st.epoch.max(epoch);
                         // Check the whole frame against the local log
@@ -1199,7 +1185,7 @@ impl Node {
                                 })
                                 .collect();
                             if self.store.commit(&records).is_err() {
-                                self.dead.store(true, Ordering::SeqCst);
+                                self.halt(&mut st);
                                 return None;
                             }
                             st.last_epoch = last.epoch;
@@ -1211,7 +1197,7 @@ impl Node {
                         (st.epoch, st.high_water())
                     };
                     write_frame(
-                        &mut stream,
+                        stream,
                         &mut out,
                         &ClientMessage::ReplicateAck {
                             id: 0,
@@ -1237,7 +1223,6 @@ impl Node {
                     let _ = self.truncate_suffix(&mut st, keep);
                     return None; // resubscribe from the new high water
                 }
-                ServerMessage::Refused { .. } => return None,
                 _ => return None,
             }
         }
@@ -1247,26 +1232,7 @@ impl Node {
     /// `None` means unreachable, dead, or not speaking the protocol —
     /// [`Replica::promote_over`] treats all three as "not a survivor".
     fn probe_peer(&self, addr: SocketAddr) -> Option<(u64, u64, u64)> {
-        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf = FrameBuf::new();
-        let mut out = Vec::new();
-        write_frame(
-            &mut stream,
-            &mut out,
-            &ClientMessage::Hello {
-                id: 1,
-                version: PROTOCOL_VERSION,
-            },
-        )
-        .ok()?;
-        match self.read_peer_server_frame(&mut stream, &mut buf)? {
-            ServerMessage::Welcome { .. } => {}
-            _ => return None,
-        }
-        write_frame(&mut stream, &mut out, &ClientMessage::PeerStatus { id: 2 }).ok()?;
-        match self.read_peer_server_frame(&mut stream, &mut buf)? {
+        match ask_peer(addr, &ClientMessage::PeerStatus { id: 2 })? {
             ServerMessage::PeerStatusReport {
                 epoch,
                 high_water,
@@ -1282,49 +1248,67 @@ impl Node {
     /// federated scrape reports the member as such instead of failing
     /// the whole fan-out.
     fn scrape_peer(&self, addr: SocketAddr) -> Option<Vec<MetricSnapshot>> {
-        let mut stream = TcpStream::connect_timeout(&addr, Duration::from_millis(500)).ok()?;
-        let _ = stream.set_nodelay(true);
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
-        let mut buf = FrameBuf::new();
-        let mut out = Vec::new();
-        write_frame(
-            &mut stream,
-            &mut out,
-            &ClientMessage::Hello {
-                id: 1,
-                version: PROTOCOL_VERSION,
-            },
-        )
-        .ok()?;
-        match self.read_peer_server_frame(&mut stream, &mut buf)? {
-            ServerMessage::Welcome { .. } => {}
-            _ => return None,
-        }
-        write_frame(&mut stream, &mut out, &ClientMessage::Stats { id: 2 }).ok()?;
-        match self.read_peer_server_frame(&mut stream, &mut buf)? {
+        match ask_peer(addr, &ClientMessage::Stats { id: 2 })? {
             ServerMessage::StatsReport { metrics, .. } => {
                 Some(metrics.iter().map(WireMetric::to_snapshot).collect())
             }
             _ => None,
         }
     }
+}
 
-    /// Reads one frame off a link this node dialled. A time-out, EOF and
-    /// a corrupt or undecodable frame all read as `None`.
-    fn read_peer_server_frame(
-        &self,
-        stream: &mut TcpStream,
-        buf: &mut FrameBuf,
-    ) -> Option<ServerMessage> {
-        loop {
-            match buf.next_frame() {
-                FrameRead::Complete { payload, .. } => return ServerMessage::decode(payload),
-                FrameRead::Corrupt => return None,
-                FrameRead::Incomplete => {}
-            }
-            if buf.fill(stream).ok()? == 0 {
-                return None;
-            }
+/// Connects to the peer port at `addr`. Connect and reads are bounded by
+/// [`DIAL`]; a caller that goes on to stream lifts the read time-out.
+fn dial(addr: SocketAddr) -> Option<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, DIAL).ok()?;
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(DIAL));
+    Some(stream)
+}
+
+/// What every dialled link opens with: `Hello`, the peer's `Welcome`,
+/// then the `request` the link is for.
+fn greet(
+    stream: &mut TcpStream,
+    buf: &mut FrameBuf,
+    out: &mut Vec<u8>,
+    request: &ClientMessage,
+) -> Option<()> {
+    let hello = ClientMessage::Hello {
+        id: 1,
+        version: PROTOCOL_VERSION,
+    };
+    write_frame(stream, out, &hello).ok()?;
+    match read_frame(stream, buf, ServerMessage::decode)? {
+        ServerMessage::Welcome { .. } => write_frame(stream, out, request).ok(),
+        _ => None,
+    }
+}
+
+/// One request and its reply on a link of their own.
+fn ask_peer(addr: SocketAddr, request: &ClientMessage) -> Option<ServerMessage> {
+    let mut stream = dial(addr)?;
+    let mut buf = FrameBuf::new();
+    greet(&mut stream, &mut buf, &mut Vec::new(), request)?;
+    read_frame(&mut stream, &mut buf, ServerMessage::decode)
+}
+
+/// Reads one frame off a peer link, blocking until it is whole. The
+/// link's end, its read time-out if it has one, and a corrupt or
+/// undecodable frame all read as `None`.
+fn read_frame<M>(
+    stream: &mut TcpStream,
+    buf: &mut FrameBuf,
+    decode: fn(&[u8]) -> Option<M>,
+) -> Option<M> {
+    loop {
+        match buf.next_frame() {
+            FrameRead::Complete { payload, .. } => return decode(payload),
+            FrameRead::Corrupt => return None,
+            FrameRead::Incomplete => {}
+        }
+        if buf.fill(stream).ok()? == 0 {
+            return None;
         }
     }
 }
@@ -1385,17 +1369,13 @@ impl ReplicaHook for Node {
         let peers = self.peers.lock().unwrap().clone();
         peers
             .into_iter()
-            .map(|(node, addr)| match self.scrape_peer(addr) {
-                Some(metrics) => PeerScrape {
+            .map(|(node, addr)| {
+                let metrics = self.scrape_peer(addr);
+                PeerScrape {
                     node,
-                    reachable: true,
-                    metrics,
-                },
-                None => PeerScrape {
-                    node,
-                    reachable: false,
-                    metrics: Vec::new(),
-                },
+                    reachable: metrics.is_some(),
+                    metrics: metrics.unwrap_or_default(),
+                }
             })
             .collect()
     }
@@ -1444,6 +1424,15 @@ impl ReplicaHook for Node {
             lag,
             unreachable,
         })
+    }
+}
+
+/// The refusal a peer-port request is answered with.
+fn refused(id: u64, error: WireError) -> ServerMessage {
+    ServerMessage::Refused {
+        id,
+        error,
+        trace_id: None,
     }
 }
 
@@ -1595,7 +1584,7 @@ impl Replica {
         st.role = Role::Leader;
         st.leader_hint = st.self_hint.clone();
         st.follow_target = None;
-        st.generation += 1;
+        self.node.cut_uplink(&mut st);
         self.node.publish_role("leader", st.epoch);
         self.node.update_gauges(&st);
         self.node.recompute_commit(&mut st);
@@ -1621,7 +1610,7 @@ impl Replica {
         st.follow_target = Some(leader_peer);
         st.leader_hint = leader_hint.to_string();
         st.follower_acks.clear();
-        st.generation += 1;
+        self.node.cut_uplink(&mut st);
         self.node.publish_role("follower", st.epoch);
         self.node.update_gauges(&st);
         self.node.cv.notify_all();
@@ -1653,14 +1642,14 @@ impl Replica {
         let mut st = self.node.state.lock().unwrap();
         st.epoch += 1;
         st.follow_target = None;
-        st.generation += 1;
+        self.node.cut_uplink(&mut st);
         st.commit_index = st.high_water();
         self.node.cv.notify_all();
         while st.applied < st.commit_index
             && !self.node.closing.load(Ordering::SeqCst)
             && !self.node.dead.load(Ordering::SeqCst)
         {
-            st = self.node.cv.wait_timeout(st, WAIT).unwrap().0;
+            st = self.node.cv.wait(st).unwrap();
         }
         st.role = Role::Leader;
         st.leader_hint = st.self_hint.clone();
@@ -1731,14 +1720,17 @@ impl Replica {
             // have answered them is about to be joined.
             let mut st = self.node.state.lock().unwrap();
             self.node.drop_waiters(&mut st);
+            self.node.cut_uplink(&mut st);
             self.node.cv.notify_all();
         }
         bf_net::wake_acceptor(self.peer_addr);
         for t in self.threads {
             let _ = t.join();
         }
+        // The listener is joined, so this is every handler there will be.
         let handlers = std::mem::take(&mut *self.node.handlers.lock().unwrap());
-        for h in handlers {
+        for (sock, h) in handlers {
+            let _ = sock.shutdown(std::net::Shutdown::Both);
             let _ = h.join();
         }
         self.net.shutdown().map_err(ReplicaError::Server)?;
@@ -1754,6 +1746,9 @@ mod tests {
     use bf_engine::Request;
     use bf_net::Client;
     use bf_store::scratch_dir;
+
+    /// How often the deadline loops below look at a status again.
+    const POLL: Duration = Duration::from_millis(2);
 
     fn eps(v: f64) -> Epsilon {
         Epsilon::new(v).unwrap()
@@ -2403,8 +2398,11 @@ mod tests {
 
     /// A follower dialling a scripted leader, linked and subscribed.
     fn scripted_follower(tag: &str) -> (Replica, TcpListener, Link) {
+        script_leader_for(replica(tag, ReplicaConfig::default()))
+    }
+
+    fn script_leader_for(follower: Replica) -> (Replica, TcpListener, Link) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let follower = replica(tag, ReplicaConfig::default());
         follower.follow(listener.local_addr().unwrap(), "scripted");
         let link = Link::accept(&listener);
         (follower, listener, link)
@@ -2493,6 +2491,141 @@ mod tests {
         assert_eq!(syncs(&follower), before);
         assert_eq!(follower.node.store.current_state().log_index, 3);
         follower.shutdown().unwrap();
+    }
+
+    /// Parks on the node condvar the way `promote`, the applier and the
+    /// streamers do — a plain `wait`, no heartbeat — until the node is
+    /// dead. The first message says it is parked (sent under the lock a
+    /// halt needs, so the halt comes after the `wait` began); the second,
+    /// that the halt's notify reached it. A flag set without a notify
+    /// leaves it parked for ever.
+    fn parked_until_dead(r: &Replica) -> mpsc::Receiver<()> {
+        let node = Arc::clone(&r.node);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut st = node.state.lock().unwrap();
+            tx.send(()).unwrap();
+            while !node.dead.load(Ordering::SeqCst) {
+                st = node.cv.wait(st).unwrap();
+            }
+            tx.send(()).unwrap();
+        });
+        rx.recv().unwrap();
+        rx
+    }
+
+    fn assert_woken(parked: &mpsc::Receiver<()>) {
+        parked
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the halt notified nobody");
+    }
+
+    /// A scripted follower on a store that fails its `nth` write after
+    /// start-up's own — counted on a dry run, start-up being
+    /// deterministic.
+    fn scripted_follower_failing_at(
+        tag: &str,
+        nth: u64,
+        fault: bf_chaos::StoreFault,
+    ) -> (Replica, TcpListener, Link) {
+        use bf_chaos::StorePlan;
+        let start = |tag: &str, plan: StorePlan| {
+            let plan = Arc::new(plan);
+            let config = bf_store::StoreConfig {
+                fault_plan: Some(Arc::clone(&plan)),
+                ..bf_store::StoreConfig::default()
+            };
+            let store = Arc::new(Store::open_with(scratch_dir(tag), config).unwrap());
+            let cfg = ReplicaConfig::default();
+            let r = Replica::start_on(store, "127.0.0.1:0", "127.0.0.1:0", cfg, setup).unwrap();
+            (r, plan)
+        };
+        let (dry, idle) = start(&format!("{tag}-dry"), StorePlan::none());
+        let startup = idle.ops();
+        dry.shutdown().unwrap();
+        script_leader_for(start(tag, StorePlan::scripted([(startup + nth, fault)])).0)
+    }
+
+    /// Halt site: `truncate_suffix` below the commit point.
+    #[test]
+    fn a_halt_by_truncation_wakes_what_is_parked_on_the_condvar() {
+        let (follower, _listener, mut link) = scripted_follower("replica-halt-trunc");
+        link.ship(0, 2, &[(1, 0), (2, 0), (3, 0)]);
+        assert_eq!(link.ack(), Some(3));
+        drain_to(&follower, 2);
+        let parked = parked_until_dead(&follower);
+        link.ship(1, 2, &[(2, 1)]);
+        assert_woken(&parked);
+        assert_eq!(link.ack(), None, "the halt cut the uplink");
+        assert!(follower.status().dead);
+        follower.shutdown().unwrap();
+    }
+
+    /// Halt site: the follower's append fails.
+    #[test]
+    fn a_halt_by_a_failed_follower_append_wakes_what_is_parked() {
+        let (follower, _listener, mut link) =
+            scripted_follower_failing_at("replica-halt-append", 1, bf_chaos::StoreFault::FailWrite);
+        let parked = parked_until_dead(&follower);
+        link.ship(0, 0, &[(1, 0), (2, 0)]);
+        assert_woken(&parked);
+        assert_eq!(link.ack(), None, "nothing durable, nothing acked");
+        assert!(follower.status().dead);
+        assert_eq!(follower.status().log_index, 0);
+        // Every thread joins; the drain reports the poisoned store.
+        assert!(matches!(follower.shutdown(), Err(ReplicaError::Server(_))));
+    }
+
+    /// Halt site: `mark_applied` cannot stage its mark — the store was
+    /// poisoned by the failed commit of the entry's own charge — while
+    /// `promote` is parked on the replay that will now never finish.
+    #[test]
+    fn a_halt_by_a_failed_stage_returns_a_parked_promote() {
+        let (follower, _listener, mut link) =
+            scripted_follower_failing_at("replica-halt-stage", 2, bf_chaos::StoreFault::FailSync);
+        link.ship(0, 0, &[(1, 0), (2, 0), (3, 0)]);
+        assert_eq!(link.ack(), Some(3));
+        let parked = parked_until_dead(&follower);
+        follower.promote(); // returns: a hang here is the failure
+        assert_woken(&parked);
+        let status = follower.status();
+        assert!(status.dead && !status.leader);
+        assert!(status.applied < 3, "replay stopped at the fault");
+        assert!(matches!(follower.shutdown(), Err(ReplicaError::Server(_))));
+    }
+
+    /// A connection to the peer port that never sends `Hello` is dropped
+    /// after one handshake time-out, leaves no handler thread behind, and
+    /// one still inside that time-out does not hold `shutdown` up.
+    #[test]
+    fn a_silent_peer_is_dropped_holds_no_thread_and_delays_no_shutdown() {
+        use std::io::Read;
+        let r = replica("replica-silent", ReplicaConfig::default());
+        r.lead();
+        let mut silent = TcpStream::connect(r.peer_addr()).unwrap();
+        silent
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+        let read = silent.read(&mut [0u8; 1]);
+        assert!(matches!(read, Ok(0)), "still connected after 1 s: {read:?}");
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let running = || {
+            let handlers = r.node.handlers.lock().unwrap();
+            handlers.iter().filter(|(_, h)| !h.is_finished()).count()
+        };
+        while running() > 0 && Instant::now() < deadline {
+            std::thread::sleep(POLL);
+        }
+        assert_eq!(running(), 0, "the silent peer still holds a thread");
+
+        let _mid_handshake = TcpStream::connect(r.peer_addr()).unwrap();
+        let started = Instant::now();
+        r.shutdown().unwrap();
+        assert!(
+            started.elapsed() < DIAL / 2,
+            "shutdown waited {:?} on a silent peer",
+            started.elapsed()
+        );
     }
 
     #[test]

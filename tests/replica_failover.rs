@@ -362,6 +362,91 @@ fn serial_replicated_writes_never_wait_on_a_poll() {
     leader.shutdown().unwrap();
 }
 
+/// The lifecycle is wake-up driven too: a follower hears `follow()` on
+/// the node condvar, a re-point cuts its old link, and `shutdown` joins
+/// threads that are waiting on something it just ended — so forming a
+/// cluster, failing it over and stopping it cost their work, not a share
+/// of a 25 ms heartbeat (under which formation read ≈ 24 ms here and
+/// shutdown ≈ 60 ms; the re-point was already quick, the follower having
+/// spun on its dead link). Medians over 30 formations, so one
+/// descheduled thread on a busy host moves nothing; the bounds sit 5–6×
+/// over what a quiet host reads (≈ 1–2, ≈ 1 and ≈ 6.5 ms) because this
+/// box has phases in which every test here runs 4–5× slower, and still
+/// under what one nap costs.
+#[test]
+fn the_lifecycle_has_no_timer_on_it() {
+    const FORMATIONS: usize = 30;
+    let digest = |r: &Replica| state(r).digest();
+    let (mut formed, mut repointed, mut stopped) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..FORMATIONS {
+        let leader = spawn(&format!("failover-life-{i}-l"), 76, 2, None);
+        let f1 = spawn(&format!("failover-life-{i}-f1"), 76, 2, None);
+        let f2 = spawn(&format!("failover-life-{i}-f2"), 76, 2, None);
+        leader.lead();
+        let mut client = Client::connect(leader.client_addr()).unwrap();
+
+        // Formation: `follow()` to the first write a follower acked.
+        let start = Instant::now();
+        let hint = leader.client_addr().to_string();
+        f1.follow(leader.peer_addr(), &hint);
+        f2.follow(leader.peer_addr(), &hint);
+        client.open_session("alice", 4.0).unwrap();
+        formed.push(start.elapsed());
+        call(&mut client, "alice", 1).unwrap();
+        for r in [&leader, &f1, &f2] {
+            await_applied(r, 2);
+            assert_eq!(digest(r), digest(&leader), "formation {i} diverged");
+        }
+
+        // Fail-over: the survivor's re-point to its first acked write on
+        // the new leader (quorum 2 of the two left, so it must ack).
+        leader.kill();
+        let (promoted, other) = match f1.promote_over(&[f2.peer_addr(), leader.peer_addr()]) {
+            Ok(()) => (&f1, &f2),
+            Err(_) => {
+                f2.promote_over(&[f1.peer_addr(), leader.peer_addr()])
+                    .unwrap();
+                (&f2, &f1)
+            }
+        };
+        let mut c2 = Client::connect(promoted.client_addr()).unwrap();
+        let start = Instant::now();
+        other.follow(promoted.peer_addr(), &promoted.client_addr().to_string());
+        c2.open_session("alice", 4.0).unwrap();
+        repointed.push(start.elapsed());
+        call(&mut c2, "alice", 2).unwrap();
+        await_applied(other, promoted.status().applied);
+        assert_eq!(digest(other), digest(promoted), "fail-over {i} diverged");
+
+        let start = Instant::now();
+        f2.shutdown().unwrap();
+        f1.shutdown().unwrap();
+        leader.shutdown().unwrap();
+        stopped.push(start.elapsed());
+    }
+    let median = |v: &mut Vec<Duration>| {
+        v.sort_unstable();
+        v[v.len() / 2]
+    };
+    let (formed, repointed, stopped) = (
+        median(&mut formed),
+        median(&mut repointed),
+        median(&mut stopped),
+    );
+    assert!(
+        formed < Duration::from_millis(10),
+        "follow() to the first quorum-acked write: median {formed:?}"
+    );
+    assert!(
+        repointed < Duration::from_millis(10),
+        "re-point to the first acked write on the new leader: median {repointed:?}"
+    );
+    assert!(
+        stopped < Duration::from_millis(40),
+        "three-replica shutdown: median {stopped:?}"
+    );
+}
+
 /// Per applied entry a node syncs twice — the entry's `Replicated`
 /// append, then the commit of its charge — and the execution mark rides
 /// the next of those instead of paying a third.

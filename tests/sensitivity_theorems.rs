@@ -117,6 +117,100 @@ fn cumulative_sensitivity_on_a_line_is_the_l1_closed_form() {
     }
 }
 
+/// `W·x` for the class's query matrix `W` and a signed histogram `x`,
+/// written from each query's definition — none of `bf-core`'s closed
+/// forms is consulted.
+fn apply(class: &QueryClass, domain: &Domain, x: &[f64]) -> Vec<f64> {
+    match class {
+        QueryClass::Histogram => x.to_vec(),
+        QueryClass::PartitionHistogram(blocks) => {
+            let mut out = vec![0.0; blocks.num_blocks()];
+            for (i, v) in x.iter().enumerate() {
+                out[blocks.block_of(i) as usize] += v;
+            }
+            out
+        }
+        QueryClass::CumulativeHistogram => x
+            .iter()
+            .scan(0.0, |prefix, v| {
+                *prefix += v;
+                Some(*prefix)
+            })
+            .collect(),
+        QueryClass::Range { lo, hi } => vec![x[*lo..=*hi].iter().sum()],
+        QueryClass::Linear { weights } => vec![weights.iter().zip(x).map(|(w, v)| w * v).sum()],
+        // The per-attribute coordinate sums, entered once for the cluster
+        // a moved tuple leaves and once for the one it joins — Lemma
+        // 6.1's accounting (on the raw sum the factor is 1, see below).
+        QueryClass::KmeansSumCells => {
+            let sums: Vec<f64> = (0..domain.arity())
+                .map(|a| {
+                    let coordinate = |i| f64::from(domain.attribute_value(i, a));
+                    x.iter().enumerate().map(|(i, v)| v * coordinate(i)).sum()
+                })
+                .collect();
+            [sums.clone(), sums].concat()
+        }
+    }
+}
+
+/// Definition 4.1 for a linear query, in one line: the largest
+/// `‖W(e_u − e_v)‖₁` over the policy's secret edges `(u, v)`.
+fn edge_oracle(class: &QueryClass, policy: &Policy) -> f64 {
+    let domain = policy.domain();
+    let mut worst = 0.0f64;
+    policy.graph().for_each_edge(domain, |u, v| {
+        let mut x = vec![0.0; domain.size()];
+        (x[u], x[v]) = (1.0, -1.0);
+        worst = worst.max(apply(class, domain, &x).iter().map(|y| y.abs()).sum());
+    });
+    worst
+}
+
+/// ROADMAP 6a, first slice: every unconstrained `QueryClass` on every
+/// secret-graph variant, on a line, a grid and a cube, calibrates to
+/// exactly what the definition says. (Against PR 22's `sensitivity.rs`
+/// this fails at once — `CumulativeHistogram` under full on 3 × 4, 5
+/// where the oracle says 11 — the bug PR 23 found by reading.)
+#[test]
+fn every_unconstrained_query_class_matches_the_edge_oracle() {
+    for cards in [vec![16], vec![3, 4], vec![2, 2, 3]] {
+        let domain = Domain::from_cardinalities(&cards).unwrap();
+        let n = domain.size();
+        let mut rng = blowfish::chaos::ChaosRng::new(0x6a ^ n as u64);
+        let mut classes = vec![
+            QueryClass::Histogram,
+            QueryClass::CumulativeHistogram,
+            QueryClass::KmeansSumCells,
+            QueryClass::PartitionHistogram(Partition::intervals(n, 3)),
+            QueryClass::PartitionHistogram(Partition::singletons(n)),
+            QueryClass::PartitionHistogram(Partition::single_block(n)),
+        ];
+        classes.extend((0..n).flat_map(|lo| (lo..n).map(move |hi| QueryClass::Range { lo, hi })));
+        for _ in 0..8 {
+            // Eighths in [-125, 125], and signs: differences are exact.
+            let eighths = (0..n).map(|_| (rng.next_below(2001) as f64 - 1000.0) / 8.0);
+            classes.push(QueryClass::Linear {
+                weights: eighths.collect(),
+            });
+            let signs = (0..n).map(|_| if rng.next_below(2) == 0 { 1.0 } else { -1.0 });
+            classes.push(QueryClass::Linear {
+                weights: signs.collect(),
+            });
+        }
+        for policy in every_graph_variant(&domain) {
+            for class in &classes {
+                assert_eq!(
+                    class.sensitivity(&policy),
+                    edge_oracle(class, &policy),
+                    "{class:?} under {} on {cards:?}",
+                    policy.label()
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn qsum_lemma_6_1_on_line_domain() {
     let domain = Domain::line(6).unwrap();
