@@ -3,7 +3,7 @@
 use crate::error::NetError;
 use crate::proto::{
     ClientMessage, ServerMessage, WireError, WireMetric, WireReplicaStats, WireRequest,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use bf_engine::{Request, Response};
 use bf_obs::{ClusterEvent, TraceTree};
@@ -150,10 +150,6 @@ pub struct Client {
     /// keys stay unique across client restarts against the same
     /// server-side reply cache.
     next_request_id: u64,
-    /// The protocol version the `Hello`/`Welcome` handshake settled on
-    /// — the server may negotiate down to an older dialect it still
-    /// speaks; every frame then encodes/decodes at this version.
-    negotiated: u16,
     /// Known cluster members, for redirect-on-[`WireError::NotLeader`]
     /// and dial-the-next-member failover. Empty for a single-server
     /// client.
@@ -168,7 +164,9 @@ impl Client {
     /// # Errors
     ///
     /// [`NetError::Io`] when the dial fails, [`NetError::Protocol`] /
-    /// [`NetError::Remote`] when the handshake is refused.
+    /// [`NetError::Remote`] when the handshake is refused,
+    /// [`NetError::VersionMismatch`] when the server welcomes any
+    /// version but [`PROTOCOL_VERSION`].
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, NetError> {
         let addr = addr
             .to_socket_addrs()?
@@ -191,7 +189,6 @@ impl Client {
             tokens: BTreeMap::new(),
             timeout: None,
             next_request_id,
-            negotiated: PROTOCOL_VERSION,
             cluster: Vec::new(),
             member: 0,
         };
@@ -238,21 +235,16 @@ impl Client {
     }
 
     fn handshake(&mut self) -> Result<(), NetError> {
-        // Until Welcome lands the connection speaks our own dialect
-        // (Hello/Welcome/Refused encode identically at every version).
-        self.negotiated = PROTOCOL_VERSION;
         let id = self.fresh_id();
         self.send(&ClientMessage::Hello {
             id,
             version: PROTOCOL_VERSION,
         })?;
         match self.recv_for(id)? {
-            ServerMessage::Welcome { version, .. }
-                if (MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) =>
-            {
-                self.negotiated = version;
-                Ok(())
-            }
+            ServerMessage::Welcome {
+                version: PROTOCOL_VERSION,
+                ..
+            } => Ok(()),
             ServerMessage::Welcome { version, .. } => Err(NetError::VersionMismatch {
                 ours: PROTOCOL_VERSION,
                 theirs: version,
@@ -269,14 +261,8 @@ impl Client {
         self.addr
     }
 
-    /// The protocol version the handshake negotiated (≤
-    /// [`PROTOCOL_VERSION`], ≥ [`MIN_PROTOCOL_VERSION`]).
-    pub fn protocol_version(&self) -> u16 {
-        self.negotiated
-    }
-
     /// The session token the server issued for `analyst` on attach, if
-    /// any (v4 servers only).
+    /// any.
     pub fn session_token(&self, analyst: &str) -> Option<u64> {
         self.tokens.get(analyst).copied()
     }
@@ -319,7 +305,7 @@ impl Client {
 
     fn send(&mut self, msg: &ClientMessage) -> Result<(), NetError> {
         self.out.clear();
-        frame_into(&mut self.out, |out| msg.encode_into(self.negotiated, out));
+        frame_into(&mut self.out, |out| msg.encode_into(out));
         self.stream.write_all(&self.out)?;
         self.pending.insert(msg.id());
         Ok(())
@@ -332,7 +318,7 @@ impl Client {
         loop {
             match self.frames.next_frame() {
                 FrameRead::Complete { payload, .. } => {
-                    return ServerMessage::decode_for(payload, self.negotiated)
+                    return ServerMessage::decode(payload)
                         .ok_or_else(|| NetError::Protocol("undecodable server message".into()));
                 }
                 FrameRead::Corrupt => {
@@ -733,20 +719,6 @@ impl Client {
         }
     }
 
-    /// Refuses cluster-plane calls on a connection negotiated below
-    /// protocol v5 — the server would kill the connection on the
-    /// undecodable frame, so fail cleanly here instead.
-    fn require_v5(&self, what: &str) -> Result<(), NetError> {
-        if self.negotiated >= 5 {
-            Ok(())
-        } else {
-            Err(NetError::Protocol(format!(
-                "{what} needs protocol v5; this connection negotiated v{}",
-                self.negotiated
-            )))
-        }
-    }
-
     /// Fetches a federated scrape of the whole cluster in one call: the
     /// serving node snapshots itself and fans `Stats` probes to every
     /// configured peer over the replication peer port, reporting each
@@ -772,11 +744,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`NetError::Protocol`] when the connection negotiated below v5,
     /// [`NetError::Remote`] for a typed refusal, transport errors
     /// otherwise.
     pub fn cluster_stats(&mut self) -> Result<Vec<WireReplicaStats>, NetError> {
-        self.require_v5("cluster_stats")?;
         let id = self.fresh_id();
         self.send(&ClientMessage::ClusterStats { id })?;
         match self.recv_for(id)? {
@@ -796,10 +766,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`NetError::Protocol`] when the connection negotiated below v5;
-    /// transport errors otherwise.
+    /// [`NetError::Remote`] for a typed refusal, transport errors
+    /// otherwise.
     pub fn health(&mut self) -> Result<HealthSnapshot, NetError> {
-        self.require_v5("health")?;
         let id = self.fresh_id();
         self.send(&ClientMessage::Health { id })?;
         match self.recv_for(id)? {
@@ -847,10 +816,8 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`NetError::Protocol`] when the connection negotiated below v5;
-    /// transport errors otherwise.
+    /// Transport errors.
     pub fn watch(&mut self) -> Result<WatchHandle<'_>, NetError> {
-        self.require_v5("watch")?;
         let id = self.fresh_id();
         self.send(&ClientMessage::Watch { id })?;
         Ok(WatchHandle { client: self, id })

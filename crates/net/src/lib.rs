@@ -11,7 +11,7 @@
 //!  client proc ──┘        (bf-net)     (bf-server)                      (bf-engine) (bf-store)
 //! ```
 //!
-//! * **One protocol, one framing.** [`proto`] defines a versioned,
+//! * **One protocol, one framing.** [`proto`] defines one
 //!   length-prefixed, XXH64-checksummed binary protocol reusing the
 //!   WAL's record-framing discipline (`bf_store::frame_into` /
 //!   `bf_store::read_frame` / `bf_store::FrameBuf`; a peer still sealing
@@ -52,7 +52,7 @@ pub use client::{BudgetSnapshot, Client, HealthSnapshot, RetryPolicy, WatchHandl
 pub use error::NetError;
 pub use proto::{
     ClientMessage, ServerMessage, WireError, WireEventKind, WireLogEntry, WireLogOp, WireMetric,
-    WireReplicaStats, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    WireReplicaStats, PROTOCOL_VERSION,
 };
 pub use server::{
     wake_acceptor, NetConfig, NetServer, NetStats, PeerScrape, ReplicaHealth, ReplicaHook,
@@ -431,7 +431,7 @@ mod tests {
     #[test]
     fn pipelined_goodbye_answers_each_id_once_and_farewell_is_last() {
         let net = net_server(31, ServerConfig::default(), NetConfig::default());
-        let mut raw = RawClient::connect(net.local_addr(), PROTOCOL_VERSION);
+        let mut raw = RawClient::connect(net.local_addr());
         let token = match raw.call(&ClientMessage::OpenSession {
             id: 2,
             analyst: "p".into(),
@@ -586,58 +586,62 @@ mod tests {
     #[test]
     fn version_mismatch_is_refused() {
         let net = net_server(19, ServerConfig::default(), NetConfig::default());
-        // A raw socket speaking a wrong version.
+        // A raw socket speaking a wrong version — once an older
+        // dialect, now simply not v5.
         use std::io::{Read, Write};
-        let mut stream = std::net::TcpStream::connect(net.local_addr()).unwrap();
-        let hello = ClientMessage::Hello { id: 1, version: 99 };
-        stream
-            .write_all(&bf_store::frame_bytes(&hello.encode()))
-            .unwrap();
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 1024];
-        let reply = loop {
-            match bf_store::read_frame(&buf) {
-                bf_store::FrameRead::Complete { payload, .. } => {
-                    break ServerMessage::decode(payload).unwrap()
+        for version in [0, 2, 3, 4, 6, 99, u16::MAX] {
+            let mut stream = std::net::TcpStream::connect(net.local_addr()).unwrap();
+            let hello = ClientMessage::Hello { id: 1, version };
+            stream
+                .write_all(&bf_store::frame_bytes(&hello.encode()))
+                .unwrap();
+            let mut buf = Vec::new();
+            let mut chunk = [0u8; 1024];
+            let reply = loop {
+                match bf_store::read_frame(&buf) {
+                    bf_store::FrameRead::Complete { payload, .. } => {
+                        break ServerMessage::decode(payload).unwrap()
+                    }
+                    _ => {
+                        let n = stream.read(&mut chunk).unwrap();
+                        assert!(n > 0, "server closed without replying");
+                        buf.extend_from_slice(&chunk[..n]);
+                    }
                 }
-                _ => {
-                    let n = stream.read(&mut chunk).unwrap();
-                    assert!(n > 0, "server closed without replying");
-                    buf.extend_from_slice(&chunk[..n]);
-                }
+            };
+            match reply {
+                ServerMessage::Refused {
+                    error: WireError::Protocol(msg),
+                    ..
+                } => assert!(
+                    msg.contains(&format!("client {version}")),
+                    "v{version}: got {msg}"
+                ),
+                other => panic!("v{version}: expected Protocol refusal, got {other:?}"),
             }
-        };
-        assert!(matches!(
-            reply,
-            ServerMessage::Refused {
-                error: WireError::Protocol(_),
-                ..
-            }
-        ));
+        }
         net.shutdown().unwrap();
     }
 
-    /// A raw socket speaking an exact (possibly old) protocol version —
-    /// what a v2/v3 binary on the other end of the wire looks like.
+    /// A raw socket that sends exactly the frames a test hands it — no
+    /// tokens presented for it, no retries.
     struct RawClient {
         stream: std::net::TcpStream,
         buf: Vec<u8>,
-        version: u16,
     }
 
     impl RawClient {
-        fn connect(addr: std::net::SocketAddr, version: u16) -> RawClient {
+        fn connect(addr: std::net::SocketAddr) -> RawClient {
             let mut raw = RawClient {
                 stream: std::net::TcpStream::connect(addr).unwrap(),
                 buf: Vec::new(),
-                version,
             };
-            let reply = raw.call(&ClientMessage::Hello { id: 1, version });
-            match reply {
-                ServerMessage::Welcome {
-                    version: negotiated,
-                    ..
-                } => assert_eq!(negotiated, version, "server must negotiate down"),
+            let hello = ClientMessage::Hello {
+                id: 1,
+                version: PROTOCOL_VERSION,
+            };
+            match raw.call(&hello) {
+                ServerMessage::Welcome { version, .. } => assert_eq!(version, PROTOCOL_VERSION),
                 other => panic!("expected Welcome, got {other:?}"),
             }
             raw
@@ -646,7 +650,7 @@ mod tests {
         fn call(&mut self, msg: &ClientMessage) -> ServerMessage {
             use std::io::Write;
             self.stream
-                .write_all(&bf_store::frame_bytes(&msg.encode_for(self.version)))
+                .write_all(&bf_store::frame_bytes(&msg.encode()))
                 .unwrap();
             self.read_reply()
         }
@@ -658,7 +662,7 @@ mod tests {
                 if let bf_store::FrameRead::Complete { payload, consumed } =
                     bf_store::read_frame(&self.buf)
                 {
-                    let reply = ServerMessage::decode_for(payload, self.version).unwrap();
+                    let reply = ServerMessage::decode(payload).unwrap();
                     self.buf.drain(..consumed);
                     return reply;
                 }
@@ -667,62 +671,6 @@ mod tests {
                 self.buf.extend_from_slice(&chunk[..n]);
             }
         }
-    }
-
-    #[test]
-    fn old_protocol_versions_negotiate_down_and_round_trip() {
-        let net = net_server(23, ServerConfig::default(), NetConfig::default());
-        for version in MIN_PROTOCOL_VERSION..PROTOCOL_VERSION {
-            let analyst = format!("old-v{version}");
-            let mut raw = RawClient::connect(net.local_addr(), version);
-            let token = match raw.call(&ClientMessage::OpenSession {
-                id: 2,
-                analyst: analyst.clone(),
-                total_bits: 4.0f64.to_bits(),
-            }) {
-                ServerMessage::SessionAttached {
-                    remaining_bits,
-                    token,
-                    ..
-                } => {
-                    assert_eq!(f64::from_bits(remaining_bits), 4.0);
-                    // Pre-v4 dialects have no token field; decode_for
-                    // backfills zero. v4 carries a real token.
-                    if version < 4 {
-                        assert_eq!(token, 0);
-                    } else {
-                        assert_ne!(token, 0);
-                    }
-                    token
-                }
-                other => panic!("expected SessionAttached, got {other:?}"),
-            };
-            // A submit without the pre-v4 optional fields still serves —
-            // token enforcement must not lock out downgraded clients
-            // (v4 connections present the token they were issued).
-            match raw.call(&ClientMessage::Submit {
-                id: 3,
-                analyst: analyst.clone(),
-                request: crate::proto::WireRequest::from_request(&Request::range(
-                    "pol",
-                    "ds",
-                    eps(0.25),
-                    4,
-                    40,
-                )),
-                request_id: Some(9),
-                deadline_micros: None,
-                trace_id: None,
-                token: (version >= 4).then_some(token),
-            }) {
-                ServerMessage::Answer { id, response, .. } => {
-                    assert_eq!(id, 3);
-                    assert!(response.to_response().scalar().unwrap().is_finite());
-                }
-                other => panic!("expected Answer, got {other:?}"),
-            }
-        }
-        net.shutdown().unwrap();
     }
 
     #[test]
@@ -753,8 +701,8 @@ mod tests {
             .unwrap();
         assert!(!client.audit("alice").unwrap().is_empty());
 
-        // A v4 connection omitting or forging the token is refused.
-        let mut raw = RawClient::connect(net.local_addr(), PROTOCOL_VERSION);
+        // A connection omitting or forging the token is refused.
+        let mut raw = RawClient::connect(net.local_addr());
         let submit = |token: Option<u64>, id: u64| ClientMessage::Submit {
             id,
             analyst: "alice".into(),
@@ -1105,50 +1053,6 @@ mod tests {
         let text = bf_obs::render_prometheus(&snaps);
         assert!(text.contains("net_request_ns{quantile=\"0.99\"}"));
         assert!(text.contains("server_answered_total 8"));
-        net.shutdown().unwrap();
-    }
-
-    #[test]
-    fn cluster_frames_refused_below_v5_with_clean_protocol_error() {
-        let net = net_server(29, ServerConfig::default(), NetConfig::default());
-        // The encoder emits the v5 frames regardless of the negotiated
-        // version (a buggy or malicious peer can always put the bytes
-        // on the wire); the server must refuse them cleanly on every
-        // pre-v5 connection, not hang or misparse.
-        type FrameCtor = fn() -> ClientMessage;
-        let frames: [(&str, FrameCtor); 3] = [
-            ("ClusterStats", || ClientMessage::ClusterStats { id: 2 }),
-            ("Health", || ClientMessage::Health { id: 2 }),
-            ("Watch", || ClientMessage::Watch { id: 2 }),
-        ];
-        for version in MIN_PROTOCOL_VERSION..PROTOCOL_VERSION {
-            for (what, frame) in &frames {
-                // Fresh connection per probe: the server closes after a
-                // protocol refusal.
-                let mut raw = RawClient::connect(net.local_addr(), version);
-                use std::io::Write;
-                raw.stream
-                    .write_all(&bf_store::frame_bytes(&frame().encode()))
-                    .unwrap();
-                let reply = raw.read_reply();
-                match reply {
-                    ServerMessage::Refused {
-                        error: WireError::Protocol(msg),
-                        ..
-                    } => assert!(
-                        msg.contains("undecodable"),
-                        "{what} on v{version}: got {msg}"
-                    ),
-                    other => {
-                        panic!("{what} on v{version}: expected Protocol refusal, got {other:?}")
-                    }
-                }
-            }
-        }
-        // On a full-protocol connection the same frames serve.
-        let mut client = Client::connect(net.local_addr()).unwrap();
-        assert!(!client.cluster_stats().unwrap().is_empty());
-        client.health().unwrap();
         net.shutdown().unwrap();
     }
 

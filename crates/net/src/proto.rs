@@ -1,4 +1,4 @@
-//! The versioned binary wire protocol.
+//! The binary wire protocol.
 //!
 //! ## Frame layout
 //!
@@ -26,7 +26,7 @@
 //!
 //! | direction | message | purpose |
 //! |---|---|---|
-//! | C→S | [`ClientMessage::Hello`] | version handshake, first frame on every connection |
+//! | C→S | [`ClientMessage::Hello`] | handshake, first frame on every connection; must carry [`PROTOCOL_VERSION`] |
 //! | C→S | [`ClientMessage::OpenSession`] | open **or reattach** an analyst session (PR 4 recovery path) |
 //! | C→S | [`ClientMessage::Submit`] | one query (histogram / cumulative / range / linear / k-means) |
 //! | C→S | [`ClientMessage::SubmitBatch`] | several queries answered as one correlated batch |
@@ -34,15 +34,15 @@
 //! | C→S | [`ClientMessage::Stats`] | process-wide metrics snapshot (PR 6 introspection) |
 //! | C→S | [`ClientMessage::Traces`] | retained trace-tree exemplars (PR 8 distributed tracing) |
 //! | C→S | [`ClientMessage::BudgetAudit`] | an analyst's full ε-provenance ledger history (PR 8; connection must have attached the session) |
-//! | C→S | [`ClientMessage::LogCatchup`] | replica peer: follower subscribes to the replicated log from an index (v4) |
-//! | C→S | [`ClientMessage::ReplicateAck`] | replica peer: follower acknowledges an entry durable in its own WAL (v4) |
-//! | C→S | [`ClientMessage::PeerStatus`] | replica peer: read-only probe of a peer's durable log position (v4, pre-promotion check) |
-//! | C→S | [`ClientMessage::ClusterStats`] | federated scrape: the serving node fans stats probes to every peer (v5) |
-//! | C→S | [`ClientMessage::Health`] | one cheap health/SLO probe, load-balancer friendly (v5) |
-//! | C→S | [`ClientMessage::Watch`] | subscribe this connection to the node's live event bus (v5) |
+//! | C→S | [`ClientMessage::LogCatchup`] | replica peer: follower subscribes to the replicated log from an index |
+//! | C→S | [`ClientMessage::ReplicateAck`] | replica peer: follower acknowledges an entry durable in its own WAL |
+//! | C→S | [`ClientMessage::PeerStatus`] | replica peer: read-only probe of a peer's durable log position (pre-promotion check) |
+//! | C→S | [`ClientMessage::ClusterStats`] | federated scrape: the serving node fans stats probes to every peer |
+//! | C→S | [`ClientMessage::Health`] | one cheap health/SLO probe, load-balancer friendly |
+//! | C→S | [`ClientMessage::Watch`] | subscribe this connection to the node's live event bus |
 //! | C→S | [`ClientMessage::Goodbye`] | orderly close (the server drains in-flight work first) |
-//! | S→C | [`ServerMessage::Welcome`] | handshake accept, carries the **negotiated** version |
-//! | S→C | [`ServerMessage::SessionAttached`] | session opened/reattached, remaining ε + session token (v4) |
+//! | S→C | [`ServerMessage::Welcome`] | handshake accept, echoes [`PROTOCOL_VERSION`] |
+//! | S→C | [`ServerMessage::SessionAttached`] | session opened/reattached, remaining ε + session token |
 //! | S→C | [`ServerMessage::Answer`] | a submitted query's response (echoes the trace id, when traced) |
 //! | S→C | [`ServerMessage::BatchAnswer`] | per-slot responses for a batch |
 //! | S→C | [`ServerMessage::BudgetReport`] | ledger snapshot |
@@ -50,34 +50,29 @@
 //! | S→C | [`ServerMessage::TraceReport`] | the retained trace trees, one [`bf_obs::TraceTree`] each |
 //! | S→C | [`ServerMessage::AuditReport`] | the ledger history, one [`bf_store::LedgerEntry`] each |
 //! | S→C | [`ServerMessage::Refused`] | typed error for the correlated request (echoes the trace id) |
-//! | S→C | [`ServerMessage::Replicate`] | replica peer: leader streams log entries + its commit index (v4) |
-//! | S→C | [`ServerMessage::PeerStatusReport`] | replica peer: the probed peer's epoch and durable/applied log marks (v4) |
-//! | S→C | [`ServerMessage::ClusterStatsReport`] | the whole fleet's metrics, one replica-labeled [`WireReplicaStats`] per member (v5) |
-//! | S→C | [`ServerMessage::HealthReport`] | role, epoch, lag, WAL depth, queue depth, unreachable peers, firing SLOs (v5) |
-//! | S→C | [`ServerMessage::Event`] | one live event pushed to an open watch subscription (v5) |
+//! | S→C | [`ServerMessage::Replicate`] | replica peer: leader streams log entries + its commit index |
+//! | S→C | [`ServerMessage::PeerStatusReport`] | replica peer: the probed peer's epoch and durable/applied log marks |
+//! | S→C | [`ServerMessage::ClusterStatsReport`] | the whole fleet's metrics, one replica-labeled [`WireReplicaStats`] per member |
+//! | S→C | [`ServerMessage::HealthReport`] | role, epoch, lag, WAL depth, queue depth, unreachable peers, firing SLOs |
+//! | S→C | [`ServerMessage::Event`] | one live event pushed to an open watch subscription |
 //! | S→C | [`ServerMessage::Farewell`] | goodbye acknowledged, connection closing |
 //!
 //! Every message carries a client-assigned **correlation id**; replies
 //! echo it, so a client may pipeline any number of requests on one
 //! connection and match answers out of order.
 //!
-//! ## Version negotiation
+//! ## Version
 //!
-//! The first frame on a connection is [`ClientMessage::Hello`] carrying
-//! the version the client speaks. The server accepts any version in
-//! `[`[`MIN_PROTOCOL_VERSION`]`, `[`PROTOCOL_VERSION`]`]` and echoes the
-//! **minimum of the two** in [`ServerMessage::Welcome`]; every later
-//! frame on the connection is encoded and decoded at that negotiated
-//! version ([`ClientMessage::encode_for`] /
-//! [`ClientMessage::decode_for`] and the server-side twins), which
-//! simply omits the fields the older version never defined. A v2 client
-//! therefore talks to a v5 replica unchanged — the rolling-upgrade
-//! path — while anything older than v2 (or newer than the server) is
-//! still refused outright. Frames a negotiated version never defined
-//! (the v4 peer frames, the v5 cluster plane) refuse to decode on that
-//! connection: an old client probing [`ClientMessage::ClusterStats`]
-//! or [`ClientMessage::Watch`] gets a clean
-//! [`WireError::Protocol`] refusal, never a misparse or a hang.
+//! There is one dialect. The first frame on a connection is
+//! [`ClientMessage::Hello`], and it must carry [`PROTOCOL_VERSION`]: the
+//! server answers [`ServerMessage::Welcome`] with the same number, and
+//! any other version gets one [`WireError::Protocol`] refusal and a
+//! closed connection. Every later frame has exactly one encoding. An
+//! older dialect cannot reach a live connection: the frame checksum
+//! changed to XXH64 with no version byte, so a binary built before that
+//! change fails its first frame as corrupt, and every binary built
+//! since speaks this version. The field stays so that the next change
+//! to the encoding is refused by number, not misparsed.
 //!
 //! ε values travel as exact `f64` bit patterns (`_bits` fields), the
 //! same discipline the WAL uses — a budget decision made over the wire
@@ -94,7 +89,11 @@
 //! charges are a materially larger disclosure, so the server refuses
 //! it unless the requesting **connection** attached the analyst's
 //! session via [`ClientMessage::OpenSession`] — which requires the
-//! session's original ε total, a capability strangers don't hold.
+//! session's original ε total, a capability strangers don't hold. Once
+//! a wire attach has issued an analyst's session token, every
+//! [`ClientMessage::Submit`], [`ClientMessage::SubmitBatch`] and
+//! [`ClientMessage::BudgetAudit`] for that analyst must present it, on
+//! every connection.
 //! Deployments needing real multi-tenant isolation must front the
 //! port with transport-level auth.
 
@@ -103,37 +102,12 @@ use bf_mechanisms::kmeans::KmeansSecretSpec;
 use bf_obs::{Stage, TraceId, TraceSpan, TraceTree};
 use bf_store::{put_str, put_u64, LedgerEntry, Reader};
 
-/// Protocol version this build speaks. The handshake negotiates down to
-/// the older of the two sides (see the module docs) and refuses
-/// anything below [`MIN_PROTOCOL_VERSION`]. Version 2 added
-/// exactly-once retry support:
-/// [`ClientMessage::Submit`] carries an optional idempotency key
-/// (`request_id`) and an optional scheduling deadline, and
-/// [`WireError`] gained [`WireError::Overloaded`] /
-/// [`WireError::DeadlineExceeded`] for the server's graceful
-/// degradation under load. Version 3 added request-scoped distributed
-/// tracing ([`ClientMessage::Submit`] carries an optional
-/// client-assigned trace id, [`ServerMessage::Answer`] /
-/// [`ServerMessage::Refused`] echo it, and
-/// [`ClientMessage::Traces`] / [`ServerMessage::TraceReport`] scrape
-/// the retained trace trees) and the ε-provenance audit
-/// ([`ClientMessage::BudgetAudit`] / [`ServerMessage::AuditReport`]).
-/// Version 4 added replicated serving — the peer frames
-/// [`ClientMessage::LogCatchup`] / [`ClientMessage::ReplicateAck`] /
-/// [`ClientMessage::PeerStatus`] / [`ServerMessage::Replicate`] /
-/// [`ServerMessage::PeerStatusReport`], the [`WireError::NotLeader`] /
-/// [`WireError::StaleReplica`] / [`WireError::LogDiverged`] refusals —
-/// plus the session-token handshake
-/// ([`ServerMessage::SessionAttached`] issues a token that later
-/// [`ClientMessage::Submit`] / [`ClientMessage::SubmitBatch`] /
-/// [`ClientMessage::BudgetAudit`] frames for that analyst must
-/// present) and version negotiation itself. Version 5 added the
-/// cluster observability plane: federated scrape
-/// ([`ClientMessage::ClusterStats`] /
-/// [`ServerMessage::ClusterStatsReport`] with per-replica
-/// [`WireReplicaStats`]), the health probe ([`ClientMessage::Health`] /
-/// [`ServerMessage::HealthReport`]) and live event streaming
-/// ([`ClientMessage::Watch`] / [`ServerMessage::Event`]).
+/// The protocol version — the only one this build speaks or accepts
+/// (see the module docs). Version 5 is: idempotency keys, deadlines and
+/// trace ids on [`ClientMessage::Submit`]; session tokens issued by
+/// [`ServerMessage::SessionAttached`] and presented on every submit,
+/// batch and audit; the replica peer frames; and the cluster plane
+/// (federated scrape, health probe, live event stream).
 pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Idempotency keys at or above this value are reserved for the
@@ -144,11 +118,6 @@ pub const PROTOCOL_VERSION: u16 = 5;
 /// [`WireError::InvalidRequest`]: a client key colliding with a derived
 /// key would alias another request's cached reply.
 pub const RESERVED_REQUEST_ID_BASE: u64 = 1 << 62;
-
-/// Oldest protocol version the handshake still accepts. Version 1 had
-/// no idempotency keys, so a v1 client could double-charge through a
-/// retry — below this floor the server refuses rather than downgrade.
-pub const MIN_PROTOCOL_VERSION: u16 = 2;
 
 /// A query as it travels the wire: names, exact ε bits, and the kind
 /// payload. Conversion to an engine [`Request`] validates ε.
@@ -603,11 +572,11 @@ pub enum ClientMessage {
         /// buffer, scrapeable via [`ClientMessage::Traces`]. `None`
         /// leaves the request untraced (zero overhead).
         trace_id: Option<u64>,
-        /// The session token [`ServerMessage::SessionAttached`] issued
-        /// (v4). Once a token exists for the analyst, submissions
-        /// without it — or with a stale one — are refused with
-        /// [`WireError::InvalidRequest`]. `None` on pre-v4 connections
-        /// and for sessions opened in-process.
+        /// The session token [`ServerMessage::SessionAttached`] issued.
+        /// Once a token exists for the analyst, submissions without it
+        /// — or with a stale one — are refused with
+        /// [`WireError::InvalidRequest`]. `None` for sessions opened
+        /// in-process.
         token: Option<u64>,
     },
     /// Submit several queries answered as one correlated batch (the
@@ -621,7 +590,7 @@ pub enum ClientMessage {
         /// The queries.
         requests: Vec<WireRequest>,
         /// The session token [`ServerMessage::SessionAttached`] issued
-        /// (v4) — required under the same rules as
+        /// — required under the same rules as
         /// [`ClientMessage::Submit`]'s; a batch charges the same budget
         /// a single submit does, so it passes the same gate.
         token: Option<u64>,
@@ -656,11 +625,11 @@ pub enum ClientMessage {
         id: u64,
         /// Whose ledger history.
         analyst: String,
-        /// The analyst's session token (v4) — required once one was
+        /// The analyst's session token — required once one was
         /// issued, like [`ClientMessage::Submit`]'s.
         token: Option<u64>,
     },
-    /// Replica peer frame (v4): a follower subscribes to the replicated
+    /// Replica peer frame: a follower subscribes to the replicated
     /// log starting at `from_index`, announcing the epoch it last saw.
     /// The leader replies with a stream of [`ServerMessage::Replicate`]
     /// frames (or [`WireError::NotLeader`] if it is not sequencing).
@@ -680,7 +649,7 @@ pub enum ClientMessage {
         /// back to its commit point before resubscribing.
         last_epoch: u64,
     },
-    /// Replica peer frame (v4): read-only probe of a peer's durable log
+    /// Replica peer frame: read-only probe of a peer's durable log
     /// position, answered by [`ServerMessage::PeerStatusReport`]
     /// regardless of the peer's role. A promotion candidate probes the
     /// surviving peers first: promoting a node whose durable log is
@@ -690,7 +659,7 @@ pub enum ClientMessage {
         /// Correlation id.
         id: u64,
     },
-    /// Replica peer frame (v4): the follower has made every entry up to
+    /// Replica peer frame: the follower has made every entry up to
     /// `index` durable in its own WAL. Acks are cumulative — entries
     /// arrive in order, so one ack covers the whole prefix.
     ReplicateAck {
@@ -702,7 +671,7 @@ pub enum ClientMessage {
         /// Durable log high-water mark on the follower.
         index: u64,
     },
-    /// Cluster-plane frame (v5): ask the serving node to fan a stats
+    /// Cluster-plane frame: ask the serving node to fan a stats
     /// probe to every configured peer over the peer port and merge the
     /// fleet's snapshots, each source qualified with a
     /// `replica="<node>"` label, answered by
@@ -713,7 +682,7 @@ pub enum ClientMessage {
         /// Correlation id.
         id: u64,
     },
-    /// Cluster-plane frame (v5): one cheap health probe suitable for a
+    /// Cluster-plane frame: one cheap health probe suitable for a
     /// load balancer — role, epoch, replication lag, WAL depth, queue
     /// depth, unreachable peers and the firing-SLO list, answered by
     /// [`ServerMessage::HealthReport`].
@@ -721,7 +690,7 @@ pub enum ClientMessage {
         /// Correlation id.
         id: u64,
     },
-    /// Cluster-plane frame (v5): subscribe this connection to the
+    /// Cluster-plane frame: subscribe this connection to the
     /// node's live event bus. The server pushes [`ServerMessage::Event`]
     /// frames echoing this correlation id until the client sends
     /// [`ClientMessage::Goodbye`] or disconnects. The subscription's
@@ -755,11 +724,11 @@ pub enum ServerMessage {
         id: u64,
         /// Remaining ε as bits (total minus durable spent).
         remaining_bits: u64,
-        /// Server-issued session token (v4): later
-        /// [`ClientMessage::Submit`] / [`ClientMessage::BudgetAudit`]
-        /// frames for this analyst must present it. Stable across
-        /// reattaches of the same analyst within one server process;
-        /// `0` on pre-v4 connections (no token issued).
+        /// Server-issued session token: later [`ClientMessage::Submit`]
+        /// / [`ClientMessage::SubmitBatch`] /
+        /// [`ClientMessage::BudgetAudit`] frames for this analyst must
+        /// present it. Stable across reattaches of the same analyst
+        /// within one server process; never `0`.
         token: u64,
     },
     /// A query's answer.
@@ -825,7 +794,7 @@ pub enum ServerMessage {
         /// [`ServerMessage::Answer`] does.
         trace_id: Option<u64>,
     },
-    /// Replica peer frame (v4): the leader streams log entries in index
+    /// Replica peer frame: the leader streams log entries in index
     /// order, piggybacking its current commit index — the quorum-durable
     /// prefix followers may execute. A frame may carry zero entries
     /// (a pure commit-index bump).
@@ -841,7 +810,7 @@ pub enum ServerMessage {
         /// New entries, in index order.
         entries: Vec<WireLogEntry>,
     },
-    /// Replica peer frame (v4): answer to [`ClientMessage::PeerStatus`]
+    /// Replica peer frame: answer to [`ClientMessage::PeerStatus`]
     /// — this peer's durable log position, served regardless of role so
     /// a promotion candidate can verify it holds the longest surviving
     /// log before fencing a new epoch.
@@ -855,7 +824,7 @@ pub enum ServerMessage {
         /// Largest index executed through the peer's engine.
         applied: u64,
     },
-    /// Cluster-plane frame (v5): answer to
+    /// Cluster-plane frame: answer to
     /// [`ClientMessage::ClusterStats`] — one [`WireReplicaStats`] per
     /// cluster member (the serving node first), each metric set
     /// already qualified with its source's `replica="<node>"` label.
@@ -866,7 +835,7 @@ pub enum ServerMessage {
         /// configured order.
         replicas: Vec<WireReplicaStats>,
     },
-    /// Cluster-plane frame (v5): answer to [`ClientMessage::Health`].
+    /// Cluster-plane frame: answer to [`ClientMessage::Health`].
     /// Gauges the probe reports (lag, applied) are refreshed from live
     /// node state at probe time, not from the last replication-stream
     /// receipt.
@@ -890,7 +859,7 @@ pub enum ServerMessage {
         /// Names of SLOs currently firing.
         firing: Vec<String>,
     },
-    /// Cluster-plane frame (v5): one live event pushed to a
+    /// Cluster-plane frame: one live event pushed to a
     /// [`ClientMessage::Watch`] subscription (`id` echoes the watch).
     Event {
         /// Correlation id of the subscribing `Watch`.
@@ -1304,12 +1273,32 @@ fn read_opt_u64(r: &mut Reader<'_>) -> Option<Option<u64>> {
     }
 }
 
-/// Bounds a decoder's `Vec` pre-allocation: counts are
-/// attacker-supplied, so reserve only a small prefix and let growth be
-/// driven by bytes that actually decode — a 40-byte frame must never
-/// command a 100 MB allocation.
-fn bounded_capacity(n: u64) -> usize {
-    n.min(64) as usize
+/// A count, then each item — the shape of every list on the wire but
+/// the flat `u64` vectors ([`put_bits_vec`]).
+fn put_list<T>(out: &mut Vec<u8>, items: &[T], mut encode: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u64(out, items.len() as u64);
+    for item in items {
+        encode(out, item);
+    }
+}
+
+/// Decodes [`put_list`] output. The count is attacker-supplied: one no
+/// record could hold is malformed at once, and the `Vec` reserves only a
+/// small prefix, growing with items that actually decode — a 40-byte
+/// frame never commands a 100 MB allocation.
+fn read_list<T>(
+    r: &mut Reader<'_>,
+    mut decode: impl FnMut(&mut Reader<'_>) -> Option<T>,
+) -> Option<Vec<T>> {
+    let n = r.u64()?;
+    if n > u64::from(bf_store::MAX_RECORD_LEN) {
+        return None;
+    }
+    let mut items = Vec::with_capacity(n.min(64) as usize);
+    for _ in 0..n {
+        items.push(decode(r)?);
+    }
+    Some(items)
 }
 
 fn read_bits_vec(r: &mut Reader<'_>) -> Option<Vec<u64>> {
@@ -1351,31 +1340,16 @@ fn encode_trace_tree(out: &mut Vec<u8>, t: &TraceTree) {
     put_str(out, &t.analyst);
     put_u64(out, t.total_ns);
     put_str(out, &t.outcome);
-    put_u64(out, t.spans.len() as u64);
-    for s in &t.spans {
-        encode_trace_span(out, s);
-    }
+    put_list(out, &t.spans, encode_trace_span);
 }
 
 fn decode_trace_tree(r: &mut Reader<'_>) -> Option<TraceTree> {
-    let id = TraceId(r.u64()?);
-    let analyst = r.str()?;
-    let total_ns = r.u64()?;
-    let outcome = r.str()?;
-    let n = r.u64()?;
-    if n > bf_store::MAX_RECORD_LEN as u64 {
-        return None;
-    }
-    let mut spans = Vec::with_capacity(bounded_capacity(n));
-    for _ in 0..n {
-        spans.push(decode_trace_span(r)?);
-    }
     Some(TraceTree {
-        id,
-        analyst,
-        total_ns,
-        outcome,
-        spans,
+        id: TraceId(r.u64()?),
+        analyst: r.str()?,
+        total_ns: r.u64()?,
+        outcome: r.str()?,
+        spans: read_list(r, decode_trace_span)?,
     })
 }
 
@@ -1541,10 +1515,7 @@ trait EncodeResponse {
 }
 
 fn put_centroids<T: WireBits>(out: &mut Vec<u8>, centroids: &[Vec<T>]) {
-    put_u64(out, centroids.len() as u64);
-    for c in centroids {
-        put_bits_vec(out, c);
-    }
+    put_list(out, centroids, |out, c| put_bits_vec(out, c));
 }
 
 impl EncodeResponse for WireResponse {
@@ -1595,7 +1566,6 @@ impl EncodeResponse for Response {
 
 fn encode_answer(
     out: &mut Vec<u8>,
-    version: u16,
     id: u64,
     response: &impl EncodeResponse,
     trace_id: Option<u64>,
@@ -1603,9 +1573,7 @@ fn encode_answer(
     out.push(TAG_ANSWER);
     put_u64(out, id);
     response.encode_response(out);
-    if version >= 3 {
-        put_opt_u64(out, trace_id);
-    }
+    put_opt_u64(out, trace_id);
 }
 
 fn encode_batch_answer<R: EncodeResponse>(
@@ -1615,19 +1583,24 @@ fn encode_batch_answer<R: EncodeResponse>(
 ) {
     out.push(TAG_BATCH_ANSWER);
     put_u64(out, id);
-    put_u64(out, slots.len() as u64);
-    for slot in slots {
-        match slot {
-            Ok(response) => {
-                out.push(SLOT_OK);
-                response.encode_response(out);
-            }
-            Err(e) => {
-                out.push(SLOT_ERR);
-                encode_error(out, e);
-            }
+    put_list(out, slots, |out, slot| match slot {
+        Ok(response) => {
+            out.push(SLOT_OK);
+            response.encode_response(out);
         }
-    }
+        Err(e) => {
+            out.push(SLOT_ERR);
+            encode_error(out, e);
+        }
+    });
+}
+
+fn decode_slot(r: &mut Reader<'_>) -> Option<Result<WireResponse, WireError>> {
+    Some(match r.u8()? {
+        SLOT_OK => Ok(decode_response(r)?),
+        SLOT_ERR => Err(decode_error(r)?),
+        _ => return None,
+    })
 }
 
 fn decode_response(r: &mut Reader<'_>) -> Option<WireResponse> {
@@ -1635,17 +1608,7 @@ fn decode_response(r: &mut Reader<'_>) -> Option<WireResponse> {
         RESP_HISTOGRAM => WireResponse::Histogram(read_bits_vec(r)?),
         RESP_PREFIXES => WireResponse::Prefixes(read_bits_vec(r)?),
         RESP_SCALAR => WireResponse::Scalar(r.u64()?),
-        RESP_CENTROIDS => {
-            let n = r.u64()?;
-            if n > (bf_store::MAX_RECORD_LEN as u64) / 8 {
-                return None;
-            }
-            let mut cs = Vec::with_capacity(bounded_capacity(n));
-            for _ in 0..n {
-                cs.push(read_bits_vec(r)?);
-            }
-            WireResponse::Centroids(cs)
-        }
+        RESP_CENTROIDS => WireResponse::Centroids(read_list(r, read_bits_vec)?),
         _ => return None,
     })
 }
@@ -1845,24 +1808,25 @@ impl ClientMessage {
         }
     }
 
-    /// The payload bytes (no frame), at [`PROTOCOL_VERSION`].
+    /// The payload bytes (no frame).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for(PROTOCOL_VERSION)
-    }
-
-    /// The payload bytes at a negotiated `version`: fields the older
-    /// version never defined are simply omitted, so a downgraded
-    /// connection stays byte-compatible with a genuine old peer.
-    pub fn encode_for(&self, version: u16) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        self.encode_into(version, &mut out);
+        self.encode_into(&mut out);
         out
     }
 
-    /// [`ClientMessage::encode_for`] appended to `out` — the form
+    /// [`ClientMessage::encode`] for the frozen `bfbench`, which still
+    /// passes a version: [`PROTOCOL_VERSION`] or a panic. ROADMAP item 2
+    /// removes it with the next change to `bfbench/`.
+    pub fn encode_for(&self, version: u16) -> Vec<u8> {
+        assert_eq!(version, PROTOCOL_VERSION, "the wire has one dialect");
+        self.encode()
+    }
+
+    /// [`ClientMessage::encode`] appended to `out` — the form
     /// [`bf_store::frame_into`] takes, so a message is encoded straight
     /// into the frame that carries it.
-    pub fn encode_into(&self, version: u16, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             ClientMessage::Hello { id, version } => {
                 out.push(TAG_HELLO);
@@ -1894,12 +1858,8 @@ impl ClientMessage {
                 encode_request(out, request);
                 put_opt_u64(out, *request_id);
                 put_opt_u64(out, *deadline_micros);
-                if version >= 3 {
-                    put_opt_u64(out, *trace_id);
-                }
-                if version >= 4 {
-                    put_opt_u64(out, *token);
-                }
+                put_opt_u64(out, *trace_id);
+                put_opt_u64(out, *token);
             }
             ClientMessage::SubmitBatch {
                 id,
@@ -1910,13 +1870,8 @@ impl ClientMessage {
                 out.push(TAG_SUBMIT_BATCH);
                 put_u64(out, *id);
                 put_str(out, analyst);
-                put_u64(out, requests.len() as u64);
-                for r in requests {
-                    encode_request(out, r);
-                }
-                if version >= 4 {
-                    put_opt_u64(out, *token);
-                }
+                put_list(out, requests, encode_request);
+                put_opt_u64(out, *token);
             }
             ClientMessage::Budget { id, analyst } => {
                 out.push(TAG_BUDGET);
@@ -1935,9 +1890,7 @@ impl ClientMessage {
                 out.push(TAG_BUDGET_AUDIT);
                 put_u64(out, *id);
                 put_str(out, analyst);
-                if version >= 4 {
-                    put_opt_u64(out, *token);
-                }
+                put_opt_u64(out, *token);
             }
             ClientMessage::LogCatchup {
                 id,
@@ -1985,13 +1938,6 @@ impl ClientMessage {
     /// close — a framing layer that let damage through cannot be
     /// trusted).
     pub fn decode(payload: &[u8]) -> Option<ClientMessage> {
-        Self::decode_for(payload, PROTOCOL_VERSION)
-    }
-
-    /// Decodes at a negotiated `version`: fields the older version
-    /// never defined decode as absent, and frames the version did not
-    /// define at all are malformed.
-    pub fn decode_for(payload: &[u8], version: u16) -> Option<ClientMessage> {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             TAG_HELLO => ClientMessage::Hello {
@@ -2009,39 +1955,15 @@ impl ClientMessage {
                 request: decode_request(&mut r)?,
                 request_id: read_opt_u64(&mut r)?,
                 deadline_micros: read_opt_u64(&mut r)?,
-                trace_id: if version >= 3 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
-                token: if version >= 4 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
+                trace_id: read_opt_u64(&mut r)?,
+                token: read_opt_u64(&mut r)?,
             },
-            TAG_SUBMIT_BATCH => {
-                let id = r.u64()?;
-                let analyst = r.str()?;
-                let n = r.u64()?;
-                if n > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut requests = Vec::with_capacity(bounded_capacity(n));
-                for _ in 0..n {
-                    requests.push(decode_request(&mut r)?);
-                }
-                ClientMessage::SubmitBatch {
-                    id,
-                    analyst,
-                    requests,
-                    token: if version >= 4 {
-                        read_opt_u64(&mut r)?
-                    } else {
-                        None
-                    },
-                }
-            }
+            TAG_SUBMIT_BATCH => ClientMessage::SubmitBatch {
+                id: r.u64()?,
+                analyst: r.str()?,
+                requests: read_list(&mut r, decode_request)?,
+                token: read_opt_u64(&mut r)?,
+            },
             TAG_BUDGET => ClientMessage::Budget {
                 id: r.u64()?,
                 analyst: r.str()?,
@@ -2051,32 +1973,53 @@ impl ClientMessage {
             TAG_BUDGET_AUDIT => ClientMessage::BudgetAudit {
                 id: r.u64()?,
                 analyst: r.str()?,
-                token: if version >= 4 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
+                token: read_opt_u64(&mut r)?,
             },
-            TAG_LOG_CATCHUP if version >= 4 => ClientMessage::LogCatchup {
+            TAG_LOG_CATCHUP => ClientMessage::LogCatchup {
                 id: r.u64()?,
                 epoch: r.u64()?,
                 from_index: r.u64()?,
                 last_epoch: r.u64()?,
             },
-            TAG_REPLICATE_ACK if version >= 4 => ClientMessage::ReplicateAck {
+            TAG_REPLICATE_ACK => ClientMessage::ReplicateAck {
                 id: r.u64()?,
                 epoch: r.u64()?,
                 index: r.u64()?,
             },
-            TAG_PEER_STATUS if version >= 4 => ClientMessage::PeerStatus { id: r.u64()? },
-            TAG_CLUSTER_STATS if version >= 5 => ClientMessage::ClusterStats { id: r.u64()? },
-            TAG_HEALTH if version >= 5 => ClientMessage::Health { id: r.u64()? },
-            TAG_WATCH if version >= 5 => ClientMessage::Watch { id: r.u64()? },
+            TAG_PEER_STATUS => ClientMessage::PeerStatus { id: r.u64()? },
+            TAG_CLUSTER_STATS => ClientMessage::ClusterStats { id: r.u64()? },
+            TAG_HEALTH => ClientMessage::Health { id: r.u64()? },
+            TAG_WATCH => ClientMessage::Watch { id: r.u64()? },
             TAG_GOODBYE => ClientMessage::Goodbye { id: r.u64()? },
             _ => return None,
         };
         r.done().then_some(msg)
     }
+
+    /// [`ClientMessage::decode`] for the frozen `bfbench`, which still
+    /// passes a version: any but [`PROTOCOL_VERSION`] decodes nothing.
+    /// ROADMAP item 2 removes it with the next change to `bfbench/`.
+    pub fn decode_for(payload: &[u8], version: u16) -> Option<ClientMessage> {
+        (version == PROTOCOL_VERSION).then(|| Self::decode(payload))?
+    }
+}
+
+fn encode_replica_stats(out: &mut Vec<u8>, rep: &WireReplicaStats) {
+    put_str(out, &rep.node);
+    out.push(rep.reachable as u8);
+    put_list(out, &rep.metrics, encode_metric);
+}
+
+fn decode_replica_stats(r: &mut Reader<'_>) -> Option<WireReplicaStats> {
+    Some(WireReplicaStats {
+        node: r.str()?,
+        reachable: match r.u8()? {
+            0 => false,
+            1 => true,
+            _ => return None,
+        },
+        metrics: read_list(r, decode_metric)?,
+    })
 }
 
 impl ServerMessage {
@@ -2101,22 +2044,23 @@ impl ServerMessage {
         }
     }
 
-    /// The payload bytes (no frame), at [`PROTOCOL_VERSION`].
+    /// The payload bytes (no frame).
     pub fn encode(&self) -> Vec<u8> {
-        self.encode_for(PROTOCOL_VERSION)
-    }
-
-    /// The payload bytes at a negotiated `version` (see
-    /// [`ClientMessage::encode_for`]).
-    pub fn encode_for(&self, version: u16) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
-        self.encode_into(version, &mut out);
+        self.encode_into(&mut out);
         out
     }
 
-    /// [`ServerMessage::encode_for`] appended to `out` (see
+    /// [`ServerMessage::encode`] for the frozen `bfbench` (see
+    /// [`ClientMessage::encode_for`]).
+    pub fn encode_for(&self, version: u16) -> Vec<u8> {
+        assert_eq!(version, PROTOCOL_VERSION, "the wire has one dialect");
+        self.encode()
+    }
+
+    /// [`ServerMessage::encode`] appended to `out` (see
     /// [`ClientMessage::encode_into`]).
-    pub fn encode_into(&self, version: u16, out: &mut Vec<u8>) {
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             ServerMessage::Welcome { id, version } => {
                 out.push(TAG_WELCOME);
@@ -2131,15 +2075,13 @@ impl ServerMessage {
                 out.push(TAG_SESSION_ATTACHED);
                 put_u64(out, *id);
                 put_u64(out, *remaining_bits);
-                if version >= 4 {
-                    put_u64(out, *token);
-                }
+                put_u64(out, *token);
             }
             ServerMessage::Answer {
                 id,
                 response,
                 trace_id,
-            } => encode_answer(out, version, *id, response, *trace_id),
+            } => encode_answer(out, *id, response, *trace_id),
             ServerMessage::BatchAnswer { id, slots } => encode_batch_answer(out, *id, slots),
             ServerMessage::BudgetReport {
                 id,
@@ -2158,26 +2100,17 @@ impl ServerMessage {
             ServerMessage::StatsReport { id, metrics } => {
                 out.push(TAG_STATS_REPORT);
                 put_u64(out, *id);
-                put_u64(out, metrics.len() as u64);
-                for m in metrics {
-                    encode_metric(out, m);
-                }
+                put_list(out, metrics, encode_metric);
             }
             ServerMessage::TraceReport { id, traces } => {
                 out.push(TAG_TRACE_REPORT);
                 put_u64(out, *id);
-                put_u64(out, traces.len() as u64);
-                for t in traces {
-                    encode_trace_tree(out, t);
-                }
+                put_list(out, traces, encode_trace_tree);
             }
             ServerMessage::AuditReport { id, entries } => {
                 out.push(TAG_AUDIT_REPORT);
                 put_u64(out, *id);
-                put_u64(out, entries.len() as u64);
-                for e in entries {
-                    encode_ledger_entry(out, e);
-                }
+                put_list(out, entries, encode_ledger_entry);
             }
             ServerMessage::Refused {
                 id,
@@ -2187,9 +2120,7 @@ impl ServerMessage {
                 out.push(TAG_REFUSED);
                 put_u64(out, *id);
                 encode_error(out, error);
-                if version >= 3 {
-                    put_opt_u64(out, *trace_id);
-                }
+                put_opt_u64(out, *trace_id);
             }
             ServerMessage::Replicate {
                 id,
@@ -2201,10 +2132,7 @@ impl ServerMessage {
                 put_u64(out, *id);
                 put_u64(out, *epoch);
                 put_u64(out, *commit_index);
-                put_u64(out, entries.len() as u64);
-                for e in entries {
-                    encode_log_entry(out, e);
-                }
+                put_list(out, entries, encode_log_entry);
             }
             ServerMessage::PeerStatusReport {
                 id,
@@ -2221,15 +2149,7 @@ impl ServerMessage {
             ServerMessage::ClusterStatsReport { id, replicas } => {
                 out.push(TAG_CLUSTER_STATS_REPORT);
                 put_u64(out, *id);
-                put_u64(out, replicas.len() as u64);
-                for rep in replicas {
-                    put_str(out, &rep.node);
-                    out.push(rep.reachable as u8);
-                    put_u64(out, rep.metrics.len() as u64);
-                    for m in &rep.metrics {
-                        encode_metric(out, m);
-                    }
-                }
+                put_list(out, replicas, encode_replica_stats);
             }
             ServerMessage::HealthReport {
                 id,
@@ -2250,14 +2170,8 @@ impl ServerMessage {
                 put_u64(out, *lag);
                 put_u64(out, *wal_segments);
                 put_u64(out, *queue_depth);
-                put_u64(out, unreachable.len() as u64);
-                for peer in unreachable {
-                    put_str(out, peer);
-                }
-                put_u64(out, firing.len() as u64);
-                for slo in firing {
-                    put_str(out, slo);
-                }
+                put_list(out, unreachable, |out, peer| put_str(out, peer));
+                put_list(out, firing, |out, slo| put_str(out, slo));
             }
             ServerMessage::Event {
                 id,
@@ -2291,13 +2205,12 @@ impl ServerMessage {
     /// writer turns each float into its wire bits as it lands in the
     /// frame.
     pub fn encode_answer_into(
-        version: u16,
         out: &mut Vec<u8>,
         id: u64,
         response: &Response,
         trace_id: Option<u64>,
     ) {
-        encode_answer(out, version, id, response, trace_id);
+        encode_answer(out, id, response, trace_id);
     }
 
     /// [`ServerMessage::encode_answer_into`] for a
@@ -2313,12 +2226,6 @@ impl ServerMessage {
     /// Decodes a payload produced by [`ServerMessage::encode`]; `None`
     /// for anything malformed.
     pub fn decode(payload: &[u8]) -> Option<ServerMessage> {
-        Self::decode_for(payload, PROTOCOL_VERSION)
-    }
-
-    /// Decodes at a negotiated `version` (see
-    /// [`ClientMessage::decode_for`]).
-    pub fn decode_for(payload: &[u8], version: u16) -> Option<ServerMessage> {
         let mut r = Reader::new(payload);
         let msg = match r.u8()? {
             TAG_WELCOME => ServerMessage::Welcome {
@@ -2328,33 +2235,17 @@ impl ServerMessage {
             TAG_SESSION_ATTACHED => ServerMessage::SessionAttached {
                 id: r.u64()?,
                 remaining_bits: r.u64()?,
-                token: if version >= 4 { r.u64()? } else { 0 },
+                token: r.u64()?,
             },
             TAG_ANSWER => ServerMessage::Answer {
                 id: r.u64()?,
                 response: decode_response(&mut r)?,
-                trace_id: if version >= 3 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
+                trace_id: read_opt_u64(&mut r)?,
             },
-            TAG_BATCH_ANSWER => {
-                let id = r.u64()?;
-                let n = r.u64()?;
-                if n > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut slots = Vec::with_capacity(bounded_capacity(n));
-                for _ in 0..n {
-                    slots.push(match r.u8()? {
-                        SLOT_OK => Ok(decode_response(&mut r)?),
-                        SLOT_ERR => Err(decode_error(&mut r)?),
-                        _ => return None,
-                    });
-                }
-                ServerMessage::BatchAnswer { id, slots }
-            }
+            TAG_BATCH_ANSWER => ServerMessage::BatchAnswer {
+                id: r.u64()?,
+                slots: read_list(&mut r, decode_slot)?,
+            },
             TAG_BUDGET_REPORT => ServerMessage::BudgetReport {
                 id: r.u64()?,
                 total_bits: r.u64()?,
@@ -2362,143 +2253,51 @@ impl ServerMessage {
                 remaining_bits: r.u64()?,
                 served: r.u64()?,
             },
-            TAG_STATS_REPORT => {
-                let id = r.u64()?;
-                let n = r.u64()?;
-                if n > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut metrics = Vec::with_capacity(bounded_capacity(n));
-                for _ in 0..n {
-                    metrics.push(decode_metric(&mut r)?);
-                }
-                ServerMessage::StatsReport { id, metrics }
-            }
-            TAG_TRACE_REPORT => {
-                let id = r.u64()?;
-                let n = r.u64()?;
-                if n > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut traces = Vec::with_capacity(bounded_capacity(n));
-                for _ in 0..n {
-                    traces.push(decode_trace_tree(&mut r)?);
-                }
-                ServerMessage::TraceReport { id, traces }
-            }
-            TAG_AUDIT_REPORT => {
-                let id = r.u64()?;
-                let n = r.u64()?;
-                if n > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut entries = Vec::with_capacity(bounded_capacity(n));
-                for _ in 0..n {
-                    entries.push(decode_ledger_entry(&mut r)?);
-                }
-                ServerMessage::AuditReport { id, entries }
-            }
+            TAG_STATS_REPORT => ServerMessage::StatsReport {
+                id: r.u64()?,
+                metrics: read_list(&mut r, decode_metric)?,
+            },
+            TAG_TRACE_REPORT => ServerMessage::TraceReport {
+                id: r.u64()?,
+                traces: read_list(&mut r, decode_trace_tree)?,
+            },
+            TAG_AUDIT_REPORT => ServerMessage::AuditReport {
+                id: r.u64()?,
+                entries: read_list(&mut r, decode_ledger_entry)?,
+            },
             TAG_REFUSED => ServerMessage::Refused {
                 id: r.u64()?,
                 error: decode_error(&mut r)?,
-                trace_id: if version >= 3 {
-                    read_opt_u64(&mut r)?
-                } else {
-                    None
-                },
+                trace_id: read_opt_u64(&mut r)?,
             },
-            TAG_REPLICATE if version >= 4 => {
-                let id = r.u64()?;
-                let epoch = r.u64()?;
-                let commit_index = r.u64()?;
-                let n = r.u64()?;
-                if n > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut entries = Vec::with_capacity(bounded_capacity(n));
-                for _ in 0..n {
-                    entries.push(decode_log_entry(&mut r)?);
-                }
-                ServerMessage::Replicate {
-                    id,
-                    epoch,
-                    commit_index,
-                    entries,
-                }
-            }
-            TAG_PEER_STATUS_REPORT if version >= 4 => ServerMessage::PeerStatusReport {
+            TAG_REPLICATE => ServerMessage::Replicate {
+                id: r.u64()?,
+                epoch: r.u64()?,
+                commit_index: r.u64()?,
+                entries: read_list(&mut r, decode_log_entry)?,
+            },
+            TAG_PEER_STATUS_REPORT => ServerMessage::PeerStatusReport {
                 id: r.u64()?,
                 epoch: r.u64()?,
                 high_water: r.u64()?,
                 applied: r.u64()?,
             },
-            TAG_CLUSTER_STATS_REPORT if version >= 5 => {
-                let id = r.u64()?;
-                let n = r.u64()?;
-                if n > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut replicas = Vec::with_capacity(bounded_capacity(n));
-                for _ in 0..n {
-                    let node = r.str()?;
-                    let reachable = match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        _ => return None,
-                    };
-                    let m = r.u64()?;
-                    if m > bf_store::MAX_RECORD_LEN as u64 {
-                        return None;
-                    }
-                    let mut metrics = Vec::with_capacity(bounded_capacity(m));
-                    for _ in 0..m {
-                        metrics.push(decode_metric(&mut r)?);
-                    }
-                    replicas.push(WireReplicaStats {
-                        node,
-                        reachable,
-                        metrics,
-                    });
-                }
-                ServerMessage::ClusterStatsReport { id, replicas }
-            }
-            TAG_HEALTH_REPORT if version >= 5 => {
-                let id = r.u64()?;
-                let role = r.str()?;
-                let epoch = r.u64()?;
-                let applied = r.u64()?;
-                let lag = r.u64()?;
-                let wal_segments = r.u64()?;
-                let queue_depth = r.u64()?;
-                let n = r.u64()?;
-                if n > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut unreachable = Vec::with_capacity(bounded_capacity(n));
-                for _ in 0..n {
-                    unreachable.push(r.str()?);
-                }
-                let m = r.u64()?;
-                if m > bf_store::MAX_RECORD_LEN as u64 {
-                    return None;
-                }
-                let mut firing = Vec::with_capacity(bounded_capacity(m));
-                for _ in 0..m {
-                    firing.push(r.str()?);
-                }
-                ServerMessage::HealthReport {
-                    id,
-                    role,
-                    epoch,
-                    applied,
-                    lag,
-                    wal_segments,
-                    queue_depth,
-                    unreachable,
-                    firing,
-                }
-            }
-            TAG_EVENT if version >= 5 => ServerMessage::Event {
+            TAG_CLUSTER_STATS_REPORT => ServerMessage::ClusterStatsReport {
+                id: r.u64()?,
+                replicas: read_list(&mut r, decode_replica_stats)?,
+            },
+            TAG_HEALTH_REPORT => ServerMessage::HealthReport {
+                id: r.u64()?,
+                role: r.str()?,
+                epoch: r.u64()?,
+                applied: r.u64()?,
+                lag: r.u64()?,
+                wal_segments: r.u64()?,
+                queue_depth: r.u64()?,
+                unreachable: read_list(&mut r, |r| r.str())?,
+                firing: read_list(&mut r, |r| r.str())?,
+            },
+            TAG_EVENT => ServerMessage::Event {
                 id: r.u64()?,
                 seq: r.u64()?,
                 kind: match r.u8()? {
@@ -2515,6 +2314,12 @@ impl ServerMessage {
             _ => return None,
         };
         r.done().then_some(msg)
+    }
+
+    /// [`ServerMessage::decode`] for the frozen `bfbench` (see
+    /// [`ClientMessage::decode_for`]).
+    pub fn decode_for(payload: &[u8], version: u16) -> Option<ServerMessage> {
+        (version == PROTOCOL_VERSION).then(|| Self::decode(payload))?
     }
 }
 
@@ -2894,48 +2699,6 @@ mod tests {
         }
     }
 
-    /// What a message looks like after crossing a connection negotiated
-    /// down to `version`: fields the version never defined are lost.
-    fn downgrade_client(msg: &ClientMessage, version: u16) -> ClientMessage {
-        let mut m = msg.clone();
-        match &mut m {
-            ClientMessage::Submit {
-                trace_id, token, ..
-            } => {
-                if version < 3 {
-                    *trace_id = None;
-                }
-                if version < 4 {
-                    *token = None;
-                }
-            }
-            ClientMessage::BudgetAudit { token, .. } if version < 4 => {
-                *token = None;
-            }
-            ClientMessage::SubmitBatch { token, .. } if version < 4 => {
-                *token = None;
-            }
-            _ => {}
-        }
-        m
-    }
-
-    fn downgrade_server(msg: &ServerMessage, version: u16) -> ServerMessage {
-        let mut m = msg.clone();
-        match &mut m {
-            ServerMessage::SessionAttached { token, .. } if version < 4 => {
-                *token = 0;
-            }
-            ServerMessage::Answer { trace_id, .. } | ServerMessage::Refused { trace_id, .. }
-                if version < 3 =>
-            {
-                *trace_id = None;
-            }
-            _ => {}
-        }
-        m
-    }
-
     proptest! {
         /// Every client message round-trips encode → decode exactly.
         #[test]
@@ -2951,57 +2714,6 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(seed);
             let msg = arb_server_message(&mut rng);
             prop_assert_eq!(ServerMessage::decode(&msg.encode()), Some(msg));
-        }
-
-        /// The negotiation path: at every supported version, a message
-        /// round-trips to its *downgraded* self — optional fields the
-        /// version never defined are dropped, never garbled — and
-        /// frames the version did not define at all refuse to decode.
-        #[test]
-        fn versioned_round_trips_downgrade_optional_fields(seed in 0u64..512) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let cm = arb_client_message(&mut rng);
-            let sm = arb_server_message(&mut rng);
-            for v in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-                let peer_only = matches!(
-                    cm,
-                    ClientMessage::LogCatchup { .. }
-                        | ClientMessage::ReplicateAck { .. }
-                        | ClientMessage::PeerStatus { .. }
-                );
-                let cluster_only = matches!(
-                    cm,
-                    ClientMessage::ClusterStats { .. }
-                        | ClientMessage::Health { .. }
-                        | ClientMessage::Watch { .. }
-                );
-                if (v < 4 && peer_only) || (v < 5 && cluster_only) {
-                    prop_assert_eq!(ClientMessage::decode_for(&cm.encode_for(v), v), None);
-                } else {
-                    prop_assert_eq!(
-                        ClientMessage::decode_for(&cm.encode_for(v), v),
-                        Some(downgrade_client(&cm, v))
-                    );
-                }
-                let sm_peer_only = matches!(
-                    sm,
-                    ServerMessage::Replicate { .. } | ServerMessage::PeerStatusReport { .. }
-                );
-                let sm_cluster_only = matches!(
-                    sm,
-                    ServerMessage::ClusterStatsReport { .. }
-                        | ServerMessage::HealthReport { .. }
-                        | ServerMessage::Event { .. }
-                );
-                if (v < 4 && sm_peer_only) || (v < 5 && sm_cluster_only) {
-                    prop_assert_eq!(ServerMessage::decode_for(&sm.encode_for(v), v), None);
-                } else {
-                    prop_assert_eq!(
-                        ServerMessage::decode_for(&sm.encode_for(v), v),
-                        Some(downgrade_server(&sm, v))
-                    );
-                }
-            }
         }
 
         /// Log operations round-trip standalone — the encoding a
@@ -3038,10 +2750,10 @@ mod tests {
 
     proptest! {
         /// `encode_into` appends, to whatever the buffer already holds,
-        /// exactly the bytes `encode_for` returns — at every negotiated
-        /// version, both directions — and the writer's two
-        /// engine-`Response` encoders produce the `Answer` /
-        /// `BatchAnswer` payloads of the wire mirror they skip.
+        /// exactly the bytes `encode_for` returns at the one version —
+        /// both directions — and the writer's two engine-`Response`
+        /// encoders produce the `Answer` / `BatchAnswer` payloads of the
+        /// wire mirror they skip.
         #[test]
         fn encode_into_appends_what_encode_for_returns(seed in 0u64..512) {
             let mut rng = StdRng::seed_from_u64(seed);
@@ -3056,28 +2768,26 @@ mod tests {
                 .map(|slot| slot.as_ref().map(WireResponse::to_response).map_err(Clone::clone))
                 .collect();
             let trace_id = arb_opt_u64(&mut rng);
-            for v in MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION {
-                let after = |encode: &dyn Fn(&mut Vec<u8>)| {
-                    let mut out = b"what was framed before".to_vec();
-                    encode(&mut out);
-                    prop_assert_eq!(&out[..22], &b"what was framed before"[..]);
-                    Ok(out.split_off(22))
-                };
-                prop_assert_eq!(after(&|out| cm.encode_into(v, out))?, cm.encode_for(v));
-                prop_assert_eq!(after(&|out| sm.encode_into(v, out))?, sm.encode_for(v));
-                let answer = ServerMessage::Answer { id: seed, response: response.clone(), trace_id };
-                prop_assert_eq!(
-                    after(&|out| ServerMessage::encode_answer_into(
-                        v, out, seed, &response.to_response(), trace_id
-                    ))?,
-                    answer.encode_for(v)
-                );
-                let batch = ServerMessage::BatchAnswer { id: seed, slots: slots.clone() };
-                prop_assert_eq!(
-                    after(&|out| ServerMessage::encode_batch_answer_into(out, seed, &engine_slots))?,
-                    batch.encode_for(v)
-                );
-            }
+            let after = |encode: &dyn Fn(&mut Vec<u8>)| {
+                let mut out = b"what was framed before".to_vec();
+                encode(&mut out);
+                prop_assert_eq!(&out[..22], &b"what was framed before"[..]);
+                Ok(out.split_off(22))
+            };
+            prop_assert_eq!(after(&|out| cm.encode_into(out))?, cm.encode_for(PROTOCOL_VERSION));
+            prop_assert_eq!(after(&|out| sm.encode_into(out))?, sm.encode_for(PROTOCOL_VERSION));
+            let answer = ServerMessage::Answer { id: seed, response: response.clone(), trace_id };
+            prop_assert_eq!(
+                after(&|out| ServerMessage::encode_answer_into(
+                    out, seed, &response.to_response(), trace_id
+                ))?,
+                answer.encode_for(PROTOCOL_VERSION)
+            );
+            let batch = ServerMessage::BatchAnswer { id: seed, slots: slots.clone() };
+            prop_assert_eq!(
+                after(&|out| ServerMessage::encode_batch_answer_into(out, seed, &engine_slots))?,
+                batch.encode_for(PROTOCOL_VERSION)
+            );
         }
     }
 
@@ -3135,8 +2845,6 @@ mod tests {
         let mut stream = Vec::new();
         let payloads: Vec<Vec<u8>> = (0..32)
             .map(|i| {
-                let version =
-                    MIN_PROTOCOL_VERSION + i % (PROTOCOL_VERSION - MIN_PROTOCOL_VERSION + 1);
                 let payload = match i {
                     11 => ServerMessage::Answer {
                         id: 11,
@@ -3145,9 +2853,9 @@ mod tests {
                         ),
                         trace_id: None,
                     }
-                    .encode_for(version),
-                    _ if i % 2 == 0 => arb_client_message(&mut rng).encode_for(version),
-                    _ => arb_server_message(&mut rng).encode_for(version),
+                    .encode(),
+                    _ if i % 2 == 0 => arb_client_message(&mut rng).encode(),
+                    _ => arb_server_message(&mut rng).encode(),
                 };
                 frame_into(&mut stream, |out| out.extend_from_slice(&payload));
                 payload
@@ -3196,6 +2904,128 @@ mod tests {
         }
     }
 
+    /// The test binary's allocator: `System`'s, noting on each thread
+    /// the largest single allocation since that thread last reset it.
+    struct Largest;
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    /// Allocates nothing: `LARGEST` is a const-initialised `Cell`, and
+    /// `try_with` skips a thread whose locals are already torn down.
+    fn note(size: usize) {
+        let _ = LARGEST.try_with(|l| l.set(l.get().max(size)));
+    }
+
+    // SAFETY: every method hands its caller's arguments to `System`
+    // unchanged, so `System` gets exactly the guarantees `GlobalAlloc`'s
+    // caller gives; `note` neither allocates nor touches the memory.
+    unsafe impl std::alloc::GlobalAlloc for Largest {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            // SAFETY: the caller's `layout`, as `GlobalAlloc::alloc` got it.
+            unsafe { std::alloc::System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator with
+            // this `layout`, as the caller guarantees.
+            unsafe { std::alloc::System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            note(new_size);
+            // SAFETY: as for `dealloc`, and `new_size` is the caller's.
+            unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static ALLOCATOR: Largest = Largest;
+
+    /// Every list a message can open with — and `HealthReport`'s second,
+    /// behind an empty first — claiming 2⁴⁰ items (and `u64::MAX`) in
+    /// front of 16 bytes: the decode is `None`, and no allocation made on
+    /// the way is larger than the payload. Strings before the count are
+    /// empty, so the count is the only thing that could ask for memory.
+    #[test]
+    fn a_list_count_the_bytes_cannot_back_allocates_nothing() {
+        // `tag`, then per `shape` letter a zero `u64` (`w`) or an empty
+        // string (`s`), then `then` — everything up to a list's count.
+        let prefix = |tag: u8, shape: &str, then: &[u8]| {
+            let mut p = vec![tag];
+            for field in shape.chars() {
+                match field {
+                    'w' => put_u64(&mut p, 0),
+                    _ => put_str(&mut p, ""),
+                }
+            }
+            p.extend_from_slice(then);
+            p
+        };
+        type Decodes = fn(&[u8]) -> bool;
+        let cm: Decodes = |p| ClientMessage::decode(p).is_some();
+        let sm: Decodes = |p| ServerMessage::decode(p).is_some();
+        let op: Decodes = |p| WireLogOp::decode(p).is_some();
+        let cases: [(&str, Vec<u8>, Decodes); 14] = [
+            ("Submit", prefix(TAG_SUBMIT, "wsssw", &[KIND_LINEAR]), cm),
+            ("SubmitBatch", prefix(TAG_SUBMIT_BATCH, "ws", &[]), cm),
+            ("Histogram", prefix(TAG_ANSWER, "w", &[RESP_HISTOGRAM]), sm),
+            ("Prefixes", prefix(TAG_ANSWER, "w", &[RESP_PREFIXES]), sm),
+            ("Centroids", prefix(TAG_ANSWER, "w", &[RESP_CENTROIDS]), sm),
+            ("BatchAnswer", prefix(TAG_BATCH_ANSWER, "w", &[]), sm),
+            ("StatsReport", prefix(TAG_STATS_REPORT, "w", &[]), sm),
+            ("TraceReport", prefix(TAG_TRACE_REPORT, "w", &[]), sm),
+            ("AuditReport", prefix(TAG_AUDIT_REPORT, "w", &[]), sm),
+            ("Replicate", prefix(TAG_REPLICATE, "www", &[]), sm),
+            ("Cluster", prefix(TAG_CLUSTER_STATS_REPORT, "w", &[]), sm),
+            ("unreachable", prefix(TAG_HEALTH_REPORT, "wswwwww", &[]), sm),
+            ("firing", prefix(TAG_HEALTH_REPORT, "wswwwwww", &[]), sm),
+            ("log op", prefix(LOG_OP_SUBMIT, "ssw", &[KIND_LINEAR]), op),
+        ];
+        for (what, prefix, decodes) in cases {
+            for count in [1u64 << 40, u64::MAX] {
+                let mut payload = prefix.clone();
+                put_u64(&mut payload, count);
+                payload.extend_from_slice(&[0xAB; 16]);
+                LARGEST.with(|l| l.set(0));
+                let decoded = decodes(&payload);
+                let largest = LARGEST.with(|l| l.get());
+                assert!(!decoded, "{what}, count {count}");
+                assert!(
+                    largest <= payload.len(),
+                    "{what}, count {count}: allocated {largest} bytes for a {}-byte payload",
+                    payload.len()
+                );
+            }
+        }
+    }
+
+    /// The frozen bench's version-taking forms are the one encoding at
+    /// [`PROTOCOL_VERSION`] and nothing at any other.
+    #[test]
+    fn encode_for_and_decode_for_speak_only_the_one_version() {
+        let msg = ClientMessage::Goodbye { id: 3 };
+        let reply = ServerMessage::Farewell { id: 3 };
+        assert_eq!(msg.encode_for(PROTOCOL_VERSION), msg.encode());
+        assert_eq!(reply.encode_for(PROTOCOL_VERSION), reply.encode());
+        for version in [0, 4, 6, u16::MAX] {
+            assert_eq!(ClientMessage::decode_for(&msg.encode(), version), None);
+            assert_eq!(ServerMessage::decode_for(&reply.encode(), version), None);
+            assert!(std::panic::catch_unwind(|| msg.encode_for(version)).is_err());
+        }
+        assert_eq!(
+            ClientMessage::decode_for(&msg.encode(), PROTOCOL_VERSION),
+            Some(msg)
+        );
+    }
+
     /// Trailing garbage after a well-formed message must not decode.
     #[test]
     fn trailing_garbage_is_rejected() {
@@ -3217,15 +3047,10 @@ mod tests {
     fn single_byte_flips_never_misparse() {
         let mut rng = StdRng::seed_from_u64(0xF1F1);
         for case in 0..32 {
-            // Cycle through every negotiated version so the downgraded
-            // encodings get the same corruption coverage as the native
-            // one.
-            let version = MIN_PROTOCOL_VERSION
-                + (case as u16 / 2) % (PROTOCOL_VERSION - MIN_PROTOCOL_VERSION + 1);
             let payload = if case % 2 == 0 {
-                arb_client_message(&mut rng).encode_for(version)
+                arb_client_message(&mut rng).encode()
             } else {
-                arb_server_message(&mut rng).encode_for(version)
+                arb_server_message(&mut rng).encode()
             };
             let framed = frame_bytes(&payload);
             for pos in 0..framed.len() {

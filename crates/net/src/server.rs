@@ -2,7 +2,7 @@
 
 use crate::proto::{
     ClientMessage, ServerMessage, WireError, WireEventKind, WireMetric, WireReplicaStats,
-    MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    PROTOCOL_VERSION,
 };
 use bf_obs::{
     BusSubscriber, ClusterEventKind, Counter, Histogram, MetricSnapshot, Registry, SloEngine,
@@ -15,7 +15,7 @@ use std::future::Future;
 use std::io::Write;
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU16, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
@@ -563,10 +563,6 @@ struct ConnShared {
     /// thousand-member batch is a thousand queue slots, not one): the
     /// reader adds at admission, the writer subtracts at completion.
     in_flight: AtomicUsize,
-    /// The protocol version negotiated at `Hello` (the minimum of the
-    /// client's and ours, at least [`MIN_PROTOCOL_VERSION`]); every
-    /// frame on this connection encodes and decodes at it.
-    negotiated: AtomicU16,
 }
 
 /// Unparks the connection's writer when one of its tickets resolves.
@@ -596,7 +592,6 @@ fn serve_connection(stream: TcpStream, shared: &AcceptorShared, live: &Mutex<Opt
     }
     let conn = ConnShared {
         in_flight: AtomicUsize::new(0),
-        negotiated: AtomicU16::new(PROTOCOL_VERSION),
     };
     // Bounded, so a client that reads slower than it asks back-pressures
     // the reader instead of growing the hand-over queue.
@@ -689,14 +684,13 @@ impl Connection<'_> {
                 Ok(_) => {}
             }
             loop {
-                let version = self.negotiated();
                 let protocol_error = match self.frames.next_frame() {
                     FrameRead::Incomplete => break,
                     FrameRead::Corrupt => "corrupt frame",
                     FrameRead::Complete { payload, .. } => {
                         counters.frames_in.inc();
                         let mut span = counters.obs.span();
-                        let msg = ClientMessage::decode_for(payload, version);
+                        let msg = ClientMessage::decode(payload);
                         counters.obs.span_mark(&mut span, Stage::Decode);
                         let decode_elapsed = span.elapsed().unwrap_or_default();
                         match msg {
@@ -715,10 +709,6 @@ impl Connection<'_> {
                 return;
             }
         }
-    }
-
-    fn negotiated(&self) -> u16 {
-        self.conn.negotiated.load(Ordering::Relaxed)
     }
 
     /// Hands `out` to the writer and wakes it. `false` when the writer
@@ -765,28 +755,18 @@ impl Connection<'_> {
                     self.refuse(id, WireError::Protocol("duplicate Hello".into()), None);
                     return false;
                 }
-                if !(MIN_PROTOCOL_VERSION..=PROTOCOL_VERSION).contains(&version) {
+                if version != PROTOCOL_VERSION {
                     self.refuse(
                         id,
                         WireError::Protocol(format!(
-                            "version mismatch: server speaks \
-                             {MIN_PROTOCOL_VERSION}..={PROTOCOL_VERSION}, client {version}"
+                            "version mismatch: server speaks {PROTOCOL_VERSION}, client {version}"
                         )),
                         None,
                     );
                     return false;
                 }
-                // Negotiate down to the client's version: every later
-                // frame on this connection speaks it, so optional v3/v4
-                // fields (trace ids, session tokens) are simply absent
-                // rather than misparsed.
-                let negotiated = version.min(PROTOCOL_VERSION);
-                self.conn.negotiated.store(negotiated, Ordering::Relaxed);
                 self.hello_done = true;
-                self.reply(ServerMessage::Welcome {
-                    id,
-                    version: negotiated,
-                })
+                self.reply(ServerMessage::Welcome { id, version })
             }
             ClientMessage::OpenSession {
                 id,
@@ -1053,8 +1033,8 @@ impl Connection<'_> {
                 // analyst's session — reattaching requires the
                 // session's original ε total, so a stranger on the
                 // same port cannot walk another analyst's history —
-                // and, on a v4 connection, presented the session token
-                // the attach handed back.
+                // and that presented the session token the attach
+                // handed back.
                 let reply = if !self.attached.contains(&analyst) {
                     ServerMessage::Refused {
                         id,
@@ -1120,14 +1100,10 @@ impl Connection<'_> {
     }
 
     /// Refuses a request that should have presented `analyst`'s session
-    /// token but didn't (or presented a stale/forged one). Enforced only
-    /// on v4 connections (older clients have no token field — rolling
-    /// upgrades keep working) and only once a wire `OpenSession` issued
-    /// a token for the analyst; sessions opened in-process are exempt.
+    /// token but didn't (or presented a stale/forged one) — on every
+    /// connection, once a wire `OpenSession` issued a token for the
+    /// analyst; sessions opened in-process are exempt.
     fn token_refusal(&self, analyst: &str, presented: Option<u64>) -> Option<WireError> {
-        if self.negotiated() < 4 {
-            return None;
-        }
         let expected = self
             .shared
             .tokens
@@ -1537,12 +1513,11 @@ impl Writer<'_> {
                     id,
                     response,
                     trace_id,
-                } => self.frame_answer(|version, out| {
-                    ServerMessage::encode_answer_into(version, out, *id, response, *trace_id)
+                } => self.frame_answer(|out| {
+                    ServerMessage::encode_answer_into(out, *id, response, *trace_id)
                 })?,
-                Reply::Batch { id, slots } => self.frame_answer(|_, out| {
-                    ServerMessage::encode_batch_answer_into(out, *id, slots)
-                })?,
+                Reply::Batch { id, slots } => self
+                    .frame_answer(|out| ServerMessage::encode_batch_answer_into(out, *id, slots))?,
                 Reply::Refused(refusal) => self.frame_message(refusal),
             }
         }
@@ -1559,16 +1534,15 @@ impl Writer<'_> {
         Ok(replies.len())
     }
 
-    /// Encodes one frame, at the negotiated version, onto the end of the
-    /// output buffer; [`Writer::flush`] sends it.
-    fn frame(&mut self, encode: impl FnOnce(u16, &mut Vec<u8>)) {
+    /// Encodes one frame onto the end of the output buffer;
+    /// [`Writer::flush`] sends it.
+    fn frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) {
         self.counters.frames_out.inc();
-        let version = self.conn.negotiated.load(Ordering::Relaxed);
-        frame_into(&mut self.out, |out| encode(version, out));
+        frame_into(&mut self.out, encode);
     }
 
     fn frame_message(&mut self, msg: &ServerMessage) {
-        self.frame(|version, out| msg.encode_into(version, out));
+        self.frame(|out| msg.encode_into(out));
     }
 
     /// [`Writer::frame`] for an **answer** frame (`Answer` /
@@ -1577,7 +1551,7 @@ impl Writer<'_> {
     /// handshake or stats frames interleave, or how many answers share a
     /// release: a due fault cuts the buffer at this frame's boundary, and
     /// what was framed before it is written whole first.
-    fn frame_answer(&mut self, encode: impl FnOnce(u16, &mut Vec<u8>)) -> std::io::Result<()> {
+    fn frame_answer(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
         let fault = self.shared.config.fault_plan.as_ref();
         let Some(fault) = fault.and_then(|plan| plan.next()) else {
             self.frame(encode);

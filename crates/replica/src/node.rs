@@ -817,20 +817,20 @@ impl Node {
 
         // Handshake: peers always speak the current protocol.
         match read_frame(stream, &mut buf, ClientMessage::decode) {
-            Some(ClientMessage::Hello { id, version }) if version >= PROTOCOL_VERSION => {
-                let _ = write_frame(
-                    stream,
-                    &mut out,
-                    &ServerMessage::Welcome {
-                        id,
-                        version: PROTOCOL_VERSION,
-                    },
-                );
+            Some(ClientMessage::Hello {
+                id,
+                version: PROTOCOL_VERSION,
+            }) => {
+                let welcome = ServerMessage::Welcome {
+                    id,
+                    version: PROTOCOL_VERSION,
+                };
+                let _ = write_frame(stream, &mut out, |o| welcome.encode_into(o));
             }
             Some(ClientMessage::Hello { id, .. }) => {
                 let error =
                     WireError::Protocol("replica peers must speak the current protocol".into());
-                let _ = write_frame(stream, &mut out, &refused(id, error));
+                let _ = write_frame(stream, &mut out, |o| refused(id, error).encode_into(o));
                 return;
             }
             _ => return,
@@ -852,7 +852,7 @@ impl Node {
                         applied: st.applied,
                     }
                 };
-                let _ = write_frame(stream, &mut out, &reply);
+                let _ = write_frame(stream, &mut out, |o| reply.encode_into(o));
                 return;
             }
             Some(ClientMessage::Stats { id }) => {
@@ -875,7 +875,7 @@ impl Node {
                             .collect(),
                     }
                 };
-                let _ = write_frame(stream, &mut out, &reply);
+                let _ = write_frame(stream, &mut out, |o| reply.encode_into(o));
                 return;
             }
             Some(ClientMessage::LogCatchup {
@@ -922,7 +922,7 @@ impl Node {
                     }
                 };
                 if let Some(error) = refusal {
-                    let _ = write_frame(stream, &mut out, &refused(id, error));
+                    let _ = write_frame(stream, &mut out, |o| refused(id, error).encode_into(o));
                     return;
                 }
                 (id, from_index)
@@ -1016,7 +1016,7 @@ impl Node {
                 commit_index: commit,
                 entries,
             };
-            if write_frame(stream, out, &frame).is_err() {
+            if write_frame(stream, out, |o| frame.encode_into(o)).is_err() {
                 return;
             }
             send_next += n;
@@ -1196,16 +1196,12 @@ impl Node {
                         self.cv.notify_all();
                         (st.epoch, st.high_water())
                     };
-                    write_frame(
-                        stream,
-                        &mut out,
-                        &ClientMessage::ReplicateAck {
-                            id: 0,
-                            epoch: ack.0,
-                            index: ack.1,
-                        },
-                    )
-                    .ok()?;
+                    let ack = ClientMessage::ReplicateAck {
+                        id: 0,
+                        epoch: ack.0,
+                        index: ack.1,
+                    };
+                    write_frame(stream, &mut out, |o| ack.encode_into(o)).ok()?;
                 }
                 ServerMessage::Refused {
                     error: WireError::LogDiverged { leader_high_water },
@@ -1278,9 +1274,12 @@ fn greet(
         id: 1,
         version: PROTOCOL_VERSION,
     };
-    write_frame(stream, out, &hello).ok()?;
+    write_frame(stream, out, |o| hello.encode_into(o)).ok()?;
     match read_frame(stream, buf, ServerMessage::decode)? {
-        ServerMessage::Welcome { .. } => write_frame(stream, out, request).ok(),
+        ServerMessage::Welcome {
+            version: PROTOCOL_VERSION,
+            ..
+        } => write_frame(stream, out, |o| request.encode_into(o)).ok(),
         _ => None,
     }
 }
@@ -1436,34 +1435,16 @@ fn refused(id: u64, error: WireError) -> ServerMessage {
     }
 }
 
-/// Sends `msg` as one frame, encoded in place in `out` — the
-/// connection's send buffer, reused from frame to frame.
-fn write_frame<M: WireEncode>(
+/// Sends one frame, `encode`d in place in `out` — the connection's send
+/// buffer, reused from frame to frame.
+fn write_frame(
     stream: &mut TcpStream,
     out: &mut Vec<u8>,
-    msg: &M,
+    encode: impl FnOnce(&mut Vec<u8>),
 ) -> std::io::Result<()> {
     out.clear();
-    frame_into(out, |out| msg.encode_into(out));
+    frame_into(out, encode);
     stream.write_all(out)
-}
-
-/// Both message directions travel the peer link, always at the current
-/// protocol version; this keeps [`write_frame`] one function.
-trait WireEncode {
-    fn encode_into(&self, out: &mut Vec<u8>);
-}
-
-impl WireEncode for ClientMessage {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        ClientMessage::encode_into(self, PROTOCOL_VERSION, out);
-    }
-}
-
-impl WireEncode for ServerMessage {
-    fn encode_into(&self, out: &mut Vec<u8>) {
-        ServerMessage::encode_into(self, PROTOCOL_VERSION, out);
-    }
 }
 
 /// One replica process: WAL + engine + scheduler + client port + peer
@@ -2342,7 +2323,7 @@ mod tests {
                 id,
                 version: PROTOCOL_VERSION,
             };
-            write_frame(&mut link.stream, &mut link.out, &welcome).unwrap();
+            write_frame(&mut link.stream, &mut link.out, |o| welcome.encode_into(o)).unwrap();
             let Some(ClientMessage::LogCatchup { from_index, .. }) = link.read() else {
                 panic!("a follower subscribes with LogCatchup");
             };
@@ -2383,7 +2364,7 @@ mod tests {
                 commit_index,
                 entries,
             };
-            write_frame(&mut self.stream, &mut self.out, &frame).unwrap();
+            write_frame(&mut self.stream, &mut self.out, |o| frame.encode_into(o)).unwrap();
         }
 
         /// The next cumulative ack's index; `None` once the follower has
@@ -2860,9 +2841,20 @@ mod tests {
         assert!(health.unreachable.is_empty());
         assert!(health.firing.is_empty());
 
-        // Subscribe *before* the failure so the transition is pushed.
+        // Subscribe *before* the failure so the transition is pushed —
+        // and see a first event, which is what proves the server has
+        // registered the watch (a kill and a probe can beat the frame).
         let mut watcher = Client::connect(leader.client_addr()).unwrap();
         let mut watch = watcher.watch().unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            assert!(Instant::now() < deadline, "the watch never went live");
+            let bus = leader.engine().obs().bus();
+            bus.publish(bf_obs::ClusterEventKind::Stage, "watch is live", 0);
+            if watch.next(Duration::from_millis(20)).unwrap().is_some() {
+                break;
+            }
+        }
 
         gamma.kill();
 

@@ -46,13 +46,56 @@ pub use store::{LedgerEntry, RecoveryReport, Store, StoreConfig, StoreStats};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A unique scratch directory under the system temp dir — for tests,
-/// benches and examples that need a throwaway store. The caller removes
-/// it (or leaves it to the OS).
+/// A unique, empty scratch directory under the system temp dir — for
+/// tests, benches and examples that need a throwaway store. The caller
+/// removes it (or leaves it to the OS).
 pub fn scratch_dir(tag: &str) -> PathBuf {
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!("bf-store-{tag}-{}-{n}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    // The name is unique among live processes only: a dead one whose pid
+    // the OS handed out again may have left it behind, and a store opened
+    // on what that run wrote would recover its ledger.
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir(&dir).expect("create scratch dir");
     dir
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A WAL left at the name `scratch_dir` hands out next — by an
+    /// earlier process with this pid — is gone when the name is handed
+    /// out. Other tests draw names concurrently, so plant at "next" until
+    /// a draw lands on the plant.
+    #[test]
+    fn scratch_dir_clears_what_a_dead_process_left_at_its_name() {
+        for _ in 0..100 {
+            let last = scratch_dir("stale");
+            let name = last.file_name().unwrap().to_str().unwrap().to_owned();
+            let (stem, n) = name.rsplit_once('-').unwrap();
+            let planted = last.with_file_name(format!("{stem}-{}", n.parse::<u64>().unwrap() + 1));
+            std::fs::remove_dir(&last).unwrap();
+            let store = Store::open(&planted).unwrap();
+            store
+                .commit(&[Record::session_opened("ghost", 1.0)])
+                .unwrap();
+            drop(store);
+
+            let dir = scratch_dir("stale");
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{dir:?}");
+            assert!(Store::open(&dir)
+                .unwrap()
+                .recovered_state()
+                .sessions
+                .is_empty());
+            std::fs::remove_dir_all(&dir).unwrap();
+            if dir == planted {
+                return;
+            }
+            std::fs::remove_dir_all(&planted).unwrap();
+        }
+        panic!("no draw landed on the planted name");
+    }
 }

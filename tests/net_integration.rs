@@ -5,7 +5,7 @@
 use blowfish::net::{Client, NetConfig, NetError, NetServer, RetryPolicy, WireError};
 use blowfish::prelude::*;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
@@ -596,5 +596,183 @@ fn serial_calls_never_wait_on_the_tick_interval() {
         started.elapsed()
     );
     client.goodbye().unwrap();
+    net.shutdown().unwrap();
+}
+
+/// Reads a raw connection until the server closes it, or until it has
+/// said nothing for `patience`: every reply, and whether it closed.
+fn read_until_closed(
+    stream: &mut std::net::TcpStream,
+    patience: Duration,
+) -> (Vec<blowfish::net::ServerMessage>, bool) {
+    use blowfish::store::{FrameBuf, FrameRead};
+    stream.set_read_timeout(Some(patience)).unwrap();
+    let mut frames = FrameBuf::new();
+    let mut replies = Vec::new();
+    loop {
+        while let FrameRead::Complete { payload, .. } = frames.next_frame() {
+            replies.push(blowfish::net::ServerMessage::decode(payload).expect("a whole reply"));
+        }
+        match frames.fill(stream) {
+            Ok(0) => return (replies, true),
+            Ok(_) => {}
+            Err(e) => {
+                use std::io::ErrorKind::{TimedOut, WouldBlock};
+                return (replies, !matches!(e.kind(), TimedOut | WouldBlock));
+            }
+        }
+    }
+}
+
+/// One dialect, and no way round the session token: a `Hello` for any
+/// version but the server's — the old v2–v4 dialects included — gets one
+/// `Refused { Protocol }` and a closed connection, and nothing it sends
+/// reaches a ledger. First the exact old attack: `Hello` v3, then a v3
+/// `Submit` for alice with no token — v3 had no token field, so a v3
+/// connection was exempt from presenting one and the submit was served
+/// and charged to alice.
+#[test]
+fn no_hello_but_the_one_version_is_welcomed_so_no_submit_skips_the_token() {
+    use blowfish::net::{proto::WireRequest, ClientMessage, ServerMessage};
+    use blowfish::store::frame_bytes;
+    use std::io::Write;
+    let net = build_net(46, None, ServerConfig::default(), NetConfig::default());
+    let request = Request::range("pol", "ds", eps(0.25), 4, 40);
+    let mut alice = Client::connect(net.local_addr()).unwrap();
+    alice.open_session("alice", 4.0).unwrap();
+    alice.call("alice", &request).unwrap();
+    assert!(alice.session_token("alice").is_some());
+    let ledger = || {
+        let snap = net.server().engine().session_snapshot("alice").unwrap();
+        (snap.spent().to_bits(), snap.served())
+    };
+    let (before, protocol_errors) = (ledger(), net.stats().protocol_errors);
+
+    let hello = |version| frame_bytes(&ClientMessage::Hello { id: 1, version }.encode());
+    let mut submit_v3 = ClientMessage::Submit {
+        id: 2,
+        analyst: "alice".into(),
+        request: WireRequest::from_request(&request),
+        request_id: None,
+        deadline_micros: None,
+        trace_id: None,
+        token: None,
+    }
+    .encode();
+    // A v3 `Submit` is this one without the trailing token option.
+    assert_eq!(submit_v3.pop(), Some(0), "an absent token is one zero byte");
+    let attack = [hello(3), frame_bytes(&submit_v3)].concat();
+    let probes = std::iter::once(("Hello v3 + tokenless v3 Submit".to_owned(), attack))
+        .chain([0, 2, 3, 4, 6, u16::MAX].map(|v| (format!("Hello v{v}"), hello(v))));
+    for (what, bytes) in probes {
+        let mut raw = std::net::TcpStream::connect(net.local_addr()).unwrap();
+        raw.write_all(&bytes).unwrap();
+        let (replies, closed) = read_until_closed(&mut raw, Duration::from_secs(5));
+        assert!(
+            matches!(
+                replies.as_slice(),
+                [ServerMessage::Refused { error: WireError::Protocol(msg), .. }]
+                    if msg.contains("version mismatch")
+            ),
+            "{what}: got {replies:?}; alice (spent bits, served) {:?}, was {before:?}",
+            ledger()
+        );
+        assert!(closed, "{what}: the connection stayed open");
+    }
+    assert_eq!(ledger(), before, "nothing reached alice's ledger");
+    assert_eq!(
+        net.stats().protocol_errors,
+        protocol_errors,
+        "a version refusal is not a protocol error"
+    );
+    alice.goodbye().unwrap();
+    net.shutdown().unwrap();
+}
+
+/// Publishes `detail` on the bus and reads `watch` until that event
+/// arrives (it may take a few publishes while the watch's queue is full),
+/// returning every event read on the way.
+fn hear(
+    watch: &mut blowfish::net::WatchHandle<'_>,
+    bus: &blowfish::obs::EventBus,
+    detail: &str,
+) -> Vec<blowfish::obs::ClusterEvent> {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut heard = Vec::new();
+    loop {
+        assert!(Instant::now() < deadline, "{detail:?} never arrived");
+        bus.publish(blowfish::obs::ClusterEventKind::Stage, detail, 0);
+        while let Some(event) = watch.next(Duration::from_millis(20)).unwrap() {
+            let done = event.detail == detail;
+            heard.push(event);
+            if done {
+                return heard;
+            }
+        }
+    }
+}
+
+/// A watcher that never reads slows nobody down. Its writer wedges on a
+/// full socket (48 histogram answers of 512 KiB asked for and never
+/// read, far past what two socket buffers hold), so its bounded event
+/// queue (`WATCH_QUEUE_CAPACITY` = 256) overflows under twice that many
+/// events — and meanwhile every write is served, a second watcher still
+/// hears the bus, and once the stuck one reads it finds the gap the
+/// dropped events left.
+#[test]
+fn a_watcher_that_never_reads_blocks_no_write_and_no_other_watcher() {
+    const WATCH_QUEUE_CAPACITY: u64 = 256;
+    let net = build_net(47, None, ServerConfig::default(), NetConfig::default());
+    let engine = Arc::clone(net.server().engine());
+    let wide = Domain::line(1 << 16).unwrap();
+    engine
+        .register_policy("wide", Policy::distance_threshold(wide.clone(), 1))
+        .unwrap();
+    let rows = (0..1000).map(|i| i * 61).collect();
+    engine
+        .register_dataset("wide", Dataset::from_rows(wide, rows).unwrap())
+        .unwrap();
+    let bus = engine.obs().bus();
+
+    let mut stuck = Client::connect(net.local_addr()).unwrap();
+    stuck.open_session("stuck", 100.0).unwrap();
+    let histogram = Request::histogram("wide", "wide", eps(1.0));
+    for _ in 0..48 {
+        stuck.submit("stuck", &histogram).unwrap();
+    }
+    let mut stuck_watch = stuck.watch().unwrap();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !bus.has_subscribers() || net.server().stats().answered < 48 {
+        assert!(Instant::now() < deadline, "{:?}", net.server().stats());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Answered; within a release period the writer is in `write_all`.
+    std::thread::sleep(Duration::from_millis(10));
+
+    let mut live = Client::connect(net.local_addr()).unwrap();
+    let mut live_watch = live.watch().unwrap();
+    hear(&mut live_watch, bus, "live watch is subscribed");
+    for _ in 0..2 * WATCH_QUEUE_CAPACITY {
+        bus.publish(blowfish::obs::ClusterEventKind::Stage, "overflow", 0);
+    }
+    let mut writer = Client::connect(net.local_addr()).unwrap();
+    writer.open_session("writer", 10.0).unwrap();
+    for lo in 0..20 {
+        let range = Request::range("pol", "ds", eps(0.01), lo, lo + 20);
+        writer.call("writer", &range).unwrap();
+    }
+    assert_eq!(engine.session_snapshot("writer").unwrap().served(), 20);
+    hear(&mut live_watch, bus, "the live watch still hears");
+
+    let seqs: Vec<u64> = hear(&mut stuck_watch, bus, "the stuck watch reads at last")
+        .iter()
+        .map(|event| event.seq)
+        .collect();
+    let dropped: u64 = seqs.windows(2).map(|pair| pair[1] - pair[0] - 1).sum();
+    assert!(
+        dropped >= WATCH_QUEUE_CAPACITY,
+        "the stuck watch lost only {dropped} events"
+    );
+    writer.goodbye().unwrap();
     net.shutdown().unwrap();
 }
