@@ -19,7 +19,7 @@ fn main() {
         let grid = twitter_grid();
 
         // Project onto latitude (domain size 400, ≈5.55 km per bin).
-        let lat = OrderedDomain::with_step_width("latitude", TWITTER_DIM_LAT, 5.55).unwrap();
+        let lat = OrderedDomain::with_step_width(TWITTER_DIM_LAT, 5.55).unwrap();
         let mut histogram = vec![0.0f64; TWITTER_DIM_LAT];
         for &row in dataset.rows() {
             histogram[grid.coords(row)[0]] += 1.0;

@@ -67,21 +67,6 @@ pub fn mean(xs: &[f64]) -> f64 {
     xs.iter().sum::<f64>() / xs.len() as f64
 }
 
-/// (lower quartile, median, upper quartile) of a sample.
-pub fn quartiles(xs: &[f64]) -> (f64, f64, f64) {
-    assert!(!xs.is_empty());
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let q = |p: f64| -> f64 {
-        let idx = p * (v.len() - 1) as f64;
-        let lo = idx.floor() as usize;
-        let hi = idx.ceil() as usize;
-        let frac = idx - lo as f64;
-        v[lo] * (1.0 - frac) + v[hi] * frac
-    };
-    (q(0.25), q(0.5), q(0.75))
-}
-
 /// A figure-style series table: an x column (usually ε) and one series
 /// per policy, printed as aligned whitespace-separated text that can be
 /// piped straight into gnuplot.
@@ -120,7 +105,7 @@ impl SeriesTable {
     }
 
     /// Renders the table.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!("# {}\n", self.title));
         out.push_str(&format!(
@@ -166,10 +151,6 @@ mod tests {
     #[test]
     fn stats() {
         assert_eq!(mean(&[1.0, 2.0, 3.0]), 2.0);
-        let (q1, q2, q3) = quartiles(&[1.0, 2.0, 3.0, 4.0, 5.0]);
-        assert_eq!(q2, 3.0);
-        assert_eq!(q1, 2.0);
-        assert_eq!(q3, 4.0);
     }
 
     #[test]

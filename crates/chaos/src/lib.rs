@@ -27,7 +27,7 @@
 //! sweep is reproducible down to the byte and a failing seed replays
 //! under a debugger.
 //!
-//! The crate also carries [`splitmix64`] and [`ChaosRng`], the tiny
+//! The crate also carries `splitmix64` and [`ChaosRng`], the tiny
 //! deterministic generator the sweep harnesses and the client's retry
 //! jitter share: retries are deterministic too, or the sweep's
 //! byte-identical-digest claim would be vacuous.
@@ -44,7 +44,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// component downstream derives from (same constants as the engine's
 /// noise keying, so a single `u64` seed fans out everywhere).
 #[must_use]
-pub fn splitmix64(mut z: u64) -> u64 {
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -69,7 +69,7 @@ impl ChaosRng {
     }
 
     /// The next raw 64-bit draw.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         splitmix64(self.state)
     }
@@ -134,8 +134,8 @@ pub enum ReplicaFault {
 ///
 /// Every injection point calls [`FaultPlan::next`], which advances the
 /// clock (ops are numbered from 1) and returns the fault scheduled for
-/// that op, if any: scripted `(op, fault)` entries take precedence,
-/// then an optional every-k-th rule. The plan counts both ops seen and
+/// that op, if any, from its scripted `(op, fault)` entries or its
+/// every-k-th rule. The plan counts both ops seen and
 /// faults injected, so harnesses can assert the schedule actually
 /// fired.
 #[derive(Debug, Default)]
@@ -177,14 +177,6 @@ impl<F: Clone> FaultPlan<F> {
         }
     }
 
-    /// Adds an every-k-th rule to a scripted plan (scripted entries
-    /// still win on collision).
-    #[must_use]
-    pub fn with_every_kth(mut self, k: u64, fault: F) -> Self {
-        self.every_kth = (k > 0).then_some((k, fault));
-        self
-    }
-
     /// Advances the op clock and returns the fault due at this op, if
     /// any.
     pub fn next(&self) -> Option<F> {
@@ -209,13 +201,6 @@ impl<F: Clone> FaultPlan<F> {
     /// Faults the plan has actually injected so far.
     pub fn injected(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)
-    }
-
-    /// Whether the plan can ever fire (`false` for [`FaultPlan::none`]) —
-    /// lets hot paths skip fault bookkeeping entirely when no chaos is
-    /// configured.
-    pub fn is_armed(&self) -> bool {
-        !self.scripted.is_empty() || self.every_kth.is_some()
     }
 }
 
@@ -287,13 +272,11 @@ mod tests {
         );
         assert_eq!(plan.ops(), 6);
         assert_eq!(plan.injected(), 2);
-        assert!(plan.is_armed());
     }
 
     #[test]
-    fn every_kth_fires_periodically_and_scripted_wins() {
-        let plan = NetPlan::scripted([(4, NetFault::DropConnection)])
-            .with_every_kth(2, NetFault::TruncateReply);
+    fn every_kth_fires_periodically() {
+        let plan = NetPlan::every_kth(2, NetFault::TruncateReply);
         let fired: Vec<_> = (1..=6).map(|_| plan.next()).collect();
         assert_eq!(
             fired,
@@ -301,7 +284,7 @@ mod tests {
                 None,
                 Some(NetFault::TruncateReply),
                 None,
-                Some(NetFault::DropConnection), // scripted beats periodic
+                Some(NetFault::TruncateReply),
                 None,
                 Some(NetFault::TruncateReply),
             ]
@@ -312,14 +295,12 @@ mod tests {
     #[test]
     fn none_plan_never_fires_and_zero_k_is_inert() {
         let plan = StorePlan::none();
-        assert!(!plan.is_armed());
         for _ in 0..100 {
             assert_eq!(plan.next(), None);
         }
         assert_eq!(plan.injected(), 0);
         assert_eq!(plan.ops(), 100);
         let zero = StorePlan::every_kth(0, StoreFault::FailWrite);
-        assert!(!zero.is_armed());
         assert_eq!(zero.next(), None);
     }
 

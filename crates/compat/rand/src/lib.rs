@@ -9,7 +9,7 @@
 //!   (xoshiro256++ seeded via SplitMix64; not the upstream ChaCha12, so
 //!   exact streams differ from crates.io `rand`, but all statistical
 //!   properties the test-suite checks hold),
-//! * [`seq::SliceRandom::shuffle`] and [`seq::index::sample`].
+//! * [`seq::index::sample`].
 //!
 //! Everything is uniform, deterministic under a fixed seed, and
 //! dependency-free. Swap back to crates.io `rand` by deleting this crate
@@ -234,23 +234,6 @@ pub mod rngs {
 }
 
 pub mod seq {
-    use super::Rng;
-
-    /// Slice shuffling (Fisher–Yates).
-    pub trait SliceRandom {
-        /// Uniformly permutes the slice in place.
-        fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R);
-    }
-
-    impl<T> SliceRandom for [T] {
-        fn shuffle<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-            for i in (1..self.len()).rev() {
-                let j = rng.random_range(0..=i);
-                self.swap(i, j);
-            }
-        }
-    }
-
     pub mod index {
         use super::super::Rng;
 
@@ -309,7 +292,7 @@ pub mod seq {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::seq::{index::sample, SliceRandom};
+    use super::seq::index::sample;
     use super::{Rng, SeedableRng};
 
     #[test]
@@ -361,17 +344,6 @@ mod tests {
             let i = r.random_range(0..=4u32);
             assert!(i <= 4);
         }
-    }
-
-    #[test]
-    fn shuffle_is_a_permutation() {
-        let mut r = StdRng::seed_from_u64(3);
-        let mut v: Vec<usize> = (0..100).collect();
-        v.shuffle(&mut r);
-        let mut sorted = v.clone();
-        sorted.sort_unstable();
-        assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>());
     }
 
     #[test]

@@ -21,7 +21,7 @@ use bf_graph::Graph;
 /// # Errors
 ///
 /// [`ConstraintError::RectanglesOverlap`] when two rectangles intersect.
-pub fn rectangle_graph(rects: &[Rectangle], theta: u64) -> Result<Graph, ConstraintError> {
+pub(crate) fn rectangle_graph(rects: &[Rectangle], theta: u64) -> Result<Graph, ConstraintError> {
     for (i, r) in rects.iter().enumerate() {
         for (j, s) in rects.iter().enumerate().skip(i + 1) {
             if r.intersects(s) {
@@ -48,7 +48,7 @@ pub fn rectangle_graph(rects: &[Rectangle], theta: u64) -> Result<Graph, Constra
 /// # Errors
 ///
 /// Propagates [`rectangle_graph`] errors.
-pub fn rectangle_graph_components(
+pub(crate) fn rectangle_graph_components(
     rects: &[Rectangle],
     theta: u64,
 ) -> Result<Vec<usize>, ConstraintError> {
@@ -70,7 +70,7 @@ pub fn rectangle_graph_components(
 ///
 /// # Errors
 ///
-/// Propagates [`rectangle_graph`] errors.
+/// Propagates `rectangle_graph` errors.
 pub fn thm_8_6_sensitivity(
     grid: &GridDomain,
     rects: &[Rectangle],

@@ -27,8 +27,5 @@ pub mod marginal;
 pub mod policy_graph;
 pub mod sparse;
 
-pub use error::ConstraintError;
-pub use grid_constraints::{rectangle_graph_components, thm_8_6_sensitivity};
-pub use marginal::{thm_8_4_sensitivity, thm_8_5_sensitivity, Marginal};
+pub use marginal::{thm_8_4_sensitivity, Marginal};
 pub use policy_graph::PolicyGraph;
-pub use sparse::{check_sparse, LiftLower};

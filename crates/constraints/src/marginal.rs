@@ -19,7 +19,6 @@ use bf_domain::{Dataset, Domain};
 /// let domain = Domain::from_cardinalities(&[2, 4, 5]).unwrap();
 /// let m = Marginal::new(vec![0, 1]); // project onto (A1, A2)
 /// assert_eq!(m.size(&domain), 8);    // 8 group-by cells
-/// assert!(m.is_proper(&domain));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Marginal {
@@ -35,11 +34,6 @@ impl Marginal {
         Self { attrs }
     }
 
-    /// The projected attribute positions `[C]`.
-    pub fn attrs(&self) -> &[usize] {
-        &self.attrs
-    }
-
     /// `size(C) = ∏_{A ∈ [C]} |A|`: the number of cells (count queries).
     pub fn size(&self, domain: &Domain) -> usize {
         self.attrs
@@ -50,12 +44,12 @@ impl Marginal {
 
     /// Whether `[C] ⊊ A` (a *proper* subset of all attributes) — required
     /// by Theorems 8.4/8.5.
-    pub fn is_proper(&self, domain: &Domain) -> bool {
+    pub(crate) fn is_proper(&self, domain: &Domain) -> bool {
         self.attrs.len() < domain.arity()
     }
 
     /// Whether two marginals project onto disjoint attribute sets.
-    pub fn disjoint_from(&self, other: &Marginal) -> bool {
+    pub(crate) fn disjoint_from(&self, other: &Marginal) -> bool {
         self.attrs.iter().all(|a| !other.attrs.contains(a))
     }
 
@@ -261,6 +255,6 @@ mod tests {
     #[test]
     fn dedup_and_sort() {
         let m = Marginal::new(vec![2, 0, 2]);
-        assert_eq!(m.attrs(), &[0, 2]);
+        assert_eq!(m.attrs, &[0, 2]);
     }
 }

@@ -92,18 +92,13 @@ impl PolicyGraph {
         })
     }
 
-    /// Number of count-query vertices `|Q|`.
-    pub fn num_queries(&self) -> usize {
-        self.num_queries
-    }
-
     /// Vertex id of `v⁺`.
-    pub fn v_plus(&self) -> usize {
+    pub(crate) fn v_plus(&self) -> usize {
         self.num_queries
     }
 
     /// Vertex id of `v⁻`.
-    pub fn v_minus(&self) -> usize {
+    pub(crate) fn v_minus(&self) -> usize {
         self.num_queries + 1
     }
 
@@ -161,7 +156,7 @@ mod tests {
         let d = abc_domain();
         let qs = marginal_queries(&d);
         let gp = PolicyGraph::build(&d, &SecretGraph::Full, &qs, DEFAULT_SCAN_CAP).unwrap();
-        assert_eq!(gp.num_queries(), 4);
+        assert_eq!(gp.num_queries, 4);
         assert_eq!(gp.alpha(), 4);
         assert_eq!(gp.xi(), 1);
         // Example 8.3: S(h, P) = 8.

@@ -14,7 +14,7 @@ use bf_graph::SecretGraph;
 
 /// The effect of a directed change `x → y` on a constraint set.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LiftLower {
+pub(crate) struct LiftLower {
     /// Indices of queries lifted by the change.
     pub lifted: Vec<usize>,
     /// Indices of queries lowered by the change.
@@ -23,7 +23,7 @@ pub struct LiftLower {
 
 impl LiftLower {
     /// Analyzes the change `x → y` against every query.
-    pub fn analyze(queries: &[Predicate], x: usize, y: usize) -> Self {
+    pub(crate) fn analyze(queries: &[Predicate], x: usize, y: usize) -> Self {
         let mut lifted = Vec::new();
         let mut lowered = Vec::new();
         for (i, q) in queries.iter().enumerate() {
@@ -39,7 +39,7 @@ impl LiftLower {
     }
 
     /// Whether this single change respects sparsity (≤1 lift, ≤1 lower).
-    pub fn is_sparse(&self) -> bool {
+    pub(crate) fn is_sparse(&self) -> bool {
         self.lifted.len() <= 1 && self.lowered.len() <= 1
     }
 }

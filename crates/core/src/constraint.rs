@@ -17,11 +17,6 @@ pub struct Predicate {
 }
 
 impl Predicate {
-    /// Builds a predicate from its dense mask.
-    pub fn from_mask(mask: Vec<bool>) -> Self {
-        Self { mask }
-    }
-
     /// The predicate holding exactly on the listed domain values.
     pub fn of_values(domain_size: usize, values: &[usize]) -> Self {
         let mut mask = vec![false; domain_size];
@@ -68,7 +63,7 @@ impl Predicate {
     }
 
     /// Count `q_φ(D) = Σ_{t∈D} 1_{φ(t)}`.
-    pub fn count(&self, dataset: &Dataset) -> u64 {
+    pub(crate) fn count(&self, dataset: &Dataset) -> u64 {
         dataset.count_where(|r| self.mask[r])
     }
 }
@@ -105,7 +100,7 @@ impl CountConstraint {
     }
 
     /// Whether a dataset satisfies this constraint.
-    pub fn holds(&self, dataset: &Dataset) -> bool {
+    pub(crate) fn holds(&self, dataset: &Dataset) -> bool {
         self.predicate.count(dataset) == self.answer
     }
 
@@ -114,7 +109,7 @@ impl CountConstraint {
     /// # Errors
     ///
     /// [`CoreError::PredicateSizeMismatch`] on a size mismatch.
-    pub fn check_domain(&self, domain_size: usize) -> Result<(), CoreError> {
+    pub(crate) fn check_domain(&self, domain_size: usize) -> Result<(), CoreError> {
         if self.predicate.domain_size() != domain_size {
             return Err(CoreError::PredicateSizeMismatch {
                 expected: domain_size,
@@ -122,18 +117,6 @@ impl CountConstraint {
             });
         }
         Ok(())
-    }
-
-    /// Whether changing a tuple from `x` to `y` *lifts* this count query
-    /// (Definition 8.1): `¬φ(x) ∧ φ(y)`.
-    pub fn lifts(&self, x: usize, y: usize) -> bool {
-        !self.predicate.eval(x) && self.predicate.eval(y)
-    }
-
-    /// Whether changing a tuple from `x` to `y` *lowers* this count query
-    /// (Definition 8.1): `φ(x) ∧ ¬φ(y)`.
-    pub fn lowers(&self, x: usize, y: usize) -> bool {
-        self.predicate.eval(x) && !self.predicate.eval(y)
     }
 }
 
@@ -169,16 +152,6 @@ mod tests {
         assert!(c.holds(&ds()));
         let moved = ds().with_row(0, 2).unwrap();
         assert!(!c.holds(&moved));
-    }
-
-    #[test]
-    fn lift_lower_semantics() {
-        let c = CountConstraint::new(Predicate::of_values(4, &[1, 2]), 0);
-        assert!(c.lifts(0, 1));
-        assert!(c.lowers(1, 0));
-        assert!(!c.lifts(1, 2)); // both inside support: neither lift nor lower
-        assert!(!c.lowers(1, 2));
-        assert!(!c.lifts(0, 3)); // both outside
     }
 
     #[test]

@@ -27,34 +27,6 @@ impl Epsilon {
     pub fn value(&self) -> f64 {
         self.0
     }
-
-    /// Splits ε into two parts `(fraction·ε, (1−fraction)·ε)` — used by the
-    /// Ordered Hierarchical mechanism's `ε = ε_S + ε_H` budget split.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < fraction < 1`.
-    pub fn split(&self, fraction: f64) -> (Epsilon, Epsilon) {
-        assert!(
-            fraction > 0.0 && fraction < 1.0,
-            "split fraction must be in (0,1)"
-        );
-        (
-            Epsilon(self.0 * fraction),
-            Epsilon(self.0 * (1.0 - fraction)),
-        )
-    }
-
-    /// Divides ε evenly into `parts` pieces (uniform budgeting across tree
-    /// levels, Section 7.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `parts == 0`.
-    pub fn divide(&self, parts: usize) -> Epsilon {
-        assert!(parts > 0);
-        Epsilon(self.0 / parts as f64)
-    }
 }
 
 impl fmt::Display for Epsilon {
@@ -82,19 +54,6 @@ mod tests {
         assert!(Epsilon::new(-1.0).is_err());
         assert!(Epsilon::new(f64::NAN).is_err());
         assert!(Epsilon::new(f64::INFINITY).is_err());
-    }
-
-    #[test]
-    fn split_sums_to_whole() {
-        let e = Epsilon::new(1.0).unwrap();
-        let (a, b) = e.split(0.3);
-        assert!((a.value() + b.value() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn divide() {
-        let e = Epsilon::new(0.8).unwrap();
-        assert!((e.divide(4).value() - 0.2).abs() < 1e-12);
     }
 
     #[test]

@@ -94,18 +94,6 @@ pub fn sample_laplace(rng: &mut impl Rng, scale: f64) -> f64 {
     sample_unit_laplace(rng) * scale
 }
 
-/// Variance of `Lap(scale)`: `2·scale²`. The paper's per-cell error
-/// `E(Lap(2/ε))² = 8/ε²` follows.
-pub fn laplace_variance(scale: f64) -> f64 {
-    2.0 * scale * scale
-}
-
-/// Expected mean-squared error of a `d`-dimensional Laplace release with
-/// the given scale (Definition 2.4): `d · 2·scale²`.
-pub fn laplace_mse(dimension: usize, scale: f64) -> f64 {
-    dimension as f64 * laplace_variance(scale)
-}
-
 /// The vector Laplace mechanism: adds i.i.d. `Lap(sensitivity/ε)` noise.
 ///
 /// # Examples
@@ -145,24 +133,9 @@ impl LaplaceMechanism {
         })
     }
 
-    /// The privacy parameter.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// The calibrated sensitivity.
-    pub fn sensitivity(&self) -> f64 {
-        self.sensitivity
-    }
-
     /// Noise scale `b = S(f,P)/ε`.
     pub fn scale(&self) -> f64 {
         self.sensitivity / self.epsilon.value()
-    }
-
-    /// Expected squared error per released component, `2b²`.
-    pub fn per_component_error(&self) -> f64 {
-        laplace_variance(self.scale())
     }
 
     /// Releases a noisy copy of `answer`.
@@ -324,10 +297,11 @@ mod tests {
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.05, "mean {mean}");
+        // Var[Lap(b)] = 2b².
+        let expected = 2.0 * scale * scale;
         assert!(
-            (var - laplace_variance(scale)).abs() / laplace_variance(scale) < 0.05,
-            "variance {var} expected {}",
-            laplace_variance(scale)
+            (var - expected).abs() / expected < 0.05,
+            "variance {var} expected {expected}"
         );
     }
 
@@ -354,8 +328,6 @@ mod tests {
     fn mechanism_scale() {
         let m = LaplaceMechanism::new(Epsilon::new(0.5).unwrap(), 2.0).unwrap();
         assert_eq!(m.scale(), 4.0);
-        assert_eq!(m.per_component_error(), 32.0);
-        assert_eq!(laplace_mse(3, 4.0), 96.0);
     }
 
     #[test]

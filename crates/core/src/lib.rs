@@ -17,8 +17,8 @@
 //!   mechanism (Theorem 5.1),
 //! * [`composition`] — sequential (Theorem 4.1) and parallel (Theorems
 //!   4.2/4.3) composition accounting,
-//! * [`queries`] — count, linear, histogram, cumulative-histogram and range
-//!   queries with their policy sensitivities.
+//! * [`QueryClass`] — the query shapes a serving layer routes, each with
+//!   its policy sensitivity.
 //!
 //! The privacy *guarantee* of every released answer is
 //! `Pr[M(D1) ∈ S] ≤ e^ε · Pr[M(D2) ∈ S]` for all neighbors
@@ -27,29 +27,21 @@
 pub mod audit;
 pub mod composition;
 pub mod constraint;
-pub mod critical;
 pub mod epsilon;
 pub mod error;
 pub mod laplace;
 pub mod neighbors;
 pub mod policy;
-pub mod queries;
 pub mod query_class;
-pub mod secrets;
 pub mod sensitivity;
 pub mod unbounded;
 
-pub use audit::{estimate_max_log_ratio, AuditReport};
+pub use audit::estimate_max_log_ratio;
 pub use composition::{parallel_epsilon, sequential_epsilon, BudgetAccountant};
 pub use constraint::{CountConstraint, Predicate};
-pub use critical::{critical_edges, has_no_critical_pairs, parallel_composition_safe};
 pub use epsilon::Epsilon;
 pub use error::CoreError;
-pub use laplace::{laplace_mse, sample_laplace, LaplaceMechanism};
-pub use neighbors::{are_neighbors, enumerate_neighbors, NeighborRelation, NeighborSemantics};
+pub use laplace::{sample_laplace, LaplaceMechanism};
+pub use neighbors::NeighborSemantics;
 pub use policy::Policy;
-pub use queries::{CountQuery, CumulativeHistogramQuery, HistogramQuery, LinearQuery, RangeQuery};
 pub use query_class::QueryClass;
-pub use secrets::{DiscriminativePair, Secret};
-pub use sensitivity::{brute_force_sensitivity, brute_force_sensitivity_with, VectorQuery};
-pub use unbounded::{BotEdges, UnboundedDataset, UnboundedPolicy};

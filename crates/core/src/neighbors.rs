@@ -12,7 +12,7 @@
 //!
 //! Without constraints this collapses to "exactly one tuple changed, along
 //! an edge of `G`" — the fast path. With constraints, minimality requires
-//! a search over `I_Q`; [`NeighborRelation`] materializes `I_Q` for small
+//! a search over `I_Q`; `NeighborRelation` materializes `I_Q` for small
 //! domains so the sensitivity theorems of Section 8 can be verified
 //! exactly against the definition.
 
@@ -79,46 +79,6 @@ fn proper_nonempty_subset<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> bool {
     !a.is_empty() && a.len() < b.len() && a.is_subset(b)
 }
 
-/// Decides `(D1, D2) ∈ N(P)`.
-///
-/// For policies *with* constraints this enumerates `I_Q` (all `|T|^n` row
-/// assignments filtered by `Q`) to check minimality, so it is only
-/// practical on verification-scale inputs; the search space is capped at
-/// `max_states`.
-///
-/// # Errors
-///
-/// [`CoreError::SearchSpaceTooLarge`] when the minimality check would need
-/// to enumerate more than `max_states` candidate databases.
-pub fn are_neighbors(
-    policy: &Policy,
-    d1: &Dataset,
-    d2: &Dataset,
-    max_states: f64,
-) -> Result<bool, CoreError> {
-    assert_eq!(d1.len(), d2.len(), "datasets must share the id space");
-    // Condition 1: both in I_Q.
-    if !policy.satisfies_constraints(d1) || !policy.satisfies_constraints(d2) {
-        return Ok(false);
-    }
-    let t12 = discriminative_set(policy, d1.rows(), d2.rows());
-    // Condition 2: at least one discriminative pair differs.
-    if t12.is_empty() {
-        return Ok(false);
-    }
-    let delta12: BTreeSet<DiffTriple> = diffs(d1.rows(), d2.rows()).into_iter().collect();
-
-    if !policy.has_constraints() {
-        // Minimality without constraints: exactly one tuple changed, and it
-        // changed along an edge.
-        return Ok(delta12.len() == 1 && t12.len() == 1);
-    }
-
-    // Condition 3 with constraints: search I_Q for a smaller difference.
-    let relation = NeighborRelation::build(policy.clone(), d1.len(), max_states)?;
-    Ok(relation.minimal(d1.rows(), &t12, &delta12))
-}
-
 /// Enumerates all neighbors of `d` under the policy.
 ///
 /// Without constraints this is the closed form
@@ -127,7 +87,7 @@ pub fn are_neighbors(
 ///
 /// # Errors
 ///
-/// [`CoreError::SearchSpaceTooLarge`] as in [`are_neighbors`].
+/// [`CoreError::SearchSpaceTooLarge`] when `|T|^n > max_states`.
 pub fn enumerate_neighbors(
     policy: &Policy,
     d: &Dataset,
@@ -159,9 +119,8 @@ pub fn enumerate_neighbors(
 /// A materialized neighbor relation over `I_Q` for exact, definition-level
 /// verification on small domains.
 #[derive(Debug, Clone)]
-pub struct NeighborRelation {
+pub(crate) struct NeighborRelation {
     policy: Policy,
-    n: usize,
     semantics: NeighborSemantics,
     /// All row vectors in `I_Q`.
     instances: Vec<Vec<usize>>,
@@ -174,7 +133,7 @@ impl NeighborRelation {
     /// # Errors
     ///
     /// [`CoreError::SearchSpaceTooLarge`] when `|T|^n > max_states`.
-    pub fn build(policy: Policy, n: usize, max_states: f64) -> Result<Self, CoreError> {
+    pub(crate) fn build(policy: Policy, n: usize, max_states: f64) -> Result<Self, CoreError> {
         Self::build_with(policy, n, NeighborSemantics::Literal, max_states)
     }
 
@@ -183,7 +142,7 @@ impl NeighborRelation {
     /// # Errors
     ///
     /// [`CoreError::SearchSpaceTooLarge`] when `|T|^n > max_states`.
-    pub fn build_with(
+    pub(crate) fn build_with(
         policy: Policy,
         n: usize,
         semantics: NeighborSemantics,
@@ -212,7 +171,6 @@ impl NeighborRelation {
                 if i == 0 {
                     return Ok(Self {
                         policy,
-                        n,
                         semantics,
                         instances,
                     });
@@ -227,18 +185,8 @@ impl NeighborRelation {
         }
     }
 
-    /// The policy this relation was built for.
-    pub fn policy(&self) -> &Policy {
-        &self.policy
-    }
-
-    /// Number of rows per database.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     /// The materialized `I_Q`.
-    pub fn instances(&self) -> &[Vec<usize>] {
+    pub(crate) fn instances(&self) -> &[Vec<usize>] {
         &self.instances
     }
 
@@ -271,7 +219,7 @@ impl NeighborRelation {
     }
 
     /// Whether two row vectors are neighbors.
-    pub fn are_neighbors(&self, rows1: &[usize], rows2: &[usize]) -> bool {
+    pub(crate) fn are_neighbors(&self, rows1: &[usize], rows2: &[usize]) -> bool {
         let ds1 =
             Dataset::from_rows(self.policy.domain().clone(), rows1.to_vec()).expect("valid rows");
         let ds2 =
@@ -291,7 +239,7 @@ impl NeighborRelation {
     }
 
     /// All neighbors of a row vector inside `I_Q`.
-    pub fn neighbors_of(&self, rows: &[usize]) -> Vec<Vec<usize>> {
+    pub(crate) fn neighbors_of(&self, rows: &[usize]) -> Vec<Vec<usize>> {
         self.instances
             .iter()
             .filter(|cand| self.are_neighbors(rows, cand))
@@ -301,7 +249,7 @@ impl NeighborRelation {
 
     /// Every ordered neighbor pair `(i, j)` as indices into
     /// [`Self::instances`] — the raw material for brute-force sensitivity.
-    pub fn all_neighbor_pairs(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn all_neighbor_pairs(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         for i in 0..self.instances.len() {
             for j in 0..self.instances.len() {
@@ -327,6 +275,13 @@ mod tests {
         Policy::distance_threshold(Domain::line(size).unwrap(), theta)
     }
 
+    /// `(D1, D2) ∈ N(P)`, decided over the materialized `I_Q`.
+    fn are_neighbors(p: &Policy, d1: &Dataset, d2: &Dataset) -> bool {
+        NeighborRelation::build(p.clone(), d1.len(), CAP)
+            .unwrap()
+            .are_neighbors(d1.rows(), d2.rows())
+    }
+
     #[test]
     fn unconstrained_neighbors_are_single_edge_changes() {
         let p = line_policy(5, 1);
@@ -334,10 +289,10 @@ mod tests {
         let adj = d1.with_row(0, 1).unwrap();
         let far = d1.with_row(0, 4).unwrap();
         let two = d1.with_row(0, 1).unwrap().with_row(1, 2).unwrap();
-        assert!(are_neighbors(&p, &d1, &adj, CAP).unwrap());
-        assert!(!are_neighbors(&p, &d1, &far, CAP).unwrap()); // not an edge
-        assert!(!are_neighbors(&p, &d1, &two, CAP).unwrap()); // two changes
-        assert!(!are_neighbors(&p, &d1, &d1, CAP).unwrap()); // no change
+        assert!(are_neighbors(&p, &d1, &adj));
+        assert!(!are_neighbors(&p, &d1, &far)); // not an edge
+        assert!(!are_neighbors(&p, &d1, &two)); // two changes
+        assert!(!are_neighbors(&p, &d1, &d1)); // no change
     }
 
     #[test]
@@ -371,11 +326,11 @@ mod tests {
         let p = Policy::with_constraints(domain, SecretGraph::Full, vec![c]).unwrap();
 
         let d2 = Dataset::from_rows(p.domain().clone(), vec![1, 0]).unwrap();
-        assert!(are_neighbors(&p, &d1, &d2, CAP).unwrap());
+        assert!(are_neighbors(&p, &d1, &d2));
 
         // A database violating the constraint is not a neighbor.
         let bad = Dataset::from_rows(p.domain().clone(), vec![0, 0]).unwrap();
-        assert!(!are_neighbors(&p, &d1, &bad, CAP).unwrap());
+        assert!(!are_neighbors(&p, &d1, &bad));
     }
 
     #[test]
@@ -389,10 +344,10 @@ mod tests {
         let p = Policy::with_constraints(domain, SecretGraph::Full, vec![c]).unwrap();
 
         let single = Dataset::from_rows(p.domain().clone(), vec![0, 2, 2]).unwrap();
-        assert!(are_neighbors(&p, &d1, &single, CAP).unwrap());
+        assert!(are_neighbors(&p, &d1, &single));
 
         let double = Dataset::from_rows(p.domain().clone(), vec![0, 2, 1]).unwrap();
-        assert!(!are_neighbors(&p, &d1, &double, CAP).unwrap());
+        assert!(!are_neighbors(&p, &d1, &double));
     }
 
     #[test]
@@ -423,7 +378,7 @@ mod tests {
         let d1 = Dataset::from_rows(p.domain().clone(), vec![0]).unwrap();
         let inside = d1.with_row(0, 1).unwrap();
         let outside = d1.with_row(0, 2).unwrap();
-        assert!(are_neighbors(&p, &d1, &inside, CAP).unwrap());
-        assert!(!are_neighbors(&p, &d1, &outside, CAP).unwrap());
+        assert!(are_neighbors(&p, &d1, &inside));
+        assert!(!are_neighbors(&p, &d1, &outside));
     }
 }

@@ -20,8 +20,8 @@ use bf_graph::SecretGraph;
 /// let domain = Domain::line(100).unwrap();
 /// // Adversaries may not distinguish values within 5 positions.
 /// let policy = Policy::distance_threshold(domain, 5);
-/// assert!(policy.is_secret_pair(10, 15));
-/// assert!(!policy.is_secret_pair(10, 16));
+/// assert!(policy.graph().is_edge(policy.domain(), 10, 15));
+/// assert!(!policy.graph().is_edge(policy.domain(), 10, 16));
 /// assert_eq!(policy.label(), "blowfish|5");
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -131,7 +131,7 @@ impl Policy {
 
     /// Whether `(x, y)` is a discriminative pair (per individual) — an edge
     /// of `G`.
-    pub fn is_secret_pair(&self, x: usize, y: usize) -> bool {
+    pub(crate) fn is_secret_pair(&self, x: usize, y: usize) -> bool {
         self.graph.is_edge(&self.domain, x, y)
     }
 

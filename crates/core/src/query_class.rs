@@ -11,7 +11,6 @@
 //! key, class fingerprint)` can key a memo table.
 
 use crate::policy::Policy;
-use crate::queries::{LinearQuery, RangeQuery};
 use crate::sensitivity;
 use bf_domain::Partition;
 
@@ -58,15 +57,9 @@ impl QueryClass {
             QueryClass::CumulativeHistogram => {
                 sensitivity::cumulative_histogram_sensitivity(policy)
             }
-            QueryClass::Range { lo, hi } => {
-                let q = RangeQuery { lo: *lo, hi: *hi };
-                q.sensitivity(policy)
-            }
+            QueryClass::Range { lo, hi } => sensitivity::range_sensitivity(policy, *lo, *hi),
             QueryClass::Linear { weights } => {
-                let q = LinearQuery {
-                    weights: weights.clone(),
-                };
-                q.sensitivity(policy)
+                sensitivity::linear_query_sensitivity(policy, weights)
             }
             QueryClass::KmeansSumCells => sensitivity::qsum_sensitivity_cells(policy),
         }

@@ -21,38 +21,16 @@ use crate::policy::Policy;
 use bf_domain::Dataset;
 use bf_graph::SecretGraph;
 
-/// A vector-valued query `f : I → R^d`, the object sensitivities are
-/// defined over.
-pub trait VectorQuery {
-    /// Evaluates the query on a dataset.
-    fn eval(&self, dataset: &Dataset) -> Vec<f64>;
-
-    /// Output dimensionality `d`.
-    fn dimension(&self, domain_size: usize) -> usize;
-}
-
-impl<F> VectorQuery for F
-where
-    F: Fn(&Dataset) -> Vec<f64>,
-{
-    fn eval(&self, dataset: &Dataset) -> Vec<f64> {
-        self(dataset)
-    }
-
-    fn dimension(&self, _domain_size: usize) -> usize {
-        0 // unknown for closures; informational only
-    }
-}
-
 /// L1 distance between two query outputs.
-pub fn l1_diff(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn l1_diff(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
 }
 
-/// Exhaustive `S(f, P)` over all neighbor pairs of databases with `n`
-/// rows. Exponential in `n·log|T|`; use only on verification-scale
-/// policies (the cap guards against accidents).
+/// Exhaustive `S(f, P)` of the vector-valued query `f : I → R^d` over
+/// all neighbor pairs of databases with `n` rows. Exponential in
+/// `n·log|T|`; use only on verification-scale policies (the cap guards
+/// against accidents).
 ///
 /// # Errors
 ///
@@ -60,7 +38,7 @@ pub fn l1_diff(a: &[f64], b: &[f64]) -> f64 {
 pub fn brute_force_sensitivity(
     policy: &Policy,
     n: usize,
-    query: &dyn VectorQuery,
+    query: &dyn Fn(&Dataset) -> Vec<f64>,
     max_states: f64,
 ) -> Result<f64, CoreError> {
     brute_force_sensitivity_with(
@@ -82,7 +60,7 @@ pub fn brute_force_sensitivity(
 pub fn brute_force_sensitivity_with(
     policy: &Policy,
     n: usize,
-    query: &dyn VectorQuery,
+    query: &dyn Fn(&Dataset) -> Vec<f64>,
     semantics: crate::neighbors::NeighborSemantics,
     max_states: f64,
 ) -> Result<f64, CoreError> {
@@ -92,7 +70,7 @@ pub fn brute_force_sensitivity_with(
         .iter()
         .map(|rows| Dataset::from_rows(policy.domain().clone(), rows.clone()).expect("valid rows"))
         .collect();
-    let outputs: Vec<Vec<f64>> = datasets.iter().map(|d| query.eval(d)).collect();
+    let outputs: Vec<Vec<f64>> = datasets.iter().map(query).collect();
     let mut best: f64 = 0.0;
     for (i, j) in relation.all_neighbor_pairs() {
         best = best.max(l1_diff(&outputs[i], &outputs[j]));
@@ -194,13 +172,6 @@ pub fn cumulative_histogram_sensitivity(policy: &Policy) -> f64 {
     }
 }
 
-/// Closed-form policy sensitivity of the k-means **size query** `q_size`
-/// (cluster cardinalities): identical to the histogram query, `2`
-/// (Section 6).
-pub fn qsize_sensitivity(policy: &Policy) -> f64 {
-    histogram_sensitivity(policy)
-}
-
 /// Closed-form policy sensitivity of the k-means **sum query** `q_sum` in
 /// the *discrete ordinal embedding* of the domain, per Lemma 6.1:
 /// `2 · max_{(x,y)∈E} ||x − y||₁` cells:
@@ -224,7 +195,7 @@ pub fn qsum_sensitivity_cells(policy: &Policy) -> f64 {
 /// For the full graph this is `max w − min w` (matching the paper's
 /// `(b−a)·max_i w_i` example structure); for `G^{d,θ}` it only compares
 /// values within threshold θ.
-pub fn linear_query_sensitivity(policy: &Policy, weights: &[f64]) -> f64 {
+pub(crate) fn linear_query_sensitivity(policy: &Policy, weights: &[f64]) -> f64 {
     assert!(!policy.has_constraints());
     let domain = policy.domain();
     assert_eq!(weights.len(), domain.size());
@@ -250,6 +221,36 @@ pub fn linear_query_sensitivity(policy: &Policy, weights: &[f64]) -> f64 {
     }
 }
 
+/// Policy sensitivity of a single **range count** `q[lo, hi]`
+/// (Definition 7.2; inclusive endpoints) released stand-alone: a single
+/// move changes the count by at most 1 (the tuple either enters or
+/// leaves the range), so the sensitivity is 1 when some secret edge
+/// crosses the range boundary and 0 when none does. A *connected* graph
+/// — `G^full`, `G^attr`, and `G^{L1,θ}` with θ ≥ 1, on any domain — has
+/// such an edge exactly when the range meets the domain in a non-empty
+/// proper subset, which is `O(1)` to decide; the other graphs enumerate
+/// their actual edges and stop at the first crossing (`O(|E|)` worst
+/// case). Endpoints are not validated: past-the-end or inverted ones
+/// are read as the set `[lo, hi] ∩ T`.
+pub(crate) fn range_sensitivity(policy: &Policy, lo: usize, hi: usize) -> f64 {
+    let domain = policy.domain();
+    let inside = |x: usize| lo <= x && x <= hi;
+    let crossing = match policy.graph() {
+        SecretGraph::Full | SecretGraph::Attribute | SecretGraph::L1Threshold { theta: 1.. } => {
+            let n = domain.size();
+            lo <= hi && lo < n && (lo > 0 || hi < n - 1)
+        }
+        graph => graph
+            .find_edge(domain, |x, y| inside(x) != inside(y))
+            .is_some(),
+    };
+    if crossing {
+        1.0
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -257,12 +258,12 @@ mod tests {
 
     const CAP: f64 = 2e6;
 
-    /// The complete histogram as a VectorQuery closure.
+    /// The complete histogram as a query closure.
     fn hist_query() -> impl Fn(&Dataset) -> Vec<f64> {
         |d: &Dataset| d.histogram().counts().to_vec()
     }
 
-    /// The cumulative histogram as a VectorQuery closure.
+    /// The cumulative histogram as a query closure.
     fn cum_query() -> impl Fn(&Dataset) -> Vec<f64> {
         |d: &Dataset| d.histogram().cumulative().prefixes().to_vec()
     }
@@ -553,5 +554,110 @@ mod tests {
         // counts (1,1) -> (1,1): swapping values between two ids keeps the
         // histogram identical. S(h,P) = 0 here.
         assert_eq!(brute_force_sensitivity(&p, 2, &q, CAP).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn range_sensitivity_on_threshold_and_partition_graphs() {
+        let p1 = Policy::distance_threshold(Domain::line(5).unwrap(), 1);
+        assert_eq!(range_sensitivity(&p1, 1, 3), 1.0);
+        // A policy partitioned so no edge crosses the boundary of [0,1]:
+        let part = Partition::intervals(5, 2); // {0,1},{2,3},{4}
+        let pp = Policy::partitioned(Domain::line(5).unwrap(), part);
+        assert_eq!(range_sensitivity(&pp, 0, 1), 0.0);
+    }
+
+    #[test]
+    fn range_sensitivity_full_graph_with_unvalidated_endpoints() {
+        // QueryClass::Range carries raw endpoints, so the Full-graph
+        // short-circuit must match the edge scan even for endpoints
+        // outside the domain or inverted.
+        let n = 10;
+        let full = Policy::differential_privacy(Domain::line(n).unwrap());
+        let scan = |lo: usize, hi: usize| {
+            let inside = |x: usize| lo <= x && x <= hi;
+            let crossing = (0..n).any(|x| (0..n).any(|y| x != y && inside(x) != inside(y)));
+            if crossing {
+                1.0
+            } else {
+                0.0
+            }
+        };
+        for (lo, hi) in [
+            (5, 20),  // straddles the upper domain edge → crossing
+            (12, 13), // entirely past the domain → empty inside-set
+            (0, 20),  // covers the whole domain → no crossing
+            (0, 9),   // exactly the domain → no crossing
+            (7, 3),   // inverted → empty inside-set
+            (3, 5),   // ordinary interior range
+            (0, 0),   // prefix of one value
+            (9, 9),   // suffix of one value
+        ] {
+            assert_eq!(
+                range_sensitivity(&full, lo, hi),
+                scan(lo, hi),
+                "full-graph range [{lo}, {hi}] on |T|={n}"
+            );
+        }
+    }
+
+    #[test]
+    fn range_closed_form_agrees_with_the_edge_scan() {
+        // Every (lo, hi) — inverted and past-the-end ones included — under
+        // every graph the closed form answers (and θ = 0, which it leaves
+        // to the scan), on lines and on multi-attribute domains.
+        let mut domains: Vec<Domain> = (1..=12).map(|n| Domain::line(n).unwrap()).collect();
+        for cards in [&[2, 2][..], &[4, 3], &[1, 3], &[2, 1, 2], &[4, 3, 2]] {
+            domains.push(Domain::from_cardinalities(cards).unwrap());
+        }
+        for domain in domains {
+            let n = domain.size();
+            let graphs = (0..=5)
+                .map(|theta| SecretGraph::L1Threshold { theta })
+                .chain([SecretGraph::Attribute, SecretGraph::Full]);
+            for graph in graphs {
+                let policy = Policy::new(domain.clone(), graph.clone());
+                for lo in 0..n + 3 {
+                    for hi in 0..n + 3 {
+                        let inside = |x: usize| lo <= x && x <= hi;
+                        let scan = graph
+                            .find_edge(&domain, |x, y| inside(x) != inside(y))
+                            .is_some();
+                        assert_eq!(
+                            range_sensitivity(&policy, lo, hi),
+                            if scan { 1.0 } else { 0.0 },
+                            "{} range [{lo}, {hi}] on {domain:?}",
+                            graph.label()
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_sensitivity_matches_brute_force() {
+        let p = Policy::distance_threshold(Domain::line(4).unwrap(), 1);
+        let q = |d: &Dataset| vec![d.histogram().range_count(1, 2).unwrap()];
+        let bf = brute_force_sensitivity(&p, 2, &q, CAP).unwrap();
+        assert_eq!(bf, range_sensitivity(&p, 1, 2));
+    }
+
+    #[test]
+    fn linear_sensitivity_matches_brute_force() {
+        let d = Domain::line(3).unwrap();
+        let w = [1.0, 5.0, 10.0];
+        let q = |ds: &Dataset| vec![ds.rows().iter().map(|&r| w[r]).sum()];
+        for policy in [
+            Policy::differential_privacy(d.clone()),
+            Policy::distance_threshold(d.clone(), 1),
+        ] {
+            let bf = brute_force_sensitivity(&policy, 2, &q, CAP).unwrap();
+            assert_eq!(
+                bf,
+                linear_query_sensitivity(&policy, &w),
+                "{}",
+                policy.label()
+            );
+        }
     }
 }

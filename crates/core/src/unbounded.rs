@@ -37,7 +37,7 @@ pub enum BotEdges {
 
 impl BotEdges {
     /// Whether value `x` has an edge to ⊥.
-    pub fn connects(&self, x: usize) -> bool {
+    pub(crate) fn connects(&self, x: usize) -> bool {
         match self {
             BotEdges::None => false,
             BotEdges::All => true,
@@ -46,7 +46,7 @@ impl BotEdges {
     }
 
     /// Whether any value connects to ⊥.
-    pub fn any(&self, domain_size: usize) -> bool {
+    pub(crate) fn any(&self, domain_size: usize) -> bool {
         match self {
             BotEdges::None => false,
             BotEdges::All => domain_size > 0,
@@ -86,19 +86,14 @@ impl UnboundedPolicy {
     }
 
     /// The base policy.
-    pub fn base(&self) -> &Policy {
+    pub(crate) fn base(&self) -> &Policy {
         &self.base
-    }
-
-    /// The ⊥ edge rule.
-    pub fn bot_edges(&self) -> &BotEdges {
-        &self.bot
     }
 
     /// Whether two optional values form a discriminative pair: both
     /// present and an edge of the base graph, or one absent and the
     /// present value connected to ⊥.
-    pub fn is_secret_pair(&self, a: Option<usize>, b: Option<usize>) -> bool {
+    pub(crate) fn is_secret_pair(&self, a: Option<usize>, b: Option<usize>) -> bool {
         match (a, b) {
             (Some(x), Some(y)) => self.base.is_secret_pair(x, y),
             (Some(x), None) | (None, Some(x)) => self.bot.connects(x),
@@ -177,11 +172,6 @@ impl UnboundedDataset {
         self.rows.iter().filter(|r| r.is_some()).count()
     }
 
-    /// The optional rows.
-    pub fn rows(&self) -> &[Option<usize>] {
-        &self.rows
-    }
-
     /// Histogram over present rows only.
     pub fn histogram(&self) -> Histogram {
         let mut counts = vec![0.0; self.domain_size];
@@ -193,7 +183,7 @@ impl UnboundedDataset {
 
     /// Returns a copy with individual `id` set to `value`
     /// (`None` = absent).
-    pub fn with_row(&self, id: usize, value: Option<usize>) -> Result<Self, DomainError> {
+    pub(crate) fn with_row(&self, id: usize, value: Option<usize>) -> Result<Self, DomainError> {
         if let Some(v) = value {
             if v >= self.domain_size {
                 return Err(DomainError::IndexOutOfRange {

@@ -14,16 +14,10 @@ use rand::Rng;
 pub const ADULT_N: usize = 48_842;
 
 /// Domain size of the capital-loss attribute.
-pub const ADULT_DOMAIN: usize = 4_357;
+pub(crate) const ADULT_DOMAIN: usize = 4_357;
 
 /// Fraction of rows with capital-loss = 0 in the real data.
-pub const ZERO_FRACTION: f64 = 0.953;
-
-/// Generates the adult-capital-loss-like dataset with the paper's
-/// cardinality and domain.
-pub fn adult_capital_loss_like(rng: &mut impl Rng) -> Dataset {
-    adult_capital_loss_like_sized(ADULT_N, rng)
-}
+pub(crate) const ZERO_FRACTION: f64 = 0.953;
 
 /// Arbitrary-size variant for quick runs and tests.
 pub fn adult_capital_loss_like_sized(n: usize, rng: &mut impl Rng) -> Dataset {

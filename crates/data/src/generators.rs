@@ -8,7 +8,7 @@ use rand::Rng;
 /// One component of a grid mixture: a center (in cell coordinates), a
 /// per-axis standard deviation (in cells) and a relative weight.
 #[derive(Debug, Clone)]
-pub struct MixtureComponent {
+pub(crate) struct MixtureComponent {
     /// Center in cell coordinates.
     pub center: Vec<f64>,
     /// Standard deviation per axis, in cells.
@@ -19,7 +19,7 @@ pub struct MixtureComponent {
 
 /// Samples `n` grid cells from a mixture of axis-aligned Gaussians plus a
 /// `background` fraction of uniform cells, clamped to the grid.
-pub fn gaussian_mixture_grid(
+pub(crate) fn gaussian_mixture_grid(
     grid: &GridDomain,
     components: &[MixtureComponent],
     background: f64,

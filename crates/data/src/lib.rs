@@ -8,14 +8,17 @@
 //! experiments actually exercise (see DESIGN.md §3 for the substitution
 //! argument):
 //!
-//! * [`twitter_like`] — 193,563 points on the 400×300 western-USA grid
-//!   (0.05° cells ≈ 5.55 km): a mixture of urban hot-spots plus uniform
-//!   background,
-//! * [`skin_like`] — 245,057 B/G/R rows in the 256³ color cube: two
-//!   elongated Gaussian classes (skin tones tight, non-skin broad),
-//! * [`adult_capital_loss_like`] — 48,842 values over a domain of size
-//!   4,357: ~95% exact zeros plus heavy spikes in the 1,500–2,600 band
-//!   (the sparsity `p ≪ |T|` that the Ordered Mechanism exploits),
+//! * [`twitter::twitter_like_sized`] — points on the 400×300
+//!   western-USA grid (0.05° cells ≈ 5.55 km): a mixture of urban
+//!   hot-spots plus uniform background (the paper has
+//!   [`twitter::TWITTER_N`] = 193,563),
+//! * [`skin::skin_like_sized`] — B/G/R rows in the 256³ color cube: two
+//!   elongated Gaussian classes, skin tones tight and non-skin broad
+//!   ([`skin::SKIN_N`] = 245,057),
+//! * [`adult::adult_capital_loss_like_sized`] — values over a domain of
+//!   size 4,357: ~95% exact zeros plus heavy spikes in the 1,500–2,600
+//!   band, the sparsity `p ≪ |T|` that the Ordered Mechanism exploits
+//!   ([`adult::ADULT_N`] = 48,842),
 //! * [`synthetic_clusters`] — the paper's own recipe: `n` points in
 //!   `(0,1)^d` from `k` random centers with Gaussian noise σ = 0.2.
 //!
@@ -27,11 +30,8 @@ pub mod skin;
 pub mod synthetic;
 pub mod twitter;
 
-pub use adult::adult_capital_loss_like;
-pub use generators::{gaussian_mixture_grid, zipf_histogram_dataset};
-pub use skin::skin_like;
+pub use generators::zipf_histogram_dataset;
 pub use synthetic::synthetic_clusters;
-pub use twitter::{twitter_grid, twitter_like};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

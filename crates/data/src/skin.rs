@@ -18,12 +18,7 @@ use rand::Rng;
 pub const SKIN_N: usize = 245_057;
 
 /// Fraction of skin-class rows in the UCI data (50,859 / 245,057).
-pub const SKIN_CLASS_FRACTION: f64 = 0.2075;
-
-/// Generates the skin-like dataset with the paper's cardinality.
-pub fn skin_like(rng: &mut impl Rng) -> PointSet {
-    skin_like_sized(SKIN_N, rng)
-}
+pub(crate) const SKIN_CLASS_FRACTION: f64 = 0.2075;
 
 /// Generates a skin-like dataset of arbitrary size.
 pub fn skin_like_sized(n: usize, rng: &mut impl Rng) -> PointSet {

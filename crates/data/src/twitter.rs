@@ -22,7 +22,7 @@ pub const TWITTER_N: usize = 193_563;
 pub const TWITTER_DIM_LAT: usize = 400;
 
 /// Grid height (longitude bins at 0.05° over 15°).
-pub const TWITTER_DIM_LON: usize = 300;
+pub(crate) const TWITTER_DIM_LON: usize = 300;
 
 /// Physical size of one cell in km (0.05° of latitude).
 pub const TWITTER_CELL_KM: f64 = 5.55;
@@ -56,11 +56,6 @@ fn metros() -> Vec<MixtureComponent> {
             weight,
         })
         .collect()
-}
-
-/// Generates the twitter-like dataset with the paper's cardinality.
-pub fn twitter_like(rng: &mut impl Rng) -> Dataset {
-    twitter_like_sized(TWITTER_N, rng)
 }
 
 /// Generates a twitter-like dataset of arbitrary size (for quick runs and

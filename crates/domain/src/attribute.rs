@@ -54,11 +54,6 @@ impl Attribute {
         })
     }
 
-    /// The attribute name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of values, written `|A|` in the paper.
     pub fn cardinality(&self) -> usize {
         self.cardinality
@@ -74,16 +69,6 @@ impl Attribute {
                 .unwrap_or_else(|| format!("<{v}>")),
             None => v.to_string(),
         }
-    }
-
-    /// Looks up a value index by label. `None` for anonymous attributes or
-    /// unknown labels.
-    pub fn value_of(&self, label: &str) -> Option<u32> {
-        self.labels
-            .as_ref()?
-            .iter()
-            .position(|l| l == label)
-            .map(|i| i as u32)
     }
 
     /// Maximum ordinal distance between two values, `|A| - 1`.
@@ -116,15 +101,12 @@ mod tests {
         .unwrap();
         assert_eq!(a.cardinality(), 3);
         assert_eq!(a.label(1), "cancer");
-        assert_eq!(a.value_of("none"), Some(2));
-        assert_eq!(a.value_of("plague"), None);
     }
 
     #[test]
     fn anonymous_labels_fall_back_to_index() {
         let a = Attribute::new("r", 4).unwrap();
         assert_eq!(a.label(3), "3");
-        assert_eq!(a.value_of("3"), None);
     }
 
     #[test]

@@ -8,10 +8,6 @@
 use crate::domain::Domain;
 use crate::error::DomainError;
 use crate::histogram::Histogram;
-use crate::tuple::Tuple;
-
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// A dataset `D ∈ I_n`: `n` rows, each a dense-encoded domain value.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,27 +29,6 @@ impl Dataset {
             return Err(DomainError::IndexOutOfRange { index: bad, size });
         }
         Ok(Self { domain, rows })
-    }
-
-    /// Builds a dataset from tuples.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoding errors.
-    pub fn from_tuples(domain: Domain, tuples: &[Tuple]) -> Result<Self, DomainError> {
-        let rows = tuples
-            .iter()
-            .map(|t| domain.encode(t.values()))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self { domain, rows })
-    }
-
-    /// An empty dataset over a domain.
-    pub fn empty(domain: Domain) -> Self {
-        Self {
-            domain,
-            rows: Vec::new(),
-        }
     }
 
     /// The domain.
@@ -79,13 +54,6 @@ impl Dataset {
     /// Value of individual `id`.
     pub fn row(&self, id: usize) -> usize {
         self.rows[id]
-    }
-
-    /// Decoded tuple of individual `id`.
-    pub fn tuple(&self, id: usize) -> Tuple {
-        self.domain
-            .decode_tuple(self.rows[id])
-            .expect("rows are validated on construction")
     }
 
     /// Returns a copy with individual `id` changed to domain value `x` —
@@ -120,27 +88,6 @@ impl Dataset {
         self.rows.iter().filter(|&&r| predicate(r)).count() as u64
     }
 
-    /// Uniform subsample without replacement of `k` rows (used for the
-    /// skin10/skin01 subsamples of Figure 1).
-    pub fn sample(&self, k: usize, rng: &mut impl Rng) -> Dataset {
-        let k = k.min(self.len());
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.shuffle(rng);
-        idx.truncate(k);
-        let rows = idx.into_iter().map(|i| self.rows[i]).collect();
-        Self {
-            domain: self.domain.clone(),
-            rows,
-        }
-    }
-
-    /// Uniform subsample keeping a fraction `frac ∈ (0,1]` of rows.
-    pub fn sample_fraction(&self, frac: f64, rng: &mut impl Rng) -> Dataset {
-        assert!(frac > 0.0 && frac <= 1.0, "fraction must be in (0,1]");
-        let k = ((self.len() as f64) * frac).round() as usize;
-        self.sample(k.max(1), rng)
-    }
-
     /// Set of tuple positions on which two same-length datasets differ —
     /// `Δ(D1, D2)` restricted to ids (the paper's symmetric difference is
     /// over (id, value) pairs; with fixed ids this is the differing ids).
@@ -159,8 +106,6 @@ impl Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn tiny() -> Dataset {
         let d = Domain::from_cardinalities(&[2, 3]).unwrap();
@@ -171,14 +116,6 @@ mod tests {
     fn construction_validates_rows() {
         let d = Domain::from_cardinalities(&[2, 3]).unwrap();
         assert!(Dataset::from_rows(d, vec![0, 6]).is_err());
-    }
-
-    #[test]
-    fn tuples_round_trip() {
-        let ds = tiny();
-        let tuples: Vec<Tuple> = (0..ds.len()).map(|i| ds.tuple(i)).collect();
-        let ds2 = Dataset::from_tuples(ds.domain().clone(), &tuples).unwrap();
-        assert_eq!(ds, ds2);
     }
 
     #[test]
@@ -201,24 +138,5 @@ mod tests {
         let ds = tiny();
         assert_eq!(ds.count_where(|r| r == 5), 2);
         assert_eq!(ds.count_where(|r| r < 2), 2);
-    }
-
-    #[test]
-    fn sampling_sizes() {
-        let ds = tiny();
-        let mut rng = StdRng::seed_from_u64(7);
-        assert_eq!(ds.sample(3, &mut rng).len(), 3);
-        assert_eq!(ds.sample(100, &mut rng).len(), 5);
-        assert_eq!(ds.sample_fraction(0.4, &mut rng).len(), 2);
-    }
-
-    #[test]
-    fn sample_preserves_multiset_membership() {
-        let ds = tiny();
-        let mut rng = StdRng::seed_from_u64(1);
-        let s = ds.sample(4, &mut rng);
-        for &r in s.rows() {
-            assert!(ds.rows().contains(&r));
-        }
     }
 }

@@ -7,7 +7,6 @@
 
 use crate::attribute::Attribute;
 use crate::error::DomainError;
-use crate::tuple::Tuple;
 
 /// A finite multi-attribute domain.
 ///
@@ -142,39 +141,11 @@ impl Domain {
         Ok(out)
     }
 
-    /// Decodes a dense index into a [`Tuple`].
-    pub fn decode_tuple(&self, index: usize) -> Result<Tuple, DomainError> {
-        Ok(Tuple::new(self.decode(index)?))
-    }
-
     /// Value of attribute `attr` inside the encoded index, without a full
     /// decode. Panics if `attr >= arity()`.
     pub fn attribute_value(&self, index: usize, attr: usize) -> u32 {
         debug_assert!(index < self.size);
         ((index / self.strides[attr]) % self.attributes[attr].cardinality()) as u32
-    }
-
-    /// Replaces the value of attribute `attr` inside the encoded index.
-    ///
-    /// # Errors
-    ///
-    /// [`DomainError::ValueOutOfRange`] when `value` exceeds the attribute's
-    /// cardinality.
-    pub fn with_attribute_value(
-        &self,
-        index: usize,
-        attr: usize,
-        value: u32,
-    ) -> Result<usize, DomainError> {
-        if (value as usize) >= self.attributes[attr].cardinality() {
-            return Err(DomainError::ValueOutOfRange {
-                attribute: attr,
-                value,
-                cardinality: self.attributes[attr].cardinality(),
-            });
-        }
-        let old = self.attribute_value(index, attr) as usize;
-        Ok(index - old * self.strides[attr] + (value as usize) * self.strides[attr])
     }
 
     /// Number of attributes on which `x` and `y` differ (Hamming distance on
@@ -209,15 +180,6 @@ impl Domain {
     /// Iterator over all dense indices `0..size()`.
     pub fn indices(&self) -> std::ops::Range<usize> {
         0..self.size
-    }
-
-    /// Iterator over all tuples in odometer order. Intended for small
-    /// domains (tests, brute-force verification).
-    pub fn iter_tuples(&self) -> impl Iterator<Item = Tuple> + '_ {
-        self.indices().map(move |i| {
-            self.decode_tuple(i)
-                .expect("index from indices() is always valid")
-        })
     }
 
     /// Human-readable rendering of the value at `index`.
@@ -309,15 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn with_attribute_value_changes_one_coordinate() {
-        let d = abc();
-        let x = d.encode(&[1, 0, 2]).unwrap();
-        let y = d.with_attribute_value(x, 1, 1).unwrap();
-        assert_eq!(d.decode(y).unwrap(), vec![1, 1, 2]);
-        assert!(d.with_attribute_value(x, 2, 3).is_err());
-    }
-
-    #[test]
     fn hamming_and_l1() {
         let d = abc();
         let x = d.encode(&[0, 0, 0]).unwrap();
@@ -350,12 +303,5 @@ mod tests {
             Domain::from_cardinalities(&[big, 3]),
             Err(DomainError::DomainTooLarge)
         ));
-    }
-
-    #[test]
-    fn iter_tuples_covers_domain() {
-        let d = Domain::from_cardinalities(&[2, 2]).unwrap();
-        let all: Vec<Vec<u32>> = d.iter_tuples().map(|t| t.values().to_vec()).collect();
-        assert_eq!(all, vec![vec![0, 0], vec![0, 1], vec![1, 0], vec![1, 1]]);
     }
 }

@@ -96,15 +96,6 @@ impl Rectangle {
             })
             .sum()
     }
-
-    /// Number of cells inside the rectangle.
-    pub fn cell_count(&self) -> usize {
-        self.lo
-            .iter()
-            .zip(&self.hi)
-            .map(|(&l, &u)| u - l + 1)
-            .product()
-    }
 }
 
 impl GridDomain {
@@ -149,7 +140,7 @@ impl GridDomain {
     }
 
     /// Number of axes `k`.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         self.dims.len()
     }
 
@@ -159,7 +150,7 @@ impl GridDomain {
     }
 
     /// Physical cell widths.
-    pub fn cell_widths(&self) -> &[f64] {
+    pub(crate) fn cell_widths(&self) -> &[f64] {
         &self.cell_widths
     }
 
@@ -181,70 +172,6 @@ impl GridDomain {
     pub fn index_of(&self, coords: &[usize]) -> Result<usize, DomainError> {
         let vals: Vec<u32> = coords.iter().map(|&c| c as u32).collect();
         self.domain.encode(&vals)
-    }
-
-    /// L1 distance in cells between two dense indices.
-    pub fn l1(&self, x: usize, y: usize) -> u64 {
-        self.domain.l1(x, y)
-    }
-
-    /// Physical L1 distance between two dense indices, using per-axis cell
-    /// widths.
-    pub fn physical_l1(&self, x: usize, y: usize) -> f64 {
-        let cx = self.coords(x);
-        let cy = self.coords(y);
-        cx.iter()
-            .zip(&cy)
-            .zip(&self.cell_widths)
-            .map(|((&a, &b), &w)| a.abs_diff(b) as f64 * w)
-            .sum()
-    }
-
-    /// Largest L1 distance between any two cells (grid diameter in cells).
-    pub fn l1_diameter(&self) -> u64 {
-        self.domain.l1_diameter()
-    }
-
-    /// Converts a physical L1 threshold into a cell-count threshold θ using
-    /// the *smallest* cell width (conservative: all pairs within the
-    /// physical threshold along any single axis are protected).
-    pub fn theta_for_physical(&self, physical: f64) -> u64 {
-        assert!(physical > 0.0);
-        let min_w = self
-            .cell_widths
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        ((physical / min_w).floor() as u64).clamp(1, self.l1_diameter().max(1))
-    }
-
-    /// Partitions the grid uniformly into `blocks_per_axis[i]` blocks per
-    /// axis, returning the block id of every cell. Used by the
-    /// `partition|p` policies of Figure 1(f), where the 400×300 twitter grid
-    /// is divided into p coarse cells.
-    ///
-    /// Block boundaries use ceiling division so every cell is covered even
-    /// when the axis size is not divisible by the block count.
-    pub fn uniform_partition(&self, blocks_per_axis: &[usize]) -> Vec<u32> {
-        assert_eq!(blocks_per_axis.len(), self.arity());
-        assert!(blocks_per_axis.iter().all(|&b| b >= 1));
-        let block_sizes: Vec<usize> = self
-            .dims
-            .iter()
-            .zip(blocks_per_axis)
-            .map(|(&d, &b)| d.div_ceil(b))
-            .collect();
-        let mut out = Vec::with_capacity(self.size());
-        for idx in 0..self.size() {
-            let coords = self.coords(idx);
-            let mut block = 0usize;
-            for (axis, &c) in coords.iter().enumerate() {
-                let b = c / block_sizes[axis];
-                block = block * blocks_per_axis[axis] + b;
-            }
-            out.push(block as u32);
-        }
-        out
     }
 
     /// Validates a rectangle against the grid bounds.
@@ -271,34 +198,6 @@ impl GridDomain {
         }
         Ok(())
     }
-
-    /// All dense indices inside a rectangle. Intended for modest rectangle
-    /// sizes (constraint predicates, tests).
-    pub fn rectangle_cells(&self, r: &Rectangle) -> Vec<usize> {
-        let mut cells = Vec::with_capacity(r.cell_count());
-        let mut cursor = r.lo.clone();
-        loop {
-            cells.push(self.index_of(&cursor).expect("validated rectangle"));
-            // Odometer increment within the rectangle bounds.
-            let mut axis = self.arity();
-            loop {
-                if axis == 0 {
-                    return cells;
-                }
-                axis -= 1;
-                if cursor[axis] < r.hi[axis] {
-                    cursor[axis] += 1;
-                    for c in cursor.iter_mut().skip(axis + 1) {
-                        *c = 0;
-                    }
-                    for (i, c) in cursor.iter_mut().enumerate().skip(axis + 1) {
-                        *c = r.lo[i];
-                    }
-                    break;
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -315,51 +214,6 @@ mod tests {
     }
 
     #[test]
-    fn physical_distance_uses_widths() {
-        let g = GridDomain::with_cell_widths(vec![400, 300], vec![5.55, 5.55]).unwrap();
-        let a = g.index_of(&[0, 0]).unwrap();
-        let b = g.index_of(&[10, 20]).unwrap();
-        assert_eq!(g.l1(a, b), 30);
-        assert!((g.physical_l1(a, b) - 30.0 * 5.55).abs() < 1e-9);
-    }
-
-    #[test]
-    fn theta_conversion_uses_min_width() {
-        let g = GridDomain::with_cell_widths(vec![400, 300], vec![5.0, 10.0]).unwrap();
-        assert_eq!(g.theta_for_physical(100.0), 20);
-        assert_eq!(g.theta_for_physical(1.0), 1);
-    }
-
-    #[test]
-    fn uniform_partition_counts() {
-        let g = GridDomain::new(vec![4, 4]).unwrap();
-        let part = g.uniform_partition(&[2, 2]);
-        assert_eq!(part.len(), 16);
-        let mut counts = [0usize; 4];
-        for &b in &part {
-            counts[b as usize] += 1;
-        }
-        assert_eq!(counts, [4, 4, 4, 4]);
-        // Cell (0,0) and (1,1) in same block; (0,0) and (2,0) differ.
-        assert_eq!(
-            part[g.index_of(&[0, 0]).unwrap()],
-            part[g.index_of(&[1, 1]).unwrap()]
-        );
-        assert_ne!(
-            part[g.index_of(&[0, 0]).unwrap()],
-            part[g.index_of(&[2, 0]).unwrap()]
-        );
-    }
-
-    #[test]
-    fn uniform_partition_non_divisible() {
-        let g = GridDomain::new(vec![5, 3]).unwrap();
-        let part = g.uniform_partition(&[2, 2]);
-        // Every cell gets a block and block ids are < 4.
-        assert!(part.iter().all(|&b| b < 4));
-    }
-
-    #[test]
     fn rectangle_semantics() {
         let r1 = Rectangle::new(vec![0, 0], vec![2, 2]).unwrap();
         let r2 = Rectangle::new(vec![3, 3], vec![4, 4]).unwrap();
@@ -368,21 +222,8 @@ mod tests {
         assert!(r1.intersects(&r3));
         assert_eq!(r1.l1_gap(&r2), 2);
         assert_eq!(r1.l1_gap(&r3), 0);
-        assert_eq!(r1.cell_count(), 9);
         assert!(Rectangle::new(vec![2], vec![1]).is_err());
         assert!(Rectangle::new(vec![1, 1], vec![1, 1]).unwrap().is_point());
-    }
-
-    #[test]
-    fn rectangle_cells_enumerates_all() {
-        let g = GridDomain::new(vec![4, 4]).unwrap();
-        let r = Rectangle::new(vec![1, 2], vec![2, 3]).unwrap();
-        g.check_rectangle(&r).unwrap();
-        let cells = g.rectangle_cells(&r);
-        assert_eq!(cells.len(), 4);
-        for &c in &cells {
-            assert!(r.contains(&g.coords(c)));
-        }
     }
 
     #[test]

@@ -14,13 +14,14 @@ use crate::partition::Partition;
 /// # Examples
 ///
 /// ```
-/// use bf_domain::Histogram;
+/// use bf_domain::{Dataset, Domain};
 ///
-/// let h = Histogram::from_rows(4, &[0, 0, 2, 3]);
+/// let h = Dataset::from_rows(Domain::line(4)?, vec![0, 0, 2, 3])?.histogram();
 /// assert_eq!(h.counts(), &[2.0, 0.0, 1.0, 1.0]);
 /// assert_eq!(h.range_count(0, 1).unwrap(), 2.0);
 /// let cum = h.cumulative();
 /// assert_eq!(cum.prefixes(), &[2.0, 2.0, 3.0, 4.0]);
+/// # Ok::<(), bf_domain::DomainError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
@@ -40,15 +41,8 @@ impl Histogram {
         Self { counts }
     }
 
-    /// An all-zero histogram over `size` values.
-    pub fn zeros(size: usize) -> Self {
-        Self {
-            counts: vec![0.0; size],
-        }
-    }
-
     /// Counts exact occurrences of each value among encoded rows.
-    pub fn from_rows(domain_size: usize, rows: &[usize]) -> Self {
+    pub(crate) fn from_rows(domain_size: usize, rows: &[usize]) -> Self {
         let mut counts = vec![0.0; domain_size];
         for &r in rows {
             counts[r] += 1.0;
@@ -79,11 +73,6 @@ impl Histogram {
     /// Mutable access to the counts (mechanisms add noise in place).
     pub fn counts_mut(&mut self) -> &mut [f64] {
         &mut self.counts
-    }
-
-    /// Total mass `Σ c(x)`.
-    pub fn total(&self) -> f64 {
-        self.counts.iter().sum()
     }
 
     /// Number of values with non-zero count.
@@ -150,37 +139,12 @@ impl Histogram {
             .map(|(a, b)| (a - b).abs())
             .sum()
     }
-
-    /// Mean squared error against a reference histogram (Definition 2.4 with
-    /// the sum taken over components, divided by the number of components).
-    pub fn mse(&self, reference: &Histogram) -> f64 {
-        assert_eq!(self.len(), reference.len());
-        if self.is_empty() {
-            return 0.0;
-        }
-        self.counts
-            .iter()
-            .zip(&reference.counts)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            / self.len() as f64
-    }
 }
 
 impl CumulativeHistogram {
-    /// Builds from raw prefix sums.
-    pub fn from_prefix(prefix: Vec<f64>) -> Self {
-        Self { prefix }
-    }
-
     /// Number of prefix counts `|T|`.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.prefix.len()
-    }
-
-    /// Whether there are no counts.
-    pub fn is_empty(&self) -> bool {
-        self.prefix.is_empty()
     }
 
     /// Prefix count `s_i = Σ_{j ≤ i} c(x_j)` (0-based `i`).
@@ -191,11 +155,6 @@ impl CumulativeHistogram {
     /// All prefix counts.
     pub fn prefixes(&self) -> &[f64] {
         &self.prefix
-    }
-
-    /// Mutable access (mechanisms add noise / enforce constraints in place).
-    pub fn prefixes_mut(&mut self) -> &mut [f64] {
-        &mut self.prefix
     }
 
     /// Number of *distinct* prefix values, the sparsity parameter `p` in the
@@ -238,28 +197,6 @@ impl CumulativeHistogram {
         Histogram::from_counts(counts)
     }
 
-    /// Empirical CDF: prefix counts divided by the total `n` (the paper
-    /// divides by `|D| = n`, which is public knowledge).
-    pub fn cdf(&self) -> Vec<f64> {
-        let n = self.prefix.last().copied().unwrap_or(0.0);
-        if n == 0.0 {
-            return vec![0.0; self.prefix.len()];
-        }
-        self.prefix.iter().map(|&s| s / n).collect()
-    }
-
-    /// Smallest value index whose CDF reaches `q ∈ [0,1]` (quantile lookup,
-    /// one of the CDF applications named in Section 7).
-    pub fn quantile(&self, q: f64) -> usize {
-        assert!((0.0..=1.0).contains(&q));
-        let n = self.prefix.last().copied().unwrap_or(0.0);
-        let target = q * n;
-        self.prefix
-            .iter()
-            .position(|&s| s >= target)
-            .unwrap_or(self.prefix.len().saturating_sub(1))
-    }
-
     /// Whether prefix counts are non-decreasing (the ordering constraint the
     /// constrained-inference step enforces).
     pub fn is_sorted(&self) -> bool {
@@ -279,7 +216,6 @@ mod tests {
     fn from_rows_counts() {
         let h = h();
         assert_eq!(h.counts(), &[2.0, 0.0, 1.0, 0.0, 3.0]);
-        assert_eq!(h.total(), 6.0);
         assert_eq!(h.support_size(), 3);
     }
 
@@ -319,26 +255,9 @@ mod tests {
     }
 
     #[test]
-    fn mse_and_l1() {
+    fn l1_distance() {
         let a = Histogram::from_counts(vec![1.0, 2.0]);
         let b = Histogram::from_counts(vec![2.0, 0.0]);
         assert_eq!(a.l1_distance(&b), 3.0);
-        assert_eq!(a.mse(&b), (1.0 + 4.0) / 2.0);
-    }
-
-    #[test]
-    fn cdf_and_quantiles() {
-        let c = h().cumulative();
-        let cdf = c.cdf();
-        assert!((cdf[4] - 1.0).abs() < 1e-12);
-        assert_eq!(c.quantile(0.0), 0);
-        assert_eq!(c.quantile(0.5), 2); // s_2 = 3 >= 3
-        assert_eq!(c.quantile(1.0), 4);
-    }
-
-    #[test]
-    fn empty_cdf_is_zero() {
-        let c = Histogram::zeros(3).cumulative();
-        assert_eq!(c.cdf(), vec![0.0, 0.0, 0.0]);
     }
 }

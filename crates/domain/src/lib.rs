@@ -5,7 +5,7 @@
 //!
 //! * a dataset `D` of `n` tuples, each drawn from a finite domain
 //!   `T = A1 × A2 × … × Am` built from categorical attributes
-//!   ([`Attribute`], [`Domain`], [`Tuple`]),
+//!   ([`Attribute`], [`Domain`]),
 //! * totally ordered 1-D domains used by the cumulative-histogram
 //!   mechanisms of Section 7 ([`OrderedDomain`]),
 //! * grid domains `[m]^k` with Lp geometry used by the location
@@ -31,7 +31,6 @@ pub mod histogram;
 pub mod ordered;
 pub mod partition;
 pub mod points;
-pub mod tuple;
 
 pub use attribute::Attribute;
 pub use dataset::Dataset;
@@ -41,5 +40,4 @@ pub use grid::GridDomain;
 pub use histogram::{CumulativeHistogram, Histogram};
 pub use ordered::OrderedDomain;
 pub use partition::Partition;
-pub use points::{BoundingBox, Point, PointSet};
-pub use tuple::Tuple;
+pub use points::{BoundingBox, PointSet};

@@ -2,16 +2,14 @@
 //!
 //! Section 7 of the paper works over a domain `T = {x1, …, x|T|}` with a
 //! total ordering `x1 ≤ … ≤ x|T|`. [`OrderedDomain`] captures that view:
-//! a size, an optional mapping from value index to a real-valued coordinate
-//! (e.g. kilometres per latitude bin, or dollars of capital loss), and
-//! helpers for distance-threshold reasoning.
+//! a size and the physical width of one step (e.g. kilometres per
+//! latitude bin), so a physical distance threshold becomes an index one.
 
 use crate::error::DomainError;
 
 /// A totally ordered one-dimensional domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OrderedDomain {
-    name: String,
     size: usize,
     /// Physical width of one step between adjacent values, used to translate
     /// a physical threshold (e.g. "500 km") into a value-index threshold θ.
@@ -19,60 +17,18 @@ pub struct OrderedDomain {
 }
 
 impl OrderedDomain {
-    /// Creates an ordered domain of `size` values with unit step width.
-    ///
-    /// # Errors
-    ///
-    /// [`DomainError::EmptyDomain`] if `size == 0`.
-    pub fn new(name: impl Into<String>, size: usize) -> Result<Self, DomainError> {
-        Self::with_step_width(name, size, 1.0)
-    }
-
     /// Creates an ordered domain whose adjacent values are `step_width`
     /// physical units apart (e.g. 0.05° latitude ≈ 5.55 km).
     ///
     /// # Errors
     ///
     /// [`DomainError::EmptyDomain`] if `size == 0`.
-    pub fn with_step_width(
-        name: impl Into<String>,
-        size: usize,
-        step_width: f64,
-    ) -> Result<Self, DomainError> {
+    pub fn with_step_width(size: usize, step_width: f64) -> Result<Self, DomainError> {
         if size == 0 {
             return Err(DomainError::EmptyDomain);
         }
         assert!(step_width > 0.0, "step width must be positive");
-        Ok(Self {
-            name: name.into(),
-            size,
-            step_width,
-        })
-    }
-
-    /// Domain name (attribute being ordered).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Number of values `|T|`.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// Physical width of one index step.
-    pub fn step_width(&self) -> f64 {
-        self.step_width
-    }
-
-    /// Ordinal distance `|x − y|` between two value indices.
-    pub fn distance(&self, x: usize, y: usize) -> usize {
-        x.abs_diff(y)
-    }
-
-    /// Physical distance between two value indices.
-    pub fn physical_distance(&self, x: usize, y: usize) -> f64 {
-        self.distance(x, y) as f64 * self.step_width
+        Ok(Self { size, step_width })
     }
 
     /// Converts a physical threshold into the largest value-index threshold
@@ -85,28 +41,6 @@ impl OrderedDomain {
         let theta = (physical / self.step_width).floor() as usize;
         theta.clamp(1, self.size.saturating_sub(1).max(1))
     }
-
-    /// θ corresponding to "full domain" (complete graph / ordinary DP):
-    /// every pair of values is a secret pair.
-    pub fn theta_full(&self) -> usize {
-        self.size.saturating_sub(1).max(1)
-    }
-
-    /// Validates an inclusive range `[lo, hi]` of value indices.
-    ///
-    /// # Errors
-    ///
-    /// [`DomainError::InvalidRange`] if `lo > hi` or `hi >= size`.
-    pub fn check_range(&self, lo: usize, hi: usize) -> Result<(), DomainError> {
-        if lo > hi || hi >= self.size {
-            return Err(DomainError::InvalidRange {
-                lo,
-                hi,
-                size: self.size,
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -115,36 +49,20 @@ mod tests {
 
     #[test]
     fn rejects_empty() {
-        assert!(OrderedDomain::new("x", 0).is_err());
-    }
-
-    #[test]
-    fn distances() {
-        let d = OrderedDomain::with_step_width("lat", 400, 5.55).unwrap();
-        assert_eq!(d.distance(10, 3), 7);
-        assert!((d.physical_distance(0, 100) - 555.0).abs() < 1e-9);
+        assert!(OrderedDomain::with_step_width(0, 1.0).is_err());
     }
 
     #[test]
     fn theta_conversion() {
         // twitter latitude: 400 bins, ~5.55 km per bin.
-        let d = OrderedDomain::with_step_width("lat", 400, 5.55).unwrap();
+        let d = OrderedDomain::with_step_width(400, 5.55).unwrap();
         assert_eq!(d.theta_for_physical(500.0), 90); // 500/5.55 = 90.09
         assert_eq!(d.theta_for_physical(5.0), 1); // sub-step clamps to 1
-        assert_eq!(d.theta_full(), 399);
     }
 
     #[test]
     fn theta_never_exceeds_domain() {
-        let d = OrderedDomain::new("x", 10).unwrap();
+        let d = OrderedDomain::with_step_width(10, 1.0).unwrap();
         assert_eq!(d.theta_for_physical(1e9), 9);
-    }
-
-    #[test]
-    fn range_validation() {
-        let d = OrderedDomain::new("x", 10).unwrap();
-        assert!(d.check_range(0, 9).is_ok());
-        assert!(d.check_range(3, 2).is_err());
-        assert!(d.check_range(0, 10).is_err());
     }
 }

@@ -7,7 +7,6 @@
 //!   learn which block an individual is in, but not where inside it), and
 //! * histogram queries `h_P` over coarsened domains (Section 2).
 
-use crate::domain::Domain;
 use crate::error::DomainError;
 
 /// A partition of the domain into `num_blocks` disjoint blocks, stored as
@@ -80,16 +79,6 @@ impl Partition {
         Self::new(block_of).expect("interval blocks are dense")
     }
 
-    /// Partitions a domain by the value of one attribute: two domain values
-    /// share a block iff they agree on attribute `attr`.
-    pub fn by_attribute(domain: &Domain, attr: usize) -> Self {
-        let block_of = domain
-            .indices()
-            .map(|i| domain.attribute_value(i, attr))
-            .collect();
-        Self::new(block_of).expect("attribute blocks are dense")
-    }
-
     /// Number of blocks `p`.
     pub fn num_blocks(&self) -> usize {
         self.num_blocks
@@ -126,11 +115,6 @@ impl Partition {
             blocks[b as usize].push(x);
         }
         blocks
-    }
-
-    /// The per-value assignment slice.
-    pub fn assignments(&self) -> &[u32] {
-        &self.block_of
     }
 
     /// Whether `other` is a refinement of `self`: every block of `other`
@@ -172,15 +156,6 @@ mod tests {
         assert_eq!(p.block_sizes(), vec![3, 3, 3, 1]);
         assert!(p.same_block(0, 2));
         assert!(!p.same_block(2, 3));
-    }
-
-    #[test]
-    fn by_attribute_partition() {
-        let d = Domain::from_cardinalities(&[2, 3]).unwrap();
-        let p = Partition::by_attribute(&d, 0);
-        assert_eq!(p.num_blocks(), 2);
-        assert!(p.same_block(d.encode(&[0, 0]).unwrap(), d.encode(&[0, 2]).unwrap()));
-        assert!(!p.same_block(d.encode(&[0, 0]).unwrap(), d.encode(&[1, 0]).unwrap()));
     }
 
     #[test]

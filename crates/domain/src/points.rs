@@ -9,7 +9,7 @@ use crate::dataset::Dataset;
 use crate::grid::GridDomain;
 
 /// A point in ℝ^dim.
-pub type Point = Vec<f64>;
+pub(crate) type Point = Vec<f64>;
 
 /// Axis-aligned bounding box of the domain.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,7 +32,7 @@ impl BoundingBox {
     }
 
     /// Dimensionality.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.lo.len()
     }
 
@@ -173,11 +173,6 @@ impl PointSet {
     pub fn sq_l2(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum()
     }
-
-    /// L1 distance between two points.
-    pub fn l1(a: &[f64], b: &[f64]) -> f64 {
-        a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -216,7 +211,6 @@ mod tests {
     #[test]
     fn distances() {
         assert_eq!(PointSet::sq_l2(&[0.0, 0.0], &[3.0, 4.0]), 25.0);
-        assert_eq!(PointSet::l1(&[0.0, 0.0], &[3.0, 4.0]), 7.0);
     }
 
     #[test]

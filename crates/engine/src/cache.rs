@@ -54,7 +54,7 @@ type CacheKey = (String, u64);
 /// Memo table for policy-specific sensitivities with single-flight
 /// population. Counters are `bf-obs` handles: standalone caches count
 /// into detached instruments, engine-owned caches count into the
-/// engine's registry ([`SensitivityCache::with_obs`]) — [`CacheStats`]
+/// engine's registry (`SensitivityCache::with_obs`) — [`CacheStats`]
 /// reads the same handles either way.
 #[derive(Debug)]
 pub struct SensitivityCache {
@@ -84,7 +84,7 @@ impl SensitivityCache {
 
     /// An empty cache whose counters are registered in `obs` as
     /// `engine_cache_{hits,misses,computes}_total`.
-    pub fn with_obs(obs: &Registry) -> Self {
+    pub(crate) fn with_obs(obs: &Registry) -> Self {
         Self {
             map: RwLock::new(HashMap::new()),
             hits: obs.counter("engine_cache_hits_total"),
@@ -131,16 +131,6 @@ impl SensitivityCache {
         })
     }
 
-    /// Whether `(policy, class)` is already cached (no counter updates).
-    pub fn contains(&self, policy: &Policy, class: &QueryClass) -> bool {
-        let key = (policy.cache_key(), class.fingerprint());
-        self.map
-            .read()
-            .expect("cache lock poisoned")
-            .get(&key)
-            .is_some_and(|cell| cell.get().is_some())
-    }
-
     /// Current counters — a thin shim over the registry handles, kept
     /// for existing tests and benches.
     pub fn stats(&self) -> CacheStats {
@@ -153,7 +143,7 @@ impl SensitivityCache {
     }
 
     /// Drops all entries (counters keep accumulating).
-    pub fn clear(&self) {
+    pub(crate) fn clear(&self) {
         self.map.write().expect("cache lock poisoned").clear();
     }
 }
@@ -182,7 +172,6 @@ mod tests {
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().entries, 1);
         assert_eq!(cache.stats().computes, 1);
-        assert!(cache.contains(&p, &class));
         assert!((cache.stats().hit_rate() - 0.5).abs() < 1e-12);
     }
 

@@ -67,26 +67,6 @@ type Slot = Option<Result<Response, EngineError>>;
 /// pins the serving thread.
 const MAX_KMEANS_ITERATIONS: usize = 1_000;
 
-/// Counts releases currently executing against a registry entry, so
-/// deregistration can refuse instead of pulling data out from under a
-/// running mechanism. Incremented on construction, decremented on drop;
-/// the guard rides inside prepared-release structs.
-#[derive(Debug)]
-struct FlightGuard(Arc<AtomicU64>);
-
-impl FlightGuard {
-    fn new(counter: &Arc<AtomicU64>) -> Self {
-        counter.fetch_add(1, Ordering::AcqRel);
-        Self(Arc::clone(counter))
-    }
-}
-
-impl Drop for FlightGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
 /// A registered dataset with its aggregates precomputed once: serving
 /// reads histograms, never raw rows, so the O(n) aggregation pass and
 /// the O(|T|) prefix sums happen at registration instead of per request.
@@ -95,14 +75,6 @@ struct DatasetEntry {
     dataset: Arc<Dataset>,
     histogram: Arc<Histogram>,
     cumulative: Arc<CumulativeHistogram>,
-    in_flight: Arc<AtomicU64>,
-}
-
-/// A registered point set plus its in-flight release count.
-#[derive(Debug, Clone)]
-struct PointsEntry {
-    points: Arc<PointSet>,
-    in_flight: Arc<AtomicU64>,
 }
 
 /// The ledger summary of an evicted (or durably recovered, not yet
@@ -134,7 +106,6 @@ struct PolicyEntry {
     /// neighbor semantics of Section 8), `None` for constraint-free
     /// policies, which use the exact closed forms via the cache.
     constrained_bound: Option<f64>,
-    in_flight: Arc<AtomicU64>,
 }
 
 /// What a plan's mechanism runs on.
@@ -175,9 +146,6 @@ struct Calibrated {
     /// The release identity indexing the per-identity noise ordinals;
     /// `None` for k-means, whose runs have no stable identity.
     fingerprint: Option<u64>,
-    /// In-flight guards pinning the policy and data object against
-    /// deregistration until the release lands.
-    _flights: (FlightGuard, FlightGuard),
 }
 
 /// A release plan that was resolved, validated, calibrated and charged,
@@ -256,7 +224,7 @@ struct Prepared<'a> {
 pub struct Engine {
     policies: ShardedMap<PolicyEntry>,
     datasets: ShardedMap<DatasetEntry>,
-    points: ShardedMap<PointsEntry>,
+    points: ShardedMap<Arc<PointSet>>,
     sessions: ShardedMap<Arc<Mutex<AnalystSession>>>,
     /// Evicted / recovered-but-unattached session ledgers.
     parked: ShardedMap<ParkedSession>,
@@ -317,11 +285,6 @@ impl Default for Engine {
 }
 
 impl Engine {
-    /// An engine with the default noise seed.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// An engine whose noise stream is seeded for reproducible runs.
     pub fn with_seed(seed: u64) -> Self {
         let obs = Arc::new(Registry::new());
@@ -526,7 +489,6 @@ impl Engine {
         let entry = PolicyEntry {
             policy: Arc::new(policy),
             constrained_bound,
-            in_flight: Arc::new(AtomicU64::new(0)),
         };
         self.check_expectation(RegistryKind::Policy, &name, fingerprint)?;
         self.policies
@@ -558,7 +520,6 @@ impl Engine {
             dataset: Arc::new(dataset),
             histogram: Arc::new(histogram),
             cumulative: Arc::new(cumulative),
-            in_flight: Arc::new(AtomicU64::new(0)),
         };
         self.check_expectation(RegistryKind::Dataset, &name, fingerprint)?;
         self.datasets
@@ -584,13 +545,9 @@ impl Engine {
     ) -> Result<(), EngineError> {
         let name = name.into();
         let fingerprint = points_fingerprint(&points);
-        let entry = PointsEntry {
-            points: Arc::new(points),
-            in_flight: Arc::new(AtomicU64::new(0)),
-        };
         self.check_expectation(RegistryKind::Points, &name, fingerprint)?;
         self.points
-            .insert_if_absent(name.clone(), entry)
+            .insert_if_absent(name.clone(), Arc::new(points))
             .map_err(EngineError::DuplicateName)?;
         self.finish_registration(RegistryKind::Points, &name, fingerprint)
             .inspect_err(|_| {
@@ -647,95 +604,8 @@ impl Engine {
         Ok(())
     }
 
-    /// Deregisters a policy, freeing its name and registry slot. Spent
-    /// budgets are unaffected (they live in sessions) and cached
-    /// sensitivities cannot resurrect under a different policy — the
-    /// cache is keyed by the policy's content, not its name.
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownPolicy`] for unknown names;
-    /// [`EngineError::ReleasesInFlight`] while a release against this
-    /// policy is executing (retry after it drains);
-    /// [`EngineError::Store`] when the deregistration cannot be made
-    /// durable (the entry stays removed in memory; recovery may
-    /// resurrect the *name expectation*, never any budget).
-    pub fn deregister_policy(&self, name: &str) -> Result<(), EngineError> {
-        match self
-            .policies
-            .remove_if(name, |e| e.in_flight.load(Ordering::Acquire) == 0)
-        {
-            Ok(Some(_)) => self.finish_deregistration(RegistryKind::Policy, name),
-            Ok(None) => Err(EngineError::UnknownPolicy(name.to_owned())),
-            Err(()) => Err(EngineError::ReleasesInFlight {
-                kind: "policy",
-                name: name.to_owned(),
-            }),
-        }
-    }
-
-    /// Deregisters a dataset. Same contract as
-    /// [`Engine::deregister_policy`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownDataset`], [`EngineError::ReleasesInFlight`]
-    /// or [`EngineError::Store`] as for [`Engine::deregister_policy`].
-    pub fn deregister_dataset(&self, name: &str) -> Result<(), EngineError> {
-        match self
-            .datasets
-            .remove_if(name, |e| e.in_flight.load(Ordering::Acquire) == 0)
-        {
-            Ok(Some(_)) => self.finish_deregistration(RegistryKind::Dataset, name),
-            Ok(None) => Err(EngineError::UnknownDataset(name.to_owned())),
-            Err(()) => Err(EngineError::ReleasesInFlight {
-                kind: "dataset",
-                name: name.to_owned(),
-            }),
-        }
-    }
-
-    /// Deregisters a point set. Same contract as
-    /// [`Engine::deregister_policy`].
-    ///
-    /// # Errors
-    ///
-    /// [`EngineError::UnknownPoints`], [`EngineError::ReleasesInFlight`]
-    /// or [`EngineError::Store`] as for [`Engine::deregister_policy`].
-    pub fn deregister_points(&self, name: &str) -> Result<(), EngineError> {
-        match self
-            .points
-            .remove_if(name, |e| e.in_flight.load(Ordering::Acquire) == 0)
-        {
-            Ok(Some(_)) => self.finish_deregistration(RegistryKind::Points, name),
-            Ok(None) => Err(EngineError::UnknownPoints(name.to_owned())),
-            Err(()) => Err(EngineError::ReleasesInFlight {
-                kind: "points",
-                name: name.to_owned(),
-            }),
-        }
-    }
-
-    fn finish_deregistration(&self, kind: RegistryKind, name: &str) -> Result<(), EngineError> {
-        // Any unconsumed recovered expectation dies with the entry, so
-        // the name is genuinely free for a different object.
-        self.expected
-            .lock()
-            .expect("expectations poisoned")
-            .remove(&(kind, name.to_owned()));
-        if let Some(store) = &self.store {
-            store
-                .commit(&[Record::Deregistered {
-                    kind,
-                    name: name.to_owned(),
-                }])
-                .map_err(EngineError::Store)?;
-        }
-        Ok(())
-    }
-
     /// The registered policy, if any.
-    pub fn policy(&self, name: &str) -> Result<Arc<Policy>, EngineError> {
+    pub(crate) fn policy(&self, name: &str) -> Result<Arc<Policy>, EngineError> {
         Ok(self.policy_entry(name)?.policy)
     }
 
@@ -756,38 +626,9 @@ impl Engine {
             .ok_or_else(|| EngineError::UnknownDataset(name.to_owned()))
     }
 
-    /// The registered point set, if any.
-    pub fn point_set(&self, name: &str) -> Result<Arc<PointSet>, EngineError> {
-        Ok(self.points_entry(name)?.points)
-    }
-
-    fn points_entry(&self, name: &str) -> Result<PointsEntry, EngineError> {
+    fn points_entry(&self, name: &str) -> Result<Arc<PointSet>, EngineError> {
         self.points
             .get(name)
-            .ok_or_else(|| EngineError::UnknownPoints(name.to_owned()))
-    }
-
-    // Pinned lookups: the clone AND the in-flight increment happen under
-    // the shard read lock, so a deregistration (which checks the counter
-    // under the same shard's write lock) can never observe zero while a
-    // resolved entry is about to execute — `remove_if` either sees the
-    // pin or wins the race before the lookup resolves at all.
-
-    fn pinned_policy_entry(&self, name: &str) -> Result<(PolicyEntry, FlightGuard), EngineError> {
-        self.policies
-            .get_with(name, |e| (e.clone(), FlightGuard::new(&e.in_flight)))
-            .ok_or_else(|| EngineError::UnknownPolicy(name.to_owned()))
-    }
-
-    fn pinned_dataset_entry(&self, name: &str) -> Result<(DatasetEntry, FlightGuard), EngineError> {
-        self.datasets
-            .get_with(name, |e| (e.clone(), FlightGuard::new(&e.in_flight)))
-            .ok_or_else(|| EngineError::UnknownDataset(name.to_owned()))
-    }
-
-    fn pinned_points_entry(&self, name: &str) -> Result<(PointsEntry, FlightGuard), EngineError> {
-        self.points
-            .get_with(name, |e| (e.clone(), FlightGuard::new(&e.in_flight)))
             .ok_or_else(|| EngineError::UnknownPoints(name.to_owned()))
     }
 
@@ -931,7 +772,7 @@ impl Engine {
     /// [`EngineError::UnknownAnalyst`] when no live session exists
     /// ([`EngineError::SessionEvicted`] when it is already parked or
     /// being evicted by another thread).
-    pub fn evict_session(&self, analyst: &str) -> Result<(), EngineError> {
+    pub(crate) fn evict_session(&self, analyst: &str) -> Result<(), EngineError> {
         let arc = self.sessions.get(analyst).ok_or_else(|| {
             if self.parked.get(analyst).is_some() {
                 EngineError::SessionEvicted(analyst.to_owned())
@@ -976,14 +817,8 @@ impl Engine {
     }
 
     /// Evicts every session idle for at least `max_idle`, returning the
-    /// evicted analysts in name order. `Duration::ZERO` evicts all
-    /// currently idle sessions (used by tests and drain-style shutdown).
-    pub fn evict_idle_sessions(&self, max_idle: Duration) -> Vec<String> {
-        self.evict_idle_sessions_except(max_idle, &[])
-    }
-
-    /// [`Engine::evict_idle_sessions`] with an exclusion list: analysts
-    /// in `keep` are never evicted regardless of idleness. The server's
+    /// evicted analysts in name order; `Duration::ZERO` evicts every idle
+    /// session. Analysts in `keep` are never evicted. The server's
     /// TTL sweep passes the analysts with queued or pending requests —
     /// idleness is judged by time since the last *charge*, so a
     /// backlogged analyst waiting behind a scheduler queue is not idle
@@ -1049,22 +884,6 @@ impl Engine {
             let oldest = *cache.keys().next().expect("cache is non-empty");
             cache.remove(&oldest);
         }
-    }
-
-    /// Every analyst with an open session, in unspecified order.
-    pub fn analysts(&self) -> Vec<String> {
-        self.sessions.keys()
-    }
-
-    /// Registry sizes `(policies, datasets, point sets, sessions)` — for
-    /// monitoring and admission dashboards.
-    pub fn registry_sizes(&self) -> (usize, usize, usize, usize) {
-        (
-            self.policies.len(),
-            self.datasets.len(),
-            self.points.len(),
-            self.sessions.len(),
-        )
     }
 
     /// ε remaining in an analyst's ledger.
@@ -1616,7 +1435,7 @@ impl Engine {
     /// Resolves, validates and calibrates one plan.
     fn calibrate(&self, groups: &[Group<'_>], plan: &[usize]) -> Result<Calibrated, EngineError> {
         let request = groups[plan[0]].request;
-        let (policy_entry, policy_flight) = self.pinned_policy_entry(&request.policy)?;
+        let policy_entry = self.policy_entry(&request.policy)?;
         let class = match &request.kind {
             RequestKind::KMeans {
                 k,
@@ -1630,8 +1449,7 @@ impl Engine {
                             .into(),
                     ));
                 }
-                let (points_entry, points_flight) = self.pinned_points_entry(&request.data)?;
-                let points = points_entry.points;
+                let points = self.points_entry(&request.data)?;
                 if *k == 0 || *k > points.len() {
                     return Err(EngineError::InvalidRequest(format!(
                         "k-means needs 1 ≤ k ≤ n, got k={k} with n={}",
@@ -1659,7 +1477,6 @@ impl Engine {
                 return Ok(Calibrated {
                     source: Source::Points { points, mech },
                     fingerprint: None,
-                    _flights: (policy_flight, points_flight),
                 });
             }
             // A fold releases the cumulative histogram its ranges read.
@@ -1668,7 +1485,7 @@ impl Engine {
                 .query_class()
                 .expect("non-kmeans kinds always map to a query class"),
         };
-        let (entry, data_flight) = self.pinned_dataset_entry(&request.data)?;
+        let entry = self.dataset_entry(&request.data)?;
         for &gi in plan {
             self.validate(&groups[gi].request.kind, &policy_entry.policy, &entry)?;
         }
@@ -1678,7 +1495,6 @@ impl Engine {
         Ok(Calibrated {
             source: Source::Table { entry, sensitivity },
             fingerprint: Some(fingerprint),
-            _flights: (policy_flight, data_flight),
         })
     }
 

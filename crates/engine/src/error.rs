@@ -53,14 +53,6 @@ pub enum EngineError {
     /// parked (and durable when a store is attached). Reopen the session
     /// with the original total to reattach and continue.
     SessionEvicted(String),
-    /// Deregistration refused because releases against this object are
-    /// currently executing; retry once they drain.
-    ReleasesInFlight {
-        /// `"policy"`, `"dataset"` or `"points"`.
-        kind: &'static str,
-        /// The name whose removal was refused.
-        name: String,
-    },
     /// Re-registration after recovery presented an object whose content
     /// fingerprint differs from the durably recorded one — a swapped
     /// object must not inherit the original's spent ledgers and cached
@@ -99,9 +91,6 @@ impl fmt::Display for EngineError {
                 f,
                 "session for {n:?} was evicted; reopen with the original total to reattach"
             ),
-            EngineError::ReleasesInFlight { kind, name } => {
-                write!(f, "cannot deregister {kind} {name:?}: releases in flight")
-            }
             EngineError::RegistrationMismatch { kind, name } => write!(
                 f,
                 "{kind} {name:?} does not match the durably recorded fingerprint; \
@@ -158,11 +147,6 @@ mod tests {
         assert!(std::error::Error::source(&s).is_some());
         let e = EngineError::SessionEvicted("idle-ana".into());
         assert!(e.to_string().contains("idle-ana"));
-        let r = EngineError::ReleasesInFlight {
-            kind: "policy",
-            name: "pol".into(),
-        };
-        assert!(r.to_string().contains("policy"));
         let m = EngineError::RegistrationMismatch {
             kind: "dataset",
             name: "ds".into(),

@@ -68,11 +68,9 @@
 //!   at zero additional ε. A [`Waiter`] of a coalesced group carries
 //!   the same tag.
 //! * **Lifecycle**: idle sessions can be evicted
-//!   ([`Engine::evict_idle_sessions`]) — their ledgers park and
+//!   ([`Engine::evict_idle_sessions_except`]) — their ledgers park and
 //!   reattach on the next `open_session`, so eviction never forgets
-//!   spent budget — and registry entries can be removed
-//!   ([`Engine::deregister_policy`] et al.), refused only while
-//!   releases are in flight.
+//!   spent budget.
 //!
 //! The engine is `Send + Sync`; wrap it in an `Arc` and serve from as
 //! many threads as you like. The four registries are 16-way sharded by
@@ -502,7 +500,7 @@ mod tests {
     fn non_sparse_constrained_policies_are_refused() {
         use bf_core::{CountConstraint, Predicate};
         use bf_graph::SecretGraph;
-        let engine = Engine::new();
+        let engine = Engine::default();
         let d = Domain::line(4).unwrap();
         // Overlapping predicates: one edge lifts two queries at once.
         let c1 = CountConstraint::new(Predicate::of_values(4, &[0, 1]), 1);
@@ -815,7 +813,7 @@ mod tests {
             .unwrap();
         // Grab the live handle first so the stale-handle path is tested.
         let req = Request::range("pol", "ds", eps(0.1), 0, 5);
-        let evicted = engine.evict_idle_sessions(std::time::Duration::ZERO);
+        let evicted = engine.evict_idle_sessions_except(std::time::Duration::ZERO, &[]);
         assert_eq!(evicted, vec!["alice".to_owned()]);
         assert!(matches!(
             engine.serve("alice", &req),
@@ -840,94 +838,6 @@ mod tests {
             engine.evict_session("nobody"),
             Err(EngineError::UnknownAnalyst(_))
         ));
-    }
-
-    #[test]
-    fn deregistration_frees_names_for_different_objects() {
-        let engine = engine_with_line_policy(16, 1);
-        engine.open_session("alice", eps(10.0)).unwrap();
-        engine
-            .serve("alice", &Request::histogram("pol", "ds", eps(0.1)))
-            .unwrap();
-        // Deregister and rebind both names to different objects.
-        engine.deregister_dataset("ds").unwrap();
-        assert!(matches!(
-            engine.serve("alice", &Request::histogram("pol", "ds", eps(0.1))),
-            Err(EngineError::UnknownDataset(_))
-        ));
-        let domain = Domain::line(16).unwrap();
-        engine
-            .register_dataset(
-                "ds",
-                Dataset::from_rows(domain.clone(), vec![3, 3, 9]).unwrap(),
-            )
-            .unwrap();
-        engine.deregister_policy("pol").unwrap();
-        engine
-            .register_policy("pol", Policy::differential_privacy(domain))
-            .unwrap();
-        engine
-            .serve("alice", &Request::histogram("pol", "ds", eps(0.1)))
-            .unwrap();
-        // Unknown names are typed.
-        assert!(matches!(
-            engine.deregister_policy("nope"),
-            Err(EngineError::UnknownPolicy(_))
-        ));
-        assert!(matches!(
-            engine.deregister_dataset("nope"),
-            Err(EngineError::UnknownDataset(_))
-        ));
-        assert!(matches!(
-            engine.deregister_points("nope"),
-            Err(EngineError::UnknownPoints(_))
-        ));
-    }
-
-    #[test]
-    fn deregistration_respects_in_flight_releases() {
-        // A serving thread hammers the engine while the main thread
-        // tries to deregister: the engine must never panic or serve a
-        // half-removed object, and the deregistration must eventually
-        // succeed once releases drain.
-        let engine = Arc::new(engine_with_line_policy(64, 2));
-        engine.open_session("alice", eps(1e6)).unwrap();
-        let serving = {
-            let engine = Arc::clone(&engine);
-            std::thread::spawn(move || {
-                let mut served = 0u32;
-                for i in 0..200 {
-                    let lo = i % 32;
-                    match engine.serve(
-                        "alice",
-                        &Request::range("pol", "ds", eps(0.001), lo, lo + 16),
-                    ) {
-                        Ok(_) => served += 1,
-                        Err(EngineError::UnknownDataset(_) | EngineError::UnknownPolicy(_)) => {
-                            break
-                        }
-                        Err(e) => panic!("unexpected serve error: {e}"),
-                    }
-                }
-                served
-            })
-        };
-        // Keep trying until the entry is free of in-flight releases.
-        let mut dereg_result;
-        loop {
-            dereg_result = engine.deregister_dataset("ds");
-            match &dereg_result {
-                Ok(()) => break,
-                Err(EngineError::ReleasesInFlight { .. }) => std::thread::yield_now(),
-                Err(e) => panic!("unexpected deregister error: {e}"),
-            }
-        }
-        let served = serving.join().unwrap();
-        assert!(dereg_result.is_ok());
-        // Every successful serve charged exactly once.
-        let snap = engine.session_snapshot("alice").unwrap();
-        assert_eq!(snap.served(), u64::from(served));
-        assert!((snap.spent() - f64::from(served) * 0.001).abs() < 1e-9);
     }
 
     #[test]
@@ -964,9 +874,6 @@ mod tests {
             .register_policy("pol", Policy::distance_threshold(domain, 2))
             .unwrap();
         engine.register_dataset("ds", honest).unwrap();
-        // After deregistration the name is genuinely free again.
-        engine.deregister_dataset("ds").unwrap();
-        engine.register_dataset("ds", swapped).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

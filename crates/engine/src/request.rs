@@ -148,7 +148,7 @@ impl Request {
     }
 
     /// Ledger label, e.g. `histogram@census/adult`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         let kind = match &self.kind {
             RequestKind::Histogram => "histogram",
             RequestKind::CumulativeHistogram => "cumulative",
@@ -220,7 +220,7 @@ impl Response {
 
     /// Decodes [`Response::to_bytes`] output; `None` on any malformed,
     /// truncated or trailing-garbage input.
-    pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
         use bf_store::Reader;
         let mut r = Reader::new(bytes);
         let response = match r.u8()? {

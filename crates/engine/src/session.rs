@@ -40,7 +40,7 @@ pub struct AnalystSession {
 
 impl AnalystSession {
     /// Opens a session with a total budget.
-    pub fn new(analyst: impl Into<String>, total: Epsilon) -> Self {
+    pub(crate) fn new(analyst: impl Into<String>, total: Epsilon) -> Self {
         Self {
             analyst: analyst.into(),
             accountant: BudgetAccountant::new(total),
@@ -60,7 +60,7 @@ impl AnalystSession {
     ///
     /// [`EngineError::Core`] when the summary is malformed (negative or
     /// overspent ledgers cannot have come from a valid history).
-    pub fn restore(
+    pub(crate) fn restore(
         analyst: impl Into<String>,
         total: Epsilon,
         spent: f64,
@@ -96,11 +96,6 @@ impl AnalystSession {
         }
     }
 
-    /// The analyst's name.
-    pub fn analyst(&self) -> &str {
-        &self.analyst
-    }
-
     /// Total budget the session opened with.
     pub fn total(&self) -> Epsilon {
         self.accountant.total()
@@ -122,7 +117,7 @@ impl AnalystSession {
     }
 
     /// Requests refused for budget.
-    pub fn refused(&self) -> u64 {
+    pub(crate) fn refused(&self) -> u64 {
         self.refused
     }
 
@@ -132,12 +127,12 @@ impl AnalystSession {
     }
 
     /// Time since the last charge attempt (or since open/restore).
-    pub fn idle_for(&self) -> Duration {
+    pub(crate) fn idle_for(&self) -> Duration {
         self.last_active.elapsed()
     }
 
     /// Whether this session has been evicted (stale handles refuse).
-    pub fn is_evicted(&self) -> bool {
+    pub(crate) fn is_evicted(&self) -> bool {
         self.evicted
     }
 
@@ -161,7 +156,7 @@ impl AnalystSession {
     /// ledger is unchanged and the caller must not run the mechanism.
     /// [`EngineError::SessionEvicted`] when the session was evicted
     /// between resolution and charge; reattach and retry.
-    pub fn charge(
+    pub(crate) fn charge(
         &mut self,
         label: impl Into<String>,
         epsilon: Epsilon,
@@ -234,7 +229,6 @@ mod tests {
     #[test]
     fn accessors() {
         let s = AnalystSession::new("carol", eps(2.0));
-        assert_eq!(s.analyst(), "carol");
         assert_eq!(s.total().value(), 2.0);
         assert_eq!(s.spent(), 0.0);
         assert!(!s.is_evicted());

@@ -18,7 +18,7 @@ use std::collections::HashMap;
 use std::sync::RwLock;
 
 /// Fixed shard fan-out for every engine registry.
-pub const SHARD_COUNT: usize = 16;
+pub(crate) const SHARD_COUNT: usize = 16;
 
 /// FNV-1a over the key bytes (the workspace's one copy of the hash, in
 /// `bf-store`); stable across runs so tests can pin shard placement.
@@ -29,7 +29,7 @@ fn shard_index(key: &str) -> usize {
 /// A string-keyed concurrent map split into [`SHARD_COUNT`] independent
 /// `RwLock<HashMap>` shards.
 #[derive(Debug)]
-pub struct ShardedMap<V> {
+pub(crate) struct ShardedMap<V> {
     shards: [RwLock<HashMap<String, V>>; SHARD_COUNT],
 }
 
@@ -41,7 +41,7 @@ impl<V> Default for ShardedMap<V> {
 
 impl<V> ShardedMap<V> {
     /// An empty map.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
         }
@@ -57,7 +57,7 @@ impl<V> ShardedMap<V> {
     ///
     /// Returns the key back when it is taken (registries refuse
     /// re-registration; see `EngineError::DuplicateName`).
-    pub fn insert_if_absent(&self, key: String, value: V) -> Result<(), String> {
+    pub(crate) fn insert_if_absent(&self, key: String, value: V) -> Result<(), String> {
         let mut shard = self.shard(&key).write().expect("registry shard poisoned");
         if shard.contains_key(&key) {
             return Err(key);
@@ -69,7 +69,7 @@ impl<V> ShardedMap<V> {
     /// A clone of the value under `key`, if any. Values are cheap
     /// handles (`Arc`s or structs of `Arc`s), so cloning out keeps the
     /// shard read lock held only for the lookup itself.
-    pub fn get(&self, key: &str) -> Option<V>
+    pub(crate) fn get(&self, key: &str) -> Option<V>
     where
         V: Clone,
     {
@@ -81,11 +81,8 @@ impl<V> ShardedMap<V> {
     }
 
     /// Runs `f` on the value under `key` while the shard read lock is
-    /// held. This is the pinning primitive: a side effect of `f` (e.g.
-    /// incrementing an in-flight counter) is guaranteed to be visible to
-    /// any later [`ShardedMap::remove_if`] on the same key, because that
-    /// removal takes the same shard's write lock.
-    pub fn get_with<R>(&self, key: &str, f: impl FnOnce(&V) -> R) -> Option<R> {
+    /// held, so a lookup that reads one field clones nothing.
+    pub(crate) fn get_with<R>(&self, key: &str, f: impl FnOnce(&V) -> R) -> Option<R> {
         self.shard(key)
             .read()
             .expect("registry shard poisoned")
@@ -95,7 +92,7 @@ impl<V> ShardedMap<V> {
 
     /// Inserts `value` under `key`, replacing any previous value. Used
     /// by parking/eviction paths where replacement is the intent.
-    pub fn insert_or_replace(&self, key: String, value: V) {
+    pub(crate) fn insert_or_replace(&self, key: String, value: V) {
         self.shard(&key)
             .write()
             .expect("registry shard poisoned")
@@ -103,40 +100,15 @@ impl<V> ShardedMap<V> {
     }
 
     /// Removes and returns the value under `key`, if any.
-    pub fn remove(&self, key: &str) -> Option<V> {
+    pub(crate) fn remove(&self, key: &str) -> Option<V> {
         self.shard(key)
             .write()
             .expect("registry shard poisoned")
             .remove(key)
     }
 
-    /// Removes the value under `key` only when `pred` approves it —
-    /// checked and removed under one shard write lock, so no new value
-    /// can slip in between the check and the removal.
-    ///
-    /// # Errors
-    ///
-    /// `Err(())` when the key is present but `pred` refused (the caller
-    /// reports *why* it refused; the map cannot know).
-    pub fn remove_if(&self, key: &str, pred: impl FnOnce(&V) -> bool) -> Result<Option<V>, ()> {
-        let mut shard = self.shard(key).write().expect("registry shard poisoned");
-        match shard.get(key) {
-            None => Ok(None),
-            Some(v) if pred(v) => Ok(shard.remove(key)),
-            Some(_) => Err(()),
-        }
-    }
-
-    /// Total entries across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().expect("registry shard poisoned").len())
-            .sum()
-    }
-
     /// Every key, in unspecified order.
-    pub fn keys(&self) -> Vec<String> {
+    pub(crate) fn keys(&self) -> Vec<String> {
         self.shards
             .iter()
             .flat_map(|s| {
@@ -158,28 +130,25 @@ mod tests {
     #[test]
     fn insert_get_and_duplicate_refusal() {
         let map: ShardedMap<u32> = ShardedMap::new();
-        assert_eq!(map.len(), 0);
+        assert_eq!(map.keys().len(), 0);
         map.insert_if_absent("a".into(), 1).unwrap();
         assert_eq!(map.insert_if_absent("a".into(), 2), Err("a".to_owned()));
         assert_eq!(map.get("a"), Some(1));
         assert_eq!(map.get("b"), None);
-        assert_eq!(map.len(), 1);
+        assert_eq!(map.keys().len(), 1);
     }
 
     #[test]
-    fn remove_and_conditional_remove() {
+    fn replace_and_remove() {
         let map: ShardedMap<u32> = ShardedMap::new();
         map.insert_if_absent("a".into(), 1).unwrap();
         map.insert_or_replace("a".into(), 2);
         assert_eq!(map.get("a"), Some(2));
-        assert_eq!(map.remove_if("a", |&v| v == 99), Err(()));
-        assert_eq!(map.get("a"), Some(2), "refused removal leaves the entry");
-        assert_eq!(map.remove_if("a", |&v| v == 2), Ok(Some(2)));
-        assert_eq!(map.remove_if("a", |_| true), Ok(None));
+        assert_eq!(map.remove("a"), Some(2));
         map.insert_or_replace("b".into(), 7);
         assert_eq!(map.remove("b"), Some(7));
         assert_eq!(map.remove("b"), None);
-        assert_eq!(map.len(), 0);
+        assert_eq!(map.keys().len(), 0);
     }
 
     #[test]
@@ -188,7 +157,7 @@ mod tests {
         for i in 0..256 {
             map.insert_if_absent(format!("analyst-{i}"), i).unwrap();
         }
-        assert_eq!(map.len(), 256);
+        assert_eq!(map.keys().len(), 256);
         let mut keys = map.keys();
         keys.sort();
         assert_eq!(keys.len(), 256);
@@ -220,7 +189,7 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(map.len(), 50);
+        assert_eq!(map.keys().len(), 50);
         let mut w = winners.lock().unwrap().clone();
         w.sort_unstable();
         w.dedup();

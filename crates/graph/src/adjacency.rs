@@ -22,38 +22,8 @@ impl Graph {
         }
     }
 
-    /// The complete graph `K_n` (ordinary differential privacy's secret
-    /// graph when `n = |T|`).
-    pub fn complete(n: usize) -> Self {
-        let mut g = Self::new(n);
-        for u in 0..n {
-            for v in (u + 1)..n {
-                g.add_edge(u, v);
-            }
-        }
-        g
-    }
-
-    /// The line (path) graph `x_1 — x_2 — … — x_n` of Section 7.1.
-    pub fn line(n: usize) -> Self {
-        let mut g = Self::new(n);
-        for u in 1..n {
-            g.add_edge(u - 1, u);
-        }
-        g
-    }
-
-    /// Builds a graph from an edge list.
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Self::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v);
-        }
-        g
-    }
-
     /// Number of vertices.
-    pub fn num_vertices(&self) -> usize {
+    pub(crate) fn num_vertices(&self) -> usize {
         self.adj.len()
     }
 
@@ -73,7 +43,7 @@ impl Graph {
     }
 
     /// Whether `{u, v}` is an edge.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
+    pub(crate) fn has_edge(&self, u: usize, v: usize) -> bool {
         // Scan the smaller list.
         let (a, b) = if self.adj[u].len() <= self.adj[v].len() {
             (u, v)
@@ -84,17 +54,12 @@ impl Graph {
     }
 
     /// Neighbors of `u`.
-    pub fn neighbors(&self, u: usize) -> &[usize] {
+    pub(crate) fn neighbors(&self, u: usize) -> &[usize] {
         &self.adj[u]
     }
 
-    /// Degree of `u`.
-    pub fn degree(&self, u: usize) -> usize {
-        self.adj[u].len()
-    }
-
     /// BFS hop distances from `src`; `None` for unreachable vertices.
-    pub fn bfs_distances(&self, src: usize) -> Vec<Option<u64>> {
+    pub(crate) fn bfs_distances(&self, src: usize) -> Vec<Option<u64>> {
         let mut dist = vec![None; self.num_vertices()];
         let mut queue = VecDeque::new();
         dist[src] = Some(0);
@@ -147,16 +112,6 @@ impl Graph {
         comp
     }
 
-    /// Number of connected components.
-    pub fn num_components(&self) -> usize {
-        self.components().iter().copied().max().map_or(0, |m| m + 1)
-    }
-
-    /// Whether the graph is connected (vacuously true when empty).
-    pub fn is_connected(&self) -> bool {
-        self.num_components() <= 1
-    }
-
     /// All edges as ordered pairs `u < v`.
     pub fn edges(&self) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(self.num_edges);
@@ -176,18 +131,32 @@ impl Graph {
 mod tests {
     use super::*;
 
+    impl Graph {
+        /// Builds a graph from an edge list (a test fixture for the
+        /// whole crate).
+        pub(crate) fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+            let mut g = Self::new(n);
+            for &(u, v) in edges {
+                g.add_edge(u, v);
+            }
+            g
+        }
+    }
+
     #[test]
     fn complete_graph_counts() {
-        let g = Graph::complete(5);
+        let pairs: Vec<(usize, usize)> = (0..5)
+            .flat_map(|u| (u + 1..5).map(move |v| (u, v)))
+            .collect();
+        let g = Graph::from_edges(5, &pairs);
         assert_eq!(g.num_edges(), 10);
         assert!(g.has_edge(0, 4));
         assert_eq!(g.distance(0, 4), Some(1));
-        assert!(g.is_connected());
     }
 
     #[test]
     fn line_graph_distances() {
-        let g = Graph::line(6);
+        let g = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]);
         assert_eq!(g.num_edges(), 5);
         assert_eq!(g.distance(0, 5), Some(5));
         assert_eq!(g.distance(2, 2), Some(0));
@@ -200,7 +169,7 @@ mod tests {
         g.add_edge(1, 0);
         g.add_edge(1, 1);
         assert_eq!(g.num_edges(), 1);
-        assert_eq!(g.degree(1), 1);
+        assert_eq!(g.neighbors(1), &[0]);
     }
 
     #[test]
@@ -209,9 +178,8 @@ mod tests {
         let comp = g.components();
         assert_eq!(comp[0], comp[2]);
         assert_ne!(comp[0], comp[3]);
-        assert_eq!(g.num_components(), 3); // {0,1,2}, {3}, {4,5}
+        assert_eq!(comp.iter().max(), Some(&2)); // {0,1,2}, {3}, {4,5}
         assert_eq!(g.distance(0, 4), None);
-        assert!(!g.is_connected());
     }
 
     #[test]

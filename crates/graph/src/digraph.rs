@@ -27,15 +27,6 @@ impl DiGraph {
         }
     }
 
-    /// Builds from an arc list.
-    pub fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
-        let mut g = Self::new(n);
-        for &(u, v) in edges {
-            g.add_edge(u, v);
-        }
-        g
-    }
-
     /// Number of vertices.
     pub fn num_vertices(&self) -> usize {
         self.succ.len()
@@ -68,7 +59,7 @@ impl DiGraph {
     }
 
     /// Whether the digraph contains any directed cycle (linear time).
-    pub fn has_cycle(&self) -> bool {
+    pub(crate) fn has_cycle(&self) -> bool {
         // Kahn's algorithm: a cycle exists iff topological sort is partial.
         let n = self.num_vertices();
         let mut indeg = vec![0usize; n];
@@ -185,6 +176,17 @@ impl DiGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DiGraph {
+        /// Builds a digraph from an arc list (a test fixture).
+        fn from_edges(n: usize, edges: &[(usize, usize)]) -> Self {
+            let mut g = Self::new(n);
+            for &(u, v) in edges {
+                g.add_edge(u, v);
+            }
+            g
+        }
+    }
 
     #[test]
     fn acyclic_graph() {

@@ -128,7 +128,7 @@ impl SecretGraph {
     /// `O(|E|)` for the structured families (plus an `O(arity)` decode
     /// per vertex) and `O(|T|²)` only for `G^full`, whose edge set *is*
     /// quadratic.
-    pub fn try_for_each_edge<B, F>(&self, domain: &Domain, mut f: F) -> ControlFlow<B>
+    pub(crate) fn try_for_each_edge<B, F>(&self, domain: &Domain, mut f: F) -> ControlFlow<B>
     where
         F: FnMut(usize, usize) -> ControlFlow<B>,
     {
@@ -218,51 +218,9 @@ impl SecretGraph {
         }
     }
 
-    /// All neighbors of `x`, in ascending order.
-    pub fn neighbors_of(&self, domain: &Domain, x: usize) -> Vec<usize> {
-        let n = domain.size();
-        let mut out = match self {
-            SecretGraph::Full => (0..n).filter(|&y| y != x).collect(),
-            SecretGraph::Attribute => {
-                let strides = strides(domain);
-                let mut out = Vec::new();
-                for (a, &stride) in strides.iter().enumerate() {
-                    let v = domain.attribute_value(x, a) as usize;
-                    for w in 0..domain.attribute(a).cardinality() {
-                        if w != v {
-                            out.push(x + w * stride - v * stride);
-                        }
-                    }
-                }
-                out
-            }
-            SecretGraph::Partition(p) => (0..n).filter(|&y| y != x && p.same_block(x, y)).collect(),
-            SecretGraph::L1Threshold { theta } => {
-                let offsets = l1_offsets(domain, *theta, false);
-                let strides = strides(domain);
-                let vals: Vec<u32> = (0..domain.arity())
-                    .map(|i| domain.attribute_value(x, i))
-                    .collect();
-                offsets
-                    .iter()
-                    .filter_map(|off| apply_offset(x, &vals, off, &strides, domain))
-                    .collect()
-            }
-            SecretGraph::Custom(g) => {
-                if x < g.num_vertices() {
-                    g.neighbors(x).to_vec()
-                } else {
-                    Vec::new()
-                }
-            }
-        };
-        out.sort_unstable();
-        out
-    }
-
     /// Number of edges `|E|`: closed-form where the family allows it,
     /// an `O(|T| · |B_θ|)` boundary-aware count for `G^{L1,θ}`.
-    pub fn edge_count(&self, domain: &Domain) -> u64 {
+    pub(crate) fn edge_count(&self, domain: &Domain) -> u64 {
         let n = domain.size() as u64;
         match self {
             SecretGraph::Full => n * n.saturating_sub(1) / 2,
@@ -288,7 +246,7 @@ impl SecretGraph {
         }
     }
 
-    /// Like [`SecretGraph::edge_count`], but stops enumerating once the
+    /// Like `SecretGraph::edge_count`, but stops enumerating once the
     /// count exceeds `cap`, returning `min(|E|, cap + 1)`. A result
     /// `> cap` therefore means "over budget" without paying for the full
     /// enumeration — this is what lets `check_sparse`-style budget
@@ -310,43 +268,6 @@ impl SecretGraph {
                 count
             }
             _ => self.edge_count(domain).min(cap.saturating_add(1)),
-        }
-    }
-
-    /// Largest vertex degree, `max_x |N(x)|`.
-    pub fn max_degree(&self, domain: &Domain) -> usize {
-        let n = domain.size();
-        match self {
-            SecretGraph::Full => n.saturating_sub(1),
-            SecretGraph::Attribute => domain.attributes().iter().map(|a| a.diameter()).sum(),
-            SecretGraph::Partition(p) => p
-                .block_sizes()
-                .iter()
-                .map(|&b| b.saturating_sub(1))
-                .max()
-                .unwrap_or(0),
-            SecretGraph::L1Threshold { theta } => {
-                let offsets = l1_offsets(domain, *theta, false);
-                let strides = strides(domain);
-                let m = domain.arity();
-                let mut vals = vec![0u32; m];
-                let mut best = 0usize;
-                for x in 0..n {
-                    for (i, v) in vals.iter_mut().enumerate() {
-                        *v = domain.attribute_value(x, i);
-                    }
-                    let deg = offsets
-                        .iter()
-                        .filter(|off| apply_offset(x, &vals, off, &strides, domain).is_some())
-                        .count();
-                    best = best.max(deg);
-                }
-                best
-            }
-            SecretGraph::Custom(g) => (0..g.num_vertices())
-                .map(|u| g.degree(u))
-                .max()
-                .unwrap_or(0),
         }
     }
 }
@@ -391,17 +312,6 @@ mod tests {
         );
         assert_eq!(enumerated, reference, "{}", graph.label());
         assert_eq!(graph.edge_count(domain), reference.len() as u64);
-        let mut max_deg = 0usize;
-        for x in domain.indices() {
-            let nbrs = graph.neighbors_of(domain, x);
-            let want: Vec<usize> = domain
-                .indices()
-                .filter(|&y| graph.is_edge(domain, x, y))
-                .collect();
-            assert_eq!(nbrs, want, "{}: neighbors of {x}", graph.label());
-            max_deg = max_deg.max(want.len());
-        }
-        assert_eq!(graph.max_degree(domain), max_deg, "{}", graph.label());
     }
 
     #[test]
@@ -482,8 +392,6 @@ mod tests {
         edges.sort_unstable();
         assert_eq!(edges, vec![(0, 4), (1, 3), (2, 3)]);
         assert_eq!(g.edge_count(&d), 3);
-        assert_eq!(g.max_degree(&d), 2);
-        assert_eq!(g.neighbors_of(&d, 3), vec![1, 2]);
     }
 
     #[test]

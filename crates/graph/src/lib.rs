@@ -21,10 +21,9 @@
 //!
 //! The [`enumerate`] module adds **structure-aware edge enumeration** on
 //! top of the implicit families — `for_each_edge`, `find_edge`,
-//! `neighbors_of`, `edge_count`, `max_degree` — visiting the `O(|E|)`
-//! actual edges instead of scanning all `Θ(|T|²)` candidate pairs, which
-//! is what lets sensitivity closed forms and sparsity checks run on
-//! 64K-cell domains in microseconds.
+//! `edge_count` — visiting the `O(|E|)` actual edges instead of scanning
+//! all `Θ(|T|²)` candidate pairs, which is what lets sensitivity closed
+//! forms and sparsity checks run on 64K-cell domains in microseconds.
 
 pub mod adjacency;
 pub mod digraph;

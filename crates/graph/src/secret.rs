@@ -111,17 +111,6 @@ impl SecretGraph {
         }
     }
 
-    /// Whether every pair of domain values is connected (finite
-    /// distinguishability for all pairs).
-    pub fn is_connected(&self, domain: &Domain) -> bool {
-        match self {
-            SecretGraph::Full | SecretGraph::Attribute => true,
-            SecretGraph::L1Threshold { .. } => true,
-            SecretGraph::Partition(p) => p.num_blocks() == 1 || domain.size() <= 1,
-            SecretGraph::Custom(g) => g.is_connected(),
-        }
-    }
-
     /// Largest L1 length (ordinal embedding) of any single edge:
     /// `max_{(x,y)∈E} ||x − y||₁`. This drives the Blowfish sensitivity of
     /// `q_sum` (Lemma 6.1) and, on a one-attribute domain — where an
@@ -225,7 +214,6 @@ mod tests {
         assert!(g.is_edge(&d, 0, 2));
         assert!(!g.is_edge(&d, 2, 3));
         assert_eq!(g.distance(&d, 2, 3), None);
-        assert!(!g.is_connected(&d));
         assert_eq!(g.max_edge_l1(&d), 2);
     }
 
@@ -237,7 +225,6 @@ mod tests {
         assert!(!g.is_edge(&d, 0, 11));
         assert_eq!(g.distance(&d, 0, 95), Some(10)); // ceil(95/10)
         assert_eq!(g.max_edge_l1(&d), 10);
-        assert!(g.is_connected(&d));
     }
 
     #[test]
@@ -304,7 +291,6 @@ mod tests {
         let g = SecretGraph::Custom(Graph::from_edges(4, &[(0, 1), (2, 3)]));
         assert_eq!(g.distance(&d, 0, 1), Some(1));
         assert_eq!(g.distance(&d, 0, 3), None);
-        assert!(!g.is_connected(&d));
         assert_eq!(g.max_edge_l1(&d), 1);
     }
 }

@@ -5,9 +5,8 @@
 //! `[x_1, x_|T|]`, each node splits its interval into `f` children, leaves
 //! are unit intervals. Every level is a partition of the domain, so each
 //! level has histogram sensitivity 2; with the per-level budgets summing
-//! to ε, each node at level `i` is released with `Lap(2/ε_i)` noise. The
-//! paper evaluates uniform budgeting (`ε_i = ε/h`); geometric budgeting
-//! (\[5\]) is provided as an ablation.
+//! to ε, each node at level `i` is released with `Lap(2/ε_i)` noise.
+//! Budgeting is uniform (`ε_i = ε/h`), as in the paper's experiments.
 //!
 //! Optional *consistency* (constrained inference) refines the noisy tree:
 //! a bottom-up inverse-variance weighted pass followed by a top-down
@@ -17,16 +16,6 @@
 
 use bf_core::{sample_laplace, Epsilon};
 use rand::Rng;
-
-/// How the per-level privacy budget is assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BudgetSplit {
-    /// `ε_i = ε / h` on every level (the paper's experiments).
-    Uniform,
-    /// Geometric budgeting (\[5\]): `ε_i ∝ (f^{1/3})^{level}` growing toward
-    /// the leaves, which equalizes a different error trade-off.
-    Geometric,
-}
 
 /// One node of the interval tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,7 +34,6 @@ struct Node {
 pub struct IntervalTree {
     nodes: Vec<Node>,
     size: usize,
-    fanout: usize,
     /// Number of levels (root level included); `ceil(log_f size) + 1`.
     levels: usize,
 }
@@ -97,30 +85,14 @@ impl IntervalTree {
         Self {
             nodes,
             size,
-            fanout,
             levels,
         }
     }
 
-    /// Number of domain values covered.
-    pub fn size(&self) -> usize {
-        self.size
-    }
-
-    /// The fanout `f`.
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
     /// Number of levels including the root; the height `h` of the paper is
     /// `levels − 1` (edges), with `levels = 1` for a single-leaf tree.
-    pub fn levels(&self) -> usize {
+    pub(crate) fn levels(&self) -> usize {
         self.levels
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
     }
 
     /// Exact node counts for a histogram.
@@ -137,29 +109,12 @@ impl IntervalTree {
             .collect()
     }
 
-    /// Per-node Laplace noise scale under a total budget ε and a split
-    /// policy. Level sensitivity is 2 (one tuple change moves one unit of
-    /// count between two nodes of the level... or within one, changing it
-    /// by at most 2 in L1).
-    pub fn noise_scales(&self, epsilon: Epsilon, split: BudgetSplit) -> Vec<f64> {
-        let h = self.levels as f64;
-        let per_level_eps: Vec<f64> = match split {
-            BudgetSplit::Uniform => vec![epsilon.value() / h; self.levels],
-            BudgetSplit::Geometric => {
-                // ε_i ∝ r^i with r = f^{1/3}, i = depth (root 0).
-                let r = (self.fanout as f64).powf(1.0 / 3.0);
-                let weights: Vec<f64> = (0..self.levels).map(|i| r.powi(i as i32)).collect();
-                let total: f64 = weights.iter().sum();
-                weights
-                    .iter()
-                    .map(|w| epsilon.value() * w / total)
-                    .collect()
-            }
-        };
-        self.nodes
-            .iter()
-            .map(|n| 2.0 / per_level_eps[n.depth])
-            .collect()
+    /// Every node's Laplace noise scale under a total budget ε split
+    /// uniformly over the levels. Level sensitivity is 2 (one tuple change
+    /// moves one unit of count between two nodes of the level... or within
+    /// one, changing it by at most 2 in L1).
+    pub(crate) fn noise_scale(&self, epsilon: Epsilon) -> f64 {
+        2.0 / (epsilon.value() / self.levels as f64)
     }
 
     /// Decomposes `[lo, hi]` (inclusive) into a minimal set of node ids
@@ -186,7 +141,7 @@ impl IntervalTree {
     /// inverse-variance weighted bottom-up refinement and top-down
     /// discrepancy distribution. `variances[i]` is the noise variance of
     /// node `i` (2·scale²).
-    pub fn enforce_consistency(&self, values: &mut [f64], variances: &[f64]) {
+    pub(crate) fn enforce_consistency(&self, values: &mut [f64], variances: &[f64]) {
         assert_eq!(values.len(), self.nodes.len());
         assert_eq!(variances.len(), self.nodes.len());
         let n = self.nodes.len();
@@ -237,20 +192,6 @@ impl IntervalTree {
             }
         }
     }
-
-    /// Leaf node ids in domain order.
-    pub fn leaves(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = (0..self.nodes.len())
-            .filter(|&i| self.nodes[i].children.is_empty())
-            .collect();
-        out.sort_by_key(|&i| self.nodes[i].lo);
-        out
-    }
-
-    /// Interval `[lo, hi]` of a node.
-    pub fn interval(&self, id: usize) -> (usize, usize) {
-        (self.nodes[id].lo, self.nodes[id].hi)
-    }
 }
 
 /// The hierarchical mechanism: configuration for releasing a noisy tree.
@@ -260,8 +201,6 @@ pub struct HierarchicalMechanism {
     pub fanout: usize,
     /// Total privacy budget.
     pub epsilon: Epsilon,
-    /// Budget split across levels.
-    pub split: BudgetSplit,
     /// Whether to run constrained inference after noising.
     pub consistency: bool,
 }
@@ -272,7 +211,6 @@ impl HierarchicalMechanism {
         Self {
             fanout,
             epsilon,
-            split: BudgetSplit::Uniform,
             consistency: false,
         }
     }
@@ -283,42 +221,19 @@ impl HierarchicalMechanism {
         self
     }
 
-    /// Uses geometric budgeting.
-    pub fn with_geometric_budget(mut self) -> Self {
-        self.split = BudgetSplit::Geometric;
-        self
-    }
-
     /// Releases a noisy tree over the histogram.
     pub fn release(&self, histogram: &[f64], rng: &mut impl Rng) -> HierarchicalRelease {
         let tree = IntervalTree::build(histogram.len(), self.fanout);
         let mut values = tree.exact_counts(histogram);
-        let scales = tree.noise_scales(self.epsilon, self.split);
-        for (v, &s) in values.iter_mut().zip(&scales) {
-            *v += sample_laplace(rng, s);
+        let scale = tree.noise_scale(self.epsilon);
+        for v in values.iter_mut() {
+            *v += sample_laplace(rng, scale);
         }
         if self.consistency {
-            let variances: Vec<f64> = scales.iter().map(|&s| 2.0 * s * s).collect();
+            let variances = vec![2.0 * scale * scale; values.len()];
             tree.enforce_consistency(&mut values, &variances);
         }
-        let node_variances: Vec<f64> = scales.iter().map(|&s| 2.0 * s * s).collect();
-        HierarchicalRelease {
-            tree,
-            values,
-            node_variances,
-        }
-    }
-
-    /// Analytic expected squared error of answering a worst-case range
-    /// query without consistency: `(#levels)·nodes-per-level × 2·scale²`,
-    /// approximated as `2(f−1)·h · 2·(2h/ε)²` for uniform budgeting. Used
-    /// for sanity checks and budget planning, not for the figures.
-    pub fn rough_range_error(&self, domain_size: usize) -> f64 {
-        let tree = IntervalTree::build(domain_size, self.fanout);
-        let h = tree.levels() as f64;
-        let scale = 2.0 * h / self.epsilon.value();
-        // A range decomposes into ≤ 2(f−1) nodes per level.
-        2.0 * (self.fanout as f64 - 1.0) * h * 2.0 * scale * scale
+        HierarchicalRelease { tree, values }
     }
 }
 
@@ -327,46 +242,16 @@ impl HierarchicalMechanism {
 pub struct HierarchicalRelease {
     tree: IntervalTree,
     values: Vec<f64>,
-    node_variances: Vec<f64>,
 }
 
 impl HierarchicalRelease {
     /// Noisy answer to the range count `q[lo, hi]` (inclusive).
-    pub fn range(&self, lo: usize, hi: usize) -> f64 {
+    pub(crate) fn range(&self, lo: usize, hi: usize) -> f64 {
         self.tree
             .decompose(lo, hi)
             .into_iter()
             .map(|id| self.values[id])
             .sum()
-    }
-
-    /// Variance of the answer to `q[lo, hi]` (without consistency; after
-    /// consistency this is an upper bound).
-    pub fn range_variance(&self, lo: usize, hi: usize) -> f64 {
-        self.tree
-            .decompose(lo, hi)
-            .into_iter()
-            .map(|id| self.node_variances[id])
-            .sum()
-    }
-
-    /// The underlying tree.
-    pub fn tree(&self) -> &IntervalTree {
-        &self.tree
-    }
-
-    /// Noisy node values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Reconstructs a per-value histogram from the leaves.
-    pub fn leaf_histogram(&self) -> Vec<f64> {
-        self.tree
-            .leaves()
-            .into_iter()
-            .map(|id| self.values[id])
-            .collect()
     }
 }
 
@@ -376,14 +261,23 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Leaf node ids in domain order.
+    fn leaves(t: &IntervalTree) -> Vec<usize> {
+        let mut out: Vec<usize> = (0..t.nodes.len())
+            .filter(|&i| t.nodes[i].children.is_empty())
+            .collect();
+        out.sort_by_key(|&i| t.nodes[i].lo);
+        out
+    }
+
     #[test]
     fn tree_structure_covers_domain() {
         let t = IntervalTree::build(10, 3);
-        assert_eq!(t.size(), 10);
-        let leaves = t.leaves();
+        assert_eq!(t.size, 10);
+        let leaves = leaves(&t);
         assert_eq!(leaves.len(), 10);
         for (i, &l) in leaves.iter().enumerate() {
-            assert_eq!(t.interval(l), (i, i));
+            assert_eq!((t.nodes[l].lo, t.nodes[l].hi), (i, i));
         }
     }
 
@@ -402,7 +296,7 @@ mod tests {
         let counts = t.exact_counts(&h);
         assert_eq!(counts[0], 28.0); // root = total
                                      // Parent = sum of children everywhere.
-        for id in 0..t.num_nodes() {
+        for id in 0..t.nodes.len() {
             let n = &t.nodes[id];
             if !n.children.is_empty() {
                 let cs: f64 = n.children.iter().map(|&c| counts[c]).sum();
@@ -425,7 +319,7 @@ mod tests {
                 // Cover must be disjoint and within the range.
                 let mut covered = [false; 20];
                 for &id in &ids {
-                    let (a, b) = t.interval(id);
+                    let (a, b) = (t.nodes[id].lo, t.nodes[id].hi);
                     assert!(lo <= a && b <= hi);
                     for c in covered.iter_mut().take(b + 1).skip(a) {
                         assert!(!*c, "overlapping cover");
@@ -452,19 +346,8 @@ mod tests {
     #[test]
     fn uniform_scales() {
         let t = IntervalTree::build(16, 4);
-        let scales = t.noise_scales(Epsilon::new(1.0).unwrap(), BudgetSplit::Uniform);
         // levels = 3 → per-level ε = 1/3 → scale 6 everywhere.
-        assert!(scales.iter().all(|&s| (s - 6.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn geometric_scales_decrease_toward_leaves() {
-        let t = IntervalTree::build(64, 4);
-        let scales = t.noise_scales(Epsilon::new(1.0).unwrap(), BudgetSplit::Geometric);
-        // Root (depth 0) gets the least budget → largest scale.
-        let root_scale = scales[0];
-        let leaf_scale = scales[*t.leaves().first().unwrap()];
-        assert!(root_scale > leaf_scale);
+        assert!((t.noise_scale(Epsilon::new(1.0).unwrap()) - 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -476,9 +359,9 @@ mod tests {
         for (i, v) in values.iter_mut().enumerate() {
             *v += ((i * 7919) % 13) as f64 - 6.0;
         }
-        let variances = vec![2.0; t.num_nodes()];
+        let variances = vec![2.0; t.nodes.len()];
         t.enforce_consistency(&mut values, &variances);
-        for id in 0..t.num_nodes() {
+        for id in 0..t.nodes.len() {
             let n = &t.nodes[id];
             if !n.children.is_empty() {
                 let cs: f64 = n.children.iter().map(|&c| values[c]).sum();
@@ -500,7 +383,10 @@ mod tests {
         for _ in 0..trials {
             let rp = plain.release(&h, &mut rng);
             let rb = boosted.release(&h, &mut rng);
-            let (lp_hist, lb_hist) = (rp.leaf_histogram(), rb.leaf_histogram());
+            let leaf_values = |r: &HierarchicalRelease| -> Vec<f64> {
+                leaves(&r.tree).iter().map(|&id| r.values[id]).collect()
+            };
+            let (lp_hist, lb_hist) = (leaf_values(&rp), leaf_values(&rb));
             for ((&lp, &lb), &truth) in lp_hist.iter().zip(&lb_hist).zip(&h) {
                 err_plain += (lp - truth) * (lp - truth);
                 err_boost += (lb - truth) * (lb - truth);
@@ -527,14 +413,5 @@ mod tests {
         let mean = acc / trials as f64;
         let truth = 18.0 * 5.0;
         assert!((mean - truth).abs() < 2.0, "mean {mean} vs {truth}");
-    }
-
-    #[test]
-    fn range_variance_positive() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let m = HierarchicalMechanism::new(2, Epsilon::new(1.0).unwrap());
-        let r = m.release(&[1.0; 16], &mut rng);
-        assert!(r.range_variance(0, 7) > 0.0);
-        assert!(m.rough_range_error(16) > 0.0);
     }
 }

@@ -50,36 +50,11 @@ impl HistogramMechanism {
         self.mechanism.scale()
     }
 
-    /// Expected mean squared error per cell, `2·scale²` (the paper's
-    /// `8/ε²` per cell at sensitivity 2).
-    pub fn per_cell_error(&self) -> f64 {
-        self.mechanism.per_component_error()
-    }
-
     /// Releases the noisy complete histogram.
     pub fn release(&self, dataset: &Dataset, rng: &mut impl Rng) -> Histogram {
         let mut h = dataset.histogram();
         self.mechanism.release_in_place(h.counts_mut(), rng);
         h
-    }
-
-    /// Releases after verifying the dataset actually satisfies the
-    /// policy's public constraints — with constraints, the Blowfish
-    /// guarantee is only defined over `I_Q`, so a violating dataset means
-    /// the published constraint answers were wrong and the calibrated
-    /// sensitivity does not apply.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::ConstraintViolated`] naming the failing constraint.
-    pub fn release_checked(
-        &self,
-        policy: &Policy,
-        dataset: &Dataset,
-        rng: &mut impl Rng,
-    ) -> Result<Histogram, CoreError> {
-        policy.check_constraints(dataset)?;
-        Ok(self.release(dataset, rng))
     }
 
     /// Releases noisy counts for an arbitrary pre-computed histogram
@@ -99,15 +74,6 @@ mod tests {
     fn dataset() -> Dataset {
         let d = Domain::line(8).unwrap();
         Dataset::from_rows(d, vec![0, 0, 1, 5, 7, 7, 7]).unwrap()
-    }
-
-    #[test]
-    fn per_cell_error_matches_paper_formula() {
-        let p = Policy::differential_privacy(Domain::line(8).unwrap());
-        let eps = Epsilon::new(0.5).unwrap();
-        let m = HistogramMechanism::for_policy(&p, eps).unwrap();
-        // 2 * (2 / 0.5)^2 = 32 = 8/eps^2.
-        assert!((m.per_cell_error() - 8.0 / 0.25).abs() < 1e-12);
     }
 
     #[test]
@@ -145,28 +111,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let h = m.release(&ds, &mut rng);
         assert_eq!(h, ds.histogram());
-    }
-
-    #[test]
-    fn release_checked_rejects_constraint_violations() {
-        use bf_core::{CountConstraint, Predicate};
-        use bf_graph::SecretGraph;
-        let d = Domain::line(4).unwrap();
-        let ds = Dataset::from_rows(d.clone(), vec![0, 1]).unwrap();
-        let c = CountConstraint::new(Predicate::of_values(4, &[0]), 5); // wrong answer
-        let policy = Policy::with_constraints(d, SecretGraph::Full, vec![c]).unwrap();
-        let m = HistogramMechanism::with_sensitivity(Epsilon::new(1.0).unwrap(), 4.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        assert!(matches!(
-            m.release_checked(&policy, &ds, &mut rng),
-            Err(bf_core::CoreError::ConstraintViolated { constraint: 0 })
-        ));
-        // And passes when the constraint holds.
-        let c_ok = CountConstraint::observed(Predicate::of_values(4, &[0]), &ds);
-        let policy_ok =
-            Policy::with_constraints(Domain::line(4).unwrap(), SecretGraph::Full, vec![c_ok])
-                .unwrap();
-        assert!(m.release_checked(&policy_ok, &ds, &mut rng).is_ok());
     }
 
     #[test]

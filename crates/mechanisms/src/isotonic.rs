@@ -264,7 +264,7 @@ fn for_each_survivor(values: &[f64], s: &[f64], anchors: &[usize], mut keep: imp
 /// Projects onto non-decreasing sequences with a lower bound of zero on
 /// the first element (the paper's `s_1 > 0` refinement, which forces all
 /// recovered counts non-negative).
-pub fn isotonic_regression_nonneg(values: &[f64]) -> Vec<f64> {
+pub(crate) fn isotonic_regression_nonneg(values: &[f64]) -> Vec<f64> {
     let mut out = isotonic_regression(values);
     for v in &mut out {
         if *v < 0.0 {

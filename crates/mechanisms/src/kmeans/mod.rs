@@ -32,7 +32,7 @@ use rand::seq::index::sample;
 use rand::Rng;
 
 /// Index of the nearest centroid to a point (L2).
-pub fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> usize {
+pub(crate) fn nearest_centroid(point: &[f64], centroids: &[Vec<f64>]) -> usize {
     let mut best = 0;
     let mut best_d = f64::INFINITY;
     for (j, c) in centroids.iter().enumerate() {

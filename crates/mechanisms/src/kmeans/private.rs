@@ -2,7 +2,7 @@
 //! policy via [`KmeansSecretSpec`].
 
 use super::sensitivity::KmeansSecretSpec;
-use super::{accumulate, flatten, objective};
+use super::{accumulate, flatten};
 use bf_core::{sample_laplace, Epsilon};
 use bf_domain::PointSet;
 use rand::Rng;
@@ -101,39 +101,31 @@ impl PrivateKmeans {
         }
         centroids.chunks_exact(dim).map(<[f64]>::to_vec).collect()
     }
-
-    /// Convenience: runs the mechanism and reports the objective ratio
-    /// against a non-private Lloyd run from the same initialization — the
-    /// quantity plotted in Figure 1.
-    pub fn objective_ratio(
-        &self,
-        points: &PointSet,
-        initial: &[Vec<f64>],
-        rng: &mut impl Rng,
-    ) -> f64 {
-        let private = self.run(points, initial, rng);
-        let baseline = super::lloyd::lloyd_kmeans(points, initial, self.iterations);
-        let obj_p = objective(points, &private);
-        let obj_b = objective(points, &baseline);
-        if obj_b == 0.0 {
-            if obj_p == 0.0 {
-                1.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            obj_p / obj_b
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kmeans::init_random;
+    use crate::kmeans::{init_random, objective};
     use bf_domain::BoundingBox;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl PrivateKmeans {
+        /// Runs the mechanism and reports the objective ratio against a
+        /// non-private Lloyd run from the same initialization — the
+        /// quantity plotted in Figure 1.
+        fn objective_ratio(
+            &self,
+            points: &PointSet,
+            initial: &[Vec<f64>],
+            rng: &mut impl Rng,
+        ) -> f64 {
+            let private = self.run(points, initial, rng);
+            let baseline = crate::kmeans::lloyd::lloyd_kmeans(points, initial, self.iterations);
+            objective(points, &private) / objective(points, &baseline)
+        }
+    }
 
     fn blobs(n_per: usize, rng: &mut impl Rng) -> PointSet {
         let centers = [[2.0, 2.0], [8.0, 8.0], [2.0, 8.0], [8.0, 2.0]];
@@ -195,15 +187,5 @@ mod tests {
             ratio_tight < ratio_full,
             "tight {ratio_tight} should beat full {ratio_full}"
         );
-    }
-
-    #[test]
-    fn ratio_handles_zero_baseline() {
-        // Single point: Lloyd objective is 0; private ratio is defined.
-        let pts = PointSet::new(vec![vec![5.0]], BoundingBox::new(vec![0.0], vec![10.0]));
-        let mut rng = StdRng::seed_from_u64(11);
-        let m = PrivateKmeans::new(1, 2, Epsilon::new(10.0).unwrap(), KmeansSecretSpec::Exact);
-        let r = m.objective_ratio(&pts, &[vec![5.0]], &mut rng);
-        assert_eq!(r, 1.0);
     }
 }

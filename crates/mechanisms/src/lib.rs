@@ -12,9 +12,8 @@
 //!   the least-squares projection onto the ordering constraint used by
 //!   constrained inference (Hay et al.),
 //! * [`hierarchical`] — the fanout-`f` hierarchical interval tree
-//!   (Hay et al. \[9\]) with uniform or geometric budgeting and optional
-//!   consistency, the paper's differential-privacy baseline for range
-//!   queries,
+//!   (Hay et al. \[9\]) with uniform budgeting and optional consistency,
+//!   the paper's differential-privacy baseline for range queries,
 //! * [`ordered`] — the Ordered Mechanism of Section 7.1: noisy prefix sums
 //!   with sensitivity `θ` under `G^{L1,θ}` plus ordering-constrained
 //!   inference; range-query error `≤ 4/ε²` independent of `|T|` for the
@@ -24,7 +23,6 @@
 //! * [`range_workload`] — random range-query workloads and mean-squared
 //!   error evaluation (the measurements behind Figure 2).
 
-pub mod cdf_applications;
 pub mod hierarchical;
 pub mod histogram;
 pub mod isotonic;
@@ -34,11 +32,10 @@ pub mod ordered_hierarchical;
 pub mod range_workload;
 pub mod wavelet;
 
-pub use cdf_applications::{build_kdtree, equi_depth_cuts, equi_depth_histogram, KdNode};
-pub use hierarchical::{BudgetSplit, HierarchicalMechanism, HierarchicalRelease};
+pub use hierarchical::HierarchicalMechanism;
 pub use histogram::HistogramMechanism;
 pub use isotonic::isotonic_regression;
 pub use ordered::{OrderedMechanism, OrderedRelease};
-pub use ordered_hierarchical::{OrderedHierarchicalMechanism, OrderedHierarchicalRelease};
-pub use range_workload::{evaluate_range_mse, random_ranges, RangeAnswerer};
-pub use wavelet::{WaveletMechanism, WaveletRelease};
+pub use ordered_hierarchical::OrderedHierarchicalMechanism;
+pub use range_workload::RangeAnswerer;
+pub use wavelet::WaveletMechanism;

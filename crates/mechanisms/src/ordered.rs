@@ -37,7 +37,7 @@ use rand::Rng;
 /// let noisy = release.range(1, 2);
 /// assert!(noisy.is_finite());
 /// // Theorem 7.1: error ≤ 4/ε² regardless of the domain size.
-/// assert_eq!(mech.range_error_bound(), 16.0);
+/// assert_eq!(4.0 * mech.scale() * mech.scale(), 16.0);
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct OrderedMechanism {
@@ -102,13 +102,6 @@ impl OrderedMechanism {
         self.sensitivity / self.epsilon.value()
     }
 
-    /// Upper bound on the expected squared error of one range query
-    /// *without* inference: `2 · 2(θ/ε)²` (Theorem 7.1 gives `4/ε²` at
-    /// θ = 1; inference only improves this).
-    pub fn range_error_bound(&self) -> f64 {
-        4.0 * self.scale() * self.scale()
-    }
-
     /// Releases noisy (and, by default, boosted) prefix sums.
     ///
     /// # Errors
@@ -145,11 +138,6 @@ pub struct OrderedRelease {
 }
 
 impl OrderedRelease {
-    /// Wraps a pre-computed noisy prefix vector.
-    pub fn from_prefix(prefix: Vec<f64>) -> Self {
-        Self { prefix }
-    }
-
     /// Noisy prefix count `s̃_{i+1}` (0-based index `i`).
     pub fn prefix(&self, i: usize) -> f64 {
         self.prefix[i]
@@ -165,30 +153,11 @@ impl OrderedRelease {
         self.prefix
     }
 
-    /// Answers many linear queries `Σ_x w(x)·c̃(x)` against the
-    /// reconstructed noisy histogram, reusing one reconstruction pass.
-    pub fn answer_linear(&self, weight_rows: &[Vec<f64>]) -> Vec<f64> {
-        let hist = self.histogram();
-        weight_rows
-            .iter()
-            .map(|w| {
-                assert_eq!(w.len(), hist.len(), "weights must cover the domain");
-                w.iter().zip(&hist).map(|(a, b)| a * b).sum()
-            })
-            .collect()
-    }
-
     /// Noisy range count `q[lo, hi] = s̃_hi − s̃_{lo−1}` (inclusive).
     pub fn range(&self, lo: usize, hi: usize) -> f64 {
         let upper = self.prefix[hi];
         let lower = if lo == 0 { 0.0 } else { self.prefix[lo - 1] };
         upper - lower
-    }
-
-    /// Noisy CDF (divide by public `n`).
-    pub fn cdf(&self, n: f64) -> Vec<f64> {
-        assert!(n > 0.0);
-        self.prefix.iter().map(|&s| s / n).collect()
     }
 
     /// Noisy quantile: smallest index whose prefix reaches `q·n`.
@@ -199,17 +168,6 @@ impl OrderedRelease {
             .iter()
             .position(|&s| s >= target)
             .unwrap_or(self.prefix.len().saturating_sub(1))
-    }
-
-    /// Reconstructed per-value histogram (differences of prefix counts).
-    pub fn histogram(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.prefix.len());
-        let mut prev = 0.0;
-        for &s in &self.prefix {
-            out.push(s - prev);
-            prev = s;
-        }
-        out
     }
 }
 
@@ -243,8 +201,8 @@ mod tests {
         let m = OrderedMechanism::line_graph(Epsilon::new(0.05).unwrap()).with_nonnegativity();
         let r = m.release(&sparse_cumulative(32), &mut rng).unwrap();
         assert!(r.prefixes().iter().all(|&s| s >= 0.0));
-        let h = r.histogram();
-        assert!(h.iter().all(|&c| c >= -1e-9));
+        // Non-decreasing and non-negative: every reconstructed count is too.
+        assert!((0..32).all(|i| r.range(i, i) >= -1e-9));
     }
 
     #[test]
@@ -335,11 +293,13 @@ mod tests {
             err_with <= 0.8 * err_without,
             "prefix error with inference {err_with} vs raw {err_without}"
         );
+        // Without inference one range costs two noisy prefixes,
+        // `2 · 2(θ/ε)²`; inference only improves on that.
         let range_mse = range_se / (trials * ranges) as f64;
+        let bound = 4.0 * with.scale() * with.scale();
         assert!(
-            range_mse < with.range_error_bound(),
-            "range MSE {range_mse} over the 4/ε² bound {}",
-            with.range_error_bound()
+            range_mse < bound,
+            "range MSE {range_mse} over the 4/ε² bound {bound}"
         );
     }
 
@@ -350,7 +310,6 @@ mod tests {
         let m = OrderedMechanism::for_policy(&p, Epsilon::new(1.0).unwrap());
         assert_eq!(m.sensitivity, 7.0);
         assert_eq!(m.scale(), 7.0);
-        assert_eq!(m.range_error_bound(), 4.0 * 49.0);
     }
 
     #[test]
@@ -364,21 +323,15 @@ mod tests {
         for (i, &(lo, hi)) in ranges.iter().enumerate() {
             assert_eq!(batch[i], r.range(lo, hi));
         }
-        // All-ones weights: the linear query is the total count, i.e. the
-        // last prefix.
-        let weights = vec![vec![1.0; 64], (0..64).map(|i| i as f64).collect()];
-        let lin = r.answer_linear(&weights);
-        assert!((lin[0] - r.prefix(63)).abs() < 1e-9);
-        assert!(lin[1].is_finite());
     }
 
     #[test]
-    fn quantiles_and_cdf() {
-        let r = OrderedRelease::from_prefix(vec![10.0, 10.0, 50.0, 100.0]);
+    fn quantiles_and_ranges() {
+        let r = OrderedRelease {
+            prefix: vec![10.0, 10.0, 50.0, 100.0],
+        };
         assert_eq!(r.quantile(0.5, 100.0), 2);
         assert_eq!(r.quantile(0.05, 100.0), 0);
-        let cdf = r.cdf(100.0);
-        assert!((cdf[3] - 1.0).abs() < 1e-12);
         assert_eq!(r.range(2, 3), 90.0);
         assert_eq!(r.range(0, 0), 10.0);
     }

@@ -21,7 +21,7 @@
 //! `c₂ = 8(f−1)·log_f³θ·|T|/(|T|+1)`, minimized at
 //! `ε_S* = c₁^⅓/(c₁^⅓ + c₂^⅓)·ε` (Eq. 15).
 
-use crate::hierarchical::{BudgetSplit, HierarchicalMechanism, HierarchicalRelease, IntervalTree};
+use crate::hierarchical::{HierarchicalMechanism, HierarchicalRelease, IntervalTree};
 use bf_core::{sample_laplace, Epsilon};
 use rand::Rng;
 
@@ -76,7 +76,7 @@ pub fn expected_range_error(
 ///
 /// ```
 /// use bf_core::Epsilon;
-/// use bf_mechanisms::OrderedHierarchicalMechanism;
+/// use bf_mechanisms::{OrderedHierarchicalMechanism, RangeAnswerer};
 /// use rand::rngs::StdRng;
 /// use rand::SeedableRng;
 ///
@@ -84,8 +84,7 @@ pub fn expected_range_error(
 /// let mech = OrderedHierarchicalMechanism::new(Epsilon::new(0.5).unwrap(), 16, 4);
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let release = mech.release(&counts, &mut rng);
-/// assert_eq!(release.regime(), "hybrid");
-/// assert!(release.range(10, 200).is_finite());
+/// assert!(release.answer(10, 200).is_finite());
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct OrderedHierarchicalMechanism {
@@ -139,12 +138,7 @@ impl OrderedHierarchicalMechanism {
 
         // Degenerate splits collapse to the pure mechanisms.
         if theta >= size || eps_s <= f64::EPSILON {
-            let hm = HierarchicalMechanism {
-                fanout: self.fanout,
-                epsilon: self.epsilon,
-                split: BudgetSplit::Uniform,
-                consistency: false,
-            };
+            let hm = HierarchicalMechanism::new(self.fanout, self.epsilon);
             return OrderedHierarchicalRelease {
                 inner: OhInner::Hierarchical(hm.release(histogram, rng)),
             };
@@ -283,7 +277,7 @@ impl OrderedHierarchicalRelease {
     }
 
     /// Noisy range count `q[lo, hi]` (inclusive, 0-based).
-    pub fn range(&self, lo: usize, hi: usize) -> f64 {
+    pub(crate) fn range(&self, lo: usize, hi: usize) -> f64 {
         match &self.inner {
             OhInner::Hierarchical(r) => r.range(lo, hi),
             _ => {
@@ -293,16 +287,6 @@ impl OrderedHierarchicalRelease {
             }
         }
     }
-
-    /// Which regime the release operated in: `"hierarchical"`,
-    /// `"ordered"`, or `"hybrid"`.
-    pub fn regime(&self) -> &'static str {
-        match &self.inner {
-            OhInner::Hierarchical(_) => "hierarchical",
-            OhInner::PureOrdered { .. } => "ordered",
-            OhInner::Hybrid { .. } => "hybrid",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -310,6 +294,18 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    impl OrderedHierarchicalRelease {
+        /// Which regime the release operated in: `"hierarchical"`,
+        /// `"ordered"`, or `"hybrid"`.
+        fn regime(&self) -> &'static str {
+            match &self.inner {
+                OhInner::Hierarchical(_) => "hierarchical",
+                OhInner::PureOrdered { .. } => "ordered",
+                OhInner::Hybrid { .. } => "hybrid",
+            }
+        }
+    }
 
     fn histogram(size: usize) -> Vec<f64> {
         (0..size).map(|i| ((i * 13 + 5) % 11) as f64).collect()

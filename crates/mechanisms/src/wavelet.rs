@@ -117,7 +117,7 @@ impl WaveletRelease {
     }
 
     /// Noisy range count `q[lo, hi]` (inclusive).
-    pub fn range(&self, lo: usize, hi: usize) -> f64 {
+    pub(crate) fn range(&self, lo: usize, hi: usize) -> f64 {
         let upper = self.prefix[hi];
         let lower = if lo == 0 { 0.0 } else { self.prefix[lo - 1] };
         upper - lower

@@ -256,20 +256,10 @@ impl Client {
         }
     }
 
-    /// The server address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
     /// The session token the server issued for `analyst` on attach, if
     /// any.
     pub fn session_token(&self, analyst: &str) -> Option<u64> {
         self.tokens.get(analyst).copied()
-    }
-
-    /// Correlation ids currently in flight.
-    pub fn in_flight(&self) -> usize {
-        self.pending.len()
     }
 
     fn fresh_id(&mut self) -> u64 {
@@ -882,7 +872,10 @@ impl Client {
     /// # Errors
     ///
     /// As for [`Client::reconnect`].
-    pub fn reconnect_with(&mut self, policy: &RetryPolicy) -> Result<Vec<(String, f64)>, NetError> {
+    pub(crate) fn reconnect_with(
+        &mut self,
+        policy: &RetryPolicy,
+    ) -> Result<Vec<(String, f64)>, NetError> {
         // Reattaching on a follower is refused with NotLeader, which the
         // loop redirects like any other failed attempt.
         let retryable =
@@ -956,12 +949,6 @@ pub struct WatchHandle<'a> {
 }
 
 impl WatchHandle<'_> {
-    /// The watch's correlation id (echoed on every pushed event
-    /// frame).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
     /// Blocks up to `timeout` for the next pushed event. `Ok(None)`
     /// means the window elapsed quietly — poll again. Replies to
     /// requests that were in flight before the watch opened are
@@ -1021,5 +1008,18 @@ impl WatchHandle<'_> {
             ServerMessage::Refused { error, .. } => Err(NetError::Remote(error)),
             other => Err(NetError::Protocol(format!("expected Event, got {other:?}"))),
         }
+    }
+}
+
+#[cfg(test)]
+impl Client {
+    /// The server address this client dials.
+    pub(crate) fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// Correlation ids currently in flight.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.pending.len()
     }
 }

@@ -37,7 +37,7 @@ pub enum NetError {
     TimedOut,
     /// A retry loop gave up: every attempt failed, `last` being the
     /// final failure. Raised by [`crate::Client::call_idempotent`] and
-    /// [`crate::Client::reconnect_with`] once their attempt budget is
+    /// `Client::reconnect_with` once their attempt budget is
     /// spent.
     RetriesExhausted {
         /// Attempts made before giving up.

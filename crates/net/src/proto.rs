@@ -12,7 +12,7 @@
 //! └───────────┴───────────────┴──────────────┘
 //! ```
 //!
-//! `checksum` is [`bf_store::frame_sum`] — XXH64 — over the payload. A
+//! `checksum` is `bf-store`'s `frame_sum` — XXH64 — over the payload. A
 //! frame that fails its checksum, exceeds [`bf_store::MAX_RECORD_LEN`],
 //! or decodes to anything but a well-formed message kills the
 //! connection — framing damage is never "wait for more bytes", and a
@@ -1008,7 +1008,7 @@ impl WireRequest {
 
 impl WireKmeansSpec {
     /// Encodes a [`KmeansSecretSpec`].
-    pub fn from_spec(spec: KmeansSecretSpec) -> Self {
+    pub(crate) fn from_spec(spec: KmeansSecretSpec) -> Self {
         match spec {
             KmeansSecretSpec::Full => WireKmeansSpec::Full,
             KmeansSecretSpec::Attribute => WireKmeansSpec::Attribute,
@@ -1021,7 +1021,7 @@ impl WireKmeansSpec {
     }
 
     /// Decodes back to a [`KmeansSecretSpec`].
-    pub fn to_spec(self) -> KmeansSecretSpec {
+    pub(crate) fn to_spec(self) -> KmeansSecretSpec {
         match self {
             WireKmeansSpec::Full => KmeansSecretSpec::Full,
             WireKmeansSpec::Attribute => KmeansSecretSpec::Attribute,
@@ -1054,7 +1054,7 @@ impl WireResponse {
     }
 
     /// Decodes back to an engine [`Response`], bit-exactly.
-    pub fn to_response(&self) -> Response {
+    pub(crate) fn to_response(&self) -> Response {
         match self {
             WireResponse::Histogram(v) => {
                 Response::Histogram(v.iter().map(|b| f64::from_bits(*b)).collect())
@@ -1074,7 +1074,7 @@ impl WireResponse {
 
 impl WireError {
     /// Maps a server-side refusal onto the wire vocabulary.
-    pub fn from_server_error(e: &bf_server::ServerError) -> Self {
+    pub(crate) fn from_server_error(e: &bf_server::ServerError) -> Self {
         use bf_server::ServerError as SE;
         match e {
             SE::QueueFull { analyst, capacity } => WireError::QueueFull {
@@ -1788,7 +1788,7 @@ fn decode_log_entry(r: &mut Reader<'_>) -> Option<WireLogEntry> {
 
 impl ClientMessage {
     /// The correlation id the reply will echo.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         match self {
             ClientMessage::Hello { id, .. }
             | ClientMessage::OpenSession { id, .. }
@@ -2024,7 +2024,7 @@ fn decode_replica_stats(r: &mut Reader<'_>) -> Option<WireReplicaStats> {
 
 impl ServerMessage {
     /// The correlation id of the request this replies to.
-    pub fn id(&self) -> u64 {
+    pub(crate) fn id(&self) -> u64 {
         match self {
             ServerMessage::Welcome { id, .. }
             | ServerMessage::SessionAttached { id, .. }
@@ -2045,20 +2045,20 @@ impl ServerMessage {
     }
 
     /// The payload bytes (no frame).
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(64);
         self.encode_into(&mut out);
         out
     }
 
-    /// [`ServerMessage::encode`] for the frozen `bfbench` (see
+    /// `ServerMessage::encode` for the frozen `bfbench` (see
     /// [`ClientMessage::encode_for`]).
     pub fn encode_for(&self, version: u16) -> Vec<u8> {
         assert_eq!(version, PROTOCOL_VERSION, "the wire has one dialect");
         self.encode()
     }
 
-    /// [`ServerMessage::encode`] appended to `out` (see
+    /// `ServerMessage::encode` appended to `out` (see
     /// [`ClientMessage::encode_into`]).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
@@ -2204,7 +2204,7 @@ impl ServerMessage {
     /// would encode to inside one, without building it: the server's
     /// writer turns each float into its wire bits as it lands in the
     /// frame.
-    pub fn encode_answer_into(
+    pub(crate) fn encode_answer_into(
         out: &mut Vec<u8>,
         id: u64,
         response: &Response,
@@ -2215,7 +2215,7 @@ impl ServerMessage {
 
     /// [`ServerMessage::encode_answer_into`] for a
     /// [`ServerMessage::BatchAnswer`].
-    pub fn encode_batch_answer_into(
+    pub(crate) fn encode_batch_answer_into(
         out: &mut Vec<u8>,
         id: u64,
         slots: &[Result<Response, WireError>],
@@ -2223,7 +2223,7 @@ impl ServerMessage {
         encode_batch_answer(out, id, slots);
     }
 
-    /// Decodes a payload produced by [`ServerMessage::encode`]; `None`
+    /// Decodes a payload produced by `ServerMessage::encode`; `None`
     /// for anything malformed.
     pub fn decode(payload: &[u8]) -> Option<ServerMessage> {
         let mut r = Reader::new(payload);

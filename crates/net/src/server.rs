@@ -297,11 +297,6 @@ pub struct NetServer {
     /// kept so shutdown can wake a reader blocked in `read`.
     live: Arc<Vec<Mutex<Option<TcpStream>>>>,
     driver: Option<DriverHandle>,
-    /// Session tokens issued by this process: analyst → token. Shared
-    /// across connections so a token survives reconnects (stable for
-    /// the process lifetime), per-process so a failover's new leader
-    /// issues fresh ones on reattach.
-    tokens: Arc<Mutex<HashMap<String, u64>>>,
 }
 
 impl std::fmt::Debug for NetServer {
@@ -338,6 +333,10 @@ impl NetServer {
             .map(|d| d.as_nanos() as u64)
             .unwrap_or(0x626c_6f77_6669_7368)
             ^ u64::from(std::process::id());
+        // Session tokens issued by this process: analyst → token. Shared
+        // across connections so a token survives reconnects (stable for
+        // the process lifetime), per-process so a failover's new leader
+        // issues fresh ones on reattach.
         let tokens: Arc<Mutex<HashMap<String, u64>>> = Arc::new(Mutex::new(HashMap::new()));
         // One shared SLO engine per serving process (scrapes from every
         // connection feed the same sliding window). Absent entirely
@@ -390,7 +389,6 @@ impl NetServer {
             acceptors,
             live,
             driver: Some(driver),
-            tokens,
         })
     }
 
@@ -402,17 +400,6 @@ impl NetServer {
     /// The inner scheduler the connections feed.
     pub fn server(&self) -> &Arc<Server> {
         &self.server
-    }
-
-    /// The session token this process issued for `analyst`, if any —
-    /// issued on the first wire `OpenSession` and stable until the
-    /// process exits.
-    pub fn session_token(&self, analyst: &str) -> Option<u64> {
-        self.tokens
-            .lock()
-            .expect("token book poisoned")
-            .get(analyst)
-            .copied()
     }
 
     /// Network-layer counters — a thin shim over the shared `bf-obs`

@@ -6,11 +6,11 @@
 //! discipline as every other instrument in this crate:
 //!
 //! * **Never blocking.** Publishing uses `try_lock` everywhere; a lost
-//!   race counts a drop instead of queueing the serving or replication
+//!   race drops the event instead of queueing the serving or replication
 //!   path behind an observer.
 //! * **Bounded.** Every subscriber owns a fixed-capacity queue. A slow
-//!   consumer loses events — counted per subscriber, and visible as a
-//!   gap in the global sequence numbers — and never grows memory.
+//!   consumer loses events — visible as a gap in the global sequence
+//!   numbers — and never grows memory.
 //! * **Pure side channel.** With the owning registry disabled the bus
 //!   publishes nothing; nothing it does feeds back into RNG
 //!   derivation, ε accounting or scheduling.
@@ -35,18 +35,6 @@ pub enum ClusterEventKind {
     Slo,
 }
 
-impl ClusterEventKind {
-    /// Stable lower-case name (`"stage"`, `"trace"`, `"role"`, `"slo"`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            ClusterEventKind::Stage => "stage",
-            ClusterEventKind::Trace => "trace",
-            ClusterEventKind::Role => "role",
-            ClusterEventKind::Slo => "slo",
-        }
-    }
-}
-
 /// One live event broadcast on the bus.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterEvent {
@@ -66,7 +54,6 @@ pub struct ClusterEvent {
 struct SubscriberCore {
     queue: Mutex<VecDeque<ClusterEvent>>,
     capacity: usize,
-    dropped: AtomicU64,
 }
 
 /// A subscription's receiving end: poll events off the bounded queue.
@@ -78,11 +65,6 @@ pub struct BusSubscriber {
 }
 
 impl BusSubscriber {
-    /// Pops the oldest queued event, if any. Never blocks.
-    pub fn poll(&self) -> Option<ClusterEvent> {
-        self.core.queue.try_lock().ok()?.pop_front()
-    }
-
     /// Pops up to `max` queued events, oldest first.
     pub fn drain(&self, max: usize) -> Vec<ClusterEvent> {
         let Ok(mut q) = self.core.queue.try_lock() else {
@@ -90,22 +72,6 @@ impl BusSubscriber {
         };
         let n = max.min(q.len());
         q.drain(..n).collect()
-    }
-
-    /// Events this subscription lost to its bounded queue (or to a
-    /// publish-time lock race).
-    pub fn dropped(&self) -> u64 {
-        self.core.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Events currently queued.
-    pub fn len(&self) -> usize {
-        self.core.queue.try_lock().map(|q| q.len()).unwrap_or(0)
-    }
-
-    /// Whether nothing is currently queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -117,8 +83,6 @@ struct BusCore {
     /// reads before touching any lock. Dead subscriptions are pruned
     /// (and the hint corrected) on the next publish or subscribe.
     active: AtomicUsize,
-    /// Publishes lost because the subscriber list was contended.
-    contended: AtomicU64,
     enabled: Arc<AtomicBool>,
 }
 
@@ -136,16 +100,9 @@ impl EventBus {
                 seq: AtomicU64::new(0),
                 subscribers: Mutex::new(Vec::new()),
                 active: AtomicUsize::new(0),
-                contended: AtomicU64::new(0),
                 enabled,
             }),
         }
-    }
-
-    /// A bus attached to no registry, always enabled — for tests and
-    /// standalone use.
-    pub fn detached() -> Self {
-        Self::with_switch(Arc::new(AtomicBool::new(true)))
     }
 
     /// Attaches a new subscription whose queue holds at most `capacity`
@@ -154,7 +111,6 @@ impl EventBus {
         let core = Arc::new(SubscriberCore {
             queue: Mutex::new(VecDeque::with_capacity(capacity.max(1))),
             capacity: capacity.max(1),
-            dropped: AtomicU64::new(0),
         });
         let mut subs = self.core.subscribers.lock().expect("bus poisoned");
         subs.retain(|w| w.strong_count() > 0);
@@ -170,25 +126,14 @@ impl EventBus {
         self.core.active.load(Ordering::Relaxed) > 0
     }
 
-    /// Events ever published (the next event's sequence number).
-    pub fn published(&self) -> u64 {
-        self.core.seq.load(Ordering::Relaxed)
-    }
-
-    /// Publishes lost entirely because the subscriber list was locked.
-    pub fn contended(&self) -> u64 {
-        self.core.contended.load(Ordering::Relaxed)
-    }
-
     /// Broadcasts one event to every live subscription. Never blocks:
-    /// a contended subscriber list or a full/contended subscriber queue
-    /// counts a drop and moves on.
+    /// a contended subscriber list skips the event, and a full or
+    /// contended subscriber queue drops the event for that subscriber.
     pub fn publish(&self, kind: ClusterEventKind, detail: &str, value: u64) {
         if !self.core.enabled.load(Ordering::Relaxed) || !self.has_subscribers() {
             return;
         }
         let Ok(mut subs) = self.core.subscribers.try_lock() else {
-            self.core.contended.fetch_add(1, Ordering::Relaxed);
             return;
         };
         subs.retain(|w| w.strong_count() > 0);
@@ -202,11 +147,9 @@ impl EventBus {
                 continue;
             };
             let Ok(mut q) = sub.queue.try_lock() else {
-                sub.dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             };
             if q.len() >= sub.capacity {
-                sub.dropped.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
             q.push_back(ClusterEvent {
@@ -223,9 +166,17 @@ impl EventBus {
 mod tests {
     use super::*;
 
+    fn detached() -> EventBus {
+        EventBus::with_switch(Arc::new(AtomicBool::new(true)))
+    }
+
+    fn published(bus: &EventBus) -> u64 {
+        bus.core.seq.load(Ordering::Relaxed)
+    }
+
     #[test]
     fn subscribers_see_published_events_in_order() {
-        let bus = EventBus::detached();
+        let bus = detached();
         assert!(!bus.has_subscribers());
         let sub = bus.subscribe(8);
         assert!(bus.has_subscribers());
@@ -237,37 +188,36 @@ mod tests {
         assert_eq!(events[0].detail, "leader@1");
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[1].seq, 1);
-        assert_eq!(sub.dropped(), 0);
-        assert!(sub.is_empty());
+        assert!(sub.drain(10).is_empty());
     }
 
     #[test]
-    fn full_queue_drops_with_counter_and_seq_gap() {
-        let bus = EventBus::detached();
+    fn full_queue_drops_with_seq_gap() {
+        let bus = detached();
         let sub = bus.subscribe(2);
         for i in 0..5 {
             bus.publish(ClusterEventKind::Stage, "decode", i);
         }
-        assert_eq!(sub.len(), 2);
-        assert_eq!(sub.dropped(), 3);
-        let first = sub.poll().unwrap();
-        assert_eq!(first.seq, 0);
-        // A second subscription attached later sees only new traffic.
+        let kept: Vec<u64> = sub.drain(10).iter().map(|e| e.seq).collect();
+        assert_eq!(kept, vec![0, 1]);
+        // A second subscription attached later sees only new traffic,
+        // and the first sees the gap the full queue left.
         let late = bus.subscribe(2);
         bus.publish(ClusterEventKind::Stage, "reply", 9);
-        assert_eq!(late.poll().unwrap().seq, 5);
+        assert_eq!(late.drain(1)[0].seq, 5);
+        assert_eq!(sub.drain(1)[0].seq, 5);
     }
 
     #[test]
     fn dropped_subscriber_is_pruned() {
-        let bus = EventBus::detached();
+        let bus = detached();
         let sub = bus.subscribe(2);
         drop(sub);
         // The first publish after the drop prunes the dead entry and
         // sequences nothing (no listener, no gap).
         bus.publish(ClusterEventKind::Trace, "ok", 1);
         assert!(!bus.has_subscribers());
-        assert_eq!(bus.published(), 0);
+        assert_eq!(published(&bus), 0);
     }
 
     #[test]
@@ -276,19 +226,17 @@ mod tests {
         let bus = EventBus::with_switch(Arc::clone(&switch));
         let sub = bus.subscribe(4);
         bus.publish(ClusterEventKind::Role, "leader@1", 1);
-        assert!(sub.is_empty());
-        assert_eq!(bus.published(), 0);
+        assert_eq!(published(&bus), 0);
         switch.store(true, Ordering::Relaxed);
         bus.publish(ClusterEventKind::Role, "leader@2", 2);
-        assert_eq!(sub.len(), 1);
+        assert_eq!(sub.drain(10).len(), 1);
     }
 
     #[test]
     fn publish_with_no_subscribers_is_cheap_and_lossless_to_count() {
-        let bus = EventBus::detached();
+        let bus = detached();
         bus.publish(ClusterEventKind::Stage, "decode", 1);
         // No subscriber: nothing sequenced, nothing allocated.
-        assert_eq!(bus.published(), 0);
-        assert_eq!(bus.contended(), 0);
+        assert_eq!(published(&bus), 0);
     }
 }

@@ -66,13 +66,10 @@ mod trace;
 
 pub use bus::{BusSubscriber, ClusterEvent, ClusterEventKind, EventBus};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, Stopwatch};
-pub use registry::{
-    label_metric_name, merge_labeled_snapshots, merge_snapshots, MetricSnapshot, Registry,
-};
+pub use registry::{merge_labeled_snapshots, merge_snapshots, MetricSnapshot, Registry};
 pub use render::render_prometheus;
-pub use slo::{budget_spent_metric, SloEngine, SloObjective, SloQuantile, SloSpec, SloTransition};
+pub use slo::{SloEngine, SloObjective, SloQuantile, SloSpec, SloTransition};
 pub use span::{Event, Journal, Span, Stage};
 pub use trace::{
     next_link_id, TraceBuffer, TraceContext, TraceId, TraceSpan, TraceTimer, TraceTree,
-    TRACE_EXEMPLARS_PER_STAGE,
 };

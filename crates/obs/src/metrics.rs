@@ -193,11 +193,6 @@ impl Histogram {
         }))
     }
 
-    /// A histogram attached to no registry, always enabled.
-    pub fn detached() -> Self {
-        Self::with_switch(Arc::new(AtomicBool::new(true)))
-    }
-
     /// Records one observation; a no-op when the owning registry is
     /// disabled.
     #[inline]
@@ -235,13 +230,13 @@ impl Histogram {
     }
 
     /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
 
     /// The `q`-quantile (`0.0 ..= 1.0`) as a bucket-midpoint estimate;
     /// 0 when nothing was recorded.
-    pub fn quantile(&self, q: f64) -> u64 {
+    pub(crate) fn quantile(&self, q: f64) -> u64 {
         let count = self.count();
         if count == 0 {
             return 0;
@@ -274,18 +269,6 @@ impl Histogram {
 /// from [`Histogram::start`], consume with [`Histogram::observe`].
 #[derive(Debug)]
 pub struct Stopwatch(Option<Instant>);
-
-impl Stopwatch {
-    /// An inert stopwatch that records nothing when observed.
-    pub fn inert() -> Self {
-        Stopwatch(None)
-    }
-
-    /// Whether a clock was actually started.
-    pub fn is_running(&self) -> bool {
-        self.0.is_some()
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -339,7 +322,7 @@ mod tests {
 
     #[test]
     fn histogram_quantiles_are_order_of_magnitude_right() {
-        let h = Histogram::detached();
+        let h = Histogram::with_switch(Arc::new(AtomicBool::new(true)));
         for v in 1..=1000u64 {
             h.record(v);
         }
@@ -355,7 +338,7 @@ mod tests {
 
     #[test]
     fn small_values_are_exact() {
-        let h = Histogram::detached();
+        let h = Histogram::with_switch(Arc::new(AtomicBool::new(true)));
         for _ in 0..100 {
             h.record(7);
         }
@@ -373,7 +356,7 @@ mod tests {
         g.set(9.0);
         h.record(5);
         let sw = h.start();
-        assert!(!sw.is_running());
+        assert!(sw.0.is_none(), "a disabled histogram starts no clock");
         h.observe(sw);
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0.0);

@@ -135,12 +135,6 @@ impl Registry {
         }
     }
 
-    /// The latency histogram of one pipeline stage (lock-free access —
-    /// the seven handles are fixed at construction).
-    pub fn stage(&self, stage: Stage) -> &Histogram {
-        &self.stages[stage.index()]
-    }
-
     /// Records one stage observation into its histogram **and** the
     /// journal ring, and — only when someone is watching — broadcasts
     /// it on the live event bus.
@@ -300,7 +294,7 @@ impl MetricSnapshot {
 
     /// This sample with `key="value"` appended to its label section
     /// (see [`label_metric_name`]).
-    pub fn with_label(mut self, key: &str, value: &str) -> MetricSnapshot {
+    pub(crate) fn with_label(mut self, key: &str, value: &str) -> MetricSnapshot {
         let name = match &mut self {
             MetricSnapshot::Counter { name, .. }
             | MetricSnapshot::Gauge { name, .. }
@@ -320,7 +314,7 @@ impl MetricSnapshot {
 /// backslashed value is never double-escaped on exposition.
 ///
 /// [`render_prometheus`]: crate::render_prometheus
-pub fn label_metric_name(name: &str, key: &str, value: &str) -> String {
+pub(crate) fn label_metric_name(name: &str, key: &str, value: &str) -> String {
     match name.strip_suffix('}') {
         Some(head) => format!("{head},{key}=\"{value}\"}}"),
         None => format!("{name}{{{key}=\"{value}\"}}"),
@@ -412,11 +406,11 @@ mod tests {
     fn span_marks_feed_stage_histograms() {
         let r = Registry::new();
         let mut span = r.span();
-        assert!(span.is_active());
+        assert!(span.started.is_some());
         r.span_mark(&mut span, Stage::Decode);
         r.span_mark(&mut span, Stage::Reply);
-        assert_eq!(r.stage(Stage::Decode).count(), 1);
-        assert_eq!(r.stage(Stage::Reply).count(), 1);
+        assert_eq!(r.stages[Stage::Decode.index()].count(), 1);
+        assert_eq!(r.stages[Stage::Reply.index()].count(), 1);
         assert!(span.elapsed().is_some());
     }
 
@@ -425,12 +419,12 @@ mod tests {
         let r = Registry::new();
         r.set_enabled(false);
         let mut span = r.span();
-        assert!(!span.is_active());
+        assert!(span.started.is_none());
         r.span_mark(&mut span, Stage::Decode);
         r.record_stage(Stage::Reply, Duration::from_nanos(9));
-        assert_eq!(r.stage(Stage::Decode).count(), 0);
-        assert_eq!(r.stage(Stage::Reply).count(), 0);
-        assert_eq!(r.journal().recorded(), 0);
+        assert_eq!(r.stages[Stage::Decode.index()].count(), 0);
+        assert_eq!(r.stages[Stage::Reply.index()].count(), 0);
+        assert!(r.journal().events().is_empty());
     }
 
     #[test]

@@ -36,17 +36,6 @@ pub enum SloQuantile {
     P999,
 }
 
-impl SloQuantile {
-    /// Stable name (`"p50"`, `"p99"`, `"p999"`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            SloQuantile::P50 => "p50",
-            SloQuantile::P99 => "p99",
-            SloQuantile::P999 => "p999",
-        }
-    }
-}
-
 /// One declarative objective.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SloObjective {
@@ -114,7 +103,7 @@ impl SloObjective {
 
 /// The registered name of one analyst's ε-spent gauge (the engine's
 /// labels-in-name convention).
-pub fn budget_spent_metric(analyst: &str) -> String {
+pub(crate) fn budget_spent_metric(analyst: &str) -> String {
     format!("engine_epsilon_spent{{analyst={analyst:?}}}")
 }
 
@@ -199,11 +188,6 @@ impl SloEngine {
             window: window.max(2),
             tracked,
         }
-    }
-
-    /// The specs under evaluation.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
     }
 
     /// Names of every spec currently firing, in spec order.

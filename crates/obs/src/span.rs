@@ -96,7 +96,7 @@ struct JournalInner {
 /// record of what the pipeline was doing just before a dump.
 ///
 /// Appends **never block**: a push that loses the lock race drops the
-/// event and bumps [`Journal::dropped`] instead. The ring is a debugging
+/// event and bumps `Journal::dropped` instead. The ring is a debugging
 /// aid; making request threads queue behind each other to feed it would
 /// turn the observer into a participant.
 #[derive(Debug)]
@@ -122,7 +122,7 @@ impl Journal {
     /// contention the event is counted as dropped rather than waited
     /// for — the stage *histogram* still sees every observation, only
     /// the ring entry is sacrificed.
-    pub fn push(&self, stage: Stage, duration: Duration) {
+    pub(crate) fn push(&self, stage: Stage, duration: Duration) {
         if !self.enabled.load(Ordering::Relaxed) {
             return;
         }
@@ -144,7 +144,7 @@ impl Journal {
     }
 
     /// Events lost to lock contention (never to the ring's eviction).
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 
@@ -157,16 +157,6 @@ impl Journal {
             .iter()
             .copied()
             .collect()
-    }
-
-    /// Total events ever recorded (≥ the retained count).
-    pub fn recorded(&self) -> u64 {
-        self.inner.lock().expect("journal poisoned").seq
-    }
-
-    /// The ring's capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -182,16 +172,11 @@ pub struct Span {
 
 impl Span {
     /// An inert span that records nothing.
-    pub fn inert() -> Self {
+    pub(crate) fn inert() -> Self {
         Span {
             started: None,
             last: None,
         }
-    }
-
-    /// Whether the span is actually timing.
-    pub fn is_active(&self) -> bool {
-        self.started.is_some()
     }
 
     /// Total time since the span started (`None` when inert).
@@ -214,7 +199,7 @@ mod tests {
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].seq, 2);
         assert_eq!(events[2].seq, 4);
-        assert_eq!(j.recorded(), 5);
+        assert_eq!(j.inner.lock().unwrap().seq, 5);
     }
 
     #[test]
@@ -222,7 +207,7 @@ mod tests {
         let j = Journal::with_switch(3, Arc::new(AtomicBool::new(false)));
         j.push(Stage::Reply, Duration::from_nanos(1));
         assert!(j.events().is_empty());
-        assert_eq!(j.recorded(), 0);
+        assert_eq!(j.inner.lock().unwrap().seq, 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ use std::time::{Duration, Instant};
 
 /// Slowest exemplars the buffer retains per stage (and, independently,
 /// how many most-recent traces are always kept).
-pub const TRACE_EXEMPLARS_PER_STAGE: usize = 8;
+pub(crate) const TRACE_EXEMPLARS_PER_STAGE: usize = 8;
 
 /// A client-assigned trace identifier, carried over the wire in `Submit`
 /// frames and echoed on `Answer`/`Refused`.
@@ -128,17 +128,11 @@ pub struct TraceContext {
 }
 
 /// A started (or inert) clock for one [`TraceSpan`]. Obtain from
-/// [`TraceContext::timer`] (one context) or [`TraceTimer::any`] (a
-/// group sharing one measured region).
+/// [`TraceTimer::any`] over the contexts sharing the measured region.
 #[derive(Debug)]
 pub struct TraceTimer(Option<Instant>);
 
 impl TraceTimer {
-    /// A timer that measures nothing.
-    pub fn inert() -> Self {
-        TraceTimer(None)
-    }
-
     /// Starts a timer if **any** of `ctxs` is active — the group form
     /// used when one region (a shared release, a group commit) will be
     /// recorded into several traces. Reads the clock at most once.
@@ -169,16 +163,6 @@ impl TraceContext {
     /// Whether this context is actually tracing.
     pub fn is_active(&self) -> bool {
         self.core.is_some()
-    }
-
-    /// The trace id, when active.
-    pub fn id(&self) -> Option<TraceId> {
-        self.core.as_deref().map(|c| c.id)
-    }
-
-    /// Starts a span timer (no clock read when inert).
-    pub fn timer(&self) -> TraceTimer {
-        TraceTimer(self.core.as_deref().map(|_| Instant::now()))
     }
 
     /// Records one span measured by `timer` (a no-op when either side
@@ -285,7 +269,7 @@ struct TraceBufferCore {
 /// eviction, and the `exemplars` most recent traces always survive, so
 /// both "what was just served" and "what was ever slow" stay
 /// inspectable. Pushes that lose the lock race are counted in
-/// [`dropped`](TraceBuffer::dropped) instead of waited for.
+/// `TraceBuffer::dropped` instead of waited for.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     core: Arc<TraceBufferCore>,
@@ -408,7 +392,7 @@ impl TraceBuffer {
     /// Traces (or late span records) lost to lock contention — never to
     /// bounded eviction, which is accounted by comparing
     /// [`finished`](Self::finished) with the retained count.
-    pub fn dropped(&self) -> u64 {
+    pub(crate) fn dropped(&self) -> u64 {
         self.core.dropped.load(Ordering::Relaxed)
     }
 
@@ -427,12 +411,12 @@ mod tests {
         let buf = TraceBuffer::detached(4);
         let ctx = buf.begin(TraceId(7), "alice");
         assert!(ctx.is_active());
-        assert_eq!(ctx.id(), Some(TraceId(7)));
-        let t = ctx.timer();
+        assert_eq!(ctx.core.as_deref().map(|c| c.id), Some(TraceId(7)));
+        let t = TraceTimer::any([&ctx]);
         std::thread::sleep(Duration::from_millis(1));
         ctx.record(Stage::Decode, &t, "ok");
         ctx.record_elapsed(Stage::Queue, Duration::from_micros(5), "drained");
-        let t = ctx.timer();
+        let t = TraceTimer::any([&ctx]);
         ctx.record_linked(Stage::Release, &t, "ok", Some(99));
         ctx.finish("ok");
         let traces = buf.snapshot();
@@ -470,9 +454,9 @@ mod tests {
         let buf = TraceBuffer::with_switch(4, switch);
         let ctx = buf.begin(TraceId(1), "a");
         assert!(!ctx.is_active());
-        assert!(ctx.id().is_none());
-        assert!(!ctx.timer().is_running());
-        ctx.record(Stage::Decode, &TraceTimer::inert(), "ok");
+        assert!(ctx.core.as_deref().map(|c| c.id).is_none());
+        assert!(!TraceTimer::any([&ctx]).is_running());
+        ctx.record(Stage::Decode, &TraceTimer(None), "ok");
         ctx.finish("ok");
         assert!(buf.snapshot().is_empty());
         assert_eq!(buf.finished(), 0);

@@ -57,8 +57,6 @@
 
 #![deny(missing_docs)]
 
-mod config;
 mod node;
 
-pub use config::{ClusterConfig, MemberConfig, ShardMap};
 pub use node::{Replica, ReplicaConfig, ReplicaError, ReplicaStatus};

@@ -1559,7 +1559,7 @@ impl Replica {
 
     /// Makes this replica the leader of a **fresh** cluster (epoch
     /// unchanged). For taking over from a dead leader use
-    /// [`Replica::promote`], which fences the old epoch.
+    /// `Replica::promote`, which fences the old epoch.
     pub fn lead(&self) {
         let mut st = self.node.state.lock().unwrap();
         st.role = Role::Leader;
@@ -1619,7 +1619,7 @@ impl Replica {
     /// point (durably, via `Record::LogTruncated`), and resubscribe.
     /// Orphans were never acked to any client, so dropping them is
     /// exactly-once under client retry.
-    pub fn promote(&self) {
+    pub(crate) fn promote(&self) {
         let mut st = self.node.state.lock().unwrap();
         st.epoch += 1;
         st.follow_target = None;
@@ -1640,7 +1640,7 @@ impl Replica {
         self.node.cv.notify_all();
     }
 
-    /// [`Replica::promote`], guarded: probes every address in `peers`
+    /// `Replica::promote`, guarded: probes every address in `peers`
     /// (their replication peer ports) with [`ClientMessage::PeerStatus`]
     /// and only promotes if no reachable survivor holds a longer
     /// durable log. Unreachable or dead peers are skipped — they are

@@ -13,9 +13,9 @@
 //! ```
 //!
 //! * **Submission is asynchronous.** [`Server::submit`] enqueues and
-//!   returns a [`Ticket`] — a `Future` for the answer. Await tickets on
-//!   the vendored `futures_lite::Executor`, poll them with
-//!   [`Ticket::try_take`], or block with [`Ticket::wait`].
+//!   returns a [`Ticket`] — a `Future` for the answer, built on `std`
+//!   alone. Poll it with a waker (the wire layer's writer does), probe
+//!   it with [`Ticket::try_take`], or block with [`Ticket::wait`].
 //! * **One clock: a tick is an epoch.** [`Server::tick`] takes
 //!   *everything* queued when it starts, serves it with one
 //!   `Engine::serve_groups` call — one release pass, one WAL commit —
@@ -72,5 +72,5 @@ mod ticket;
 
 pub use error::ServerError;
 pub use scheduler::EPOCH_MAX_REQUESTS;
-pub use server::{DriverHandle, Server, ServerConfig, ServerStats, EVICT_CHECK_EVERY};
+pub use server::{DriverHandle, Server, ServerConfig, ServerStats};
 pub use ticket::{Ticket, TicketResolver};

@@ -29,10 +29,9 @@
 //! answers.
 
 use crate::error::ServerError;
-use crate::Ticket;
-use bf_engine::{EngineError, Request, Response};
+use crate::{Ticket, TicketResolver};
+use bf_engine::{EngineError, Request};
 use bf_obs::{Gauge, TraceContext};
-use futures_lite::oneshot;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::time::Instant;
 
@@ -71,7 +70,7 @@ pub(crate) struct Submitted {
     pub request_id: Option<u64>,
     /// Refuse (never charge) if still undispatched past this instant.
     pub deadline: Option<Instant>,
-    pub tx: oneshot::Sender<Result<Response, ServerError>>,
+    pub tx: TicketResolver,
     pub submitted_at: Instant,
     /// The request's distributed-tracing context — inert for untraced
     /// submissions, so carrying it costs one `Option` clone.
@@ -86,7 +85,7 @@ impl Submitted {
         deadline: Option<Instant>,
         trace: TraceContext,
     ) -> (Self, Ticket) {
-        let (tx, rx) = oneshot::channel();
+        let (tx, ticket) = Ticket::pair();
         (
             Self {
                 analyst: analyst.to_owned(),
@@ -97,7 +96,7 @@ impl Submitted {
                 submitted_at: Instant::now(),
                 trace,
             },
-            Ticket::new(rx),
+            ticket,
         )
     }
 

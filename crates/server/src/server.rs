@@ -39,7 +39,7 @@ pub struct ServerConfig {
     /// queue. `None` disables shedding.
     pub shed_depth: Option<usize>,
     /// Evict engine sessions idle for at least this long (checked every
-    /// [`EVICT_CHECK_EVERY`] ticks, and by an idle background driver
+    /// `EVICT_CHECK_EVERY` ticks, and by an idle background driver
     /// once per `session_ttl`). Evicted ledgers park — spent ε is
     /// preserved (and durable when the engine has a store) — and
     /// reattach on the analyst's next `open_session`. `None` disables
@@ -63,7 +63,7 @@ impl Default for ServerConfig {
 /// session, so it is amortized rather than per-tick; the first tick
 /// also checks (`tick % EVICT_CHECK_EVERY == 1`) to keep short
 /// deterministic tests honest.
-pub const EVICT_CHECK_EVERY: u64 = 32;
+pub(crate) const EVICT_CHECK_EVERY: u64 = 32;
 
 /// The least an idle background driver waits between TTL sweeps: a
 /// `session_ttl` of zero (evict at the next opportunity) must not turn
@@ -341,7 +341,7 @@ impl Server {
                 self.counters.answered.inc();
                 self.counters.retries.inc();
                 self.note_resolved(sub.submitted_at);
-                let _ = sub.tx.send(Ok(cached));
+                sub.tx.resolve(Ok(cached));
                 return Ok(ticket);
             }
         }
@@ -512,12 +512,12 @@ impl Server {
         for (sub, e) in dead_letters {
             self.counters.failed.inc();
             self.note_resolved(sub.submitted_at);
-            let _ = sub.tx.send(Err(e));
+            sub.tx.resolve(Err(e));
             resolved += 1;
         }
 
-        // Cancellation sweep: a waiter whose ticket receiver is gone
-        // (disconnected client, dropped future) is unreachable — serving
+        // Cancellation sweep: a waiter whose ticket is gone
+        // (disconnected client, dropped ticket) is unreachable — serving
         // it would charge ε for an answer nobody can read. Dropped here,
         // BEFORE any charge: the queue slot was already freed by the
         // drain, and the ledger is never touched.
@@ -543,7 +543,7 @@ impl Server {
                     self.counters.deadline_refusals.inc();
                     self.counters.failed.inc();
                     self.note_resolved(sub.submitted_at);
-                    let _ = sub.tx.send(Err(ServerError::DeadlineExceeded {
+                    sub.tx.resolve(Err(ServerError::DeadlineExceeded {
                         analyst: sub.analyst,
                     }));
                     resolved += 1;
@@ -603,7 +603,7 @@ impl Server {
                     }
                 }
                 self.note_resolved(sub.submitted_at);
-                let _ = sub.tx.send(slot.map_err(ServerError::Engine));
+                sub.tx.resolve(slot.map_err(ServerError::Engine));
                 resolved += 1;
             }
         }
@@ -693,7 +693,7 @@ impl Server {
     /// driver has drained but not yet acknowledged is not counted:
     /// stop the driver (or watch [`ServerStats`]) to know every accepted
     /// ticket has resolved.
-    pub fn is_idle(&self) -> bool {
+    pub(crate) fn is_idle(&self) -> bool {
         !self
             .state
             .lock()

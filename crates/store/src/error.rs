@@ -29,7 +29,7 @@ pub enum StoreError {
     },
     /// A WAL segment holds frames sealed with the previous frame
     /// checksum (byte-wise FNV-1a; this build seals with
-    /// [`crate::frame_sum`]). Segments carry no version, so to this
+    /// `frame_sum`). Segments carry no version, so to this
     /// build's scanner such a segment looks damaged from its first
     /// frame; skipping it as a torn tail would open the directory with
     /// every ledger it recorded reset to unspent. Let the build that

@@ -36,9 +36,8 @@ mod store;
 
 pub use error::StoreError;
 pub use record::{
-    fnv1a, frame_bytes, frame_into, frame_sum, has_intact_frame_after, put_bytes, put_str, put_u64,
-    read_frame, scan_frames, FrameBuf, FrameRead, Reader, Record, RegistryKind, ScanEnd,
-    FRAME_HEADER_LEN, MAX_RECORD_LEN,
+    fnv1a, frame_bytes, frame_into, put_str, put_u64, read_frame, scan_frames, FrameBuf, FrameRead,
+    Reader, Record, RegistryKind, ScanEnd, FRAME_HEADER_LEN, MAX_RECORD_LEN,
 };
 pub use state::{CachedReply, PendingLogEntry, SessionState, StoreState, REPLY_CACHE_PER_ANALYST};
 pub use store::{LedgerEntry, RecoveryReport, Store, StoreConfig, StoreStats};

@@ -200,7 +200,7 @@ const TAG_LOG_TRUNCATED: u8 = 9;
 
 /// FNV-1a over a byte slice — the stable hash that keys the release
 /// RNG, picks shards and replica groups, fingerprints ledger labels and
-/// seals snapshots. It sealed frames too until [`frame_sum`] replaced it
+/// seals snapshots. It sealed frames too until `frame_sum` replaced it
 /// there; recovery still uses it to name a frame from before.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -230,7 +230,7 @@ fn xxh_round(acc: u64, word: u64) -> u64 {
 /// per byte — and the lanes merge in a fixed order with the payload's
 /// length, so moving a word between lanes or between stripes, or
 /// growing or shrinking the payload by zero bytes, changes the sum.
-pub fn frame_sum(payload: &[u8]) -> u64 {
+pub(crate) fn frame_sum(payload: &[u8]) -> u64 {
     let (stripes, rest) = payload.as_chunks::<32>();
     let mut h = if stripes.is_empty() {
         XXH_PRIME_5
@@ -464,7 +464,7 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Appends a length-prefixed byte slice to a wire payload (the encoding
 /// [`Reader::bytes`] reverses).
-pub fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
+pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(&(b.len() as u32).to_le_bytes());
     out.extend_from_slice(b);
 }
@@ -491,7 +491,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a little-endian `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
+    pub(crate) fn u32(&mut self) -> Option<u32> {
         let bytes = self.buf.get(self.pos..self.pos + 4)?;
         self.pos += 4;
         Some(u32::from_le_bytes(bytes.try_into().unwrap()))
@@ -511,7 +511,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a [`put_bytes`]-encoded byte slice.
-    pub fn bytes(&mut self) -> Option<Vec<u8>> {
+    pub(crate) fn bytes(&mut self) -> Option<Vec<u8>> {
         let len = self.u32()? as usize;
         Some(self.take(len)?.to_vec())
     }
@@ -541,7 +541,7 @@ impl Record {
     }
 
     /// Appends the payload bytes (no frame) to `out`.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Record::SessionOpened {
                 analyst,
@@ -758,7 +758,7 @@ pub fn scan_frames(bytes: &[u8], mut apply: impl FnMut(Record)) -> (ScanEnd, usi
 /// silently dropped by skipping it, and recovery must refuse instead.
 /// (A genuine crash tear has only never-synced garbage after it; a
 /// false positive here costs an operator intervention, never ε.)
-pub fn has_intact_frame_after(bytes: &[u8], from: usize) -> bool {
+pub(crate) fn has_intact_frame_after(bytes: &[u8], from: usize) -> bool {
     (from..bytes.len()).any(|pos| {
         matches!(
             read_frame(&bytes[pos..]),

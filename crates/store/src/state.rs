@@ -22,13 +22,6 @@ pub struct SessionState {
     pub served: u64,
 }
 
-impl SessionState {
-    /// ε still spendable.
-    pub fn remaining(&self) -> f64 {
-        (self.total - self.spent).max(0.0)
-    }
-}
-
 /// One cached answer in the idempotency reply cache: what a retry of
 /// the same `(analyst, request_id)` must be told, byte for byte,
 /// without touching the ledger again.
@@ -97,7 +90,7 @@ pub struct StoreState {
 impl StoreState {
     /// Applies one record. Replay calls this in WAL order; the live
     /// store calls it once per appended record.
-    pub fn apply(&mut self, record: &Record) {
+    pub(crate) fn apply(&mut self, record: &Record) {
         match record {
             Record::SessionOpened {
                 analyst,
@@ -231,7 +224,7 @@ impl StoreState {
     }
 
     /// Deterministic serialization (snapshot body).
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub(crate) fn to_bytes(&self) -> Vec<u8> {
         use crate::record::{put_str, put_u64};
         let mut out = Vec::new();
         out.extend_from_slice(&(self.sessions.len() as u32).to_le_bytes());
@@ -278,7 +271,7 @@ impl StoreState {
 
     /// Parses [`StoreState::to_bytes`] output. `None` on any structural
     /// damage (the snapshot loader reports that as a corrupt snapshot).
-    pub fn from_bytes(bytes: &[u8]) -> Option<StoreState> {
+    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<StoreState> {
         let mut r = crate::record::Reader::new(bytes);
         let mut state = StoreState::default();
         let n_sessions = r.u32()?;
@@ -386,7 +379,6 @@ mod tests {
         assert_eq!(a.total, 1.0);
         assert_eq!(a.spent, 0.25);
         assert_eq!(a.served, 2);
-        assert!((a.remaining() - 0.75).abs() < 1e-15);
         let bytes = s.to_bytes();
         assert_eq!(StoreState::from_bytes(&bytes), Some(s.clone()));
         assert_eq!(s.digest(), StoreState::from_bytes(&bytes).unwrap().digest());
@@ -598,7 +590,6 @@ mod tests {
         s.apply(&Record::charged("ghost", "q", 0.3));
         assert_eq!(s.sessions["ghost"].total, 0.0);
         assert_eq!(s.sessions["ghost"].spent, 0.3);
-        assert_eq!(s.sessions["ghost"].remaining(), 0.0);
     }
 
     #[test]

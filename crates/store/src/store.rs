@@ -530,24 +530,6 @@ impl Store {
         &self.dir
     }
 
-    /// Whether a write failure has poisoned the store (every further
-    /// commit and compaction refuses with [`StoreError::Poisoned`]).
-    /// A poisoned store's durable state is whatever reached disk before
-    /// the failure; reopen the directory in a fresh process to recover.
-    pub fn is_poisoned(&self) -> bool {
-        self.poison_reason().is_some()
-    }
-
-    /// The message of the write failure that poisoned the store, if
-    /// any.
-    pub fn poison_reason(&self) -> Option<String> {
-        self.inner
-            .lock()
-            .expect("store lock poisoned")
-            .poisoned
-            .clone()
-    }
-
     /// Appends `records` and returns once they are fsync-durable.
     ///
     /// Concurrent callers share fsyncs (group commit): one leader writes
@@ -813,7 +795,7 @@ impl Store {
     /// [`StoreError::Io`] when a segment cannot be read;
     /// [`StoreError::CorruptSnapshot`] when damage is followed by
     /// intact frames, [`StoreError::OldFrameChecksum`] for a segment
-    /// from before [`crate::frame_sum`] (the same refuse-to-guess rules
+    /// from before `frame_sum` (the same refuse-to-guess rules
     /// recovery applies — a plain torn tail ends only that segment's
     /// scan and the audit continues with the next segment, exactly like
     /// recovery, so a crash-torn mid-history segment never hides later
@@ -937,6 +919,18 @@ mod tests {
     use super::*;
     use crate::record::{RegistryKind, FRAME_HEADER_LEN};
     use crate::scratch_dir;
+
+    impl Store {
+        /// The message of the write failure that poisoned the store, if
+        /// any.
+        fn poison_reason(&self) -> Option<String> {
+            self.inner
+                .lock()
+                .expect("store lock poisoned")
+                .poisoned
+                .clone()
+        }
+    }
 
     #[test]
     fn fresh_open_commit_reopen_recovers() {
@@ -1265,7 +1259,7 @@ mod tests {
             // The second write+fsync fails before any byte lands.
             let err = store.commit(&[Record::charged("a", "q", 0.5)]).unwrap_err();
             assert!(matches!(err, StoreError::Poisoned(_)), "got {err:?}");
-            assert!(store.is_poisoned());
+            assert!(store.poison_reason().is_some());
             assert!(store.poison_reason().unwrap().contains("injected"));
             // Every further commit AND compaction refuses fail-stop.
             assert!(matches!(
@@ -1310,7 +1304,7 @@ mod tests {
                 ]),
                 Err(StoreError::Poisoned(_))
             ));
-            assert!(store.is_poisoned());
+            assert!(store.poison_reason().is_some());
         }
         // Recovery treats the half-written batch as the torn tail it
         // is: intact prefix applied, tear skipped, nothing refused —
@@ -1369,7 +1363,7 @@ mod tests {
             let started = std::time::Instant::now();
             store.commit(&[Record::charged("a", "q", 0.5)]).unwrap();
             assert!(started.elapsed() >= delay, "the commit returns late");
-            assert!(!store.is_poisoned(), "late is not lost");
+            assert!(store.poison_reason().is_none(), "late is not lost");
             assert_eq!(store.stats().syncs, 2);
             assert_eq!(
                 store

@@ -17,9 +17,9 @@
 //!    50 ms to sync — scripted with the chaos plan, so the example reads
 //!    the same on any machine — and one session per team,
 //! 2. start the server with a background driver thread,
-//! 3. send one warm-up request; while its commit is in flight, spawn one
-//!    async task per team on the vendored executor; each task submits
-//!    its dashboard and awaits the tickets,
+//! 3. send one warm-up request; while its commit is in flight, start one
+//!    client thread per team; each submits its dashboard and waits on
+//!    the tickets,
 //! 4. read the epoch widths and the coalescing amplification off the
 //!    server's metrics.
 //!
@@ -61,45 +61,44 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // One request opens the window: its epoch is drained at once and
     // spends the next 50 ms committing.
-    let executor = Executor::new(4);
     let eps = Epsilon::new(0.1)?;
     let warm_up = server.submit("warm-up", Request::histogram("los", "admissions", eps))?;
     while server.stats().ticks == 0 {
         std::thread::yield_now();
     }
 
-    // ── Clients: one async task per team on the vendored executor ─────
-    let handles: Vec<_> = teams
-        .iter()
-        .map(|team| {
-            let server = Arc::clone(&server);
-            let team = team.clone();
-            executor.spawn(async move {
-                // The shared dashboard: every team asks for the same 12
-                // monthly counts — prime coalescing fodder.
-                let tickets: Vec<Ticket> = (0..12)
-                    .map(|m| {
-                        server
-                            .submit(
-                                &team,
-                                Request::range("los", "admissions", eps, m * 30, m * 30 + 29),
-                            )
-                            .expect("submission accepted")
-                    })
-                    .collect();
-                let mut monthly = Vec::with_capacity(12);
-                for t in tickets {
-                    monthly.push(t.await.expect("answered").scalar().unwrap());
-                }
-                (team, monthly)
+    // ── Clients: one thread per team ──────────────────────────────────
+    let mut results: Vec<(String, Vec<f64>)> = std::thread::scope(|s| {
+        let clients: Vec<_> = teams
+            .iter()
+            .map(|team| {
+                let server = &server;
+                s.spawn(move || {
+                    // The shared dashboard: every team asks for the same 12
+                    // monthly counts — prime coalescing fodder.
+                    let tickets: Vec<Ticket> = (0..12)
+                        .map(|m| {
+                            server
+                                .submit(
+                                    team,
+                                    Request::range("los", "admissions", eps, m * 30, m * 30 + 29),
+                                )
+                                .expect("submission accepted")
+                        })
+                        .collect();
+                    let monthly: Vec<f64> = tickets
+                        .into_iter()
+                        .map(|t| t.wait().expect("answered").scalar().unwrap())
+                        .collect();
+                    (team.clone(), monthly)
+                })
             })
-        })
-        .collect();
-
-    let mut results: Vec<(String, Vec<f64>)> = handles
-        .into_iter()
-        .map(|h| h.join().expect("task completed"))
-        .collect();
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client thread"))
+            .collect()
+    });
     results.sort_by(|a, b| a.0.cmp(&b.0));
     warm_up.wait()?;
     driver.stop();

@@ -31,7 +31,6 @@
 //! | [`replica`] | Calvin-style deterministic replication: log shipping, quorum acks, ε-lossless failover |
 //! | [`obs`] | metrics registry, request-stage spans, Prometheus-style rendering |
 //! | [`chaos`] | seed-deterministic fault injection: scripted store/net fault plans, backoff jitter |
-//! | [`rt`] | vendored minimal async runtime (executor, `block_on`, oneshot) |
 //!
 //! ## Serving repeated queries
 //!
@@ -87,7 +86,6 @@ pub use bf_obs as obs;
 pub use bf_replica as replica;
 pub use bf_server as server;
 pub use bf_store as store;
-pub use futures_lite as rt;
 
 /// The most common types, one `use` away.
 pub mod prelude {
@@ -96,21 +94,18 @@ pub mod prelude {
         BudgetAccountant, CountConstraint, Epsilon, LaplaceMechanism, Policy, Predicate, QueryClass,
     };
     pub use bf_domain::{
-        BoundingBox, CumulativeHistogram, Dataset, Domain, GridDomain, Histogram, OrderedDomain,
-        Partition, PointSet, Tuple,
+        BoundingBox, CumulativeHistogram, Dataset, Domain, GridDomain, Histogram, Partition,
+        PointSet,
     };
     pub use bf_engine::{Engine, EngineError, Request, RequestKind, Response};
     pub use bf_graph::SecretGraph;
     pub use bf_mechanisms::kmeans::{KmeansSecretSpec, PrivateKmeans};
-    pub use bf_mechanisms::{
-        HierarchicalMechanism, HistogramMechanism, OrderedHierarchicalMechanism, OrderedMechanism,
-    };
+    pub use bf_mechanisms::{HistogramMechanism, OrderedHierarchicalMechanism, OrderedMechanism};
     pub use bf_net::{Client, NetConfig, NetError, NetServer, RetryPolicy, WireError};
-    pub use bf_obs::{TraceContext, TraceId, TraceTree};
-    pub use bf_replica::{ClusterConfig, MemberConfig, Replica, ReplicaConfig, ShardMap};
+    pub use bf_obs::{TraceContext, TraceTree};
+    pub use bf_replica::{Replica, ReplicaConfig};
     pub use bf_server::{Server, ServerConfig, ServerError, ServerStats, Ticket};
-    pub use bf_store::{LedgerEntry, Store, StoreConfig, StoreError, StoreStats};
-    pub use futures_lite::Executor;
+    pub use bf_store::{LedgerEntry, Store, StoreConfig, StoreError};
 }
 
 #[cfg(test)]

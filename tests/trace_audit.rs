@@ -191,6 +191,14 @@ fn audit_over_the_wire_matches_recovered_ledger_bit_for_bit() {
         // The wire report agrees with the engine's own scan exactly.
         let direct = net.server().engine().ledger_history("aud").unwrap();
         assert_eq!(entries, direct);
+        // …and its ε sums to the wire-reported ledger bit for bit.
+        let booked: f64 = entries.iter().map(|e| e.epsilon()).sum();
+        let spent = client.budget("aud").unwrap().spent;
+        assert_eq!(
+            booked.to_bits(),
+            spent.to_bits(),
+            "Σε {booked} vs spent {spent}"
+        );
         client.goodbye().unwrap();
         net.shutdown().unwrap();
         entries
