@@ -15,7 +15,7 @@
 //! decides layer, sign and position on 97.8 % of attempts, a wedge or
 //! tail test costs a second, and 1.1 % of attempts are rejected) depends
 //! on generator bits only, and noise stays a pure function of
-//! `(seed, release identity, ordinal)`.
+//! `(seed, release identity, ledger position)`.
 //!
 //! ROADMAP item 6b is **open**: the f64 lattice `answer + noise` lands on
 //! still depends on the true answer, exactly as it did under the

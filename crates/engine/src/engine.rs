@@ -20,7 +20,6 @@ use bf_store::{fnv1a, LedgerEntry, Record, RegistryKind, Store, REPLY_CACHE_PER_
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -143,9 +142,9 @@ impl Source {
 #[derive(Debug)]
 struct Calibrated {
     source: Source,
-    /// The release identity indexing the per-identity noise ordinals;
-    /// `None` for k-means, whose runs have no stable identity.
-    fingerprint: Option<u64>,
+    /// The release identity its noise is derived from (see
+    /// [`Engine::release_rng`]).
+    fingerprint: u64,
 }
 
 /// A release plan that was resolved, validated, calibrated and charged,
@@ -194,7 +193,8 @@ struct Prepared<'a> {
 ///    touched when a budget cannot cover it; zero-sensitivity releases
 ///    are recorded free),
 /// 5. **execute** — run the mechanism the paper prescribes for the
-///    request kind, on a generator derived from the release's identity,
+///    request kind, on a generator derived from the release's identity
+///    and its payer's ledger position,
 /// 6. **commit** — with a store attached, every charge of the call (and
 ///    each tagged waiter's encoded answer) reaches the WAL in one group
 ///    commit,
@@ -235,34 +235,16 @@ pub struct Engine {
     /// after they are committed here.
     store: Option<Arc<Store>>,
     cache: SensitivityCache,
-    /// Base seed for noise; each release derives its own generator from
-    /// the seed and the release's identity, so no lock is held while
-    /// mechanisms run and same-seed serving stays reproducible.
+    /// Base seed for noise. Each release derives its own generator from
+    /// `(seed, release fingerprint, ledger position)` — see
+    /// [`Engine::release_rng`] — so no lock is held while mechanisms run,
+    /// and the noise is a function of what the log records.
     seed: u64,
-    /// Ordinal counter for releases with no stable identity (k-means,
-    /// whose runs are iterative and never coalesced).
-    release_counter: AtomicU64,
-    /// Per-identity release ordinals: how many releases each
-    /// `(policy, data, ε, query class)` fingerprint has performed. Noise
-    /// depends only on `(seed, fingerprint, ordinal)` — never on the
-    /// arrival order of *other* keys — so concurrent clients with
-    /// disjoint query streams observe byte-identical answers across
-    /// same-seed runs no matter how their submissions interleave.
-    ///
-    /// Grows by one `u64 → u64` entry per distinct identity ever served
-    /// (like the sensitivity cache) and is deliberately never evicted:
-    /// forgetting a counter would restart it at 0 and replay an earlier
-    /// release's exact noise — harmless for privacy (republishing a
-    /// release reveals nothing new) but a silent correctness surprise.
-    /// Bounding this without losing the guarantee is a ROADMAP item.
-    release_seqs: Mutex<HashMap<u64, u64>>,
     /// The engine's metrics registry. Every instrument hanging off it is
     /// a pure side channel: nothing read from it feeds RNG derivation,
     /// charge ordering, or scheduling, so same-seed runs stay
     /// byte-identical whether metrics are enabled or not.
     obs: Arc<Registry>,
-    /// Cardinality of `release_seqs` (`engine_release_identities`).
-    release_identities: Gauge,
     /// In-memory mirror of the durable reply cache: per analyst, the
     /// encoded answers of their most recent **tagged** requests, keyed by
     /// client request id. A retried tagged request is answered from here
@@ -288,7 +270,6 @@ impl Engine {
     /// An engine whose noise stream is seeded for reproducible runs.
     pub fn with_seed(seed: u64) -> Self {
         let obs = Arc::new(Registry::new());
-        let release_identities = obs.gauge("engine_release_identities");
         let replay_cache_hits = obs.counter("replay_cache_hits");
         Self {
             policies: ShardedMap::new(),
@@ -300,10 +281,7 @@ impl Engine {
             store: None,
             cache: SensitivityCache::with_obs(&obs),
             seed,
-            release_counter: AtomicU64::new(0),
-            release_seqs: Mutex::new(HashMap::new()),
             obs,
-            release_identities,
             replies: Mutex::new(BTreeMap::new()),
             replay_cache_hits,
         }
@@ -314,7 +292,9 @@ impl Engine {
     ///
     /// * every recovered session is **parked** — its spent ε survives,
     ///   and the analyst reattaches by calling [`Engine::open_session`]
-    ///   with the original total;
+    ///   with the original total; so does its ledger position, so the
+    ///   analyst's next release draws the noise an uninterrupted engine
+    ///   would have drawn, whether the last generation crashed or not;
     /// * recovered registrations become **expectations** — registering
     ///   the name again requires the identical content fingerprint, so a
     ///   swapped policy or dataset cannot inherit the original's ledgers;
@@ -342,17 +322,6 @@ impl Engine {
             .iter()
             .map(|((kind, name), fp)| ((*kind, name.clone()), *fp))
             .collect();
-        // Resume each release identity's noise ordinal at its durable
-        // high-water mark, so a restarted engine never replays noise an
-        // earlier generation already released.
-        *engine.release_seqs.lock().expect("release seqs poisoned") = recovered
-            .release_seqs
-            .iter()
-            .map(|(&fp, &seq)| (fp, seq))
-            .collect();
-        engine
-            .release_identities
-            .set(recovered.release_seqs.len() as f64);
         // Reseed the reply-cache mirror from the recovered ledger so a
         // request acknowledged by the previous generation can still be
         // retried for free against this one.
@@ -381,64 +350,39 @@ impl Engine {
     }
 
     /// Flushes and compacts the attached store (no-op without one) —
-    /// the graceful-shutdown path, also safe to call periodically.
-    ///
-    /// Before compacting, the current per-identity release ordinals are
-    /// committed as [`Record::ReleaseSeq`] high-water marks, so they land
-    /// in the snapshot and a restarted engine resumes each identity's
-    /// noise sequence instead of replaying it from zero. Ordinals taken
-    /// after the ledger is copied are re-persisted by the next
-    /// checkpoint; replay keeps the maximum, so a stale mark can never
-    /// move an ordinal backwards.
+    /// the graceful-shutdown path, also safe to call periodically. Noise
+    /// needs nothing written here: it is derived from ledger positions,
+    /// which every `Charged` / `Replied` record already carries.
     ///
     /// # Errors
     ///
     /// [`EngineError::Store`] when the store cannot flush or snapshot.
-    pub fn checkpoint(&self) -> Result<(), EngineError> {
+    pub fn compact(&self) -> Result<(), EngineError> {
         match &self.store {
-            Some(store) => {
-                let marks: Vec<Record> = {
-                    let seqs = self.release_seqs.lock().expect("release seqs poisoned");
-                    let mut sorted: Vec<_> = seqs.iter().map(|(&fp, &seq)| (fp, seq)).collect();
-                    sorted.sort_unstable();
-                    sorted
-                        .into_iter()
-                        .map(|(fingerprint, seq)| Record::ReleaseSeq { fingerprint, seq })
-                        .collect()
-                };
-                if !marks.is_empty() {
-                    store.commit(&marks).map_err(EngineError::Store)?;
-                }
-                store.compact().map_err(EngineError::Store)
-            }
+            Some(store) => store.compact().map_err(EngineError::Store),
             None => Ok(()),
         }
     }
 
-    /// A fresh generator for a release with no stable identity (k-means):
-    /// deterministic in (seed, global release ordinal), independent
-    /// across releases (SplitMix64-style spread).
-    fn release_rng(&self) -> StdRng {
-        let n = self.release_counter.fetch_add(1, Ordering::Relaxed);
-        StdRng::seed_from_u64(self.seed ^ n.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-    }
-
-    /// A fresh generator for one identified release: deterministic in
-    /// `(seed, fingerprint, per-fingerprint ordinal)`. Because the
-    /// ordinal is scoped to the release's own identity, noise never
-    /// depends on how *other* keys' releases interleave — the property
-    /// that makes concurrent network clients with disjoint query streams
-    /// reproducible across same-seed runs.
-    fn release_rng_keyed(&self, fingerprint: u64) -> StdRng {
-        let (seq, identities) = {
-            let mut seqs = self.release_seqs.lock().expect("release seqs poisoned");
-            let c = seqs.entry(fingerprint).or_insert(0);
-            let s = *c;
-            *c += 1;
-            (s, seqs.len())
-        };
-        self.release_identities.set(identities as f64);
-        StdRng::seed_from_u64(splitmix(self.seed ^ splitmix(fingerprint ^ splitmix(seq))))
+    /// The generator of one release: a pure function of the engine seed,
+    /// the release's fingerprint and its **position** — the number of
+    /// charges in its first charged analyst's ledger before this one.
+    ///
+    /// The position is replayed from the `Charged` / `Replied` records
+    /// like the rest of the ledger, so a restarted engine or a replica
+    /// draws exactly what an uninterrupted one would, crash or not, and
+    /// other analysts' traffic cannot move it. Two releases first charged
+    /// to one analyst never share a position, so what an analyst asks
+    /// twice is drawn twice, independently. Two releases first charged to
+    /// different analysts at equal positions draw the same bytes: one
+    /// release that each of them paid for, as a coalesced group is, and
+    /// republishing it reveals nothing new. A fingerprint names the query
+    /// itself (a range's endpoints, a linear query's weights), so one
+    /// draw never answers two different queries.
+    fn release_rng(&self, fingerprint: u64, position: u64) -> StdRng {
+        StdRng::seed_from_u64(splitmix(
+            self.seed ^ splitmix(fingerprint ^ splitmix(position)),
+        ))
     }
 
     // ------------------------------------------------------------------
@@ -758,6 +702,20 @@ impl Engine {
                 EngineError::UnknownAnalyst(analyst.to_owned())
             }
         })
+    }
+
+    /// [`AnalystSession::charge`] on the analyst's live session: the
+    /// charge's ledger position, or the refusal.
+    fn charge(
+        &self,
+        analyst: &str,
+        label: &str,
+        epsilon: Epsilon,
+        free: bool,
+    ) -> Result<u64, EngineError> {
+        let session = self.session(analyst)?;
+        let mut session = session.lock().expect("session poisoned");
+        session.charge(label, epsilon, free)
     }
 
     /// Evicts one session: removes it from the live registry, marks the
@@ -1105,13 +1063,12 @@ impl Engine {
     /// they would pay alone, however many of their waiter slots it fills
     /// — and a refused charge (or unknown analyst) fails only that
     /// analyst's slots. A lone group with a lone untagged waiter is
-    /// byte-identical to [`Engine::serve`] — same charge, same release
-    /// ordinal, same noise.
+    /// byte-identical to [`Engine::serve`] — same charge, same ledger
+    /// position, same noise.
     ///
     /// Plans charge **sequentially**, folded plans first and otherwise in
-    /// slice order (so same-seed engines assign the same release
-    /// ordinals however the call was grouped), then the mechanism
-    /// releases execute in plan order on the calling thread.
+    /// slice order, then the mechanism releases execute in plan order on
+    /// the calling thread.
     pub fn serve_groups(&self, groups: &[Group<'_>]) -> Served {
         let releases = self.fold(groups);
         let plans: Vec<&[usize]> = releases.iter().map(Vec::as_slice).collect();
@@ -1144,10 +1101,11 @@ impl Engine {
     /// Those, every other kind, and a fold of one — a lone range is
     /// cheaper as a plain Laplace count — are plans of their own.
     ///
-    /// Folded plans come first because they draw their generators first:
-    /// a fold and a cumulative-histogram request share a release
-    /// fingerprint, hence a noise ordinal sequence. The rest keep input
-    /// order.
+    /// Folded plans come first, the rest keep input order. The order is
+    /// the charge order, so it fixes each analyst's ledger positions and
+    /// with them the noise. It was chosen when a fold and a
+    /// cumulative-histogram request shared one per-identity ordinal
+    /// sequence; any fixed order would do now, and this one is kept.
     fn fold(&self, groups: &[Group<'_>]) -> Vec<Vec<usize>> {
         let ranges = groups
             .iter()
@@ -1281,24 +1239,32 @@ impl Engine {
             // analyst's spend never depends on how unrelated traffic was
             // grouped around them. A refusal (or unknown analyst) fails
             // only that analyst's slots. Charges stay in waiter order.
+            // A further *tagged* waiter of a paying analyst books its
+            // answer in a zero-ε frame of its own, which recovery counts
+            // as served, so it is charged free here: live and recovered
+            // ledger positions must agree.
             let mut verdicts: HashMap<&str, Result<(), EngineError>> = HashMap::new();
             let mut carriers = Vec::new();
+            let mut position = None;
             let mut traces = Vec::new();
             let mut answering = 0usize;
             for (si, w) in riders() {
                 if slots[si].is_some() {
                     continue; // replayed — costs nothing
                 }
-                let verdict = verdicts.entry(w.analyst).or_insert_with(|| {
-                    let verdict = self.session(w.analyst).and_then(|session| {
-                        let mut session = session.lock().expect("session poisoned");
-                        session.charge(label.clone(), request.epsilon, free)
-                    });
-                    if verdict.is_ok() {
-                        carriers.push(si);
+                let charge = |free| self.charge(w.analyst, &label, request.epsilon, free);
+                let verdict = match verdicts.get(w.analyst) {
+                    Some(Ok(())) if w.tag.is_some() => charge(true).map(drop),
+                    Some(verdict) => verdict.clone(),
+                    None => {
+                        let verdict = charge(free).map(|at| {
+                            position.get_or_insert(at);
+                            carriers.push(si);
+                        });
+                        verdicts.insert(w.analyst, verdict.clone());
+                        verdict
                     }
-                    verdict
-                });
+                };
                 match verdict {
                     // Slot stays None: filled by the release.
                     Ok(()) => {
@@ -1307,16 +1273,13 @@ impl Engine {
                             traces.push(w.trace);
                         }
                     }
-                    Err(e) => slots[si] = Some(Err(e.clone())),
+                    Err(e) => slots[si] = Some(Err(e)),
                 }
             }
-            if carriers.is_empty() {
-                continue; // nobody could pay: no release, no noise ordinal
-            }
-            let rng = match calibrated.fingerprint {
-                Some(fingerprint) => self.release_rng_keyed(fingerprint),
-                None => self.release_rng(),
+            let Some(position) = position else {
+                continue; // nobody could pay: no release
             };
+            let rng = self.release_rng(calibrated.fingerprint, position);
             prepared.push(Prepared {
                 plan,
                 calibrated,
@@ -1359,18 +1322,19 @@ impl Engine {
         // one atomic frame, so a crash can never separate them and let a
         // retry double-charge — when their first live waiter is tagged,
         // a `Charged` frame otherwise; further tagged waiters of an
-        // already-charged analyst cache their answer at zero ε.
+        // already-charged analyst cache their answer at zero ε. A failed
+        // release still books what it charged, as `Charged` frames, so
+        // the recovered ledger positions are the live ones.
         let durable = self.store.is_some();
         let mut records: Vec<Record> = Vec::new();
         let mut mirrors: Vec<(&str, u64, Vec<u8>)> = Vec::new();
         let mut commit_traces: Vec<&TraceContext> = Vec::new();
         for (p, result) in prepared.iter().zip(&results) {
-            let Ok(answers) = result else {
-                continue; // a failed release writes nothing durable
-            };
             commit_traces.extend(&p.traces);
+            let answers = result.as_ref().ok();
             let mut carriers = p.carriers.iter().peekable();
-            for (&gi, answer) in p.plan.iter().zip(answers) {
+            for (k, &gi) in p.plan.iter().enumerate() {
+                let answer = answers.map(|answers| &answers[k]);
                 let mut payload: Option<Vec<u8>> = None;
                 for (si, w) in slots_of(gi).zip(groups[gi].waiters) {
                     if slots[si].is_some() {
@@ -1378,8 +1342,8 @@ impl Engine {
                     }
                     let carries = carriers.next_if_eq(&&si).is_some();
                     let spent = if carries { p.spent } else { 0.0 };
-                    match w.tag {
-                        Some(rid) => {
+                    match (w.tag, answer) {
+                        (Some(rid), Some(answer)) => {
                             let payload = payload.get_or_insert_with(|| answer.to_bytes());
                             if durable {
                                 records.push(Record::replied(
@@ -1392,10 +1356,10 @@ impl Engine {
                             }
                             mirrors.push((w.analyst, rid, payload.clone()));
                         }
-                        None if carries && durable => {
+                        (tag, _) if durable && (carries || tag.is_some()) => {
                             records.push(Record::charged(w.analyst, &p.label, spent));
                         }
-                        None => {}
+                        _ => {}
                     }
                 }
             }
@@ -1474,9 +1438,17 @@ impl Engine {
                     )));
                 }
                 let mech = PrivateKmeans::new(*k, *iterations, request.epsilon, *spec);
+                // The request's identity; `{spec:?}` prints the finite θ
+                // or diameter exactly (shortest round-trip form).
+                let key = format!(
+                    "{}|{}|{:016x}|kmeans:{k}:{iterations}:{spec:?}",
+                    policy_entry.policy.cache_key(),
+                    request.data,
+                    request.epsilon.value().to_bits()
+                );
                 return Ok(Calibrated {
                     source: Source::Points { points, mech },
-                    fingerprint: None,
+                    fingerprint: fnv1a(key.as_bytes()),
                 });
             }
             // A fold releases the cumulative histogram its ranges read.
@@ -1490,11 +1462,10 @@ impl Engine {
             self.validate(&groups[gi].request.kind, &policy_entry.policy, &entry)?;
         }
         let sensitivity = self.sensitivity_for(&policy_entry, &class)?;
-        let fingerprint =
-            release_fingerprint(&policy_entry.policy, &request.data, request.epsilon, &class);
+        let key = release_key(&policy_entry.policy, &request.data, request.epsilon, &class);
         Ok(Calibrated {
             source: Source::Table { entry, sensitivity },
-            fingerprint: Some(fingerprint),
+            fingerprint: fnv1a(key.as_bytes()),
         })
     }
 
@@ -1630,8 +1601,7 @@ fn splitmix(mut z: u64) -> u64 {
 /// The stable identity string of a release: policy closed-form key, data
 /// name, exact ε bits, query-class fingerprint. Requests with equal keys
 /// are answerable by one another's releases; this is both the coalescing
-/// key and (hashed) the seed component that makes release noise a pure
-/// function of what is being released.
+/// key and (hashed) the release fingerprint its noise is derived from.
 fn release_key(policy: &Policy, data: &str, epsilon: Epsilon, class: &QueryClass) -> String {
     format!(
         "{}|{}|{:016x}|{:016x}",
@@ -1640,12 +1610,6 @@ fn release_key(policy: &Policy, data: &str, epsilon: Epsilon, class: &QueryClass
         epsilon.value().to_bits(),
         class.fingerprint()
     )
-}
-
-/// FNV-1a of [`release_key`] — the fingerprint indexing the per-identity
-/// release ordinals.
-fn release_fingerprint(policy: &Policy, data: &str, epsilon: Epsilon, class: &QueryClass) -> u64 {
-    fnv1a(release_key(policy, data, epsilon, class).as_bytes())
 }
 
 /// Content fingerprint of a dataset: domain size plus the exact bit

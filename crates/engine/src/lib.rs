@@ -76,8 +76,11 @@
 //! many threads as you like. The four registries are 16-way sharded by
 //! key hash so serve-path lookups and registrations contend on
 //! different locks. Each release derives its own noise generator from
-//! the engine seed and a release ordinal, so no lock is held while a
-//! mechanism runs and single-threaded serving is fully reproducible.
+//! the engine seed, the release's fingerprint and its first charged
+//! analyst's ledger position — the count of that analyst's earlier
+//! charges, which the WAL replays — so no lock is held while a mechanism
+//! runs, single-threaded serving is fully reproducible, and a restarted
+//! engine or a replica draws what an uninterrupted one would.
 
 mod cache;
 mod engine;
@@ -581,7 +584,7 @@ mod tests {
     }
 
     /// A single-analyst coalesced serve is byte-identical to `serve` on a
-    /// same-seed engine: same charge, same release ordinal, same noise.
+    /// same-seed engine: same charge, same ledger position, same noise.
     #[test]
     fn coalesced_singleton_matches_sequential_serve() {
         let req = Request::range("pol", "ds", eps(0.4), 3, 40);
@@ -602,8 +605,8 @@ mod tests {
         assert_eq!(a.to_bits(), b.to_bits());
     }
 
-    /// An all-refused group performs no release and consumes no release
-    /// ordinal: the next request matches a fresh engine's first.
+    /// An all-refused group performs no release and takes no ledger
+    /// position: the next request matches a fresh engine's first.
     #[test]
     fn all_refused_coalesced_group_consumes_no_ordinal() {
         let probe = Request::range("pol", "ds", eps(0.2), 5, 25);
@@ -1142,54 +1145,6 @@ mod tests {
         assert!((snap.spent() - 0.4).abs() < 1e-12);
     }
 
-    /// Checkpoint persists the per-identity release ordinals, so a
-    /// restarted engine **continues** each identity's noise sequence
-    /// where the previous generation left off instead of replaying it
-    /// from ordinal 0.
-    #[test]
-    fn checkpoint_persists_release_ordinals_across_restart() {
-        let dir = bf_store::scratch_dir("engine-ordinals");
-        let req = Request::range("pol", "ds", eps(0.1), 3, 17);
-        // Reference: one uninterrupted engine serving three times. Noise
-        // is a pure function of (seed, fingerprint, ordinal), so the
-        // store-backed run must reproduce answer #3 after its restart.
-        let reference = {
-            let engine = engine_with_line_policy(32, 2);
-            engine.open_session("alice", eps(10.0)).unwrap();
-            (0..3)
-                .map(|_| engine.serve("alice", &req).unwrap())
-                .collect::<Vec<_>>()
-        };
-        let build = || {
-            let store = Arc::new(Store::open(&dir).unwrap());
-            let engine = Engine::with_store(42, store);
-            let domain = Domain::line(32).unwrap();
-            engine
-                .register_policy("pol", Policy::distance_threshold(domain.clone(), 2))
-                .unwrap();
-            let rows: Vec<usize> = (0..320).map(|i| (i * 7) % 32).collect();
-            engine
-                .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
-                .unwrap();
-            engine
-        };
-        {
-            let engine = build();
-            engine.open_session("alice", eps(10.0)).unwrap();
-            assert_eq!(engine.serve("alice", &req).unwrap(), reference[0]);
-            assert_eq!(engine.serve("alice", &req).unwrap(), reference[1]);
-            engine.checkpoint().unwrap();
-        }
-        let engine = build();
-        engine.open_session("alice", eps(10.0)).unwrap();
-        assert_eq!(
-            engine.serve("alice", &req).unwrap(),
-            reference[2],
-            "the restarted engine must resume the ordinal sequence, not replay it"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// The PR 6 side-channel guarantee, engine-level: a fully
     /// instrumented run (metrics + spans + journal enabled) and a
     /// metrics-off run over the same seed produce bit-identical answers
@@ -1232,7 +1187,7 @@ mod tests {
             for r in engine.serve_batch("alice", &batch) {
                 answers.push(r.unwrap());
             }
-            engine.checkpoint().unwrap();
+            engine.compact().unwrap();
             let digest = engine.store().unwrap().current_state().digest();
             std::fs::remove_dir_all(&dir).unwrap();
             (answers, digest)
@@ -1267,7 +1222,6 @@ mod tests {
         for expect in [
             "engine_cache_misses_total",
             "engine_epsilon_spent{analyst=\"alice\"}",
-            "engine_release_identities",
             "span_stage_ns{stage=\"release\"}",
             "span_stage_ns{stage=\"wal_commit\"}",
             "store_commits_total",
@@ -1276,7 +1230,6 @@ mod tests {
             assert!(names.contains(&expect), "missing {expect}: {names:?}");
         }
         let text = bf_obs::render_prometheus(&snaps);
-        assert!(text.contains("engine_release_identities 1"));
         assert!(text.contains("quantile=\"0.99\""));
         // The span journal saw the release and the WAL commit.
         let stages: Vec<_> = engine
@@ -1364,8 +1317,8 @@ mod tests {
             (engine.session_remaining("alice").unwrap() - 0.75).abs() < 1e-12,
             "the retry cost nothing on top of the recovered 0.25 spend"
         );
-        // The cached reply also survives a checkpoint (snapshot path).
-        engine.checkpoint().unwrap();
+        // The cached reply also survives compaction (snapshot path).
+        engine.compact().unwrap();
         drop(engine);
         let engine = build();
         engine.open_session("alice", eps(1.0)).unwrap();
@@ -1409,8 +1362,8 @@ mod tests {
         assert!((engine.session_snapshot("a").unwrap().spent() - 0.3).abs() < 1e-12);
         assert_eq!(replay_hits(&engine), 2);
         // Retrying through the fan-out path itself also hits the cache:
-        // the whole group is replayed, nothing is charged, and no release
-        // ordinal is consumed.
+        // the whole group is replayed, nothing is charged, and no ledger
+        // position is taken.
         let replayed = serve_groups(&engine, &[(vec![("a", Some(1)), ("a", Some(2))], &req)]).slots;
         assert!(replayed[0]
             .iter()

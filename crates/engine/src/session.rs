@@ -148,7 +148,9 @@ impl AnalystSession {
 
     /// Draws `epsilon` from the ledger for a release, or refuses. Pass
     /// `free = true` for zero-sensitivity releases: the query is recorded
-    /// in the ledger at ε = 0 and always succeeds.
+    /// in the ledger at ε = 0 and always succeeds. Returns the charge's
+    /// position in the ledger — [`AnalystSession::served`] before it —
+    /// which the engine derives the release's noise from.
     ///
     /// # Errors
     ///
@@ -161,22 +163,23 @@ impl AnalystSession {
         label: impl Into<String>,
         epsilon: Epsilon,
         free: bool,
-    ) -> Result<(), EngineError> {
+    ) -> Result<u64, EngineError> {
         if self.evicted {
             return Err(EngineError::SessionEvicted(self.analyst.clone()));
         }
         self.last_active = Instant::now();
+        let position = self.served;
         if free {
             self.accountant.note_free(label);
             self.served += 1;
             self.publish_gauges();
-            return Ok(());
+            return Ok(position);
         }
         match self.accountant.spend(label, epsilon) {
             Ok(()) => {
                 self.served += 1;
                 self.publish_gauges();
-                Ok(())
+                Ok(position)
             }
             Err(CoreError::BudgetExhausted {
                 remaining,
@@ -211,7 +214,8 @@ mod tests {
         assert!(matches!(err, EngineError::BudgetRefused { .. }));
         // Refusal left the ledger untouched.
         assert!((s.remaining() - 0.4).abs() < 1e-12);
-        s.charge("q3", eps(0.4), false).unwrap();
+        let position = s.charge("q3", eps(0.4), false).unwrap();
+        assert_eq!(position, 1, "the refusal took no ledger position");
         assert_eq!(s.served(), 2);
         assert_eq!(s.refused(), 1);
         assert_eq!(s.ledger().len(), 2);

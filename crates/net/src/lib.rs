@@ -35,8 +35,8 @@
 //!   client lands on its durable ledger whether the socket dropped or
 //!   the whole server was killed and recovered from its WAL.
 //! * **Multi-process runs are reproducible.** Release noise is a pure
-//!   function of `(engine seed, release identity, per-identity
-//!   ordinal)`, so concurrent client processes with disjoint query
+//!   function of `(engine seed, release identity, ledger position)`
+//!   — the position counts the payer's earlier charges — so concurrent client processes with disjoint query
 //!   streams observe byte-identical answers across same-seed runs no
 //!   matter how the network interleaves them
 //!   (`examples/remote_analysts.rs` asserts this end to end).

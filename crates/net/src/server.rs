@@ -423,7 +423,7 @@ impl NetServer {
     ///
     /// # Errors
     ///
-    /// [`ServerError`] when the inner server's final checkpoint fails;
+    /// [`ServerError`] when the inner server's final compaction fails;
     /// the network side is down either way.
     pub fn shutdown(mut self) -> Result<ServerStats, ServerError> {
         self.stop_network();

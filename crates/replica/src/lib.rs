@@ -25,7 +25,7 @@
 //! * **Deterministic replay.** Every replica applies the identical log
 //!   through the identical engine (`Engine::serve_tagged` under the
 //!   entry's idempotency key): release noise is a pure function of
-//!   `(seed, release identity, ordinal)`, so per-analyst ledgers,
+//!   `(seed, release identity, ledger position)`, so per-analyst ledgers,
 //!   reply caches and answers are byte-identical at every index on
 //!   every replica.
 //! * **Read scale-out.** Followers serve `Budget` / `BudgetAudit` /

@@ -91,7 +91,8 @@ const BATCH: usize = 64;
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// Engine seed. **Must be identical on every replica** — release
-    /// noise is a pure function of `(seed, release identity, ordinal)`,
+    /// noise is a pure function of `(seed, release identity, ledger
+    /// position)`,
     /// and identical seeds plus identical log order is the whole
     /// determinism argument.
     pub seed: u64,

@@ -61,9 +61,10 @@
 //!   process recovers instantly from a snapshot.
 //!
 //! Determinism: queues drain in analyst-name order, groups form in
-//! drain order, and the engine assigns release ordinals sequentially at
-//! charge time — so a same-seed engine behind a same-order submission
-//! stream and the same tick boundaries produces byte-identical answers.
+//! drain order, and the engine derives each release's noise from its
+//! first charged analyst's ledger position at charge time — so a
+//! same-seed engine behind a same-order submission stream and the same
+//! tick boundaries produces byte-identical answers.
 
 mod error;
 mod scheduler;

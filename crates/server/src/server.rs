@@ -498,7 +498,7 @@ impl Server {
         // (`stage="coalesce"`; the lookups touch only engine-internal
         // locks), sweep out what must not be charged, then hand the
         // engine the whole epoch in ONE call — its charges happen
-        // sequentially (deterministic ordinals) and ride one WAL group
+        // sequentially (deterministic ledger positions) and ride one WAL group
         // commit.
         let (mut groups, dead_letters) = coalesce(drained, |r| self.engine.coalesce_key(r));
         self.obs.span_mark(&mut span, Stage::Coalesce);
@@ -683,7 +683,7 @@ impl Server {
         // under the lock and refuses. Either way, no stranded tickets.
         drop(self.state.lock().expect("scheduler state poisoned"));
         self.pump_until_idle();
-        self.engine.checkpoint().map_err(ServerError::Engine)?;
+        self.engine.compact().map_err(ServerError::Engine)?;
         Ok(self.stats())
     }
 

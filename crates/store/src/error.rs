@@ -27,19 +27,15 @@ pub enum StoreError {
         /// What was wrong with it.
         detail: String,
     },
-    /// A WAL segment holds frames sealed with the previous frame
-    /// checksum (byte-wise FNV-1a; this build seals with
-    /// `frame_sum`). Segments carry no version, so to this
-    /// build's scanner such a segment looks damaged from its first
-    /// frame; skipping it as a torn tail would open the directory with
-    /// every ledger it recorded reset to unspent. Let the build that
-    /// wrote the directory compact it — snapshots are sealed the same
-    /// way by both builds — then open it with this one.
-    OldFrameChecksum {
-        /// Path of the segment.
+    /// The directory holds a segment or snapshot named by an earlier
+    /// on-disk format, whose records and snapshot sections this build
+    /// does not read. Reading it anyway could misplace every field after
+    /// a dropped section, and skipping it would open the directory with
+    /// every ledger it recorded reset to unspent; the build that wrote it
+    /// is the one that can serve it.
+    OldFormat {
+        /// Path of the first such file found.
         path: String,
-        /// Byte offset of the first frame sealed the old way.
-        offset: u64,
     },
     /// A previous write or fsync failed; the log refuses further
     /// appends so an un-durable suffix can never be acknowledged.
@@ -62,11 +58,10 @@ impl fmt::Display for StoreError {
             StoreError::CorruptSnapshot { path, detail } => {
                 write!(f, "corrupt snapshot {path}: {detail}")
             }
-            StoreError::OldFrameChecksum { path, offset } => write!(
+            StoreError::OldFormat { path } => write!(
                 f,
-                "WAL segment {path} was written with the previous frame checksum \
-                 (byte-wise FNV-1a, first such frame at byte {offset}): compact the \
-                 directory with the build that wrote it before opening it with this one"
+                "{path} is named by an earlier on-disk format, which this build does \
+                 not read: serve the directory with the build that wrote it"
             ),
             StoreError::Poisoned(msg) => {
                 write!(f, "store poisoned by earlier write failure: {msg}")

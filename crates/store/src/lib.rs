@@ -10,7 +10,7 @@
 //!
 //! * **[`Record`]** — the durable event vocabulary: sessions opened,
 //!   charges drawn (ε as exact `f64` bits), registrations with content
-//!   fingerprints, deregistrations.
+//!   fingerprints, and the replicated log's entries and marks.
 //! * **[`Store`]** — an append-only WAL of checksummed, length-prefixed
 //!   frames with **group commit**: concurrent charges stack their
 //!   frames and share one fsync ([`StoreStats::amortization`]).
@@ -19,9 +19,9 @@
 //! * **Recovery** — [`Store::open`] loads the newest snapshot, replays
 //!   later segments, tolerates the torn tail of a crash mid-append
 //!   (those records were never acknowledged), and refuses checksummed
-//!   damage anywhere it could resurrect spent budget — a segment whose
-//!   frames an older build sealed with byte-wise FNV-1a included
-//!   ([`StoreError::OldFrameChecksum`]).
+//!   damage anywhere it could resurrect spent budget — and a directory
+//!   of an earlier on-disk format, by its file names
+//!   ([`StoreError::OldFormat`]).
 //!
 //! The engine integration (in `bf-engine`) is
 //! **acknowledge-after-durable**: a charge is committed here *before*

@@ -84,7 +84,8 @@ pub enum Record {
     },
     /// A charge was drawn from an analyst's ledger. Free
     /// (zero-sensitivity) releases are logged with `eps_bits` of `0.0`
-    /// so the served counter survives recovery too.
+    /// so the served counter survives recovery too: it is the analyst's
+    /// ledger position, which the engine derives release noise from.
     Charged {
         /// The analyst who paid.
         analyst: String,
@@ -103,26 +104,6 @@ pub enum Record {
         name: String,
         /// Content fingerprint (FNV-1a of the object's identity).
         fingerprint: u64,
-    },
-    /// A named object was deregistered; recovery must not resurrect it.
-    Deregistered {
-        /// Which registry.
-        kind: RegistryKind,
-        /// The deregistered name.
-        name: String,
-    },
-    /// High-water mark of a release identity's noise ordinal, written at
-    /// checkpoint so a restarted engine resumes each identity's ordinal
-    /// sequence instead of replaying earlier releases' exact noise.
-    /// Replay keeps the **maximum** seen per fingerprint — ordinals must
-    /// never move backwards.
-    ReleaseSeq {
-        /// FNV-1a fingerprint of the release identity
-        /// `(policy, data, ε, query class)`.
-        fingerprint: u64,
-        /// Releases performed under this identity so far (the next
-        /// ordinal to assign).
-        seq: u64,
     },
     /// A charge **and** its answer in one frame — the idempotency
     /// record behind exactly-once retries. The charge and the cached
@@ -191,8 +172,6 @@ pub enum Record {
 const TAG_SESSION_OPENED: u8 = 1;
 const TAG_CHARGED: u8 = 2;
 const TAG_REGISTERED: u8 = 3;
-const TAG_DEREGISTERED: u8 = 4;
-const TAG_RELEASE_SEQ: u8 = 5;
 const TAG_REPLIED: u8 = 6;
 const TAG_REPLICATED: u8 = 7;
 const TAG_LOG_APPLIED: u8 = 8;
@@ -201,7 +180,7 @@ const TAG_LOG_TRUNCATED: u8 = 9;
 /// FNV-1a over a byte slice — the stable hash that keys the release
 /// RNG, picks shards and replica groups, fingerprints ledger labels and
 /// seals snapshots. It sealed frames too until `frame_sum` replaced it
-/// there; recovery still uses it to name a frame from before.
+/// there.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in bytes {
@@ -291,9 +270,8 @@ pub(crate) fn frame_sum(payload: &[u8]) -> u64 {
 /// filled in afterwards, so the payload's bytes are never copied. This is
 /// the record-framing discipline shared by the WAL and the network wire
 /// protocol (`bf-net`): every length-prefixed, checksummed byte stream in
-/// the workspace parses — and fails — the same way. A WAL segment or a
-/// peer that still seals frames with byte-wise [`fnv1a`] fails at its
-/// first frame.
+/// the workspace parses — and fails — the same way. A peer that still
+/// seals frames with byte-wise [`fnv1a`] fails at its first frame.
 ///
 /// # Panics
 ///
@@ -335,9 +313,12 @@ pub enum FrameRead<'a> {
     Corrupt,
 }
 
-/// The one frame parser: [`read_frame`] with the checksum function left
-/// open, so that [`is_fnv1a_frame`] reads the header the same way.
-fn read_frame_sealed_by(buf: &[u8], sum: impl FnOnce(&[u8]) -> u64) -> FrameRead<'_> {
+/// Attempts to read one [`frame_into`]-framed payload from the front of
+/// `buf` without consuming it. A length beyond [`MAX_RECORD_LEN`] or a
+/// checksum mismatch is [`FrameRead::Corrupt`] — a framing error is
+/// never reported as "wait for more bytes", so a corrupted stream fails
+/// fast instead of hanging a reader forever.
+pub fn read_frame(buf: &[u8]) -> FrameRead<'_> {
     let Some((len, rest)) = buf.split_first_chunk::<4>() else {
         return FrameRead::Incomplete;
     };
@@ -351,34 +332,13 @@ fn read_frame_sealed_by(buf: &[u8], sum: impl FnOnce(&[u8]) -> u64) -> FrameRead
     let Some(payload) = rest.get(..len as usize) else {
         return FrameRead::Incomplete;
     };
-    if sum(payload) != u64::from_le_bytes(*checksum) {
+    if frame_sum(payload) != u64::from_le_bytes(*checksum) {
         return FrameRead::Corrupt;
     }
     FrameRead::Complete {
         payload,
         consumed: FRAME_HEADER_LEN + payload.len(),
     }
-}
-
-/// Attempts to read one [`frame_into`]-framed payload from the front of
-/// `buf` without consuming it. A length beyond [`MAX_RECORD_LEN`] or a
-/// checksum mismatch is [`FrameRead::Corrupt`] — a framing error is
-/// never reported as "wait for more bytes", so a corrupted stream fails
-/// fast instead of hanging a reader forever.
-pub fn read_frame(buf: &[u8]) -> FrameRead<'_> {
-    read_frame_sealed_by(buf, frame_sum)
-}
-
-/// Whether `buf` starts with a whole record frame sealed by byte-wise
-/// [`fnv1a`], as every build before [`frame_sum`] sealed them. WAL
-/// segments carry no version, so this is how [`crate::Store::open`] tells
-/// a segment from such a build — which it must refuse — from a torn tail
-/// it may skip.
-pub(crate) fn is_fnv1a_frame(buf: &[u8]) -> bool {
-    matches!(
-        read_frame_sealed_by(buf, fnv1a),
-        FrameRead::Complete { payload, .. } if Record::decode(payload).is_some()
-    )
 }
 
 /// Smallest room [`FrameBuf::fill`] offers one `read`.
@@ -571,16 +531,6 @@ impl Record {
                 put_str(out, name);
                 put_u64(out, *fingerprint);
             }
-            Record::Deregistered { kind, name } => {
-                out.push(TAG_DEREGISTERED);
-                out.push(kind.tag());
-                put_str(out, name);
-            }
-            Record::ReleaseSeq { fingerprint, seq } => {
-                out.push(TAG_RELEASE_SEQ);
-                put_u64(out, *fingerprint);
-                put_u64(out, *seq);
-            }
             Record::Replied {
                 analyst,
                 request_id,
@@ -639,14 +589,6 @@ impl Record {
                 kind: RegistryKind::from_tag(r.u8()?)?,
                 name: r.str()?,
                 fingerprint: r.u64()?,
-            },
-            TAG_DEREGISTERED => Record::Deregistered {
-                kind: RegistryKind::from_tag(r.u8()?)?,
-                name: r.str()?,
-            },
-            TAG_RELEASE_SEQ => Record::ReleaseSeq {
-                fingerprint: r.u64()?,
-                seq: r.u64()?,
             },
             TAG_REPLIED => Record::Replied {
                 analyst: r.str()?,
@@ -779,14 +721,6 @@ mod tests {
                 kind: RegistryKind::Dataset,
                 name: "ds".into(),
                 fingerprint: 0xDEAD_BEEF,
-            },
-            Record::Deregistered {
-                kind: RegistryKind::Policy,
-                name: "pol".into(),
-            },
-            Record::ReleaseSeq {
-                fingerprint: 0x1234_5678_9ABC_DEF0,
-                seq: 42,
             },
             Record::replied("alice", 7, "range@pol/ds", 0.25, vec![3, 0, 0, 0, 1, 2, 3]),
             Record::Replicated {
@@ -983,23 +917,6 @@ mod tests {
             time(frame_sum),
             time(fnv1a)
         );
-    }
-
-    #[test]
-    fn old_fnv1a_frames_are_recognised_and_never_read() {
-        let payload = Record::charged("alice", "q", 0.25).encode();
-        let mut old = (payload.len() as u32).to_le_bytes().to_vec();
-        old.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        old.extend_from_slice(&payload);
-        assert!(is_fnv1a_frame(&old));
-        assert_eq!(read_frame(&old), FrameRead::Corrupt);
-        assert!(!is_fnv1a_frame(&frame_bytes(&payload)));
-        // Half of one, or one whose payload is no record, is not one.
-        assert!(!is_fnv1a_frame(&old[..old.len() / 2]));
-        let mut junk = 3u32.to_le_bytes().to_vec();
-        junk.extend_from_slice(&fnv1a(b"abc").to_le_bytes());
-        junk.extend_from_slice(b"abc");
-        assert!(!is_fnv1a_frame(&junk));
     }
 
     /// How `FrameBuf` sizes its reads (what it hands out, at any

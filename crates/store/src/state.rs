@@ -6,7 +6,7 @@
 //! snapshot and replaying the WAL segments after it. Maps are `BTreeMap`s
 //! and floats are carried as bit patterns, so serializing the same state
 //! twice produces byte-identical output — the property the recovery
-//! tests and the restart bench pin.
+//! tests pin.
 
 use crate::record::{fnv1a, Record, RegistryKind};
 use std::collections::BTreeMap;
@@ -18,7 +18,8 @@ pub struct SessionState {
     pub total: f64,
     /// ε spent by acknowledged charges, in WAL order.
     pub spent: f64,
-    /// Charges applied (including free zero-ε ones).
+    /// Charges applied (including free zero-ε ones): the analyst's
+    /// ledger position, which the engine derives release noise from.
     pub served: u64,
 }
 
@@ -65,10 +66,6 @@ pub struct StoreState {
     pub sessions: BTreeMap<String, SessionState>,
     /// Registered names and their content fingerprints.
     pub registrations: BTreeMap<(RegistryKind, String), u64>,
-    /// High-water marks of release-identity noise ordinals, by identity
-    /// fingerprint — written at checkpoint so a restarted engine resumes
-    /// each identity's ordinal sequence. Replay keeps the maximum.
-    pub release_seqs: BTreeMap<u64, u64>,
     /// The idempotency reply cache: per analyst, the most recent
     /// [`REPLY_CACHE_PER_ANALYST`] request ids and their answers.
     /// Rebuilt by replaying [`Record::Replied`] frames and persisted in
@@ -132,15 +129,6 @@ impl StoreState {
             } => {
                 self.registrations
                     .insert((*kind, name.clone()), *fingerprint);
-            }
-            Record::Deregistered { kind, name } => {
-                self.registrations.remove(&(*kind, name.clone()));
-            }
-            Record::ReleaseSeq { fingerprint, seq } => {
-                // Max, not last-writer: ordinals never move backwards,
-                // and replay order across segments must not matter.
-                let e = self.release_seqs.entry(*fingerprint).or_insert(0);
-                *e = (*e).max(*seq);
             }
             Record::Replied {
                 analyst,
@@ -240,11 +228,6 @@ impl StoreState {
             put_str(&mut out, name);
             put_u64(&mut out, *fp);
         }
-        out.extend_from_slice(&(self.release_seqs.len() as u32).to_le_bytes());
-        for (fp, seq) in &self.release_seqs {
-            put_u64(&mut out, *fp);
-            put_u64(&mut out, *seq);
-        }
         out.extend_from_slice(&(self.replies.len() as u32).to_le_bytes());
         for (analyst, cache) in &self.replies {
             put_str(&mut out, analyst);
@@ -296,22 +279,6 @@ impl StoreState {
             let fp = r.u64()?;
             state.registrations.insert((kind, name), fp);
         }
-        // Snapshots written before release ordinals were durable end
-        // here; treat the missing section as empty rather than corrupt.
-        if r.done() {
-            return Some(state);
-        }
-        let n_seqs = r.u32()?;
-        for _ in 0..n_seqs {
-            let fp = r.u64()?;
-            let seq = r.u64()?;
-            state.release_seqs.insert(fp, seq);
-        }
-        // Snapshots written before the reply cache was durable end
-        // here; treat the missing section as empty rather than corrupt.
-        if r.done() {
-            return Some(state);
-        }
         let n_analysts = r.u32()?;
         for _ in 0..n_analysts {
             let analyst = r.str()?;
@@ -324,11 +291,6 @@ impl StoreState {
                 cache.insert(rid, CachedReply { eps_bits, payload });
             }
             state.replies.insert(analyst, cache);
-        }
-        // Snapshots written before replication was durable end here;
-        // treat the missing section as an empty, unreplicated log.
-        if r.done() {
-            return Some(state);
         }
         state.log_epoch = r.u64()?;
         state.log_index = r.u64()?;
@@ -386,45 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn release_seqs_keep_the_maximum_and_roundtrip() {
-        let mut s = StoreState::default();
-        s.apply(&Record::ReleaseSeq {
-            fingerprint: 7,
-            seq: 3,
-        });
-        s.apply(&Record::ReleaseSeq {
-            fingerprint: 7,
-            seq: 2,
-        });
-        s.apply(&Record::ReleaseSeq {
-            fingerprint: 9,
-            seq: 1,
-        });
-        assert_eq!(s.release_seqs[&7], 3, "replay keeps the high-water mark");
-        assert_eq!(s.release_seqs[&9], 1);
-        let bytes = s.to_bytes();
-        assert_eq!(StoreState::from_bytes(&bytes), Some(s.clone()));
-        assert_eq!(StoreState::from_bytes(&bytes[..bytes.len() - 1]), None);
-    }
-
-    #[test]
-    fn snapshots_without_a_release_seq_section_still_load() {
-        // A pre-ordinal snapshot body: sessions + registrations only
-        // (no release_seqs, no replies).
-        let mut s = StoreState::default();
-        s.apply(&Record::session_opened("alice", 1.0));
-        let mut old = s.to_bytes();
-        // Drop every trailing section added since: empty release_seqs
-        // (4) + empty replies (4) + empty log section (3 u64 + count).
-        old.truncate(old.len() - 8 - 28);
-        let loaded = StoreState::from_bytes(&old).expect("old snapshot loads");
-        assert_eq!(loaded.sessions, s.sessions);
-        assert!(loaded.release_seqs.is_empty());
-        assert!(loaded.replies.is_empty());
-        assert_eq!(loaded.log_index, 0);
-    }
-
-    #[test]
     fn replied_charges_once_and_caches_the_answer() {
         let mut s = StoreState::default();
         s.apply(&Record::session_opened("alice", 1.0));
@@ -466,40 +389,6 @@ mod tests {
         // The *charges* all survive eviction — only answers age out.
         assert_eq!(s.sessions["a"].served, n);
         assert!((s.sessions["a"].spent - n as f64 * 0.001).abs() < 1e-9);
-    }
-
-    #[test]
-    fn snapshots_without_a_reply_section_still_load() {
-        // A PR6-era snapshot body ends after release_seqs.
-        let mut s = StoreState::default();
-        s.apply(&Record::session_opened("alice", 1.0));
-        s.apply(&Record::ReleaseSeq {
-            fingerprint: 7,
-            seq: 3,
-        });
-        let mut old = s.to_bytes();
-        // Drop the empty replies section (4) + the empty log section (28).
-        old.truncate(old.len() - 4 - 28);
-        let loaded = StoreState::from_bytes(&old).expect("old snapshot loads");
-        assert_eq!(loaded.sessions, s.sessions);
-        assert_eq!(loaded.release_seqs, s.release_seqs);
-        assert!(loaded.replies.is_empty());
-        assert_eq!(loaded.log_index, 0);
-    }
-
-    #[test]
-    fn snapshots_without_a_log_section_still_load() {
-        // A PR8-era snapshot body ends after the reply cache.
-        let mut s = StoreState::default();
-        s.apply(&Record::session_opened("alice", 1.0));
-        s.apply(&Record::replied("alice", 1, "q", 0.1, vec![9]));
-        let mut old = s.to_bytes();
-        old.truncate(old.len() - 28); // drop the empty log section
-        let loaded = StoreState::from_bytes(&old).expect("old snapshot loads");
-        assert_eq!(loaded, s);
-        assert_eq!(loaded.log_epoch, 0);
-        assert_eq!(loaded.log_applied, 0);
-        assert!(loaded.log_pending.is_empty());
     }
 
     #[test]
@@ -590,20 +479,5 @@ mod tests {
         s.apply(&Record::charged("ghost", "q", 0.3));
         assert_eq!(s.sessions["ghost"].total, 0.0);
         assert_eq!(s.sessions["ghost"].spent, 0.3);
-    }
-
-    #[test]
-    fn deregistration_removes_the_entry() {
-        let mut s = StoreState::default();
-        s.apply(&Record::Registered {
-            kind: RegistryKind::Dataset,
-            name: "ds".into(),
-            fingerprint: 1,
-        });
-        s.apply(&Record::Deregistered {
-            kind: RegistryKind::Dataset,
-            name: "ds".into(),
-        });
-        assert!(s.registrations.is_empty());
     }
 }

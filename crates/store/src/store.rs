@@ -7,17 +7,23 @@
 //! snapshot:
 //!
 //! ```text
-//! wal-0000000000000000.log      ← appended records, framed + checksummed
-//! wal-0000000000000001.log      ← one segment per process generation / compaction
-//! snapshot-0000000000000001.snap← full StoreState; covers segments < 1
+//! ledger-0000000000000000.log   ← appended records, framed + checksummed
+//! ledger-0000000000000001.log   ← one segment per process generation / compaction
+//! ledger-0000000000000001.snap  ← full StoreState; covers segments < 1
 //! ```
 //!
 //! The invariant is **snapshot `N` covers exactly the records in
 //! segments `< N`**; recovery loads the newest snapshot and replays the
 //! segments `≥ N` in order. Compaction preserves the invariant by
-//! rotating to segment `N` *before* writing `snapshot-N`, so a crash
+//! rotating to segment `N` *before* writing snapshot `N`, so a crash
 //! between the two steps merely leaves an extra segment to replay —
 //! never a record covered twice or not at all.
+//!
+//! The names are the format's version. A directory written by an
+//! earlier format names its files `wal-N.log` and `snapshot-N.snap`;
+//! its records and snapshot sections are not this format's, and
+//! [`Store::open`] refuses it by those names
+//! ([`StoreError::OldFormat`]) rather than misread it.
 //!
 //! ## Group commit
 //!
@@ -32,9 +38,7 @@
 //! pays for.
 
 use crate::error::StoreError;
-use crate::record::{
-    fnv1a, frame_into, has_intact_frame_after, is_fnv1a_frame, scan_frames, Record, ScanEnd,
-};
+use crate::record::{fnv1a, frame_into, has_intact_frame_after, scan_frames, Record, ScanEnd};
 use crate::state::StoreState;
 use bf_obs::{Counter, Gauge, Histogram, Registry, Stage, TraceContext, TraceTimer};
 use std::collections::BTreeMap;
@@ -90,11 +94,7 @@ struct Counters {
     /// Store-layer faults actually injected by the configured
     /// [`StoreConfig::fault_plan`] (0 in production).
     faults_injected: Counter,
-    /// Distinct release identities carrying an ordinal high-water mark
-    /// in the ledger — the cardinality the snapshot's `release_seqs`
-    /// section is bounded by.
-    release_seq_identities: Gauge,
-    /// Top-level `wal-*.log` segments (the ones recovery would replay).
+    /// Top-level segments (the ones recovery would replay).
     live_wal_segments: Gauge,
     /// Segments preserved under `archive/` by
     /// [`StoreConfig::archive_replayed_segments`].
@@ -109,7 +109,6 @@ impl Counters {
             syncs: obs.counter("store_syncs_total"),
             compactions: obs.counter("store_compactions_total"),
             faults_injected: obs.counter("faults_injected{layer=\"store\"}"),
-            release_seq_identities: obs.gauge("store_release_seq_identities"),
             live_wal_segments: obs.gauge("store_live_wal_segments"),
             archived_wal_segments: obs.gauge("store_archived_wal_segments"),
         }
@@ -215,9 +214,6 @@ impl Inner {
         }
         self.pending_records += records.len() as u64;
         self.counters.appended.add(records.len() as u64);
-        self.counters
-            .release_seq_identities
-            .set(self.state.release_seqs.len() as f64);
         Ok(())
     }
 }
@@ -258,41 +254,41 @@ impl std::fmt::Debug for Store {
     }
 }
 
+/// A numbered file name's `(prefix, suffix)` around 16 hex digits.
+type Naming = (&'static str, &'static str);
+const SEGMENT: Naming = ("ledger-", ".log");
+const SNAPSHOT: Naming = ("ledger-", ".snap");
+/// The names an earlier on-disk format gave its segments and snapshots.
+const EARLIER_FORMAT: [Naming; 2] = [("wal-", ".log"), ("snapshot-", ".snap")];
+
+fn numbered_path(dir: &Path, (prefix, suffix): Naming, n: u64) -> PathBuf {
+    dir.join(format!("{prefix}{n:016x}{suffix}"))
+}
+
 fn segment_path(dir: &Path, n: u64) -> PathBuf {
-    dir.join(format!("wal-{n:016x}.log"))
+    numbered_path(dir, SEGMENT, n)
 }
 
 fn snapshot_path(dir: &Path, n: u64) -> PathBuf {
-    dir.join(format!("snapshot-{n:016x}.snap"))
+    numbered_path(dir, SNAPSHOT, n)
 }
 
 /// Parses `prefix-XXXXXXXXXXXXXXXX.suffix` names back to numbers.
-fn parse_numbered(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
+fn parse_numbered(name: &str, (prefix, suffix): Naming) -> Option<u64> {
     let rest = name.strip_prefix(prefix)?.strip_suffix(suffix)?;
     (rest.len() == 16)
         .then(|| u64::from_str_radix(rest, 16).ok())
         .flatten()
 }
 
-/// Counts `wal-*.log` segments in `dir` (0 when the directory does not
-/// exist — e.g. `archive/` before the first archiving compaction).
+/// Counts the segments in `dir` (0 when the directory does not exist —
+/// e.g. `archive/` before the first archiving compaction).
 fn count_wal_segments(dir: &Path) -> f64 {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return 0.0;
-    };
-    entries
-        .flatten()
-        .filter(|e| {
-            e.file_name()
-                .to_str()
-                .and_then(|n| parse_numbered(n, "wal-", ".log"))
-                .is_some()
-        })
-        .count() as f64
+    sorted_wal_segments(dir).len() as f64
 }
 
-/// Numerically-sorted `wal-*.log` paths in `dir` (empty when the
-/// directory does not exist).
+/// Numerically-sorted segment paths in `dir` (empty when the directory
+/// does not exist).
 fn sorted_wal_segments(dir: &Path) -> Vec<(u64, PathBuf)> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -301,7 +297,7 @@ fn sorted_wal_segments(dir: &Path) -> Vec<(u64, PathBuf)> {
         .flatten()
         .filter_map(|e| {
             let name = e.file_name();
-            let n = parse_numbered(name.to_str()?, "wal-", ".log")?;
+            let n = parse_numbered(name.to_str()?, SEGMENT)?;
             Some((n, e.path()))
         })
         .collect();
@@ -377,9 +373,9 @@ impl Store {
     /// its checksum (starting empty instead would resurrect spent ε), or
     /// when mid-history corruption is followed by intact frames (skipping
     /// it would silently drop acknowledged charges);
-    /// [`StoreError::OldFrameChecksum`] when a segment was written by a
-    /// build that sealed frames with byte-wise FNV-1a (read as a torn
-    /// tail it would open with every ledger reset);
+    /// [`StoreError::OldFormat`] when the directory holds a segment or
+    /// snapshot named by an earlier on-disk format (see the module
+    /// docs), before anything is read or created;
     /// [`StoreError::Io`] when a segment cannot be read mid-stream or
     /// the new segment cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<Store, StoreError> {
@@ -412,10 +408,17 @@ impl Store {
             let entry = entry.map_err(|e| StoreError::io("read dir", &e))?;
             let name = entry.file_name();
             let Some(name) = name.to_str() else { continue };
-            if let Some(n) = parse_numbered(name, "wal-", ".log") {
+            if let Some(n) = parse_numbered(name, SEGMENT) {
                 segments.insert(n, entry.path());
-            } else if let Some(n) = parse_numbered(name, "snapshot-", ".snap") {
+            } else if let Some(n) = parse_numbered(name, SNAPSHOT) {
                 snapshots.insert(n, entry.path());
+            } else if EARLIER_FORMAT
+                .iter()
+                .any(|&f| parse_numbered(name, f).is_some())
+            {
+                return Err(StoreError::OldFormat {
+                    path: entry.path().display().to_string(),
+                });
             }
         }
 
@@ -468,9 +471,6 @@ impl Store {
         sync_dir(&dir);
 
         let counters = Counters::new(&obs);
-        counters
-            .release_seq_identities
-            .set(state.release_seqs.len() as f64);
         counters.refresh_segment_gauges(&dir);
 
         Ok(Store {
@@ -727,9 +727,9 @@ impl Store {
             for entry in entries.flatten() {
                 let name = entry.file_name();
                 let Some(name) = name.to_str() else { continue };
-                let covered = parse_numbered(name, "wal-", ".log")
-                    .is_some_and(|m| m <= old_segment)
-                    || parse_numbered(name, "snapshot-", ".snap").is_some_and(|m| m <= old_segment);
+                let covered = [SEGMENT, SNAPSHOT]
+                    .iter()
+                    .any(|&f| parse_numbered(name, f).is_some_and(|m| m <= old_segment));
                 if covered {
                     if self.config.archive_replayed_segments {
                         let _ = std::fs::rename(entry.path(), archive.join(name));
@@ -794,12 +794,10 @@ impl Store {
     ///
     /// [`StoreError::Io`] when a segment cannot be read;
     /// [`StoreError::CorruptSnapshot`] when damage is followed by
-    /// intact frames, [`StoreError::OldFrameChecksum`] for a segment
-    /// from before `frame_sum` (the same refuse-to-guess rules
-    /// recovery applies — a plain torn tail ends only that segment's
-    /// scan and the audit continues with the next segment, exactly like
-    /// recovery, so a crash-torn mid-history segment never hides later
-    /// charges).
+    /// intact frames (the same refuse-to-guess rule recovery applies —
+    /// a plain torn tail ends only that segment's scan and the audit
+    /// continues with the next segment, exactly like recovery, so a
+    /// crash-torn mid-history segment never hides later charges).
     pub fn ledger_history(&self, analyst: &str) -> Result<Vec<LedgerEntry>, StoreError> {
         let _g = self.inner.lock().expect("store lock poisoned");
         let mut paths = sorted_wal_segments(&self.dir.join("archive"));
@@ -862,30 +860,18 @@ impl Store {
 /// end of `bytes`, may do next. `Ok` means the stop is a crash tear
 /// (torn header or payload, or a checksum mismatch on never-synced
 /// garbage): nothing past it was ever acknowledged, and skipping it is
-/// sound. Two things are refused instead:
-///
-/// * a frame at the stop that verifies under byte-wise FNV-1a — the
-///   segment is whole, written by a build from before
-///   [`crate::frame_sum`], and skipping it would reset every ledger in
-///   it to unspent;
-/// * damage *inside* durable history. Group commit fsyncs batch N before
-///   batch N+1 is written, so an **intact frame after the stop** proves
-///   the stopped-on region was once durable (a corrupted length field
-///   can even fabricate a fake "torn tail" that swallows acknowledged
-///   records). Skipping would silently drop acknowledged charges — the
-///   operator decides.
+/// sound. Damage *inside* durable history is refused instead. Group
+/// commit fsyncs batch N before batch N+1 is written, so an **intact
+/// frame after the stop** proves the stopped-on region was once durable
+/// (a corrupted length field can even fabricate a fake "torn tail" that
+/// swallows acknowledged records). Skipping would silently drop
+/// acknowledged charges — the operator decides.
 fn refuse_durable_damage(
     path: &Path,
     segment: u64,
     bytes: &[u8],
     offset: usize,
 ) -> Result<(), StoreError> {
-    if is_fnv1a_frame(&bytes[offset..]) {
-        return Err(StoreError::OldFrameChecksum {
-            path: path.display().to_string(),
-            offset: offset as u64,
-        });
-    }
     if has_intact_frame_after(bytes, offset) {
         return Err(StoreError::CorruptSnapshot {
             path: path.display().to_string(),
@@ -962,6 +948,7 @@ mod tests {
     #[test]
     fn compaction_prunes_and_preserves_state() {
         let dir = scratch_dir("compact");
+        let live;
         {
             let store = Store::open(&dir).unwrap();
             store
@@ -975,22 +962,23 @@ mod tests {
                     },
                 ])
                 .unwrap();
+            let before = store.current_state().digest();
             store.compact().unwrap();
+            assert_eq!(store.current_state().digest(), before);
             // Post-compaction commits land in the new segment.
             store.commit(&[Record::charged("a", "q2", 0.25)]).unwrap();
             let stats = store.stats();
             assert_eq!(stats.compactions, 1);
             assert_eq!(stats.segment, 1);
+            live = store.current_state().digest();
         }
         // Only the new segment and the snapshot remain.
-        let names: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .collect();
-        assert!(names.iter().any(|n| n.starts_with("snapshot-")));
-        assert!(!names.contains(&"wal-0000000000000000.log".to_owned()));
+        assert!(snapshot_path(&dir, 1).exists());
+        assert!(!segment_path(&dir, 0).exists());
 
         let store = Store::open(&dir).unwrap();
+        // Snapshot plus the replayed tail is the ledger bit for bit.
+        assert_eq!(store.recovered_state().digest(), live);
         let report = store.recovery_report();
         assert_eq!(report.snapshot_segment, Some(1));
         assert_eq!(report.records_applied, 1, "only the post-snapshot charge");
@@ -1156,25 +1144,19 @@ mod tests {
             store.compact().unwrap();
         }
         // Every pre-compaction segment survives under archive/ …
-        let archived: Vec<String> = std::fs::read_dir(dir.join("archive"))
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
+        let archive = dir.join("archive");
+        let archived: Vec<u64> = sorted_wal_segments(&archive)
+            .into_iter()
+            .map(|(n, _)| n)
             .collect();
-        assert!(
-            archived.contains(&"wal-0000000000000000.log".to_owned()),
-            "first segment archived, got {archived:?}"
-        );
-        assert!(
-            archived.contains(&"wal-0000000000000001.log".to_owned()),
-            "second segment archived, got {archived:?}"
-        );
+        assert_eq!(archived, [0, 1], "both segments archived");
         // … and replaying the archived segments record-by-record
         // reconstructs the full pre-snapshot ledger history (the
         // point-in-time-audit use case).
         let mut state = crate::state::StoreState::default();
         let mut records = 0;
-        for seg in ["wal-0000000000000000.log", "wal-0000000000000001.log"] {
-            let bytes = std::fs::read(dir.join("archive").join(seg)).unwrap();
+        for n in archived {
+            let bytes = std::fs::read(segment_path(&archive, n)).unwrap();
             let (end, _) = scan_frames(&bytes, |r| {
                 state.apply(&r);
                 records += 1;
@@ -1187,40 +1169,6 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.recovered_state().sessions["a"].spent, 0.75);
         assert_eq!(store.recovery_report().snapshot_segment, Some(2));
-        drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn release_seq_cardinality_gauge_tracks_ledger_and_survives_reopen() {
-        let dir = scratch_dir("seq-gauge");
-        {
-            let store = Store::open(&dir).unwrap();
-            assert_eq!(store.obs().gauge("store_release_seq_identities").get(), 0.0);
-            store
-                .commit(&[
-                    Record::ReleaseSeq {
-                        fingerprint: 7,
-                        seq: 3,
-                    },
-                    Record::ReleaseSeq {
-                        fingerprint: 9,
-                        seq: 1,
-                    },
-                    // A later ordinal for a known identity raises the
-                    // high-water mark, not the cardinality.
-                    Record::ReleaseSeq {
-                        fingerprint: 7,
-                        seq: 5,
-                    },
-                ])
-                .unwrap();
-            assert_eq!(store.obs().gauge("store_release_seq_identities").get(), 2.0);
-        }
-        // Reopen replays the WAL; the gauge is seeded from recovery.
-        let store = Store::open(&dir).unwrap();
-        assert_eq!(store.obs().gauge("store_release_seq_identities").get(), 2.0);
-        assert_eq!(store.recovered_state().release_seqs[&7], 5);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1708,14 +1656,18 @@ mod tests {
     #[test]
     fn numbered_name_parsing() {
         assert_eq!(
-            parse_numbered("wal-0000000000000003.log", "wal-", ".log"),
+            parse_numbered("ledger-0000000000000003.log", SEGMENT),
             Some(3)
         );
-        assert_eq!(parse_numbered("wal-3.log", "wal-", ".log"), None);
+        assert_eq!(parse_numbered("ledger-3.log", SEGMENT), None);
         assert_eq!(
-            parse_numbered("snapshot-00000000000000ff.snap", "snapshot-", ".snap"),
+            parse_numbered("ledger-00000000000000ff.snap", SNAPSHOT),
             Some(255)
         );
-        assert_eq!(parse_numbered("other.txt", "wal-", ".log"), None);
+        assert_eq!(
+            parse_numbered("ledger-00000000000000ff.snap", SEGMENT),
+            None
+        );
+        assert_eq!(parse_numbered("other.txt", SEGMENT), None);
     }
 }

@@ -101,8 +101,8 @@ fn recover() {
         )
         .expect("0.3 fits");
     println!("fitting request (ε = 0.30): served ✓");
-    engine.checkpoint().expect("compact");
-    println!("checkpointed: next recovery loads the snapshot. OK");
+    engine.compact().expect("compact");
+    println!("compacted: next recovery loads the snapshot. OK");
 }
 
 fn main() {

@@ -563,10 +563,10 @@ fn a_follower_crash_image_refollows_to_a_digest_equal_state() {
     );
 
     // The leader's client never reopened its session: the restarted
-    // node serves it from the ledger it recovered. (A range not asked
-    // before: after a crash a release identity's noise ordinal resumes
-    // from the last checkpoint — ROADMAP 6f, not this test's subject.)
-    call(&mut client, "alice", 6).unwrap();
+    // node serves it from the ledger it recovered — rid 1's range again,
+    // under a fresh id. Noise follows alice's ledger position, which the
+    // image replays, so the crashed node draws what the leader draws.
+    call(&mut client, "alice", 17).unwrap();
     await_applied(&restarted, 7);
     await_applied(&leader, 7);
     assert_eq!(state(&restarted).digest(), state(&leader).digest());

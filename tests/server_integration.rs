@@ -582,14 +582,16 @@ fn idle_driver_still_sweeps_expired_sessions() {
     ));
     let driver = server.start_driver(std::time::Duration::from_millis(1));
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(1);
-    while engine.parked_session("a").is_none() {
+    // The counter moves last in a sweep, after the session is parked.
+    while server.stats().evicted_sessions == 0 {
         assert!(
             std::time::Instant::now() < deadline,
-            "idle session never parked: {:?}",
+            "idle session never swept: {:?}",
             server.stats()
         );
         std::thread::sleep(std::time::Duration::from_millis(5));
     }
+    assert!(engine.parked_session("a").is_some());
     let stats = server.stats();
     assert_eq!((stats.submitted, stats.ticks), (0, 0));
     assert_eq!(stats.evicted_sessions, 1);

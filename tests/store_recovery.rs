@@ -17,6 +17,9 @@ fn eps(v: f64) -> Epsilon {
     Epsilon::new(v).unwrap()
 }
 
+/// The first segment of a store directory.
+const FIRST_SEGMENT: &str = "ledger-0000000000000000.log";
+
 fn build_engine(seed: u64, store: Arc<Store>) -> Engine {
     let engine = Engine::with_store(seed, store);
     let domain = Domain::line(64).unwrap();
@@ -27,6 +30,21 @@ fn build_engine(seed: u64, store: Arc<Store>) -> Engine {
     engine
         .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
         .unwrap();
+    engine
+}
+
+/// [`build_engine`] on a store at `dir`, plus the k-means point set
+/// `pts`, with `alice` holding a session of `total` ε.
+fn engine_at(dir: &std::path::Path, seed: u64, total: f64) -> Engine {
+    let engine = build_engine(seed, Arc::new(Store::open(dir).unwrap()));
+    let points = PointSet::new(
+        (0..40)
+            .map(|i| vec![f64::from(i % 8), f64::from(i / 8)])
+            .collect(),
+        BoundingBox::new(vec![0.0, 0.0], vec![8.0, 8.0]),
+    );
+    engine.register_points("pts", points).unwrap();
+    engine.open_session("alice", eps(total)).unwrap();
     engine
 }
 
@@ -94,22 +112,46 @@ fn killed_engine_restarts_with_its_ledger_and_noise_stream() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Recovering the same directory twice yields byte-identical ledgers.
+/// Eight analysts charge concurrently, one thread each, through group
+/// commit: every acknowledged charge is an appended record, recovery
+/// finds exactly the acknowledged ledgers, and recovering the same
+/// directory twice yields byte-identical ledgers.
 #[test]
 fn recovery_is_deterministic() {
+    const ANALYSTS: usize = 8;
+    const CHARGES: usize = 16;
     let dir = scratch_dir("recover-twice");
     {
         let store = Arc::new(Store::open(&dir).unwrap());
-        let engine = build_engine(7, store);
-        for i in 0..8 {
-            let analyst = format!("a{i}");
-            engine.open_session(&analyst, eps(2.0)).unwrap();
-            engine
-                .serve(&analyst, &Request::range("pol", "ds", eps(0.125), i, i + 9))
-                .unwrap();
-        }
+        let engine = build_engine(7, Arc::clone(&store));
+        std::thread::scope(|s| {
+            for i in 0..ANALYSTS {
+                let engine = &engine;
+                s.spawn(move || {
+                    let analyst = format!("a{i}");
+                    engine.open_session(&analyst, eps(1.0)).unwrap();
+                    for k in 0..CHARGES {
+                        let lo = (i + 3 * k) % 40;
+                        let range = Request::range("pol", "ds", eps(1.0 / 64.0), lo, lo + 9);
+                        engine.serve(&analyst, &range).unwrap();
+                    }
+                });
+            }
+        });
+        let registrations = 2;
+        assert_eq!(
+            store.stats().appended_records,
+            (registrations + ANALYSTS + ANALYSTS * CHARGES) as u64,
+            "every acknowledged charge is a durable record"
+        );
     }
-    let a = Store::open(&dir).unwrap().recovered_state().digest();
+    let store = Store::open(&dir).unwrap();
+    for i in 0..ANALYSTS {
+        let s = &store.recovered_state().sessions[&format!("a{i}")];
+        assert_eq!((s.served, s.spent), (CHARGES as u64, 0.25), "a{i}");
+    }
+    let a = store.recovered_state().digest();
+    drop(store);
     let b = Store::open(&dir).unwrap().recovered_state().digest();
     assert_eq!(a, b);
     std::fs::remove_dir_all(&dir).unwrap();
@@ -189,16 +231,8 @@ fn server_shutdown_and_restart_reattach() {
 #[test]
 fn one_tick_is_one_wal_commit() {
     let dir = scratch_dir("one-tick-one-fsync");
-    let store = Arc::new(Store::open(&dir).unwrap());
-    let engine = build_engine(31, Arc::clone(&store));
-    let points = PointSet::new(
-        (0..40)
-            .map(|i| vec![f64::from(i % 8), f64::from(i / 8)])
-            .collect(),
-        BoundingBox::new(vec![0.0, 0.0], vec![8.0, 8.0]),
-    );
-    engine.register_points("pts", points).unwrap();
-    engine.open_session("alice", eps(4.0)).unwrap();
+    let engine = engine_at(&dir, 31, 4.0);
+    let store = Arc::clone(engine.store().unwrap());
     engine.open_session("bob", eps(4.0)).unwrap();
     let server = Server::with_defaults(Arc::new(engine));
     let tickets = [
@@ -229,8 +263,8 @@ fn one_tick_is_one_wal_commit() {
 }
 
 /// Builds one WAL of `n` charges with exactly representable ε values
-/// and returns (wal bytes, per-charge ε, segment path, dir).
-fn charged_wal(tag: &str, n: usize) -> (Vec<u8>, Vec<f64>, std::path::PathBuf) {
+/// and returns (wal bytes, per-charge ε).
+fn charged_wal(tag: &str, n: usize) -> (Vec<u8>, Vec<f64>) {
     let dir = scratch_dir(tag);
     let spends: Vec<f64> = (0..n).map(|i| (i + 1) as f64 / 1024.0).collect();
     {
@@ -244,14 +278,9 @@ fn charged_wal(tag: &str, n: usize) -> (Vec<u8>, Vec<f64>, std::path::PathBuf) {
                 .unwrap();
         }
     }
-    let seg = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.file_name().unwrap().to_str().unwrap().starts_with("wal-"))
-        .unwrap();
-    let bytes = std::fs::read(&seg).unwrap();
+    let bytes = std::fs::read(dir.join(FIRST_SEGMENT)).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
-    (bytes, spends, seg)
+    (bytes, spends)
 }
 
 /// Writes `bytes` as the sole WAL segment of a fresh store dir and
@@ -262,7 +291,7 @@ fn try_recover_bytes(
     bytes: &[u8],
 ) -> Result<(f64, u64, blowfish::store::RecoveryReport), blowfish::store::StoreError> {
     let dir = scratch_dir(tag);
-    std::fs::write(dir.join("wal-0000000000000000.log"), bytes).unwrap();
+    std::fs::write(dir.join(FIRST_SEGMENT), bytes).unwrap();
     let result = Store::open(&dir).map(|store| {
         let report = store.recovery_report();
         let (spent, served) = store
@@ -288,7 +317,7 @@ fn recover_bytes(tag: &str, bytes: &[u8]) -> (f64, u64, blowfish::store::Recover
 /// under arbitrary crash points.
 #[test]
 fn truncation_at_any_offset_recovers_a_monotone_prefix() {
-    let (bytes, spends, _) = charged_wal("truncate", 12);
+    let (bytes, spends) = charged_wal("truncate", 12);
     let mut prefix_sums = vec![0.0f64];
     for &e in &spends {
         prefix_sums.push(prefix_sums.last().unwrap() + e);
@@ -365,13 +394,13 @@ fn truncation_inside_commits_carrying_staged_marks_recovers_a_monotone_prefix() 
         }
         assert_eq!(store.stats().syncs, 1 + 2 * ENTRIES, "no sync for a mark");
     } // the last mark dies with the process
-    let bytes = std::fs::read(dir.join("wal-0000000000000000.log")).unwrap();
+    let bytes = std::fs::read(dir.join(FIRST_SEGMENT)).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
 
     let mut last = (0u64, 0u64, 0u64); // served, applied, logged
     for cut in 0..=bytes.len() {
         let dir = scratch_dir("truncate-staged-cut");
-        std::fs::write(dir.join("wal-0000000000000000.log"), &bytes[..cut]).unwrap();
+        std::fs::write(dir.join(FIRST_SEGMENT), &bytes[..cut]).unwrap();
         let store = Store::open(&dir).unwrap();
         let state = store.recovered_state();
         let (spent, served) = state
@@ -421,7 +450,7 @@ fn truncation_inside_commits_carrying_staged_marks_recovers_a_monotone_prefix() 
 /// dropping them. Either way, no spend is ever invented.
 #[test]
 fn corruption_at_any_offset_is_rejected_by_checksum() {
-    let (bytes, spends, _) = charged_wal("corrupt", 10);
+    let (bytes, spends) = charged_wal("corrupt", 10);
     let mut prefix_sums = vec![0.0f64];
     for &e in &spends {
         prefix_sums.push(prefix_sums.last().unwrap() + e);
@@ -474,16 +503,16 @@ fn corruption_at_any_offset_is_rejected_by_checksum() {
     }
 }
 
-/// WAL segments carry no version, and builds before the word-wise
-/// `frame_sum` sealed every frame with byte-wise FNV-1a. To this build
-/// such a segment fails its checksum at byte 0 with nothing intact after
-/// it — exactly what a torn tail looks like — so unless recovery tells
-/// the two apart the directory opens **empty**: every analyst's spent ε
-/// silently reset. It must refuse instead, by name; a genuinely torn
-/// tail of this build's own frames still recovers.
+/// Builds before the word-wise `frame_sum` sealed every frame with
+/// byte-wise FNV-1a, in segments named `wal-N.log`. To this build such a
+/// frame fails its checksum at byte 0 with nothing intact after it —
+/// exactly what a torn tail looks like — so read, the directory would
+/// open **empty**: every analyst's spent ε silently reset. The name
+/// refuses it before a byte is read; a genuinely torn tail of this
+/// build's own frames still recovers.
 #[test]
 fn a_wal_from_before_the_frame_checksum_changed_is_refused_not_read_as_empty() {
-    use blowfish::store::{fnv1a, StoreError};
+    use blowfish::store::fnv1a;
     let old_frame = |record: &Record| {
         let payload = record.encode();
         let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
@@ -496,25 +525,16 @@ fn a_wal_from_before_the_frame_checksum_changed_is_refused_not_read_as_empty() {
         Record::charged("alice", "q0", 0.75),
     ];
     let old: Vec<u8> = records.iter().flat_map(old_frame).collect();
-    match try_recover_bytes("old-framing", &old) {
-        Err(StoreError::OldFrameChecksum { path, offset }) => {
+    let dir = scratch_dir("old-framing");
+    std::fs::write(dir.join("wal-0000000000000000.log"), &old).unwrap();
+    match Store::open(&dir) {
+        Err(StoreError::OldFormat { path }) => {
             assert!(path.ends_with("wal-0000000000000000.log"), "{path}");
-            assert_eq!(offset, 0);
         }
-        Ok((spent, ..)) => panic!("opened with alice's 0.75 spent read as {spent}"),
+        Ok(store) => panic!("opened as {:?}", store.recovered_state().sessions),
         Err(other) => panic!("refused, but not by name: {other}"),
     }
-    // The same when this build's own frames come first (a directory the
-    // two builds were alternated on): the refusal names where the old
-    // ones begin, and no later open may skip them as a tail.
-    let mut mixed = records[0].frame();
-    mixed.extend_from_slice(&old_frame(&records[1]));
-    match try_recover_bytes("old-framing-mixed", &mixed) {
-        Err(StoreError::OldFrameChecksum { offset, .. }) => {
-            assert_eq!(offset, records[0].frame().len() as u64);
-        }
-        other => panic!("expected the old-checksum refusal, got {other:?}"),
-    }
+    std::fs::remove_dir_all(&dir).unwrap();
     // Half a frame of the current framing is still just a torn tail.
     let mut torn = records[0].frame();
     let second = records[1].frame();
@@ -527,6 +547,156 @@ fn a_wal_from_before_the_frame_checksum_changed_is_refused_not_read_as_empty() {
     );
     assert!(report.tail_skipped);
     assert_eq!(report.records_applied, 1);
+}
+
+/// The parent format named its files `wal-N.log` and `snapshot-N.snap`,
+/// and its snapshot bodies carry a release-ordinal section between the
+/// registrations and the reply cache: read as this format, every later
+/// field would be misplaced. Such a directory is refused by name with
+/// the typed error before a byte is read — shown on this format's own
+/// files under the parent's names — and is left exactly as it was.
+#[test]
+fn a_parent_format_directory_is_refused_by_name_and_left_untouched() {
+    let dir = scratch_dir("parent-format");
+    {
+        let engine = engine_at(&dir, 3, 1.0);
+        let histogram = Request::histogram("pol", "ds", eps(0.25));
+        engine.serve("alice", &histogram).unwrap();
+        engine.compact().unwrap();
+        engine.serve("alice", &histogram).unwrap();
+    }
+    let listing = || {
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name != "LOCK")
+            .collect();
+        names.sort();
+        names
+    };
+    for name in listing() {
+        let rest = name.strip_prefix("ledger-").unwrap();
+        let kind = if rest.ends_with(".snap") {
+            "snapshot"
+        } else {
+            "wal"
+        };
+        std::fs::rename(dir.join(&name), dir.join(format!("{kind}-{rest}"))).unwrap();
+    }
+    let before = listing();
+    assert_eq!(
+        before,
+        ["snapshot-0000000000000001.snap", "wal-0000000000000001.log"]
+    );
+    match Store::open(&dir) {
+        Err(StoreError::OldFormat { path }) => {
+            assert!(before.iter().any(|name| path.ends_with(name)), "{path}");
+        }
+        other => panic!("expected the old-format refusal, got {other:?}"),
+    }
+    assert_eq!(listing(), before, "nothing created, pruned or renamed");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A crash forgets nothing release noise depends on. Generation 1 serves
+/// one range twice and dies without compacting; generation 2's next
+/// answer to it is the **third** answer of an uninterrupted same-seed
+/// engine, because noise follows the analyst's ledger position and the
+/// WAL's charges replay it.
+#[test]
+fn a_crash_resumes_noise_at_the_ledger_position() {
+    let range = Request::range("pol", "ds", eps(0.125), 3, 17);
+    let reference: Vec<Response> = {
+        let dir = scratch_dir("crash-position-reference");
+        let engine = engine_at(&dir, 42, 1.0);
+        let answers = (0..3).map(|_| engine.serve("alice", &range).unwrap());
+        let answers = answers.collect();
+        std::fs::remove_dir_all(&dir).unwrap();
+        answers
+    };
+    let dir = scratch_dir("crash-position");
+    {
+        let engine = engine_at(&dir, 42, 1.0);
+        assert_eq!(engine.serve("alice", &range).unwrap(), reference[0]);
+        assert_eq!(engine.serve("alice", &range).unwrap(), reference[1]);
+    } // die without ceremony
+    let engine = engine_at(&dir, 42, 1.0);
+    assert_eq!(engine.serve("alice", &range).unwrap(), reference[2]);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// k-means noise follows the ledger like every other release: after a
+/// graceful (compacted) restart the same request draws fresh centroids
+/// — the answer an uninterrupted engine gives the second time.
+#[test]
+fn kmeans_draws_fresh_centroids_after_a_compacted_restart() {
+    let kmeans = Request::kmeans("pol", "pts", eps(0.5), 2, 3, KmeansSecretSpec::Full);
+    let dir = scratch_dir("kmeans-restart");
+    let first = {
+        let engine = engine_at(&dir, 9, 2.0);
+        let first = engine.serve("alice", &kmeans).unwrap();
+        engine.compact().unwrap();
+        first
+    };
+    let engine = engine_at(&dir, 9, 2.0);
+    let second = engine.serve("alice", &kmeans).unwrap();
+    assert_ne!(second, first, "a second payment is owed a second draw");
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = scratch_dir("kmeans-uninterrupted");
+    let engine = engine_at(&dir, 9, 2.0);
+    assert_eq!(engine.serve("alice", &kmeans).unwrap(), first);
+    assert_eq!(engine.serve("alice", &kmeans).unwrap(), second);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Live and recovered ledger positions agree, which is what a restarted
+/// engine's noise rests on. Two tagged waiters of one analyst share one
+/// release: the analyst pays once, and the second waiter's answer is
+/// booked in a zero-ε `Replied` frame of its own, which recovery counts
+/// as served — so the live ledger counts it too, and the next release
+/// draws the same noise live as after a crash.
+#[test]
+fn tagged_duplicates_count_alike_live_and_recovered() {
+    let histogram = Request::histogram("pol", "ds", eps(0.25));
+    let range = Request::range("pol", "ds", eps(0.25), 5, 25);
+    let two_tagged = |engine: &Engine| {
+        let trace = TraceContext::inert();
+        let waiter = |tag| blowfish::engine::Waiter {
+            analyst: "alice",
+            tag: Some(tag),
+            trace: &trace,
+        };
+        let waiters = [waiter(1), waiter(2)];
+        let group = blowfish::engine::Group {
+            request: &histogram,
+            waiters: &waiters,
+        };
+        let served = engine.serve_groups(&[group]);
+        assert!(served.slots[0].iter().all(Result::is_ok));
+        engine.session_snapshot("alice").unwrap()
+    };
+    let dir = scratch_dir("served-live");
+    let (live_served, next) = {
+        let engine = engine_at(&dir, 13, 2.0);
+        let session = two_tagged(&engine);
+        assert_eq!(session.spent(), 0.25, "one release, one charge");
+        (session.served(), engine.serve("alice", &range).unwrap())
+    };
+    std::fs::remove_dir_all(&dir).unwrap();
+
+    let dir = scratch_dir("served-recovered");
+    two_tagged(&engine_at(&dir, 13, 2.0)); // then die without ceremony
+    let engine = engine_at(&dir, 13, 2.0);
+    assert_eq!(
+        engine.session_snapshot("alice").unwrap().served(),
+        live_served
+    );
+    assert_eq!(engine.serve("alice", &range).unwrap(), next);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A store whose `op`-th WAL write (1-based) fails before any byte
