@@ -167,7 +167,7 @@ pub struct NetConfig {
     /// frame** (`Answer` / `BatchAnswer`) advances the plan's op clock,
     /// and a due fault drops the connection, truncates the frame
     /// mid-write, or delays it — the failure modes a client's retry
-    /// logic must survive. The answers of one release leave in one
+    /// logic must survive. The answers of one writer pass leave in one
     /// write; a fault addresses one frame of it all the same — the
     /// frames before it arrive whole, then the fault happens.
     /// Injections count into `faults_injected{layer="net"}`. `None`
@@ -283,7 +283,7 @@ pub struct NetStats {
 /// writer — the socket's only writer — that owns the outstanding tickets
 /// and parks until a ticket's waker or the reader unparks it, so any
 /// number of pipelined requests per connection make progress without an
-/// executor; answers leave it one release period apart. Dropping a
+/// executor; an answer leaves as soon as its ticket resolves. Dropping a
 /// connection mid-request releases its tickets: work not yet dispatched
 /// is cancelled by the scheduler's sweep — no queue-slot leak, no ε
 /// charge for answers nobody can read.
@@ -595,9 +595,6 @@ fn serve_connection(stream: TcpStream, shared: &AcceptorShared, live: &Mutex<Opt
             batches: Vec::new(),
             watch: None,
             goodbye: None,
-            ready: Vec::new(),
-            answered: 0,
-            release: Instant::now(),
             out: Vec::new(),
         };
         let writer = scope.spawn(move || writer.run());
@@ -647,16 +644,6 @@ const WATCH_POLL: Duration = Duration::from_millis(1);
 /// Direct replies (no ticket, no release) framed in one writer pass are
 /// flushed once they add up to this much, however many more are queued.
 const DIRECT_REPLY_HIGH_WATER: usize = 256 * 1024;
-/// Release pacing: a connection's answers (`Answer`, `BatchAnswer`, a
-/// ticket's `Refused`) leave at least this far apart, each release
-/// carrying all resolved since the last; other frames go at once. The
-/// work behind an answer (a WAL fsync, four thread hand-offs) drifts
-/// 0.3–0.8 ms with the disk and the host clock; paced, a closed loop runs
-/// at one request a period whatever the weather, and a slower answer is
-/// late by its own excess only. A replica keeps the same period: a
-/// quorum write waits on three fsyncs in series (leader append, follower
-/// append, charge commit — ≈ 0.8 ms) and fits inside it.
-const RELEASE_EVERY: Duration = Duration::from_micros(1250);
 
 impl Connection<'_> {
     /// Reads and dispatches frames until `Goodbye`, EOF (client gone, or
@@ -1277,20 +1264,15 @@ struct Writer<'a> {
     /// bus subscription whose events go out as `Event` frames.
     watch: Option<(u64, BusSubscriber)>,
     goodbye: Option<u64>,
-    /// Replies off resolved tickets, and the window slots they free,
-    /// waiting to leave together at `release` (see [`RELEASE_EVERY`]).
-    ready: Vec<(Reply, TraceContext, &'static str)>,
-    answered: usize,
-    release: Instant,
     /// Frames encoded and not yet written. Every frame is encoded in
     /// place here ([`Writer::frame`]) and leaves in [`Writer::flush`], so
-    /// a release is one `write_all` however many answers it carries.
+    /// a pass is one `write_all` however many answers it carries.
     out: Vec<u8>,
 }
 
 impl Writer<'_> {
     /// Writes until the connection's ending, parking whenever there is
-    /// nothing to write — with no time-out but a held release's: a
+    /// nothing to write — with no time-out unless a `Watch` is open: a
     /// ticket's waker or the reader unparks it. Each pass re-checks all
     /// state before parking, so the park token keeps a wake-up that lands
     /// in between.
@@ -1318,12 +1300,10 @@ impl Writer<'_> {
                 break;
             }
             if written == 0 {
-                let held = (!self.ready.is_empty())
-                    .then(|| self.release.saturating_duration_since(Instant::now()));
-                let watch = self.watch.as_ref().map(|_| WATCH_POLL);
-                match held.into_iter().chain(watch).min() {
-                    Some(bound) => std::thread::park_timeout(bound),
-                    None => std::thread::park(),
+                if self.watch.is_some() {
+                    std::thread::park_timeout(WATCH_POLL);
+                } else {
+                    std::thread::park();
                 }
             }
         }
@@ -1395,16 +1375,15 @@ impl Writer<'_> {
     }
 
     /// Collects the reply of every resolved ticket and completed batch
-    /// and writes what is collected once its release has come, returning
-    /// how many went out. Polling with `waker` is what arms each
-    /// still-pending ticket to unpark this thread when it resolves.
+    /// and writes them, returning how many went out. Polling with `waker`
+    /// is what arms each still-pending ticket to unpark this thread when
+    /// it resolves.
     fn flush_completions(&mut self, waker: &Waker) -> std::io::Result<usize> {
         let mut cx = Context::from_waker(waker);
         let metrics_on = self.counters.obs.is_enabled();
         let request_ns = &self.counters.request_ns;
-        let mut replies = std::mem::take(&mut self.ready);
-        let mut answered = std::mem::take(&mut self.answered);
-        let waiting = !replies.is_empty();
+        let mut replies = Vec::new();
+        let mut answered = 0;
         self.singles
             .retain_mut(|o| match Pin::new(&mut o.ticket).poll(&mut cx) {
                 Poll::Pending => true,
@@ -1481,16 +1460,9 @@ impl Writer<'_> {
                 "ok",
             ));
         }
-        let now = Instant::now();
-        if !waiting {
-            // The first reply collected after a release sets the next.
-            self.release = self.release.max(now);
-        }
-        if replies.is_empty() || now < self.release {
-            (self.ready, self.answered) = (replies, answered);
+        if replies.is_empty() {
             return Ok(0);
         }
-        self.release += RELEASE_EVERY;
         self.conn.in_flight.fetch_sub(answered, Ordering::SeqCst);
         let mut span = self.counters.obs.span();
         let timer = TraceTimer::any(replies.iter().map(|(_, t, _)| t));
@@ -1536,7 +1508,7 @@ impl Writer<'_> {
     /// `BatchAnswer`), the unit the chaos plan's op clock counts — so a
     /// scripted schedule addresses "the 3rd answer" no matter how many
     /// handshake or stats frames interleave, or how many answers share a
-    /// release: a due fault cuts the buffer at this frame's boundary, and
+    /// write: a due fault cuts the buffer at this frame's boundary, and
     /// what was framed before it is written whole first.
     fn frame_answer(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> std::io::Result<()> {
         let fault = self.shared.config.fault_plan.as_ref();

@@ -50,9 +50,9 @@ use std::time::Instant;
 /// sandbox (release build, in-memory engine, 4 096-cell line domain, two
 /// analysts): one 256-request epoch takes 468 µs when its ranges fold
 /// into one Ordered release and 859 µs in the worst case for this
-/// request mix — 256 distinct ε, so 256 lone releases — both under the
-/// wire layer's 1.25 ms release period, so a light analyst queued
-/// behind a flooder is late by less than the pacing they already pay.
+/// request mix — 256 distinct ε, so 256 lone releases — so a light
+/// analyst queued behind a flooder is late by at most one epoch,
+/// 468–859 µs measured.
 pub const EPOCH_MAX_REQUESTS: usize = 256;
 
 /// One queued request: who asked, what they asked, where the answer

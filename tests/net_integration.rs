@@ -565,8 +565,8 @@ fn mid_stream_disconnect_is_a_regression_guard_at_the_facade() {
 }
 
 /// A request never waits on a timer: `tick_interval` is ignored (five
-/// seconds here), and a serial analyst gets an answer every release
-/// period (1.25 ms) — arrivals wake the driver, completions wake the
+/// seconds here), and a serial analyst's answer leaves as soon as its
+/// epoch commits — arrivals wake the driver, completions wake the
 /// connection's writer.
 #[test]
 fn serial_calls_never_wait_on_the_tick_interval() {
@@ -746,7 +746,8 @@ fn a_watcher_that_never_reads_blocks_no_write_and_no_other_watcher() {
         assert!(Instant::now() < deadline, "{:?}", net.server().stats());
         std::thread::sleep(Duration::from_millis(1));
     }
-    // Answered; within a release period the writer is in `write_all`.
+    // Answered, so the writer is woken; within a few milliseconds it has
+    // framed the 24 MiB and is wedged in `write_all`.
     std::thread::sleep(Duration::from_millis(10));
 
     let mut live = Client::connect(net.local_addr()).unwrap();

@@ -332,9 +332,9 @@ fn same_seed_clusters_agree_byte_for_byte() {
 }
 
 /// The ship loop is wake-up driven: a serial writer on a quorum-2
-/// cluster gets an answer every release period (1.25 ms), not after a
-/// chain of poll intervals (which used to make this 8 ms a write), and
-/// the replicas still end byte-identical.
+/// cluster gets an answer once a quorum holds the entry and its charge
+/// commits, not after a chain of poll intervals (which used to make
+/// this 8 ms a write), and the replicas still end byte-identical.
 #[test]
 fn serial_replicated_writes_never_wait_on_a_poll() {
     let (leader, f1, f2) = trio("failover-serial", 74);
