@@ -44,6 +44,7 @@
 #![deny(missing_docs)]
 
 mod client;
+mod codec;
 mod error;
 pub mod proto;
 mod server;

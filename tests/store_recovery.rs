@@ -10,7 +10,7 @@
 use blowfish::engine::{Engine, EngineError, Request, Response, Store};
 use blowfish::prelude::*;
 use blowfish::server::Server;
-use blowfish::store::{scan_frames, scratch_dir, Record, ScanEnd};
+use blowfish::store::{scan_frames, scratch_dir, Record, ScanEnd, REPLY_CACHE_PER_ANALYST};
 use std::sync::Arc;
 
 fn eps(v: f64) -> Epsilon {
@@ -955,6 +955,38 @@ fn retry_after_postcommit_crash_replays_the_durable_answer() {
         (engine.session_remaining("alice").unwrap() - 0.6).abs() < 1e-12,
         "the replay must cost zero ε"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A replay pass over a whole reply cache of tagged requests — every key
+/// the per-analyst bound keeps — answers each from the cache bit for bit
+/// and charges nothing: each request is charged once, however often it
+/// is retried.
+#[test]
+fn a_full_cache_of_retries_replays_at_zero_epsilon() {
+    let dir = scratch_dir("retry-pass");
+    let engine = build_engine(7, Arc::new(Store::open(&dir).unwrap()));
+    engine.open_session("alice", eps(1e6)).unwrap();
+    let request = |key: u64| {
+        let lo = (key as usize * 5) % 48;
+        Request::range("pol", "ds", eps(0.5), lo, lo + 12)
+    };
+    let keys = REPLY_CACHE_PER_ANALYST as u64;
+    let first: Vec<Response> = (0..keys)
+        .map(|key| engine.serve_tagged("alice", key, &request(key)).unwrap())
+        .collect();
+    let remaining = engine.session_remaining("alice").unwrap();
+    assert_eq!(remaining, 1e6 - 0.5 * keys as f64, "one charge per key");
+    for (key, answer) in (0..keys).zip(&first) {
+        let replay = engine.serve_tagged("alice", key, &request(key)).unwrap();
+        assert_eq!(&replay, answer, "key {key} must replay bit-identically");
+    }
+    assert_eq!(
+        engine.session_remaining("alice").unwrap().to_bits(),
+        remaining.to_bits(),
+        "the replay pass must charge zero ε"
+    );
+    drop(engine);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
