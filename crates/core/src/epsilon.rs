@@ -11,7 +11,9 @@ use std::fmt;
 pub struct Epsilon(f64);
 
 impl Epsilon {
-    /// Validates and wraps an ε value.
+    /// Validates and wraps an ε value — not the whole check a request's ε
+    /// needs: a subnormal ε is a valid `Epsilon`, but `S(f, P)/ε`
+    /// overflows, and the serving engine refuses such a request.
     ///
     /// # Errors
     ///

@@ -3,7 +3,7 @@
 
 use crate::cache::{CacheStats, SensitivityCache};
 use crate::error::EngineError;
-use crate::request::{Request, RequestKind, Response};
+use crate::request::{admit, Data, Request, RequestKind, Response};
 use crate::session::AnalystSession;
 use crate::shard::ShardedMap;
 use bf_constraints::policy_graph::PolicyGraph;
@@ -11,7 +11,7 @@ use bf_constraints::sparse::DEFAULT_SCAN_CAP;
 use bf_core::{Epsilon, LaplaceMechanism, Policy, Predicate, QueryClass};
 use bf_domain::{CumulativeHistogram, Dataset, Histogram, PointSet};
 use bf_mechanisms::kmeans::{init_random, KmeansSecretSpec, PrivateKmeans};
-use bf_mechanisms::{HistogramMechanism, OrderedMechanism, RangeAnswerer};
+use bf_mechanisms::{OrderedMechanism, RangeAnswerer};
 use bf_obs::{
     merge_snapshots, next_link_id, Counter, Gauge, MetricSnapshot, Registry, Stage, TraceContext,
     TraceTimer,
@@ -19,6 +19,7 @@ use bf_obs::{
 use bf_store::{fnv1a, LedgerEntry, Record, RegistryKind, Store, REPLY_CACHE_PER_ANALYST};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -60,11 +61,6 @@ pub struct Served {
 
 /// One waiter's answer while the pipeline runs; `None` until resolved.
 type Slot = Option<Result<Response, EngineError>>;
-/// Most Lloyd iterations one k-means request may ask for. The paper uses
-/// 10, and `ε' = ε/(2·iterations)` leaves only noise long before this;
-/// the wire carries a `u64`, and an unbounded count is charged and then
-/// pins the serving thread.
-const MAX_KMEANS_ITERATIONS: usize = 1_000;
 
 /// A registered dataset with its aggregates precomputed once: serving
 /// reads histograms, never raw rows, so the O(n) aggregation pass and
@@ -123,31 +119,20 @@ enum Source {
     },
 }
 
-impl Source {
-    /// Zero-sensitivity releases are exact, hence free (Section 5): the
-    /// ledger records them at ε = 0.
-    fn is_free(&self) -> bool {
-        match self {
-            Source::Table { sensitivity, .. } => *sensitivity == 0.0,
-            Source::Points { points, mech } => {
-                mech.spec.qsize_sensitivity() == 0.0
-                    && mech.spec.qsum_sensitivity(points.bbox()) == 0.0
-            }
-        }
-    }
-}
-
-/// A release plan resolved, validated and calibrated — nothing charged
+/// A release plan resolved, admitted and calibrated — nothing charged
 /// yet, no data touched.
 #[derive(Debug)]
 struct Calibrated {
     source: Source,
+    /// Zero-sensitivity releases are exact, hence free (Section 5): the
+    /// ledger records them at ε = 0.
+    free: bool,
     /// The release identity its noise is derived from (see
     /// [`Engine::release_rng`]).
     fingerprint: u64,
 }
 
-/// A release plan that was resolved, validated, calibrated and charged,
+/// A release plan that was resolved, admitted, calibrated and charged,
 /// and holds the generator assigned to it: everything its mechanism
 /// needs.
 #[derive(Debug)]
@@ -184,8 +169,8 @@ struct Prepared<'a> {
 ///
 /// 1. **replay** — a tagged request that was already acknowledged is
 ///    answered from the reply cache at zero ε and goes no further,
-/// 2. **resolve** — look up the named policy and data object and
-///    validate the query against them,
+/// 2. **resolve** — look up the named policy and data object and admit
+///    the request through the admissible-value table,
 /// 3. **calibrate** — fetch `S(f, P)` from the cache (computing the
 ///    closed form on first use),
 /// 4. **charge** — draw the request's ε from the ledger of each distinct
@@ -546,11 +531,6 @@ impl Engine {
                 .map_err(EngineError::Store)?;
         }
         Ok(())
-    }
-
-    /// The registered policy, if any.
-    pub(crate) fn policy(&self, name: &str) -> Result<Arc<Policy>, EngineError> {
-        Ok(self.policy_entry(name)?.policy)
     }
 
     fn policy_entry(&self, name: &str) -> Result<PolicyEntry, EngineError> {
@@ -920,9 +900,9 @@ impl Engine {
     /// registered policy: the exact closed form (cached) for
     /// constraint-free policies, or a sound derivation from the
     /// Theorem 8.2 histogram bound for constrained ones.
-    fn sensitivity_for(&self, entry: &PolicyEntry, class: &QueryClass) -> Result<f64, EngineError> {
+    fn sensitivity_for(&self, entry: &PolicyEntry, class: &QueryClass) -> f64 {
         match entry.constrained_bound {
-            None => Ok(self.cache.sensitivity(&entry.policy, class)),
+            None => self.cache.sensitivity(&entry.policy, class),
             Some(bound) => constrained_sensitivity(bound, class),
         }
     }
@@ -1041,13 +1021,8 @@ impl Engine {
         let Some(class) = request.query_class() else {
             return Ok(None);
         };
-        let policy = self.policy(&request.policy)?;
-        Ok(Some(release_key(
-            &policy,
-            &request.data,
-            request.epsilon,
-            &class,
-        )))
+        let policy = self.policy_entry(&request.policy)?.policy;
+        Ok(Some(release_key(&policy, request, &class)))
     }
 
     /// Serves coalesced groups — each a request and the waiters, from
@@ -1094,7 +1069,7 @@ impl Engine {
     /// Two or more range groups fold when they share `(policy cache key,
     /// dataset, ε bits)` — endpoints do not split a fold, and neither
     /// does naming two registrations of one structurally equal policy. A
-    /// member with out-of-bounds endpoints is left OUT so it fails
+    /// member the admissible-value table refuses is left OUT so it fails
     /// individually instead of poisoning its siblings' shared release;
     /// so is every range under an unknown policy, or a constrained one,
     /// whose bound does not calibrate the shared cumulative release.
@@ -1103,42 +1078,41 @@ impl Engine {
     ///
     /// Folded plans come first, the rest keep input order. The order is
     /// the charge order, so it fixes each analyst's ledger positions and
-    /// with them the noise. It was chosen when a fold and a
-    /// cumulative-histogram request shared one per-identity ordinal
-    /// sequence; any fixed order would do now, and this one is kept.
+    /// with them the noise: any fixed order would do, and this one keeps
+    /// released bytes.
     fn fold(&self, groups: &[Group<'_>]) -> Vec<Vec<usize>> {
-        let ranges = groups
-            .iter()
-            .enumerate()
-            .filter_map(|(gi, g)| match g.request.kind {
-                RequestKind::Range { lo, hi } => Some((gi, g.request, lo, hi)),
-                _ => None,
-            });
         // Each distinct policy and dataset is looked up once per call,
-        // not once per member: the policy's cache key (`None` for one
-        // that cannot fold) and the dataset's domain size (`None` when
-        // it is unknown, so the members fail as a group).
-        let mut cache_keys: BTreeMap<&str, Option<String>> = BTreeMap::new();
-        let mut sizes: BTreeMap<&str, Option<usize>> = BTreeMap::new();
-        for (_, request, ..) in ranges.clone() {
-            cache_keys.entry(&request.policy).or_insert_with(|| {
-                let foldable =
-                    |e: &PolicyEntry| e.constrained_bound.is_none().then(|| e.policy.cache_key());
-                self.policies.get_with(&request.policy, foldable).flatten()
+        // not once per member: the policy with its cache key (`None` for
+        // one that cannot fold) and the dataset (`None` when it is
+        // unknown, so the members fail as a group).
+        let mut policies: BTreeMap<&str, Option<(Arc<Policy>, String)>> = BTreeMap::new();
+        let mut datasets: BTreeMap<&str, Option<Arc<Dataset>>> = BTreeMap::new();
+        let mut folds: BTreeMap<(String, &str, u64), Vec<usize>> = BTreeMap::new();
+        for (gi, request) in groups.iter().map(|g| g.request).enumerate() {
+            if !matches!(request.kind, RequestKind::Range { .. }) {
+                continue;
+            }
+            let policy = policies.entry(&request.policy).or_insert_with(|| {
+                let entry = self.policies.get(&request.policy)?;
+                let key = entry
+                    .constrained_bound
+                    .is_none()
+                    .then(|| entry.policy.cache_key())?;
+                Some((entry.policy, key))
             });
-            sizes.entry(&request.data).or_insert_with(|| {
-                let size = |e: &DatasetEntry| e.dataset.domain().size();
-                self.datasets.get_with(&request.data, size)
-            });
-        }
-        let mut folds: BTreeMap<(&str, &str, u64), Vec<usize>> = BTreeMap::new();
-        for (gi, request, lo, hi) in ranges {
-            let Some(cache_key) = &cache_keys[request.policy.as_str()] else {
+            let Some((policy, cache_key)) = policy else {
                 continue;
             };
-            if lo <= hi && sizes[request.data.as_str()].is_none_or(|size| hi < size) {
+            let dataset = datasets.entry(&request.data).or_insert_with(|| {
+                self.datasets
+                    .get_with(&request.data, |e| Arc::clone(&e.dataset))
+            });
+            let admitted = dataset
+                .as_ref()
+                .is_none_or(|d| admit(request, policy, Data::Table(d, None)).is_ok());
+            if admitted {
                 let epsilon = request.epsilon.value().to_bits();
-                let fold = folds.entry((cache_key, &request.data, epsilon));
+                let fold = folds.entry((cache_key.clone(), &request.data, epsilon));
                 fold.or_default().push(gi);
             }
         }
@@ -1163,7 +1137,7 @@ impl Engine {
     /// concatenated in order, and comes back with every slot filled.
     ///
     /// The one order, for every kind of traffic: **replay** cached
-    /// tagged waiters → per plan, sequentially: **resolve, validate,
+    /// tagged waiters → per plan, sequentially: **resolve, admit,
     /// calibrate** → **charge** each distinct analyst once, in memory →
     /// **draw** the release generator → **execute** all charged plans
     /// → one WAL **frame** per charged analyst and plan →
@@ -1219,7 +1193,7 @@ impl Engine {
                     continue;
                 }
             };
-            let free = calibrated.source.is_free();
+            let free = calibrated.free;
             let label = if plan.len() > 1 {
                 format!(
                     "batch:{}xrange@{}/{}",
@@ -1300,18 +1274,17 @@ impl Engine {
         // releases they overlapped. Every waiter's trace records the
         // same release region; with more than one waiter the spans share
         // `p.link`, making the fan-out legible from any single trace.
-        let results: Vec<_> = prepared
+        let answers: Vec<Vec<Response>> = prepared
             .iter()
             .map(|p| {
                 let timer = TraceTimer::any(p.traces.iter().copied());
                 let mut span = self.obs.span();
-                let result = self.execute(groups, p);
+                let answers = self.execute(groups, p);
                 self.obs.span_mark(&mut span, Stage::Release);
-                let outcome = if result.is_ok() { "ok" } else { "failed" };
                 for t in &p.traces {
-                    t.record_linked(Stage::Release, &timer, outcome, p.link);
+                    t.record_linked(Stage::Release, &timer, "ok", p.link);
                 }
-                result
+                answers
             })
             .collect();
 
@@ -1322,19 +1295,15 @@ impl Engine {
         // one atomic frame, so a crash can never separate them and let a
         // retry double-charge — when their first live waiter is tagged,
         // a `Charged` frame otherwise; further tagged waiters of an
-        // already-charged analyst cache their answer at zero ε. A failed
-        // release still books what it charged, as `Charged` frames, so
-        // the recovered ledger positions are the live ones.
+        // already-charged analyst cache their answer at zero ε.
         let durable = self.store.is_some();
         let mut records: Vec<Record> = Vec::new();
         let mut mirrors: Vec<(&str, u64, Vec<u8>)> = Vec::new();
         let mut commit_traces: Vec<&TraceContext> = Vec::new();
-        for (p, result) in prepared.iter().zip(&results) {
+        for (p, answers) in prepared.iter().zip(&answers) {
             commit_traces.extend(&p.traces);
-            let answers = result.as_ref().ok();
             let mut carriers = p.carriers.iter().peekable();
-            for (k, &gi) in p.plan.iter().enumerate() {
-                let answer = answers.map(|answers| &answers[k]);
+            for (&gi, answer) in p.plan.iter().zip(answers) {
                 let mut payload: Option<Vec<u8>> = None;
                 for (si, w) in slots_of(gi).zip(groups[gi].waiters) {
                     if slots[si].is_some() {
@@ -1342,8 +1311,8 @@ impl Engine {
                     }
                     let carries = carriers.next_if_eq(&&si).is_some();
                     let spent = if carries { p.spent } else { 0.0 };
-                    match (w.tag, answer) {
-                        (Some(rid), Some(answer)) => {
+                    match w.tag {
+                        Some(rid) => {
                             let payload = payload.get_or_insert_with(|| answer.to_bytes());
                             if durable {
                                 records.push(Record::replied(
@@ -1356,10 +1325,10 @@ impl Engine {
                             }
                             mirrors.push((w.analyst, rid, payload.clone()));
                         }
-                        (tag, _) if durable && (carries || tag.is_some()) => {
+                        None if durable && carries => {
                             records.push(Record::charged(w.analyst, &p.label, spent));
                         }
-                        _ => {}
+                        None => {}
                     }
                 }
             }
@@ -1384,135 +1353,72 @@ impl Engine {
         // surface the store error, refused slots keep their own, and the
         // in-memory charges stand (conservative — budget is lost to the
         // failure, never resurrected).
-        for (p, result) in prepared.iter().zip(results) {
-            let mut answers = committed.clone().and(result).map(Vec::into_iter);
-            for &gi in p.plan {
-                let answer = match &mut answers {
-                    Ok(answers) => Ok(answers.next().expect("one answer per group")),
-                    Err(e) => Err(e.clone()),
-                };
+        for (p, answers) in prepared.iter().zip(answers) {
+            for (&gi, answer) in p.plan.iter().zip(answers) {
+                let answer = committed.clone().map(|()| answer);
                 fill(&mut slots[slots_of(gi)], answer);
             }
         }
     }
 
-    /// Resolves, validates and calibrates one plan.
+    /// Resolves one plan and admits every member through the
+    /// admissible-value table ([`ADMISSIBLE`](crate::request::ADMISSIBLE)),
+    /// then calibrates it. Nothing is charged yet, and nothing about the
+    /// release can fail after this.
     fn calibrate(&self, groups: &[Group<'_>], plan: &[usize]) -> Result<Calibrated, EngineError> {
         let request = groups[plan[0]].request;
         let policy_entry = self.policy_entry(&request.policy)?;
-        let class = match &request.kind {
-            RequestKind::KMeans {
-                k,
-                iterations,
-                spec,
-            } => {
-                if policy_entry.constrained_bound.is_some() {
-                    return Err(EngineError::InvalidRequest(
-                        "k-means sensitivities come from the physical-unit spec and do not \
-                         account for policy constraints; use a constraint-free policy"
-                            .into(),
-                    ));
-                }
-                let points = self.points_entry(&request.data)?;
-                if *k == 0 || *k > points.len() {
-                    return Err(EngineError::InvalidRequest(format!(
-                        "k-means needs 1 ≤ k ≤ n, got k={k} with n={}",
-                        points.len()
-                    )));
-                }
-                if *iterations == 0 || *iterations > MAX_KMEANS_ITERATIONS {
-                    return Err(EngineError::InvalidRequest(format!(
-                        "k-means needs 1 ≤ iterations ≤ {MAX_KMEANS_ITERATIONS}, got {iterations}"
-                    )));
-                }
-                // Wire decoding passes the spec's f64 bits through, and
-                // `qsum_sensitivity` asserts on these as invariants.
-                let spec_ok = match spec {
-                    KmeansSecretSpec::L1Threshold(theta) => theta.is_finite() && *theta > 0.0,
-                    KmeansSecretSpec::PartitionMaxDiameter(d) => d.is_finite() && *d >= 0.0,
-                    _ => true,
-                };
-                if !spec_ok {
-                    return Err(EngineError::InvalidRequest(format!(
-                        "k-means needs a finite θ > 0 or block diameter ≥ 0, got {spec:?}"
-                    )));
-                }
-                let mech = PrivateKmeans::new(*k, *iterations, request.epsilon, *spec);
-                // The request's identity; `{spec:?}` prints the finite θ
-                // or diameter exactly (shortest round-trip form).
-                let key = format!(
-                    "{}|{}|{:016x}|kmeans:{k}:{iterations}:{spec:?}",
-                    policy_entry.policy.cache_key(),
-                    request.data,
-                    request.epsilon.value().to_bits()
-                );
-                return Ok(Calibrated {
-                    source: Source::Points { points, mech },
-                    fingerprint: fnv1a(key.as_bytes()),
-                });
-            }
+        let policy = &policy_entry.policy;
+        if let RequestKind::KMeans {
+            k,
+            iterations,
+            spec,
+        } = request.kind
+        {
+            let points = self.points_entry(&request.data)?;
+            admit(request, policy, Data::Points(&points))?;
+            let mech = PrivateKmeans::new(k, iterations, request.epsilon, spec);
+            // The request's identity; `{spec:?}` prints the finite θ
+            // or diameter exactly (shortest round-trip form).
+            let key = format!(
+                "{}|{}|{:016x}|kmeans:{k}:{iterations}:{spec:?}",
+                policy.cache_key(),
+                request.data,
+                request.epsilon.value().to_bits()
+            );
+            return Ok(Calibrated {
+                free: matches!(spec, KmeansSecretSpec::Exact),
+                source: Source::Points { points, mech },
+                fingerprint: fnv1a(key.as_bytes()),
+            });
+        }
+        let class = match request.query_class() {
+            Some(class) if plan.len() == 1 => class,
             // A fold releases the cumulative histogram its ranges read.
-            _ if plan.len() > 1 => QueryClass::CumulativeHistogram,
-            _ => request
-                .query_class()
-                .expect("non-kmeans kinds always map to a query class"),
+            _ => QueryClass::CumulativeHistogram,
         };
         let entry = self.dataset_entry(&request.data)?;
+        let sensitivity = OnceCell::new();
+        let sensitivity =
+            || *sensitivity.get_or_init(|| self.sensitivity_for(&policy_entry, &class));
         for &gi in plan {
-            self.validate(&groups[gi].request.kind, &policy_entry.policy, &entry)?;
+            let data = Data::Table(&entry.dataset, Some(&sensitivity));
+            admit(groups[gi].request, policy, data)?;
         }
-        let sensitivity = self.sensitivity_for(&policy_entry, &class)?;
-        let key = release_key(&policy_entry.policy, &request.data, request.epsilon, &class);
+        let key = release_key(policy, request, &class);
         Ok(Calibrated {
-            source: Source::Table { entry, sensitivity },
+            free: sensitivity() == 0.0,
+            source: Source::Table {
+                sensitivity: sensitivity(),
+                entry,
+            },
             fingerprint: fnv1a(key.as_bytes()),
         })
     }
 
-    fn validate(
-        &self,
-        kind: &RequestKind,
-        policy: &Policy,
-        entry: &DatasetEntry,
-    ) -> Result<(), EngineError> {
-        let size = policy.domain().size();
-        if entry.dataset.domain().size() != size {
-            return Err(EngineError::InvalidRequest(format!(
-                "dataset domain size {} does not match policy domain size {size}",
-                entry.dataset.domain().size()
-            )));
-        }
-        match kind {
-            RequestKind::Range { lo, hi } if *lo > *hi || *hi >= size => {
-                return Err(EngineError::InvalidRequest(format!(
-                    "range [{lo}, {hi}] outside domain of size {size}"
-                )));
-            }
-            RequestKind::Linear { weights } => {
-                if weights.len() != size {
-                    return Err(EngineError::InvalidRequest(format!(
-                        "{} weights for a domain of size {size}",
-                        weights.len()
-                    )));
-                }
-                if weights.iter().any(|w| !w.is_finite()) {
-                    return Err(EngineError::InvalidRequest(
-                        "non-finite linear-query weight".into(),
-                    ));
-                }
-            }
-            _ => {}
-        }
-        Ok(())
-    }
-
     /// Runs a prepared plan's mechanism with the generator assigned to
     /// it at charge time and returns one answer per group of the plan.
-    fn execute(
-        &self,
-        groups: &[Group<'_>],
-        p: &Prepared<'_>,
-    ) -> Result<Vec<Response>, EngineError> {
+    fn execute(&self, groups: &[Group<'_>], p: &Prepared<'_>) -> Vec<Response> {
         let request = groups[p.plan[0]].request;
         let epsilon = request.epsilon;
         let mut rng = p.rng.clone();
@@ -1520,15 +1426,18 @@ impl Engine {
             Source::Points { points, mech } => {
                 let init = init_random(points, mech.k, &mut rng);
                 let centroids = mech.run(points, &init, &mut rng);
-                return Ok(vec![Response::Centroids(centroids)]);
+                return vec![Response::Centroids(centroids)];
             }
             Source::Table { entry, sensitivity } => (entry, *sensitivity),
         };
-        let ordered = OrderedMechanism {
-            epsilon,
-            sensitivity,
-            constrained_inference: true,
-            nonnegative: false,
+        let ordered = |rng: &mut StdRng| {
+            let mech = OrderedMechanism {
+                epsilon,
+                sensitivity,
+                constrained_inference: true,
+                nonnegative: false,
+            };
+            mech.release(&entry.cumulative, rng).expect(ADMITTED)
         };
         if p.plan.len() > 1 {
             // The shared Ordered release of a fold: one noise draw, one
@@ -1541,26 +1450,20 @@ impl Engine {
                     _ => unreachable!("only ranges fold"),
                 })
                 .collect();
-            let release = ordered.release(&entry.cumulative, &mut rng)?;
-            let answers = release.answer_batch(&ranges);
-            return Ok(answers.into_iter().map(Response::Scalar).collect());
+            let answers = ordered(&mut rng).answer_batch(&ranges);
+            return answers.into_iter().map(Response::Scalar).collect();
         }
+        let laplace = LaplaceMechanism::new(epsilon, sensitivity).expect(ADMITTED);
         let response = match &request.kind {
             RequestKind::Histogram => {
-                let mech = HistogramMechanism::with_sensitivity(epsilon, sensitivity)?;
-                Response::Histogram(mech.release_counts(entry.histogram.counts(), &mut rng))
+                Response::Histogram(laplace.release(entry.histogram.counts(), &mut rng))
             }
             RequestKind::CumulativeHistogram => {
-                let release = ordered.release(&entry.cumulative, &mut rng)?;
-                Response::Prefixes(release.into_prefixes())
+                Response::Prefixes(ordered(&mut rng).into_prefixes())
             }
             RequestKind::Range { lo, hi } => {
-                let exact = entry
-                    .histogram
-                    .range_count(*lo, *hi)
-                    .map_err(EngineError::Domain)?;
-                let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
-                Response::Scalar(mech.release_scalar(exact, &mut rng))
+                let exact = entry.histogram.counts()[*lo..=*hi].iter().sum();
+                Response::Scalar(laplace.release_scalar(exact, &mut rng))
             }
             RequestKind::Linear { weights } => {
                 let exact: f64 = weights
@@ -1568,14 +1471,16 @@ impl Engine {
                     .zip(entry.histogram.counts())
                     .map(|(w, c)| w * c)
                     .sum();
-                let mech = LaplaceMechanism::new(epsilon, sensitivity)?;
-                Response::Scalar(mech.release_scalar(exact, &mut rng))
+                Response::Scalar(laplace.release_scalar(exact, &mut rng))
             }
             RequestKind::KMeans { .. } => unreachable!("k-means calibrates to a point set"),
         };
-        Ok(vec![response])
+        vec![response]
     }
 }
+
+/// Why a calibrated scale cannot be refused by a mechanism's constructor.
+const ADMITTED: &str = "the ε row admits S/ε only when it is finite";
 
 /// Resolves every still-open slot to `value`, which moves into the last
 /// of them (a whole-domain answer is copied only when it fans out).
@@ -1602,12 +1507,12 @@ fn splitmix(mut z: u64) -> u64 {
 /// name, exact ε bits, query-class fingerprint. Requests with equal keys
 /// are answerable by one another's releases; this is both the coalescing
 /// key and (hashed) the release fingerprint its noise is derived from.
-fn release_key(policy: &Policy, data: &str, epsilon: Epsilon, class: &QueryClass) -> String {
+fn release_key(policy: &Policy, request: &Request, class: &QueryClass) -> String {
     format!(
         "{}|{}|{:016x}|{:016x}",
         policy.cache_key(),
-        data,
-        epsilon.value().to_bits(),
+        request.data,
+        request.epsilon.value().to_bits(),
         class.fingerprint()
     )
 }
@@ -1653,25 +1558,17 @@ fn points_fingerprint(points: &PointSet) -> u64 {
 /// * **linear query** `f_w`: `|Σ wᵢ dᵢ| ≤ max|w| · ‖d‖₁ ≤ max|w| · B`.
 ///
 /// The cumulative histogram has no comparably tight derivation (its L1
-/// norm sums `|T|` prefixes, inflating the bound by the domain size), and
-/// k-means sensitivities come from the physical-unit spec — both are
-/// refused so a constrained policy never releases with an unsound scale.
-fn constrained_sensitivity(bound: f64, class: &QueryClass) -> Result<f64, EngineError> {
+/// norm sums `|T|` prefixes): the table's policy row refuses it, and an
+/// infinite `S` here would fail its ε row.
+fn constrained_sensitivity(bound: f64, class: &QueryClass) -> f64 {
     match class {
         QueryClass::Histogram | QueryClass::PartitionHistogram(_) | QueryClass::Range { .. } => {
-            Ok(bound)
+            bound
         }
         QueryClass::Linear { weights } => {
             let max_abs = weights.iter().fold(0.0f64, |m, w| m.max(w.abs()));
-            Ok(bound * max_abs)
+            bound * max_abs
         }
-        QueryClass::CumulativeHistogram => Err(EngineError::InvalidRequest(
-            "cumulative releases are not calibrated for constrained policies (the policy-graph \
-             bound covers the histogram, not |T| prefixes); submit range requests instead"
-                .into(),
-        )),
-        QueryClass::KmeansSumCells => Err(EngineError::InvalidRequest(
-            "k-means queries are not servable under constrained policies".into(),
-        )),
+        _ => f64::INFINITY,
     }
 }

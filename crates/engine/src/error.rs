@@ -2,7 +2,6 @@
 
 use bf_constraints::error::ConstraintError;
 use bf_core::CoreError;
-use bf_domain::DomainError;
 use bf_store::StoreError;
 use std::fmt;
 
@@ -39,8 +38,6 @@ pub enum EngineError {
     InvalidRequest(String),
     /// An error from the privacy core.
     Core(CoreError),
-    /// An error from the domain layer.
-    Domain(DomainError),
     /// A constrained policy failed the Section 8 machinery at
     /// registration (non-sparse constraints, over-budget edge scan).
     Constraint(ConstraintError),
@@ -84,7 +81,6 @@ impl fmt::Display for EngineError {
             ),
             EngineError::InvalidRequest(msg) => write!(f, "invalid request: {msg}"),
             EngineError::Core(e) => write!(f, "core error: {e}"),
-            EngineError::Domain(e) => write!(f, "domain error: {e}"),
             EngineError::Constraint(e) => write!(f, "constraint error: {e}"),
             EngineError::Store(e) => write!(f, "store error: {e}"),
             EngineError::SessionEvicted(n) => write!(
@@ -104,23 +100,10 @@ impl std::error::Error for EngineError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             EngineError::Core(e) => Some(e),
-            EngineError::Domain(e) => Some(e),
             EngineError::Constraint(e) => Some(e),
             EngineError::Store(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl From<CoreError> for EngineError {
-    fn from(e: CoreError) -> Self {
-        EngineError::Core(e)
-    }
-}
-
-impl From<DomainError> for EngineError {
-    fn from(e: DomainError) -> Self {
-        EngineError::Domain(e)
     }
 }
 
@@ -140,7 +123,7 @@ mod tests {
         };
         assert!(e.to_string().contains("alice"));
         assert!(e.to_string().contains("0.5"));
-        let c: EngineError = CoreError::InvalidEpsilon(-1.0).into();
+        let c = EngineError::Core(CoreError::InvalidEpsilon(-1.0));
         assert!(std::error::Error::source(&c).is_some());
         let s = EngineError::Store(StoreError::Poisoned("disk".into()));
         assert!(s.to_string().contains("disk"));

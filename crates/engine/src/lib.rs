@@ -32,7 +32,7 @@
 //!   [`Engine::serve_batch`] and [`Engine::serve_groups`] are
 //!   front-ends a few lines long over one private pipeline that runs a
 //!   list of release plans in one order: *replay* cached tagged retries
-//!   → *resolve, validate, calibrate* → *charge* each distinct analyst
+//!   → *resolve, admit, calibrate* → *charge* each distinct analyst
 //!   once → *draw* the release's generator → *execute* → one WAL frame
 //!   per charged analyst → **one** group commit → *acknowledge*. Plans
 //!   charge, then execute, in one order on the calling thread, so
@@ -187,88 +187,153 @@ mod tests {
         assert!((snap.spent() - 2.0).abs() < 1e-12);
     }
 
+    /// One violating request per row of the admissible-value table, each
+    /// refused with `InvalidRequest` before the charge — the ledger's
+    /// position and the store's committed records do not move (a
+    /// subnormal charge would not show in `session_remaining`:
+    /// 1e9 − 5e-324 == 1e9) — and each row's boundary values served with
+    /// finite answers.
     #[test]
-    fn kmeans_requests_route_to_point_sets() {
+    fn every_admissible_row_refuses_before_the_charge() {
+        use bf_core::{CountConstraint, Predicate};
         use bf_domain::{BoundingBox, PointSet};
-        use bf_mechanisms::kmeans::KmeansSecretSpec;
-        let engine = Engine::with_seed(3);
-        let domain = Domain::line(4).unwrap();
-        engine
-            .register_policy("pol", Policy::differential_privacy(domain))
-            .unwrap();
-        let pts = PointSet::new(
-            vec![
-                vec![1.0, 1.0],
-                vec![1.2, 0.8],
-                vec![9.0, 9.0],
-                vec![8.8, 9.1],
-            ],
-            BoundingBox::new(vec![0.0, 0.0], vec![10.0, 10.0]),
-        );
-        engine.register_points("pts", pts).unwrap();
-        engine.open_session("alice", eps(5.0)).unwrap();
-        let resp = engine
-            .serve(
-                "alice",
-                &Request::kmeans(
-                    "pol",
-                    "pts",
-                    eps(2.0),
-                    2,
-                    3,
-                    KmeansSecretSpec::L1Threshold(1.0),
-                ),
-            )
-            .unwrap();
-        let cents = resp.centroids().unwrap();
-        assert_eq!(cents.len(), 2);
-        assert!(cents.iter().all(|c| c.len() == 2));
-        // k > n refuses without spending.
-        let err = engine
-            .serve(
-                "alice",
-                &Request::kmeans("pol", "pts", eps(1.0), 9, 3, KmeansSecretSpec::Full),
-            )
-            .unwrap_err();
-        assert!(matches!(err, EngineError::InvalidRequest(_)));
-        assert!((engine.session_remaining("alice").unwrap() - 3.0).abs() < 1e-12);
-        // So does every spec `qsum_sensitivity` would assert on, and an
-        // iteration count past the cap: refused, not panicked, not charged.
-        let bad = [
-            (3, KmeansSecretSpec::L1Threshold(0.0)),
-            (3, KmeansSecretSpec::L1Threshold(-1.0)),
-            (3, KmeansSecretSpec::L1Threshold(f64::NAN)),
-            (3, KmeansSecretSpec::L1Threshold(f64::INFINITY)),
-            (3, KmeansSecretSpec::PartitionMaxDiameter(-1.0)),
-            (3, KmeansSecretSpec::PartitionMaxDiameter(f64::NAN)),
-            (1_001, KmeansSecretSpec::Full),
-            (1 << 40, KmeansSecretSpec::Full),
+        use bf_graph::SecretGraph;
+        use bf_mechanisms::kmeans::KmeansSecretSpec::*;
+        let dir = bf_store::scratch_dir("engine-admissible");
+        let engine = Engine::with_store(3, Arc::new(Store::open(&dir).unwrap()));
+        let line = Domain::line(64).unwrap();
+        let dp = Policy::differential_privacy(line.clone());
+        engine.register_policy("pol", dp).unwrap();
+        let fenced = CountConstraint::new(Predicate::of_values(64, &[0, 1, 2, 3]), 2);
+        let constrained =
+            Policy::with_constraints(line.clone(), SecretGraph::Full, vec![fenced]).unwrap();
+        engine.register_policy("cpol", constrained).unwrap();
+        let rows: Vec<usize> = (0..1_000).map(|i| (i * 7) % 64).collect();
+        let datasets = [
+            ("ds", Dataset::from_rows(line.clone(), rows).unwrap()),
+            // One row: the overflows only the ε row sees.
+            ("one", Dataset::from_rows(line, vec![3]).unwrap()),
+            // 64 cells again, in another shape.
+            (
+                "grid",
+                Dataset::from_rows(Domain::from_cardinalities(&[8, 8]).unwrap(), vec![0]).unwrap(),
+            ),
         ];
-        for (iterations, spec) in bad {
-            let err = engine
-                .serve(
-                    "alice",
-                    &Request::kmeans("pol", "pts", eps(1.0), 2, iterations, spec),
-                )
-                .unwrap_err();
+        for (name, dataset) in datasets {
+            engine.register_dataset(name, dataset).unwrap();
+        }
+        let points = |hi: f64| {
+            PointSet::new(
+                vec![
+                    vec![1.0, 1.0],
+                    vec![1.2, 0.8],
+                    vec![9.0, 9.0],
+                    vec![8.8, 9.1],
+                ],
+                BoundingBox::new(vec![-hi, -hi], vec![hi, hi]),
+            )
+        };
+        engine.register_points("pts", points(10.0)).unwrap();
+        // A bounding box whose L1 diameter overflows.
+        engine.register_points("huge", points(1e308)).unwrap();
+        engine.open_session("alice", eps(1e9)).unwrap();
+
+        let e = eps(0.5);
+        let kmeans = |k, iterations, spec| Request::kmeans("pol", "pts", e, k, iterations, spec);
+        let weights = |w: &[f64]| [w, &vec![0.0; 64 - w.len()]].concat();
+        let mut bad = vec![
+            // policy
+            Request::cumulative_histogram("cpol", "ds", e),
+            Request::kmeans("cpol", "pts", e, 2, 3, Full),
+            // data
+            Request::histogram("pol", "grid", e),
+            // lo, hi
+            Request::range("pol", "ds", e, 5, 4),
+            Request::range("pol", "ds", e, 0, 64),
+            // weights: length, finiteness, max|w|·n
+            Request::linear("pol", "ds", e, vec![1.0; 63]),
+            Request::linear("pol", "ds", e, weights(&[f64::NAN])),
+            Request::linear("pol", "ds", e, weights(&[f64::NEG_INFINITY])),
+            Request::linear("pol", "ds", e, vec![1e307; 64]),
+            // k
+            kmeans(0, 3, Full),
+            kmeans(5, 3, Full),
+            // iterations
+            kmeans(2, 0, Full),
+            kmeans(2, 1_001, Full),
+            kmeans(2, 1 << 40, Full),
+            // spec
+            kmeans(2, 3, L1Threshold(0.0)),
+            kmeans(2, 3, L1Threshold(-1.0)),
+            kmeans(2, 3, L1Threshold(f64::NAN)),
+            kmeans(2, 3, L1Threshold(f64::INFINITY)),
+            kmeans(2, 3, PartitionMaxDiameter(-1.0)),
+            kmeans(2, 3, PartitionMaxDiameter(f64::NAN)),
+            kmeans(2, 3, PartitionMaxDiameter(f64::INFINITY)),
+            // ε: the span of the weights, a constrained bound × max|w|,
+            // the point set's diameter and the per-iteration split
+            Request::linear("pol", "one", e, weights(&[1e308, -1e308])),
+            Request::linear("cpol", "one", e, weights(&[1e308])),
+            Request::kmeans("pol", "huge", e, 2, 3, Full),
+            Request::kmeans("pol", "pts", eps(1e-320), 2, 1_000, L1Threshold(1.0)),
+            Request::kmeans("pol", "pts", eps(5e-324), 2, 1, Exact),
+        ];
+        for epsilon in [5e-324, 1e-320, 1e-310].map(eps) {
+            let w: Vec<f64> = (0..64).map(f64::from).collect();
+            bad.extend([
+                Request::range("pol", "ds", epsilon, 3, 40),
+                Request::histogram("pol", "ds", epsilon),
+                Request::cumulative_histogram("pol", "ds", epsilon),
+                Request::linear("pol", "ds", epsilon, w),
+                Request::kmeans("pol", "pts", epsilon, 2, 10, L1Threshold(1.0)),
+            ]);
+        }
+        let committed = || engine.ledger_history("alice").unwrap().len();
+        for request in &bad {
+            let served = engine.session_snapshot("alice").unwrap().served();
+            let records = committed();
+            let err = engine.serve("alice", request).unwrap_err();
             assert!(
                 matches!(err, EngineError::InvalidRequest(_)),
-                "{iterations} iterations of {spec:?}: {err:?}"
+                "{request:?}: {err:?}"
             );
-            assert_eq!(engine.session_remaining("alice").unwrap(), 3.0);
+            // Folded into a batch with an admissible range, it still
+            // fails alone.
+            let fellow = Request::range("pol", "ds", request.epsilon, 1, 2);
+            let out = engine.serve_batch("alice", &[request.clone(), fellow]);
+            assert!(matches!(out[0], Err(EngineError::InvalidRequest(_))));
+            let after = engine.session_snapshot("alice").unwrap().served();
+            assert_eq!(after, served + u64::from(out[1].is_ok()), "{request:?}");
+            assert_eq!(committed(), records + after as usize - served as usize);
         }
-        // The boundary values are served.
-        for (iterations, spec) in [
-            (1_000, KmeansSecretSpec::L1Threshold(f64::MIN_POSITIVE)),
-            (1, KmeansSecretSpec::PartitionMaxDiameter(0.0)),
-        ] {
-            engine
-                .serve(
-                    "alice",
-                    &Request::kmeans("pol", "pts", eps(0.5), 2, iterations, spec),
-                )
-                .unwrap();
+
+        // Each row's boundary values are served, with finite answers.
+        let good = [
+            Request::histogram("cpol", "ds", e),
+            Request::histogram("pol", "one", e),
+            Request::range("pol", "ds", e, 0, 63),
+            Request::range("pol", "ds", e, 7, 7),
+            Request::linear("pol", "ds", e, vec![1e305; 64]),
+            Request::linear("pol", "one", e, weights(&[1e306, -1e306])),
+            kmeans(1, 1, Full),
+            kmeans(4, 1_000, L1Threshold(f64::MIN_POSITIVE)),
+            kmeans(2, 3, PartitionMaxDiameter(0.0)),
+            Request::kmeans("pol", "pts", eps(1e-320), 2, 1_000, Exact),
+            Request::histogram("pol", "ds", eps(1e-300)),
+        ];
+        for request in &good {
+            let answer = engine.serve("alice", request).unwrap();
+            let values: Vec<f64> = match answer {
+                Response::Scalar(x) => vec![x],
+                Response::Histogram(v) | Response::Prefixes(v) => v,
+                Response::Centroids(c) => c.concat(),
+            };
+            assert!(values.iter().all(|v| v.is_finite()), "{request:?}");
         }
+        let answer = engine.serve("alice", &kmeans(2, 3, Full)).unwrap();
+        let centroids = answer.centroids().unwrap();
+        assert!(centroids.len() == 2 && centroids.iter().all(|c| c.len() == 2));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

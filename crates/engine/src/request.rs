@@ -4,9 +4,17 @@
 //! the analyst is willing to spend, and a [`RequestKind`] saying which of
 //! the paper's query families to run. The engine routes each kind to the
 //! mechanism the paper prescribes for it (see `crate::engine`).
+//!
+//! [`ADMISSIBLE`] declares, once, the set every field of a request must
+//! lie in. The engine runs it on every request before anything is
+//! charged, so a request that is charged is one its mechanism can serve.
 
-use bf_core::{Epsilon, QueryClass};
+use crate::error::EngineError;
+use bf_core::{Epsilon, Policy, QueryClass};
+use bf_domain::{Dataset, PointSet};
 use bf_mechanisms::kmeans::KmeansSecretSpec;
+use KmeansSecretSpec::{L1Threshold, PartitionMaxDiameter};
+use RequestKind::{CumulativeHistogram, KMeans, Linear, Range};
 
 /// One query against the engine.
 #[derive(Debug, Clone)]
@@ -160,6 +168,111 @@ impl Request {
     }
 }
 
+/// The data object a request names.
+pub(crate) enum Data<'a> {
+    /// A dataset, and the release's `S(f, P)`, computed on first call —
+    /// which only the ε row makes, once the rows above hold (the closed
+    /// forms assert on what they refuse). `None` while a fold asks
+    /// whether a range may join it: the ε row waits for calibration.
+    Table(&'a Dataset, Option<&'a dyn Fn() -> f64>),
+    Points(&'a PointSet),
+}
+
+/// One row of [`ADMISSIBLE`]: a field, its admissible set, the refusal of
+/// a request outside it, and the test for outside — given the request,
+/// its policy and the data object it names.
+pub(crate) struct Admissible {
+    pub(crate) field: &'static str,
+    pub(crate) set: &'static str,
+    pub(crate) refusal: &'static str,
+    outside: fn(&Request, &Policy, &Data<'_>) -> bool,
+}
+
+macro_rules! admissible {
+    ($($field:literal: $set:literal, $refusal:literal, $outside:expr;)*) => {
+        /// The admissible-value table, in the order it is checked: the ε
+        /// row needs the rest to hold. README's "Admissible requests" is
+        /// this table.
+        pub(crate) const ADMISSIBLE: &[Admissible] = &[$(
+            Admissible { field: $field, set: $set, refusal: $refusal, outside: $outside },
+        )*];
+    };
+}
+
+admissible! {
+    "policy": "constraint-free for cumulative and k-means requests",
+        "the Theorem 8.2 bound calibrates histogram, range and linear releases only",
+        |r, p, _| p.has_constraints() && matches!(r.kind, CumulativeHistogram | KMeans { .. });
+    "data": "a dataset's domain is the policy's domain", "the dataset's domain is not the policy's",
+        |_, p, data| matches!(data, Data::Table(d, _) if d.domain() != p.domain());
+    "lo, hi": "lo ≤ hi < |T|", "range outside the domain",
+        |r, p, _| matches!(r.kind, Range { lo, hi } if lo > hi || hi >= p.domain().size());
+    // n is public under Blowfish's bounded neighbours, so refusing on
+    // max|w|·n depends on nothing secret. It keeps the exact answer
+    // finite where the ε row cannot: equal weights have sensitivity 0.
+    "weights": "length |T|, every weight finite, max|w|·n finite",
+        "linear-query weights out of range",
+        |r, p, data| match (&r.kind, data) {
+            (Linear { weights }, Data::Table(d, _)) => {
+                let max = weights.iter().fold(0.0f64, |m, w| m.max(w.abs()));
+                weights.len() != p.domain().size()
+                    || !weights.iter().all(|w| w.is_finite())
+                    || !(max * d.len() as f64).is_finite()
+            }
+            _ => false,
+        };
+    "k": "1 ≤ k ≤ n", "k-means needs 1 ≤ k ≤ n",
+        |r, _, data| match (&r.kind, data) {
+            (KMeans { k, .. }, Data::Points(points)) => *k == 0 || *k > points.len(),
+            _ => false,
+        };
+    // The paper uses 10, and ε/(2·iterations) leaves only noise long
+    // before 1 000; the bound caps what one request costs in CPU.
+    "iterations": "1 ≤ iterations ≤ 1 000", "k-means needs 1 ≤ iterations ≤ 1 000",
+        |r, _, _| matches!(r.kind, KMeans { iterations, .. } if !(1..=1_000).contains(&iterations));
+    "spec": "θ finite and > 0; block diameter finite and ≥ 0",
+        "k-means needs a finite θ > 0 or a finite block diameter ≥ 0",
+        |r, _, _| match r.kind {
+            KMeans { spec: L1Threshold(theta), .. } => !(theta.is_finite() && theta > 0.0),
+            KMeans { spec: PartitionMaxDiameter(d), .. } => !(d.is_finite() && d >= 0.0),
+            _ => false,
+        };
+    // One check on the noise scale catches a subnormal ε, an overflowing
+    // weight span or constrained bound × max|w|, and a k-means ε that
+    // underflows when `PrivateKmeans::run` splits it across iterations
+    // and its two queries. A scale of 0 is an exact release.
+    "epsilon": "S(f, P)/ε finite; for k-means, both scales at ε/(2·iterations)",
+        "the noise scale S(f, P)/ε is not finite",
+        |r, _, data| {
+            let epsilon = r.epsilon.value();
+            let scales = match (&r.kind, data) {
+                (KMeans { iterations, spec, .. }, Data::Points(points)) => {
+                    let per_query = epsilon / (2.0 * *iterations as f64);
+                    let sum = spec.qsum_sensitivity(points.bbox());
+                    [spec.qsize_sensitivity() / per_query, sum / per_query]
+                }
+                (_, Data::Table(_, Some(sensitivity))) => [sensitivity() / epsilon; 2],
+                _ => return false,
+            };
+            !scales.iter().all(|s| (0.0..f64::INFINITY).contains(s))
+        };
+}
+
+/// Runs [`ADMISSIBLE`] on one request: the first row it falls outside
+/// refuses it.
+pub(crate) fn admit(request: &Request, policy: &Policy, data: Data<'_>) -> Result<(), EngineError> {
+    match ADMISSIBLE
+        .iter()
+        .find(|row| (row.outside)(request, policy, &data))
+    {
+        Some(row) => Err(EngineError::InvalidRequest(format!(
+            "{} ({}: admissible {})",
+            row.refusal, row.field, row.set
+        ))),
+        None => Ok(()),
+    }
+}
+
 /// A served answer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Response {
@@ -303,6 +416,34 @@ mod tests {
         let r = Request::kmeans("pol", "pts", eps(), 3, 5, KmeansSecretSpec::Full);
         assert!(r.query_class().is_none());
         assert_eq!(r.label(), "kmeans@pol/pts");
+    }
+
+    /// README's "Admissible requests" lists exactly the table's rows, in
+    /// the order they are checked.
+    #[test]
+    fn the_readme_table_is_the_admissible_table() {
+        let readme = include_str!(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"));
+        let rows: Vec<[String; 3]> = readme
+            .lines()
+            .skip_while(|line| *line != "### Admissible requests")
+            .skip_while(|line| !line.starts_with("| field |"))
+            .skip(2)
+            .take_while(|line| line.starts_with('|'))
+            .map(|line| {
+                // `\|` is a pipe inside a cell.
+                let cells: Vec<String> = line
+                    .replace("\\|", "\0")
+                    .split('|')
+                    .map(|cell| cell.trim().replace('\0', "|"))
+                    .collect();
+                [cells[1].clone(), cells[2].clone(), cells[3].clone()]
+            })
+            .collect();
+        let table: Vec<[String; 3]> = ADMISSIBLE
+            .iter()
+            .map(|row| [row.field, row.set, row.refusal].map(String::from))
+            .collect();
+        assert_eq!(rows, table);
     }
 
     #[test]

@@ -997,7 +997,9 @@ impl WireRequest {
         }
     }
 
-    /// Decodes into an engine [`Request`].
+    /// Decodes into an engine [`Request`], checking ε only as an
+    /// `Epsilon`: a subnormal ε decodes, and the engine refuses it (with
+    /// every other inadmissible field) before the charge.
     ///
     /// # Errors
     ///

@@ -3,13 +3,19 @@
 //! directories through recovery. Each decoder answers `None`, the frame
 //! reader ends in `Corrupt` or end of stream, and a store opens with a
 //! typed error or a ledger that still holds what the intact prefix did.
+//! A well-formed request that names inadmissible values is refused
+//! before it is charged, and the connection that sent it still serves.
 
-use blowfish::net::{ClientMessage, ServerMessage, WireLogOp};
+use blowfish::net::{Client, ClientMessage, NetConfig, NetError, NetServer, WireError};
+use blowfish::net::{ServerMessage, WireLogOp};
+use blowfish::prelude::{BoundingBox, Dataset, Domain, Engine, Epsilon, KmeansSecretSpec};
+use blowfish::prelude::{PointSet, Policy, Request, Server, ServerConfig};
 use blowfish::store::{frame_bytes, FrameBuf, FrameRead, Record, Store};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::Read;
 use std::path::Path;
+use std::sync::Arc;
 
 /// First payload bytes to draw from: every message, log-op and record
 /// tag (client 1–15, server 65–79, log ops and records below 16), plus
@@ -209,4 +215,123 @@ fn mangled_store_directories_open_typed_or_still_hold_alice() {
         opened > 0 && refused > 0,
         "{opened} opened, {refused} refused"
     );
+}
+
+/// The fields of README's "Admissible requests" table, which a test in
+/// `bf-engine` holds to the engine's table, row for row.
+fn admissible_fields() -> Vec<String> {
+    let readme = include_str!("../README.md");
+    readme
+        .lines()
+        .skip_while(|line| *line != "### Admissible requests")
+        .skip_while(|line| !line.starts_with("| field |"))
+        .skip(2)
+        .take_while(|line| line.starts_with('|'))
+        .map(|line| line.split(" | ").next().unwrap()[2..].to_owned())
+        .collect()
+}
+
+/// One `Submit` per row of the admissible-value table, each well formed
+/// and outside its row's set, through a real `NetServer`: each is
+/// refused with `InvalidRequest` naming its row, the analyst's budget
+/// does not move, and the same connection then serves an admissible
+/// request.
+#[test]
+fn inadmissible_submits_are_refused_before_the_charge() {
+    use KmeansSecretSpec::{Full, L1Threshold, PartitionMaxDiameter};
+    let eps = |v: f64| Epsilon::new(v).unwrap();
+    let engine = Engine::with_seed(13);
+    let line = Domain::line(64).unwrap();
+    engine
+        .register_policy("pol", Policy::differential_privacy(line.clone()))
+        .unwrap();
+    let fenced = blowfish::core::CountConstraint::new(
+        blowfish::core::Predicate::of_values(64, &[0, 1, 2, 3]),
+        2,
+    );
+    let graph = blowfish::graph::SecretGraph::Full;
+    let constrained = Policy::with_constraints(line.clone(), graph, vec![fenced]).unwrap();
+    engine.register_policy("cpol", constrained).unwrap();
+    let rows: Vec<usize> = (0..1_000).map(|i| (i * 7) % 64).collect();
+    let grid = Domain::from_cardinalities(&[8, 8]).unwrap();
+    for (name, domain, rows) in [
+        ("ds", line.clone(), rows),
+        ("one", line, vec![3]),
+        ("grid", grid, vec![0]),
+    ] {
+        let dataset = Dataset::from_rows(domain, rows).unwrap();
+        engine.register_dataset(name, dataset).unwrap();
+    }
+    for (name, hi) in [("pts", 10.0), ("huge", 1e308)] {
+        let points = vec![vec![1.0, 1.0], vec![1.2, 0.8], vec![9.0, 9.0]];
+        let bbox = BoundingBox::new(vec![-hi, -hi], vec![hi, hi]);
+        engine
+            .register_points(name, PointSet::new(points, bbox))
+            .unwrap();
+    }
+    let server = Arc::new(Server::new(Arc::new(engine), ServerConfig::default()));
+    let net = NetServer::bind("127.0.0.1:0", server, NetConfig::default()).unwrap();
+    let mut client = Client::connect(net.local_addr()).unwrap();
+    client.open_session("eve", 1e9).unwrap();
+
+    let e = eps(0.5);
+    let mut span = vec![0.0; 64];
+    (span[0], span[1]) = (1e308, -1e308);
+    let kmeans = |k, iterations, spec| Request::kmeans("pol", "pts", e, k, iterations, spec);
+    let bad = [
+        ("policy", Request::cumulative_histogram("cpol", "ds", e)),
+        ("policy", Request::kmeans("cpol", "pts", e, 2, 3, Full)),
+        ("data", Request::histogram("pol", "grid", e)),
+        ("lo, hi", Request::range("pol", "ds", e, 9, 8)),
+        ("lo, hi", Request::range("pol", "ds", e, 0, 64)),
+        ("weights", Request::linear("pol", "ds", e, vec![1.0; 65])),
+        (
+            "weights",
+            Request::linear("pol", "ds", e, vec![f64::NAN; 64]),
+        ),
+        ("weights", Request::linear("pol", "ds", e, vec![1e307; 64])),
+        ("k", kmeans(0, 3, Full)),
+        ("k", kmeans(4, 3, Full)),
+        ("iterations", kmeans(2, 0, Full)),
+        ("iterations", kmeans(2, 1 << 40, Full)),
+        ("spec", kmeans(2, 3, L1Threshold(f64::NAN))),
+        ("spec", kmeans(2, 3, PartitionMaxDiameter(f64::INFINITY))),
+        ("epsilon", Request::range("pol", "ds", eps(5e-324), 3, 40)),
+        ("epsilon", Request::histogram("pol", "ds", eps(1e-320))),
+        (
+            "epsilon",
+            Request::cumulative_histogram("pol", "ds", eps(1e-310)),
+        ),
+        ("epsilon", Request::linear("pol", "one", e, span)),
+        ("epsilon", Request::kmeans("pol", "huge", e, 2, 3, Full)),
+        (
+            "epsilon",
+            Request::kmeans("pol", "pts", eps(1e-320), 2, 1_000, Full),
+        ),
+    ];
+    let admissible = Request::range("pol", "ds", eps(0.5), 1, 2);
+    for (field, request) in &bad {
+        let before = client.budget("eve").unwrap();
+        match client.call("eve", request) {
+            Err(NetError::Remote(WireError::InvalidRequest(message))) => assert!(
+                message.contains(&format!("({field}: admissible ")),
+                "{request:?} refused by the wrong row: {message}"
+            ),
+            other => panic!("{request:?}: expected InvalidRequest, got {other:?}"),
+        }
+        let after = client.budget("eve").unwrap();
+        assert_eq!(after.spent.to_bits(), before.spent.to_bits(), "{request:?}");
+        assert_eq!(after.served, before.served, "{request:?}");
+        let answer = client.call("eve", &admissible).unwrap();
+        assert!(answer.scalar().unwrap().is_finite());
+    }
+    let fields = admissible_fields();
+    assert!(fields.len() >= 8, "README's table: {fields:?}");
+    for field in fields {
+        assert!(
+            bad.iter().any(|(f, _)| *f == field),
+            "no inadmissible submit for the {field:?} row"
+        );
+    }
+    net.shutdown().unwrap();
 }
