@@ -62,6 +62,18 @@ pub struct Served {
 /// One waiter's answer while the pipeline runs; `None` until resolved.
 type Slot = Option<Result<Response, EngineError>>;
 
+/// How [`Engine::run`] books a call's frames before it acknowledges.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Book {
+    /// [`Store::commit`]: durable first. Every caller whose input lives
+    /// nowhere else.
+    Commit,
+    /// [`Store::stage`]: in the store's state first, on disk with its
+    /// next commit. Only [`Engine::apply_tagged`], whose input is a
+    /// durable log entry that recovery runs again.
+    Stage,
+}
+
 /// A registered dataset with its aggregates precomputed once: serving
 /// reads histograms, never raw rows, so the O(n) aggregation pass and
 /// the O(|T|) prefix sums happen at registration instead of per request.
@@ -287,7 +299,11 @@ impl Engine {
     ///   release executes, then its charge is committed to the WAL —
     ///   a tagged request's charge and answer in one atomic `Replied`
     ///   frame — and only then is the answer acknowledged, so recovered
-    ///   spent always covers every answer an analyst saw.
+    ///   spent always covers every answer an analyst saw. The one
+    ///   exception is [`Engine::apply_tagged`], a replica applying a
+    ///   log entry that is already durable: it stages the frame and
+    ///   answers, and recovery covers the answer by running the entry
+    ///   again, at the same ledger position and so to the same charge.
     pub fn with_store(seed: u64, store: Arc<Store>) -> Self {
         let engine = Self::with_seed(seed);
         let recovered = store.recovered_state();
@@ -918,7 +934,7 @@ impl Engine {
     /// (nothing is released in that case), [`EngineError::Store`] when
     /// the charge cannot be made durable (the answer is withheld).
     pub fn serve(&self, analyst: &str, request: &Request) -> Result<Response, EngineError> {
-        self.serve_one(analyst, None, request)
+        self.serve_one(analyst, None, request, Book::Commit)
     }
 
     /// [`Engine::serve`] for a request stamped with a durable idempotency
@@ -942,7 +958,35 @@ impl Engine {
         request_id: u64,
         request: &Request,
     ) -> Result<Response, EngineError> {
-        self.serve_one(analyst, Some(request_id), request)
+        self.serve_one(analyst, Some(request_id), request, Book::Commit)
+    }
+
+    /// [`Engine::serve_tagged`] for a request whose input is already
+    /// durable elsewhere — a replicated log entry, which every replica
+    /// executes in log order and recovery executes again. The same
+    /// charge, ledger position, noise and bytes; only the booking moves:
+    /// the `Replied` frame is **staged** ([`Store::stage`]), in the
+    /// store's state (and its digest) when this returns and on disk with
+    /// the store's next commit, not committed before the answer.
+    ///
+    /// A crash before that commit loses the frame as a WAL suffix, with
+    /// everything booked after it. Running the entry again then finds the
+    /// payer at the same ledger position, so it draws the same noise and
+    /// books the same charge: the answer already handed out is charged
+    /// exactly once. That argument needs the durable input, so every
+    /// other caller wants [`Engine::serve_tagged`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Engine::serve`]; [`EngineError::Store`] only for a store
+    /// poisoned by an earlier failure.
+    pub fn apply_tagged(
+        &self,
+        analyst: &str,
+        request_id: u64,
+        request: &Request,
+    ) -> Result<Response, EngineError> {
+        self.serve_one(analyst, Some(request_id), request, Book::Stage)
     }
 
     /// A lone request is a plan of one group with one waiter.
@@ -951,6 +995,7 @@ impl Engine {
         analyst: &str,
         tag: Option<u64>,
         request: &Request,
+        book: Book,
     ) -> Result<Response, EngineError> {
         let trace = TraceContext::inert();
         let waiter = Waiter {
@@ -963,7 +1008,7 @@ impl Engine {
             waiters: std::slice::from_ref(&waiter),
         };
         let mut slot = [None];
-        self.run(std::slice::from_ref(&group), &[&[0]], &mut slot);
+        self.run(std::slice::from_ref(&group), &[&[0]], &mut slot, book);
         let [slot] = slot;
         slot.expect("every slot filled")
     }
@@ -1052,7 +1097,7 @@ impl Engine {
             .flat_map(|g| g.waiters)
             .map(|_| None)
             .collect();
-        self.run(groups, &plans, &mut flat);
+        self.run(groups, &plans, &mut flat, Book::Commit);
         let mut flat = flat
             .into_iter()
             .map(|slot| slot.expect("every slot filled"));
@@ -1144,8 +1189,10 @@ impl Engine {
     /// ONE group **commit** → **mirror** the cached replies →
     /// **acknowledge**. Nothing is acknowledged before its charge is
     /// durable, and a charge is only ever lost to a failure, never
-    /// resurrected.
-    fn run(&self, groups: &[Group<'_>], plans: &[&[usize]], slots: &mut [Slot]) {
+    /// resurrected. The one exception is `book`: [`Book::Stage`] stages
+    /// the frames in place of the commit, for an input the log already
+    /// holds durably ([`Engine::apply_tagged`]).
+    fn run(&self, groups: &[Group<'_>], plans: &[&[usize]], slots: &mut [Slot], book: Book) {
         // Replay: a tagged waiter whose key is cached is a retry of an
         // acknowledged answer — valid however the rest of the call
         // fares, so its slot is filled now and it neither charges nor
@@ -1289,7 +1336,8 @@ impl Engine {
             .collect();
 
         // Durable-before-acknowledge: every charge of the call reaches
-        // the WAL in ONE group commit before any slot is acknowledged.
+        // the WAL in ONE group commit before any slot is acknowledged
+        // (staged instead, under `Book::Stage`, behind a durable input).
         // Each charged analyst's spend rides exactly one frame per plan:
         // a `Replied` frame — the charge and that waiter's own answer in
         // one atomic frame, so a crash can never separate them and let a
@@ -1333,7 +1381,10 @@ impl Engine {
                 }
             }
         }
-        let committed = match &self.store {
+        let booked = match &self.store {
+            Some(store) if !records.is_empty() && book == Book::Stage => {
+                store.stage(&records).map_err(EngineError::Store)
+            }
             Some(store) if !records.is_empty() => {
                 let mut span = self.obs.span();
                 let committed = store
@@ -1344,7 +1395,7 @@ impl Engine {
             }
             _ => Ok(()),
         };
-        if committed.is_ok() {
+        if booked.is_ok() {
             for (analyst, rid, payload) in mirrors {
                 self.mirror_reply(analyst, rid, payload);
             }
@@ -1355,7 +1406,7 @@ impl Engine {
         // failure, never resurrected).
         for (p, answers) in prepared.iter().zip(answers) {
             for (&gi, answer) in p.plan.iter().zip(answers) {
-                let answer = committed.clone().map(|()| answer);
+                let answer = booked.clone().map(|()| answer);
                 fill(&mut slots[slots_of(gi)], answer);
             }
         }

@@ -29,7 +29,8 @@
 //!   or a shared Ordered release, Section 7.1) *is* the Blowfish
 //!   guarantee as served, so the engine decides it in exactly one
 //!   place. [`Engine::serve`], [`Engine::serve_tagged`],
-//!   [`Engine::serve_batch`] and [`Engine::serve_groups`] are
+//!   [`Engine::apply_tagged`], [`Engine::serve_batch`] and
+//!   [`Engine::serve_groups`] are
 //!   front-ends a few lines long over one private pipeline that runs a
 //!   list of release plans in one order: *replay* cached tagged retries
 //!   → *resolve, admit, calibrate* → *charge* each distinct analyst
@@ -59,7 +60,11 @@
 //!   acknowledged (acknowledge-after-durable), sessions recovered after a
 //!   crash resume with their spent ε intact, and re-registration after
 //!   recovery is fingerprint-checked so a swapped policy or dataset
-//!   cannot inherit the original's ledgers.
+//!   cannot inherit the original's ledgers. A replica applying a log
+//!   entry whose input is already durable books through
+//!   [`Engine::apply_tagged`] instead, which stages the frame for the
+//!   store's next commit: recovery runs the entry again to the same
+//!   charge.
 //! * **Exactly-once retries** ([`Engine::serve_tagged`]): a request
 //!   stamped with a durable idempotency key `(analyst, request_id)`
 //!   commits its charge and its encoded answer in **one atomic WAL

@@ -21,13 +21,20 @@
 //!   `PeerStatus`).
 //! * **Quorum acks.** A client is answered only after the entry is
 //!   durable on a configurable quorum of replicas **and** executed
-//!   locally. Acks are cumulative durable high-water marks.
+//!   locally. Acks are cumulative durable high-water marks. The entry
+//!   is the only thing that has to be durable first: what executing it
+//!   books — its charge and answer, its execution mark — is staged and
+//!   reaches disk with the node's next commit, because the log can
+//!   derive it again. So a quorum write waits on two fsyncs in series
+//!   (leader append, one follower's append) and each node pays one.
 //! * **Deterministic replay.** Every replica applies the identical log
-//!   through the identical engine (`Engine::serve_tagged` under the
+//!   through the identical engine (`Engine::apply_tagged` under the
 //!   entry's idempotency key): release noise is a pure function of
 //!   `(seed, release identity, ledger position)`, so per-analyst ledgers,
 //!   reply caches and answers are byte-identical at every index on
-//!   every replica.
+//!   every replica — and a node that crashed before its staged charges
+//!   reached disk recovers them by running the entries again, to the
+//!   same ledger positions, noise, bytes and charges.
 //! * **Read scale-out.** Followers serve `Budget` / `BudgetAudit` /
 //!   `Traces` / `Stats` from their local engine, optionally refusing
 //!   with `StaleReplica` past a configured lag bound.
@@ -36,9 +43,10 @@
 //!   survivors' durable log positions and refuses any candidate that is
 //!   not the longest, so a quorum-acked entry always survives — then
 //!   finishes replay of its mirrored WAL and bumps the epoch (fencing
-//!   stale leaders). Every client-acked charge is present exactly once:
-//!   retried requests replay their durable cached reply at zero
-//!   additional ε.
+//!   stale leaders). Every client-acked charge is present exactly once
+//!   — durable, or re-derived by that replay from the durable entry —
+//!   and retried requests replay their cached reply at zero additional
+//!   ε.
 //! * **Divergence reconciliation.** A survivor that mirrored entries
 //!   the dead leader never committed reconciles when it re-follows: the
 //!   new leader's catchup log-matching check (last-entry epoch against

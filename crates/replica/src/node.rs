@@ -33,13 +33,16 @@
 //!
 //! ## What an entry costs in fsyncs
 //!
-//! Two per node: the `Replicated` append (the leader's in `sequence`, a
+//! One per node: the `Replicated` append (the leader's in `sequence`, a
 //! follower's once per `Replicate` frame however many entries it
-//! carries) and the charge the engine commits when the applier executes
-//! the entry. The `LogApplied` mark is staged ([`Store::stage`]) and
-//! rides the next of those. So a quorum write waits on three in series —
-//! leader append, one follower's append, the leader's charge — and the
-//! cluster pays about six.
+//! carries). What the applier books when it executes the entry — the
+//! `Replied` / `Charged` frame ([`Engine::apply_tagged`]) and the
+//! `LogApplied` mark — is staged ([`Store::stage`]) and rides the
+//! node's next commit, normally the next entry's append. So a quorum
+//! write waits on two in series — leader append, one follower's append
+//! — and the cluster pays about three. Only the input has to be durable
+//! before the answer: the log replays every effect, the charge included
+//! (see [`Node::mark_applied`]).
 
 use bf_chaos::{ReplicaFault, ReplicaPlan};
 use bf_core::Epsilon;
@@ -707,7 +710,7 @@ impl Node {
             // lock. Waiters are answered only after `mark_applied`: a
             // client holding an answer finds it already counted in
             // `applied` and in the store's state (whose digest covers
-            // the mark).
+            // the charge and the mark), durable or not.
             match &entry.op {
                 WireLogOp::OpenSession { total_bits } => {
                     let outcome = Epsilon::new(f64::from_bits(*total_bits))
@@ -736,7 +739,7 @@ impl Node {
                         })
                         .and_then(|req| {
                             self.engine
-                                .serve_tagged(&entry.analyst, entry.request_id, &req)
+                                .apply_tagged(&entry.analyst, entry.request_id, &req)
                                 .map_err(ServerError::Engine)
                         });
                     self.mark_applied(next);
@@ -754,15 +757,18 @@ impl Node {
     /// The execution mark, *staged*: counted in `applied` and in the
     /// store's state (and its digest) before any waiter is answered, and
     /// durable with whatever this store commits next — the next entry's
-    /// `Replicated` or charge, a compaction — not with an fsync of its
-    /// own. A crash before then recovers `applied` short of `index`, and
-    /// the applier runs those entries again. That is sound because what
-    /// an entry commits is durable before its mark is staged, and the
-    /// mark precedes in the WAL whatever later entries commit: an entry
-    /// that charged finds its `Replied` record and replays from the
-    /// reply cache at zero ε; one that committed nothing (a replay, a
-    /// refusal) runs against the very ledger it first ran against,
-    /// because nothing after its lost mark survived either.
+    /// `Replicated`, a session open, a compaction — not with an fsync of
+    /// its own. So is the entry's `Replied` / `Charged` frame, staged
+    /// just before it by [`Engine::apply_tagged`]. A crash before then
+    /// recovers `applied` short of `index`, and the applier runs those
+    /// entries again. That is sound because the entry's input is durable
+    /// and WAL loss is always a suffix: the charge precedes the mark, and
+    /// the mark precedes whatever later entries book. An entry whose
+    /// `Replied` survived replays from the reply cache at zero ε; one
+    /// whose charge was lost, or that booked nothing (a replay, a
+    /// refusal), runs against the very ledger it first ran against,
+    /// because nothing after its lost frames survived either — the same
+    /// ledger position, so the same noise, bytes and charge.
     fn mark_applied(&self, index: u64) {
         let staged = self.store.stage(&[Record::LogApplied { index }]);
         let mut st = self.state.lock().unwrap();
@@ -2559,8 +2565,9 @@ mod tests {
     }
 
     /// Halt site: `mark_applied` cannot stage its mark — the store was
-    /// poisoned by the failed commit of the entry's own charge — while
-    /// `promote` is parked on the replay that will now never finish.
+    /// poisoned by the failed commit of the entry's own session open —
+    /// while `promote` is parked on the replay that will now never
+    /// finish.
     #[test]
     fn a_halt_by_a_failed_stage_returns_a_parked_promote() {
         let (follower, _listener, mut link) =
@@ -2648,11 +2655,12 @@ mod tests {
         restarted.shutdown().unwrap();
     }
 
-    /// The write's ticket stays unresolved — and `applied` unmoved —
-    /// while the commit of its charge is in flight: staging the mark
-    /// took an fsync off the path, not the order.
+    /// The write's ticket resolves after the entry's one sync, its
+    /// append: the applier stages the charge and the mark, which are in
+    /// the store's state before the answer and on disk after the node's
+    /// next commit.
     #[test]
-    fn a_replicated_write_is_acknowledged_after_its_charge_commit() {
+    fn a_replicated_write_is_acknowledged_after_its_one_sync() {
         use bf_chaos::{StoreFault, StorePlan};
         use bf_store::StoreConfig;
         let slow = StorePlan::every_kth(1, StoreFault::DelaySyncMicros(100_000));
@@ -2676,21 +2684,48 @@ mod tests {
 
         // Returns once the entry's own append is durable …
         let request = Request::range("pol", "ds", eps(0.5), 0, 8);
-        let ticket = r.node.sequence_submit("k", Some(9), request).unwrap();
+        let ticket = r
+            .node
+            .sequence_submit("k", Some(9), request.clone())
+            .unwrap();
         assert_eq!(store.stats().syncs, before.syncs + 1);
-        // … and the applier's charge commit is the next one entered.
-        while store.stats().commits < before.commits + 2 {
-            std::thread::yield_now();
-        }
-        assert_eq!(store.stats().syncs, before.syncs + 1, "still in flight");
-        assert!(ticket.try_take().is_none(), "no answer before the commit");
-        assert_eq!(r.status().applied, 1);
-
-        ticket.wait().unwrap();
-        // Two fsyncs for the entry, the mark among neither.
-        assert_eq!(store.stats().syncs, before.syncs + 2);
+        // … and the answer waits on nothing more.
+        let answer = ticket.wait().unwrap();
+        let after = store.stats();
+        assert_eq!(after.syncs, before.syncs + 1, "one sync for the entry");
+        assert_eq!(
+            after.commits,
+            before.commits + 1,
+            "the applier commits nothing"
+        );
+        // The charge, its answer and the mark were counted first.
         assert_eq!(r.status().applied, 2);
-        assert_eq!(store.current_state().log_applied, 2);
+        let live = store.current_state();
+        assert_eq!(live.log_applied, 2);
+        assert_eq!(live.sessions["k"].spent, 0.5);
+        assert_eq!(
+            live.cached_reply("k", 9).unwrap().payload,
+            answer.to_bytes()
+        );
+        let image = |tag| {
+            Store::open(crash_image(&r, tag))
+                .unwrap()
+                .recovered_state()
+                .clone()
+        };
+        let staged = image("replica-ack-order-a");
+        assert_eq!((staged.log_applied, staged.sessions["k"].spent), (1, 0.0));
+        assert!(staged.cached_reply("k", 9).is_none());
+
+        // The next commit — here the next entry's append — writes both.
+        let next = r.node.sequence_submit("k", Some(10), request).unwrap();
+        next.wait().unwrap();
+        let written = image("replica-ack-order-b");
+        assert_eq!((written.log_applied, written.sessions["k"].spent), (2, 0.5));
+        assert_eq!(
+            written.cached_reply("k", 9).unwrap().payload,
+            answer.to_bytes()
+        );
         client.goodbye().unwrap();
         r.shutdown().unwrap();
     }

@@ -13,7 +13,7 @@
 //!   fingerprints, and the replicated log's entries and marks.
 //! * **[`Store`]** — an append-only WAL of checksummed, length-prefixed
 //!   frames with **group commit**: concurrent charges stack their
-//!   frames and share one fsync ([`StoreStats::amortization`]).
+//!   frames and share one fsync (`store_records_per_fsync`).
 //!   Periodic [`Store::compact`] folds the log into a snapshot and
 //!   prunes replayed segments.
 //! * **Recovery** — [`Store::open`] loads the newest snapshot, replays

@@ -32,10 +32,10 @@
 //! stacks its frames into a pending buffer, one caller becomes the
 //! *leader*, writes the whole buffer and fsyncs once, and every caller
 //! whose records rode along returns. Under N concurrent charges the
-//! store performs ~1 fsync for the batch instead of N
-//! ([`StoreStats::amortization`]). [`Store::stage`] puts frames in the
-//! same buffer and returns at once: they ride the next fsync anyone
-//! pays for.
+//! store performs ~1 fsync for the batch instead of N (the
+//! `store_records_per_fsync` histogram). [`Store::stage`] puts frames
+//! in the same buffer and returns at once: they ride the next fsync
+//! anyone pays for.
 
 use crate::error::StoreError;
 use crate::record::{fnv1a, frame_into, has_intact_frame_after, scan_frames, Record, ScanEnd};
@@ -164,18 +164,6 @@ pub struct StoreStats {
     pub compactions: u64,
     /// The segment currently appended to.
     pub segment: u64,
-}
-
-impl StoreStats {
-    /// Records made durable per fsync — the group-commit batching win
-    /// (1.0 means every commit paid its own sync).
-    pub fn amortization(&self) -> f64 {
-        if self.syncs == 0 {
-            0.0
-        } else {
-            self.appended_records as f64 / self.syncs as f64
-        }
-    }
 }
 
 struct Inner {
@@ -602,9 +590,16 @@ impl Store {
     /// [`Store::compact`] — in call order like everything else. A crash
     /// before then loses them, always as a suffix of the WAL.
     ///
-    /// Only for a record whose loss recovery repairs by itself:
-    /// `bf-replica`'s `LogApplied` mark, which replay re-derives at zero
-    /// ε. Nothing staged may be acknowledged to anyone as durable.
+    /// Only for a record whose loss recovery repairs by itself: an
+    /// effect of a log entry whose input — its `Replicated` record — is
+    /// already durable. That is `bf-replica`'s `LogApplied` mark and the
+    /// `Replied` / `Charged` frames its applier books through
+    /// `Engine::apply_tagged`. A crash that loses them loses the mark
+    /// with them or after them, so recovery finds the entry pending and
+    /// runs it again: from the reply cache at zero ε if its `Replied`
+    /// survived, otherwise at the payer's same ledger position, which
+    /// draws the same noise and books the same charge. Nothing staged
+    /// may be acknowledged to anyone as durable.
     ///
     /// # Errors
     ///
@@ -787,8 +782,11 @@ impl Store {
     /// the retention trade the flag exists for).
     ///
     /// The store lock is held for the duration so compaction cannot
-    /// rename segments mid-scan; only acknowledged (durable) records
-    /// are ever visible since unflushed frames live in memory.
+    /// rename segments mid-scan, and an in-flight sync is waited out
+    /// first, so every record is either whole in a segment or still
+    /// pending. Pending frames — staged ones, and those of commits not
+    /// yet synced — are scanned last: they are in the mirror already,
+    /// and they are the next records on disk, in this order.
     ///
     /// # Errors
     ///
@@ -799,37 +797,42 @@ impl Store {
     /// continues with the next segment, exactly like recovery, so a
     /// crash-torn mid-history segment never hides later charges).
     pub fn ledger_history(&self, analyst: &str) -> Result<Vec<LedgerEntry>, StoreError> {
-        let _g = self.inner.lock().expect("store lock poisoned");
+        let mut g = self.inner.lock().expect("store lock poisoned");
+        // A batch in flight is in neither a segment nor `pending`.
+        while g.syncing {
+            g = self.commit_cv.wait(g).expect("store lock poisoned");
+        }
         let mut paths = sorted_wal_segments(&self.dir.join("archive"));
         paths.extend(sorted_wal_segments(&self.dir));
         let mut out = Vec::new();
         let mut seq = 0u64;
+        let mut visit = |r: Record| {
+            match &r {
+                Record::Charged {
+                    analyst: a,
+                    label,
+                    eps_bits,
+                }
+                | Record::Replied {
+                    analyst: a,
+                    label,
+                    eps_bits,
+                    ..
+                } if a == analyst => {
+                    out.push(LedgerEntry {
+                        seq,
+                        eps_bits: *eps_bits,
+                        label: label.clone(),
+                        fingerprint: fnv1a(label.as_bytes()),
+                    });
+                }
+                _ => {}
+            }
+            seq += 1;
+        };
         for (n, path) in paths {
             let bytes = std::fs::read(&path).map_err(|e| StoreError::io("read segment", &e))?;
-            let (end, offset) = scan_frames(&bytes, |r| {
-                match &r {
-                    Record::Charged {
-                        analyst: a,
-                        label,
-                        eps_bits,
-                    }
-                    | Record::Replied {
-                        analyst: a,
-                        label,
-                        eps_bits,
-                        ..
-                    } if a == analyst => {
-                        out.push(LedgerEntry {
-                            seq,
-                            eps_bits: *eps_bits,
-                            label: label.clone(),
-                            fingerprint: fnv1a(label.as_bytes()),
-                        });
-                    }
-                    _ => {}
-                }
-                seq += 1;
-            });
+            let (end, offset) = scan_frames(&bytes, &mut visit);
             if end != ScanEnd::Clean {
                 // A torn tail was never acknowledged; the audit skips
                 // it and keeps scanning later segments exactly like
@@ -839,6 +842,7 @@ impl Store {
                 refuse_durable_damage(&path, n, &bytes, offset)?;
             }
         }
+        scan_frames(&g.pending, &mut visit);
         Ok(out)
     }
 
@@ -1536,6 +1540,48 @@ mod tests {
         assert_eq!(again.len(), 2);
         assert_eq!(again[0].seq, 1);
         assert_eq!(again[1].eps_bits, 0.125f64.to_bits());
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A staged charge is in the mirror, so the audit reports it too: at
+    /// its place in WAL order while it waits in memory, and at the same
+    /// place once the next commit has written it.
+    #[test]
+    fn ledger_history_reports_a_staged_charge_in_order_before_and_after_the_next_commit() {
+        let dir = scratch_dir("ledger-staged");
+        let store = Store::open(&dir).unwrap();
+        store
+            .commit(&[
+                Record::session_opened("a", 1.0),
+                Record::charged("a", "durable", 0.25),
+            ])
+            .unwrap();
+        store
+            .stage(&[
+                Record::replied("a", 3, "staged", 0.125, vec![1]),
+                Record::LogApplied { index: 3 },
+                Record::charged("a", "staged-too", 0.0625),
+            ])
+            .unwrap();
+        let history = |store: &Store| -> Vec<(u64, String)> {
+            let hist = store.ledger_history("a").unwrap();
+            hist.into_iter().map(|e| (e.seq, e.label)).collect()
+        };
+        let expected = [
+            (1, "durable".to_string()),
+            (2, "staged".to_string()),
+            (4, "staged-too".to_string()),
+        ];
+        assert_eq!(history(&store), expected, "staged, still in memory");
+        assert_eq!(records_on_disk(&dir).len(), 2);
+
+        store.commit(&[Record::session_opened("b", 1.0)]).unwrap();
+        assert_eq!(records_on_disk(&dir).len(), 6);
+        assert_eq!(history(&store), expected, "written by the next commit");
+        drop(store);
+        let store = Store::open(&dir).unwrap();
+        assert_eq!(history(&store), expected, "and recovered");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -128,12 +128,22 @@ fn ledger_sig(r: &Replica, analyst: &str) -> Vec<(String, u64)> {
         .collect()
 }
 
+/// Submits `request` under the idempotency key `rid` and waits for it.
+fn submit(
+    client: &mut Client,
+    analyst: &str,
+    rid: u64,
+    request: &Request,
+) -> Result<Response, NetError> {
+    let id = client.submit_tagged(analyst, request, Some(rid), None)?;
+    client.wait(id)
+}
+
 fn call(client: &mut Client, analyst: &str, rid: u64) -> Result<Response, NetError> {
     // Vary the query with the rid so answers are distinguishable.
     let lo = (rid % 16) as usize;
     let request = Request::range("pol", "ds", eps(0.125), lo, lo + 24);
-    let id = client.submit_tagged(analyst, &request, Some(rid), None)?;
-    client.wait(id)
+    submit(client, analyst, rid, &request)
 }
 
 #[test]
@@ -447,11 +457,11 @@ fn the_lifecycle_has_no_timer_on_it() {
     );
 }
 
-/// Per applied entry a node syncs twice — the entry's `Replicated`
-/// append, then the commit of its charge — and the execution mark rides
-/// the next of those instead of paying a third.
+/// Per applied entry a node syncs once — the entry's `Replicated`
+/// append. Its charge and its execution mark are staged and ride the
+/// next of those instead of paying syncs of their own.
 #[test]
-fn an_applied_entry_costs_each_node_two_syncs() {
+fn an_applied_entry_costs_each_node_one_sync() {
     let (leader, f1, f2) = trio("failover-syncs", 75);
     let mut client = Client::connect(leader.client_addr()).unwrap();
     client.open_session("alice", 100.0).unwrap();
@@ -466,11 +476,11 @@ fn an_applied_entry_costs_each_node_two_syncs() {
     }
     for (r, before) in [&leader, &f1, &f2].into_iter().zip(before) {
         await_applied(r, 1 + WRITES);
-        // At most: a follower's append of entry n + 1 may share an fsync
-        // with its charge for entry n (group commit).
+        // One append per write — a serial client's entries reach a
+        // follower one `Replicate` frame each — and nothing else.
         let paid = syncs(r) - before;
         assert!(
-            paid <= 2 * WRITES + 2,
+            paid <= WRITES + 2,
             "{paid} syncs for {WRITES} applied entries"
         );
     }
@@ -481,10 +491,11 @@ fn an_applied_entry_costs_each_node_two_syncs() {
 }
 
 /// Crash point (a): the leader dies holding the client's last answer.
-/// The entry's charge and reply are durable — the acknowledgement
-/// waited for them — its execution mark is not; the restarted node
-/// finds the entry pending, runs it into the reply cache at zero ε, and
-/// ends where the live leader stood.
+/// The entry is durable — the acknowledgement waited for its append —
+/// but its charge, reply and execution mark were staged, so the image
+/// is one charge short; the restarted node finds the entry pending,
+/// runs it again at the same ledger position to the same charge and
+/// bytes, and ends where the live leader stood.
 #[test]
 fn a_leader_crash_image_replays_the_marks_it_lost_at_zero_epsilon() {
     let (leader, f1, f2) = trio("image-leader", 81);
@@ -504,8 +515,8 @@ fn a_leader_crash_image_replays_the_marks_it_lost_at_zero_epsilon() {
     assert_eq!(st.applied, 5, "entry 6's mark was staged, never durable");
     assert_eq!(
         spent_bits(&restarted, "alice"),
-        live.sessions["alice"].spent.to_bits(),
-        "every acknowledged charge is in the image"
+        (live.sessions["alice"].spent - 0.125).to_bits(),
+        "entry 6's charge was staged beside its mark"
     );
     restarted.lead();
     await_applied(&restarted, 6);
@@ -533,8 +544,8 @@ fn a_leader_crash_image_replays_the_marks_it_lost_at_zero_epsilon() {
 
 /// Crash point (b): the same instant on a follower. The restarted
 /// follower resubscribes past its durable log, learns the commit point,
-/// replays the entry whose mark it lost, and is digest-equal again —
-/// then keeps following.
+/// replays the entries whose charges and marks it lost, and is
+/// digest-equal again — then keeps following.
 #[test]
 fn a_follower_crash_image_refollows_to_a_digest_equal_state() {
     let (leader, f1, f2) = trio("image-follower", 82);
@@ -549,11 +560,26 @@ fn a_follower_crash_image_refollows_to_a_digest_equal_state() {
 
     let restarted = restart(&image, 82, 2);
     let st = restarted.status();
-    assert_eq!((st.log_index, st.applied), (6, 5));
-    assert_eq!(
-        spent_bits(&restarted, "alice"),
-        spent_bits(&leader, "alice")
+    // A follower's staged frames ride its next append, and its last was
+    // entry 6's: entry 6's charge is never in the image. Entry 5's is,
+    // with its mark, unless that append overtook the applier's run of
+    // entry 5. Either way the image is at least one charge short, every
+    // durable mark has its charge, and at most one charge is ahead of
+    // the marks (entry 1 opened the session).
+    assert_eq!(st.log_index, 6);
+    let recovered = state(&restarted);
+    let image = &recovered.sessions["alice"];
+    assert!(
+        image.served < 5,
+        "entry 6's charge was staged, never durable"
     );
+    assert!(
+        image.served + 1 == st.applied || image.served == st.applied,
+        "{} charges beside {} marks",
+        image.served,
+        st.applied
+    );
+    assert_eq!(image.spent, image.served as f64 * 0.125);
     restarted.follow(leader.peer_addr(), &leader.client_addr().to_string());
     await_applied(&restarted, 6);
     assert_eq!(state(&restarted).digest(), state(&leader).digest());
@@ -642,10 +668,97 @@ fn the_next_write_makes_the_previous_mark_durable() {
     let late = restart(&crash_image(&solo, "image-next-b"), 84, 1);
     let st = late.status();
     assert_eq!((st.log_index, st.applied), (3, 2));
-    assert_eq!(spent_bits(&late, "alice"), 0.25f64.to_bits());
+    // Entry 2's charge rode entry 3's append beside its mark; entry 3's
+    // is staged.
+    assert_eq!(spent_bits(&late, "alice"), 0.125f64.to_bits());
+    late.lead();
+    await_applied(&late, 3);
+    assert_eq!(state(&late).digest(), state(&solo).digest());
 
     client.goodbye().unwrap();
     late.shutdown().unwrap();
     early.shutdown().unwrap();
     solo.shutdown().unwrap();
+}
+
+/// Twelve tagged writes for a 1 ε session: ranges and histograms, one
+/// budget refusal (rid 6) and one idempotent retry (rid 2 again).
+fn mixed_writes() -> Vec<(u64, Request)> {
+    let range = |e, lo| Request::range("pol", "ds", eps(e), lo, lo + 20);
+    let histogram = |e| Request::histogram("pol", "ds", eps(e));
+    vec![
+        (1, range(0.125, 0)),
+        (2, histogram(0.125)),
+        (3, range(0.125, 7)),
+        (2, histogram(0.125)),
+        (5, histogram(0.0625)),
+        (6, range(4.0, 3)),
+        (7, range(0.0625, 11)),
+        (8, histogram(0.0625)),
+        (9, range(0.0625, 1)),
+        (10, range(0.0625, 19)),
+        (11, histogram(0.0625)),
+        (12, range(0.0625, 5)),
+    ]
+}
+
+/// Drives [`mixed_writes`] through `leader` and, after each answer,
+/// crashes it on paper: a crash image of its WAL, restarted at quorum 1
+/// and leading, must replay to the live digest and ledger, answer every
+/// acknowledged rid with the bytes the client holds, and charge nothing
+/// for those retries.
+fn crash_after_every_write(leader: &Replica, seed: u64, tag: &str) {
+    let mut client = Client::connect(leader.client_addr()).unwrap();
+    client.open_session("alice", 1.0).unwrap();
+    let mut acked: Vec<(u64, Request, Response)> = Vec::new();
+    for (n, (rid, request)) in mixed_writes().into_iter().enumerate() {
+        match submit(&mut client, "alice", rid, &request) {
+            Ok(answer) => acked.push((rid, request, answer)),
+            Err(NetError::Remote(WireError::BudgetRefused { .. })) => assert_eq!(rid, 6),
+            Err(e) => panic!("write {n} (rid {rid}) failed: {e:?}"),
+        }
+        let live = state(leader);
+        let live_sig = ledger_sig(leader, "alice");
+        let restarted = restart(&crash_image(leader, &format!("{tag}-{n}")), seed, 1);
+        restarted.lead();
+        await_applied(&restarted, leader.status().applied);
+        assert_eq!(state(&restarted).digest(), live.digest(), "after write {n}");
+        assert_eq!(ledger_sig(&restarted, "alice"), live_sig, "after write {n}");
+
+        let spent = spent_bits(&restarted, "alice");
+        assert_eq!(spent, live.sessions["alice"].spent.to_bits());
+        let mut retry = Client::connect(restarted.client_addr()).unwrap();
+        retry.open_session("alice", 1.0).unwrap();
+        for (rid, request, answer) in &acked {
+            let again = submit(&mut retry, "alice", *rid, request).unwrap();
+            assert_eq!(&again, answer, "rid {rid} after write {n}");
+        }
+        assert_eq!(spent_bits(&restarted, "alice"), spent, "after write {n}");
+        retry.goodbye().unwrap();
+        restarted.shutdown().unwrap();
+    }
+    assert_eq!(acked.len(), 11, "every write but the refusal answered");
+    client.goodbye().unwrap();
+}
+
+/// A crash after any acknowledged write — the charge of which was only
+/// staged when the client got its answer — loses no acknowledged ε and
+/// double-charges nothing, on a lone node and on a quorum-2 leader.
+#[test]
+fn a_crash_after_every_acknowledged_write_replays_to_the_live_state() {
+    let solo = spawn("every-write-solo", 87, 1, None);
+    solo.lead();
+    crash_after_every_write(&solo, 87, "every-write-solo-image");
+    solo.shutdown().unwrap();
+
+    let (leader, f1, f2) = trio("every-write-trio", 88);
+    crash_after_every_write(&leader, 88, "every-write-trio-image");
+    let digest = state(&leader).digest();
+    for r in [&f1, &f2] {
+        await_applied(r, leader.status().applied);
+        assert_eq!(state(r).digest(), digest, "replica state diverged");
+    }
+    f2.shutdown().unwrap();
+    f1.shutdown().unwrap();
+    leader.shutdown().unwrap();
 }
