@@ -613,8 +613,7 @@ impl Engine {
                 parked.served,
                 parked.refused,
             )?;
-            let (spent_g, remaining_g) = self.session_gauges(&analyst);
-            session.attach_gauges(spent_g, remaining_g);
+            session.attach_gauge(self.spent_gauge(&analyst));
             self.sessions
                 .insert_if_absent(analyst.clone(), Arc::new(Mutex::new(session)))
                 .map_err(EngineError::SessionExists)?;
@@ -636,22 +635,17 @@ impl Engine {
                 .map_err(EngineError::Store)?;
         }
         let mut session = AnalystSession::new(analyst.clone(), total);
-        let (spent_g, remaining_g) = self.session_gauges(&analyst);
-        session.attach_gauges(spent_g, remaining_g);
+        session.attach_gauge(self.spent_gauge(&analyst));
         self.sessions
             .insert_if_absent(analyst, Arc::new(Mutex::new(session)))
             .map_err(EngineError::SessionExists)
     }
 
-    /// Per-analyst ε gauges (`engine_epsilon_{spent,remaining}`), one
-    /// labelled pair per analyst name, shared across reopen cycles.
-    fn session_gauges(&self, analyst: &str) -> (Gauge, Gauge) {
-        (
-            self.obs
-                .gauge(&format!("engine_epsilon_spent{{analyst={analyst:?}}}")),
-            self.obs
-                .gauge(&format!("engine_epsilon_remaining{{analyst={analyst:?}}}")),
-        )
+    /// The per-analyst spent-ε gauge (`engine_epsilon_spent`), one
+    /// labelled series per analyst name, shared across reopen cycles.
+    fn spent_gauge(&self, analyst: &str) -> Gauge {
+        self.obs
+            .gauge(&format!("engine_epsilon_spent{{analyst={analyst:?}}}"))
     }
 
     /// Opens the analyst's session if absent, reattaches a parked
@@ -758,15 +752,13 @@ impl Engine {
             );
         }
         self.sessions.remove(analyst);
-        // Unregister the per-analyst ε gauges so scrapes stop carrying
+        // Unregister the per-analyst ε gauge so scrapes stop carrying
         // a dead series (the parked ledger keeps the authoritative
-        // numbers; reattach re-registers fresh gauges). Without this a
+        // numbers; reattach re-registers a fresh gauge). Without this a
         // long-lived process — and every federated scrape over it —
         // accumulates one frozen series per evicted analyst forever.
         self.obs
             .remove(&format!("engine_epsilon_spent{{analyst={analyst:?}}}"));
-        self.obs
-            .remove(&format!("engine_epsilon_remaining{{analyst={analyst:?}}}"));
         Ok(())
     }
 

@@ -33,9 +33,9 @@ pub struct AnalystSession {
     refused: u64,
     last_active: Instant,
     evicted: bool,
-    /// `(spent, remaining)` gauges mirroring the ledger — attached by the
-    /// engine, absent on standalone sessions.
-    gauges: Option<(Gauge, Gauge)>,
+    /// The spent-ε gauge mirroring the ledger — attached by the engine,
+    /// absent on standalone sessions.
+    spent_gauge: Option<Gauge>,
 }
 
 impl AnalystSession {
@@ -48,7 +48,7 @@ impl AnalystSession {
             refused: 0,
             last_active: Instant::now(),
             evicted: false,
-            gauges: None,
+            spent_gauge: None,
         }
     }
 
@@ -76,23 +76,21 @@ impl AnalystSession {
             refused,
             last_active: Instant::now(),
             evicted: false,
-            gauges: None,
+            spent_gauge: None,
         })
     }
 
-    /// Attaches `(spent, remaining)` gauges and publishes the current
-    /// ledger into them; subsequent charges keep them in sync.
-    pub(crate) fn attach_gauges(&mut self, spent: Gauge, remaining: Gauge) {
+    /// Attaches the spent-ε gauge and publishes the current ledger into
+    /// it; subsequent charges keep it in sync.
+    pub(crate) fn attach_gauge(&mut self, spent: Gauge) {
         spent.set(self.spent());
-        remaining.set(self.remaining());
-        self.gauges = Some((spent, remaining));
+        self.spent_gauge = Some(spent);
     }
 
-    /// Re-publishes the ledger into the attached gauges, if any.
-    fn publish_gauges(&self) {
-        if let Some((spent, remaining)) = &self.gauges {
+    /// Re-publishes the ledger into the attached gauge, if any.
+    fn publish_gauge(&self) {
+        if let Some(spent) = &self.spent_gauge {
             spent.set(self.spent());
-            remaining.set(self.remaining());
         }
     }
 
@@ -172,13 +170,13 @@ impl AnalystSession {
         if free {
             self.accountant.note_free(label);
             self.served += 1;
-            self.publish_gauges();
+            self.publish_gauge();
             return Ok(position);
         }
         match self.accountant.spend(label, epsilon) {
             Ok(()) => {
                 self.served += 1;
-                self.publish_gauges();
+                self.publish_gauge();
                 Ok(position)
             }
             Err(CoreError::BudgetExhausted {

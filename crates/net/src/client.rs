@@ -791,9 +791,9 @@ impl Client {
 
     /// Subscribes this connection to the node's live event bus and
     /// returns an iterator-style handle over the pushed
-    /// [`bf_obs::ClusterEvent`]s — pipeline stage completions, trace
-    /// retentions, replication role/epoch changes and SLO firing/ok
-    /// flips. The server-side queue is bounded: a slow consumer sees
+    /// [`bf_obs::ClusterEvent`]s — state transitions only: replication
+    /// role/epoch changes and SLO firing/ok flips. The server-side
+    /// queue is bounded: a slow consumer sees
     /// gaps in the event sequence numbers, never a stalled server.
     ///
     /// The handle borrows the client exclusively; dedicate a

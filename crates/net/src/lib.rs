@@ -1039,10 +1039,6 @@ mod tests {
             }
             other => panic!("expected histogram, got {other:?}"),
         }
-        match find("net_window_occupancy") {
-            WireMetric::Histogram { count, .. } => assert_eq!(*count, 8),
-            other => panic!("expected histogram, got {other:?}"),
-        }
         find("engine_cache_hits_total");
         find("engine_epsilon_spent{analyst=\"s\"}");
         find("span_stage_ns{stage=\"decode\"}");
@@ -1061,20 +1057,41 @@ mod tests {
 
     #[test]
     fn standalone_cluster_stats_health_and_watch() {
-        let net = net_server(30, ServerConfig::default(), NetConfig::default());
+        let net = net_server(
+            30,
+            ServerConfig::default(),
+            NetConfig {
+                slos: vec![bf_obs::SloSpec {
+                    name: "w-burn".into(),
+                    objective: bf_obs::SloObjective::BudgetBurnUnder {
+                        analyst: "w".into(),
+                        max_eps_per_scrape: 0.01,
+                    },
+                }],
+                ..NetConfig::default()
+            },
+        );
 
         // A watcher subscribed before any traffic flows.
         let mut watcher = Client::connect(net.local_addr()).unwrap();
         let mut watch = watcher.watch().unwrap();
+        let bus = net.server().engine().obs().bus();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !bus.has_subscribers() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the watch never subscribed"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
 
         let mut client = Client::connect(net.local_addr()).unwrap();
         client.open_session("w", 4.0).unwrap();
-        client
-            .call("w", &Request::range("pol", "ds", eps(0.5), 0, 16))
-            .unwrap();
+        let range = Request::range("pol", "ds", eps(0.5), 0, 16);
+        client.call("w", &range).unwrap();
 
         // Federated scrape of a fleet of one: exactly the local node,
-        // labeled with the configured name, carrying real metrics.
+        // labeled "standalone", carrying real metrics.
         let replicas = client.cluster_stats().unwrap();
         assert_eq!(replicas.len(), 1);
         assert_eq!(replicas[0].node, "standalone");
@@ -1100,22 +1117,29 @@ mod tests {
             .iter()
             .any(|m| m.name() == "server_answered_total{replica=\"standalone\"}"));
 
-        // Health: cheap, role-bearing, nothing firing without SLOs.
+        // Health: cheap, role-bearing, nothing firing while the burn
+        // window has seen no spend.
         let health = client.health().unwrap();
         assert_eq!(health.role, "standalone");
         assert!(health.firing.is_empty());
         assert!(health.unreachable.is_empty());
 
-        // The served request published stage events to the open watch.
+        // A second charge between scrapes burns past the bound: the
+        // next probe fires the SLO ...
+        client.call("w", &range).unwrap();
+        assert_eq!(client.health().unwrap().firing, vec!["w-burn".to_string()]);
+
+        // ... and the flip reaches the open watch as a pushed event.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let mut saw_stage = false;
-        while !saw_stage && std::time::Instant::now() < deadline {
+        let mut fired = None;
+        while fired.is_none() && std::time::Instant::now() < deadline {
             match watch.next(Duration::from_millis(100)).unwrap() {
-                Some(ev) if ev.kind == bf_obs::ClusterEventKind::Stage => saw_stage = true,
+                Some(ev) if ev.kind == bf_obs::ClusterEventKind::Slo => fired = Some(ev),
                 Some(_) | None => {}
             }
         }
-        assert!(saw_stage, "stage event never reached the watcher");
+        let fired = fired.expect("the SLO flip never reached the watcher");
+        assert_eq!((fired.detail.as_str(), fired.value), ("w-burn", 1));
 
         client.goodbye().unwrap();
         net.shutdown().unwrap();

@@ -863,10 +863,9 @@ wire_enum! {
             seq: u64,
             /// What happened.
             kind: WireEventKind,
-            /// Human-readable detail (stage name, SLO name, role, trace
-            /// outcome).
+            /// Human-readable detail (`role@epoch`, SLO name).
             detail: String,
-            /// Kind-specific magnitude (duration in ns, epoch, 0/1 firing).
+            /// Kind-specific magnitude (epoch, 0/1 firing).
             value: u64,
         },
         /// Goodbye acknowledged; the server closes after this frame.
@@ -899,10 +898,6 @@ wire_enum! {
     /// [`bf_obs::ClusterEventKind`].
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum WireEventKind {
-        /// A pipeline stage completed (obs journal tail).
-        1 => Stage,
-        /// A traced request finished and its tree was retained.
-        2 => Trace,
         /// The node's replication role or epoch changed.
         3 => Role,
         /// An SLO transitioned between ok and firing.
@@ -913,8 +908,6 @@ wire_enum! {
 impl From<bf_obs::ClusterEventKind> for WireEventKind {
     fn from(kind: bf_obs::ClusterEventKind) -> Self {
         match kind {
-            bf_obs::ClusterEventKind::Stage => WireEventKind::Stage,
-            bf_obs::ClusterEventKind::Trace => WireEventKind::Trace,
             bf_obs::ClusterEventKind::Role => WireEventKind::Role,
             bf_obs::ClusterEventKind::Slo => WireEventKind::Slo,
         }
@@ -924,8 +917,6 @@ impl From<bf_obs::ClusterEventKind> for WireEventKind {
 impl From<WireEventKind> for bf_obs::ClusterEventKind {
     fn from(kind: WireEventKind) -> Self {
         match kind {
-            WireEventKind::Stage => bf_obs::ClusterEventKind::Stage,
-            WireEventKind::Trace => bf_obs::ClusterEventKind::Trace,
             WireEventKind::Role => bf_obs::ClusterEventKind::Role,
             WireEventKind::Slo => bf_obs::ClusterEventKind::Slo,
         }

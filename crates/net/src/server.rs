@@ -22,6 +22,10 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
+/// The `replica` label a standalone node's samples carry in a
+/// `ClusterStats` report, and the role its `Health` reports.
+const STANDALONE: &str = "standalone";
+
 /// The replication layer's interposition points. One trait (held behind
 /// a stable `Arc` in [`ServerRole::Replica`]) so a replica can change
 /// behaviour — follower refusing writes, then promoting to leader and
@@ -66,7 +70,7 @@ pub trait ReplicaHook: Send + Sync {
     /// This node's stable identity — the `replica` label its samples
     /// carry in a federated scrape (conventionally the replication
     /// peer address). Only consulted under [`ServerRole::Replica`];
-    /// standalone nodes are labeled by [`NetConfig::node_name`].
+    /// standalone nodes are labeled `"standalone"`.
     fn node_name(&self) -> String {
         "replica".into()
     }
@@ -177,19 +181,12 @@ pub struct NetConfig {
     /// default) feeds the scheduler directly; [`ServerRole::Replica`]
     /// interposes the replication layer's [`ReplicaHook`].
     pub role: ServerRole,
-    /// The `replica` label a standalone node's samples carry in a
-    /// `ClusterStats` report (replicas use
-    /// [`ReplicaHook::node_name`] instead).
-    pub node_name: String,
     /// Declarative SLOs evaluated at every `Stats` / `ClusterStats` /
     /// `Health` scrape — passive, no background thread: each scrape
-    /// feeds one sample into the sliding window, updates the `slo_*`
+    /// feeds one sample into the sliding window, updates the `slo_firing`
     /// gauges, and publishes firing/ok flips on the live event bus.
     /// Empty (the default) skips evaluation entirely.
     pub slos: Vec<SloSpec>,
-    /// Sliding-window length for SLO rate objectives, in scrapes
-    /// (minimum 2).
-    pub slo_window: usize,
 }
 
 impl Default for NetConfig {
@@ -200,9 +197,7 @@ impl Default for NetConfig {
             tick_interval: Duration::from_micros(500),
             fault_plan: None,
             role: ServerRole::Standalone,
-            node_name: "standalone".into(),
             slos: Vec::new(),
-            slo_window: 8,
         }
     }
 }
@@ -213,7 +208,6 @@ impl Default for NetConfig {
 #[derive(Debug)]
 struct NetCounters {
     obs: Arc<Registry>,
-    connections: Counter,
     frames_in: Counter,
     frames_out: Counter,
     protocol_errors: Counter,
@@ -225,14 +219,11 @@ struct NetCounters {
     /// Submit-to-reply-flushed wall time per request, as observed by the
     /// wire layer (queue wait + schedule + release + encode included).
     request_ns: Histogram,
-    /// In-flight requests on a connection at each accepted submit.
-    window_occupancy: Histogram,
 }
 
 impl NetCounters {
     fn new(obs: Arc<Registry>) -> Self {
         Self {
-            connections: obs.counter("net_connections_total"),
             frames_in: obs.counter("net_frames_in_total"),
             frames_out: obs.counter("net_frames_out_total"),
             protocol_errors: obs.counter("net_protocol_errors_total"),
@@ -240,7 +231,6 @@ impl NetCounters {
             disconnects_mid_request: obs.counter("net_disconnects_mid_request_total"),
             faults_injected: obs.counter("faults_injected{layer=\"net\"}"),
             request_ns: obs.histogram("net_request_ns"),
-            window_occupancy: obs.histogram("net_window_occupancy"),
             obs,
         }
     }
@@ -249,8 +239,6 @@ impl NetCounters {
 /// Counter snapshot for the TCP layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetStats {
-    /// Connections accepted.
-    pub connections: u64,
     /// Frames decoded from clients.
     pub frames_in: u64,
     /// Frames written to clients.
@@ -345,7 +333,6 @@ impl NetServer {
             Arc::new(Mutex::new(SloEngine::new(
                 server.engine().obs(),
                 config.slos.clone(),
-                config.slo_window,
             )))
         });
         let driver = server.start_driver(config.tick_interval);
@@ -374,7 +361,6 @@ impl NetServer {
                             if shared.closing.load(Ordering::SeqCst) {
                                 return;
                             }
-                            shared.counters.connections.inc();
                             serve_connection(stream, &shared, &live[i]);
                         }
                     })
@@ -406,7 +392,6 @@ impl NetServer {
     /// registry (the same counters a wire `StatsReport` carries).
     pub fn stats(&self) -> NetStats {
         NetStats {
-            connections: self.counters.connections.get(),
             frames_in: self.counters.frames_in.get(),
             frames_out: self.counters.frames_out.get(),
             protocol_errors: self.counters.protocol_errors.get(),
@@ -603,7 +588,7 @@ fn serve_connection(stream: TcpStream, shared: &AcceptorShared, live: &Mutex<Opt
             shared,
             conn: &conn,
             tx,
-            writer: writer.thread().clone(),
+            writer: Waker::from(Arc::new(Unpark(writer.thread().clone()))),
             frames: FrameBuf::new(),
             hello_done: false,
             attached: HashSet::new(),
@@ -622,7 +607,9 @@ struct Connection<'a> {
     shared: &'a AcceptorShared,
     conn: &'a ConnShared,
     tx: mpsc::SyncSender<Outgoing>,
-    writer: Thread,
+    /// Wakes the writer: after every hand-over, and after every event
+    /// the bus queues on this connection's `Watch`.
+    writer: Waker,
     frames: FrameBuf,
     hello_done: bool,
     /// Analysts whose sessions this connection attached via
@@ -639,8 +626,6 @@ const WATCH_QUEUE_CAPACITY: usize = 256;
 /// Max events flushed per writer pass, so a hot bus cannot starve
 /// replies on the same connection.
 const WATCH_BATCH: usize = 64;
-/// Park bound of a writer with an open `Watch`: events have no waker.
-const WATCH_POLL: Duration = Duration::from_millis(1);
 /// Direct replies (no ticket, no release) framed in one writer pass are
 /// flushed once they add up to this much, however many more are queued.
 const DIRECT_REPLY_HIGH_WATER: usize = 256 * 1024;
@@ -689,7 +674,7 @@ impl Connection<'_> {
     /// is gone (dead peer) and the connection must close.
     fn send(&self, out: Outgoing) -> bool {
         let sent = self.tx.send(out).is_ok();
-        self.writer.unpark();
+        self.writer.wake_by_ref();
         sent
     }
 
@@ -917,7 +902,7 @@ impl Connection<'_> {
                     .collect();
                 let node = match &self.shared.config.role {
                     ServerRole::Replica(hook) => hook.node_name(),
-                    ServerRole::Standalone => self.shared.config.node_name.clone(),
+                    ServerRole::Standalone => STANDALONE.to_owned(),
                 };
                 let mut replicas = vec![WireReplicaStats {
                     node,
@@ -940,10 +925,7 @@ impl Connection<'_> {
                 // must still report *that* it is lagging — health is
                 // what a load balancer decides eviction by.
                 let health = match &self.shared.config.role {
-                    ServerRole::Replica(hook) => {
-                        hook.refresh_observability();
-                        hook.health()
-                    }
+                    ServerRole::Replica(hook) => hook.health(),
                     ServerRole::Standalone => None,
                 };
                 // Snapshot after the hook's peer probes: they refresh
@@ -965,7 +947,7 @@ impl Connection<'_> {
                 let queue_depth = gauge_sum("server_queue_depth{");
                 let (role, epoch, applied, lag, unreachable) = match health {
                     Some(h) => (h.role, h.epoch, h.applied, h.lag, h.unreachable),
-                    None => ("standalone".to_owned(), 0, 0, 0, Vec::new()),
+                    None => (STANDALONE.to_owned(), 0, 0, 0, Vec::new()),
                 };
                 self.reply(ServerMessage::HealthReport {
                     id,
@@ -980,16 +962,17 @@ impl Connection<'_> {
                 })
             }
             ClientMessage::Watch { id } => {
-                // Attach a bounded bus subscription; the writer pumps
-                // its events out as `Event` frames echoing this id.
-                // One watch per connection: a second Watch replaces
-                // the first (whose queued events are dropped with it).
+                // Attach a bounded bus subscription that wakes the
+                // writer, which pumps its events out as `Event` frames
+                // echoing this id. One watch per connection: a second
+                // Watch replaces the first (whose queued events are
+                // dropped with it).
                 let sub = self
                     .shared
                     .counters
                     .obs
                     .bus()
-                    .subscribe(WATCH_QUEUE_CAPACITY);
+                    .subscribe(WATCH_QUEUE_CAPACITY, self.writer.clone());
                 self.send(Outgoing::Watch(id, sub))
             }
             ClientMessage::Traces { id } => {
@@ -1107,7 +1090,7 @@ impl Connection<'_> {
     /// The local scrape path shared by `Stats` and `ClusterStats`:
     /// refresh hook-owned gauges from live node state, feed one sample
     /// through the SLO engine, and return a snapshot that includes the
-    /// updated `slo_*` gauges. Without configured SLOs this is one
+    /// updated `slo_firing` gauges. Without configured SLOs this is one
     /// snapshot and nothing else.
     fn scrape_local(&self) -> Vec<MetricSnapshot> {
         if let ServerRole::Replica(hook) = &self.shared.config.role {
@@ -1118,14 +1101,14 @@ impl Connection<'_> {
             return snaps;
         }
         self.observe_slos(&snaps);
-        // Re-read so the reply carries the slo_* gauges this very
+        // Re-read so the reply carries the slo_firing gauges this very
         // scrape just updated (scrapes are rare; the second pass is
         // cheaper than serving stale SLO state).
         self.shared.server.engine().metrics_snapshot()
     }
 
     /// Feeds one scrape sample through the SLO engine (no-op without
-    /// configured SLOs): updates the `slo_*` gauges, publishes
+    /// configured SLOs): updates the `slo_firing` gauges, publishes
     /// firing/ok flips on the live event bus, and returns the names
     /// currently firing.
     fn observe_slos(&self, snaps: &[MetricSnapshot]) -> Vec<String> {
@@ -1146,13 +1129,7 @@ impl Connection<'_> {
     /// Counts `n` admitted requests against the window and hands their
     /// tickets to the writer.
     fn admit(&self, n: usize, out: Outgoing) -> bool {
-        let in_flight = self.conn.in_flight.fetch_add(n, Ordering::SeqCst) + n;
-        if self.shared.counters.obs.is_enabled() {
-            self.shared
-                .counters
-                .window_occupancy
-                .record(in_flight as u64);
-        }
+        self.conn.in_flight.fetch_add(n, Ordering::SeqCst);
         self.send(out)
     }
 
@@ -1272,10 +1249,10 @@ struct Writer<'a> {
 
 impl Writer<'_> {
     /// Writes until the connection's ending, parking whenever there is
-    /// nothing to write — with no time-out unless a `Watch` is open: a
-    /// ticket's waker or the reader unparks it. Each pass re-checks all
-    /// state before parking, so the park token keeps a wake-up that lands
-    /// in between.
+    /// nothing to write, with no time-out: a ticket's waker, the reader
+    /// or a `Watch` event unparks it. Each pass re-checks all state
+    /// before parking, so the park token keeps a wake-up that lands in
+    /// between.
     fn run(mut self) {
         let waker = Waker::from(Arc::new(Unpark(std::thread::current())));
         while let Ok(written) = self.pass(&waker) {
@@ -1300,11 +1277,7 @@ impl Writer<'_> {
                 break;
             }
             if written == 0 {
-                if self.watch.is_some() {
-                    std::thread::park_timeout(WATCH_POLL);
-                } else {
-                    std::thread::park();
-                }
+                std::thread::park();
             }
         }
         if self.conn.in_flight.load(Ordering::SeqCst) > 0 {

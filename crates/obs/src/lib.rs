@@ -1,11 +1,12 @@
 //! # bf-obs — the observability substrate
 //!
 //! A production Blowfish deployment has to *prove* operational claims —
-//! "p99 stayed under the poll interval", "coalescing amplified 4×",
-//! "fsyncs amortize 30 records" — and, true to the paper, watch
-//! per-analyst ε-budget drain as a first-class signal. This crate is the
-//! measurement substrate every other layer instruments itself with,
-//! built on `std` alone:
+//! where a request's time goes, how many answers one release served,
+//! how fast an analyst's ε drains — and every signal here exists
+//! because a benchmark, an example, a test or an operator question in
+//! README reads it (README's signal table names the reader of each).
+//! This crate is the measurement substrate every other layer
+//! instruments itself with, built on `std` alone:
 //!
 //! * **[`Registry`]** — a named catalog of instruments. [`Counter`]s are
 //!   sharded across cache lines so concurrent increments never contend;
@@ -16,8 +17,7 @@
 //! * **[`Stage`] / [`Span`]** — a request's lifecycle decomposed into
 //!   the seven stages of the serving pipeline (frame decode → analyst
 //!   queue → epoch drain → coalesce grouping → WAL commit → mechanism
-//!   release → reply flush), each recorded into a per-stage histogram
-//!   and appended to the bounded [`Journal`] ring for post-mortem dumps.
+//!   release → reply flush), each recorded into a per-stage histogram.
 //! * **[`render_prometheus`]** — text exposition of a
 //!   [`MetricSnapshot`] set, Prometheus-style, for dashboards and the
 //!   wire-level `StatsReport` frame.
@@ -30,15 +30,14 @@
 //!   carry a shared link id across all waiter traces, so amplification
 //!   is visible from any one of them.
 //! * **[`SloEngine`] / [`SloSpec`]** — declarative service-level
-//!   objectives (latency quantile, error rate, replication lag,
-//!   per-analyst ε burn rate) evaluated over a sliding window of
-//!   scrape deltas into `slo_*` gauges and a firing/ok state machine.
-//!   Windowed in scrapes, never wall clocks.
+//!   objectives (replication lag, per-analyst ε burn rate) evaluated
+//!   over a sliding window of scrapes into `slo_firing` gauges and a
+//!   firing/ok state machine. Windowed in scrapes, never wall clocks.
 //! * **[`EventBus`] / [`ClusterEvent`]** — the bounded broadcast bus
-//!   behind live `Watch` subscriptions, fed by the journal, finished
-//!   traces, replication role changes and SLO transitions.
-//!   Per-subscriber bounded queues drop-with-counter; publishing never
-//!   blocks the serving or replication path.
+//!   behind live `Watch` subscriptions, carrying state transitions
+//!   only: replication role changes and SLO flips. Per-subscriber
+//!   bounded queues drop-with-gap; publishing never blocks the serving
+//!   or replication path, and wakes each subscriber it queued for.
 //! * **[`merge_labeled_snapshots`]** — label-qualified merging for
 //!   federated scrapes: each source's samples gain a
 //!   `replica="<node>"` label so a fleet's same-named metrics stay
@@ -65,11 +64,11 @@ mod span;
 mod trace;
 
 pub use bus::{BusSubscriber, ClusterEvent, ClusterEventKind, EventBus};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSummary, Stopwatch};
+pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{merge_labeled_snapshots, merge_snapshots, MetricSnapshot, Registry};
 pub use render::render_prometheus;
-pub use slo::{SloEngine, SloObjective, SloQuantile, SloSpec, SloTransition};
-pub use span::{Event, Journal, Span, Stage};
+pub use slo::{SloEngine, SloObjective, SloSpec, SloTransition};
+pub use span::{Span, Stage};
 pub use trace::{
     next_link_id, TraceBuffer, TraceContext, TraceId, TraceSpan, TraceTimer, TraceTree,
 };

@@ -2,7 +2,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Counter increments are spread across this many cache-line-padded
 /// slots, indexed by a per-thread slot id, so threads hammering the same
@@ -213,22 +213,6 @@ impl Histogram {
         self.record(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Starts a stopwatch for this histogram. When the registry is
-    /// disabled the stopwatch is inert — no clock is read at either end.
-    #[inline]
-    pub fn start(&self) -> Stopwatch {
-        Stopwatch(self.0.enabled.load(Ordering::Relaxed).then(Instant::now))
-    }
-
-    /// Stops `sw` and records the elapsed time (no-op for an inert
-    /// stopwatch).
-    #[inline]
-    pub fn observe(&self, sw: Stopwatch) {
-        if let Some(t0) = sw.0 {
-            self.record_duration(t0.elapsed());
-        }
-    }
-
     /// Observations recorded so far.
     pub(crate) fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
@@ -264,11 +248,6 @@ impl Histogram {
         }
     }
 }
-
-/// A started (or inert) timing for one histogram observation. Obtain
-/// from [`Histogram::start`], consume with [`Histogram::observe`].
-#[derive(Debug)]
-pub struct Stopwatch(Option<Instant>);
 
 #[cfg(test)]
 mod tests {
@@ -355,9 +334,6 @@ mod tests {
         c.inc();
         g.set(9.0);
         h.record(5);
-        let sw = h.start();
-        assert!(sw.0.is_none(), "a disabled histogram starts no clock");
-        h.observe(sw);
         assert_eq!(c.get(), 0);
         assert_eq!(g.get(), 0.0);
         assert_eq!(h.count(), 0);

@@ -1,16 +1,13 @@
 //! The named instrument catalog.
 
-use crate::bus::{ClusterEventKind, EventBus};
+use crate::bus::EventBus;
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSummary};
-use crate::span::{Journal, Span, Stage};
+use crate::span::{Span, Stage};
 use crate::trace::{TraceBuffer, TraceContext, TraceId, TRACE_EXEMPLARS_PER_STAGE};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Events the journal ring retains.
-const JOURNAL_CAPACITY: usize = 1024;
 
 #[derive(Debug, Clone)]
 enum Metric {
@@ -20,8 +17,8 @@ enum Metric {
 }
 
 /// A named catalog of [`Counter`]s, [`Gauge`]s and [`Histogram`]s, plus
-/// the seven per-[`Stage`] latency histograms and the post-mortem
-/// [`Journal`].
+/// the seven per-[`Stage`] latency histograms, the request-trace
+/// buffer and the event bus.
 ///
 /// Registration (`counter`/`gauge`/`histogram`) takes a lock;
 /// *recording* through the returned handles never does. Names follow
@@ -29,15 +26,14 @@ enum Metric {
 /// is one metric whose base name the renderer splits at `{`.
 ///
 /// One switch ([`Registry::set_enabled`]) freezes every instrument
-/// minted from the registry, journal included: recording degrades to a
-/// single relaxed load and no clocks are read, which is how
-/// instrumentation overhead is measured and bounded.
+/// minted from the registry: recording degrades to a single relaxed
+/// load and no clocks are read, which is how instrumentation overhead
+/// is measured and bounded.
 #[derive(Debug)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<String, Metric>>,
     enabled: Arc<AtomicBool>,
     stages: Vec<Histogram>,
-    journal: Journal,
     traces: TraceBuffer,
     bus: EventBus,
 }
@@ -62,18 +58,12 @@ impl Registry {
             );
             stages.push(h);
         }
-        let bus = EventBus::with_switch(Arc::clone(&enabled));
         Self {
             metrics: Mutex::new(metrics),
-            enabled: Arc::clone(&enabled),
             stages,
-            journal: Journal::with_switch(JOURNAL_CAPACITY, Arc::clone(&enabled)),
-            traces: TraceBuffer::with_switch_and_bus(
-                TRACE_EXEMPLARS_PER_STAGE,
-                enabled,
-                Some(bus.clone()),
-            ),
-            bus,
+            traces: TraceBuffer::with_switch(TRACE_EXEMPLARS_PER_STAGE, Arc::clone(&enabled)),
+            bus: EventBus::with_switch(Arc::clone(&enabled)),
+            enabled,
         }
     }
 
@@ -135,23 +125,10 @@ impl Registry {
         }
     }
 
-    /// Records one stage observation into its histogram **and** the
-    /// journal ring, and — only when someone is watching — broadcasts
-    /// it on the live event bus.
+    /// Records one stage observation into its histogram.
     #[inline]
     pub fn record_stage(&self, stage: Stage, duration: Duration) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
         self.stages[stage.index()].record_duration(duration);
-        self.journal.push(stage, duration);
-        if self.bus.has_subscribers() {
-            self.bus.publish(
-                ClusterEventKind::Stage,
-                stage.as_str(),
-                duration.as_nanos().min(u64::MAX as u128) as u64,
-            );
-        }
     }
 
     /// Starts a request-lifecycle [`Span`] (inert when disabled: no
@@ -180,18 +157,13 @@ impl Registry {
         }
     }
 
-    /// The post-mortem event ring.
-    pub fn journal(&self) -> &Journal {
-        &self.journal
-    }
-
     /// The bounded buffer completed request traces land in.
     pub fn trace_buffer(&self) -> &TraceBuffer {
         &self.traces
     }
 
-    /// The live event bus fed by this registry's journal and trace
-    /// buffer (and by whatever layers publish role/SLO events on it).
+    /// The live event bus the layers publish state transitions on
+    /// (replication role changes, SLO flips).
     pub fn bus(&self) -> &EventBus {
         &self.bus
     }
@@ -219,12 +191,10 @@ impl Registry {
     }
 
     /// A point-in-time dump of every registered metric, sorted by name.
-    /// The dump always includes the observer's own loss accounting —
-    /// `obs_journal_dropped_total` and `obs_trace_dropped_total` — so
-    /// silent exemplar loss is visible on every scrape.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        let g = self.metrics.lock().expect("registry poisoned");
-        let mut out: Vec<MetricSnapshot> = g
+        self.metrics
+            .lock()
+            .expect("registry poisoned")
             .iter()
             .map(|(name, metric)| match metric {
                 Metric::Counter(c) => MetricSnapshot::Counter {
@@ -240,18 +210,7 @@ impl Registry {
                     summary: h.summary(),
                 },
             })
-            .collect();
-        drop(g);
-        out.push(MetricSnapshot::Counter {
-            name: "obs_journal_dropped_total".to_owned(),
-            value: self.journal.dropped(),
-        });
-        out.push(MetricSnapshot::Counter {
-            name: "obs_trace_dropped_total".to_owned(),
-            value: self.traces.dropped(),
-        });
-        out.sort_by(|a, b| a.name().cmp(b.name()));
-        out
+            .collect()
     }
 }
 
@@ -379,14 +338,7 @@ mod tests {
         let r = Registry::new();
         r.record_stage(Stage::Release, Duration::from_micros(5));
         let snaps = r.snapshot();
-        // Seven stage histograms plus the two observer-loss counters.
-        assert_eq!(snaps.len(), Stage::ALL.len() + 2);
-        for loss in ["obs_journal_dropped_total", "obs_trace_dropped_total"] {
-            match snaps.iter().find(|s| s.name() == loss).unwrap() {
-                MetricSnapshot::Counter { value, .. } => assert_eq!(*value, 0),
-                other => panic!("expected counter, got {other:?}"),
-            }
-        }
+        assert_eq!(snaps.len(), Stage::ALL.len());
         let names: Vec<&str> = snaps.iter().map(|s| s.name()).collect();
         let mut sorted = names.clone();
         sorted.sort();
@@ -399,7 +351,6 @@ mod tests {
             MetricSnapshot::Histogram { summary, .. } => assert_eq!(summary.count, 1),
             other => panic!("expected histogram, got {other:?}"),
         }
-        assert_eq!(r.journal().events().len(), 1);
     }
 
     #[test]
@@ -424,7 +375,6 @@ mod tests {
         r.record_stage(Stage::Reply, Duration::from_nanos(9));
         assert_eq!(r.stages[Stage::Decode.index()].count(), 0);
         assert_eq!(r.stages[Stage::Reply.index()].count(), 0);
-        assert!(r.journal().events().is_empty());
     }
 
     #[test]

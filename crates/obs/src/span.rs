@@ -1,13 +1,10 @@
-//! Request-lifecycle stages, spans, and the post-mortem journal.
+//! Request-lifecycle stages and spans.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The seven stages a request passes through on its way from socket to
 /// socket. Each stage has a dedicated latency histogram in the
-/// [`Registry`](crate::Registry) and a slot in the [`Journal`].
+/// [`Registry`](crate::Registry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Stage {
     /// Wire frame parsed into a typed message (`bf-net`).
@@ -74,92 +71,6 @@ impl Stage {
     }
 }
 
-/// One journal entry: a stage observation, in arrival order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Event {
-    /// Monotone sequence number (total events ever recorded, including
-    /// those the ring has since dropped).
-    pub seq: u64,
-    /// Which pipeline stage the duration belongs to.
-    pub stage: Stage,
-    /// The stage's duration in nanoseconds.
-    pub duration_ns: u64,
-}
-
-#[derive(Debug, Default)]
-struct JournalInner {
-    buf: VecDeque<Event>,
-    seq: u64,
-}
-
-/// A bounded ring of the most recent stage [`Event`]s — the post-mortem
-/// record of what the pipeline was doing just before a dump.
-///
-/// Appends **never block**: a push that loses the lock race drops the
-/// event and bumps `Journal::dropped` instead. The ring is a debugging
-/// aid; making request threads queue behind each other to feed it would
-/// turn the observer into a participant.
-#[derive(Debug)]
-pub struct Journal {
-    inner: Mutex<JournalInner>,
-    capacity: usize,
-    enabled: Arc<AtomicBool>,
-    dropped: AtomicU64,
-}
-
-impl Journal {
-    pub(crate) fn with_switch(capacity: usize, enabled: Arc<AtomicBool>) -> Self {
-        Self {
-            inner: Mutex::new(JournalInner::default()),
-            capacity,
-            enabled,
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// Appends one stage observation, evicting the oldest entry when
-    /// full; a no-op when the owning registry is disabled. Under lock
-    /// contention the event is counted as dropped rather than waited
-    /// for — the stage *histogram* still sees every observation, only
-    /// the ring entry is sacrificed.
-    pub(crate) fn push(&self, stage: Stage, duration: Duration) {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return;
-        }
-        let duration_ns = duration.as_nanos().min(u64::MAX as u128) as u64;
-        let Ok(mut g) = self.inner.try_lock() else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let seq = g.seq;
-        g.seq += 1;
-        if g.buf.len() == self.capacity {
-            g.buf.pop_front();
-        }
-        g.buf.push_back(Event {
-            seq,
-            stage,
-            duration_ns,
-        });
-    }
-
-    /// Events lost to lock contention (never to the ring's eviction).
-    pub(crate) fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.inner
-            .lock()
-            .expect("journal poisoned")
-            .buf
-            .iter()
-            .copied()
-            .collect()
-    }
-}
-
 /// A lightweight per-request lifecycle timer: created when the request
 /// enters the pipeline, advanced at each stage boundary with
 /// [`Registry::span_mark`](crate::Registry::span_mark). Inert (no clock
@@ -188,27 +99,6 @@ impl Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn journal_is_a_bounded_ring() {
-        let j = Journal::with_switch(3, Arc::new(AtomicBool::new(true)));
-        for i in 0..5u64 {
-            j.push(Stage::Decode, Duration::from_nanos(i));
-        }
-        let events = j.events();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].seq, 2);
-        assert_eq!(events[2].seq, 4);
-        assert_eq!(j.inner.lock().unwrap().seq, 5);
-    }
-
-    #[test]
-    fn disabled_journal_records_nothing() {
-        let j = Journal::with_switch(3, Arc::new(AtomicBool::new(false)));
-        j.push(Stage::Reply, Duration::from_nanos(1));
-        assert!(j.events().is_empty());
-        assert_eq!(j.inner.lock().unwrap().seq, 0);
-    }
 
     #[test]
     fn stage_labels_are_distinct() {

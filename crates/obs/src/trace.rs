@@ -18,8 +18,8 @@
 //!   scheduling. With the registry disabled every context is inert and
 //!   no clock is read.
 //! * **Never blocking.** Span appends and buffer pushes use `try_lock`;
-//!   a lost race counts a drop ([`TraceBuffer::dropped`]) instead of
-//!   queueing a request thread behind the observer.
+//!   a lost race drops the record instead of queueing a request thread
+//!   behind the observer.
 //! * **Bounded.** The buffer retains the slowest-N exemplars per stage
 //!   (plus the most recent N), so a flood of fast traces can never
 //!   evict the outliers worth debugging — nor grow without bound.
@@ -29,7 +29,6 @@
 //! [`link`](TraceSpan::link) id (minted by [`next_link_id`]), so
 //! amplification can be read off any single trace.
 
-use crate::bus::{ClusterEventKind, EventBus};
 use crate::span::Stage;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -222,11 +221,9 @@ impl TraceContext {
     }
 
     fn push_span(&self, core: &TraceCore, span: TraceSpan) {
-        let Ok(mut spans) = core.spans.try_lock() else {
-            core.buffer.core.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        spans.push(span);
+        if let Ok(mut spans) = core.spans.try_lock() {
+            spans.push(span);
+        }
     }
 
     /// Completes the trace: assembles the recorded spans into a
@@ -257,9 +254,6 @@ struct TraceBufferCore {
     traces: Mutex<Vec<TraceTree>>,
     exemplars: usize,
     enabled: Arc<AtomicBool>,
-    dropped: AtomicU64,
-    finished: AtomicU64,
-    bus: Option<EventBus>,
 }
 
 /// The bounded, never-blocking store of completed traces.
@@ -268,8 +262,8 @@ struct TraceBufferCore {
 /// slowest `exemplars` traces (by that stage's longest span) survive
 /// eviction, and the `exemplars` most recent traces always survive, so
 /// both "what was just served" and "what was ever slow" stay
-/// inspectable. Pushes that lose the lock race are counted in
-/// `TraceBuffer::dropped` instead of waited for.
+/// inspectable. Pushes that lose the lock race are dropped instead of
+/// waited for.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     core: Arc<TraceBufferCore>,
@@ -277,22 +271,11 @@ pub struct TraceBuffer {
 
 impl TraceBuffer {
     pub(crate) fn with_switch(exemplars: usize, enabled: Arc<AtomicBool>) -> Self {
-        Self::with_switch_and_bus(exemplars, enabled, None)
-    }
-
-    pub(crate) fn with_switch_and_bus(
-        exemplars: usize,
-        enabled: Arc<AtomicBool>,
-        bus: Option<EventBus>,
-    ) -> Self {
         TraceBuffer {
             core: Arc::new(TraceBufferCore {
                 traces: Mutex::new(Vec::new()),
                 exemplars,
                 enabled,
-                dropped: AtomicU64::new(0),
-                finished: AtomicU64::new(0),
-                bus,
             }),
         }
     }
@@ -331,16 +314,7 @@ impl TraceBuffer {
         if !self.core.enabled.load(Ordering::Relaxed) {
             return;
         }
-        self.core.finished.fetch_add(1, Ordering::Relaxed);
-        if let Some(bus) = self.core.bus.as_ref().filter(|b| b.has_subscribers()) {
-            bus.publish(
-                ClusterEventKind::Trace,
-                &format!("{}:{}", tree.id, tree.outcome),
-                tree.total_ns,
-            );
-        }
         let Ok(mut traces) = self.core.traces.try_lock() else {
-            self.core.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         };
         traces.push(tree);
@@ -388,18 +362,6 @@ impl TraceBuffer {
             .rfind(|t| t.id == id)
             .cloned()
     }
-
-    /// Traces (or late span records) lost to lock contention — never to
-    /// bounded eviction, which is accounted by comparing
-    /// [`finished`](Self::finished) with the retained count.
-    pub(crate) fn dropped(&self) -> u64 {
-        self.core.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Traces ever finished into this buffer (≥ the retained count).
-    pub fn finished(&self) -> u64 {
-        self.core.finished.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -432,8 +394,6 @@ mod tests {
         assert!(tree.covers(&[Stage::Decode, Stage::Queue, Stage::Release]));
         assert!(!tree.covers(&[Stage::WalCommit]));
         assert!(tree.total_ns >= tree.stage_ns(Stage::Decode).unwrap());
-        assert_eq!(buf.finished(), 1);
-        assert_eq!(buf.dropped(), 0);
     }
 
     #[test]
@@ -445,7 +405,6 @@ mod tests {
         clone.finish("late");
         assert_eq!(buf.snapshot().len(), 1);
         assert_eq!(buf.snapshot()[0].outcome, "ok");
-        assert_eq!(buf.finished(), 1);
     }
 
     #[test]
@@ -459,7 +418,6 @@ mod tests {
         ctx.record(Stage::Decode, &TraceTimer(None), "ok");
         ctx.finish("ok");
         assert!(buf.snapshot().is_empty());
-        assert_eq!(buf.finished(), 0);
     }
 
     #[test]
@@ -504,7 +462,6 @@ mod tests {
         assert!(retained.iter().any(|t| t.id == newest));
         assert_eq!(buf.find(TraceId(1000)).unwrap().analyst, "slow");
         assert!(buf.find(TraceId(999_999)).is_none());
-        assert_eq!(buf.finished(), 1 + 3 * cap as u64);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use bf_net::{
     ClientMessage, NetConfig, NetServer, PeerScrape, ReplicaHealth, ReplicaHook, ServerMessage,
     ServerRole, WireError, WireLogEntry, WireLogOp, WireMetric, PROTOCOL_VERSION,
 };
-use bf_obs::{ClusterEventKind, Gauge, Histogram, MetricSnapshot};
+use bf_obs::{ClusterEventKind, Gauge, MetricSnapshot};
 use bf_server::{Server, ServerConfig, ServerError, Ticket, TicketResolver};
 use bf_store::{frame_into, FrameBuf, FrameRead, Record, Store, StoreError};
 use std::collections::HashMap;
@@ -62,7 +62,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 // Every timed wait in this file's non-test code, one reason a line. CI
 // holds the list (`ci.yml`, "Replica timer allow-list"): a new timer
@@ -277,9 +277,6 @@ struct NodeState {
     uplink: Option<TcpStream>,
     /// Durable high-water mark per connected follower (by conn id).
     follower_acks: HashMap<u64, u64>,
-    /// When each not-yet-committed entry was sequenced (leader only;
-    /// feeds the quorum-ack latency histogram).
-    pending_since: HashMap<u64, Instant>,
     /// Clients parked on an index.
     waiters: HashMap<u64, Vec<Waiter>>,
     /// Moved on by [`Node::cut_uplink`] at every role change, halt and
@@ -328,12 +325,7 @@ struct Node {
     /// [`Replica::set_peers`]).
     peers: Mutex<Vec<(String, SocketAddr)>>,
     g_log_index: Gauge,
-    g_lag: Gauge,
     g_cluster_lag: Gauge,
-    g_epoch: Gauge,
-    g_role_leader: Gauge,
-    g_role_follower: Gauge,
-    h_quorum_ack: Histogram,
 }
 
 impl std::fmt::Debug for Node {
@@ -409,7 +401,6 @@ impl Node {
                 follow_target: None,
                 uplink: None,
                 follower_acks: HashMap::new(),
-                pending_since: HashMap::new(),
                 waiters: HashMap::new(),
                 generation: 0,
             }),
@@ -425,12 +416,7 @@ impl Node {
             name: Mutex::new(cfg.name.clone()),
             peers: Mutex::new(Vec::new()),
             g_log_index: obs.gauge("replica_log_index"),
-            g_lag: obs.gauge("replica_lag_entries"),
             g_cluster_lag: obs.gauge("replica_cluster_lag_entries"),
-            g_epoch: obs.gauge("replica_epoch"),
-            g_role_leader: obs.gauge("replica_role{role=\"leader\"}"),
-            g_role_follower: obs.gauge("replica_role{role=\"follower\"}"),
-            h_quorum_ack: obs.histogram("replica_quorum_ack_ns"),
         };
         node.update_gauges(&node.state.lock().unwrap());
         Ok(node)
@@ -438,18 +424,11 @@ impl Node {
 
     fn update_gauges(&self, st: &NodeState) {
         self.g_log_index.set(st.high_water() as f64);
-        self.g_lag
-            .set(st.commit_index.saturating_sub(st.applied) as f64);
-        self.g_epoch.set(st.epoch as f64);
-        let leading = st.role == Role::Leader && !self.dead.load(Ordering::SeqCst);
-        self.g_role_leader.set(if leading { 1.0 } else { 0.0 });
-        self.g_role_follower.set(if leading { 0.0 } else { 1.0 });
     }
 
-    /// Re-derives every replication gauge from the live [`NodeState`].
-    /// Called at scrape time so `replica_log_index` /
-    /// `replica_lag_entries` never serve a value from the last role
-    /// change instead of the present.
+    /// Re-derives the log-index gauge from the live [`NodeState`].
+    /// Called at scrape time so `replica_log_index` never serves a value
+    /// from the last role change instead of the present.
     fn refresh_gauges(&self) {
         let st = self.state.lock().unwrap();
         self.update_gauges(&st);
@@ -502,18 +481,6 @@ impl Node {
         let commit = highs[self.quorum - 1];
         if commit > st.commit_index {
             st.commit_index = commit;
-            let now = Instant::now();
-            let freed: Vec<u64> = st
-                .pending_since
-                .keys()
-                .copied()
-                .filter(|&i| i <= commit)
-                .collect();
-            for i in freed {
-                if let Some(t) = st.pending_since.remove(&i) {
-                    self.h_quorum_ack.record_duration(now.duration_since(t));
-                }
-            }
             self.update_gauges(st);
             self.cv.notify_all();
         }
@@ -532,7 +499,6 @@ impl Node {
             st.leader_hint = String::new();
             st.follow_target = None;
             st.follower_acks.clear();
-            st.pending_since.clear();
             let commit = st.commit_index;
             st.waiters.retain(|&i, _| i <= commit);
             self.cut_uplink(st);
@@ -569,7 +535,6 @@ impl Node {
         st.log.truncate((keep + 1 - st.log_start) as usize);
         st.last_epoch = st.entry_at(keep).map_or(st.last_epoch, |e| e.epoch);
         st.waiters.retain(|&i, _| i <= keep);
-        st.pending_since.retain(|&i, _| i <= keep);
         self.update_gauges(st);
         self.cv.notify_all();
         true
@@ -645,7 +610,6 @@ impl Node {
                 payload: entry.op.encode(),
             }])
             .map_err(|e| WireError::Other(format!("log append failed: {e}")))?;
-        st.pending_since.insert(index, Instant::now());
         st.waiters.entry(index).or_default().push(waiter);
         st.last_epoch = entry.epoch;
         st.log.push(entry);
@@ -658,7 +622,6 @@ impl Node {
     /// Drops every parked waiter (their clients read `ShutDown`).
     fn drop_waiters(&self, st: &mut NodeState) {
         st.waiters.clear();
-        st.pending_since.clear();
     }
 
     /// Kills the node: every future write refuses `NotLeader`, every
@@ -1734,6 +1697,7 @@ mod tests {
     use bf_engine::Request;
     use bf_net::Client;
     use bf_store::scratch_dir;
+    use std::time::Instant;
 
     /// How often the deadline loops below look at a status again.
     const POLL: Duration = Duration::from_millis(2);
@@ -2886,7 +2850,7 @@ mod tests {
         loop {
             assert!(Instant::now() < deadline, "the watch never went live");
             let bus = leader.engine().obs().bus();
-            bus.publish(bf_obs::ClusterEventKind::Stage, "watch is live", 0);
+            bus.publish(bf_obs::ClusterEventKind::Role, "watch is live", 0);
             if watch.next(Duration::from_millis(20)).unwrap().is_some() {
                 break;
             }

@@ -189,8 +189,6 @@ pub struct Server {
     /// The engine's metrics registry (shared handle — the server's
     /// instruments live alongside the engine's).
     obs: Arc<Registry>,
-    /// Submit → resolution latency (`server_ticket_ns`).
-    ticket_ns: Histogram,
     /// Requests drained per epoch (`server_epoch_requests`): the width
     /// the commit-is-the-window clock actually reached.
     epoch_requests: Histogram,
@@ -216,7 +214,6 @@ impl Server {
         config.quantum = config.quantum.max(1);
         let obs = Arc::clone(engine.obs());
         let counters = Counters::new(&obs);
-        let ticket_ns = obs.histogram("server_ticket_ns");
         let epoch_requests = obs.histogram("server_epoch_requests");
         Self {
             engine,
@@ -225,7 +222,6 @@ impl Server {
             wake: Condvar::new(),
             counters,
             obs,
-            ticket_ns,
             epoch_requests,
             closed: AtomicBool::new(false),
         }
@@ -340,7 +336,6 @@ impl Server {
                 self.counters.submitted.inc();
                 self.counters.answered.inc();
                 self.counters.retries.inc();
-                self.note_resolved(sub.submitted_at);
                 sub.tx.resolve(Ok(cached));
                 return Ok(ticket);
             }
@@ -511,7 +506,6 @@ impl Server {
         // Unknown policy: the ticket fails without reaching the engine.
         for (sub, e) in dead_letters {
             self.counters.failed.inc();
-            self.note_resolved(sub.submitted_at);
             sub.tx.resolve(Err(e));
             resolved += 1;
         }
@@ -542,7 +536,6 @@ impl Server {
                 } else if expired(&sub) {
                     self.counters.deadline_refusals.inc();
                     self.counters.failed.inc();
-                    self.note_resolved(sub.submitted_at);
                     sub.tx.resolve(Err(ServerError::DeadlineExceeded {
                         analyst: sub.analyst,
                     }));
@@ -602,7 +595,6 @@ impl Server {
                         self.counters.failed.inc();
                     }
                 }
-                self.note_resolved(sub.submitted_at);
                 sub.tx.resolve(slot.map_err(ServerError::Engine));
                 resolved += 1;
             }
@@ -647,15 +639,6 @@ impl Server {
                 self.obs
                     .remove(&format!("server_queue_depth{{analyst={analyst:?}}}"));
             }
-        }
-    }
-
-    /// Records the submit → resolution latency of one ticket
-    /// (`server_ticket_ns`), skipping the clock read when metrics are
-    /// off.
-    fn note_resolved(&self, submitted_at: std::time::Instant) {
-        if self.obs.is_enabled() {
-            self.ticket_ns.record_duration(submitted_at.elapsed());
         }
     }
 

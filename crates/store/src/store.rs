@@ -32,21 +32,21 @@
 //! stacks its frames into a pending buffer, one caller becomes the
 //! *leader*, writes the whole buffer and fsyncs once, and every caller
 //! whose records rode along returns. Under N concurrent charges the
-//! store performs ~1 fsync for the batch instead of N (the
-//! `store_records_per_fsync` histogram). [`Store::stage`] puts frames
+//! store performs ~1 fsync for the batch instead of N
+//! (`store_appended_records_total` over `store_syncs_total`).
+//! [`Store::stage`] puts frames
 //! in the same buffer and returns at once: they ride the next fsync
 //! anyone pays for.
 
 use crate::error::StoreError;
 use crate::record::{fnv1a, frame_into, has_intact_frame_after, scan_frames, Record, ScanEnd};
 use crate::state::StoreState;
-use bf_obs::{Counter, Gauge, Histogram, Registry, Stage, TraceContext, TraceTimer};
+use bf_obs::{Counter, Gauge, Registry, Stage, TraceContext, TraceTimer};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::Instant;
 
 /// Tuning knobs for a [`Store`].
 #[derive(Debug, Clone, Default)]
@@ -175,9 +175,6 @@ struct Inner {
     state: StoreState,
     /// Encoded frames appended but not yet written + fsynced.
     pending: Vec<u8>,
-    /// How many records those frames carry (for the per-fsync batch
-    /// size histogram).
-    pending_records: u64,
     /// Sequence number the next `commit` call will take.
     next_seq: u64,
     /// Highest sequence number known durable.
@@ -200,7 +197,6 @@ impl Inner {
             self.state.apply(r);
             frame_into(&mut self.pending, |out| r.encode_into(out));
         }
-        self.pending_records += records.len() as u64;
         self.counters.appended.add(records.len() as u64);
         Ok(())
     }
@@ -221,10 +217,6 @@ pub struct Store {
     /// outlive or predate any engine, so it does not share the engine's
     /// registry; exposition merges the two snapshot sets.
     obs: Arc<Registry>,
-    /// Wall time of each leader write + `fsync` pair.
-    fsync_ns: Histogram,
-    /// Records made durable by each fsync (the group-commit batch size).
-    records_per_fsync: Histogram,
     /// Advisory exclusive lock on `LOCK` in the store directory, held
     /// for the store's lifetime: two live stores appending to one
     /// directory would interleave frames and diverge their mirrors, so
@@ -421,7 +413,6 @@ impl Store {
         }
 
         let obs = Arc::new(Registry::new());
-        let replay_started = Instant::now();
         let replay: Vec<(u64, &PathBuf)> = segments.range(base..).map(|(&n, p)| (n, p)).collect();
         for (n, path) in replay.iter() {
             let bytes = std::fs::read(path).map_err(|e| StoreError::io("read segment", &e))?;
@@ -437,18 +428,6 @@ impl Store {
                 report.tail_skipped = true;
             }
         }
-
-        let replay_elapsed = replay_started.elapsed();
-        obs.counter("store_replay_records_total")
-            .add(report.records_applied);
-        obs.counter("store_replay_ns_total")
-            .add(replay_elapsed.as_nanos().min(u64::MAX as u128) as u64);
-        let rps = if replay_elapsed.as_secs_f64() > 0.0 {
-            report.records_applied as f64 / replay_elapsed.as_secs_f64()
-        } else {
-            0.0
-        };
-        obs.gauge("store_replay_records_per_sec").set(rps);
 
         let next = segments.keys().next_back().map_or(base, |&m| m + 1);
         let file = OpenOptions::new()
@@ -470,7 +449,6 @@ impl Store {
                 segment: next,
                 state: state.clone(),
                 pending: Vec::new(),
-                pending_records: 0,
                 next_seq: 1,
                 durable_seq: 0,
                 syncing: false,
@@ -480,14 +458,12 @@ impl Store {
             commit_cv: Condvar::new(),
             recovered: state,
             report,
-            fsync_ns: obs.histogram("store_fsync_ns"),
-            records_per_fsync: obs.histogram("store_records_per_fsync"),
             obs,
         })
     }
 
-    /// The store's metric registry (`store_*` metrics: appends, syncs,
-    /// fsync latency, replay throughput).
+    /// The store's metric registry (`store_*` metrics: appends, commits,
+    /// syncs, compactions, WAL segments).
     pub fn obs(&self) -> &Arc<Registry> {
         &self.obs
     }
@@ -559,21 +535,17 @@ impl Store {
             // the lock so followers can keep stacking.
             g.syncing = true;
             let batch = std::mem::take(&mut g.pending);
-            let batch_records = std::mem::take(&mut g.pending_records);
             let high = g.next_seq - 1;
             let file = Arc::clone(&g.file);
             let faults = g.counters.faults_injected.clone();
             drop(g);
-            let sw = self.fsync_ns.start();
             let result = write_and_sync(&file, &batch, self.config.fault_plan.as_deref(), &faults);
-            self.fsync_ns.observe(sw);
             g = self.inner.lock().expect("store lock poisoned");
             g.syncing = false;
             match result {
                 Ok(()) => {
                     g.durable_seq = g.durable_seq.max(high);
                     g.counters.syncs.inc();
-                    self.records_per_fsync.record(batch_records);
                 }
                 Err(e) => {
                     g.poisoned = Some(e.to_string());
@@ -635,9 +607,7 @@ impl Store {
         // Flush any frames stacked since the last sync.
         if !g.pending.is_empty() {
             let batch = std::mem::take(&mut g.pending);
-            let batch_records = std::mem::take(&mut g.pending_records);
             let high = g.next_seq - 1;
-            let sw = self.fsync_ns.start();
             if let Err(e) = write_and_sync(
                 &g.file,
                 &batch,
@@ -648,10 +618,8 @@ impl Store {
                 self.commit_cv.notify_all();
                 return Err(StoreError::io("flush", &e));
             }
-            self.fsync_ns.observe(sw);
             g.durable_seq = g.durable_seq.max(high);
             g.counters.syncs.inc();
-            self.records_per_fsync.record(batch_records);
             self.commit_cv.notify_all();
         }
 

@@ -13,10 +13,10 @@
 //!    `StatsReport` frame carrying every counter, gauge and histogram
 //!    summary across all four layers (net → server → engine → store) and
 //!    renders it Prometheus-style.
-//! 2. **Walks the span journal.** The engine-side journal records each
-//!    request's stage timings (decode → queue → schedule → coalesce →
-//!    wal_commit → release → reply); the example prints the per-stage
-//!    latency summaries.
+//! 2. **Prints the stage histograms.** Every request's stage timings
+//!    (decode → queue → schedule → coalesce → wal_commit → release →
+//!    reply) land in the `span_stage_ns{stage=…}` histograms; the example
+//!    prints their summaries from the same scrape.
 //! 3. **Proves the side-channel claim.** The same workload runs twice
 //!    from the same seed — once with metrics enabled, once fully
 //!    disabled — and the answer digests must be byte-identical:

@@ -701,7 +701,7 @@ fn hear(
     let mut heard = Vec::new();
     loop {
         assert!(Instant::now() < deadline, "{detail:?} never arrived");
-        bus.publish(blowfish::obs::ClusterEventKind::Stage, detail, 0);
+        bus.publish(blowfish::obs::ClusterEventKind::Role, detail, 0);
         while let Some(event) = watch.next(Duration::from_millis(20)).unwrap() {
             let done = event.detail == detail;
             heard.push(event);
@@ -754,7 +754,7 @@ fn a_watcher_that_never_reads_blocks_no_write_and_no_other_watcher() {
     let mut live_watch = live.watch().unwrap();
     hear(&mut live_watch, bus, "live watch is subscribed");
     for _ in 0..2 * WATCH_QUEUE_CAPACITY {
-        bus.publish(blowfish::obs::ClusterEventKind::Stage, "overflow", 0);
+        bus.publish(blowfish::obs::ClusterEventKind::Role, "overflow", 0);
     }
     let mut writer = Client::connect(net.local_addr()).unwrap();
     writer.open_session("writer", 10.0).unwrap();
