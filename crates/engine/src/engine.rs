@@ -814,7 +814,7 @@ impl Engine {
     pub fn cached_reply(&self, analyst: &str, request_id: u64) -> Option<Response> {
         let response = {
             let replies = self.replies.lock().expect("replies poisoned");
-            Response::from_bytes(replies.get(analyst)?.get(&request_id)?)?
+            bf_store::codec::decode(replies.get(analyst)?.get(&request_id)?)?
         };
         self.replay_cache_hits.inc();
         Some(response)

@@ -273,99 +273,29 @@ pub(crate) fn admit(request: &Request, policy: &Policy, data: Data<'_>) -> Resul
     }
 }
 
-/// A served answer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Noisy per-value counts.
-    Histogram(Vec<f64>),
-    /// Noisy (inference-boosted) prefix counts.
-    Prefixes(Vec<f64>),
-    /// A single noisy number (range or linear query).
-    Scalar(f64),
-    /// Final k-means centroids.
-    Centroids(Vec<Vec<f64>>),
+bf_store::wire_enum! {
+    /// A served answer. Its bytes are the field codec's — every `f64` as
+    /// its raw bit pattern — and the same bytes a wire `Answer` carries:
+    /// a durable `Replied` ledger frame holds them, so a retried request
+    /// replays the **identical** answer — same noise, same bits — instead
+    /// of drawing a fresh release.
+    #[derive(Debug, Clone, PartialEq)]
+    pub enum Response {
+        /// Noisy per-value counts.
+        1 => Histogram(counts: Vec<f64>),
+        /// Noisy (inference-boosted) prefix counts.
+        2 => Prefixes(prefixes: Vec<f64>),
+        /// A single noisy number (range or linear query).
+        3 => Scalar(value: f64),
+        /// Final k-means centroids.
+        4 => Centroids(centroids: Vec<Vec<f64>>),
+    }
 }
 
-/// Payload tags for [`Response::to_bytes`].
-const TAG_RESP_HISTOGRAM: u8 = 0;
-const TAG_RESP_PREFIXES: u8 = 1;
-const TAG_RESP_SCALAR: u8 = 2;
-const TAG_RESP_CENTROIDS: u8 = 3;
-
 impl Response {
-    /// Encodes the answer bit-exactly (every `f64` as its raw bit
-    /// pattern): one tag byte, then the variant's payload. This is the
-    /// byte string a durable `Replied` ledger frame carries, so a
-    /// retried request replays the **identical** answer — same noise,
-    /// same bits — instead of drawing a fresh release.
+    /// The answer's bytes (see [`Response`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        use bf_store::put_u64;
-        let mut out = Vec::new();
-        match self {
-            Response::Histogram(v) | Response::Prefixes(v) => {
-                out.push(if matches!(self, Response::Histogram(_)) {
-                    TAG_RESP_HISTOGRAM
-                } else {
-                    TAG_RESP_PREFIXES
-                });
-                put_u64(&mut out, v.len() as u64);
-                for x in v {
-                    put_u64(&mut out, x.to_bits());
-                }
-            }
-            Response::Scalar(x) => {
-                out.push(TAG_RESP_SCALAR);
-                put_u64(&mut out, x.to_bits());
-            }
-            Response::Centroids(cs) => {
-                out.push(TAG_RESP_CENTROIDS);
-                put_u64(&mut out, cs.len() as u64);
-                for c in cs {
-                    put_u64(&mut out, c.len() as u64);
-                    for x in c {
-                        put_u64(&mut out, x.to_bits());
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Decodes [`Response::to_bytes`] output; `None` on any malformed,
-    /// truncated or trailing-garbage input.
-    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<Self> {
-        use bf_store::Reader;
-        let mut r = Reader::new(bytes);
-        let response = match r.u8()? {
-            tag @ (TAG_RESP_HISTOGRAM | TAG_RESP_PREFIXES) => {
-                let len = r.u64()? as usize;
-                let mut v = Vec::with_capacity(len.min(bytes.len() / 8));
-                for _ in 0..len {
-                    v.push(f64::from_bits(r.u64()?));
-                }
-                if tag == TAG_RESP_HISTOGRAM {
-                    Response::Histogram(v)
-                } else {
-                    Response::Prefixes(v)
-                }
-            }
-            TAG_RESP_SCALAR => Response::Scalar(f64::from_bits(r.u64()?)),
-            TAG_RESP_CENTROIDS => {
-                let k = r.u64()? as usize;
-                let mut cs = Vec::with_capacity(k.min(bytes.len() / 8));
-                for _ in 0..k {
-                    let dim = r.u64()? as usize;
-                    let mut c = Vec::with_capacity(dim.min(bytes.len() / 8));
-                    for _ in 0..dim {
-                        c.push(f64::from_bits(r.u64()?));
-                    }
-                    cs.push(c);
-                }
-                Response::Centroids(cs)
-            }
-            _ => return None,
-        };
-        r.done().then_some(response)
+        bf_store::codec::encode(self)
     }
 
     /// The scalar payload, if this is a scalar answer.
@@ -446,27 +376,24 @@ mod tests {
         assert_eq!(rows, table);
     }
 
+    /// Every generated answer decodes from its bytes to the same bytes;
+    /// a cut, an unknown tag or a trailing byte decodes to nothing.
     #[test]
     fn response_bytes_round_trip_bit_exactly() {
-        let samples = [
-            Response::Histogram(vec![1.5, -0.0, f64::MIN_POSITIVE]),
-            Response::Prefixes(vec![]),
-            Response::Scalar(-17.25),
-            Response::Centroids(vec![vec![0.1, 0.2], vec![3.0, 4.0]]),
-        ];
-        for s in &samples {
-            let bytes = s.to_bytes();
-            let back = Response::from_bytes(&bytes).expect("round trip");
-            assert_eq!(back.to_bytes(), bytes, "bit-exact: {s:?}");
+        use bf_store::codec::{decode, Arb};
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x2E5);
+        for _ in 0..512 {
+            let bytes = Response::arb(&mut rng).to_bytes();
+            let back: Response = decode(&bytes).expect("round trip");
+            assert_eq!(back.to_bytes(), bytes);
+            assert!(decode::<Response>(&bytes[..bytes.len() - 1]).is_none());
+            let mut trailing = bytes;
+            trailing.push(0);
+            assert!(decode::<Response>(&trailing).is_none());
         }
-        assert!(Response::from_bytes(&[]).is_none());
-        assert!(Response::from_bytes(&[9]).is_none(), "unknown tag");
-        let mut truncated = Response::Scalar(1.0).to_bytes();
-        truncated.pop();
-        assert!(Response::from_bytes(&truncated).is_none());
-        let mut trailing = Response::Scalar(1.0).to_bytes();
-        trailing.push(0);
-        assert!(Response::from_bytes(&trailing).is_none());
+        assert!(decode::<Response>(&[]).is_none());
+        assert!(decode::<Response>(&[9]).is_none(), "unknown tag");
     }
 
     #[test]

@@ -44,7 +44,6 @@
 #![deny(missing_docs)]
 
 mod client;
-mod codec;
 mod error;
 pub mod proto;
 mod server;

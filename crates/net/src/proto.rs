@@ -29,7 +29,8 @@
 //! (tags 65–79) below are the catalogue, and every type they carry is
 //! declared the same way: each variant names its tag beside its fields,
 //! and the encoder, the decoder and the tests' generators are derived from
-//! that one declaration. Replica peers speak the same table. README's
+//! that one declaration by `bf_store`'s field codec, which derives the
+//! WAL's records too. Replica peers speak the same table. README's
 //! message catalogue is checked against it by a test.
 //!
 //! Every message carries a client-assigned **correlation id**; replies
@@ -72,11 +73,11 @@
 //! Deployments needing real multi-tenant isolation must front the
 //! port with transport-level auth.
 
-use crate::codec::{self, wire_enum, wire_fields, wire_struct, Get, Put};
 use bf_engine::{Request, RequestKind, Response};
 use bf_mechanisms::kmeans::KmeansSecretSpec;
-use bf_obs::{Stage, TraceId, TraceSpan, TraceTree};
-use bf_store::{LedgerEntry, Reader};
+use bf_obs::TraceTree;
+use bf_store::codec::{self, Put};
+use bf_store::{wire_enum, wire_struct, LedgerEntry};
 
 /// The protocol version — the only one this build speaks or accepts
 /// (see the module docs). Version 5 is: idempotency keys, deadlines and
@@ -162,8 +163,10 @@ wire_enum! {
 
 wire_enum! {
     /// A served answer on the wire, mirroring [`Response`] with every float
-    /// as exact bits. The engine's own [`Response`] encodes to the same
-    /// bytes, so a server frames an answer without building this copy.
+    /// as exact bits. The engine's own [`Response`] is declared under the
+    /// same tags and encodes to the same bytes, so a server frames an
+    /// answer without building this copy, and a reply cached in the WAL
+    /// is the bytes this message carries.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum WireResponse {
         /// Noisy per-value counts.
@@ -174,7 +177,7 @@ wire_enum! {
         3 => Scalar(value: u64),
         /// Final k-means centroids.
         4 => Centroids(centroids: Vec<Vec<u64>>),
-    } mirrored by Response
+    }
 }
 
 wire_struct! {
@@ -923,36 +926,6 @@ impl From<WireEventKind> for bf_obs::ClusterEventKind {
     }
 }
 
-// The other crates' types the reports carry, in wire order.
-wire_fields! { TraceTree { id, analyst, total_ns, outcome, spans } }
-wire_fields! { TraceSpan { stage, start_ns, duration_ns, outcome, link } }
-wire_fields! { LedgerEntry { seq, eps_bits, label, fingerprint } }
-
-impl Put for TraceId {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.put(out);
-    }
-}
-
-impl Get for TraceId {
-    fn get(r: &mut Reader<'_>) -> Option<Self> {
-        Some(TraceId(r.u64()?))
-    }
-}
-
-/// A stage travels as its one-byte index.
-impl Put for Stage {
-    fn put(&self, out: &mut Vec<u8>) {
-        out.push(self.index() as u8);
-    }
-}
-
-impl Get for Stage {
-    fn get(r: &mut Reader<'_>) -> Option<Self> {
-        Stage::from_index(r.u8()? as usize)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Conversions to/from the engine vocabulary
 // ---------------------------------------------------------------------
@@ -1257,24 +1230,11 @@ impl ServerMessage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::tag;
-    use crate::codec::tests::Arb;
-    use bf_store::{frame_bytes, frame_into, put_str, put_u64, read_frame, FrameBuf, FrameRead};
+    use bf_store::codec::{tag, Arb};
+    use bf_store::{frame_bytes, frame_into, read_frame, FrameBuf, FrameRead};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-
-    impl Arb for TraceId {
-        fn arb(rng: &mut StdRng) -> Self {
-            TraceId(rng.random())
-        }
-    }
-
-    impl Arb for Stage {
-        fn arb(rng: &mut StdRng) -> Self {
-            Stage::ALL[rng.random_range(0..Stage::ALL.len())]
-        }
-    }
 
     proptest! {
         /// Every client message round-trips encode → decode exactly.
@@ -1318,6 +1278,19 @@ mod tests {
             }
             let resp = WireResponse::arb(&mut rng);
             prop_assert_eq!(WireResponse::from_response(&resp.to_response()), resp.clone());
+        }
+
+        /// An engine answer's own bytes — what a `Replied` WAL frame
+        /// caches — are its wire mirror's, and exactly the response bytes
+        /// of the `Answer` frame that carries it: one answer, one encoding.
+        #[test]
+        fn an_engine_answer_encodes_to_its_wire_mirror(seed in 0u64..512) {
+            let response = Response::arb(&mut StdRng::seed_from_u64(seed));
+            let bytes = response.to_bytes();
+            let wire = WireResponse::from_response(&response);
+            prop_assert_eq!(&bytes, &codec::encode(&wire));
+            let answer = ServerMessage::Answer { id: seed, response: wire, trace_id: None };
+            prop_assert_eq!(&answer.encode()[9..], &[&bytes[..], &[0]].concat()[..]);
         }
 
         /// `encode_into` appends, to whatever the buffer already holds,
@@ -1634,8 +1607,8 @@ mod tests {
             let mut p = vec![tag];
             for field in shape.chars() {
                 match field {
-                    'w' => put_u64(&mut p, 0),
-                    _ => put_str(&mut p, ""),
+                    'w' => 0u64.put(&mut p),
+                    _ => String::new().put(&mut p),
                 }
             }
             p.extend_from_slice(then);
@@ -1674,7 +1647,7 @@ mod tests {
         for (what, prefix, decodes) in cases {
             for count in [1u64 << 40, u64::MAX] {
                 let mut payload = prefix.clone();
-                put_u64(&mut payload, count);
+                count.put(&mut payload);
                 payload.extend_from_slice(&[0xAB; 16]);
                 LARGEST.with(|l| l.set(0));
                 let decoded = decodes(&payload);

@@ -232,16 +232,6 @@ enum Role {
     Follower,
 }
 
-/// One in-memory log entry (the WAL holds its durable twin).
-#[derive(Debug, Clone)]
-struct LogEntry {
-    epoch: u64,
-    index: u64,
-    analyst: String,
-    request_id: u64,
-    op: WireLogOp,
-}
-
 /// A client waiting on an entry: resolved by the applier once the entry
 /// is committed **and** executed locally. Dropping a waiter reads as
 /// [`WireError::ShutDown`] on the client side, which retries elsewhere
@@ -258,7 +248,9 @@ struct NodeState {
     /// Index of `log[0]`; entries below it are applied and were evicted
     /// from memory by [`Node::evict_applied`] (the WAL still holds them).
     log_start: u64,
-    log: Vec<LogEntry>,
+    /// The in-memory log, entries as the peer link ships them (the WAL
+    /// holds each one's durable twin, [`logged`]).
+    log: Vec<WireLogEntry>,
     /// Epoch of the log's last entry (0 when nothing was ever logged).
     /// Epochs are non-decreasing in index, so this is also the largest
     /// epoch any entry carries. Sent in `LogCatchup` for the leader's
@@ -294,10 +286,22 @@ impl NodeState {
         self.log_start + self.log.len() as u64
     }
 
-    fn entry_at(&self, index: u64) -> Option<&LogEntry> {
+    fn entry_at(&self, index: u64) -> Option<&WireLogEntry> {
         index
             .checked_sub(self.log_start)
             .and_then(|i| self.log.get(i as usize))
+    }
+}
+
+/// The WAL record that makes a log entry durable: its op in the bytes the
+/// peer link carries it in.
+fn logged(entry: &WireLogEntry) -> Record {
+    Record::Replicated {
+        epoch: entry.epoch,
+        index: entry.index,
+        analyst: entry.analyst.clone(),
+        request_id: entry.request_id,
+        payload: entry.op.encode(),
     }
 }
 
@@ -373,7 +377,7 @@ impl Node {
             let op = WireLogOp::decode(&pending.payload).ok_or_else(|| {
                 ReplicaError::Corrupt(format!("undecodable log payload at index {index}"))
             })?;
-            log.push(LogEntry {
+            log.push(WireLogEntry {
                 epoch: pending.epoch,
                 index,
                 analyst: pending.analyst.clone(),
@@ -384,7 +388,7 @@ impl Node {
         let obs = Arc::clone(engine.obs());
         // The last entry's epoch is the max epoch on disk (epochs are
         // non-decreasing in index); pending entries refine it.
-        let last_epoch = log.last().map_or(snap.log_epoch, |e: &LogEntry| e.epoch);
+        let last_epoch = log.last().map_or(snap.log_epoch, |e| e.epoch);
         let node = Node {
             engine,
             store,
@@ -594,7 +598,7 @@ impl Node {
         // the log position, in the reserved range the wire boundary
         // refuses to client-supplied keys (`RESERVED_REQUEST_ID_BASE`).
         let request_id = request_id.unwrap_or(RESERVED_REQUEST_ID_BASE | index);
-        let entry = LogEntry {
+        let entry = WireLogEntry {
             epoch: st.epoch,
             index,
             analyst: analyst.to_string(),
@@ -602,13 +606,7 @@ impl Node {
             op,
         };
         self.store
-            .commit(&[Record::Replicated {
-                epoch: entry.epoch,
-                index,
-                analyst: entry.analyst.clone(),
-                request_id,
-                payload: entry.op.encode(),
-            }])
+            .commit(&[logged(&entry)])
             .map_err(|e| WireError::Other(format!("log append failed: {e}")))?;
         st.waiters.entry(index).or_default().push(waiter);
         st.last_epoch = entry.epoch;
@@ -963,20 +961,10 @@ impl Node {
                     }
                     st = self.cv.wait(st).unwrap();
                 }
-                let mut batch = Vec::new();
-                while send_next + (batch.len() as u64) <= st.high_water() && batch.len() < BATCH {
-                    let e = match st.entry_at(send_next + batch.len() as u64) {
-                        Some(e) => e,
-                        None => break,
-                    };
-                    batch.push(WireLogEntry {
-                        epoch: e.epoch,
-                        index: e.index,
-                        analyst: e.analyst.clone(),
-                        request_id: e.request_id,
-                        op: e.op.clone(),
-                    });
-                }
+                let batch: Vec<WireLogEntry> = (send_next..=st.high_water())
+                    .take(BATCH)
+                    .map_while(|index| st.entry_at(index).cloned())
+                    .collect();
                 (batch, st.epoch, st.commit_index)
             };
             let n = entries.len() as u64;
@@ -1108,7 +1096,7 @@ impl Node {
                         // Check the whole frame against the local log
                         // first; what it adds is appended below in one
                         // commit.
-                        let mut fresh: Vec<LogEntry> = Vec::new();
+                        let mut fresh: Vec<WireLogEntry> = Vec::new();
                         for e in entries {
                             let next = st.next_index() + fresh.len() as u64;
                             if e.index < next {
@@ -1133,27 +1121,12 @@ impl Node {
                             } else if e.index > next {
                                 return None; // gap: resubscribe
                             }
-                            fresh.push(LogEntry {
-                                epoch: e.epoch,
-                                index: e.index,
-                                analyst: e.analyst,
-                                request_id: e.request_id,
-                                op: e.op,
-                            });
+                            fresh.push(e);
                         }
                         if let Some(last) = fresh.last() {
                             // Durable-first: the WAL append is what an
                             // ack means — one fsync for the frame.
-                            let records: Vec<Record> = fresh
-                                .iter()
-                                .map(|e| Record::Replicated {
-                                    epoch: e.epoch,
-                                    index: e.index,
-                                    analyst: e.analyst.clone(),
-                                    request_id: e.request_id,
-                                    payload: e.op.encode(),
-                                })
-                                .collect();
+                            let records: Vec<Record> = fresh.iter().map(logged).collect();
                             if self.store.commit(&records).is_err() {
                                 self.halt(&mut st);
                                 return None;
@@ -1952,29 +1925,17 @@ mod tests {
         // The orphan: `a` logged entry 3 and shipped it to `b` alone,
         // then died before any commit. Injected directly (durably and
         // in memory), exactly as `follow_once` would have left it.
-        let op = WireLogOp::OpenSession {
-            total_bits: 1.0f64.to_bits(),
+        let orphan = WireLogEntry {
+            epoch: 0,
+            index: 3,
+            analyst: "ghost".into(),
+            request_id: RESERVED_REQUEST_ID_BASE | 3,
+            op: WireLogOp::OpenSession {
+                total_bits: 1.0f64.to_bits(),
+            },
         };
-        b.node
-            .store
-            .commit(&[Record::Replicated {
-                epoch: 0,
-                index: 3,
-                analyst: "ghost".into(),
-                request_id: RESERVED_REQUEST_ID_BASE | 3,
-                payload: op.encode(),
-            }])
-            .unwrap();
-        {
-            let mut st = b.node.state.lock().unwrap();
-            st.log.push(LogEntry {
-                epoch: 0,
-                index: 3,
-                analyst: "ghost".into(),
-                request_id: RESERVED_REQUEST_ID_BASE | 3,
-                op,
-            });
-        }
+        b.node.store.commit(&[logged(&orphan)]).unwrap();
+        b.node.state.lock().unwrap().log.push(orphan);
         assert_eq!(b.status().log_index, 3);
 
         c.promote();

@@ -11,6 +11,9 @@
 //! * **[`Record`]** — the durable event vocabulary: sessions opened,
 //!   charges drawn (ε as exact `f64` bits), registrations with content
 //!   fingerprints, and the replicated log's entries and marks.
+//! * **[`codec`]** — the field codec a record, a snapshot body, a cached
+//!   answer and every `bf-net` wire message derive their bytes from: a
+//!   type is declared once with [`wire_enum!`] / [`wire_struct!`].
 //! * **[`Store`]** — an append-only WAL of checksummed, length-prefixed
 //!   frames with **group commit**: concurrent charges stack their
 //!   frames and share one fsync (`store_records_per_fsync`).
@@ -29,16 +32,19 @@
 //! is covered by a durable ledger entry — recovered spent is always ≥
 //! acknowledged spent, never less.
 
+pub mod codec;
 mod error;
+mod frame;
 mod record;
 mod state;
 mod store;
 
 pub use error::StoreError;
-pub use record::{
-    fnv1a, frame_bytes, frame_into, put_str, put_u64, read_frame, scan_frames, FrameBuf, FrameRead,
-    Reader, Record, RegistryKind, ScanEnd, FRAME_HEADER_LEN, MAX_RECORD_LEN,
+pub use frame::{
+    fnv1a, frame_bytes, frame_into, read_frame, FrameBuf, FrameRead, FRAME_HEADER_LEN,
+    MAX_RECORD_LEN,
 };
+pub use record::{scan_frames, Record, RegistryKind, ScanEnd};
 pub use state::{CachedReply, PendingLogEntry, SessionState, StoreState, REPLY_CACHE_PER_ANALYST};
 pub use store::{LedgerEntry, RecoveryReport, Store, StoreConfig, StoreStats};
 

@@ -3,12 +3,15 @@
 //! [`StoreState`] is the store's in-memory mirror of everything durable:
 //! it is updated on every append, serialized wholesale into snapshot
 //! files at compaction, and rebuilt at startup by loading the newest
-//! snapshot and replaying the WAL segments after it. Maps are `BTreeMap`s
-//! and floats are carried as bit patterns, so serializing the same state
-//! twice produces byte-identical output — the property the recovery
-//! tests pin.
+//! snapshot and replaying the WAL segments after it. A snapshot body is
+//! the state's fields in the field codec ([`crate::codec`]): maps are
+//! `BTreeMap`s, written in key order, and floats are carried as bit
+//! patterns, so serializing the same state twice produces byte-identical
+//! output — the property the recovery tests pin.
 
-use crate::record::{fnv1a, Record, RegistryKind};
+use crate::codec;
+use crate::frame::fnv1a;
+use crate::record::{Record, RegistryKind};
 use std::collections::BTreeMap;
 
 /// One analyst's durable ledger summary.
@@ -35,6 +38,9 @@ pub struct CachedReply {
     pub payload: Vec<u8>,
 }
 
+crate::wire_fields! { SessionState { total, spent, served } }
+crate::wire_fields! { CachedReply { eps_bits, payload } }
+
 /// Per-analyst bound on the reply cache. Client request ids increase
 /// monotonically and a client retries only its most recent unacked
 /// requests, so evicting the **smallest** ids keeps exactly the window
@@ -59,6 +65,8 @@ pub struct PendingLogEntry {
     pub payload: Vec<u8>,
 }
 
+crate::wire_fields! { PendingLogEntry { epoch, analyst, request_id, payload } }
+
 /// Everything the store knows durably.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StoreState {
@@ -82,6 +90,18 @@ pub struct StoreState {
     /// Logged-but-unapplied entries by index — the replay frontier a
     /// recovering replica must execute to catch its ledger up to its log.
     pub log_pending: BTreeMap<u64, PendingLogEntry>,
+}
+
+crate::wire_fields! {
+    StoreState {
+        sessions,
+        registrations,
+        replies,
+        log_epoch,
+        log_index,
+        log_applied,
+        log_pending,
+    }
 }
 
 impl StoreState {
@@ -211,123 +231,41 @@ impl StoreState {
         self.replies.get(analyst)?.get(&request_id)
     }
 
-    /// Deterministic serialization (snapshot body).
-    pub(crate) fn to_bytes(&self) -> Vec<u8> {
-        use crate::record::{put_str, put_u64};
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.sessions.len() as u32).to_le_bytes());
-        for (analyst, s) in &self.sessions {
-            put_str(&mut out, analyst);
-            put_u64(&mut out, s.total.to_bits());
-            put_u64(&mut out, s.spent.to_bits());
-            put_u64(&mut out, s.served);
-        }
-        out.extend_from_slice(&(self.registrations.len() as u32).to_le_bytes());
-        for ((kind, name), fp) in &self.registrations {
-            out.push(kind.tag());
-            put_str(&mut out, name);
-            put_u64(&mut out, *fp);
-        }
-        out.extend_from_slice(&(self.replies.len() as u32).to_le_bytes());
-        for (analyst, cache) in &self.replies {
-            put_str(&mut out, analyst);
-            out.extend_from_slice(&(cache.len() as u32).to_le_bytes());
-            for (rid, reply) in cache {
-                put_u64(&mut out, *rid);
-                put_u64(&mut out, reply.eps_bits);
-                crate::record::put_bytes(&mut out, &reply.payload);
-            }
-        }
-        put_u64(&mut out, self.log_epoch);
-        put_u64(&mut out, self.log_index);
-        put_u64(&mut out, self.log_applied);
-        out.extend_from_slice(&(self.log_pending.len() as u32).to_le_bytes());
-        for (index, e) in &self.log_pending {
-            put_u64(&mut out, *index);
-            put_u64(&mut out, e.epoch);
-            put_str(&mut out, &e.analyst);
-            put_u64(&mut out, e.request_id);
-            crate::record::put_bytes(&mut out, &e.payload);
-        }
-        out
-    }
-
-    /// Parses [`StoreState::to_bytes`] output. `None` on any structural
-    /// damage (the snapshot loader reports that as a corrupt snapshot).
-    pub(crate) fn from_bytes(bytes: &[u8]) -> Option<StoreState> {
-        let mut r = crate::record::Reader::new(bytes);
-        let mut state = StoreState::default();
-        let n_sessions = r.u32()?;
-        for _ in 0..n_sessions {
-            let analyst = r.str()?;
-            let total = f64::from_bits(r.u64()?);
-            let spent = f64::from_bits(r.u64()?);
-            let served = r.u64()?;
-            state.sessions.insert(
-                analyst,
-                SessionState {
-                    total,
-                    spent,
-                    served,
-                },
-            );
-        }
-        let n_regs = r.u32()?;
-        for _ in 0..n_regs {
-            let kind = RegistryKind::from_tag(r.u8()?)?;
-            let name = r.str()?;
-            let fp = r.u64()?;
-            state.registrations.insert((kind, name), fp);
-        }
-        let n_analysts = r.u32()?;
-        for _ in 0..n_analysts {
-            let analyst = r.str()?;
-            let n_replies = r.u32()?;
-            let mut cache = BTreeMap::new();
-            for _ in 0..n_replies {
-                let rid = r.u64()?;
-                let eps_bits = r.u64()?;
-                let payload = r.bytes()?;
-                cache.insert(rid, CachedReply { eps_bits, payload });
-            }
-            state.replies.insert(analyst, cache);
-        }
-        state.log_epoch = r.u64()?;
-        state.log_index = r.u64()?;
-        state.log_applied = r.u64()?;
-        let n_pending = r.u32()?;
-        for _ in 0..n_pending {
-            let index = r.u64()?;
-            let epoch = r.u64()?;
-            let analyst = r.str()?;
-            let request_id = r.u64()?;
-            let payload = r.bytes()?;
-            state.log_pending.insert(
-                index,
-                PendingLogEntry {
-                    epoch,
-                    analyst,
-                    request_id,
-                    payload,
-                },
-            );
-        }
-        r.done().then_some(state)
-    }
-
-    /// FNV-1a digest of the serialized state — a cheap equality witness
+    /// FNV-1a digest of the snapshot body — a cheap equality witness
     /// for "recovering twice yields the identical ledger".
     pub fn digest(&self) -> u64 {
-        fnv1a(&self.to_bytes())
+        fnv1a(&codec::encode(self))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::Arb;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// Every section of a generated state — sessions, registrations, the
+    /// reply cache and the log — survives a snapshot round trip to the
+    /// same bytes and digest (floats are compared by their bits), and
+    /// every strict prefix of its body is refused without a panic.
+    #[test]
+    fn generated_snapshot_bodies_round_trip_and_no_prefix_decodes() {
+        let mut rng = StdRng::seed_from_u64(0x5AA7);
+        for _ in 0..256 {
+            let state = StoreState::arb(&mut rng);
+            let body = codec::encode(&state);
+            let back: StoreState = codec::decode(&body).expect("a written body decodes");
+            assert_eq!(codec::encode(&back), body);
+            assert_eq!(back.digest(), state.digest());
+            for cut in 0..body.len() {
+                assert_eq!(codec::decode::<StoreState>(&body[..cut]), None, "{cut}");
+            }
+        }
+    }
 
     #[test]
-    fn replay_accumulates_and_roundtrips() {
+    fn replay_accumulates() {
         let mut s = StoreState::default();
         s.apply(&Record::session_opened("alice", 1.0));
         s.apply(&Record::charged("alice", "q1", 0.25));
@@ -341,10 +279,7 @@ mod tests {
         assert_eq!(a.total, 1.0);
         assert_eq!(a.spent, 0.25);
         assert_eq!(a.served, 2);
-        let bytes = s.to_bytes();
-        assert_eq!(StoreState::from_bytes(&bytes), Some(s.clone()));
-        assert_eq!(s.digest(), StoreState::from_bytes(&bytes).unwrap().digest());
-        assert_eq!(StoreState::from_bytes(&bytes[..bytes.len() - 1]), None);
+        assert_eq!(s.registrations[&(RegistryKind::Policy, "pol".into())], 7);
     }
 
     #[test]
@@ -366,11 +301,6 @@ mod tests {
         assert_eq!(cached.eps_bits, 0.25f64.to_bits());
         assert_eq!(s.cached_reply("alice", 8), None);
         assert_eq!(s.cached_reply("bob", 7), None);
-        // Roundtrip carries the cache.
-        let bytes = s.to_bytes();
-        let loaded = StoreState::from_bytes(&bytes).unwrap();
-        assert_eq!(loaded, s);
-        assert_eq!(StoreState::from_bytes(&bytes[..bytes.len() - 1]), None);
     }
 
     #[test]
@@ -422,10 +352,6 @@ mod tests {
         // A stale LogApplied mark never moves the high-water back.
         s.apply(&Record::LogApplied { index: 1 });
         assert_eq!(s.log_applied, 2);
-        // Roundtrip carries the whole log section.
-        let bytes = s.to_bytes();
-        assert_eq!(StoreState::from_bytes(&bytes), Some(s.clone()));
-        assert_eq!(StoreState::from_bytes(&bytes[..bytes.len() - 1]), None);
     }
 
     #[test]
@@ -458,9 +384,6 @@ mod tests {
         s.apply(&entry(1, 3));
         assert_eq!(s.log_index, 3);
         assert_eq!(s.log_pending[&3].epoch, 1);
-        // The truncated shape survives a snapshot round-trip.
-        let bytes = s.to_bytes();
-        assert_eq!(StoreState::from_bytes(&bytes), Some(s));
     }
 
     #[test]

@@ -7,9 +7,9 @@
 //! snapshot:
 //!
 //! ```text
-//! ledger-0000000000000000.log   ← appended records, framed + checksummed
-//! ledger-0000000000000001.log   ← one segment per process generation / compaction
-//! ledger-0000000000000001.snap  ← full StoreState; covers segments < 1
+//! budget-0000000000000000.log   ← appended records, framed + checksummed
+//! budget-0000000000000001.log   ← one segment per process generation / compaction
+//! budget-0000000000000001.snap  ← full StoreState; covers segments < 1
 //! ```
 //!
 //! The invariant is **snapshot `N` covers exactly the records in
@@ -20,9 +20,10 @@
 //! never a record covered twice or not at all.
 //!
 //! The names are the format's version. A directory written by an
-//! earlier format names its files `wal-N.log` and `snapshot-N.snap`;
-//! its records and snapshot sections are not this format's, and
-//! [`Store::open`] refuses it by those names
+//! earlier format names its files `ledger-N.log` / `ledger-N.snap` (its
+//! snapshot sections counted in `u32`s and its cached answers tagged
+//! 0–3), or `wal-N.log` / `snapshot-N.snap` before that; its bytes are
+//! not this format's, and [`Store::open`] refuses it by those names
 //! ([`StoreError::OldFormat`]) rather than misread it.
 //!
 //! ## Group commit
@@ -38,8 +39,10 @@
 //! in the same buffer and returns at once: they ride the next fsync
 //! anyone pays for.
 
+use crate::codec::{self, Put};
 use crate::error::StoreError;
-use crate::record::{fnv1a, frame_into, has_intact_frame_after, scan_frames, Record, ScanEnd};
+use crate::frame::{fnv1a, frame_into};
+use crate::record::{has_intact_frame_after, scan_frames, Record, ScanEnd};
 use crate::state::StoreState;
 use bf_obs::{Counter, Gauge, Registry, Stage, TraceContext, TraceTimer};
 use std::collections::BTreeMap;
@@ -144,6 +147,8 @@ pub struct LedgerEntry {
     pub fingerprint: u64,
 }
 
+crate::wire_fields! { LedgerEntry { seq, eps_bits, label, fingerprint } }
+
 impl LedgerEntry {
     /// The charge as an `f64`.
     pub fn epsilon(&self) -> f64 {
@@ -195,7 +200,7 @@ impl Inner {
         }
         for r in records {
             self.state.apply(r);
-            frame_into(&mut self.pending, |out| r.encode_into(out));
+            frame_into(&mut self.pending, |out| r.put(out));
         }
         self.counters.appended.add(records.len() as u64);
         Ok(())
@@ -236,10 +241,15 @@ impl std::fmt::Debug for Store {
 
 /// A numbered file name's `(prefix, suffix)` around 16 hex digits.
 type Naming = (&'static str, &'static str);
-const SEGMENT: Naming = ("ledger-", ".log");
-const SNAPSHOT: Naming = ("ledger-", ".snap");
-/// The names an earlier on-disk format gave its segments and snapshots.
-const EARLIER_FORMAT: [Naming; 2] = [("wal-", ".log"), ("snapshot-", ".snap")];
+const SEGMENT: Naming = ("budget-", ".log");
+const SNAPSHOT: Naming = ("budget-", ".snap");
+/// The names earlier on-disk formats gave their segments and snapshots.
+const EARLIER_FORMAT: [Naming; 4] = [
+    ("wal-", ".log"),
+    ("snapshot-", ".snap"),
+    ("ledger-", ".log"),
+    ("ledger-", ".snap"),
+];
 
 fn numbered_path(dir: &Path, (prefix, suffix): Naming, n: u64) -> PathBuf {
     dir.join(format!("{prefix}{n:016x}{suffix}"))
@@ -647,9 +657,9 @@ impl Store {
         g.segment = next;
 
         // Snapshot the mirror (== all records in segments < next).
-        let body = g.state.to_bytes();
+        let body = codec::encode(&g.state);
         let mut bytes = Vec::with_capacity(8 + body.len());
-        bytes.extend_from_slice(&crate::record::fnv1a(&body).to_le_bytes());
+        bytes.extend_from_slice(&fnv1a(&body).to_le_bytes());
         bytes.extend_from_slice(&body);
         let tmp = self.dir.join("snapshot.tmp");
         let write = || -> std::io::Result<()> {
@@ -866,16 +876,17 @@ fn load_snapshot(path: &Path, bytes: &[u8]) -> Result<StoreState, StoreError> {
     }
     let checksum = u64::from_le_bytes(bytes[..8].try_into().unwrap());
     let body = &bytes[8..];
-    if crate::record::fnv1a(body) != checksum {
+    if fnv1a(body) != checksum {
         return Err(corrupt("checksum mismatch"));
     }
-    StoreState::from_bytes(body).ok_or_else(|| corrupt("undecodable state"))
+    codec::decode(body).ok_or_else(|| corrupt("undecodable state"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{RegistryKind, FRAME_HEADER_LEN};
+    use crate::frame::FRAME_HEADER_LEN;
+    use crate::record::RegistryKind;
     use crate::scratch_dir;
 
     impl Store {
@@ -1670,18 +1681,29 @@ mod tests {
     #[test]
     fn numbered_name_parsing() {
         assert_eq!(
-            parse_numbered("ledger-0000000000000003.log", SEGMENT),
+            parse_numbered("budget-0000000000000003.log", SEGMENT),
             Some(3)
         );
-        assert_eq!(parse_numbered("ledger-3.log", SEGMENT), None);
+        assert_eq!(parse_numbered("budget-3.log", SEGMENT), None);
         assert_eq!(
-            parse_numbered("ledger-00000000000000ff.snap", SNAPSHOT),
+            parse_numbered("budget-00000000000000ff.snap", SNAPSHOT),
             Some(255)
         );
         assert_eq!(
-            parse_numbered("ledger-00000000000000ff.snap", SEGMENT),
+            parse_numbered("budget-00000000000000ff.snap", SEGMENT),
             None
         );
         assert_eq!(parse_numbered("other.txt", SEGMENT), None);
+        // The parent format's names are an earlier format's, not this one's.
+        for name in [
+            "ledger-0000000000000003.log",
+            "ledger-00000000000000ff.snap",
+        ] {
+            assert_eq!(parse_numbered(name, SEGMENT), None);
+            assert_eq!(parse_numbered(name, SNAPSHOT), None);
+            assert!(EARLIER_FORMAT
+                .iter()
+                .any(|&f| parse_numbered(name, f).is_some()));
+        }
     }
 }

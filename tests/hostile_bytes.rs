@@ -9,8 +9,8 @@
 use blowfish::net::{Client, ClientMessage, NetConfig, NetError, NetServer, WireError};
 use blowfish::net::{ServerMessage, WireLogOp};
 use blowfish::prelude::{BoundingBox, Dataset, Domain, Engine, Epsilon, KmeansSecretSpec};
-use blowfish::prelude::{PointSet, Policy, Request, Server, ServerConfig};
-use blowfish::store::{frame_bytes, FrameBuf, FrameRead, Record, Store};
+use blowfish::prelude::{PointSet, Policy, Request, Response, Server, ServerConfig};
+use blowfish::store::{codec, frame_bytes, FrameBuf, FrameRead, Record, Store, StoreState};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::Read;
@@ -42,7 +42,9 @@ fn a_million_random_payloads_decode_to_none_or_a_message() {
         let _ = ClientMessage::decode(&payload);
         let _ = ServerMessage::decode(&payload);
         let _ = WireLogOp::decode(&payload);
-        let _ = Record::decode(&payload);
+        let _ = codec::decode::<Record>(&payload);
+        let _ = codec::decode::<StoreState>(&payload);
+        let _ = codec::decode::<Response>(&payload);
     }
 }
 

@@ -18,7 +18,7 @@ fn eps(v: f64) -> Epsilon {
 }
 
 /// The first segment of a store directory.
-const FIRST_SEGMENT: &str = "ledger-0000000000000000.log";
+const FIRST_SEGMENT: &str = "budget-0000000000000000.log";
 
 fn build_engine(seed: u64, store: Arc<Store>) -> Engine {
     let engine = Engine::with_store(seed, store);
@@ -512,9 +512,9 @@ fn corruption_at_any_offset_is_rejected_by_checksum() {
 /// build's own frames still recovers.
 #[test]
 fn a_wal_from_before_the_frame_checksum_changed_is_refused_not_read_as_empty() {
-    use blowfish::store::fnv1a;
+    use blowfish::store::{codec, fnv1a};
     let old_frame = |record: &Record| {
-        let payload = record.encode();
+        let payload = codec::encode(record);
         let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
         frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
         frame.extend_from_slice(&payload);
@@ -549,12 +549,15 @@ fn a_wal_from_before_the_frame_checksum_changed_is_refused_not_read_as_empty() {
     assert_eq!(report.records_applied, 1);
 }
 
-/// The parent format named its files `wal-N.log` and `snapshot-N.snap`,
-/// and its snapshot bodies carry a release-ordinal section between the
-/// registrations and the reply cache: read as this format, every later
-/// field would be misplaced. Such a directory is refused by name with
-/// the typed error before a byte is read — shown on this format's own
-/// files under the parent's names — and is left exactly as it was.
+/// The parent format named its files `ledger-N.log` and `ledger-N.snap`;
+/// its snapshot bodies count their sections in `u32`s and its cached
+/// answers tag a response 0–3 where the wire tags it 1–4: read as this
+/// format, every snapshot field after the first count would be misplaced
+/// and every cached answer misread. Such a directory — and one of the
+/// format before it, named `wal-N.log` and `snapshot-N.snap` — is refused
+/// by name with the typed error before a byte is read — shown on this
+/// format's own files under the earlier names — and is left exactly as
+/// it was.
 #[test]
 fn a_parent_format_directory_is_refused_by_name_and_left_untouched() {
     let dir = scratch_dir("parent-format");
@@ -574,27 +577,38 @@ fn a_parent_format_directory_is_refused_by_name_and_left_untouched() {
         names.sort();
         names
     };
-    for name in listing() {
+    let rename = |name_of: &dyn Fn(&str) -> String| {
+        for name in listing() {
+            std::fs::rename(dir.join(&name), dir.join(name_of(&name))).unwrap();
+        }
+        listing()
+    };
+    let refused = |expected: [&str; 2]| {
+        let before = listing();
+        assert_eq!(before, expected);
+        match Store::open(&dir) {
+            Err(StoreError::OldFormat { path }) => {
+                assert!(before.iter().any(|name| path.ends_with(name)), "{path}");
+            }
+            other => panic!("expected the old-format refusal, got {other:?}"),
+        }
+        assert_eq!(listing(), before, "nothing created, pruned or renamed");
+    };
+    rename(&|name| name.replace("budget-", "ledger-"));
+    refused([
+        "ledger-0000000000000001.log",
+        "ledger-0000000000000001.snap",
+    ]);
+    rename(&|name| {
         let rest = name.strip_prefix("ledger-").unwrap();
         let kind = if rest.ends_with(".snap") {
             "snapshot"
         } else {
             "wal"
         };
-        std::fs::rename(dir.join(&name), dir.join(format!("{kind}-{rest}"))).unwrap();
-    }
-    let before = listing();
-    assert_eq!(
-        before,
-        ["snapshot-0000000000000001.snap", "wal-0000000000000001.log"]
-    );
-    match Store::open(&dir) {
-        Err(StoreError::OldFormat { path }) => {
-            assert!(before.iter().any(|name| path.ends_with(name)), "{path}");
-        }
-        other => panic!("expected the old-format refusal, got {other:?}"),
-    }
-    assert_eq!(listing(), before, "nothing created, pruned or renamed");
+        format!("{kind}-{rest}")
+    });
+    refused(["snapshot-0000000000000001.snap", "wal-0000000000000001.log"]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
