@@ -14,7 +14,6 @@ use bf_mechanisms::kmeans::{init_random, KmeansSecretSpec, PrivateKmeans};
 use bf_mechanisms::{OrderedMechanism, RangeAnswerer};
 use bf_obs::{
     merge_snapshots, next_link_id, Counter, Gauge, MetricSnapshot, Registry, Stage, TraceContext,
-    TraceTimer,
 };
 use bf_store::{fnv1a, LedgerEntry, Record, RegistryKind, Store, REPLY_CACHE_PER_ANALYST};
 use rand::rngs::StdRng;
@@ -1316,13 +1315,12 @@ impl Engine {
         let answers: Vec<Vec<Response>> = prepared
             .iter()
             .map(|p| {
-                let timer = TraceTimer::any(p.traces.iter().copied());
-                let mut span = self.obs.span();
+                let mut clock = self.obs.clock(p.traces.iter().copied());
                 let answers = self.execute(groups, p);
-                self.obs.span_mark(&mut span, Stage::Release);
-                for t in &p.traces {
-                    t.record_linked(Stage::Release, &timer, "ok", p.link);
-                }
+                clock
+                    .lap(Stage::Release)
+                    .linked(p.link)
+                    .record(p.traces.iter().copied(), "ok");
                 answers
             })
             .collect();
@@ -1378,11 +1376,14 @@ impl Engine {
                 store.stage(&records).map_err(EngineError::Store)
             }
             Some(store) if !records.is_empty() => {
-                let mut span = self.obs.span();
-                let committed = store
-                    .commit_traced(&records, &commit_traces)
-                    .map_err(EngineError::Store);
-                self.obs.span_mark(&mut span, Stage::WalCommit);
+                // The whole durability wait — group-commit queueing, the
+                // leader's write and its fsync — is one WalCommit lap.
+                let mut clock = self.obs.clock(commit_traces.iter().copied());
+                let committed = store.commit(&records).map_err(EngineError::Store);
+                let outcome = committed.as_ref().map_or("failed", |()| "durable");
+                clock
+                    .lap(Stage::WalCommit)
+                    .record(commit_traces.iter().copied(), outcome);
                 committed
             }
             _ => Ok(()),

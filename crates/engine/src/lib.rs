@@ -1304,6 +1304,65 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// The WAL commit is one lap: its histogram sample and one
+    /// `WalCommit` span in every active trace of the call, inert traces
+    /// recording nothing — and the commit is the same either way.
+    #[test]
+    fn the_wal_commit_lap_records_spans_for_active_traces() {
+        let dir = bf_store::scratch_dir("engine-commit-lap");
+        let engine = Engine::with_store(42, Arc::new(Store::open(&dir).unwrap()));
+        let domain = Domain::line(32).unwrap();
+        engine
+            .register_policy("pol", Policy::distance_threshold(domain.clone(), 2))
+            .unwrap();
+        let rows: Vec<usize> = (0..320).map(|i| (i * 7) % 32).collect();
+        engine
+            .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
+            .unwrap();
+        engine.open_session("a", eps(1.0)).unwrap();
+        let buf = bf_obs::TraceBuffer::detached(4);
+        let live = buf.begin(bf_obs::TraceId(1), "a");
+        let inert = bf_obs::TraceContext::inert();
+        let request = Request::range("pol", "ds", eps(0.25), 1, 9);
+        let serve = |trace| {
+            let waiters = [Waiter {
+                analyst: "a",
+                tag: None,
+                trace,
+            }];
+            let served = engine.serve_groups(&[Group {
+                request: &request,
+                waiters: &waiters,
+            }]);
+            assert!(served.slots[0][0].is_ok());
+        };
+        serve(&live);
+        live.finish("ok");
+        let tree = buf.find(bf_obs::TraceId(1)).unwrap();
+        let commit: Vec<_> = tree
+            .spans
+            .iter()
+            .filter(|s| s.stage == bf_obs::Stage::WalCommit)
+            .collect();
+        assert_eq!(commit.len(), 1);
+        assert_eq!(commit[0].outcome, "durable");
+        serve(&inert);
+        assert_eq!(
+            engine.store().unwrap().current_state().sessions["a"].spent,
+            0.5
+        );
+        let commits = engine.metrics_snapshot().into_iter().find_map(|s| match s {
+            bf_obs::MetricSnapshot::Histogram { name, summary }
+                if name == "span_stage_ns{stage=\"wal_commit\"}" =>
+            {
+                Some(summary.count)
+            }
+            _ => None,
+        });
+        assert_eq!(commits, Some(2));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     fn replay_hits(engine: &Engine) -> u64 {
         engine
             .metrics_snapshot()

@@ -5,8 +5,8 @@ use crate::proto::{
     PROTOCOL_VERSION,
 };
 use bf_obs::{
-    BusSubscriber, ClusterEventKind, Counter, Histogram, MetricSnapshot, Registry, SloEngine,
-    SloSpec, Stage, TraceContext, TraceId, TraceTimer,
+    BusSubscriber, ClusterEventKind, Counter, Histogram, Lap, MetricSnapshot, Registry, SloEngine,
+    SloSpec, Stage, TraceContext, TraceId,
 };
 use bf_server::{DriverHandle, Server, ServerError, ServerStats, Ticket};
 use bf_store::{fnv1a, frame_into, FrameBuf, FrameRead};
@@ -648,13 +648,12 @@ impl Connection<'_> {
                     FrameRead::Corrupt => "corrupt frame",
                     FrameRead::Complete { payload, .. } => {
                         counters.frames_in.inc();
-                        let mut span = counters.obs.span();
+                        let mut clock = counters.obs.clock([]);
                         let msg = ClientMessage::decode(payload);
-                        counters.obs.span_mark(&mut span, Stage::Decode);
-                        let decode_elapsed = span.elapsed().unwrap_or_default();
+                        let decoded = clock.lap(Stage::Decode);
                         match msg {
                             Some(msg) => {
-                                if !self.dispatch(msg, decode_elapsed) {
+                                if !self.dispatch(msg, decoded) {
                                     return;
                                 }
                                 continue;
@@ -693,10 +692,10 @@ impl Connection<'_> {
     }
 
     /// Handles one decoded message. Returns `false` when the connection
-    /// must close (fatal protocol violation). `decode_elapsed` is how
-    /// long the frame's decode took — a traced submit records it as the
-    /// trace's Decode span.
-    fn dispatch(&mut self, msg: ClientMessage, decode_elapsed: Duration) -> bool {
+    /// must close (fatal protocol violation). `decoded` is the frame's
+    /// Decode lap — a traced submit records it as the trace's Decode
+    /// span.
+    fn dispatch(&mut self, msg: ClientMessage, decoded: Lap) -> bool {
         let id = msg.id();
         if !self.hello_done && !matches!(msg, ClientMessage::Hello { .. }) {
             self.shared.counters.protocol_errors.inc();
@@ -787,18 +786,13 @@ impl Connection<'_> {
                     return self.refuse(id, refusal, trace_id);
                 }
                 // A traced submit mints the request's travelling context
-                // here, at the wire boundary, and backfills the Decode
-                // span the frame just paid.
+                // here, at the wire boundary, and records the Decode lap
+                // the frame just paid.
                 let trace = match trace_id {
-                    Some(tid) => {
-                        let t = self.shared.counters.obs.begin_trace(TraceId(tid), &analyst);
-                        if t.is_active() {
-                            t.record_elapsed(Stage::Decode, decode_elapsed, "ok");
-                        }
-                        t
-                    }
+                    Some(tid) => self.shared.counters.obs.begin_trace(TraceId(tid), &analyst),
                     None => TraceContext::inert(),
                 };
+                decoded.record([&trace], "ok");
                 match self.submit_one(&analyst, &request, request_id, deadline_micros, &trace) {
                     Ok(ticket) => self.admit(
                         1,
@@ -1437,8 +1431,7 @@ impl Writer<'_> {
             return Ok(0);
         }
         self.conn.in_flight.fetch_sub(answered, Ordering::SeqCst);
-        let mut span = self.counters.obs.span();
-        let timer = TraceTimer::any(replies.iter().map(|(_, t, _)| t));
+        let mut clock = self.counters.obs.clock(replies.iter().map(|(_, t, _)| t));
         for (reply, _, _) in &replies {
             match reply {
                 Reply::Answer {
@@ -1454,14 +1447,12 @@ impl Writer<'_> {
             }
         }
         self.flush()?;
-        self.counters.obs.span_mark(&mut span, Stage::Reply);
+        let reply = clock.lap(Stage::Reply);
         // Close out every traced request that just flushed: record its
         // Reply span and seal the tree into the trace buffer.
         for (_, trace, outcome) in &replies {
-            if trace.is_active() {
-                trace.record(Stage::Reply, &timer, outcome);
-                trace.finish(outcome);
-            }
+            reply.record([trace], outcome);
+            trace.finish(outcome);
         }
         Ok(replies.len())
     }

@@ -1,6 +1,8 @@
-//! Request-lifecycle stages and spans.
+//! Request-lifecycle stages and the one clock that times them.
 
-use std::time::{Duration, Instant};
+use crate::metrics::Histogram;
+use crate::trace::TraceContext;
+use std::time::Instant;
 
 /// The seven stages a request passes through on its way from socket to
 /// socket. Each stage has a dedicated latency histogram in the
@@ -71,28 +73,63 @@ impl Stage {
     }
 }
 
-/// A lightweight per-request lifecycle timer: created when the request
-/// enters the pipeline, advanced at each stage boundary with
-/// [`Registry::span_mark`](crate::Registry::span_mark). Inert (no clock
-/// reads at all) when the registry is disabled.
+/// The one stage clock. Started by [`Registry::clock`] over the traces
+/// its region will be recorded into, it reads the time once at the
+/// start and once per [`lap`](Clock::lap) — and not at all when the
+/// registry is disabled and none of those traces is active.
+///
+/// [`Registry::clock`]: crate::Registry::clock
 #[derive(Debug)]
-pub struct Span {
-    pub(crate) started: Option<Instant>,
+pub struct Clock<'r> {
+    pub(crate) stages: &'r [Histogram],
     pub(crate) last: Option<Instant>,
 }
 
-impl Span {
-    /// An inert span that records nothing.
-    pub(crate) fn inert() -> Self {
-        Span {
-            started: None,
-            last: None,
+impl Clock<'_> {
+    /// Ends the current lap at a stage boundary: one clock read, one
+    /// `span_stage_ns{stage}` sample, and the next lap starts at the
+    /// same instant. The returned [`Lap`] is recorded into traces with
+    /// [`Lap::record`], now or once the trace exists.
+    #[inline]
+    pub fn lap(&mut self, stage: Stage) -> Lap {
+        let at = self.last.map(|start| {
+            let end = Instant::now();
+            self.stages[stage.index()].record_duration(end - start);
+            self.last = Some(end);
+            (start, end)
+        });
+        Lap {
+            stage,
+            at,
+            link: None,
         }
     }
+}
 
-    /// Total time since the span started (`None` when inert).
-    pub fn elapsed(&self) -> Option<Duration> {
-        self.started.map(|t0| t0.elapsed())
+/// One stopped stage measurement: the interval a [`Clock`] lapped (none
+/// when the clock was inert), and the shared-release link its trace
+/// spans carry.
+#[derive(Debug, Clone, Copy)]
+pub struct Lap {
+    pub(crate) stage: Stage,
+    pub(crate) at: Option<(Instant, Instant)>,
+    pub(crate) link: Option<u64>,
+}
+
+impl Lap {
+    /// This lap with a shared-release [`link`](crate::TraceSpan::link)
+    /// id on the spans it records.
+    pub fn linked(self, link: Option<u64>) -> Lap {
+        Lap { link, ..self }
+    }
+
+    /// Records the lap as one [`TraceSpan`](crate::TraceSpan) into
+    /// every active trace in `traces` — the interval the stage's
+    /// histogram sample measured, so the two cannot disagree.
+    pub fn record<'a>(&self, traces: impl IntoIterator<Item = &'a TraceContext>, outcome: &str) {
+        for t in traces {
+            t.push(self, outcome);
+        }
     }
 }
 

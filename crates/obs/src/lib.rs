@@ -14,16 +14,18 @@
 //!   (≈12.5% resolution) with p50/p99/p999 readout. Handles are cheap
 //!   `Arc` clones: register once, record forever without touching the
 //!   registry lock again.
-//! * **[`Stage`] / [`Span`]** — a request's lifecycle decomposed into
-//!   the seven stages of the serving pipeline (frame decode → analyst
-//!   queue → epoch drain → coalesce grouping → WAL commit → mechanism
-//!   release → reply flush), each recorded into a per-stage histogram.
+//! * **[`Stage`] / [`Clock`] / [`Lap`]** — a request's lifecycle
+//!   decomposed into the seven stages of the serving pipeline (frame
+//!   decode → analyst queue → epoch drain → coalesce grouping → WAL
+//!   commit → mechanism release → reply flush). One clock times each
+//!   stage's region once: its [`Lap`] is one sample in the stage's
+//!   histogram and one span in every active trace.
 //! * **[`render_prometheus`]** — text exposition of a
 //!   [`MetricSnapshot`] set, Prometheus-style, for dashboards and the
 //!   wire-level `StatsReport` frame.
 //! * **[`TraceContext`] / [`TraceTree`]** — request-scoped distributed
 //!   tracing: a client-assigned [`TraceId`] rides the `Submit` frame,
-//!   every layer appends [`TraceSpan`] records to the travelling
+//!   every stage's [`Lap`] appends a [`TraceSpan`] to the travelling
 //!   context, and the finished tree lands in the bounded
 //!   [`TraceBuffer`] (slowest-N exemplars per stage), scrapeable over
 //!   the wire via `Traces`/`TraceReport` frames. Coalesced releases
@@ -56,19 +58,17 @@
 #![forbid(unsafe_code)]
 
 mod bus;
+mod clock;
 mod metrics;
 mod registry;
 mod render;
 mod slo;
-mod span;
 mod trace;
 
 pub use bus::{BusSubscriber, ClusterEvent, ClusterEventKind, EventBus};
+pub use clock::{Clock, Lap, Stage};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSummary};
 pub use registry::{merge_labeled_snapshots, merge_snapshots, MetricSnapshot, Registry};
 pub use render::render_prometheus;
 pub use slo::{SloEngine, SloObjective, SloSpec, SloTransition};
-pub use span::{Span, Stage};
-pub use trace::{
-    next_link_id, TraceBuffer, TraceContext, TraceId, TraceSpan, TraceTimer, TraceTree,
-};
+pub use trace::{next_link_id, TraceBuffer, TraceContext, TraceId, TraceSpan, TraceTree};

@@ -1,13 +1,13 @@
 //! The named instrument catalog.
 
 use crate::bus::EventBus;
+use crate::clock::{Clock, Stage};
 use crate::metrics::{Counter, Gauge, Histogram, HistogramSummary};
-use crate::span::{Span, Stage};
 use crate::trace::{TraceBuffer, TraceContext, TraceId, TRACE_EXEMPLARS_PER_STAGE};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 #[derive(Debug, Clone)]
 enum Metric {
@@ -125,36 +125,33 @@ impl Registry {
         }
     }
 
-    /// Records one stage observation into its histogram.
+    /// Starts the [`Clock`] for a region whose laps are recorded into
+    /// `traces`. The time is read only when the registry is enabled or
+    /// one of `traces` is active.
     #[inline]
-    pub fn record_stage(&self, stage: Stage, duration: Duration) {
-        self.stages[stage.index()].record_duration(duration);
-    }
-
-    /// Starts a request-lifecycle [`Span`] (inert when disabled: no
-    /// clock is read).
-    #[inline]
-    pub fn span(&self) -> Span {
-        if self.enabled.load(Ordering::Relaxed) {
-            let now = Instant::now();
-            Span {
-                started: Some(now),
-                last: Some(now),
-            }
-        } else {
-            Span::inert()
+    pub fn clock<'a>(&self, traces: impl IntoIterator<Item = &'a TraceContext>) -> Clock<'_> {
+        Clock {
+            stages: &self.stages,
+            last: self.timed(traces).then(Instant::now),
         }
     }
 
-    /// Marks a stage boundary on `span`: the time since the previous
-    /// mark (or the span's start) is recorded as `stage`'s duration.
+    /// [`Registry::clock`] for a region that began at `start` (a
+    /// request's submit instant): no clock is read until the lap.
     #[inline]
-    pub fn span_mark(&self, span: &mut Span, stage: Stage) {
-        if let Some(last) = span.last {
-            let now = Instant::now();
-            self.record_stage(stage, now.duration_since(last));
-            span.last = Some(now);
+    pub fn clock_since<'a>(
+        &self,
+        start: Instant,
+        traces: impl IntoIterator<Item = &'a TraceContext>,
+    ) -> Clock<'_> {
+        Clock {
+            stages: &self.stages,
+            last: self.timed(traces).then_some(start),
         }
+    }
+
+    fn timed<'a>(&self, traces: impl IntoIterator<Item = &'a TraceContext>) -> bool {
+        self.is_enabled() || traces.into_iter().any(TraceContext::is_active)
     }
 
     /// The bounded buffer completed request traces land in.
@@ -336,7 +333,7 @@ mod tests {
     #[test]
     fn snapshot_contains_stage_histograms_and_is_sorted() {
         let r = Registry::new();
-        r.record_stage(Stage::Release, Duration::from_micros(5));
+        r.clock([]).lap(Stage::Release);
         let snaps = r.snapshot();
         assert_eq!(snaps.len(), Stage::ALL.len());
         let names: Vec<&str> = snaps.iter().map(|s| s.name()).collect();
@@ -354,27 +351,67 @@ mod tests {
     }
 
     #[test]
-    fn span_marks_feed_stage_histograms() {
+    fn clock_laps_feed_stage_histograms() {
         let r = Registry::new();
-        let mut span = r.span();
-        assert!(span.started.is_some());
-        r.span_mark(&mut span, Stage::Decode);
-        r.span_mark(&mut span, Stage::Reply);
+        let mut clock = r.clock([]);
+        assert!(clock.last.is_some());
+        let decode = clock.lap(Stage::Decode);
+        let reply = clock.lap(Stage::Reply);
         assert_eq!(r.stages[Stage::Decode.index()].count(), 1);
         assert_eq!(r.stages[Stage::Reply.index()].count(), 1);
-        assert!(span.elapsed().is_some());
+        // Consecutive laps share their boundary instant.
+        assert_eq!(decode.at.unwrap().1, reply.at.unwrap().0);
     }
 
     #[test]
-    fn disabled_registry_spans_read_no_clock() {
+    fn disabled_registry_clocks_read_no_time() {
         let r = Registry::new();
         r.set_enabled(false);
-        let mut span = r.span();
-        assert!(span.started.is_none());
-        r.span_mark(&mut span, Stage::Decode);
-        r.record_stage(Stage::Reply, Duration::from_nanos(9));
+        let mut clock = r.clock([&TraceContext::inert()]);
+        assert!(clock.last.is_none());
+        assert!(clock.lap(Stage::Decode).at.is_none());
+        let since = r.clock_since(Instant::now(), [&TraceContext::inert()]);
+        assert!(since.last.is_none());
         assert_eq!(r.stages[Stage::Decode.index()].count(), 0);
-        assert_eq!(r.stages[Stage::Reply.index()].count(), 0);
+    }
+
+    #[test]
+    fn a_laps_histogram_sample_is_each_active_traces_span() {
+        let r = Registry::new();
+        let a = r.begin_trace(TraceId(1), "a");
+        let b = r.begin_trace(TraceId(2), "b");
+        let mut clock = r.clock([&a, &b]);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        clock
+            .lap(Stage::Release)
+            .linked(Some(7))
+            .record([&a, &TraceContext::inert(), &b], "ok");
+        a.finish("ok");
+        b.finish("ok");
+        let sum = r.stages[Stage::Release.index()].summary().sum;
+        assert!(sum >= 1_000_000);
+        for id in [TraceId(1), TraceId(2)] {
+            let tree = r.trace_buffer().find(id).unwrap();
+            assert_eq!(tree.spans.len(), 1);
+            assert_eq!(tree.spans[0].duration_ns, sum);
+            assert_eq!(tree.spans[0].link, Some(7));
+        }
+    }
+
+    #[test]
+    fn an_active_trace_gets_its_span_with_the_registry_disabled() {
+        let r = Registry::new();
+        r.set_enabled(false);
+        let buf = TraceBuffer::detached(4);
+        let live = buf.begin(TraceId(3), "a");
+        let mut clock = r.clock_since(Instant::now(), [&live]);
+        clock.lap(Stage::Queue).record([&live], "drained");
+        live.finish("ok");
+        assert_eq!(r.stages[Stage::Queue.index()].count(), 0);
+        let tree = buf.find(TraceId(3)).unwrap();
+        assert_eq!(tree.spans.len(), 1);
+        assert_eq!(tree.spans[0].stage, Stage::Queue);
+        assert_eq!(tree.spans[0].outcome, "drained");
     }
 
     #[test]

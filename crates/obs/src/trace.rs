@@ -4,19 +4,21 @@
 //!
 //! A trace begins when the wire layer decodes a `Submit` frame carrying
 //! a client-assigned [`TraceId`]. The resulting [`TraceContext`] is
-//! cloned into the scheduler's waiter, the engine's release path and the
-//! store's group commit; each layer appends [`TraceSpan`] records
-//! (stage, start offset, duration, outcome). When the reply frame is
-//! flushed the context is [`finish`](TraceContext::finish)ed into a
-//! [`TraceTree`] and pushed into the registry's [`TraceBuffer`].
+//! cloned into the scheduler's waiter and the engine's release and
+//! commit paths; each stage's [`Lap`] — the same measurement its
+//! `span_stage_ns` histogram sample took — is appended as a
+//! [`TraceSpan`] (stage, start offset, duration, outcome). When the
+//! reply frame is flushed the context is
+//! [`finish`](TraceContext::finish)ed into a [`TraceTree`] and pushed
+//! into the registry's [`TraceBuffer`].
 //!
 //! Tracing obeys the same discipline as every other instrument in this
 //! crate:
 //!
-//! * **Pure side channel.** Contexts read clocks and push records but
-//!   never feed anything back into RNG derivation, charge ordering or
-//!   scheduling. With the registry disabled every context is inert and
-//!   no clock is read.
+//! * **Pure side channel.** Laps read clocks and contexts push records
+//!   but never feed anything back into RNG derivation, charge ordering
+//!   or scheduling. With the registry disabled every context is inert
+//!   and no clock is read.
 //! * **Never blocking.** Span appends and buffer pushes use `try_lock`;
 //!   a lost race drops the record instead of queueing a request thread
 //!   behind the observer.
@@ -29,7 +31,7 @@
 //! [`link`](TraceSpan::link) id (minted by [`next_link_id`]), so
 //! amplification can be read off any single trace.
 
-use crate::span::Stage;
+use crate::clock::{Lap, Stage};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -126,29 +128,6 @@ pub struct TraceContext {
     core: Option<Arc<TraceCore>>,
 }
 
-/// A started (or inert) clock for one [`TraceSpan`]. Obtain from
-/// [`TraceTimer::any`] over the contexts sharing the measured region.
-#[derive(Debug)]
-pub struct TraceTimer(Option<Instant>);
-
-impl TraceTimer {
-    /// Starts a timer if **any** of `ctxs` is active — the group form
-    /// used when one region (a shared release, a group commit) will be
-    /// recorded into several traces. Reads the clock at most once.
-    pub fn any<'a>(ctxs: impl IntoIterator<Item = &'a TraceContext>) -> Self {
-        if ctxs.into_iter().any(TraceContext::is_active) {
-            TraceTimer(Some(Instant::now()))
-        } else {
-            TraceTimer(None)
-        }
-    }
-
-    /// Whether a clock was actually started.
-    pub fn is_running(&self) -> bool {
-        self.0.is_some()
-    }
-}
-
 fn ns(d: Duration) -> u64 {
     d.as_nanos().min(u64::MAX as u128) as u64
 }
@@ -164,63 +143,19 @@ impl TraceContext {
         self.core.is_some()
     }
 
-    /// Records one span measured by `timer` (a no-op when either side
-    /// is inert). The span runs from the timer's start to now.
-    pub fn record(&self, stage: Stage, timer: &TraceTimer, outcome: &str) {
-        self.record_linked(stage, timer, outcome, None);
-    }
-
-    /// [`record`](Self::record) with a shared-release [`link`]
-    /// (`TraceSpan::link`) id.
-    ///
-    /// [`link`]: TraceSpan::link
-    pub fn record_linked(
-        &self,
-        stage: Stage,
-        timer: &TraceTimer,
-        outcome: &str,
-        link: Option<u64>,
-    ) {
-        let (Some(core), Some(t0)) = (self.core.as_deref(), timer.0) else {
+    /// Appends `lap` as one span (a no-op when either side is inert).
+    /// A lap that began before the trace did starts at offset 0.
+    pub(crate) fn push(&self, lap: &Lap, outcome: &str) {
+        let (Some(core), Some((start, end))) = (self.core.as_deref(), lap.at) else {
             return;
         };
-        let start_ns = ns(t0.saturating_duration_since(core.started));
-        let duration_ns = ns(t0.elapsed());
-        self.push_span(
-            core,
-            TraceSpan {
-                stage,
-                start_ns,
-                duration_ns,
-                outcome: outcome.to_owned(),
-                link,
-            },
-        );
-    }
-
-    /// Records a span whose duration was measured elsewhere and which
-    /// ends now (used where an existing instrument already timed the
-    /// region — e.g. queue wait measured from the waiter's submit
-    /// instant).
-    pub fn record_elapsed(&self, stage: Stage, duration: Duration, outcome: &str) {
-        let Some(core) = self.core.as_deref() else {
-            return;
+        let span = TraceSpan {
+            stage: lap.stage,
+            start_ns: ns(start.saturating_duration_since(core.started)),
+            duration_ns: ns(end - start),
+            outcome: outcome.to_owned(),
+            link: lap.link,
         };
-        let duration_ns = ns(duration);
-        let end_ns = ns(core.started.elapsed());
-        self.push_span(
-            core,
-            TraceSpan {
-                stage,
-                start_ns: end_ns.saturating_sub(duration_ns),
-                duration_ns,
-                outcome: outcome.to_owned(),
-                link: None,
-            },
-        );
-    }
-
-    fn push_span(&self, core: &TraceCore, span: TraceSpan) {
         if let Ok(mut spans) = core.spans.try_lock() {
             spans.push(span);
         }
@@ -368,18 +303,28 @@ impl TraceBuffer {
 mod tests {
     use super::*;
 
+    /// A lap of `stage` lasting `d`, starting now.
+    fn lap(stage: Stage, d: Duration) -> Lap {
+        let start = Instant::now();
+        Lap {
+            stage,
+            at: Some((start, start + d)),
+            link: None,
+        }
+    }
+
     #[test]
     fn record_and_finish_assembles_a_tree() {
         let buf = TraceBuffer::detached(4);
         let ctx = buf.begin(TraceId(7), "alice");
         assert!(ctx.is_active());
         assert_eq!(ctx.core.as_deref().map(|c| c.id), Some(TraceId(7)));
-        let t = TraceTimer::any([&ctx]);
+        lap(Stage::Decode, Duration::from_millis(1)).record([&ctx], "ok");
+        lap(Stage::Queue, Duration::from_micros(5)).record([&ctx], "drained");
+        lap(Stage::Release, Duration::from_micros(1))
+            .linked(Some(99))
+            .record([&ctx], "ok");
         std::thread::sleep(Duration::from_millis(1));
-        ctx.record(Stage::Decode, &t, "ok");
-        ctx.record_elapsed(Stage::Queue, Duration::from_micros(5), "drained");
-        let t = TraceTimer::any([&ctx]);
-        ctx.record_linked(Stage::Release, &t, "ok", Some(99));
         ctx.finish("ok");
         let traces = buf.snapshot();
         assert_eq!(traces.len(), 1);
@@ -414,24 +359,24 @@ mod tests {
         let ctx = buf.begin(TraceId(1), "a");
         assert!(!ctx.is_active());
         assert!(ctx.core.as_deref().map(|c| c.id).is_none());
-        assert!(!TraceTimer::any([&ctx]).is_running());
-        ctx.record(Stage::Decode, &TraceTimer(None), "ok");
+        lap(Stage::Decode, Duration::from_micros(1)).record([&ctx], "ok");
         ctx.finish("ok");
         assert!(buf.snapshot().is_empty());
     }
 
     #[test]
-    fn timer_any_starts_only_when_some_context_is_active() {
+    fn a_clock_runs_only_when_some_context_is_active() {
+        let obs = crate::Registry::new();
+        obs.set_enabled(false);
         let buf = TraceBuffer::detached(2);
         let inert = TraceContext::inert();
-        assert!(!TraceTimer::any([&inert, &inert]).is_running());
+        assert!(obs.clock([&inert, &inert]).last.is_none());
         let live = buf.begin(TraceId(3), "a");
-        assert!(TraceTimer::any([&inert, &live]).is_running());
-        // Recording through an inert context is a no-op even with a
-        // running group timer.
-        let t = TraceTimer::any([&live]);
-        inert.record(Stage::Release, &t, "ok");
-        live.record(Stage::Release, &t, "ok");
+        let mut clock = obs.clock([&inert, &live]);
+        assert!(clock.last.is_some());
+        // Recording into an inert context is a no-op even with a
+        // running clock.
+        clock.lap(Stage::Release).record([&inert, &live], "ok");
         live.finish("ok");
         assert_eq!(buf.snapshot()[0].spans.len(), 1);
     }
@@ -442,12 +387,12 @@ mod tests {
         let cap = buf.capacity();
         // One early outlier: a huge Release span.
         let slow = buf.begin(TraceId(1000), "slow");
-        slow.record_elapsed(Stage::Release, Duration::from_secs(5), "ok");
+        lap(Stage::Release, Duration::from_secs(5)).record([&slow], "ok");
         slow.finish("ok");
         // Then a flood of fast traces, each with a tiny Release span.
         for i in 0..(3 * cap as u64) {
             let ctx = buf.begin(TraceId(i), "fast");
-            ctx.record_elapsed(Stage::Release, Duration::from_nanos(i), "ok");
+            lap(Stage::Release, Duration::from_nanos(i)).record([&ctx], "ok");
             ctx.finish("ok");
         }
         let retained = buf.snapshot();

@@ -125,9 +125,6 @@ pub struct ReplicaConfig {
     /// The `role` field is overwritten: the replica installs itself as
     /// the [`ServerRole::Replica`] hook.
     pub net: NetConfig,
-    /// Scheduler knobs for the inner [`Server`] (reads and the driver
-    /// still run through it; replicated writes bypass its queues).
-    pub server: ServerConfig,
     /// Human-readable node name used as the `replica` label on
     /// federated scrapes and in health reports. Empty means "name me
     /// after my peer address" (resolved at [`Replica::start`]).
@@ -143,7 +140,6 @@ impl Default for ReplicaConfig {
             log_retain: 1024,
             fault_plan: None,
             net: NetConfig::default(),
-            server: ServerConfig::default(),
             name: String::new(),
         }
     }
@@ -1447,7 +1443,10 @@ impl Replica {
         let peer_listener = TcpListener::bind(peer_addr)?;
         let peer_addr = peer_listener.local_addr()?;
 
-        let server = Arc::new(Server::new(Arc::clone(&node.engine), cfg.server));
+        let server = Arc::new(Server::new(
+            Arc::clone(&node.engine),
+            ServerConfig::default(),
+        ));
         let net = NetServer::bind(
             client_addr,
             server,

@@ -23,12 +23,6 @@ pub struct ServerConfig {
     /// shows when that bound cuts an epoch short: the smaller the
     /// quantum, the finer the interleaving of analysts at the cut.
     pub quantum: u32,
-    /// Refuse at submission when the request's ε exceeds the analyst's
-    /// remaining budget ([`ServerError::BudgetExhausted`]). The charge
-    /// is still re-validated at serve time; this just keeps doomed
-    /// requests out of the queues. Disable to let zero-sensitivity
-    /// (free) requests through an exhausted ledger.
-    pub admission_control: bool,
     /// Load-shedding gate: refuse new submissions with
     /// [`ServerError::Overloaded`] once the **total** backlog (summed
     /// across every analyst queue) reaches this depth. Per-analyst
@@ -52,7 +46,6 @@ impl Default for ServerConfig {
         Self {
             queue_capacity: 128,
             quantum: 8,
-            admission_control: true,
             shed_depth: None,
             session_ttl: None,
         }
@@ -391,7 +384,10 @@ impl Server {
             .engine
             .session_remaining(analyst)
             .map_err(ServerError::Engine)?;
-        if self.config.admission_control && request.epsilon.value() > remaining {
+        // Admission: a request whose ε exceeds the analyst's remaining
+        // budget is refused here. The charge is still re-validated at
+        // serve time; this just keeps doomed requests out of the queues.
+        if request.epsilon.value() > remaining {
             self.counters.refused_admission.inc();
             return Err(ServerError::BudgetExhausted {
                 analyst: analyst.to_owned(),
@@ -452,7 +448,7 @@ impl Server {
     pub fn tick(&self) -> usize {
         // Phase 1 (under the state lock): advance time and drain the
         // epoch (`stage="schedule"`).
-        let mut span = self.obs.span();
+        let mut clock = self.obs.clock([]);
         let (drained, evict_now) = {
             let mut state = self.state.lock().expect("scheduler state poisoned");
             state.tick += 1;
@@ -468,25 +464,20 @@ impl Server {
                 self.config.session_ttl.is_some() && state.tick % EVICT_CHECK_EVERY == 1;
             (drained, evict_now)
         };
-        self.obs.span_mark(&mut span, Stage::Schedule);
-        let sched_elapsed = span.elapsed().unwrap_or_default();
+        let schedule = clock.lap(Stage::Schedule);
         self.counters.ticks.inc();
         if !drained.is_empty() {
             self.epoch_requests.record(drained.len() as u64);
         }
         for sub in &drained {
-            // Queue-wait per drained request. Reading clocks here is a
-            // side channel too.
-            if self.obs.is_enabled() {
-                self.obs
-                    .record_stage(Stage::Queue, sub.submitted_at.elapsed());
-            }
-            if sub.trace.is_active() {
-                sub.trace
-                    .record_elapsed(Stage::Queue, sub.submitted_at.elapsed(), "drained");
-                sub.trace
-                    .record_elapsed(Stage::Schedule, sched_elapsed, "drained");
-            }
+            // Queue-wait per drained request, from its submit instant.
+            // Reading clocks here is a side channel too.
+            let trace = [&sub.trace];
+            self.obs
+                .clock_since(sub.submitted_at, trace)
+                .lap(Stage::Queue)
+                .record(trace, "drained");
+            schedule.record(trace, "drained");
         }
 
         // Phase 2 (no server lock): group by coalescing key
@@ -496,12 +487,9 @@ impl Server {
         // sequentially (deterministic ledger positions) and ride one WAL group
         // commit.
         let (mut groups, dead_letters) = coalesce(drained, |r| self.engine.coalesce_key(r));
-        self.obs.span_mark(&mut span, Stage::Coalesce);
-        let coalesce_elapsed = span.elapsed().unwrap_or_default() - sched_elapsed;
-        for sub in groups.iter().flatten().filter(|s| s.trace.is_active()) {
-            sub.trace
-                .record_elapsed(Stage::Coalesce, coalesce_elapsed, "grouped");
-        }
+        clock
+            .lap(Stage::Coalesce)
+            .record(groups.iter().flatten().map(|s| &s.trace), "grouped");
         let mut resolved = 0usize;
         // Unknown policy: the ticket fails without reaching the engine.
         for (sub, e) in dead_letters {

@@ -44,7 +44,7 @@ use crate::error::StoreError;
 use crate::frame::{fnv1a, frame_into};
 use crate::record::{has_intact_frame_after, scan_frames, Record, ScanEnd};
 use crate::state::StoreState;
-use bf_obs::{Counter, Gauge, Registry, Stage, TraceContext, TraceTimer};
+use bf_obs::{Counter, Gauge, Registry};
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
@@ -718,31 +718,6 @@ impl Store {
         sync_dir(&self.dir);
         g.counters.refresh_segment_gauges(&self.dir);
         Ok(())
-    }
-
-    /// [`Store::commit`] with request-trace attribution: the whole
-    /// durability wait — group-commit queueing, the leader's write and
-    /// its fsync — is recorded as one `WalCommit` span into every
-    /// active trace in `traces`. With no active trace the clock is
-    /// never read; tracing cannot alter commit behavior either way.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Store::commit`].
-    pub fn commit_traced(
-        &self,
-        records: &[Record],
-        traces: &[&TraceContext],
-    ) -> Result<(), StoreError> {
-        let timer = TraceTimer::any(traces.iter().copied());
-        let result = self.commit(records);
-        if timer.is_running() {
-            let outcome = if result.is_ok() { "durable" } else { "failed" };
-            for t in traces {
-                t.record(Stage::WalCommit, &timer, outcome);
-            }
-        }
-        result
     }
 
     /// The ε-provenance audit API: every `Charged` and `Replied` record
@@ -1649,31 +1624,6 @@ mod tests {
         store.commit(&[Record::charged("a", "q", 0.5)]).unwrap();
         store.compact().unwrap();
         assert_eq!(archived(), 2.0);
-        drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn commit_traced_records_wal_commit_spans_for_active_traces() {
-        let dir = scratch_dir("commit-traced");
-        let store = Store::open(&dir).unwrap();
-        let buf = bf_obs::TraceBuffer::detached(4);
-        let live = buf.begin(bf_obs::TraceId(1), "a");
-        let inert = TraceContext::inert();
-        store
-            .commit_traced(&[Record::session_opened("a", 1.0)], &[&live, &inert])
-            .unwrap();
-        live.finish("ok");
-        let tree = buf.find(bf_obs::TraceId(1)).unwrap();
-        assert_eq!(tree.spans.len(), 1);
-        assert_eq!(tree.spans[0].stage, Stage::WalCommit);
-        assert_eq!(tree.spans[0].outcome, "durable");
-        // Inert traces cost nothing and record nothing — and commit
-        // semantics are identical either way.
-        store
-            .commit_traced(&[Record::charged("a", "q", 0.5)], &[&inert])
-            .unwrap();
-        assert_eq!(store.current_state().sessions["a"].spent, 0.5);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -777,3 +777,52 @@ fn a_watcher_that_never_reads_blocks_no_write_and_no_other_watcher() {
     writer.goodbye().unwrap();
     net.shutdown().unwrap();
 }
+
+/// A client that submits and never reads wedges its own connection's
+/// writer in `write_all`, and its reader stays blocked in `read`
+/// between frames. Neither may be what the next epoch waits on: the
+/// same client's later requests are still answered. (A design where
+/// the connection's threads lead epochs fails exactly this.)
+#[test]
+fn a_non_reading_clients_later_requests_are_still_served() {
+    let net = build_net(53, None, ServerConfig::default(), NetConfig::default());
+    let engine = Arc::clone(net.server().engine());
+    // 65 536 cells: each histogram answer is 512 KiB, so a few of them
+    // fill the loopback socket's buffers.
+    let wide = Domain::line(1 << 16).unwrap();
+    engine
+        .register_policy("wide", Policy::distance_threshold(wide.clone(), 1))
+        .unwrap();
+    let rows = (0..1000).map(|i| i * 61).collect();
+    engine
+        .register_dataset("wide", Dataset::from_rows(wide, rows).unwrap())
+        .unwrap();
+
+    let mut stuck = Client::connect(net.local_addr()).unwrap();
+    stuck.open_session("stuck", 100.0).unwrap();
+    let histogram = Request::histogram("wide", "wide", eps(1.0));
+    let answered = || net.server().stats().answered;
+    for _ in 0..24 {
+        stuck.submit("stuck", &histogram).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while answered() < 24 {
+        assert!(Instant::now() < deadline, "{:?}", net.server().stats());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Answered, so the writer is woken: it frames the 12 MiB and wedges
+    // in `write_all` on a client that never reads.
+    std::thread::sleep(Duration::from_millis(100));
+
+    for _ in 0..24 {
+        stuck.submit("stuck", &histogram).unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while answered() < 48 {
+        assert!(Instant::now() < deadline, "{:?}", net.server().stats());
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Closing the socket unwedges the writer.
+    drop(stuck);
+    net.shutdown().unwrap();
+}
