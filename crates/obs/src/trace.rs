@@ -241,7 +241,7 @@ impl TraceBuffer {
     }
 
     /// The hard bound on retained traces.
-    pub fn capacity(&self) -> usize {
+    fn capacity(&self) -> usize {
         (Stage::ALL.len() + 1) * self.core.exemplars
     }
 

@@ -25,8 +25,10 @@
 //!   is the only thing that has to be durable first: what executing it
 //!   books — its charge and answer, its execution mark — is staged and
 //!   reaches disk with the node's next commit, because the log can
-//!   derive it again. So a quorum write waits on two fsyncs in series
-//!   (leader append, one follower's append) and each node pays one.
+//!   derive it again. The leader ships an entry before its own append
+//!   is durable and counts itself toward the quorum only once it is, so
+//!   its fsync runs beside its followers': a quorum write waits on about
+//!   one fsync, and each node pays one.
 //! * **Deterministic replay.** Every replica applies the identical log
 //!   through the identical engine (`Engine::apply_tagged` under the
 //!   entry's idempotency key): release noise is a pure function of

@@ -21,8 +21,8 @@
 //! ## What a thread waits on
 //!
 //! Nothing here wakes up to look around. The applier, the streamers,
-//! [`Replica::promote`] and an unplaced follower wait on the node
-//! condvar; the follower and the ack readers block in `read`; the
+//! [`Replica::promote`] and a follower between sessions wait on the
+//! node condvar; the follower and the ack readers block in `read`; the
 //! listener blocks in `accept`. So every change they care about has to
 //! reach them: state changes `notify_all` under the lock, a role change,
 //! halt or shutdown also cuts the follower's uplink (`Node::cut_uplink`,
@@ -38,11 +38,14 @@
 //! carries). What the applier books when it executes the entry — the
 //! `Replied` / `Charged` frame ([`Engine::apply_tagged`]) and the
 //! `LogApplied` mark — is staged ([`Store::stage`]) and rides the
-//! node's next commit, normally the next entry's append. So a quorum
-//! write waits on two in series — leader append, one follower's append
-//! — and the cluster pays about three. Only the input has to be durable
-//! before the answer: the log replays every effect, the charge included
-//! (see [`Node::mark_applied`]).
+//! node's next commit, normally the next entry's append. The leader
+//! ships an entry before its own append is durable ([`Node::append`]),
+//! so a quorum write waits on about one fsync, not two in series, and
+//! the cluster pays about three; the leader counts itself toward the
+//! quorum, and applies, only up to its durable index (Ongaro, "Consensus:
+//! Bridging Theory and Practice", §10.2.1). Only the input has to be
+//! durable before the answer: the log replays every effect, the charge
+//! included (see [`Node::mark_applied`]).
 
 use bf_chaos::{ReplicaFault, ReplicaPlan};
 use bf_core::Epsilon;
@@ -60,7 +63,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -121,8 +124,8 @@ pub struct ReplicaConfig {
     /// kills this node exactly as [`Replica::kill`] would — mid-burst
     /// leader loss at a scripted log index.
     pub fault_plan: Option<Arc<ReplicaPlan>>,
-    /// Client-port networking knobs (acceptors, windows, tick cadence).
-    /// The `role` field is overwritten: the replica installs itself as
+    /// Client-port networking knobs (acceptors, windows, SLOs). The
+    /// `role` field is overwritten: the replica installs itself as
     /// the [`ServerRole::Replica`] hook.
     pub net: NetConfig,
     /// Human-readable node name used as the `replica` label on
@@ -213,7 +216,7 @@ pub struct ReplicaStatus {
     pub dead: bool,
     /// Current sequencing epoch.
     pub epoch: u64,
-    /// Durable log high-water mark (largest index in this node's WAL).
+    /// Durable log high-water mark (largest index fsync-durable here).
     pub log_index: u64,
     /// Largest index known durable on a quorum.
     pub commit_index: u64,
@@ -252,6 +255,9 @@ struct NodeState {
     /// epoch any entry carries. Sent in `LogCatchup` for the leader's
     /// log-matching check; survives eviction of the entry itself.
     last_epoch: u64,
+    /// Largest index whose `Replicated` record is fsync-durable here, at
+    /// most [`NodeState::high_water`]. Nothing above it is applied.
+    durable: u64,
     commit_index: u64,
     applied: u64,
     /// Client-facing address of the current leader ("" when unknown).
@@ -273,7 +279,7 @@ struct NodeState {
 }
 
 impl NodeState {
-    /// Largest durable log index (0 when the log is empty).
+    /// Largest log index, durable or in its fsync (0 when the log is empty).
     fn high_water(&self) -> u64 {
         self.log_start + self.log.len() as u64 - 1
     }
@@ -392,6 +398,7 @@ impl Node {
                 role: Role::Follower,
                 epoch: snap.log_epoch,
                 log_start: snap.log_applied + 1,
+                durable: snap.log_applied + log.len() as u64,
                 log,
                 last_epoch,
                 commit_index: snap.log_applied,
@@ -423,7 +430,7 @@ impl Node {
     }
 
     fn update_gauges(&self, st: &NodeState) {
-        self.g_log_index.set(st.high_water() as f64);
+        self.g_log_index.set(st.durable as f64);
     }
 
     /// Re-derives the log-index gauge from the live [`NodeState`].
@@ -466,14 +473,14 @@ impl Node {
     }
 
     /// Leader-side commit rule: the quorum-th largest durable high-water
-    /// mark among {self} ∪ followers. With fewer acking members than the
-    /// quorum nothing commits — never "commit with whoever showed up".
+    /// mark among {`durable`} ∪ followers. With fewer acking members than
+    /// the quorum nothing commits — never "commit with whoever showed up".
     fn recompute_commit(&self, st: &mut NodeState) {
         if st.role != Role::Leader || self.dead.load(Ordering::SeqCst) {
             return;
         }
         let mut highs: Vec<u64> = st.follower_acks.values().copied().collect();
-        highs.push(st.high_water());
+        highs.push(st.durable);
         highs.sort_unstable_by(|a, b| b.cmp(a));
         if highs.len() < self.quorum {
             return;
@@ -533,6 +540,7 @@ impl Node {
         // keep >= commit >= applied >= log_start - 1, and eviction keeps
         // log_start <= applied, so the surviving log is non-empty.
         st.log.truncate((keep + 1 - st.log_start) as usize);
+        st.durable = keep; // the commit covered everything staged
         st.last_epoch = st.entry_at(keep).map_or(st.last_epoch, |e| e.epoch);
         st.waiters.retain(|&i, _| i <= keep);
         self.update_gauges(st);
@@ -559,8 +567,8 @@ impl Node {
         }
     }
 
-    /// Sequences one operation: stamp `(epoch, index)`, make it durable
-    /// locally, park the waiter, and let the quorum rule ack it.
+    /// Sequences one operation: stamp `(epoch, index)`, park the waiter,
+    /// append the entry, and let the quorum rule ack it.
     fn sequence(
         &self,
         analyst: &str,
@@ -601,21 +609,44 @@ impl Node {
             request_id,
             op,
         };
-        self.store
-            .commit(&[logged(&entry)])
-            .map_err(|e| WireError::Other(format!("log append failed: {e}")))?;
         st.waiters.entry(index).or_default().push(waiter);
-        st.last_epoch = entry.epoch;
-        st.log.push(entry);
+        self.append(st, vec![entry])
+            .map(drop)
+            .map_err(|e| WireError::Other(format!("log append failed: {e}")))
+    }
+
+    /// Appends `entries`, the leader's one or a follower's frame. Their
+    /// records are staged under the lock, so the WAL is in log order and
+    /// concurrent appends share one fsync, and `st.log` — the shippers'
+    /// source — takes them at once. Returns the lock, `durable` raised,
+    /// once the fsync is in; or the store's error, the node halted.
+    fn append<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, NodeState>,
+        entries: Vec<WireLogEntry>,
+    ) -> Result<MutexGuard<'a, NodeState>, StoreError> {
+        let Some(&WireLogEntry { index, epoch, .. }) = entries.last() else {
+            return Ok(st);
+        };
+        let records: Vec<Record> = entries.iter().map(logged).collect();
+        let mut synced = self.store.stage(&records);
+        if synced.is_ok() {
+            st.log.extend(entries);
+            st.last_epoch = epoch;
+            self.cv.notify_all();
+            drop(st);
+            synced = self.store.commit(&[]);
+            st = self.state.lock().unwrap();
+        }
+        if let Err(e) = synced {
+            self.halt(&mut st);
+            return Err(e);
+        }
+        st.durable = st.durable.max(index);
         self.update_gauges(&st);
         self.recompute_commit(&mut st);
         self.cv.notify_all();
-        Ok(())
-    }
-
-    /// Drops every parked waiter (their clients read `ShutDown`).
-    fn drop_waiters(&self, st: &mut NodeState) {
-        st.waiters.clear();
+        Ok(st)
     }
 
     /// Kills the node: every future write refuses `NotLeader`, every
@@ -625,7 +656,7 @@ impl Node {
     fn kill(&self) {
         let mut st = self.state.lock().unwrap();
         self.halt(&mut st);
-        self.drop_waiters(&mut st);
+        st.waiters.clear();
         self.publish_role("dead", st.epoch);
         self.update_gauges(&st);
     }
@@ -641,11 +672,13 @@ impl Node {
                 return;
             }
             if self.dead.load(Ordering::SeqCst) {
-                self.drop_waiters(&mut st);
+                st.waiters.clear();
                 st = self.cv.wait(st).unwrap();
                 continue;
             }
-            let frontier = st.commit_index.min(st.high_water());
+            // At quorum 2 of 3 the followers can commit an entry before
+            // this node's own append of it is durable.
+            let frontier = st.commit_index.min(st.durable);
             if st.applied >= frontier {
                 st = self.cv.wait(st).unwrap();
                 continue;
@@ -812,7 +845,7 @@ impl Node {
                     ServerMessage::PeerStatusReport {
                         id,
                         epoch: st.epoch,
-                        high_water: st.high_water(),
+                        high_water: st.durable,
                         applied: st.applied,
                     }
                 };
@@ -898,7 +931,7 @@ impl Node {
         {
             let mut st = self.state.lock().unwrap();
             // from_index <= high_water + 1 was just checked, so this
-            // records at most our own durable mark as the follower's.
+            // records at most our own log's end as the follower's.
             let ack = (send_next - 1).min(st.high_water());
             st.follower_acks.insert(conn_id, ack);
             self.recompute_commit(&mut st);
@@ -990,7 +1023,7 @@ impl Node {
                 self.step_down(&mut st, epoch);
                 return;
             }
-            // Clamp to our own durable mark: an ack above it covers
+            // Clamp to our own log's end: an ack above it covers
             // entries we never sequenced and must not count toward any
             // quorum.
             let hw = st.high_water();
@@ -1042,6 +1075,11 @@ impl Node {
         };
         let catchup = {
             let mut st = self.state.lock().unwrap();
+            // The catchup claims the log durable, and no truncation may
+            // overtake an append: a deposed leader's appends finish first.
+            while st.durable < st.high_water() && st.generation == generation {
+                st = self.cv.wait(st).unwrap();
+            }
             if st.generation != generation {
                 return;
             }
@@ -1091,7 +1129,7 @@ impl Node {
                         st.epoch = st.epoch.max(epoch);
                         // Check the whole frame against the local log
                         // first; what it adds is appended below in one
-                        // commit.
+                        // fsync, which the ack then vouches for.
                         let mut fresh: Vec<WireLogEntry> = Vec::new();
                         for e in entries {
                             let next = st.next_index() + fresh.len() as u64;
@@ -1119,21 +1157,11 @@ impl Node {
                             }
                             fresh.push(e);
                         }
-                        if let Some(last) = fresh.last() {
-                            // Durable-first: the WAL append is what an
-                            // ack means — one fsync for the frame.
-                            let records: Vec<Record> = fresh.iter().map(logged).collect();
-                            if self.store.commit(&records).is_err() {
-                                self.halt(&mut st);
-                                return None;
-                            }
-                            st.last_epoch = last.epoch;
-                            st.log.append(&mut fresh);
-                        }
-                        st.commit_index = st.commit_index.max(commit_index.min(st.high_water()));
-                        self.update_gauges(&st);
+                        let last = fresh.last().map_or(st.high_water(), |e| e.index);
+                        st.commit_index = st.commit_index.max(commit_index.min(last));
                         self.cv.notify_all();
-                        (st.epoch, st.high_water())
+                        let st = self.append(st, fresh).ok()?;
+                        (st.epoch, st.durable)
                     };
                     let ack = ClientMessage::ReplicateAck {
                         id: 0,
@@ -1333,7 +1361,7 @@ impl ReplicaHook for Node {
                 role.to_string(),
                 st.epoch,
                 st.applied,
-                st.high_water(),
+                st.durable,
                 st.commit_index.saturating_sub(st.applied),
             )
         };
@@ -1427,9 +1455,9 @@ impl Replica {
         )
     }
 
-    /// [`Replica::start`] on a store the caller opened (tests open one
-    /// with a fault plan).
-    fn start_on(
+    /// [`Replica::start`] on a store the caller opened (with a fault
+    /// plan, say), failing as that does once the store is open.
+    pub fn start_on(
         store: Arc<Store>,
         client_addr: impl ToSocketAddrs,
         peer_addr: impl ToSocketAddrs,
@@ -1566,7 +1594,7 @@ impl Replica {
         st.epoch += 1;
         st.follow_target = None;
         self.node.cut_uplink(&mut st);
-        st.commit_index = st.high_water();
+        st.commit_index = st.commit_index.max(st.durable);
         self.node.cv.notify_all();
         while st.applied < st.commit_index
             && !self.node.closing.load(Ordering::SeqCst)
@@ -1594,7 +1622,7 @@ impl Replica {
     /// of this node's; promote that peer instead (this node is left
     /// untouched, still a follower).
     pub fn promote_over(&self, peers: &[SocketAddr]) -> Result<(), ReplicaError> {
-        let local = self.node.state.lock().unwrap().high_water();
+        let local = self.node.state.lock().unwrap().durable;
         for &peer in peers {
             if let Some((_, high_water, _)) = self.node.probe_peer(peer) {
                 if high_water > local {
@@ -1623,7 +1651,7 @@ impl Replica {
             leader: st.role == Role::Leader && !self.node.dead.load(Ordering::SeqCst),
             dead: self.node.dead.load(Ordering::SeqCst),
             epoch: st.epoch,
-            log_index: st.high_water(),
+            log_index: st.durable,
             commit_index: st.commit_index,
             applied: st.applied,
         }
@@ -1642,7 +1670,7 @@ impl Replica {
             // Parked clients read `ShutDown`: the applier that would
             // have answered them is about to be joined.
             let mut st = self.node.state.lock().unwrap();
-            self.node.drop_waiters(&mut st);
+            st.waiters.clear();
             self.node.cut_uplink(&mut st);
             self.node.cv.notify_all();
         }
@@ -1934,7 +1962,11 @@ mod tests {
             },
         };
         b.node.store.commit(&[logged(&orphan)]).unwrap();
-        b.node.state.lock().unwrap().log.push(orphan);
+        {
+            let mut st = b.node.state.lock().unwrap();
+            st.log.push(orphan);
+            st.durable = 3;
+        }
         assert_eq!(b.status().log_index, 3);
 
         c.promote();
@@ -2275,7 +2307,8 @@ mod tests {
             }
         }
 
-        /// Ships entries `(index, epoch)` in one frame.
+        /// Ships entries `(index, epoch)` in one frame, each opening a
+        /// session `n{index}`.
         fn ship(&mut self, epoch: u64, commit_index: u64, entries: &[(u64, u64)]) {
             let entries = entries
                 .iter()
@@ -2289,6 +2322,10 @@ mod tests {
                     },
                 })
                 .collect();
+            self.send(epoch, commit_index, entries);
+        }
+
+        fn send(&mut self, epoch: u64, commit_index: u64, entries: Vec<WireLogEntry>) {
             let frame = ServerMessage::Replicate {
                 id: 2,
                 epoch,
@@ -2585,14 +2622,7 @@ mod tests {
     /// next commit.
     #[test]
     fn a_replicated_write_is_acknowledged_after_its_one_sync() {
-        use bf_chaos::{StoreFault, StorePlan};
-        use bf_store::StoreConfig;
-        let slow = StorePlan::every_kth(1, StoreFault::DelaySyncMicros(100_000));
-        let config = StoreConfig {
-            fault_plan: Some(Arc::new(slow)),
-            ..StoreConfig::default()
-        };
-        let store = Arc::new(Store::open_with(scratch_dir("replica-ack-order"), config).unwrap());
+        let store = slow_store("replica-ack-order", 100_000);
         let r = Replica::start_on(
             Arc::clone(&store),
             "127.0.0.1:0",
@@ -2652,6 +2682,140 @@ mod tests {
         );
         client.goodbye().unwrap();
         r.shutdown().unwrap();
+    }
+
+    /// A store whose every fsync first sleeps `micros`.
+    fn slow_store(tag: &str, micros: u64) -> Arc<Store> {
+        use bf_chaos::{StoreFault, StorePlan};
+        let slow = StorePlan::every_kth(1, StoreFault::DelaySyncMicros(micros));
+        let config = bf_store::StoreConfig {
+            fault_plan: Some(Arc::new(slow)),
+            ..bf_store::StoreConfig::default()
+        };
+        Arc::new(Store::open_with(scratch_dir(tag), config).unwrap())
+    }
+
+    /// Spins until `done` holds of the node's state (5 s at most).
+    fn await_state(r: &Replica, done: impl Fn(&NodeState) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(&r.node.state.lock().unwrap()) {
+            assert!(Instant::now() < deadline, "state never arrived");
+            std::thread::sleep(POLL);
+        }
+    }
+
+    /// The leader ships an entry before its own append is durable, and
+    /// counts itself toward the quorum — and answers — only once it is.
+    #[test]
+    fn a_leader_ships_before_its_own_sync_and_answers_after_it() {
+        let cfg = ReplicaConfig {
+            quorum: 2,
+            ..ReplicaConfig::default()
+        };
+        let leader = Replica::start_on(
+            slow_store("replica-ship-first", 200_000),
+            "127.0.0.1:0",
+            "127.0.0.1:0",
+            cfg,
+            setup,
+        )
+        .unwrap();
+        leader.lead();
+        // This test is the follower: subscribed from the first index.
+        let mut link = dial(leader.peer_addr()).unwrap();
+        let mut buf = FrameBuf::new();
+        let catchup = ClientMessage::LogCatchup {
+            id: 2,
+            epoch: 0,
+            from_index: 1,
+            last_epoch: 0,
+        };
+        greet(&mut link, &mut buf, &mut Vec::new(), &catchup).unwrap();
+        link.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let before = syncs(&leader);
+
+        let node = Arc::clone(&leader.node);
+        let opened = std::thread::spawn(move || node.sequence_open("a", 2.0f64.to_bits()));
+        // The first frame may only carry the commit index.
+        let entries = loop {
+            match read_frame(&mut link, &mut buf, ServerMessage::decode) {
+                Some(ServerMessage::Replicate { entries, .. }) if entries.is_empty() => {}
+                Some(ServerMessage::Replicate { entries, .. }) => break entries,
+                other => panic!("the entry is shipped, got {other:?}"),
+            }
+        };
+        assert_eq!(entries.len(), 1);
+        assert_eq!(entries[0].index, 1);
+        assert_eq!(syncs(&leader), before, "shipped before the leader's sync");
+
+        // The follower's ack alone does not commit: the leader counts
+        // itself at its durable index, still 0.
+        let ack = ClientMessage::ReplicateAck {
+            id: 0,
+            epoch: 0,
+            index: 1,
+        };
+        write_frame(&mut link, &mut Vec::new(), |o| ack.encode_into(o)).unwrap();
+        await_state(&leader, |st| st.follower_acks.values().any(|&a| a == 1));
+        {
+            let st = leader.node.state.lock().unwrap();
+            assert_eq!(syncs(&leader), before, "the sync is still in its delay");
+            assert_eq!((st.durable, st.commit_index, st.applied), (0, 0, 0));
+            assert!(!opened.is_finished(), "answered before the leader's sync");
+        }
+        assert_eq!(opened.join().unwrap(), Ok(2.0));
+        assert!(syncs(&leader) > before);
+        let status = leader.status();
+        assert_eq!((status.log_index, status.applied), (1, 1));
+        drop(link);
+        leader.shutdown().unwrap();
+    }
+
+    /// A follower applies nothing of a frame — even one whose commit
+    /// index covers its own entries — before the frame's fsync returns,
+    /// and acks the index that fsync made durable.
+    #[test]
+    fn a_follower_applies_and_acks_a_frame_only_after_its_sync() {
+        let follower = Replica::start_on(
+            slow_store("replica-apply-durable", 200_000),
+            "127.0.0.1:0",
+            "127.0.0.1:0",
+            ReplicaConfig::default(),
+            setup,
+        )
+        .unwrap();
+        let (follower, _listener, mut link) = script_leader_for(follower);
+        link.ship(0, 1, &[(1, 0)]);
+        assert_eq!(link.ack(), Some(1));
+        drain_to(&follower, 1);
+        let before = syncs(&follower);
+
+        // A write for `n1` that the applier would only stage, in a frame
+        // that commits it.
+        let request = Request::range("pol", "ds", eps(0.5), 0, 8);
+        let write = WireLogEntry {
+            epoch: 0,
+            index: 2,
+            analyst: "n1".into(),
+            request_id: 7,
+            op: WireLogOp::Submit {
+                request: bf_net::proto::WireRequest::from_request(&request),
+            },
+        };
+        link.send(0, 2, vec![write]);
+        await_state(&follower, |st| st.high_water() == 2);
+        let window = Instant::now() + Duration::from_millis(20);
+        while Instant::now() < window {
+            let st = follower.node.state.lock().unwrap();
+            assert_eq!((st.durable, st.commit_index, st.applied), (1, 2, 1));
+            drop(st);
+            std::thread::sleep(POLL);
+        }
+        assert_eq!(syncs(&follower), before, "the sync is still in its delay");
+        assert_eq!(link.ack(), Some(2));
+        assert_eq!(syncs(&follower), before + 1);
+        drain_to(&follower, 2);
+        follower.shutdown().unwrap();
     }
 
     /// Starts a named 3-replica cluster (alpha leading, beta and gamma

@@ -180,7 +180,7 @@ struct Inner {
     state: StoreState,
     /// Encoded frames appended but not yet written + fsynced.
     pending: Vec<u8>,
-    /// Sequence number the next `commit` call will take.
+    /// Sequence number the next non-empty `commit` or `stage` takes.
     next_seq: u64,
     /// Highest sequence number known durable.
     durable_seq: u64,
@@ -202,6 +202,7 @@ impl Inner {
             self.state.apply(r);
             frame_into(&mut self.pending, |out| r.put(out));
         }
+        self.next_seq += u64::from(!records.is_empty());
         self.counters.appended.add(records.len() as u64);
         Ok(())
     }
@@ -513,20 +514,19 @@ impl Store {
     /// the sense that they are applied to the mirror and written in call
     /// order; a crash can cut the suffix but never reorder.
     ///
+    /// An empty `records` waits for everything staged so far
+    /// ([`Store::stage`]), at no fsync if it is durable already.
+    ///
     /// # Errors
     ///
     /// [`StoreError::Poisoned`] after any earlier write failure (the
     /// store stops acknowledging rather than risk acknowledging an
     /// un-durable charge); [`StoreError::Io`] for the failure itself.
     pub fn commit(&self, records: &[Record]) -> Result<(), StoreError> {
-        if records.is_empty() {
-            return Ok(());
-        }
         let mut g = self.inner.lock().expect("store lock poisoned");
         g.append(records)?;
         g.counters.commits.inc();
-        let my_seq = g.next_seq;
-        g.next_seq += 1;
+        let my_seq = g.next_seq - 1;
 
         loop {
             if g.durable_seq >= my_seq {
@@ -572,16 +572,17 @@ impl Store {
     /// [`Store::compact`] — in call order like everything else. A crash
     /// before then loses them, always as a suffix of the WAL.
     ///
-    /// Only for a record whose loss recovery repairs by itself: an
-    /// effect of a log entry whose input — its `Replicated` record — is
-    /// already durable. That is `bf-replica`'s `LogApplied` mark and the
-    /// `Replied` / `Charged` frames its applier books through
-    /// `Engine::apply_tagged`. A crash that loses them loses the mark
-    /// with them or after them, so recovery finds the entry pending and
-    /// runs it again: from the reply cache at zero ε if its `Replied`
-    /// survived, otherwise at the payer's same ledger position, which
-    /// draws the same noise and books the same charge. Nothing staged
-    /// may be acknowledged to anyone as durable.
+    /// Nothing staged may be acknowledged as durable, save once a later
+    /// `commit(&[])` returns: so `bf-replica` appends a log entry's
+    /// `Replicated` record, staged in log order and awaited. Otherwise
+    /// only for a record whose loss recovery repairs by itself: an
+    /// effect of a log entry whose input is already durable, that is the
+    /// `LogApplied` mark and the `Replied` / `Charged` frames the applier
+    /// books through `Engine::apply_tagged`. A crash that loses them
+    /// loses the mark with them or after them, so recovery finds the
+    /// entry pending and runs it again: from the reply cache at zero ε
+    /// if its `Replied` survived, otherwise at the payer's same ledger
+    /// position, which draws the same noise and books the same charge.
     ///
     /// # Errors
     ///
@@ -1339,6 +1340,32 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.recovered_state().log_applied, 2);
         assert_eq!(store.recovered_state().log_pending.len(), 1);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `commit(&[])` is the wait half of an append staged earlier: one
+    /// fsync for everything staged so far, none when nothing is.
+    #[test]
+    fn an_empty_commit_makes_what_was_staged_durable_and_nothing_else_syncs() {
+        let dir = scratch_dir("stage-await");
+        let store = Store::open(&dir).unwrap();
+        store.commit(&[]).unwrap();
+        assert_eq!(store.stats().syncs, 0, "nothing staged, nothing synced");
+        store.stage(&[Record::session_opened("a", 1.0)]).unwrap();
+        store.stage(&[Record::LogApplied { index: 1 }]).unwrap();
+        assert!(records_on_disk(&dir).is_empty());
+        store.commit(&[]).unwrap();
+        assert_eq!(store.stats().syncs, 1);
+        assert_eq!(
+            records_on_disk(&dir),
+            [
+                Record::session_opened("a", 1.0),
+                Record::LogApplied { index: 1 }
+            ]
+        );
+        store.commit(&[]).unwrap();
+        assert_eq!(store.stats().syncs, 1, "already durable");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -762,3 +762,97 @@ fn a_crash_after_every_acknowledged_write_replays_to_the_live_state() {
     f1.shutdown().unwrap();
     leader.shutdown().unwrap();
 }
+
+/// An entry two followers acknowledged survives the leader's crash
+/// before the leader's own append of it is durable. The leader ships an
+/// entry before its fsync and, at quorum 2 of 3, the followers commit it
+/// alone; the leader applies nothing past its durable index. A crash
+/// image taken then lacks the entry, so it must not lead from that log.
+/// It follows the follower that holds the entry instead, and replays to
+/// the same state, and the entry's request id answers with the
+/// followers' bytes at zero ε.
+#[test]
+fn an_entry_two_followers_hold_survives_the_leaders_crash_before_its_append() {
+    use blowfish::chaos::{StoreFault, StorePlan};
+    use blowfish::replica::ReplicaError;
+    let seed = 89;
+    // Every one of the leader's fsyncs first sleeps 400 ms.
+    let slow = StorePlan::every_kth(1, StoreFault::DelaySyncMicros(400_000));
+    let config = StoreConfig {
+        fault_plan: Some(Arc::new(slow)),
+        ..StoreConfig::default()
+    };
+    let store = Store::open_with(scratch_dir("ahead-l"), config).unwrap();
+    let cfg = ReplicaConfig {
+        seed,
+        quorum: 2,
+        ..ReplicaConfig::default()
+    };
+    let leader =
+        Replica::start_on(Arc::new(store), "127.0.0.1:0", "127.0.0.1:0", cfg, setup).unwrap();
+    let f1 = spawn("ahead-f1", seed, 2, None);
+    let f2 = spawn("ahead-f2", seed, 2, None);
+    leader.lead();
+    let hint = leader.client_addr().to_string();
+    f1.follow(leader.peer_addr(), &hint);
+    f2.follow(leader.peer_addr(), &hint);
+    let mut client = Client::connect(leader.client_addr()).unwrap();
+    client.open_session("alice", 4.0).unwrap(); // entry 1
+    call(&mut client, "alice", 1).unwrap(); // 2
+
+    // Entry 3: its client waits on the leader's delayed fsync.
+    let writer = std::thread::spawn(move || {
+        let outcome = call(&mut client, "alice", 2);
+        (client, outcome)
+    });
+    await_applied(&f1, 3);
+    await_applied(&f2, 3);
+    let status = leader.status();
+    assert_eq!(
+        (status.log_index, status.applied),
+        (2, 2),
+        "entry 3 is not durable here"
+    );
+    let image = crash_image(&leader, "ahead-l-image");
+    leader.kill();
+    let (client, _) = writer.join().unwrap();
+    drop(client);
+
+    let crashed = restart(&image, seed, 2);
+    assert_eq!(crashed.status().log_index, 2, "the image lacks entry 3");
+    match crashed.promote_over(&[f1.peer_addr(), f2.peer_addr()]) {
+        Err(ReplicaError::Behind {
+            peer_high_water: 3,
+            local_high_water: 2,
+            ..
+        }) => {}
+        other => panic!("the short log must not lead: {other:?}"),
+    }
+    assert!(!crashed.status().leader);
+
+    f1.promote_over(&[f2.peer_addr(), crashed.peer_addr(), leader.peer_addr()])
+        .unwrap();
+    let hint = f1.client_addr().to_string();
+    f2.follow(f1.peer_addr(), &hint);
+    crashed.follow(f1.peer_addr(), &hint);
+    await_applied(&crashed, 3);
+    assert_eq!(state(&crashed).digest(), state(&f1).digest());
+    assert_eq!(ledger_sig(&crashed, "alice"), ledger_sig(&f1, "alice"));
+
+    // Entry 3's request id replays the bytes the followers booked.
+    let booked = state(&f2).cached_reply("alice", 2).unwrap().payload.clone();
+    let spent = spent_bits(&f1, "alice");
+    let mut retry = Client::connect(f1.client_addr()).unwrap();
+    retry.open_session("alice", 4.0).unwrap();
+    assert_eq!(call(&mut retry, "alice", 2).unwrap().to_bytes(), booked);
+    assert_eq!(spent_bits(&f1, "alice"), spent, "the replay charged ε");
+    let head = f1.status().applied;
+    await_applied(&crashed, head);
+    assert_eq!(state(&crashed).digest(), state(&f1).digest());
+
+    retry.goodbye().unwrap();
+    crashed.shutdown().unwrap();
+    f2.shutdown().unwrap();
+    f1.shutdown().unwrap();
+    leader.shutdown().unwrap();
+}
