@@ -146,7 +146,12 @@ mod tests {
     }
 
     fn engine_with_line_policy(size: usize, theta: u64) -> Engine {
-        let engine = Engine::with_seed(42);
+        with_line_policy(Engine::with_seed(42), size, theta)
+    }
+
+    /// Registers `pol`, θ-distance on a line of `size` cells, and `ds`,
+    /// ten rows a cell, on `engine`.
+    fn with_line_policy(engine: Engine, size: usize, theta: u64) -> Engine {
         let domain = Domain::line(size).unwrap();
         engine
             .register_policy("pol", Policy::distance_threshold(domain.clone(), theta))
@@ -156,40 +161,6 @@ mod tests {
             .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
             .unwrap();
         engine
-    }
-
-    #[test]
-    fn serves_every_request_kind() {
-        let engine = engine_with_line_policy(32, 2);
-        engine.open_session("alice", eps(10.0)).unwrap();
-        let e = eps(0.5);
-
-        let h = engine
-            .serve("alice", &Request::histogram("pol", "ds", e))
-            .unwrap();
-        assert_eq!(h.vector().unwrap().len(), 32);
-
-        let c = engine
-            .serve("alice", &Request::cumulative_histogram("pol", "ds", e))
-            .unwrap();
-        let prefixes = c.vector().unwrap();
-        assert_eq!(prefixes.len(), 32);
-        assert!(prefixes.windows(2).all(|w| w[0] <= w[1] + 1e-9));
-
-        let r = engine
-            .serve("alice", &Request::range("pol", "ds", e, 4, 20))
-            .unwrap();
-        assert!(r.scalar().unwrap().is_finite());
-
-        let w: Vec<f64> = (0..32).map(|i| i as f64).collect();
-        let l = engine
-            .serve("alice", &Request::linear("pol", "ds", e, w))
-            .unwrap();
-        assert!(l.scalar().unwrap().is_finite());
-
-        let snap = engine.session_snapshot("alice").unwrap();
-        assert_eq!(snap.served(), 4);
-        assert!((snap.spent() - 2.0).abs() < 1e-12);
     }
 
     /// One violating request per row of the admissible-value table, each
@@ -342,40 +313,6 @@ mod tests {
     }
 
     #[test]
-    fn repeated_requests_hit_the_cache() {
-        let engine = engine_with_line_policy(64, 3);
-        engine.open_session("alice", eps(100.0)).unwrap();
-        for _ in 0..5 {
-            engine
-                .serve("alice", &Request::range("pol", "ds", eps(0.1), 10, 30))
-                .unwrap();
-        }
-        let stats = engine.cache_stats();
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 4);
-    }
-
-    #[test]
-    fn budget_refusal_blocks_execution_and_preserves_ledger() {
-        let engine = engine_with_line_policy(16, 1);
-        engine.open_session("alice", eps(0.3)).unwrap();
-        engine
-            .serve("alice", &Request::histogram("pol", "ds", eps(0.2)))
-            .unwrap();
-        let err = engine
-            .serve("alice", &Request::histogram("pol", "ds", eps(0.2)))
-            .unwrap_err();
-        assert!(matches!(err, EngineError::BudgetRefused { .. }));
-        let snap = engine.session_snapshot("alice").unwrap();
-        assert!((snap.remaining() - 0.1).abs() < 1e-12);
-        assert_eq!(snap.refused(), 1);
-        // A smaller request still fits.
-        engine
-            .serve("alice", &Request::histogram("pol", "ds", eps(0.1)))
-            .unwrap();
-    }
-
-    #[test]
     fn sessions_are_isolated_per_analyst() {
         let engine = engine_with_line_policy(16, 1);
         engine.open_session("alice", eps(1.0)).unwrap();
@@ -426,73 +363,12 @@ mod tests {
         let engine = engine_with_line_policy(8, 1);
         engine.open_session("alice", eps(1.0)).unwrap();
         assert!(matches!(
-            engine.serve("alice", &Request::histogram("nope", "ds", eps(0.1))),
-            Err(EngineError::UnknownPolicy(_))
-        ));
-        assert!(matches!(
             engine.serve("alice", &Request::histogram("pol", "nope", eps(0.1))),
             Err(EngineError::UnknownDataset(_))
         ));
-        assert!(matches!(
-            engine.serve("mallory", &Request::histogram("pol", "ds", eps(0.1))),
-            Err(EngineError::UnknownAnalyst(_))
-        ));
-        assert!(matches!(
-            engine.serve("alice", &Request::range("pol", "ds", eps(0.1), 5, 99)),
-            Err(EngineError::InvalidRequest(_))
-        ));
-        assert!(matches!(
-            engine.register_policy(
-                "pol",
-                Policy::differential_privacy(Domain::line(2).unwrap())
-            ),
-            Err(EngineError::DuplicateName(_))
-        ));
-    }
-
-    #[test]
-    fn batch_answers_ranges_from_one_release() {
-        let engine = engine_with_line_policy(128, 2);
-        engine.open_session("alice", eps(1.0)).unwrap();
-        let e = eps(0.4);
-        let reqs: Vec<Request> = (0..8)
-            .map(|i| Request::range("pol", "ds", e, i * 10, i * 10 + 9))
-            .chain(std::iter::once(Request::histogram("pol", "ds", eps(0.2))))
-            .collect();
-        let answers = engine.serve_batch("alice", &reqs);
-        assert_eq!(answers.len(), 9);
-        for a in &answers[..8] {
-            assert!(a.as_ref().unwrap().scalar().unwrap().is_finite());
-        }
-        assert_eq!(answers[8].as_ref().unwrap().vector().unwrap().len(), 128);
-        // 8 ranges cost ONE ε=0.4 spend (plus 0.2 for the histogram) —
-        // not 8 × 0.4, which would blow the ε=1.0 budget.
-        let snap = engine.session_snapshot("alice").unwrap();
-        assert!((snap.spent() - 0.6).abs() < 1e-12, "spent {}", snap.spent());
-        assert!(snap
-            .ledger()
-            .iter()
-            .any(|(label, e)| label.starts_with("batch:8xrange") && (*e - 0.4).abs() < 1e-12));
-    }
-
-    #[test]
-    fn invalid_batch_member_fails_alone() {
-        let engine = engine_with_line_policy(64, 1);
-        engine.open_session("alice", eps(1.0)).unwrap();
-        let e = eps(0.2);
-        let mut reqs: Vec<Request> = (0..3)
-            .map(|i| Request::range("pol", "ds", e, i * 4, i * 4 + 3))
-            .collect();
-        reqs.push(Request::range("pol", "ds", e, 0, 999));
-        let out = engine.serve_batch("alice", &reqs);
-        for a in &out[..3] {
-            assert!(a.as_ref().unwrap().scalar().unwrap().is_finite());
-        }
-        assert!(matches!(out[3], Err(EngineError::InvalidRequest(_))));
-        // The valid siblings cost one group spend; the invalid one spent
-        // nothing.
-        let snap = engine.session_snapshot("alice").unwrap();
-        assert!((snap.spent() - 0.2).abs() < 1e-12);
+        let dp = Policy::differential_privacy(Domain::line(2).unwrap());
+        let duplicate = engine.register_policy("pol", dp);
+        assert!(matches!(duplicate, Err(EngineError::DuplicateName(_))));
     }
 
     #[test]
@@ -610,75 +486,10 @@ mod tests {
         assert!((snap.spent() - 1.5).abs() < 1e-12);
     }
 
-    #[test]
-    fn coalesced_serving_shares_one_release_across_analysts() {
-        let engine = engine_with_line_policy(64, 2);
-        let analysts: Vec<String> = (0..5).map(|i| format!("analyst-{i}")).collect();
-        for a in &analysts {
-            engine.open_session(a, eps(1.0)).unwrap();
-        }
-        let req = Request::range("pol", "ds", eps(0.3), 10, 30);
-        let names: Vec<&str> = analysts.iter().map(String::as_str).collect();
-        let out = serve_groups(&engine, &[group(&names, &req)])
-            .slots
-            .remove(0);
-        assert_eq!(out.len(), 5);
-        let answers: Vec<f64> = out
-            .iter()
-            .map(|r| r.as_ref().unwrap().scalar().unwrap())
-            .collect();
-        // One release fanned out: everyone sees the same noisy answer.
-        assert!(answers.windows(2).all(|w| w[0] == w[1]));
-        // … but everyone paid on their own ledger.
-        for a in &analysts {
-            let snap = engine.session_snapshot(a).unwrap();
-            assert!((snap.spent() - 0.3).abs() < 1e-12);
-            assert_eq!(snap.served(), 1);
-            assert!(snap.ledger()[0].0.starts_with("coalesced:5x"));
-        }
-    }
-
-    #[test]
-    fn coalesced_refusal_fails_only_the_broke_analyst() {
-        let engine = engine_with_line_policy(64, 2);
-        engine.open_session("rich", eps(5.0)).unwrap();
-        engine.open_session("broke", eps(0.1)).unwrap();
-        let req = Request::range("pol", "ds", eps(0.5), 0, 10);
-        let out = serve_groups(&engine, &[group(&["rich", "broke", "ghost"], &req)])
-            .slots
-            .remove(0);
-        assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(EngineError::BudgetRefused { .. })));
-        assert!(matches!(out[2], Err(EngineError::UnknownAnalyst(_))));
-        assert_eq!(engine.session_snapshot("broke").unwrap().spent(), 0.0);
-    }
-
-    /// A single-analyst coalesced serve is byte-identical to `serve` on a
-    /// same-seed engine: same charge, same ledger position, same noise.
-    #[test]
-    fn coalesced_singleton_matches_sequential_serve() {
-        let req = Request::range("pol", "ds", eps(0.4), 3, 40);
-        let a = {
-            let engine = engine_with_line_policy(64, 3);
-            engine.open_session("alice", eps(1.0)).unwrap();
-            engine.serve("alice", &req).unwrap().scalar().unwrap()
-        };
-        let b = {
-            let engine = engine_with_line_policy(64, 3);
-            engine.open_session("alice", eps(1.0)).unwrap();
-            serve_groups(&engine, &[group(&["alice"], &req)]).slots[0][0]
-                .as_ref()
-                .unwrap()
-                .scalar()
-                .unwrap()
-        };
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-
     /// An all-refused group performs no release and takes no ledger
     /// position: the next request matches a fresh engine's first.
     #[test]
-    fn all_refused_coalesced_group_consumes_no_ordinal() {
+    fn all_refused_coalesced_group_takes_no_ledger_position() {
         let probe = Request::range("pol", "ds", eps(0.2), 5, 25);
         let with_refusal = {
             let engine = engine_with_line_policy(64, 2);
@@ -782,102 +593,6 @@ mod tests {
     }
 
     #[test]
-    fn multi_group_batches_are_reproducible() {
-        // Two ε values → two independent release groups; group iteration
-        // must be deterministic so same-seed engines agree.
-        let serve_once = || {
-            let engine = engine_with_line_policy(32, 1);
-            engine.open_session("alice", eps(10.0)).unwrap();
-            let reqs: Vec<Request> = (0..6)
-                .map(|i| {
-                    let e = if i % 2 == 0 { eps(0.3) } else { eps(0.7) };
-                    Request::range("pol", "ds", e, i, i + 4)
-                })
-                .collect();
-            engine
-                .serve_batch("alice", &reqs)
-                .into_iter()
-                .map(|r| r.unwrap().scalar().unwrap())
-                .collect::<Vec<f64>>()
-        };
-        assert_eq!(serve_once(), serve_once());
-    }
-
-    #[test]
-    fn batch_rejects_policy_dataset_domain_mismatch() {
-        let engine = engine_with_line_policy(32, 1);
-        engine
-            .register_policy(
-                "wide",
-                Policy::differential_privacy(Domain::line(64).unwrap()),
-            )
-            .unwrap();
-        engine.open_session("alice", eps(1.0)).unwrap();
-        let reqs: Vec<Request> = (0..2)
-            .map(|i| Request::range("wide", "ds", eps(0.1), i, i + 1))
-            .collect();
-        let out = engine.serve_batch("alice", &reqs);
-        assert!(out
-            .iter()
-            .all(|r| matches!(r, Err(EngineError::InvalidRequest(_)))));
-        assert_eq!(engine.session_snapshot("alice").unwrap().spent(), 0.0);
-    }
-
-    #[test]
-    fn durable_charges_survive_restart_and_refuse_overdraft() {
-        let dir = bf_store::scratch_dir("engine-restart");
-        let build = || {
-            let store = Arc::new(Store::open(&dir).unwrap());
-            let engine = Engine::with_store(42, store);
-            let domain = Domain::line(32).unwrap();
-            engine
-                .register_policy("pol", Policy::distance_threshold(domain.clone(), 2))
-                .unwrap();
-            let rows: Vec<usize> = (0..320).map(|i| (i * 7) % 32).collect();
-            engine
-                .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
-                .unwrap();
-            engine
-        };
-        {
-            let engine = build();
-            engine.open_session("alice", eps(1.0)).unwrap();
-            engine
-                .serve("alice", &Request::range("pol", "ds", eps(0.4), 1, 9))
-                .unwrap();
-            engine
-                .serve("alice", &Request::histogram("pol", "ds", eps(0.3)))
-                .unwrap();
-        } // dropped without checkpoint: simulated crash
-        let engine = build();
-        // The session is parked, not live; serving demands a reattach.
-        assert!(matches!(
-            engine.serve("alice", &Request::range("pol", "ds", eps(0.1), 0, 5)),
-            Err(EngineError::SessionEvicted(_))
-        ));
-        let parked = engine.parked_session("alice").unwrap();
-        assert!((parked.spent - 0.7).abs() < 1e-12);
-        assert_eq!(parked.served, 2);
-        // Reattach requires the original total…
-        assert!(matches!(
-            engine.open_session("alice", eps(5.0)),
-            Err(EngineError::InvalidRequest(_))
-        ));
-        engine.open_session("alice", eps(1.0)).unwrap();
-        // …and the recovered ledger refuses what the pre-crash ledger
-        // would have refused.
-        assert!(matches!(
-            engine.serve("alice", &Request::range("pol", "ds", eps(0.5), 0, 5)),
-            Err(EngineError::BudgetRefused { .. })
-        ));
-        engine
-            .serve("alice", &Request::range("pol", "ds", eps(0.3), 0, 5))
-            .unwrap();
-        assert!(engine.session_remaining("alice").unwrap() < 1e-12);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn eviction_parks_and_reattaches_without_forgetting() {
         let engine = engine_with_line_policy(32, 2);
         engine.open_session("alice", eps(1.0)).unwrap();
@@ -953,20 +668,9 @@ mod tests {
     #[test]
     fn coalesced_fanout_charges_are_durable() {
         let dir = bf_store::scratch_dir("engine-coalesced");
-        let domain = Domain::line(64).unwrap();
-        let rows: Vec<usize> = (0..640).map(|i| (i * 7) % 64).collect();
         {
             let store = Arc::new(Store::open(&dir).unwrap());
-            let engine = Engine::with_store(9, store);
-            engine
-                .register_policy("pol", Policy::distance_threshold(domain.clone(), 2))
-                .unwrap();
-            engine
-                .register_dataset(
-                    "ds",
-                    Dataset::from_rows(domain.clone(), rows.clone()).unwrap(),
-                )
-                .unwrap();
+            let engine = with_line_policy(Engine::with_store(9, store), 64, 2);
             let analysts: Vec<String> = (0..5).map(|i| format!("a{i}")).collect();
             for a in &analysts {
                 engine.open_session(a, eps(1.0)).unwrap();
@@ -990,45 +694,6 @@ mod tests {
             assert_eq!(s.served, 1);
         }
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn concurrent_serving_accounts_exactly() {
-        let engine = Arc::new(engine_with_line_policy(64, 2));
-        engine.open_session("alice", eps(1000.0)).unwrap();
-        let threads = 8;
-        let per_thread = 25;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let engine = Arc::clone(&engine);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        let lo = (t * 7 + i) % 32;
-                        engine
-                            .serve(
-                                "alice",
-                                &Request::range("pol", "ds", eps(0.01), lo, lo + 16),
-                            )
-                            .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let snap = engine.session_snapshot("alice").unwrap();
-        let total = (threads * per_thread) as f64 * 0.01;
-        assert_eq!(snap.served() as usize, threads * per_thread);
-        assert!(
-            (snap.spent() - total).abs() < 1e-9,
-            "spent {}",
-            snap.spent()
-        );
-        // Every distinct range class computed at most once.
-        let stats = engine.cache_stats();
-        assert_eq!(stats.hits + stats.misses, (threads * per_thread) as u64);
-        assert!(stats.entries <= 32);
     }
 
     #[test]
@@ -1158,20 +823,20 @@ mod tests {
         engine.open_session("rich", eps(1.0)).unwrap();
         engine.open_session("poor", eps(0.1)).unwrap();
         let request = Request::range("pol", "ds", eps(0.5), 8, 24);
-        let slots = serve_groups(&engine, &[group(&["rich", "poor"], &request)]).slots;
+        let slots = serve_groups(&engine, &[group(&["rich", "poor", "ghost"], &request)]).slots;
         assert!(slots[0][0].is_ok());
         assert!(matches!(
             slots[0][1],
             Err(EngineError::BudgetRefused { .. })
         ));
+        assert!(matches!(slots[0][2], Err(EngineError::UnknownAnalyst(_))));
         assert!((engine.session_remaining("poor").unwrap() - 0.1).abs() < 1e-12);
     }
 
-    /// The per-identity RNG property: a release's noise depends only on
-    /// (seed, what is released, how many times that same thing released
-    /// before) — never on how OTHER keys' releases interleave. Two
-    /// same-seed engines serving the same per-analyst streams in
-    /// different global orders produce byte-identical answers.
+    /// A release's noise depends only on (seed, what is released, the
+    /// payer's ledger position) — never on how OTHER analysts' releases
+    /// interleave. Two same-seed engines serving the same per-analyst
+    /// streams in different global orders produce byte-identical answers.
     #[test]
     fn noise_is_independent_of_cross_key_arrival_order() {
         let build = || {
@@ -1192,7 +857,7 @@ mod tests {
         assert_eq!(r1b, r2b, "histogram noise unaffected by the range");
         // Repeats of one identity still draw fresh noise.
         let r3a = e1.serve("a", &req_a).unwrap();
-        assert_ne!(r1a, r3a, "per-identity ordinal advances");
+        assert_ne!(r1a, r3a, "the ledger position advances");
     }
 
     /// The charge-per-release discipline is path-independent: an
@@ -1227,14 +892,7 @@ mod tests {
             let engine = Engine::with_store(42, store);
             engine.obs().set_enabled(metrics_on);
             engine.store().unwrap().obs().set_enabled(metrics_on);
-            let domain = Domain::line(64).unwrap();
-            engine
-                .register_policy("pol", Policy::distance_threshold(domain.clone(), 3))
-                .unwrap();
-            let rows: Vec<usize> = (0..640).map(|i| (i * 11) % 64).collect();
-            engine
-                .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
-                .unwrap();
+            let engine = with_line_policy(engine, 64, 3);
             engine.open_session("alice", eps(10.0)).unwrap();
             engine.open_session("bob", eps(10.0)).unwrap();
             let mut answers = Vec::new();
@@ -1268,57 +926,14 @@ mod tests {
         assert_eq!(on_digest, off_digest, "ledgers must not see the metrics");
     }
 
-    /// The merged snapshot carries engine-registry and store-registry
-    /// metrics side by side, and renders without panicking.
-    #[test]
-    fn metrics_snapshot_merges_engine_and_store_registries() {
-        let dir = bf_store::scratch_dir("engine-obs-merge");
-        let store = Arc::new(Store::open(&dir).unwrap());
-        let engine = Engine::with_store(42, store);
-        let domain = Domain::line(32).unwrap();
-        engine
-            .register_policy("pol", Policy::distance_threshold(domain.clone(), 2))
-            .unwrap();
-        let rows: Vec<usize> = (0..320).map(|i| (i * 7) % 32).collect();
-        engine
-            .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
-            .unwrap();
-        engine.open_session("alice", eps(1.0)).unwrap();
-        engine
-            .serve("alice", &Request::range("pol", "ds", eps(0.25), 1, 9))
-            .unwrap();
-        let snaps = engine.metrics_snapshot();
-        let names: Vec<&str> = snaps.iter().map(|s| s.name()).collect();
-        for expect in [
-            "engine_cache_misses_total",
-            "engine_epsilon_spent{analyst=\"alice\"}",
-            "span_stage_ns{stage=\"release\"}",
-            "span_stage_ns{stage=\"wal_commit\"}",
-            "store_commits_total",
-            "store_syncs_total",
-        ] {
-            assert!(names.contains(&expect), "missing {expect}: {names:?}");
-        }
-        let text = bf_obs::render_prometheus(&snaps);
-        assert!(text.contains("quantile=\"0.99\""));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// The WAL commit is one lap: its histogram sample and one
     /// `WalCommit` span in every active trace of the call, inert traces
     /// recording nothing — and the commit is the same either way.
     #[test]
     fn the_wal_commit_lap_records_spans_for_active_traces() {
         let dir = bf_store::scratch_dir("engine-commit-lap");
-        let engine = Engine::with_store(42, Arc::new(Store::open(&dir).unwrap()));
-        let domain = Domain::line(32).unwrap();
-        engine
-            .register_policy("pol", Policy::distance_threshold(domain.clone(), 2))
-            .unwrap();
-        let rows: Vec<usize> = (0..320).map(|i| (i * 7) % 32).collect();
-        engine
-            .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
-            .unwrap();
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let engine = with_line_policy(Engine::with_store(42, store), 32, 2);
         engine.open_session("a", eps(1.0)).unwrap();
         let buf = bf_obs::TraceBuffer::detached(4);
         let live = buf.begin(bf_obs::TraceId(1), "a");
@@ -1376,78 +991,6 @@ mod tests {
             .unwrap_or(0)
     }
 
-    /// The exactly-once contract, in-process: retrying a tagged request
-    /// replays the identical bytes and charges nothing; a fresh id is a
-    /// fresh request.
-    #[test]
-    fn tagged_retries_replay_bit_identically_at_zero_charge() {
-        let engine = engine_with_line_policy(32, 2);
-        engine.open_session("alice", eps(1.0)).unwrap();
-        let req = Request::range("pol", "ds", eps(0.25), 2, 9);
-        let first = engine.serve_tagged("alice", 7, &req).unwrap();
-        let retry = engine.serve_tagged("alice", 7, &req).unwrap();
-        assert_eq!(first.to_bytes(), retry.to_bytes(), "bit-identical replay");
-        let snap = engine.session_snapshot("alice").unwrap();
-        assert!((snap.spent() - 0.25).abs() < 1e-12, "retry charged nothing");
-        assert_eq!(replay_hits(&engine), 1);
-        // A different request id is a new request: new noise, new charge.
-        let other = engine.serve_tagged("alice", 8, &req).unwrap();
-        assert_ne!(other.to_bytes(), first.to_bytes());
-        assert!((engine.session_snapshot("alice").unwrap().spent() - 0.5).abs() < 1e-12);
-        assert_eq!(replay_hits(&engine), 1);
-    }
-
-    /// A tagged request's charge and answer ride one durable frame, so
-    /// the replay guarantee survives a crash: the restarted engine
-    /// answers the retried id from the recovered reply cache with zero
-    /// additional spend.
-    #[test]
-    fn tagged_replies_survive_restart() {
-        let dir = bf_store::scratch_dir("engine-tagged-restart");
-        let build = || {
-            let store = Arc::new(Store::open(&dir).unwrap());
-            let engine = Engine::with_store(42, store);
-            let domain = Domain::line(32).unwrap();
-            engine
-                .register_policy("pol", Policy::distance_threshold(domain.clone(), 2))
-                .unwrap();
-            let rows: Vec<usize> = (0..320).map(|i| (i * 7) % 32).collect();
-            engine
-                .register_dataset("ds", Dataset::from_rows(domain, rows).unwrap())
-                .unwrap();
-            engine
-        };
-        let req = Request::range("pol", "ds", eps(0.25), 1, 9);
-        let original = {
-            let engine = build();
-            engine.open_session("alice", eps(1.0)).unwrap();
-            engine.serve_tagged("alice", 42, &req).unwrap()
-        }; // dropped without checkpoint: simulated crash
-        let engine = build();
-        engine.open_session("alice", eps(1.0)).unwrap();
-        let retried = engine.serve_tagged("alice", 42, &req).unwrap();
-        assert_eq!(
-            retried.to_bytes(),
-            original.to_bytes(),
-            "the recovered cache replays the pre-crash answer"
-        );
-        assert_eq!(replay_hits(&engine), 1);
-        assert!(
-            (engine.session_remaining("alice").unwrap() - 0.75).abs() < 1e-12,
-            "the retry cost nothing on top of the recovered 0.25 spend"
-        );
-        // The cached reply also survives compaction (snapshot path).
-        engine.compact().unwrap();
-        drop(engine);
-        let engine = build();
-        engine.open_session("alice", eps(1.0)).unwrap();
-        assert_eq!(
-            engine.serve_tagged("alice", 42, &req).unwrap().to_bytes(),
-            original.to_bytes()
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Tagged waiters in a coalesced fan-out: each analyst is charged
     /// once per release, duplicate same-analyst tags still get their
     /// answer cached, and a later retry of any tag replays for free.
@@ -1470,6 +1013,9 @@ mod tests {
         assert!(bits.windows(2).all(|w| w[0] == w[1]));
         assert!((engine.session_snapshot("a").unwrap().spent() - 0.3).abs() < 1e-12);
         assert!((engine.session_snapshot("b").unwrap().spent() - 0.3).abs() < 1e-12);
+        assert!(engine.session_snapshot("b").unwrap().ledger()[0]
+            .0
+            .starts_with("coalesced:3x"));
         // Both of a's tags replay for free — including the zero-ε
         // duplicate.
         for rid in [1, 2] {

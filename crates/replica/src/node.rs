@@ -1182,6 +1182,9 @@ impl Node {
                     // the commit point exceeds the leader's log, a stale
                     // node was promoted — truncate_suffix halts us.
                     let mut st = self.state.lock().unwrap();
+                    if st.generation != generation {
+                        return None; // read before a cut: not ours to act on
+                    }
                     let keep = leader_high_water.min(st.commit_index);
                     let _ = self.truncate_suffix(&mut st, keep);
                     return None; // resubscribe from the new high water
@@ -1697,6 +1700,7 @@ mod tests {
     use bf_engine::Request;
     use bf_net::Client;
     use bf_store::scratch_dir;
+    use std::path::Path;
     use std::time::Instant;
 
     /// How often the deadline loops below look at a status again.
@@ -1718,7 +1722,17 @@ mod tests {
     }
 
     fn replica(tag: &str, cfg: ReplicaConfig) -> Replica {
-        Replica::start(scratch_dir(tag), "127.0.0.1:0", "127.0.0.1:0", cfg, setup).unwrap()
+        start_at(&scratch_dir(tag), cfg)
+    }
+
+    /// A replica on the WAL directory `dir`, fresh or recovered.
+    fn start_at(dir: &Path, cfg: ReplicaConfig) -> Replica {
+        Replica::start(dir, "127.0.0.1:0", "127.0.0.1:0", cfg, setup).unwrap()
+    }
+
+    /// `[lo, hi]` on the fixture's dataset, at `e`.
+    fn range(e: f64, lo: usize, hi: usize) -> Request {
+        Request::range("pol", "ds", eps(e), lo, hi)
     }
 
     /// Submit under an explicit idempotency key and wait for the answer.
@@ -1732,189 +1746,6 @@ mod tests {
         client.wait(id)
     }
 
-    #[test]
-    fn single_node_quorum_one_serves_and_commits() {
-        let r = replica(
-            "replica-single",
-            ReplicaConfig {
-                seed: 21,
-                ..ReplicaConfig::default()
-            },
-        );
-        r.lead();
-        let mut client = Client::connect(r.client_addr()).unwrap();
-        assert_eq!(client.open_session("a", 2.0).unwrap(), 2.0);
-        let resp = client
-            .call("a", &Request::range("pol", "ds", eps(0.5), 0, 9))
-            .unwrap();
-        assert!(resp.scalar().unwrap().is_finite());
-        let status = r.status();
-        assert!(status.leader);
-        assert_eq!(status.log_index, 2); // open + submit
-        assert_eq!(status.commit_index, 2);
-        assert_eq!(status.applied, 2);
-        // The write bypassed the scheduler: replication sequenced it.
-        assert_eq!(r.node.engine.obs().gauge("replica_log_index").get(), 2.0);
-        client.goodbye().unwrap();
-        r.shutdown().unwrap();
-    }
-
-    #[test]
-    fn followers_mirror_the_log_and_serve_reads() {
-        let leader = replica(
-            "replica-pair-l",
-            ReplicaConfig {
-                seed: 22,
-                quorum: 2,
-                ..ReplicaConfig::default()
-            },
-        );
-        let follower = replica(
-            "replica-pair-f",
-            ReplicaConfig {
-                seed: 22,
-                quorum: 2,
-                ..ReplicaConfig::default()
-            },
-        );
-        leader.lead();
-        follower.follow(leader.peer_addr(), &leader.client_addr().to_string());
-
-        let mut client = Client::connect(leader.client_addr()).unwrap();
-        client.open_session("b", 4.0).unwrap();
-        for i in 0..4 {
-            call_tagged(
-                &mut client,
-                "b",
-                100 + i,
-                &Request::range("pol", "ds", eps(0.25), 0, 16),
-            )
-            .unwrap();
-        }
-        // Quorum 2: the answers above prove the follower acked. Wait
-        // for the follower's replay to drain.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while follower.status().applied < 5 && Instant::now() < deadline {
-            std::thread::sleep(POLL);
-        }
-        assert_eq!(follower.status().applied, 5);
-
-        // Byte-identical ledgers on both replicas.
-        let lh: Vec<(String, u64)> = leader
-            .engine()
-            .ledger_history("b")
-            .unwrap()
-            .iter()
-            .map(|e| (e.label.clone(), e.eps_bits))
-            .collect();
-        let fh: Vec<(String, u64)> = follower
-            .engine()
-            .ledger_history("b")
-            .unwrap()
-            .iter()
-            .map(|e| (e.label.clone(), e.eps_bits))
-            .collect();
-        assert_eq!(lh, fh);
-        // Identical reply caches under the client's idempotency keys.
-        for i in 0..4 {
-            assert_eq!(
-                leader.engine().cached_reply("b", 100 + i),
-                follower.engine().cached_reply("b", 100 + i)
-            );
-        }
-
-        // The follower refuses writes with a leader hint but serves
-        // reads locally.
-        let mut fclient = Client::connect(follower.client_addr()).unwrap();
-        match fclient.open_session("c", 1.0) {
-            Err(bf_net::NetError::Remote(WireError::NotLeader { leader: hint })) => {
-                assert_eq!(hint, leader.client_addr().to_string())
-            }
-            other => panic!("expected NotLeader, got {other:?}"),
-        }
-        let budget = fclient.budget("b").unwrap();
-        assert_eq!(budget.served, 4);
-
-        client.goodbye().unwrap();
-        follower.shutdown().unwrap();
-        leader.shutdown().unwrap();
-    }
-
-    #[test]
-    fn promote_replays_everything_then_leads_at_a_higher_epoch() {
-        let cfg = |seed| ReplicaConfig {
-            seed,
-            quorum: 2,
-            ..ReplicaConfig::default()
-        };
-        let leader = replica("replica-promote-l", cfg(23));
-        let f1 = replica("replica-promote-f1", cfg(23));
-        let f2 = replica("replica-promote-f2", cfg(23));
-        leader.lead();
-        let hint = leader.client_addr().to_string();
-        f1.follow(leader.peer_addr(), &hint);
-        f2.follow(leader.peer_addr(), &hint);
-
-        let mut client = Client::connect(leader.client_addr()).unwrap();
-        client.open_session("d", 4.0).unwrap();
-        let first = call_tagged(
-            &mut client,
-            "d",
-            7,
-            &Request::range("pol", "ds", eps(0.5), 0, 8),
-        )
-        .unwrap();
-
-        // Quorum 2 means at least one follower holds both entries
-        // durably; kill the leader and promote whichever that is.
-        leader.kill();
-        let promoted = if f1.status().log_index >= f2.status().log_index {
-            (&f1, &f2)
-        } else {
-            (&f2, &f1)
-        };
-        let (new_leader, other) = promoted;
-        new_leader.promote();
-        other.follow(
-            new_leader.peer_addr(),
-            &new_leader.client_addr().to_string(),
-        );
-        let status = new_leader.status();
-        assert!(status.leader);
-        assert_eq!(status.epoch, 1);
-        assert_eq!(status.applied, status.commit_index);
-        assert_eq!(status.applied, 2, "both acked entries survive the kill");
-
-        // The promoted node serves the acked charge's cached reply and
-        // fresh writes (committed through the re-following peer).
-        let mut c2 = Client::connect(new_leader.client_addr()).unwrap();
-        assert_eq!(c2.open_session("d", 4.0).unwrap(), 3.5);
-        let replay = call_tagged(
-            &mut c2,
-            "d",
-            7,
-            &Request::range("pol", "ds", eps(0.5), 0, 8),
-        )
-        .unwrap();
-        assert_eq!(replay, first, "replayed ack must be byte-identical");
-        let spent_before = new_leader.engine().session_snapshot("d").unwrap().spent();
-        assert_eq!(spent_before, 0.5, "replay must charge nothing");
-
-        // Replayed submissions still occupy a log slot (the dedup is in
-        // the engine's reply cache): 2 old + reopen + replay + fresh.
-        call_tagged(
-            &mut c2,
-            "d",
-            8,
-            &Request::range("pol", "ds", eps(0.5), 4, 12),
-        )
-        .unwrap();
-        assert_eq!(new_leader.status().log_index, 5);
-        f2.shutdown().unwrap();
-        f1.shutdown().unwrap();
-        leader.shutdown().unwrap();
-    }
-
     /// Builds the divergence scenario every reconciliation test needs:
     /// `a` led entries 1–2 onto `b` and `c`, died, and `b` kept an
     /// orphan entry 3 from the dead epoch that `a` never committed.
@@ -1926,7 +1757,7 @@ mod tests {
         };
         let a = replica(&format!("{tag}-a"), cfg());
         let b_dir = scratch_dir(&format!("{tag}-b"));
-        let b = Replica::start(&b_dir, "127.0.0.1:0", "127.0.0.1:0", cfg(), setup).unwrap();
+        let b = start_at(&b_dir, cfg());
         let c = replica(&format!("{tag}-c"), cfg());
         a.lead();
         let hint = a.client_addr().to_string();
@@ -1934,19 +1765,9 @@ mod tests {
         c.follow(a.peer_addr(), &hint);
         let mut client = Client::connect(a.client_addr()).unwrap();
         client.open_session("g", 4.0).unwrap();
-        call_tagged(
-            &mut client,
-            "g",
-            11,
-            &Request::range("pol", "ds", eps(0.5), 0, 8),
-        )
-        .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while (b.status().applied < 2 || c.status().applied < 2) && Instant::now() < deadline {
-            std::thread::sleep(POLL);
-        }
-        assert_eq!(b.status().applied, 2);
-        assert_eq!(c.status().applied, 2);
+        call_tagged(&mut client, "g", 11, &range(0.5, 0, 8)).unwrap();
+        drain_to(&b, 2);
+        drain_to(&c, 2);
         a.kill();
 
         // The orphan: `a` logged entry 3 and shipped it to `b` alone,
@@ -1985,10 +1806,7 @@ mod tests {
         assert_eq!(c.status().log_index, 3);
 
         b.follow(c.peer_addr(), &c.client_addr().to_string());
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b.status().applied < 3 && Instant::now() < deadline {
-            std::thread::sleep(POLL);
-        }
+        drain_to(&b, 3);
         let status = b.status();
         assert!(!status.dead, "reconciliation must not kill the node");
         assert_eq!(status.applied, 3);
@@ -2009,24 +1827,20 @@ mod tests {
 
         // Truncation is durable (`Record::LogTruncated` in the WAL): a
         // restart recovers the reconciled log, not the orphan.
-        let b2 = Replica::start(
+        let b2 = start_at(
             &b_dir,
-            "127.0.0.1:0",
-            "127.0.0.1:0",
             ReplicaConfig {
                 seed: 26,
                 ..ReplicaConfig::default()
             },
-            setup,
-        )
-        .unwrap();
+        );
         let status = b2.status();
         assert_eq!(status.log_index, 3);
         assert_eq!(status.applied, 3);
-        // Recovered sessions are parked until re-attached: "g" comes
-        // back with its charge, and the ghost never existed at all (an
-        // attach with a total its orphan OpenSession never carried
-        // succeeds as a fresh create instead of refusing).
+        // Recovered sessions are live at once: "g" comes back with its
+        // charge, and the ghost never existed at all (an attach with a
+        // total its orphan OpenSession never carried succeeds as a
+        // fresh create instead of refusing).
         assert!((b2.engine().attach_session("g", eps(4.0)).unwrap() - 3.5).abs() < 1e-12);
         assert!((b2.engine().attach_session("ghost", eps(9.0)).unwrap() - 9.0).abs() < 1e-12);
         b2.shutdown().unwrap();
@@ -2040,72 +1854,18 @@ mod tests {
         // `c` has sequenced nothing yet: `b`'s catchup from index 4 is
         // past `c`'s high water 2 — the from-ahead refusal path.
         b.follow(c.peer_addr(), &c.client_addr().to_string());
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b.status().log_index > 2 && Instant::now() < deadline {
-            std::thread::sleep(POLL);
-        }
-        assert_eq!(b.status().log_index, 2, "orphan truncated");
+        await_state(&b, |st| st.high_water() == 2); // the orphan truncated
         assert!(!b.status().dead);
 
         // Convergence after the truncation: a fresh write on `c`
         // reaches `b` at the index the orphan vacated.
         let mut client = Client::connect(c.client_addr()).unwrap();
         client.open_session("h", 1.0).unwrap(); // entry 3, epoch 1
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b.status().applied < 3 && Instant::now() < deadline {
-            std::thread::sleep(POLL);
-        }
-        assert_eq!(b.status().applied, 3);
+        drain_to(&b, 3);
         assert_eq!(b.node.state.lock().unwrap().entry_at(3).unwrap().epoch, 1);
         assert!(b.engine().session_snapshot("ghost").is_err());
         b.shutdown().unwrap();
         c.shutdown().unwrap();
-        a.shutdown().unwrap();
-    }
-
-    #[test]
-    fn promote_over_refuses_a_candidate_with_a_shorter_log() {
-        let cfg = || ReplicaConfig {
-            seed: 27,
-            ..ReplicaConfig::default()
-        };
-        let a = replica("replica-po-a", cfg());
-        let b = replica("replica-po-b", cfg());
-        let c = replica("replica-po-c", cfg());
-        a.lead();
-        b.follow(a.peer_addr(), &a.client_addr().to_string());
-        // `c` never follows: its log stays empty.
-        let mut client = Client::connect(a.client_addr()).unwrap();
-        client.open_session("i", 2.0).unwrap();
-        client
-            .call("i", &Request::range("pol", "ds", eps(0.5), 0, 8))
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while b.status().applied < 2 && Instant::now() < deadline {
-            std::thread::sleep(POLL);
-        }
-        a.kill();
-
-        // `c` is behind `b`: the probe must block its promotion.
-        match c.promote_over(&[b.peer_addr(), a.peer_addr()]) {
-            Err(ReplicaError::Behind {
-                peer_high_water: 2,
-                local_high_water: 0,
-                ..
-            }) => {}
-            other => panic!("expected Behind, got {other:?}"),
-        }
-        assert!(!c.status().leader, "a refused candidate stays a follower");
-
-        // `b` holds the longest surviving log; the dead `a` is probed
-        // and skipped, not waited on.
-        b.promote_over(&[c.peer_addr(), a.peer_addr()]).unwrap();
-        let status = b.status();
-        assert!(status.leader);
-        assert_eq!(status.epoch, 1);
-        assert_eq!(status.applied, 2, "both acked entries survive");
-        c.shutdown().unwrap();
-        b.shutdown().unwrap();
         a.shutdown().unwrap();
     }
 
@@ -2118,23 +1878,15 @@ mod tests {
             ..ReplicaConfig::default()
         };
         {
-            let r = Replica::start(&dir, "127.0.0.1:0", "127.0.0.1:0", cfg(), setup).unwrap();
+            let r = start_at(&dir, cfg());
             r.lead();
             let mut client = Client::connect(r.client_addr()).unwrap();
             client.open_session("j", 8.0).unwrap(); // entry 1
             for i in 0..6 {
-                call_tagged(
-                    &mut client,
-                    "j",
-                    200 + i,
-                    &Request::range("pol", "ds", eps(0.25), 0, 16),
-                )
-                .unwrap(); // entries 2..=7
+                call_tagged(&mut client, "j", 200 + i, &range(0.25, 0, 16)).unwrap();
+                // entries 2..=7
             }
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while r.status().applied < 7 && Instant::now() < deadline {
-                std::thread::sleep(POLL);
-            }
+            drain_to(&r, 7);
             {
                 let st = r.node.state.lock().unwrap();
                 assert_eq!(st.applied, 7);
@@ -2144,115 +1896,18 @@ mod tests {
             }
             // Serving continues across the evicted prefix, and the
             // reply cache (WAL-backed, not log-backed) still dedups.
-            let first = call_tagged(
-                &mut client,
-                "j",
-                200,
-                &Request::range("pol", "ds", eps(0.25), 0, 16),
-            )
-            .unwrap();
+            let first = call_tagged(&mut client, "j", 200, &range(0.25, 0, 16)).unwrap();
             assert!(first.scalar().unwrap().is_finite());
             r.shutdown().unwrap();
         }
         // Recovery rebuilds from the WAL, which eviction never touched.
-        let r = Replica::start(&dir, "127.0.0.1:0", "127.0.0.1:0", cfg(), setup).unwrap();
+        let r = start_at(&dir, cfg());
         let status = r.status();
         assert_eq!(status.applied, 8);
         assert_eq!(status.log_index, 8);
         // 6 distinct charges of 0.25; the cache-hit resubmission was
         // free — reattaching lands on the recovered ledger.
         assert!((r.engine().attach_session("j", eps(8.0)).unwrap() - 6.5).abs() < 1e-12);
-        r.shutdown().unwrap();
-    }
-
-    #[test]
-    fn scripted_kill_leader_fault_fires_at_the_exact_entry() {
-        let r = replica(
-            "replica-fault",
-            ReplicaConfig {
-                seed: 24,
-                fault_plan: Some(Arc::new(ReplicaPlan::scripted([(
-                    3,
-                    ReplicaFault::KillLeader,
-                )]))),
-                ..ReplicaConfig::default()
-            },
-        );
-        r.lead();
-        let mut client = Client::connect(r.client_addr()).unwrap();
-        client.open_session("e", 4.0).unwrap(); // entry 1
-        client
-            .call("e", &Request::range("pol", "ds", eps(0.5), 0, 8))
-            .unwrap(); // entry 2
-        match client.call("e", &Request::range("pol", "ds", eps(0.5), 0, 9)) {
-            Err(bf_net::NetError::Remote(WireError::NotLeader { .. })) => {}
-            other => panic!("expected the scripted kill, got {other:?}"),
-        }
-        let status = r.status();
-        assert!(status.dead);
-        assert_eq!(status.log_index, 2, "the third entry must not be logged");
-        r.shutdown().unwrap();
-    }
-
-    #[test]
-    fn restart_recovers_log_position_and_replays_pending() {
-        let dir = scratch_dir("replica-restart");
-        {
-            let r = Replica::start(
-                &dir,
-                "127.0.0.1:0",
-                "127.0.0.1:0",
-                ReplicaConfig {
-                    seed: 25,
-                    ..ReplicaConfig::default()
-                },
-                setup,
-            )
-            .unwrap();
-            r.lead();
-            let mut client = Client::connect(r.client_addr()).unwrap();
-            client.open_session("f", 2.0).unwrap();
-            call_tagged(
-                &mut client,
-                "f",
-                41,
-                &Request::range("pol", "ds", eps(0.5), 0, 8),
-            )
-            .unwrap();
-            client.goodbye().unwrap();
-            r.shutdown().unwrap();
-        }
-        let r = Replica::start(
-            &dir,
-            "127.0.0.1:0",
-            "127.0.0.1:0",
-            ReplicaConfig {
-                seed: 25,
-                ..ReplicaConfig::default()
-            },
-            setup,
-        )
-        .unwrap();
-        let status = r.status();
-        assert_eq!(status.log_index, 2);
-        assert_eq!(status.applied, 2);
-        assert!(!status.leader, "restart comes back as an unplaced follower");
-        // The reply cache survived: replay the acked charge for free.
-        r.lead();
-        let mut client = Client::connect(r.client_addr()).unwrap();
-        assert_eq!(client.open_session("f", 2.0).unwrap(), 1.5);
-        call_tagged(
-            &mut client,
-            "f",
-            41,
-            &Request::range("pol", "ds", eps(0.5), 0, 8),
-        )
-        .unwrap();
-        assert_eq!(
-            r.engine().session_snapshot("f").unwrap().spent(),
-            0.5,
-            "replay after restart must not double-charge"
-        );
         r.shutdown().unwrap();
     }
 
@@ -2442,6 +2097,98 @@ mod tests {
         follower.shutdown().unwrap();
     }
 
+    /// Entries up to the commit point are quorum-durable whether or not
+    /// this node has applied them: a truncation below it halts the node.
+    #[test]
+    fn a_truncation_below_an_unapplied_commit_point_halts() {
+        let (follower, _listener, mut link) = scripted_follower("replica-halt-unapplied");
+        link.ship(0, 0, &[(1, 0), (2, 0), (3, 0)]);
+        assert_eq!(link.ack(), Some(3));
+        let mut st = follower.node.state.lock().unwrap();
+        st.commit_index = 2; // learned, not yet applied
+        assert_eq!(st.applied, 0);
+        assert!(!follower.node.truncate_suffix(&mut st, 1));
+        assert_eq!(st.high_water(), 3);
+        drop(st);
+        assert!(follower.status().dead);
+        follower.shutdown().unwrap();
+    }
+
+    /// A follower that has seen epoch 1 takes nothing more from epoch 0.
+    #[test]
+    fn a_frame_from_an_epoch_the_follower_left_is_dropped_unacked() {
+        let (follower, _listener, mut link) = scripted_follower("replica-stale-epoch");
+        link.ship(1, 0, &[(1, 1)]);
+        assert_eq!(link.ack(), Some(1));
+        link.ship(0, 0, &[(2, 0)]);
+        assert_eq!(link.ack(), None, "the stale leader's link is dropped");
+        assert_eq!(follower.status().log_index, 1);
+        follower.shutdown().unwrap();
+    }
+
+    /// A follower's ack past the leader's own log confirms nothing beyond
+    /// it: the leader counts it at its high water.
+    #[test]
+    fn an_ack_past_the_leaders_log_counts_at_its_high_water() {
+        let leader = replica("replica-ack-clamp", ReplicaConfig::default());
+        leader.lead();
+        assert_eq!(leader.node.sequence_open("a", 2.0f64.to_bits()), Ok(2.0));
+        let mut link = dial(leader.peer_addr()).unwrap();
+        let catchup = ClientMessage::LogCatchup {
+            id: 2,
+            epoch: 0,
+            from_index: 1,
+            last_epoch: 0,
+        };
+        greet(&mut link, &mut FrameBuf::new(), &mut Vec::new(), &catchup).unwrap();
+        let ack = ClientMessage::ReplicateAck {
+            id: 0,
+            epoch: 0,
+            index: 5,
+        };
+        write_frame(&mut link, &mut Vec::new(), |o| ack.encode_into(o)).unwrap();
+        await_state(&leader, |st| st.follower_acks.values().any(|&a| a > 0));
+        let st = leader.node.state.lock().unwrap();
+        assert!(st.follower_acks.values().all(|&a| a == 1));
+        assert_eq!((st.high_water(), st.commit_index), (1, 1));
+        drop(st);
+        drop(link);
+        leader.shutdown().unwrap();
+    }
+
+    /// A `LogDiverged` refusal read before a promote and handled after it
+    /// belongs to the retired session: it neither halts the new leader
+    /// nor truncates the suffix its promote just committed.
+    #[test]
+    fn a_divergence_refusal_read_before_a_promote_is_dropped() {
+        let (follower, _listener, mut link) = scripted_follower("replica-stale-refusal");
+        link.ship(0, 1, &[(1, 0), (2, 0), (3, 0)]);
+        assert_eq!(link.ack(), Some(3));
+        drain_to(&follower, 1);
+        {
+            let mut st = follower.node.state.lock().unwrap();
+            let refused = ServerMessage::Refused {
+                id: 2,
+                error: WireError::LogDiverged {
+                    leader_high_water: 1,
+                },
+                trace_id: None,
+            };
+            write_frame(&mut link.stream, &mut link.out, |o| refused.encode_into(o)).unwrap();
+            // What `promote` does under the lock, bar the socket cut, so
+            // the refusal is read whenever it lands; it is handled only
+            // after the lock is released, under the bumped generation.
+            st.epoch += 1;
+            st.follow_target = None;
+            st.generation += 1;
+            st.commit_index = st.commit_index.max(st.durable);
+        }
+        assert_eq!(link.ack(), None, "the stale session ends");
+        assert!(!follower.status().dead);
+        assert_eq!(follower.node.state.lock().unwrap().high_water(), 3);
+        follower.shutdown().unwrap();
+    }
+
     /// Parks on the node condvar the way `promote`, the applier and the
     /// streamers do — a plain `wait`, no heartbeat — until the node is
     /// dead. The first message says it is parked (sent under the lock a
@@ -2578,44 +2325,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn an_image_torn_inside_a_batch_recovers_a_prefix_and_resubscribes_after_it() {
-        let (follower, listener, mut link) = scripted_follower("replica-batch-torn");
-        let frame: Vec<(u64, u64)> = (1..=BATCH as u64).map(|i| (i, 0)).collect();
-        link.ship(0, 0, &frame);
-        assert_eq!(link.ack(), Some(BATCH as u64));
-        let image = crash_image(&follower, "replica-batch-torn-image");
-        follower.shutdown().unwrap();
-        drop(link);
-
-        // The whole frame is one write: cut it in half.
-        let segment = std::fs::read_dir(&image)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .max_by_key(|p| std::fs::metadata(p).unwrap().len())
-            .unwrap();
-        let bytes = std::fs::read(&segment).unwrap();
-        std::fs::write(&segment, &bytes[..bytes.len() / 2]).unwrap();
-
-        let restarted = Replica::start(
-            &image,
-            "127.0.0.1:0",
-            "127.0.0.1:0",
-            ReplicaConfig::default(),
-            setup,
-        )
-        .unwrap();
-        let held = restarted.status().log_index;
-        assert!(0 < held && held < BATCH as u64, "a prefix, got {held}");
-        assert!(restarted.node.store.recovery_report().tail_skipped);
-        restarted.follow(listener.local_addr().unwrap(), "scripted");
-        let mut link = Link::accept(&listener);
-        assert_eq!(link.from_index, held + 1);
-        link.ship(0, 0, &frame[held as usize..]);
-        assert_eq!(link.ack(), Some(BATCH as u64));
-        restarted.shutdown().unwrap();
-    }
-
     /// The write's ticket resolves after the entry's one sync, its
     /// append: the applier stages the charge and the mark, which are in
     /// the store's state before the answer and on disk after the node's
@@ -2637,7 +2346,7 @@ mod tests {
         let before = store.stats();
 
         // Returns once the entry's own append is durable …
-        let request = Request::range("pol", "ds", eps(0.5), 0, 8);
+        let request = range(0.5, 0, 8);
         let ticket = r
             .node
             .sequence_submit("k", Some(9), request.clone())
@@ -2792,7 +2501,7 @@ mod tests {
 
         // A write for `n1` that the applier would only stage, in a frame
         // that commits it.
-        let request = Request::range("pol", "ds", eps(0.5), 0, 8);
+        let request = range(0.5, 0, 8);
         let write = WireLogEntry {
             epoch: 0,
             index: 2,
@@ -2859,15 +2568,19 @@ mod tests {
         let (leader, beta, gamma) = named_trio("replica-scrape", 31, Vec::new());
         let mut client = Client::connect(leader.client_addr()).unwrap();
         client.open_session("s", 4.0).unwrap();
-        call_tagged(
-            &mut client,
-            "s",
-            11,
-            &Request::range("pol", "ds", eps(0.5), 0, 8),
-        )
-        .unwrap();
+        call_tagged(&mut client, "s", 11, &range(0.5, 0, 8)).unwrap();
         drain_to(&beta, 2);
         drain_to(&gamma, 2);
+        // A follower refuses writes, naming the leader.
+        match Client::connect(beta.client_addr())
+            .unwrap()
+            .open_session("c", 1.0)
+        {
+            Err(bf_net::NetError::Remote(WireError::NotLeader { leader: hint })) => {
+                assert_eq!(hint, leader.client_addr().to_string())
+            }
+            other => panic!("expected NotLeader, got {other:?}"),
+        }
 
         let replicas = client.cluster_stats().unwrap();
         let mut names: Vec<&str> = replicas.iter().map(|r| r.node.as_str()).collect();
@@ -2901,31 +2614,6 @@ mod tests {
                 .unwrap();
             assert_eq!(log_index, 2.0, "{} reports a stale log index", rep.node);
         }
-        // The merge helper qualifies every series per source replica.
-        let merged = bf_obs::merge_labeled_snapshots(
-            "replica",
-            replicas
-                .iter()
-                .map(|r| {
-                    (
-                        r.node.clone(),
-                        r.metrics
-                            .iter()
-                            .map(bf_net::WireMetric::to_snapshot)
-                            .collect(),
-                    )
-                })
-                .collect(),
-        );
-        for name in ["alpha", "beta", "gamma"] {
-            assert!(
-                merged
-                    .iter()
-                    .any(|m| m.name() == format!("replica_log_index{{replica=\"{name}\"}}")),
-                "merged scrape is missing {name}"
-            );
-        }
-
         client.goodbye().unwrap();
         gamma.shutdown().unwrap();
         beta.shutdown().unwrap();
@@ -2945,13 +2633,7 @@ mod tests {
         let mut client = Client::connect(leader.client_addr()).unwrap();
         client.open_session("k", 4.0).unwrap();
         for i in 0..3 {
-            call_tagged(
-                &mut client,
-                "k",
-                20 + i,
-                &Request::range("pol", "ds", eps(0.25), 0, 8),
-            )
-            .unwrap();
+            call_tagged(&mut client, "k", 20 + i, &range(0.25, 0, 8)).unwrap();
         }
         drain_to(&beta, 4);
         drain_to(&gamma, 4);
@@ -3020,81 +2702,55 @@ mod tests {
         leader.shutdown().unwrap();
     }
 
+    /// Cluster-plane traffic (scrapes, health probes, SLO evaluation, a
+    /// live watch) is a side channel: same-seed clusters with and without
+    /// it end with byte-identical ledgers and cached answers.
     #[test]
     fn observability_plane_never_perturbs_the_noise_sequence() {
-        // Two same-seed clusters run the same workload; one is
-        // saturated with cluster-plane traffic (scrapes, health
-        // probes, SLO evaluation, a live watch), the other untouched.
-        // The plane is a pure side channel, so the ledgers and cached
-        // replies must come out byte-identical.
-        let run =
-            |tag: &str, plane: bool| -> (Vec<(String, u64)>, Vec<Option<bf_engine::Response>>) {
-                let slos = if plane {
-                    vec![bf_obs::SloSpec {
-                        name: "lag".into(),
-                        objective: bf_obs::SloObjective::ReplicationLagUnder {
-                            metric: "replica_cluster_lag_entries".into(),
-                            max_entries: 1000.0,
-                        },
-                    }]
-                } else {
-                    Vec::new()
-                };
-                let (leader, beta, gamma) = named_trio(tag, 33, slos);
-                let mut client = Client::connect(leader.client_addr()).unwrap();
-                let mut watcher = Client::connect(leader.client_addr()).unwrap();
-                let mut watch = plane.then(|| watcher.watch().unwrap());
-
-                client.open_session("d", 8.0).unwrap();
-                for i in 0..6 {
-                    if let Some(w) = watch.as_mut() {
-                        // Interleave plane reads with the workload.
-                        let _ = w.next(Duration::from_millis(1));
-                    }
-                    call_tagged(
-                        &mut client,
-                        "d",
-                        50 + i,
-                        &Request::range("pol", "ds", eps(0.25), i as usize, 8 + i as usize),
-                    )
-                    .unwrap();
-                    if plane {
-                        client.cluster_stats().unwrap();
-                        client.health().unwrap();
-                    }
-                }
-                drain_to(&beta, 7);
-                drain_to(&gamma, 7);
-
-                let ledger: Vec<(String, u64)> = leader
-                    .engine()
-                    .ledger_history("d")
-                    .unwrap()
-                    .iter()
-                    .map(|e| (e.label.clone(), e.eps_bits))
-                    .collect();
-                let replies: Vec<Option<bf_engine::Response>> = (0..6)
-                    .map(|i| leader.engine().cached_reply("d", 50 + i))
-                    .collect();
-                // Followers agree with the leader regardless of the plane.
-                let follower_ledger: Vec<(String, u64)> = beta
-                    .engine()
-                    .ledger_history("d")
-                    .unwrap()
-                    .iter()
-                    .map(|e| (e.label.clone(), e.eps_bits))
-                    .collect();
-                assert_eq!(ledger, follower_ledger);
-
-                client.goodbye().unwrap();
-                gamma.shutdown().unwrap();
-                beta.shutdown().unwrap();
-                leader.shutdown().unwrap();
-                (ledger, replies)
+        let run = |tag: &str, plane: bool| {
+            let lag = bf_obs::SloSpec {
+                name: "lag".into(),
+                objective: bf_obs::SloObjective::ReplicationLagUnder {
+                    metric: "replica_cluster_lag_entries".into(),
+                    max_entries: 1000.0,
+                },
             };
-        let (plain_ledger, plain_replies) = run("replica-plane-off", false);
-        let (plane_ledger, plane_replies) = run("replica-plane-on", true);
-        assert_eq!(plain_ledger, plane_ledger, "plane perturbed the ledger");
-        assert_eq!(plain_replies, plane_replies, "plane perturbed the noise");
+            let (leader, beta, gamma) =
+                named_trio(tag, 33, plane.then_some(lag).into_iter().collect());
+            let mut client = Client::connect(leader.client_addr()).unwrap();
+            let mut watcher = Client::connect(leader.client_addr()).unwrap();
+            let mut watch = plane.then(|| watcher.watch().unwrap());
+            client.open_session("d", 8.0).unwrap();
+            for i in 0..6 {
+                if let Some(w) = watch.as_mut() {
+                    let _ = w.next(Duration::from_millis(1));
+                }
+                call_tagged(&mut client, "d", 50 + i as u64, &range(0.25, i, 8 + i)).unwrap();
+                if plane {
+                    client.cluster_stats().unwrap();
+                    client.health().unwrap();
+                }
+            }
+            drain_to(&beta, 7);
+            drain_to(&gamma, 7);
+            let ledger = |r: &Replica| -> Vec<(String, u64)> {
+                let history = r.engine().ledger_history("d").unwrap();
+                history.into_iter().map(|e| (e.label, e.eps_bits)).collect()
+            };
+            assert_eq!(ledger(&leader), ledger(&beta), "a follower diverged");
+            let replies: Vec<_> = (50..56)
+                .map(|rid| leader.engine().cached_reply("d", rid))
+                .collect();
+            let seen = (ledger(&leader), replies);
+            client.goodbye().unwrap();
+            for r in [gamma, beta, leader] {
+                r.shutdown().unwrap();
+            }
+            seen
+        };
+        assert_eq!(
+            run("replica-plane-off", false),
+            run("replica-plane-on", true)
+        );
     }
 }

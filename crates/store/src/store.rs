@@ -878,33 +878,6 @@ mod tests {
     }
 
     #[test]
-    fn fresh_open_commit_reopen_recovers() {
-        let dir = scratch_dir("fresh");
-        {
-            let store = Store::open(&dir).unwrap();
-            assert!(store.recovered_state().sessions.is_empty());
-            store
-                .commit(&[
-                    Record::session_opened("alice", 1.0),
-                    Record::charged("alice", "q1", 0.25),
-                ])
-                .unwrap();
-            store
-                .commit(&[Record::charged("alice", "q2", 0.5)])
-                .unwrap();
-        } // dropped without compaction: the crash case
-        let store = Store::open(&dir).unwrap();
-        let s = &store.recovered_state().sessions["alice"];
-        assert_eq!(s.total, 1.0);
-        assert_eq!(s.spent, 0.75);
-        assert_eq!(s.served, 2);
-        let report = store.recovery_report();
-        assert_eq!(report.records_applied, 3);
-        assert!(!report.tail_skipped);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn compaction_prunes_and_preserves_state() {
         let dir = scratch_dir("compact");
         let live;
@@ -931,9 +904,11 @@ mod tests {
             assert_eq!(stats.segment, 1);
             live = store.current_state().digest();
         }
-        // Only the new segment and the snapshot remain.
+        // Only the new segment and the snapshot remain: by default a
+        // covered segment is deleted, not archived.
         assert!(snapshot_path(&dir, 1).exists());
         assert!(!segment_path(&dir, 0).exists());
+        assert!(!dir.join("archive").exists());
 
         let store = Store::open(&dir).unwrap();
         // Snapshot plus the replayed tail is the ledger bit for bit.
@@ -952,25 +927,6 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_skipped_not_fatal() {
-        let dir = scratch_dir("torn");
-        {
-            let store = Store::open(&dir).unwrap();
-            store.commit(&[Record::session_opened("a", 1.0)]).unwrap();
-            store.commit(&[Record::charged("a", "q", 0.5)]).unwrap();
-        }
-        // Tear the last 3 bytes off the only segment.
-        let seg = segment_path(&dir, 0);
-        let bytes = std::fs::read(&seg).unwrap();
-        std::fs::write(&seg, &bytes[..bytes.len() - 3]).unwrap();
-        let store = Store::open(&dir).unwrap();
-        assert!(store.recovery_report().tail_skipped);
-        let s = &store.recovered_state().sessions["a"];
-        assert_eq!(s.spent, 0.0, "the torn charge was never acknowledged");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn second_live_open_is_refused_by_the_directory_lock() {
         let dir = scratch_dir("dirlock");
         let store = Store::open(&dir).unwrap();
@@ -980,29 +936,6 @@ mod tests {
         }
         drop(store);
         Store::open(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corruption_before_intact_frames_refuses_recovery() {
-        let dir = scratch_dir("midrot");
-        {
-            let store = Store::open(&dir).unwrap();
-            store.commit(&[Record::session_opened("a", 1.0)]).unwrap();
-            store.commit(&[Record::charged("a", "q1", 0.25)]).unwrap();
-            store.commit(&[Record::charged("a", "q2", 0.25)]).unwrap();
-        }
-        // Flip one byte inside the FIRST record: the two charges after
-        // it are intact and were acknowledged, so skipping the damage
-        // would resurrect 0.5 ε — recovery must refuse instead.
-        let seg = segment_path(&dir, 0);
-        let mut bytes = std::fs::read(&seg).unwrap();
-        bytes[FRAME_HEADER_LEN + 2] ^= 0xFF;
-        std::fs::write(&seg, &bytes).unwrap();
-        assert!(matches!(
-            Store::open(&dir),
-            Err(StoreError::CorruptSnapshot { .. })
-        ));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1023,60 +956,6 @@ mod tests {
             Store::open(&dir),
             Err(StoreError::CorruptSnapshot { .. })
         ));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn concurrent_commits_share_syncs_and_account_exactly() {
-        let dir = scratch_dir("group");
-        let store = std::sync::Arc::new(Store::open(&dir).unwrap());
-        store.commit(&[Record::session_opened("a", 1e6)]).unwrap();
-        let threads = 8;
-        let per_thread = 32;
-        let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                let store = std::sync::Arc::clone(&store);
-                std::thread::spawn(move || {
-                    for i in 0..per_thread {
-                        store
-                            .commit(&[Record::charged("a", &format!("t{t}i{i}"), 0.001)])
-                            .unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let stats = store.stats();
-        assert_eq!(stats.appended_records, 1 + threads * per_thread);
-        assert_eq!(stats.commits, 1 + threads * per_thread);
-        // Reopen: every acknowledged charge is there.
-        drop(store);
-        let store = Store::open(&dir).unwrap();
-        let s = &store.recovered_state().sessions["a"];
-        assert_eq!(s.served, threads * per_thread);
-        assert!((s.spent - threads as f64 * per_thread as f64 * 0.001).abs() < 1e-9);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn double_recovery_is_byte_identical() {
-        let dir = scratch_dir("digest");
-        {
-            let store = Store::open(&dir).unwrap();
-            for i in 0..10 {
-                store
-                    .commit(&[Record::session_opened(&format!("a{i}"), 1.0)])
-                    .unwrap();
-                store
-                    .commit(&[Record::charged(&format!("a{i}"), "q", 0.125 * (i as f64))])
-                    .unwrap();
-            }
-        }
-        let a = Store::open(&dir).unwrap().recovered_state().digest();
-        let b = Store::open(&dir).unwrap().recovered_state().digest();
-        assert_eq!(a, b);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1132,19 +1011,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn default_config_still_deletes_covered_segments() {
-        let dir = scratch_dir("no-archive");
-        {
-            let store = Store::open(&dir).unwrap();
-            store.commit(&[Record::session_opened("a", 1.0)]).unwrap();
-            store.compact().unwrap();
-        }
-        assert!(!dir.join("archive").exists());
-        assert!(!segment_path(&dir, 0).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     fn chaos_config(plan: bf_chaos::StorePlan) -> StoreConfig {
         StoreConfig {
             fault_plan: Some(Arc::new(plan)),
@@ -1187,44 +1053,6 @@ mod tests {
         let s = &store.recovered_state().sessions["a"];
         assert_eq!(s.total, 1.0);
         assert_eq!(s.spent, 0.0, "the failed charge was never acknowledged");
-        drop(store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn injected_torn_write_leaves_a_recoverable_torn_tail() {
-        use bf_chaos::{StoreFault, StorePlan};
-        let dir = scratch_dir("chaos-torn");
-        {
-            let store = Store::open_with(
-                &dir,
-                chaos_config(StorePlan::scripted([(2, StoreFault::TornWrite)])),
-            )
-            .unwrap();
-            store.commit(&[Record::session_opened("a", 1.0)]).unwrap();
-            // One batch of three charges: half the bytes persist.
-            assert!(matches!(
-                store.commit(&[
-                    Record::charged("a", "q1", 0.125),
-                    Record::charged("a", "q2", 0.125),
-                    Record::charged("a", "q3", 0.125),
-                ]),
-                Err(StoreError::Poisoned(_))
-            ));
-            assert!(store.poison_reason().is_some());
-        }
-        // Recovery treats the half-written batch as the torn tail it
-        // is: intact prefix applied, tear skipped, nothing refused —
-        // and none of the torn charges were ever acknowledged.
-        let store = Store::open(&dir).unwrap();
-        assert!(store.recovery_report().tail_skipped);
-        let s = &store.recovered_state().sessions["a"];
-        assert_eq!(s.total, 1.0);
-        assert!(
-            s.spent < 0.375,
-            "at least the final torn charge must be missing, got {}",
-            s.spent
-        );
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1344,6 +1172,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A commit that arrives while another's sync is in flight returns
+    /// only once a sync that covers its own records has: then they are
+    /// on disk.
+    #[test]
+    fn a_commit_joining_a_sync_in_flight_returns_once_its_records_are_on_disk() {
+        use bf_chaos::{StoreFault, StorePlan};
+        let dir = scratch_dir("commit-joins-sync");
+        let slow = StorePlan::every_kth(1, StoreFault::DelaySyncMicros(100_000));
+        let store = Arc::new(Store::open_with(&dir, chaos_config(slow)).unwrap());
+        let first = {
+            let store = Arc::clone(&store);
+            std::thread::spawn(move || store.commit(&[Record::session_opened("a", 1.0)]))
+        };
+        while !store.inner.lock().unwrap().syncing {
+            std::thread::yield_now();
+        }
+        store.commit(&[Record::charged("a", "q", 0.5)]).unwrap();
+        assert_eq!(records_on_disk(&dir).len(), 2);
+        first.join().unwrap().unwrap();
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     /// `commit(&[])` is the wait half of an append staged earlier: one
     /// fsync for everything staged so far, none when nothing is.
     #[test]
@@ -1368,38 +1219,6 @@ mod tests {
         assert_eq!(store.stats().syncs, 1, "already durable");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Staging moves *when* a frame reaches disk, never what is there: a
-    /// segment written with a staged mark is byte for byte the one
-    /// written by a commit per record, as builds before `stage` did —
-    /// either reads the other's directories.
-    #[test]
-    fn a_staged_record_leaves_the_same_bytes_as_its_own_commit() {
-        let records = [
-            Record::session_opened("a", 1.0),
-            Record::LogApplied { index: 1 },
-            Record::replied("a", 1, "q", 0.25, vec![9]),
-        ];
-        let segment = |tag: &str, stage_mark: bool| {
-            let dir = scratch_dir(tag);
-            let store = Store::open(&dir).unwrap();
-            store.commit(&records[..1]).unwrap();
-            if stage_mark {
-                store.stage(&records[1..2]).unwrap();
-            } else {
-                store.commit(&records[1..2]).unwrap();
-            }
-            store.commit(&records[2..]).unwrap();
-            let bytes = std::fs::read(segment_path(&dir, 0)).unwrap();
-            drop(store);
-            std::fs::remove_dir_all(&dir).unwrap();
-            bytes
-        };
-        assert_eq!(
-            segment("stage-bytes-a", true),
-            segment("stage-bytes-b", false)
-        );
     }
 
     #[test]
