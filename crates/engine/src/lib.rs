@@ -332,6 +332,32 @@ mod tests {
         ));
     }
 
+    /// Repeats of one range class miss once, then hit; under eight threads
+    /// every request is one hit or one miss, and each class is computed once.
+    #[test]
+    fn the_release_cache_counts_every_request_once() {
+        let engine = &engine_with_line_policy(64, 2);
+        engine.open_session("alice", eps(1000.0)).unwrap();
+        let range = |lo| Request::range("pol", "ds", eps(0.01), lo, lo + 16);
+        for _ in 0..5 {
+            engine.serve("alice", &range(0)).unwrap();
+        }
+        let stats = engine.cache_stats();
+        assert_eq!((stats.misses, stats.hits), (1, 4));
+        std::thread::scope(|s| {
+            for t in 0..8 {
+                s.spawn(move || {
+                    for i in 0..25 {
+                        engine.serve("alice", &range((t * 7 + i) % 32)).unwrap();
+                    }
+                });
+            }
+        });
+        let stats = engine.cache_stats();
+        assert_eq!(stats.hits + stats.misses, 5 + 8 * 25);
+        assert!(stats.entries <= 32 && stats.computes == stats.entries as u64);
+    }
+
     #[test]
     fn zero_sensitivity_requests_are_free() {
         use bf_domain::Partition;
@@ -896,23 +922,14 @@ mod tests {
             engine.open_session("alice", eps(10.0)).unwrap();
             engine.open_session("bob", eps(10.0)).unwrap();
             let mut answers = Vec::new();
-            for i in 0..8 {
-                let lo = i % 16;
-                answers.push(
-                    engine
-                        .serve("alice", &Request::range("pol", "ds", eps(0.1), lo, lo + 20))
-                        .unwrap(),
-                );
-                answers.push(
-                    engine
-                        .serve("bob", &Request::histogram("pol", "ds", eps(0.05)))
-                        .unwrap(),
-                );
+            for lo in 0..8 {
+                let range = Request::range("pol", "ds", eps(0.1), lo, lo + 20);
+                answers.push(engine.serve("alice", &range).unwrap());
+                let histogram = Request::histogram("pol", "ds", eps(0.05));
+                answers.push(engine.serve("bob", &histogram).unwrap());
             }
-            let batch: Vec<Request> = (0..6)
-                .map(|i| Request::range("pol", "ds", eps(0.02), i, i + 10))
-                .collect();
-            for r in engine.serve_batch("alice", &batch) {
+            let batch = (0..6).map(|i| Request::range("pol", "ds", eps(0.02), i, i + 10));
+            for r in engine.serve_batch("alice", &batch.collect::<Vec<_>>()) {
                 answers.push(r.unwrap());
             }
             engine.compact().unwrap();
@@ -966,29 +983,13 @@ mod tests {
             engine.store().unwrap().current_state().sessions["a"].spent,
             0.5
         );
-        let commits = engine.metrics_snapshot().into_iter().find_map(|s| match s {
-            bf_obs::MetricSnapshot::Histogram { name, summary }
-                if name == "span_stage_ns{stage=\"wal_commit\"}" =>
-            {
-                Some(summary.count)
-            }
-            _ => None,
-        });
-        assert_eq!(commits, Some(2));
+        let lap = |s: &bf_obs::MetricSnapshot| s.name() == "span_stage_ns{stage=\"wal_commit\"}";
+        let commits = engine.metrics_snapshot().into_iter().find(lap);
+        assert!(
+            matches!(commits, Some(bf_obs::MetricSnapshot::Histogram { summary, .. })
+            if summary.count == 2)
+        );
         std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    fn replay_hits(engine: &Engine) -> u64 {
-        engine
-            .metrics_snapshot()
-            .iter()
-            .find_map(|s| match s {
-                bf_obs::MetricSnapshot::Counter { name, value } if name == "replay_cache_hits" => {
-                    Some(*value)
-                }
-                _ => None,
-            })
-            .unwrap_or(0)
     }
 
     /// Tagged waiters in a coalesced fan-out: each analyst is charged
@@ -1025,7 +1026,7 @@ mod tests {
             );
         }
         assert!((engine.session_snapshot("a").unwrap().spent() - 0.3).abs() < 1e-12);
-        assert_eq!(replay_hits(&engine), 2);
+        assert_eq!(engine.obs().counter("replay_cache_hits").get(), 2);
         // Retrying through the fan-out path itself also hits the cache:
         // the whole group is replayed, nothing is charged, and no ledger
         // position is taken.

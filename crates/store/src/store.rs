@@ -1191,6 +1191,7 @@ mod tests {
         store.commit(&[Record::charged("a", "q", 0.5)]).unwrap();
         assert_eq!(records_on_disk(&dir).len(), 2);
         first.join().unwrap().unwrap();
+        assert_eq!(store.stats().commits, 2, "both commits are counted");
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -9,13 +9,19 @@
 # tree ($MUTANTS_WORK/tree, default ${TMPDIR:-/tmp}/bf-mutants), where
 # each mutant is applied, tested and reverted in turn; the tree keeps
 # its own target directory, so a run rebuilds only what a mutant
-# touches. Per mutant, under one outer timeout ($MUTANTS_TIMEOUT
-# seconds, default 900), it runs `cargo test --workspace` and the two
-# commands of CI's release-oracle step, all with --no-fail-fast. A test
-# kills a mutant when it fails; a hang kills it only when libtest named
-# the test ("has been running for over 60 seconds") and it never
-# finished. A baseline run of the unmutated tree comes first, and a test
-# that fails there is never counted as a kill.
+# touches. Per mutant, under one outer timeout of 900 seconds, it runs
+# `cargo test --workspace` and the two commands of CI's release-oracle
+# step, all with --no-fail-fast. A test kills a mutant when it fails; a
+# hang kills it only when libtest named the test ("has been running for
+# over 60 seconds") and it never finished. A baseline run of the
+# unmutated tree comes first, and a test that fails there is never
+# counted as a kill.
+#
+# CI's "Mutants" step re-runs each listed killer alone and requires it
+# to fail, so only kills that repeat are listed: a test that failed in
+# one profile but passed in the other is dropped, and every other
+# candidate is then run alone twice, with the command CI uses, and kept
+# only if it fails both times.
 #
 # KILLS.tsv has one row per (mutant, killing test): mutant, profile
 # (debug or release), package, target (lib, doc, or test=<name>) and the
@@ -27,7 +33,7 @@ export LC_ALL=C
 
 root="$(cd "$(dirname "$0")/.." && pwd)"
 work="${MUTANTS_WORK:-${TMPDIR:-/tmp}/bf-mutants}"
-limit="${MUTANTS_TIMEOUT:-900}"
+limit=900
 tree="$work/tree"
 logs="$work/logs"
 kills="$root/mutants/KILLS.tsv"
@@ -74,10 +80,10 @@ suite() {
   ) || echo "timed out after ${limit}s" >>"$out.debug"
 }
 
-# Failing (and named-hung) tests in a log, one "profile\tpackage\ttarget\ttest"
-# line each. Packages are read off the test binary's name; only the root
-# package has integration tests.
-failures() {
+# Every test outcome in a log, one "profile\tpackage\ttarget\ttest\toutcome"
+# line each, the outcome being ok, FAILED or hung. Packages are read off
+# the test binary's name; only the root package has integration tests.
+outcomes() {
   local profile="$1" log="$2"
   [[ -f "$log" ]] || return 0
   awk -v profile="$profile" '
@@ -93,7 +99,7 @@ failures() {
     /^ *Doc-tests / { pkg = $2; gsub(/_/, "-", pkg); target = "doc"; next }
     / \.\.\. FAILED$/ {
       name = $0; sub(/^test /, "", name); sub(/ \.\.\. FAILED$/, "", name)
-      print profile "\t" pkg "\t" target "\t" name; next
+      print profile "\t" pkg "\t" target "\t" name "\tFAILED"; next
     }
     /has been running for over 60 seconds$/ {
       name = $0; sub(/^test /, "", name); sub(/ has been running.*/, "", name)
@@ -102,16 +108,49 @@ failures() {
     / \.\.\. ok$/ {
       name = $0; sub(/^test /, "", name); sub(/ \.\.\. ok$/, "", name)
       delete hung[pkg "\t" target "\t" name]
+      print profile "\t" pkg "\t" target "\t" name "\tok"
     }
     /^error: could not compile/ { print $0 > "/dev/stderr"; broke = 1 }
-    END { for (k in hung) print profile "\t" k; if (broke) exit 3 }
+    END { for (k in hung) print profile "\t" k "\thung"; if (broke) exit 3 }
   ' "$log"
+}
+
+# The candidate kills in a mutant's outcomes, one "profile\tpackage\ttarget\ttest"
+# line each: failed or hung, not failing in the baseline, and not passing
+# in the other profile.
+candidates() {
+  awk -F'\t' -v OFS='\t' '
+    FILENAME == ARGV[1] { base[$0] = 1; next }
+    NF < 5 { next }
+    $5 == "ok" { ok[$1 OFS $2 OFS $3 OFS $4] = 1; next }
+    { bad[$1 OFS $2 OFS $3 OFS $4] = 1 }
+    END {
+      for (k in bad) {
+        split(k, f, OFS); other = (f[1] == "debug") ? "release" : "debug"
+        if (!(k in base) && !((other OFS f[2] OFS f[3] OFS f[4]) in ok)) print k
+      }
+    }' "$logs/baseline.fail" - | sort
+}
+
+# Runs one killer alone, as CI's "Mutants" step does; succeeds when the
+# test fails.
+fails_alone() {
+  local profile="$1" package="$2" target="$3" test="$4"
+  local args=(-p "$package") filter=(--exact "$test")
+  [[ "$profile" == release ]] && args+=(--release)
+  case "$target" in
+    lib) args+=(--lib) ;;
+    doc) args+=(--doc); filter=("${test#* - }") ;;
+    test=*) args+=(--test "${target#test=}") ;;
+  esac
+  ! (cd "$tree" && timeout --kill-after=10 "$limit" cargo test -q "${args[@]}" -- "${filter[@]}") \
+    </dev/null >/dev/null 2>&1
 }
 
 echo "baseline (unmutated tree)"
 suite "$logs/baseline"
-{ failures debug "$logs/baseline.debug"; failures release "$logs/baseline.release"; } \
-  | sort -u >"$logs/baseline.fail"
+{ outcomes debug "$logs/baseline.debug"; outcomes release "$logs/baseline.release"; } \
+  | awk -F'\t' -v OFS='\t' '$5 != "ok" { print $1, $2, $3, $4 }' | sort -u >"$logs/baseline.fail"
 if [[ -s "$logs/baseline.fail" ]]; then
   echo "baseline failures (never counted as kills):"
   sed 's/^/  /' "$logs/baseline.fail"
@@ -125,15 +164,23 @@ for name in "${names[@]}"; do
   (cd "$tree" && git apply "$patch") || { echo "$name does not apply" >&2; exit 1; }
   started=$SECONDS
   suite "$logs/$name"
+  debug="$(outcomes debug "$logs/$name.debug")" \
+    && release="$(outcomes release "$logs/$name.release")" \
+    || { echo "$name does not compile (see $logs/$name.*)" >&2; exit 1; }
+  found=""
+  while IFS=$'\t' read -r profile package target test; do
+    if fails_alone "$profile" "$package" "$target" "$test" \
+      && fails_alone "$profile" "$package" "$target" "$test"; then
+      found+="$profile"$'\t'"$package"$'\t'"$target"$'\t'"$test"$'\n'
+    else
+      echo "  $test: a kill that did not repeat, not listed"
+    fi
+  done < <(candidates <<<"$debug"$'\n'"$release")
   (cd "$tree" && git apply -R "$patch")
-  found="$(
-    { failures debug "$logs/$name.debug"; failures release "$logs/$name.release"; } | sort -u
-  )" || { echo "$name does not compile (see $logs/$name.debug)" >&2; exit 1; }
-  found="$(comm -23 <(printf '%s\n' "$found" | sed '/^$/d') "$logs/baseline.fail")"
   if [[ -z "$found" ]]; then
     printf '%s\t-\t-\t-\t-\n' "$name" >>"$rows"
   else
-    printf '%s\n' "$found" | sed "s/^/$name\t/" >>"$rows"
+    printf '%s' "$found" | sed "s/^/$name\t/" >>"$rows"
   fi
   echo "$name: $(printf '%s' "$found" | grep -c . || true) killers, $((SECONDS - started)) s"
 done

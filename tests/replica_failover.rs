@@ -19,7 +19,7 @@ use blowfish::chaos::{ReplicaFault, ReplicaPlan};
 use blowfish::prelude::*;
 use blowfish::replica::{Replica, ReplicaConfig};
 use blowfish::store::scratch_dir;
-use blowfish::store::StoreState;
+use blowfish::store::{scan_frames, Record, StoreState};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -92,6 +92,26 @@ fn restart(image: &Path, seed: u64, quorum: usize) -> Replica {
         ..ReplicaConfig::default()
     };
     Replica::start(image, "127.0.0.1:0", "127.0.0.1:0", cfg, setup).unwrap()
+}
+
+/// The records of a store directory's WAL segments (`budget-N.log`), in
+/// order.
+fn wal_records(dir: &Path) -> Vec<Record> {
+    let mut segments: Vec<(u64, PathBuf)> = std::fs::read_dir(dir)
+        .unwrap()
+        .filter_map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name()?.to_str()?;
+            let n = name.strip_prefix("budget-")?.strip_suffix(".log")?;
+            Some((n.parse().ok()?, path))
+        })
+        .collect();
+    segments.sort();
+    let mut records = Vec::new();
+    for (_, path) in segments {
+        scan_frames(&std::fs::read(path).unwrap(), |r| records.push(r));
+    }
+    records
 }
 
 /// Everything the node's store knows, staged records included.
@@ -653,8 +673,8 @@ fn rerunning_an_entry_that_committed_nothing_changes_no_ledger_bit() {
 }
 
 /// Crash point (d): the next write's append carries the previous
-/// entry's mark to disk, so an image taken one write later recovers
-/// that entry applied, with nothing to replay for it.
+/// entry's mark to disk, behind its charge, so an image taken one write
+/// later recovers that entry applied, with nothing to replay for it.
 #[test]
 fn the_next_write_makes_the_previous_mark_durable() {
     let solo = spawn("image-next", 84, 1, None);
@@ -665,7 +685,19 @@ fn the_next_write_makes_the_previous_mark_durable() {
     let early = restart(&crash_image(&solo, "image-next-a"), 84, 1);
     assert_eq!(early.status().applied, 1);
     call(&mut client, "alice", 2).unwrap(); // 3
-    let late = restart(&crash_image(&solo, "image-next-b"), 84, 1);
+    let image = crash_image(&solo, "image-next-b");
+    // A mark written before its charge could reach disk alone, and
+    // recover the entry applied but uncharged.
+    let records = wal_records(&image);
+    let mark = records
+        .iter()
+        .position(|r| *r == Record::LogApplied { index: 2 });
+    let before = &records[..mark.unwrap()];
+    assert!(
+        matches!(before.last(), Some(Record::Replied { .. })),
+        "{before:?}"
+    );
+    let late = restart(&image, 84, 1);
     let st = late.status();
     assert_eq!((st.log_index, st.applied), (3, 2));
     // Entry 2's charge rode entry 3's append beside its mark; entry 3's
