@@ -7,6 +7,7 @@
 //! 1,400 and 2,600 (specific deduction amounts). That sparsity
 //! (`p ≪ |T|` distinct cumulative counts) is what Figure 2(b) exercises.
 
+use crate::draw::{zipf_weights, WeightedDraw};
 use bf_domain::{Dataset, Domain};
 use rand::Rng;
 
@@ -34,28 +35,16 @@ pub fn adult_capital_loss_like_sized(n: usize, rng: &mut impl Rng) -> Dataset {
     for s in [155, 213, 323, 625, 2824, 3004, 3683, 3900, 4356] {
         spikes.push(s);
     }
-    let weights: Vec<f64> = (1..=spikes.len())
-        .map(|r| 1.0 / (r as f64).powf(1.05))
-        .collect();
-    let total: f64 = weights.iter().sum();
-
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        if rng.random::<f64>() < ZERO_FRACTION {
-            rows.push(0);
-            continue;
-        }
-        let mut pick = rng.random::<f64>() * total;
-        let mut idx = spikes.len() - 1;
-        for (i, &w) in weights.iter().enumerate() {
-            if pick < w {
-                idx = i;
-                break;
+    let spike = WeightedDraw::new(zipf_weights(spikes.len(), 1.05));
+    let rows = (0..n)
+        .map(|_| {
+            if rng.random::<f64>() < ZERO_FRACTION {
+                0
+            } else {
+                spikes[spike.sample(rng)]
             }
-            pick -= w;
-        }
-        rows.push(spikes[idx]);
-    }
+        })
+        .collect();
     let domain = Domain::line(ADULT_DOMAIN).expect("static domain");
     Dataset::from_rows(domain, rows).expect("spikes lie in the domain")
 }

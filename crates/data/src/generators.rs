@@ -1,6 +1,7 @@
 //! Generic workload generators: Gaussian mixtures on grids and Zipf
 //! histograms on ordered domains.
 
+use crate::draw::{zipf_weights, WeightedDraw};
 use crate::sample_normal;
 use bf_domain::{Dataset, Domain, GridDomain};
 use rand::Rng;
@@ -28,24 +29,14 @@ pub(crate) fn gaussian_mixture_grid(
 ) -> Dataset {
     assert!(!components.is_empty(), "need at least one component");
     assert!((0.0..=1.0).contains(&background));
-    let total_weight: f64 = components.iter().map(|c| c.weight).sum();
-    assert!(total_weight > 0.0);
+    let component = WeightedDraw::new(components.iter().map(|c| c.weight).collect());
     let dims = grid.dims().to_vec();
     let mut rows = Vec::with_capacity(n);
     for _ in 0..n {
         let coords: Vec<usize> = if rng.random::<f64>() < background {
             dims.iter().map(|&d| rng.random_range(0..d)).collect()
         } else {
-            // Pick a component by weight.
-            let mut pick = rng.random::<f64>() * total_weight;
-            let mut chosen = &components[components.len() - 1];
-            for c in components {
-                if pick < c.weight {
-                    chosen = c;
-                    break;
-                }
-                pick -= c.weight;
-            }
+            let chosen = &components[component.sample(rng)];
             chosen
                 .center
                 .iter()
@@ -85,24 +76,8 @@ pub fn zipf_histogram_dataset(
             positions.push(p);
         }
     }
-    // Zipf weights over ranks.
-    let weights: Vec<f64> = (1..=support_size)
-        .map(|r| 1.0 / (r as f64).powf(exponent))
-        .collect();
-    let total: f64 = weights.iter().sum();
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut pick = rng.random::<f64>() * total;
-        let mut idx = support_size - 1;
-        for (i, &w) in weights.iter().enumerate() {
-            if pick < w {
-                idx = i;
-                break;
-            }
-            pick -= w;
-        }
-        rows.push(positions[idx]);
-    }
+    let rank = WeightedDraw::new(zipf_weights(support_size, exponent));
+    let rows = (0..n).map(|_| positions[rank.sample(rng)]).collect();
     let domain = Domain::line(domain_size).expect("non-empty domain");
     Dataset::from_rows(domain, rows).expect("valid rows")
 }
@@ -149,6 +124,61 @@ mod tests {
                                          // Top spike holds a large share (zipf head).
         let max = h.counts().iter().cloned().fold(0.0, f64::max);
         assert!(max > 20_000.0 / 40.0 * 2.0);
+    }
+
+    /// `zipf_histogram_dataset`'s rows as its subtractive scan drew them.
+    fn zipf_rows_by_scan(
+        domain_size: usize,
+        support_size: usize,
+        exponent: f64,
+        n: usize,
+        rng: &mut impl Rng,
+    ) -> Vec<usize> {
+        let mut positions = Vec::with_capacity(support_size);
+        let mut used = vec![false; domain_size];
+        while positions.len() < support_size {
+            let p = rng.random_range(0..domain_size);
+            if !used[p] {
+                used[p] = true;
+                positions.push(p);
+            }
+        }
+        let weights: Vec<f64> = (1..=support_size)
+            .map(|r| 1.0 / (r as f64).powf(exponent))
+            .collect();
+        let total: f64 = weights.iter().sum();
+        let mut rows = Vec::with_capacity(n);
+        for _ in 0..n {
+            let mut pick = rng.random::<f64>() * total;
+            let mut idx = support_size - 1;
+            for (i, &w) in weights.iter().enumerate() {
+                if pick < w {
+                    idx = i;
+                    break;
+                }
+                pick -= w;
+            }
+            rows.push(positions[idx]);
+        }
+        rows
+    }
+
+    #[test]
+    fn zipf_rows_equal_the_scans_at_both_bench_shapes() {
+        // Full size only where the optimised oracle step runs it.
+        let cap = if cfg!(debug_assertions) {
+            50_000
+        } else {
+            usize::MAX
+        };
+        for (size, support, records) in [(65_536, 2_000, 500_000), (4_096, 400, 100_000)] {
+            let n = records.min(cap);
+            for seed in [1, 2, 3] {
+                let ds = zipf_histogram_dataset(size, support, 1.1, n, &mut seeded_rng(seed));
+                let rows = zipf_rows_by_scan(size, support, 1.1, n, &mut seeded_rng(seed));
+                assert!(ds.rows() == rows, "shape {size}/{support}, seed {seed}");
+            }
+        }
     }
 
     #[test]

@@ -25,6 +25,7 @@
 //! Every generator takes an explicit seed and is fully reproducible.
 
 pub mod adult;
+mod draw;
 pub mod generators;
 pub mod skin;
 pub mod synthetic;

@@ -22,17 +22,14 @@ pub fn synthetic_clusters(
     let centers: Vec<Vec<f64>> = (0..k)
         .map(|_| (0..dim).map(|_| rng.random::<f64>()).collect())
         .collect();
-    let mut points = Vec::with_capacity(n);
+    let mut coords = Vec::with_capacity(n * dim);
     for i in 0..n {
-        let c = &centers[i % k];
-        let p: Vec<f64> = c
-            .iter()
-            .map(|&mu| (mu + sigma * sample_normal(rng)).clamp(0.0, 1.0))
-            .collect();
-        points.push(p);
+        for &mu in &centers[i % k] {
+            coords.push((mu + sigma * sample_normal(rng)).clamp(0.0, 1.0));
+        }
     }
     let bbox = BoundingBox::new(vec![0.0; dim], vec![1.0; dim]);
-    PointSet::new(points, bbox)
+    PointSet::from_flat(dim, coords, bbox)
 }
 
 /// The exact Figure 1(c) configuration: n = 1000, dim = 4, k = 4, σ = 0.2.
@@ -54,6 +51,31 @@ mod tests {
         assert_eq!(ps.bbox().l1_diameter(), 4.0);
         for p in ps.iter() {
             assert!(p.iter().all(|&v| (0.0..=1.0).contains(&v)));
+        }
+    }
+
+    #[test]
+    fn row_major_points_equal_point_set_new() {
+        let (n, dim, k, sigma) = (1_000, 4, 4, 0.2);
+        let mut rng = seeded_rng(44);
+        let centers: Vec<Vec<f64>> = (0..k)
+            .map(|_| (0..dim).map(|_| rng.random::<f64>()).collect())
+            .collect();
+        let points: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                centers[i % k]
+                    .iter()
+                    .map(|&mu| (mu + sigma * sample_normal(&mut rng)).clamp(0.0, 1.0))
+                    .collect()
+            })
+            .collect();
+        let bbox = BoundingBox::new(vec![0.0; dim], vec![1.0; dim]);
+        let expected = PointSet::new(points, bbox);
+        let got = synthetic_clusters(n, dim, k, sigma, &mut seeded_rng(44));
+        assert_eq!(got.len(), n);
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for i in 0..n {
+            assert_eq!(bits(got.point(i)), bits(expected.point(i)), "point {i}");
         }
     }
 

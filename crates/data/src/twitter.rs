@@ -37,7 +37,7 @@ pub fn twitter_grid() -> GridDomain {
 }
 
 /// Metro hot-spots: (lat-cell, lon-cell, sigma-cells, weight).
-fn metros() -> Vec<MixtureComponent> {
+pub(crate) fn metros() -> Vec<MixtureComponent> {
     let spots: [(f64, f64, f64, f64); 8] = [
         (355.0, 60.0, 6.0, 9.0),   // Seattle
         (310.0, 75.0, 5.0, 5.0),   // Portland

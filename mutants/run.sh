@@ -72,7 +72,7 @@ suite() {
     timeout --kill-after=10 "$limit" bash -c '
       cargo test --workspace --no-fail-fast >"$1.debug" 2>&1
       cargo test --release -p bf-mechanisms -p bf-core -p bf-store -p bf-net -p bf-replica \
-        --no-fail-fast >"$1.release" 2>&1
+        -p bf-data --no-fail-fast >"$1.release" 2>&1
       cargo test --release --test replica_failover --test store_recovery \
         --test sensitivity_theorems --test property_based --test hostile_bytes \
         --no-fail-fast >>"$1.release" 2>&1
