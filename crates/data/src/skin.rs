@@ -23,35 +23,32 @@ pub(crate) const SKIN_CLASS_FRACTION: f64 = 0.2075;
 /// Generates a skin-like dataset of arbitrary size.
 pub fn skin_like_sized(n: usize, rng: &mut impl Rng) -> PointSet {
     let bbox = BoundingBox::new(vec![0.0, 0.0, 0.0], vec![255.0, 255.0, 255.0]);
-    let mut points = Vec::with_capacity(n);
+    let mut coords = Vec::with_capacity(n * 3);
     for _ in 0..n {
-        let p = if rng.random::<f64>() < SKIN_CLASS_FRACTION {
-            sample_skin(rng)
+        if rng.random::<f64>() < SKIN_CLASS_FRACTION {
+            sample_skin(rng, &mut coords);
         } else {
-            sample_non_skin(rng)
-        };
-        points.push(p);
+            sample_non_skin(rng, &mut coords);
+        }
     }
-    PointSet::new(points, bbox)
+    PointSet::from_flat(3, coords, bbox)
 }
 
 /// Skin tones: an elongated Gaussian along a brightness axis with
-/// R > G > B ordering (B/G/R storage order like the UCI file).
-fn sample_skin(rng: &mut impl Rng) -> Vec<f64> {
+/// R > G > B ordering (B/G/R storage order like the UCI file), pushed
+/// onto `out`.
+fn sample_skin(rng: &mut impl Rng, out: &mut Vec<f64>) {
     // Brightness parameter t in [0,1]; channel means depend linearly on t.
     let t = (0.5 + 0.22 * sample_normal(rng)).clamp(0.0, 1.0);
     let r = 120.0 + 120.0 * t + 9.0 * sample_normal(rng);
     let g = 70.0 + 110.0 * t + 10.0 * sample_normal(rng);
     let b = 45.0 + 100.0 * t + 12.0 * sample_normal(rng);
-    vec![
-        b.clamp(0.0, 255.0),
-        g.clamp(0.0, 255.0),
-        r.clamp(0.0, 255.0),
-    ]
+    out.extend([b, g, r].map(|v| v.clamp(0.0, 255.0)));
 }
 
-/// Non-skin: a broad mixture over the cube (backgrounds, clothing, hair).
-fn sample_non_skin(rng: &mut impl Rng) -> Vec<f64> {
+/// Non-skin: a broad mixture over the cube (backgrounds, clothing, hair),
+/// pushed onto `out`.
+fn sample_non_skin(rng: &mut impl Rng, out: &mut Vec<f64>) {
     // Three broad modes: dark, mid-gray, bright, with large variance.
     let (mu, sigma) = match rng.random_range(0..3u32) {
         0 => (60.0, 45.0),
@@ -59,9 +56,9 @@ fn sample_non_skin(rng: &mut impl Rng) -> Vec<f64> {
         _ => (200.0, 40.0),
     };
     let base = mu + sigma * sample_normal(rng);
-    (0..3)
-        .map(|_| (base + 55.0 * sample_normal(rng)).clamp(0.0, 255.0))
-        .collect()
+    for _ in 0..3 {
+        out.push((base + 55.0 * sample_normal(rng)).clamp(0.0, 255.0));
+    }
 }
 
 #[cfg(test)]
@@ -81,14 +78,75 @@ mod tests {
         assert_eq!(ps.bbox().l1_diameter(), 3.0 * 255.0);
     }
 
+    /// The row-at-a-time generator `skin_like_sized` replaced, verbatim:
+    /// one `Vec` per point, copied by `PointSet::new`.
+    mod oracle {
+        use super::super::SKIN_CLASS_FRACTION;
+        use crate::sample_normal;
+        use bf_domain::{BoundingBox, PointSet};
+        use rand::Rng;
+
+        pub fn skin_like_sized(n: usize, rng: &mut impl Rng) -> PointSet {
+            let bbox = BoundingBox::new(vec![0.0, 0.0, 0.0], vec![255.0, 255.0, 255.0]);
+            let mut points = Vec::with_capacity(n);
+            for _ in 0..n {
+                let p = if rng.random::<f64>() < SKIN_CLASS_FRACTION {
+                    sample_skin(rng)
+                } else {
+                    sample_non_skin(rng)
+                };
+                points.push(p);
+            }
+            PointSet::new(points, bbox)
+        }
+
+        fn sample_skin(rng: &mut impl Rng) -> Vec<f64> {
+            let t = (0.5 + 0.22 * sample_normal(rng)).clamp(0.0, 1.0);
+            let r = 120.0 + 120.0 * t + 9.0 * sample_normal(rng);
+            let g = 70.0 + 110.0 * t + 10.0 * sample_normal(rng);
+            let b = 45.0 + 100.0 * t + 12.0 * sample_normal(rng);
+            vec![
+                b.clamp(0.0, 255.0),
+                g.clamp(0.0, 255.0),
+                r.clamp(0.0, 255.0),
+            ]
+        }
+
+        fn sample_non_skin(rng: &mut impl Rng) -> Vec<f64> {
+            let (mu, sigma) = match rng.random_range(0..3u32) {
+                0 => (60.0, 45.0),
+                1 => (130.0, 55.0),
+                _ => (200.0, 40.0),
+            };
+            let base = mu + sigma * sample_normal(rng);
+            (0..3)
+                .map(|_| (base + 55.0 * sample_normal(rng)).clamp(0.0, 255.0))
+                .collect()
+        }
+    }
+
+    #[test]
+    fn row_major_points_equal_point_set_new() {
+        let n = 20_000;
+        let got = skin_like_sized(n, &mut seeded_rng(24));
+        let expected = oracle::skin_like_sized(n, &mut seeded_rng(24));
+        assert_eq!((got.len(), got.bbox()), (n, expected.bbox()));
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for i in 0..n {
+            assert_eq!(bits(got.point(i)), bits(expected.point(i)), "point {i}");
+        }
+    }
+
     #[test]
     fn skin_mode_has_rgb_ordering() {
         // Sampled skin points should mostly satisfy R > G > B.
         let mut rng = seeded_rng(22);
         let mut ordered = 0;
         let n = 5000;
+        let mut p = Vec::with_capacity(3);
         for _ in 0..n {
-            let p = sample_skin(&mut rng);
+            p.clear();
+            sample_skin(&mut rng, &mut p);
             if p[2] > p[1] && p[1] > p[0] {
                 ordered += 1;
             }

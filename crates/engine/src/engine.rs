@@ -479,6 +479,10 @@ impl Engine {
     ///
     /// # Errors
     ///
+    /// [`EngineError::InvalidRequest`] when the box lacks a finite `lo`
+    /// and `hi` on some axis or a point lies outside it: k-means
+    /// calibrates `q_sum` to the box, so such a set has no sound noise
+    /// scale;
     /// [`EngineError::DuplicateName`] if the name is taken;
     /// [`EngineError::RegistrationMismatch`] when a store recovered this
     /// name with a different content fingerprint.
@@ -488,6 +492,14 @@ impl Engine {
         points: PointSet,
     ) -> Result<(), EngineError> {
         let name = name.into();
+        let bbox = points.bbox();
+        let box_finite =
+            bbox.hi.len() == points.dim() && bbox.lo.iter().chain(&bbox.hi).all(|v| v.is_finite());
+        if !box_finite || !points.iter().all(|p| bbox.contains(p)) {
+            return Err(EngineError::InvalidRequest(format!(
+                "point set {name:?} needs a finite box that holds every point"
+            )));
+        }
         let fingerprint = points_fingerprint(&points);
         self.check_expectation(RegistryKind::Points, &name, fingerprint)?;
         self.points

@@ -212,6 +212,26 @@ mod tests {
         engine.register_points("pts", points(10.0)).unwrap();
         // A bounding box whose L1 diameter overflows.
         engine.register_points("huge", points(1e308)).unwrap();
+        // A set no box calibrates is refused, and nothing is inserted:
+        // the name stays free. `hi_axes` < 2 is a box short of an axis,
+        // whose diameter would skip it.
+        let flat = |lo: f64, x: f64, hi_axes: usize| {
+            let bbox = BoundingBox {
+                lo: vec![lo, 0.0],
+                hi: vec![10.0; hi_axes],
+            };
+            PointSet::from_flat(2, vec![1.0, 1.0, x, 9.0], bbox)
+        };
+        for set in [
+            flat(f64::NEG_INFINITY, 9.0, 2),
+            flat(f64::NAN, 9.0, 2),
+            flat(0.0, 10.5, 2),
+            flat(0.0, 9.0, 1),
+        ] {
+            let err = engine.register_points("bad", set).unwrap_err();
+            assert!(matches!(err, EngineError::InvalidRequest(_)), "{err:?}");
+        }
+        engine.register_points("bad", flat(0.0, 9.0, 2)).unwrap();
         engine.open_session("alice", eps(1e9)).unwrap();
 
         let e = eps(0.5);
@@ -295,6 +315,7 @@ mod tests {
             kmeans(4, 1_000, L1Threshold(f64::MIN_POSITIVE)),
             kmeans(2, 3, PartitionMaxDiameter(0.0)),
             Request::kmeans("pol", "pts", eps(1e-320), 2, 1_000, Exact),
+            Request::kmeans("pol", "huge", e, 4, 3, L1Threshold(1.0)),
             Request::histogram("pol", "ds", eps(1e-300)),
         ];
         for request in &good {

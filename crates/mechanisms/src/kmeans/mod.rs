@@ -28,7 +28,6 @@ pub use private::PrivateKmeans;
 pub use sensitivity::KmeansSecretSpec;
 
 use bf_domain::PointSet;
-use rand::seq::index::sample;
 use rand::Rng;
 
 /// Index of the nearest centroid to a point (L2).
@@ -98,15 +97,23 @@ pub fn objective(points: &PointSet, centroids: &[Vec<f64>]) -> f64 {
         .sum()
 }
 
-/// Samples `k` distinct data points as initial centroids (the common
-/// "random" initialization both the private and non-private runs share so
-/// that error ratios isolate the noise effect).
+/// Draws `k` initial centroids uniformly from the point set's box, the
+/// start both the private and non-private runs share so that error ratios
+/// isolate the noise effect. It reads only the box, `k` and `rng`, never a
+/// point: SuLQ k-means needs a public start. Each coordinate is
+/// `lo·(1−u) + hi·u`, clamped, finite even where `hi − lo` overflows.
 pub fn init_random(points: &PointSet, k: usize, rng: &mut impl Rng) -> Vec<Vec<f64>> {
     assert!(k >= 1 && k <= points.len(), "need 1 ≤ k ≤ n");
-    sample(rng, points.len(), k)
-        .into_iter()
-        .map(|i| points.point(i).to_vec())
-        .collect()
+    let bbox = points.bbox();
+    let mut centroids = vec![bbox.lo.clone(); k];
+    for c in &mut centroids {
+        for (x, hi) in c.iter_mut().zip(&bbox.hi) {
+            let u: f64 = rng.random();
+            *x = *x * (1.0 - u) + hi * u;
+        }
+        bbox.clamp(c);
+    }
+    centroids
 }
 
 #[cfg(test)]
@@ -242,8 +249,8 @@ mod tests {
     }
 
     /// `n` points on the integer lattice `{0..=4}^d`: few distinct values,
-    /// so equal points, duplicate initial centroids and exact distance
-    /// ties all occur.
+    /// so equal points and exact distance ties occur (and duplicate
+    /// initial centroids, when the start is picked from the points).
     fn lattice_points(n: usize, d: usize, rng: &mut StdRng) -> PointSet {
         let coords = (0..n * d)
             .map(|_| rng.random_range(0..5u32) as f64)
@@ -267,7 +274,11 @@ mod tests {
                     seed += 1;
                     let mut rng = StdRng::seed_from_u64(seed);
                     let points = lattice_points(n, d, &mut rng);
-                    let init = init_random(&points, k, &mut rng);
+                    // A start picked from the lattice points, with
+                    // repeats: `init_random`'s box draws almost never tie.
+                    let init: Vec<Vec<f64>> = (0..k)
+                        .map(|_| points.point(rng.random_range(0..n)).to_vec())
+                        .collect();
                     let case = format!("d={d} k={k} n={n}");
                     assert_eq!(
                         bits(&lloyd_kmeans(&points, &init, 4)),
@@ -340,13 +351,22 @@ mod tests {
     }
 
     #[test]
-    fn init_yields_distinct_indices() {
-        let pts = square_points();
-        let mut rng = StdRng::seed_from_u64(3);
-        let cents = init_random(&pts, 3, &mut rng);
-        assert_eq!(cents.len(), 3);
-        for c in &cents {
-            assert_eq!(c.len(), 2);
-        }
+    fn init_reads_the_box_and_never_the_points() {
+        // Two point sets that share a box: one seed gives one start.
+        let far = PointSet::new(
+            vec![vec![0.5, 9.5], vec![7.0, 3.0], vec![4.0, 4.0]],
+            square_points().bbox().clone(),
+        );
+        let draw = |pts: &PointSet| init_random(pts, 3, &mut StdRng::seed_from_u64(3));
+        let cents = draw(&square_points());
+        assert_eq!(bits(&cents), bits(&draw(&far)));
+        assert!(cents.iter().all(|c| c.len() == 2 && far.bbox().contains(c)));
+        // A box whose extent overflows still yields finite centroids.
+        let huge = PointSet::new(
+            vec![vec![0.0, 0.0]],
+            BoundingBox::new(vec![-1e308; 2], vec![1e308; 2]),
+        );
+        let cents = init_random(&huge, 1, &mut StdRng::seed_from_u64(3));
+        assert!(cents[0].iter().all(|v| v.is_finite()), "{cents:?}");
     }
 }

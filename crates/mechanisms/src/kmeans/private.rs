@@ -59,7 +59,9 @@ impl PrivateKmeans {
     }
 
     /// Runs private k-means from the given initial centroids, returning
-    /// the final centroids.
+    /// the final centroids. `initial` must not depend on `points` (draw it
+    /// with [`init_random`](super::init_random), which reads only the box):
+    /// a centroid no noisy count moves is released as it started.
     ///
     /// Per iteration: noisy sizes `ñ_j = |S_j| + Lap(S_size/ε')` and noisy
     /// sums `Σ̃_j = Σ_j + Lap(S_sum/ε')` per coordinate, with

@@ -6,8 +6,8 @@
 use blowfish::core::neighbors::enumerate_neighbors;
 use blowfish::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::collections::HashMap;
+use rand::{Rng, SeedableRng};
+use std::collections::{HashMap, HashSet};
 
 const CAP: f64 = 2e6;
 
@@ -231,4 +231,50 @@ fn audit_flags_miscalibrated_policy() {
         "θ=4 calibration should satisfy ε: {}",
         report_right.max_log_ratio
     );
+}
+
+/// Served k-means starts from centroids that do not depend on the data,
+/// as SuLQ k-means requires: a centroid whose noisy count never reaches 1
+/// is released as it started, and an outlier's exact coordinates in a
+/// release have probability 0 under the neighbour where it moved. So no
+/// release may carry a registered point. The points sit off the box's
+/// boundary, where a centroid clamped onto a corner could equal a point
+/// without any leak.
+#[test]
+fn served_kmeans_never_releases_a_registered_point() {
+    let bbox = BoundingBox::new(vec![0.0; 2], vec![100.0; 2]);
+    for (n, epsilon, iterations) in [(50, 1.0, 1), (50, 1.0, 5), (200, 1.0, 5), (50, 4.0, 5)] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut points: Vec<Vec<f64>> = (1..n)
+            .map(|_| {
+                vec![
+                    20.0 + 10.0 * rng.random::<f64>(),
+                    20.0 + 10.0 * rng.random::<f64>(),
+                ]
+            })
+            .collect();
+        points.push(vec![93.7, 88.1]);
+        let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let registered: HashSet<_> = points.iter().map(|p| bits(p)).collect();
+
+        let engine = Engine::with_seed(n as u64);
+        let policy = Policy::differential_privacy(Domain::line(2).unwrap());
+        engine.register_policy("pol", policy).unwrap();
+        engine
+            .register_points("pts", PointSet::new(points, bbox.clone()))
+            .unwrap();
+        engine
+            .open_session("alice", Epsilon::new(1e9).unwrap())
+            .unwrap();
+        let epsilon = Epsilon::new(epsilon).unwrap();
+        let request = Request::kmeans("pol", "pts", epsilon, 4, iterations, KmeansSecretSpec::Full);
+        let leaks = (0..500)
+            .filter(|_| {
+                let answer = engine.serve("alice", &request).unwrap();
+                let centroids = answer.centroids().unwrap();
+                centroids.iter().any(|c| registered.contains(&bits(c)))
+            })
+            .count();
+        assert_eq!(leaks, 0, "n={n} ε={epsilon:?} iterations={iterations}");
+    }
 }
