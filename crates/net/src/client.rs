@@ -1010,16 +1010,3 @@ impl WatchHandle<'_> {
         }
     }
 }
-
-#[cfg(test)]
-impl Client {
-    /// The server address this client dials.
-    pub(crate) fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Correlation ids currently in flight.
-    pub(crate) fn in_flight(&self) -> usize {
-        self.pending.len()
-    }
-}
