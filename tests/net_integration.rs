@@ -1405,33 +1405,44 @@ fn refused_traced_request_lands_with_refusal_outcome() {
     net.shutdown().unwrap();
 }
 
+/// The answers to eight ranges of one analyst at `seed` over TCP: with
+/// every other request traced (and the trees retained) when `traced`,
+/// with the whole observability layer disabled otherwise.
+fn wire_answers(seed: u64, traced: bool) -> Vec<u64> {
+    let net = net(seed);
+    net.server().engine().obs().set_enabled(traced);
+    let mut client = client(&net, "twin", 10.0);
+    let answers = (0..8)
+        .map(|i| {
+            let trace_id = (traced && i % 2 == 0).then_some(1000 + i as u64);
+            let id = client
+                .submit_traced("twin", &range(0.25, i, i + 16), None, None, trace_id)
+                .unwrap();
+            client.wait(id).unwrap().scalar().unwrap().to_bits()
+        })
+        .collect();
+    if traced {
+        let traces = client.traces().unwrap();
+        assert!(!traces.is_empty(), "traced run must retain trees");
+    }
+    net.shutdown().unwrap();
+    answers
+}
+
+/// Tracing is a pure side channel: the same seed and the same request
+/// stream give byte-identical answers whether requests are traced or the
+/// whole observability layer is disabled.
+#[test]
+fn same_seed_answers_identical_tracing_on_and_off() {
+    assert_eq!(wire_answers(35, true), wire_answers(35, false));
+}
+
 /// The same seed and the same per-analyst stream give byte-identical
-/// answers over TCP with every other request traced, over TCP with the
-/// whole observability layer disabled, and in process: the wire layer
-/// adds transport and tracing is a pure side channel; neither perturbs
-/// the release stream.
+/// answers over TCP and in process: the wire layer adds transport, never
+/// perturbs the release stream. With the test above, traced wire answers
+/// equal the in-process ones too.
 #[test]
 fn wire_and_in_process_serving_agree_bit_for_bit() {
-    let over_wire = |traced: bool| -> Vec<u64> {
-        let net = net(35);
-        net.server().engine().obs().set_enabled(traced);
-        let mut client = client(&net, "twin", 10.0);
-        let answers = (0..8)
-            .map(|i| {
-                let trace_id = (traced && i % 2 == 0).then_some(1000 + i as u64);
-                let id = client
-                    .submit_traced("twin", &range(0.25, i, i + 16), None, None, trace_id)
-                    .unwrap();
-                client.wait(id).unwrap().scalar().unwrap().to_bits()
-            })
-            .collect();
-        if traced {
-            let traces = client.traces().unwrap();
-            assert!(!traces.is_empty(), "traced run must retain trees");
-        }
-        net.shutdown().unwrap();
-        answers
-    };
     let engine = engine(35, None);
     engine.open_session("twin", eps(10.0)).unwrap();
     let in_process: Vec<u64> = (0..8)
@@ -1440,8 +1451,7 @@ fn wire_and_in_process_serving_agree_bit_for_bit() {
             answer.scalar().unwrap().to_bits()
         })
         .collect();
-    assert_eq!(over_wire(true), in_process);
-    assert_eq!(over_wire(false), in_process);
+    assert_eq!(wire_answers(35, false), in_process);
 }
 
 /// `Client::audit` replays the analyst's WAL ledger history bit for bit:
@@ -1450,7 +1460,7 @@ fn wire_and_in_process_serving_agree_bit_for_bit() {
 /// recovering the directory finds the same entries and the same spend.
 /// The charges are not dyadic, so a rounding slip anywhere shows.
 #[test]
-fn wal_recovered_spend_equals_wire_observed_spend() {
+fn audit_over_the_wire_matches_recovered_ledger_bit_for_bit() {
     let dir = scratch_dir("net-audit-ledger");
     let config = StoreConfig {
         archive_replayed_segments: true,
@@ -1520,5 +1530,36 @@ fn wal_recovered_spend_equals_wire_observed_spend() {
     assert_eq!(recovered.spent.to_bits(), observed.to_bits());
     assert_eq!(recovered.served, 4);
     drop(fresh);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Without audit or compaction: five plain calls, and the WAL a fresh
+/// process recovers holds exactly the spend the wire reported.
+#[test]
+fn wal_recovered_spend_equals_wire_observed_spend() {
+    let dir = scratch_dir("net-facade-ledger");
+    let observed = {
+        let store = Arc::new(Store::open(&dir).unwrap());
+        let net = bind(
+            engine(32, Some(store)),
+            ServerConfig::default(),
+            NetConfig::default(),
+        );
+        let mut client = client(&net, "audit", 2.0);
+        for i in 0..5 {
+            client
+                .call("audit", &range(0.1 * (i + 1) as f64, i, i + 20))
+                .unwrap();
+        }
+        let spent = client.budget("audit").unwrap().spent;
+        client.goodbye().unwrap();
+        net.shutdown().unwrap();
+        spent
+    };
+    let store = Store::open(&dir).unwrap();
+    let recovered = &store.recovered_state().sessions["audit"];
+    assert_eq!(recovered.spent.to_bits(), observed.to_bits());
+    assert_eq!(recovered.served, 5);
+    drop(store);
     std::fs::remove_dir_all(&dir).unwrap();
 }
