@@ -800,9 +800,9 @@ impl Client {
     /// connection to watching (the subscription lives until the
     /// connection closes). Because each server acceptor owns one
     /// connection at a time, a long-lived watch occupies an acceptor
-    /// slot for its whole lifetime — size `NetConfig::acceptors` to
-    /// cover expected watchers *plus* serving clients, or idle
-    /// watchers will starve new connections in the kernel backlog.
+    /// slot for its whole lifetime — the pool is eight acceptors, so
+    /// watchers *plus* serving clients beyond that leave new
+    /// connections waiting in the kernel backlog.
     ///
     /// # Errors
     ///

@@ -26,6 +26,12 @@ use std::time::{Duration, Instant};
 /// `ClusterStats` report, and the role its `Health` reports.
 const STANDALONE: &str = "standalone";
 
+/// Size of the acceptor pool. Each acceptor owns one connection at a
+/// time, so this bounds the number of concurrently **served**
+/// connections; further clients queue in the kernel backlog until an
+/// acceptor frees up.
+const ACCEPTORS: usize = 8;
+
 /// The replication layer's interposition points. One trait (held behind
 /// a stable `Arc` in [`ServerRole::Replica`]) so a replica can change
 /// behaviour — follower refusing writes, then promoting to leader and
@@ -55,8 +61,7 @@ pub trait ReplicaHook: Send + Sync {
     fn sequence_open(&self, analyst: &str, total_bits: u64) -> Result<f64, WireError>;
 
     /// `Some(error)` when local reads must be refused right now —
-    /// typically [`WireError::StaleReplica`] while this replica lags
-    /// the commit index past its configured staleness bound. `None`
+    /// [`WireError::ShutDown`] once the replica is dead. `None`
     /// serves `Budget` / `Stats` / `Traces` / `BudgetAudit` from the
     /// local engine, which is how followers scale reads out.
     fn refuse_read(&self) -> Option<WireError>;
@@ -151,11 +156,6 @@ impl std::fmt::Debug for ServerRole {
 /// Tuning knobs for the TCP front-end.
 #[derive(Debug, Clone)]
 pub struct NetConfig {
-    /// Size of the acceptor pool. Each acceptor owns one connection at a
-    /// time, so this bounds the number of concurrently **served**
-    /// connections; further clients queue in the kernel backlog until an
-    /// acceptor frees up.
-    pub acceptors: usize,
     /// Per-connection bound on outstanding requests (pipelining window).
     /// A submit past the window is refused over the wire with
     /// [`WireError::WindowFull`] — per-connection backpressure layered
@@ -192,7 +192,6 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         Self {
-            acceptors: 8,
             max_in_flight: 64,
             tick_interval: Duration::from_micros(500),
             fault_plan: None,
@@ -336,10 +335,9 @@ impl NetServer {
             )))
         });
         let driver = server.start_driver(config.tick_interval);
-        let pool = config.acceptors.max(1);
         let live: Arc<Vec<Mutex<Option<TcpStream>>>> =
-            Arc::new((0..pool).map(|_| Mutex::new(None)).collect());
-        let acceptors = (0..pool)
+            Arc::new((0..ACCEPTORS).map(|_| Mutex::new(None)).collect());
+        let acceptors = (0..ACCEPTORS)
             .map(|i| {
                 let listener = listener.try_clone().expect("clone listener");
                 let shared = AcceptorShared {
@@ -428,7 +426,7 @@ impl NetServer {
                 let _ = stream.shutdown(Shutdown::Read);
             }
         }
-        for _ in &self.acceptors {
+        for _ in 0..ACCEPTORS {
             wake_acceptor(self.addr);
         }
         for handle in self.acceptors.drain(..) {

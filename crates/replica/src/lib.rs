@@ -7,7 +7,7 @@
 //! replication is log shipping, not per-query consensus:
 //!
 //! ```text
-//!            writes                      Replicate (proto v4)
+//!            writes                      Replicate (proto v5)
 //!  clients ────────► leader ─ seq ─ WAL ───────────────────────► follower ─ WAL ─ apply
 //!     ▲                │                 ◄─ ReplicateAck ─────── follower ─ WAL ─ apply
 //!     └── reads ───────┴──────────────────── reads ─────────────────┘
@@ -16,7 +16,7 @@
 //! * **Sequencing.** The leader stamps every write — session opens
 //!   included — with `(epoch, index)` (index monotone, 1-based), makes
 //!   it durable as a `Record::Replicated` frame in its own WAL *before*
-//!   anything executes, and streams it to followers over the proto-v4
+//!   anything executes, and streams it to followers over the proto-v5
 //!   peer frames (`LogCatchup` / `Replicate` / `ReplicateAck` /
 //!   `PeerStatus`).
 //! * **Quorum acks.** A client is answered only after the entry is
@@ -38,8 +38,8 @@
 //!   reached disk recovers them by running the entries again, to the
 //!   same ledger positions, noise, bytes and charges.
 //! * **Read scale-out.** Followers serve `Budget` / `BudgetAudit` /
-//!   `Traces` / `Stats` from their local engine, optionally refusing
-//!   with `StaleReplica` past a configured lag bound.
+//!   `Traces` / `Stats` from their local engine; reads may trail the
+//!   leader, and only a dead node refuses them.
 //! * **ε-lossless failover.** Kill the leader at any log index: a
 //!   follower promotes via [`Replica::promote_over`] — which probes the
 //!   survivors' durable log positions and refuses any candidate that is
@@ -67,6 +67,7 @@
 
 #![deny(missing_docs)]
 
+mod log;
 mod node;
 
 pub use node::{Replica, ReplicaConfig, ReplicaError, ReplicaStatus};

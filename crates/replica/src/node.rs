@@ -8,49 +8,34 @@
 //! ```text
 //!   client port (bf-net acceptors) ──► ReplicaHook::sequence_* ──┐
 //!                                                                ▼
-//!   peer port   ──► per-follower stream loop ◄── NodeState {log, commit}
+//!   peer port   ──► per-follower stream loop ◄── NodeState { log: Log, .. }
 //!        ▲                                           │ condvar
 //!        │                                           ▼
 //!   follower thread (dials the leader)          applier thread
 //!        └── appends entries to the WAL ──►     (engine replay, acks)
 //! ```
 //!
-//! Every mutation of the shared [`NodeState`] happens under one mutex;
-//! engine execution and socket I/O always happen **outside** it.
+//! The log's rules — stamping, fencing, log matching, the ack clamp, the
+//! commit rule, the truncation bound, the applier frontier and eviction —
+//! live in one place, the pure [`Log`] (`log.rs`), which holds no lock,
+//! store, socket or clock. This file is its shell: the threads, sockets,
+//! condvar and fsyncs, calling [`Log`] under the one state mutex; engine
+//! execution and socket I/O always happen **outside** that mutex.
 //!
 //! ## What a thread waits on
 //!
-//! Nothing here wakes up to look around. The applier, the streamers,
-//! [`Replica::promote`] and a follower between sessions wait on the
-//! node condvar; the follower and the ack readers block in `read`; the
-//! listener blocks in `accept`. So every change they care about has to
-//! reach them: state changes `notify_all` under the lock, a role change,
-//! halt or shutdown also cuts the follower's uplink (`Node::cut_uplink`,
-//! before the notify — see `WAIT`), and shutdown cuts the handlers'
-//! sockets and dials the listener. The timed waits that remain — one
-//! re-dial back-off, the handshake read time-outs — are listed above
-//! `WAIT`, and CI holds that list.
-//!
-//! ## What an entry costs in fsyncs
-//!
-//! One per node: the `Replicated` append (the leader's in `sequence`, a
-//! follower's once per `Replicate` frame however many entries it
-//! carries). What the applier books when it executes the entry — the
-//! `Replied` / `Charged` frame ([`Engine::apply_tagged`]) and the
-//! `LogApplied` mark — is staged ([`Store::stage`]) and rides the
-//! node's next commit, normally the next entry's append. The leader
-//! ships an entry before its own append is durable ([`Node::append`]),
-//! so a quorum write waits on about one fsync, not two in series, and
-//! the cluster pays about three; the leader counts itself toward the
-//! quorum, and applies, only up to its durable index (Ongaro, "Consensus:
-//! Bridging Theory and Practice", §10.2.1). Only the input has to be
-//! durable before the answer: the log replays every effect, the charge
-//! included (see [`Node::mark_applied`]).
+//! Nothing here wakes up to look around: the applier, the streamers,
+//! [`Replica::promote`] and an idle follower wait on the node condvar,
+//! the follower and the ack readers block in `read`, the listener in
+//! `accept`. So a state change `notify_all`s under the lock, a role
+//! change, halt or shutdown also cuts the follower's uplink (see `WAIT`),
+//! and shutdown cuts the handlers' sockets and dials the listener. What
+//! an entry costs in fsyncs is in the crate docs ("Quorum acks").
 
+use crate::log::{Log, Receive, Role};
 use bf_chaos::{ReplicaFault, ReplicaPlan};
 use bf_core::Epsilon;
 use bf_engine::{Engine, EngineError};
-use bf_net::proto::RESERVED_REQUEST_ID_BASE;
 use bf_net::{
     ClientMessage, NetConfig, NetServer, PeerScrape, ReplicaHealth, ReplicaHook, ServerMessage,
     ServerRole, WireError, WireLogEntry, WireLogOp, WireMetric, PROTOCOL_VERSION,
@@ -90,8 +75,6 @@ const WAIT: Duration = Duration::from_millis(25);
 const DIAL: Duration = Duration::from_millis(500);
 /// Pause after a failed `accept` (out of descriptors, say).
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(2);
-/// Max log entries per [`ServerMessage::Replicate`] frame.
-const BATCH: usize = 64;
 
 /// Configuration for one [`Replica`].
 #[derive(Debug, Clone)]
@@ -107,24 +90,16 @@ pub struct ReplicaConfig {
     /// a quorum larger than the cluster never acks (misconfiguration,
     /// not a crash).
     pub quorum: usize,
-    /// Refuse follower reads with [`WireError::StaleReplica`] when
-    /// more than this many committed entries await local replay.
-    /// `None` always serves (reads may trail the leader).
-    pub stale_bound: Option<u64>,
-    /// How many applied entries stay resident in the in-memory log for
-    /// peer catchup before being evicted (the WAL keeps them all; only
-    /// catchup below the retained window is refused, pointing at
-    /// snapshot transfer). Clamped to at least 1 — the newest entry
-    /// always stays resident, anchoring the catchup log-matching check.
-    /// On a leader, entries a connected follower has not yet acked are
-    /// never evicted regardless of this bound.
+    /// How many applied entries stay in memory for peer catchup (the WAL
+    /// keeps them all; catchup below them is refused). At least 1, and a
+    /// leader keeps what a connected follower has not acked.
     pub log_retain: u64,
     /// Deterministic fault injection: the plan's op clock advances once
     /// per **sequenced entry**, and a due [`ReplicaFault::KillLeader`]
     /// kills this node exactly as [`Replica::kill`] would — mid-burst
     /// leader loss at a scripted log index.
     pub fault_plan: Option<Arc<ReplicaPlan>>,
-    /// Client-port networking knobs (acceptors, windows, SLOs). The
+    /// Client-port networking knobs (windows, SLOs). The
     /// `role` field is overwritten: the replica installs itself as
     /// the [`ServerRole::Replica`] hook.
     pub net: NetConfig,
@@ -139,7 +114,6 @@ impl Default for ReplicaConfig {
         ReplicaConfig {
             seed: 0,
             quorum: 1,
-            stale_bound: None,
             log_retain: 1024,
             fault_plan: None,
             net: NetConfig::default(),
@@ -224,13 +198,6 @@ pub struct ReplicaStatus {
     pub applied: u64,
 }
 
-/// Which side of the log this node is on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Leader,
-    Follower,
-}
-
 /// A client waiting on an entry: resolved by the applier once the entry
 /// is committed **and** executed locally. Dropping a waiter reads as
 /// [`WireError::ShutDown`] on the client side, which retries elsewhere
@@ -240,26 +207,10 @@ enum Waiter {
     Open(mpsc::Sender<Result<f64, WireError>>),
 }
 
-/// All mutable replication state, under one lock.
+/// All mutable replication state, under one lock: the [`Log`] and what
+/// the shell keeps beside it.
 struct NodeState {
-    role: Role,
-    epoch: u64,
-    /// Index of `log[0]`; entries below it are applied and were evicted
-    /// from memory by [`Node::evict_applied`] (the WAL still holds them).
-    log_start: u64,
-    /// The in-memory log, entries as the peer link ships them (the WAL
-    /// holds each one's durable twin, [`logged`]).
-    log: Vec<WireLogEntry>,
-    /// Epoch of the log's last entry (0 when nothing was ever logged).
-    /// Epochs are non-decreasing in index, so this is also the largest
-    /// epoch any entry carries. Sent in `LogCatchup` for the leader's
-    /// log-matching check; survives eviction of the entry itself.
-    last_epoch: u64,
-    /// Largest index whose `Replicated` record is fsync-durable here, at
-    /// most [`NodeState::high_water`]. Nothing above it is applied.
-    durable: u64,
-    commit_index: u64,
-    applied: u64,
+    log: Log,
     /// Client-facing address of the current leader ("" when unknown).
     leader_hint: String,
     /// This node's own client-facing address (set after bind).
@@ -269,30 +220,11 @@ struct NodeState {
     /// A handle on the link the follower thread is reading, registered
     /// by [`Node::follow_once`]; [`Node::cut_uplink`] ends that read.
     uplink: Option<TcpStream>,
-    /// Durable high-water mark per connected follower (by conn id).
-    follower_acks: HashMap<u64, u64>,
     /// Clients parked on an index.
     waiters: HashMap<u64, Vec<Waiter>>,
     /// Moved on by [`Node::cut_uplink`] at every role change, halt and
     /// shutdown; a follower session belongs to the one it started under.
     generation: u64,
-}
-
-impl NodeState {
-    /// Largest log index, durable or in its fsync (0 when the log is empty).
-    fn high_water(&self) -> u64 {
-        self.log_start + self.log.len() as u64 - 1
-    }
-
-    fn next_index(&self) -> u64 {
-        self.log_start + self.log.len() as u64
-    }
-
-    fn entry_at(&self, index: u64) -> Option<&WireLogEntry> {
-        index
-            .checked_sub(self.log_start)
-            .and_then(|i| self.log.get(i as usize))
-    }
 }
 
 /// The WAL record that makes a log entry durable: its op in the bytes the
@@ -316,9 +248,6 @@ struct Node {
     cv: Condvar,
     dead: AtomicBool,
     closing: AtomicBool,
-    quorum: usize,
-    stale_bound: Option<u64>,
-    log_retain: u64,
     fault_plan: Option<Arc<ReplicaPlan>>,
     conn_ids: AtomicU64,
     /// Peer-port connection handlers, each with a handle on its socket
@@ -342,10 +271,7 @@ impl std::fmt::Debug for Node {
 
 impl Node {
     /// Rebuilds replication state from the store's durable log section:
-    /// applied = the WAL's execution mark, the in-memory log = the
-    /// pending (logged-but-unapplied) entries, commit = applied
-    /// (conservative: quorum knowledge is not durable, and re-earning
-    /// it is harmless).
+    /// the WAL's execution mark and its pending entries ([`Log::new`]).
     fn recover(
         engine: Arc<Engine>,
         store: Arc<Store>,
@@ -388,35 +314,28 @@ impl Node {
             });
         }
         let obs = Arc::clone(engine.obs());
-        // The last entry's epoch is the max epoch on disk (epochs are
-        // non-decreasing in index); pending entries refine it.
-        let last_epoch = log.last().map_or(snap.log_epoch, |e| e.epoch);
-        let node = Node {
+        let log = Log::new(
+            snap.log_applied,
+            snap.log_epoch,
+            log,
+            cfg.quorum,
+            cfg.log_retain,
+        );
+        Ok(Node {
             engine,
             store,
             state: Mutex::new(NodeState {
-                role: Role::Follower,
-                epoch: snap.log_epoch,
-                log_start: snap.log_applied + 1,
-                durable: snap.log_applied + log.len() as u64,
                 log,
-                last_epoch,
-                commit_index: snap.log_applied,
-                applied: snap.log_applied,
                 leader_hint: String::new(),
                 self_hint: String::new(),
                 follow_target: None,
                 uplink: None,
-                follower_acks: HashMap::new(),
                 waiters: HashMap::new(),
                 generation: 0,
             }),
             cv: Condvar::new(),
             dead: AtomicBool::new(false),
             closing: AtomicBool::new(false),
-            quorum: cfg.quorum.max(1),
-            stale_bound: cfg.stale_bound,
-            log_retain: cfg.log_retain.max(1),
             fault_plan: cfg.fault_plan.clone(),
             conn_ids: AtomicU64::new(1),
             handlers: Mutex::new(Vec::new()),
@@ -424,27 +343,19 @@ impl Node {
             peers: Mutex::new(Vec::new()),
             g_log_index: obs.gauge("replica_log_index"),
             g_cluster_lag: obs.gauge("replica_cluster_lag_entries"),
-        };
-        node.update_gauges(&node.state.lock().unwrap());
-        Ok(node)
+        })
     }
 
-    fn update_gauges(&self, st: &NodeState) {
-        self.g_log_index.set(st.durable as f64);
-    }
-
-    /// Re-derives the log-index gauge from the live [`NodeState`].
-    /// Called at scrape time so `replica_log_index` never serves a value
-    /// from the last role change instead of the present.
+    /// Sets the log-index gauge from the live log. Every reader of it
+    /// calls this first — the local scrape, the peer-port `Stats` reply —
+    /// so it never serves a value from the last role change.
     fn refresh_gauges(&self) {
-        let st = self.state.lock().unwrap();
-        self.update_gauges(&st);
+        let durable = self.state.lock().unwrap().log.durable;
+        self.g_log_index.set(durable as f64);
     }
 
     /// Announces a role transition on the cluster event bus:
-    /// `detail = "{role}@{epoch}"`, `value = epoch`. Deliberately
-    /// *not* wired into [`Node::update_gauges`] — that runs once per
-    /// applied entry and would flood every watcher.
+    /// `detail = "{role}@{epoch}"`, `value = epoch`.
     fn publish_role(&self, role: &str, epoch: u64) {
         self.engine
             .obs()
@@ -472,99 +383,61 @@ impl Node {
         self.cv.notify_all();
     }
 
-    /// Leader-side commit rule: the quorum-th largest durable high-water
-    /// mark among {`durable`} ∪ followers. With fewer acking members than
-    /// the quorum nothing commits — never "commit with whoever showed up".
+    /// Runs the commit rule ([`Log::commit`]) unless the node is dead,
+    /// waking the applier and streamers when it moves. Called by its path
+    /// so that a method-call `commit` in this file is always the store's.
     fn recompute_commit(&self, st: &mut NodeState) {
-        if st.role != Role::Leader || self.dead.load(Ordering::SeqCst) {
-            return;
-        }
-        let mut highs: Vec<u64> = st.follower_acks.values().copied().collect();
-        highs.push(st.durable);
-        highs.sort_unstable_by(|a, b| b.cmp(a));
-        if highs.len() < self.quorum {
-            return;
-        }
-        let commit = highs[self.quorum - 1];
-        if commit > st.commit_index {
-            st.commit_index = commit;
-            self.update_gauges(st);
+        if !self.dead.load(Ordering::SeqCst) && Log::commit(&mut st.log) {
             self.cv.notify_all();
         }
     }
 
-    /// Fencing: adopting a higher epoch deposes a leader. Waiters past
-    /// the commit point are dropped (clients see `ShutDown` and retry at
-    /// the new leader under the same idempotency key).
-    fn step_down(&self, st: &mut NodeState, seen_epoch: u64) {
-        if seen_epoch <= st.epoch {
-            return;
-        }
-        st.epoch = seen_epoch;
-        if st.role == Role::Leader {
-            st.role = Role::Follower;
+    /// Fences `seen_epoch` ([`Log::step_down`]). A deposed leader's
+    /// waiters past the commit point are dropped (clients see `ShutDown`
+    /// and retry at the new leader under the same idempotency key).
+    fn fence(&self, st: &mut NodeState, seen_epoch: u64) {
+        if st.log.step_down(seen_epoch) {
             st.leader_hint = String::new();
             st.follow_target = None;
-            st.follower_acks.clear();
-            let commit = st.commit_index;
+            let commit = st.log.commit_index;
             st.waiters.retain(|&i, _| i <= commit);
             self.cut_uplink(st);
             self.publish_role("follower", seen_epoch);
         }
-        self.update_gauges(st);
         self.cv.notify_all();
     }
 
-    /// Discards every log entry above `keep` — in memory and durably,
-    /// via an appended [`Record::LogTruncated`] (the WAL is append-only;
-    /// recovery replays the truncation). Dropped entries' waiters read
-    /// `ShutDown` and retry at the new leader under the same key.
-    ///
-    /// Returns `false` — after marking the node dead — when `keep` is
-    /// below the local commit point: entries up to `commit_index` are
-    /// quorum-durable, so a leader that contradicts them was promoted
-    /// over a stale log, and halting beats serving a forked ledger.
-    fn truncate_suffix(&self, st: &mut NodeState, keep: u64) -> bool {
-        if keep >= st.high_water() {
-            return true;
-        }
-        if keep < st.commit_index
-            || self
+    /// Carries out what [`Log::receive`] or [`Log::diverged`] decided: a
+    /// durable [`Record::LogTruncated`] first (dropped entries' waiters
+    /// read `ShutDown` and retry), then the append. `None` ends the link,
+    /// the node halted if the log or the store said so.
+    fn take<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, NodeState>,
+        step: Receive,
+    ) -> Option<MutexGuard<'a, NodeState>> {
+        let (truncate, entries) = match step {
+            Receive::Drop => return None,
+            Receive::Halt => {
+                self.halt(&mut st);
+                return None;
+            }
+            Receive::Append { truncate, entries } => (truncate, entries),
+        };
+        if let Some(keep) = truncate {
+            if self
                 .store
                 .commit(&[Record::LogTruncated { index: keep }])
                 .is_err()
-        {
-            self.halt(st);
-            return false;
-        }
-        // keep >= commit >= applied >= log_start - 1, and eviction keeps
-        // log_start <= applied, so the surviving log is non-empty.
-        st.log.truncate((keep + 1 - st.log_start) as usize);
-        st.durable = keep; // the commit covered everything staged
-        st.last_epoch = st.entry_at(keep).map_or(st.last_epoch, |e| e.epoch);
-        st.waiters.retain(|&i, _| i <= keep);
-        self.update_gauges(st);
-        self.cv.notify_all();
-        true
-    }
-
-    /// Evicts applied entries older than the retention window from the
-    /// in-memory log, advancing `log_start`. The WAL keeps every entry
-    /// (recovery and the reply cache are unaffected); only peer catchup
-    /// below `log_start` is refused, pointing at snapshot transfer. The
-    /// newest entry always stays resident (`log_retain >= 1`), and a
-    /// leader never evicts past a connected follower's ack.
-    fn evict_applied(&self, st: &mut NodeState) {
-        let mut bound = st.applied.saturating_sub(self.log_retain);
-        if st.role == Role::Leader {
-            for &ack in st.follower_acks.values() {
-                bound = bound.min(ack);
+            {
+                self.halt(&mut st);
+                return None;
             }
+            st.log.truncate(keep);
+            st.waiters.retain(|&i, _| i <= keep);
         }
-        if bound >= st.log_start {
-            st.log.drain(..(bound + 1 - st.log_start) as usize);
-            st.log_start = bound + 1;
-        }
+        self.cv.notify_all();
+        self.append(st, entries).ok()
     }
 
     /// Sequences one operation: stamp `(epoch, index)`, park the waiter,
@@ -578,14 +451,12 @@ impl Node {
     ) -> Result<(), WireError> {
         let mut st = self.state.lock().unwrap();
         if self.dead.load(Ordering::SeqCst) || self.closing.load(Ordering::SeqCst) {
-            return Err(WireError::NotLeader {
-                leader: String::new(),
-            });
+            let leader = String::new();
+            return Err(WireError::NotLeader { leader });
         }
-        if st.role != Role::Leader {
-            return Err(WireError::NotLeader {
-                leader: st.leader_hint.clone(),
-            });
+        if st.log.role != Role::Leader {
+            let leader = st.leader_hint.clone();
+            return Err(WireError::NotLeader { leader });
         }
         if let Some(plan) = &self.fault_plan {
             if matches!(plan.next(), Some(ReplicaFault::KillLeader)) {
@@ -596,20 +467,8 @@ impl Node {
                 });
             }
         }
-        let index = st.next_index();
-        // Entries without a client idempotency key still need one —
-        // every replica must execute under the same tag. Derive it from
-        // the log position, in the reserved range the wire boundary
-        // refuses to client-supplied keys (`RESERVED_REQUEST_ID_BASE`).
-        let request_id = request_id.unwrap_or(RESERVED_REQUEST_ID_BASE | index);
-        let entry = WireLogEntry {
-            epoch: st.epoch,
-            index,
-            analyst: analyst.to_string(),
-            request_id,
-            op,
-        };
-        st.waiters.entry(index).or_default().push(waiter);
+        let entry = st.log.stamp(analyst, request_id, op);
+        st.waiters.entry(entry.index).or_default().push(waiter);
         self.append(st, vec![entry])
             .map(drop)
             .map_err(|e| WireError::Other(format!("log append failed: {e}")))
@@ -617,7 +476,7 @@ impl Node {
 
     /// Appends `entries`, the leader's one or a follower's frame. Their
     /// records are staged under the lock, so the WAL is in log order and
-    /// concurrent appends share one fsync, and `st.log` — the shippers'
+    /// concurrent appends share one fsync, and the log — the shippers'
     /// source — takes them at once. Returns the lock, `durable` raised,
     /// once the fsync is in; or the store's error, the node halted.
     fn append<'a>(
@@ -625,14 +484,13 @@ impl Node {
         mut st: MutexGuard<'a, NodeState>,
         entries: Vec<WireLogEntry>,
     ) -> Result<MutexGuard<'a, NodeState>, StoreError> {
-        let Some(&WireLogEntry { index, epoch, .. }) = entries.last() else {
+        let Some(index) = entries.last().map(|e| e.index) else {
             return Ok(st);
         };
         let records: Vec<Record> = entries.iter().map(logged).collect();
         let mut synced = self.store.stage(&records);
         if synced.is_ok() {
-            st.log.extend(entries);
-            st.last_epoch = epoch;
+            st.log.append(entries);
             self.cv.notify_all();
             drop(st);
             synced = self.store.commit(&[]);
@@ -642,8 +500,7 @@ impl Node {
             self.halt(&mut st);
             return Err(e);
         }
-        st.durable = st.durable.max(index);
-        self.update_gauges(&st);
+        st.log.synced(index);
         self.recompute_commit(&mut st);
         self.cv.notify_all();
         Ok(st)
@@ -657,8 +514,7 @@ impl Node {
         let mut st = self.state.lock().unwrap();
         self.halt(&mut st);
         st.waiters.clear();
-        self.publish_role("dead", st.epoch);
-        self.update_gauges(&st);
+        self.publish_role("dead", st.log.epoch);
     }
 
     // -----------------------------------------------------------------
@@ -676,15 +532,12 @@ impl Node {
                 st = self.cv.wait(st).unwrap();
                 continue;
             }
-            // At quorum 2 of 3 the followers can commit an entry before
-            // this node's own append of it is durable.
-            let frontier = st.commit_index.min(st.durable);
-            if st.applied >= frontier {
+            if st.log.applied >= st.log.frontier() {
                 st = self.cv.wait(st).unwrap();
                 continue;
             }
-            let next = st.applied + 1;
-            let entry = match st.entry_at(next) {
+            let next = st.log.applied + 1;
+            let entry = match st.log.entry_at(next) {
                 Some(e) => e.clone(),
                 // Applied entries are only evicted past `applied`, so a
                 // miss here means recovery handed us a hole; stop.
@@ -704,16 +557,9 @@ impl Node {
             match &entry.op {
                 WireLogOp::OpenSession { total_bits } => {
                     let outcome = Epsilon::new(f64::from_bits(*total_bits))
-                        .map_err(|e| {
-                            WireError::from_engine_error(&EngineError::InvalidRequest(
-                                e.to_string(),
-                            ))
-                        })
-                        .and_then(|eps| {
-                            self.engine
-                                .attach_session(&entry.analyst, eps)
-                                .map_err(|e| WireError::from_engine_error(&e))
-                        });
+                        .map_err(|e| EngineError::InvalidRequest(e.to_string()))
+                        .and_then(|eps| self.engine.attach_session(&entry.analyst, eps))
+                        .map_err(|e| WireError::from_engine_error(&e));
                     self.mark_applied(next);
                     for w in waiters {
                         if let Waiter::Open(tx) = w {
@@ -765,9 +611,7 @@ impl Node {
         if staged.is_err() {
             self.halt(&mut st);
         }
-        st.applied = st.applied.max(index);
-        self.evict_applied(&mut st);
-        self.update_gauges(&st);
+        st.log.mark_applied(index);
         self.cv.notify_all();
     }
 
@@ -801,9 +645,8 @@ impl Node {
         }
     }
 
-    /// One follower's connection: handshake, catchup registration, then
-    /// the stream loop until either side closes or this node stops
-    /// leading.
+    /// One peer-port connection: handshake, then a probe, a scrape or a
+    /// follower's subscription.
     fn peer_conn(&self, stream: &mut TcpStream) {
         let _ = stream.set_nodelay(true);
         // One time-out bounds each handshake read: a peer that connects
@@ -833,47 +676,29 @@ impl Node {
             _ => return,
         }
 
-        let (corr, send_next) = match read_frame(stream, &mut buf, ClientMessage::decode) {
-            Some(ClientMessage::PeerStatus { id }) => {
-                // Read-only probe (the pre-promotion longest-log check):
-                // report the durable position and close. A killed node
-                // models a crashed process and answers nothing useful.
-                let reply = if self.dead.load(Ordering::SeqCst) {
-                    refused(id, WireError::ShutDown)
-                } else {
-                    let st = self.state.lock().unwrap();
-                    ServerMessage::PeerStatusReport {
-                        id,
-                        epoch: st.epoch,
-                        high_water: st.durable,
-                        applied: st.applied,
-                    }
-                };
-                let _ = write_frame(stream, &mut out, |o| reply.encode_into(o));
-                return;
+        // A killed node models a crashed process: it answers nothing useful.
+        let dead = self.dead.load(Ordering::SeqCst);
+        let reply = match read_frame(stream, &mut buf, ClientMessage::decode) {
+            Some(ClientMessage::PeerStatus { id } | ClientMessage::Stats { id }) if dead => {
+                refused(id, WireError::ShutDown)
             }
+            // Read-only probe: the pre-promotion longest-log check.
+            Some(ClientMessage::PeerStatus { id }) => {
+                let log = &self.state.lock().unwrap().log;
+                let (epoch, high_water, applied) = (log.epoch, log.durable, log.applied);
+                ServerMessage::PeerStatusReport {
+                    id,
+                    epoch,
+                    high_water,
+                    applied,
+                }
+            }
+            // Peer-port scrape, fanned out by a federated `ClusterStats`.
             Some(ClientMessage::Stats { id }) => {
-                // Peer-port scrape: the serving node fanning a
-                // federated `ClusterStats` out to the fleet. Refresh
-                // the replication gauges first so the snapshot carries
-                // this instant, not the last role change; a killed
-                // node models a crashed process and reports nothing.
-                let reply = if self.dead.load(Ordering::SeqCst) {
-                    refused(id, WireError::ShutDown)
-                } else {
-                    self.refresh_gauges();
-                    ServerMessage::StatsReport {
-                        id,
-                        metrics: self
-                            .engine
-                            .metrics_snapshot()
-                            .iter()
-                            .map(WireMetric::from_snapshot)
-                            .collect(),
-                    }
-                };
-                let _ = write_frame(stream, &mut out, |o| reply.encode_into(o));
-                return;
+                self.refresh_gauges();
+                let snapshot = self.engine.metrics_snapshot();
+                let metrics = snapshot.iter().map(WireMetric::from_snapshot).collect();
+                ServerMessage::StatsReport { id, metrics }
             }
             Some(ClientMessage::LogCatchup {
                 id,
@@ -881,64 +706,42 @@ impl Node {
                 from_index,
                 last_epoch,
             }) => {
-                let refusal = {
-                    let mut st = self.state.lock().unwrap();
-                    self.step_down(&mut st, epoch);
-                    // Log-matching check (the Raft consistency argument).
-                    // A follower ahead of this leader, or one whose entry
-                    // just below the subscription point carries a
-                    // different epoch, holds an orphan suffix from a dead
-                    // epoch: refuse with our high water so it truncates
-                    // back to its commit point and resubscribes. Acking
-                    // such a follower would count entries this leader
-                    // never sequenced toward the quorum.
-                    let diverged = from_index > st.high_water() + 1
-                        || from_index
-                            .checked_sub(1)
-                            .and_then(|i| st.entry_at(i))
-                            .is_some_and(|prev| prev.epoch != last_epoch);
-                    if st.role != Role::Leader || self.dead.load(Ordering::SeqCst) {
-                        Some(WireError::NotLeader {
-                            leader: st.leader_hint.clone(),
-                        })
-                    } else if from_index < st.log_start {
-                        // The entries before log_start are applied and
-                        // evicted; serving them would need snapshot
-                        // transfer, which this crate does not implement —
-                        // a new member starts from a mirrored WAL instead.
-                        Some(WireError::Protocol(format!(
-                            "catchup from {from_index} predates retained log start {}",
-                            st.log_start
-                        )))
-                    } else if diverged {
-                        Some(WireError::LogDiverged {
-                            leader_high_water: st.high_water(),
-                        })
-                    } else {
-                        None
-                    }
+                let conn_id = self.conn_ids.fetch_add(1, Ordering::SeqCst);
+                let mut guard = self.state.lock().unwrap();
+                self.fence(&mut guard, epoch);
+                let st = &mut *guard;
+                let leader = st.leader_hint.clone();
+                let subscribed = match self.dead.load(Ordering::SeqCst) {
+                    true => Err(WireError::NotLeader { leader }),
+                    false => st.log.subscribe(conn_id, from_index, last_epoch, &leader),
                 };
-                if let Some(error) = refusal {
-                    let _ = write_frame(stream, &mut out, |o| refused(id, error).encode_into(o));
-                    return;
+                match subscribed {
+                    Ok(_) => {
+                        self.recompute_commit(st);
+                        drop(guard);
+                        return self.stream_log(stream, buf, out, id, from_index, conn_id);
+                    }
+                    Err(error) => refused(id, error),
                 }
-                (id, from_index)
             }
             _ => return,
         };
+        let _ = write_frame(stream, &mut out, |o| reply.encode_into(o));
+    }
 
-        let conn_id = self.conn_ids.fetch_add(1, Ordering::SeqCst);
-        {
-            let mut st = self.state.lock().unwrap();
-            // from_index <= high_water + 1 was just checked, so this
-            // records at most our own log's end as the follower's.
-            let ack = (send_next - 1).min(st.high_water());
-            st.follower_acks.insert(conn_id, ack);
-            self.recompute_commit(&mut st);
-        }
-
-        // From here on nothing polls: acks get a blocking reader of their
-        // own on a clone of the socket; the streamer waits on the condvar.
+    /// A subscribed follower's link: its acks get a blocking reader of
+    /// their own on a clone of the socket, and the streamer waits on the
+    /// condvar — nothing polls — until either side closes or this node
+    /// stops leading.
+    fn stream_log(
+        &self,
+        stream: &mut TcpStream,
+        mut buf: FrameBuf,
+        mut out: Vec<u8>,
+        corr: u64,
+        send_next: u64,
+        conn_id: u64,
+    ) {
         let _ = stream.set_read_timeout(None);
         let acks_ended = AtomicBool::new(false);
         if let Ok(mut ack_stream) = stream.try_clone() {
@@ -957,7 +760,7 @@ impl Node {
             });
         }
         let mut st = self.state.lock().unwrap();
-        st.follower_acks.remove(&conn_id);
+        st.log.follower_acks.remove(&conn_id);
     }
 
     /// The per-follower streamer: ships every entry from `send_next` on,
@@ -981,20 +784,18 @@ impl Node {
                     if self.closing.load(Ordering::SeqCst)
                         || self.dead.load(Ordering::SeqCst)
                         || acks_ended.load(Ordering::SeqCst)
-                        || st.role != Role::Leader
+                        || st.log.role != Role::Leader
                     {
                         return;
                     }
-                    if st.high_water() >= send_next || st.commit_index != last_commit_sent {
+                    let log = &st.log;
+                    if log.high_water() >= send_next || log.commit_index != last_commit_sent {
                         break;
                     }
                     st = self.cv.wait(st).unwrap();
                 }
-                let batch: Vec<WireLogEntry> = (send_next..=st.high_water())
-                    .take(BATCH)
-                    .map_while(|index| st.entry_at(index).cloned())
-                    .collect();
-                (batch, st.epoch, st.commit_index)
+                let log = &st.log;
+                (log.batch(send_next), log.epoch, log.commit_index)
             };
             let n = entries.len() as u64;
             let frame = ServerMessage::Replicate {
@@ -1019,16 +820,10 @@ impl Node {
             read_frame(stream, buf, ClientMessage::decode)
         {
             let mut st = self.state.lock().unwrap();
-            if epoch > st.epoch {
-                self.step_down(&mut st, epoch);
+            if !st.log.ack(conn_id, epoch, index) {
+                self.fence(&mut st, epoch);
                 return;
             }
-            // Clamp to our own log's end: an ack above it covers
-            // entries we never sequenced and must not count toward any
-            // quorum.
-            let hw = st.high_water();
-            let ack = st.follower_acks.entry(conn_id).or_insert(0);
-            *ack = (*ack).max(index.min(hw));
             self.recompute_commit(&mut st);
         }
     }
@@ -1077,7 +872,7 @@ impl Node {
             let mut st = self.state.lock().unwrap();
             // The catchup claims the log durable, and no truncation may
             // overtake an append: a deposed leader's appends finish first.
-            while st.durable < st.high_water() && st.generation == generation {
+            while st.log.durable < st.log.high_water() && st.generation == generation {
                 st = self.cv.wait(st).unwrap();
             }
             if st.generation != generation {
@@ -1086,9 +881,9 @@ impl Node {
             st.uplink = Some(link);
             ClientMessage::LogCatchup {
                 id: 2,
-                epoch: st.epoch,
-                from_index: st.high_water() + 1,
-                last_epoch: st.last_epoch,
+                epoch: st.log.epoch,
+                from_index: st.log.high_water() + 1,
+                last_epoch: st.log.last_epoch,
             }
         };
         let _ = self.mirror(&mut stream, &catchup, generation);
@@ -1113,84 +908,41 @@ impl Node {
         // with a frame or with the end of the link.
         let _ = stream.set_read_timeout(None);
         loop {
-            match read_frame(stream, &mut buf, ServerMessage::decode)? {
+            let frame = read_frame(stream, &mut buf, ServerMessage::decode)?;
+            let mut st = self.state.lock().unwrap();
+            // A frame read before a cut is not this session's to act on.
+            if st.generation != generation {
+                return None;
+            }
+            let step = match frame {
                 ServerMessage::Replicate {
                     epoch,
                     commit_index,
                     entries,
                     ..
-                } => {
-                    let ack = {
-                        let mut st = self.state.lock().unwrap();
-                        // A frame read before a cut, or a stale leader's.
-                        if st.generation != generation || epoch < st.epoch {
-                            return None;
-                        }
-                        st.epoch = st.epoch.max(epoch);
-                        // Check the whole frame against the local log
-                        // first; what it adds is appended below in one
-                        // fsync, which the ack then vouches for.
-                        let mut fresh: Vec<WireLogEntry> = Vec::new();
-                        for e in entries {
-                            let next = st.next_index() + fresh.len() as u64;
-                            if e.index < next {
-                                // Overlap with the local log: the same
-                                // index must hold the same entry. A
-                                // different epoch is a divergent suffix
-                                // from a dead epoch — cut it off and
-                                // take the leader's entry instead.
-                                let same = st
-                                    .entry_at(e.index)
-                                    .is_none_or(|local| local.epoch == e.epoch);
-                                if same {
-                                    continue; // duplicate resend
-                                }
-                                // A leader's frame ascends, so a conflict
-                                // comes before anything fresh; and one at
-                                // the commit point halts the node.
-                                if !fresh.is_empty() || !self.truncate_suffix(&mut st, e.index - 1)
-                                {
-                                    return None;
-                                }
-                            } else if e.index > next {
-                                return None; // gap: resubscribe
-                            }
-                            fresh.push(e);
-                        }
-                        let last = fresh.last().map_or(st.high_water(), |e| e.index);
-                        st.commit_index = st.commit_index.max(commit_index.min(last));
-                        self.cv.notify_all();
-                        let st = self.append(st, fresh).ok()?;
-                        (st.epoch, st.durable)
-                    };
-                    let ack = ClientMessage::ReplicateAck {
-                        id: 0,
-                        epoch: ack.0,
-                        index: ack.1,
-                    };
-                    write_frame(stream, &mut out, |o| ack.encode_into(o)).ok()?;
-                }
+                } => st.log.receive(epoch, commit_index, entries),
+                // An orphan suffix: cut it, and resubscribe from there.
                 ServerMessage::Refused {
                     error: WireError::LogDiverged { leader_high_water },
                     ..
                 } => {
-                    // Our log carries an orphan suffix the leader never
-                    // sequenced. Everything above the commit point is
-                    // suspect (un-acked by any quorum), so truncate back
-                    // to it and resubscribe from there; the leader
-                    // re-streams whatever was legitimately ours. If even
-                    // the commit point exceeds the leader's log, a stale
-                    // node was promoted — truncate_suffix halts us.
-                    let mut st = self.state.lock().unwrap();
-                    if st.generation != generation {
-                        return None; // read before a cut: not ours to act on
-                    }
-                    let keep = leader_high_water.min(st.commit_index);
-                    let _ = self.truncate_suffix(&mut st, keep);
-                    return None; // resubscribe from the new high water
+                    let step = st.log.diverged(leader_high_water);
+                    let _ = self.take(st, step);
+                    return None;
                 }
                 _ => return None,
-            }
+            };
+            // What the frame adds is appended in one fsync, which the ack
+            // then vouches for.
+            st = self.take(st, step)?;
+            let (epoch, index) = (st.log.epoch, st.log.durable);
+            drop(st);
+            let ack = ClientMessage::ReplicateAck {
+                id: 0,
+                epoch,
+                index,
+            };
+            write_frame(stream, &mut out, |o| ack.encode_into(o)).ok()?;
         }
     }
 
@@ -1317,13 +1069,9 @@ impl ReplicaHook for Node {
     }
 
     fn refuse_read(&self) -> Option<WireError> {
-        if self.dead.load(Ordering::SeqCst) {
-            return Some(WireError::ShutDown);
-        }
-        let bound = self.stale_bound?;
-        let st = self.state.lock().unwrap();
-        let lag = st.commit_index.saturating_sub(st.applied);
-        (lag > bound).then_some(WireError::StaleReplica { lag_entries: lag })
+        self.dead
+            .load(Ordering::SeqCst)
+            .then_some(WireError::ShutDown)
     }
 
     fn refresh_observability(&self) {
@@ -1351,23 +1099,23 @@ impl ReplicaHook for Node {
 
     fn health(&self) -> Option<ReplicaHealth> {
         let (role, epoch, applied, high_water, mut lag) = {
-            let st = self.state.lock().unwrap();
-            self.update_gauges(&st);
+            let log = &self.state.lock().unwrap().log;
             let role = if self.dead.load(Ordering::SeqCst) {
                 "dead"
-            } else if st.role == Role::Leader {
+            } else if log.role == Role::Leader {
                 "leader"
             } else {
                 "follower"
             };
             (
                 role.to_string(),
-                st.epoch,
-                st.applied,
-                st.durable,
-                st.commit_index.saturating_sub(st.applied),
+                log.epoch,
+                log.applied,
+                log.durable,
+                log.commit_index.saturating_sub(log.applied),
             )
         };
+        self.g_log_index.set(high_water as f64);
         // Probe the fleet *outside* the state lock: cluster lag is the
         // worst distance any member (this one included) sits behind
         // the durable high-water mark. An unreachable peer counts as
@@ -1535,12 +1283,11 @@ impl Replica {
     /// `Replica::promote`, which fences the old epoch.
     pub fn lead(&self) {
         let mut st = self.node.state.lock().unwrap();
-        st.role = Role::Leader;
+        st.log.lead();
         st.leader_hint = st.self_hint.clone();
         st.follow_target = None;
         self.node.cut_uplink(&mut st);
-        self.node.publish_role("leader", st.epoch);
-        self.node.update_gauges(&st);
+        self.node.publish_role("leader", st.log.epoch);
         self.node.recompute_commit(&mut st);
         self.node.cv.notify_all();
     }
@@ -1560,13 +1307,11 @@ impl Replica {
     /// client-facing address).
     pub fn follow(&self, leader_peer: SocketAddr, leader_hint: &str) {
         let mut st = self.node.state.lock().unwrap();
-        st.role = Role::Follower;
+        st.log.follow();
         st.follow_target = Some(leader_peer);
         st.leader_hint = leader_hint.to_string();
-        st.follower_acks.clear();
         self.node.cut_uplink(&mut st);
-        self.node.publish_role("follower", st.epoch);
-        self.node.update_gauges(&st);
+        self.node.publish_role("follower", st.log.epoch);
         self.node.cv.notify_all();
     }
 
@@ -1584,32 +1329,23 @@ impl Replica {
     /// which probes the surviving peers first, unless outside knowledge
     /// already picked the longest log. Promote exactly one node per
     /// failover — two promotions to the same epoch fork the sequence.
-    ///
-    /// Survivors that kept an orphan suffix the old leader never
-    /// committed reconcile when they re-follow: the new leader's
-    /// log-matching check refuses their catchup with
-    /// [`WireError::LogDiverged`], they truncate back to their commit
-    /// point (durably, via `Record::LogTruncated`), and resubscribe.
-    /// Orphans were never acked to any client, so dropping them is
-    /// exactly-once under client retry.
+    /// Survivors with an orphan suffix reconcile when they re-follow (see
+    /// the crate docs, "Divergence reconciliation").
     pub(crate) fn promote(&self) {
         let mut st = self.node.state.lock().unwrap();
-        st.epoch += 1;
+        st.log.promote();
         st.follow_target = None;
         self.node.cut_uplink(&mut st);
-        st.commit_index = st.commit_index.max(st.durable);
         self.node.cv.notify_all();
-        while st.applied < st.commit_index
+        while st.log.applied < st.log.commit_index
             && !self.node.closing.load(Ordering::SeqCst)
             && !self.node.dead.load(Ordering::SeqCst)
         {
             st = self.node.cv.wait(st).unwrap();
         }
-        st.role = Role::Leader;
+        st.log.lead();
         st.leader_hint = st.self_hint.clone();
-        st.follower_acks.clear();
-        self.node.publish_role("leader", st.epoch);
-        self.node.update_gauges(&st);
+        self.node.publish_role("leader", st.log.epoch);
         self.node.cv.notify_all();
     }
 
@@ -1625,7 +1361,7 @@ impl Replica {
     /// of this node's; promote that peer instead (this node is left
     /// untouched, still a follower).
     pub fn promote_over(&self, peers: &[SocketAddr]) -> Result<(), ReplicaError> {
-        let local = self.node.state.lock().unwrap().durable;
+        let local = self.node.state.lock().unwrap().log.durable;
         for &peer in peers {
             if let Some((_, high_water, _)) = self.node.probe_peer(peer) {
                 if high_water > local {
@@ -1649,14 +1385,15 @@ impl Replica {
 
     /// A snapshot of the replication state.
     pub fn status(&self) -> ReplicaStatus {
-        let st = self.node.state.lock().unwrap();
+        let log = &self.node.state.lock().unwrap().log;
+        let dead = self.node.dead.load(Ordering::SeqCst);
         ReplicaStatus {
-            leader: st.role == Role::Leader && !self.node.dead.load(Ordering::SeqCst),
-            dead: self.node.dead.load(Ordering::SeqCst),
-            epoch: st.epoch,
-            log_index: st.durable,
-            commit_index: st.commit_index,
-            applied: st.applied,
+            leader: log.role == Role::Leader && !dead,
+            dead,
+            epoch: log.epoch,
+            log_index: log.durable,
+            commit_index: log.commit_index,
+            applied: log.applied,
         }
     }
 
@@ -1695,9 +1432,11 @@ impl Replica {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::BATCH;
     use bf_core::Policy;
     use bf_domain::{Dataset, Domain};
     use bf_engine::Request;
+    use bf_net::proto::RESERVED_REQUEST_ID_BASE;
     use bf_net::Client;
     use bf_store::scratch_dir;
     use std::path::Path;
@@ -1784,9 +1523,9 @@ mod tests {
         };
         b.node.store.commit(&[logged(&orphan)]).unwrap();
         {
-            let mut st = b.node.state.lock().unwrap();
-            st.log.push(orphan);
-            st.durable = 3;
+            let log = &mut b.node.state.lock().unwrap().log;
+            log.append(vec![orphan]);
+            log.synced(3);
         }
         assert_eq!(b.status().log_index, 3);
 
@@ -1812,13 +1551,13 @@ mod tests {
         assert_eq!(status.applied, 3);
         assert_eq!(status.log_index, 3);
         {
-            let st = b.node.state.lock().unwrap();
+            let log = &b.node.state.lock().unwrap().log;
             assert_eq!(
-                st.entry_at(3).unwrap().epoch,
+                log.entry_at(3).unwrap().epoch,
                 1,
                 "the orphan gave way to the leader's entry"
             );
-            assert_eq!(st.last_epoch, 1);
+            assert_eq!(log.last_epoch, 1);
         }
         // The orphan's ghost session never executed; the real one did.
         assert!(b.engine().session_snapshot("ghost").is_err());
@@ -1849,27 +1588,6 @@ mod tests {
     }
 
     #[test]
-    fn follower_ahead_of_the_new_leader_truncates_to_its_high_water() {
-        let (a, b, c, _b_dir) = diverged_cluster("replica-ahead");
-        // `c` has sequenced nothing yet: `b`'s catchup from index 4 is
-        // past `c`'s high water 2 — the from-ahead refusal path.
-        b.follow(c.peer_addr(), &c.client_addr().to_string());
-        await_state(&b, |st| st.high_water() == 2); // the orphan truncated
-        assert!(!b.status().dead);
-
-        // Convergence after the truncation: a fresh write on `c`
-        // reaches `b` at the index the orphan vacated.
-        let mut client = Client::connect(c.client_addr()).unwrap();
-        client.open_session("h", 1.0).unwrap(); // entry 3, epoch 1
-        drain_to(&b, 3);
-        assert_eq!(b.node.state.lock().unwrap().entry_at(3).unwrap().epoch, 1);
-        assert!(b.engine().session_snapshot("ghost").is_err());
-        b.shutdown().unwrap();
-        c.shutdown().unwrap();
-        a.shutdown().unwrap();
-    }
-
-    #[test]
     fn applied_entries_are_evicted_but_serving_and_recovery_survive() {
         let dir = scratch_dir("replica-evict");
         let cfg = || ReplicaConfig {
@@ -1888,11 +1606,11 @@ mod tests {
             }
             drain_to(&r, 7);
             {
-                let st = r.node.state.lock().unwrap();
-                assert_eq!(st.applied, 7);
-                assert_eq!(st.high_water(), 7, "eviction never moves the high water");
-                assert_eq!(st.log_start, 7, "entries below applied - retain are gone");
-                assert_eq!(st.log.len(), 1);
+                let log = &r.node.state.lock().unwrap().log;
+                assert_eq!(log.applied, 7);
+                assert_eq!(log.high_water(), 7, "eviction never moves the high water");
+                assert_eq!(log.log_start, 7, "entries below applied - retain are gone");
+                assert_eq!(log.entries.len(), 1);
             }
             // Serving continues across the evicted prefix, and the
             // reply cache (WAL-backed, not log-backed) still dedups.
@@ -1977,10 +1695,6 @@ mod tests {
                     },
                 })
                 .collect();
-            self.send(epoch, commit_index, entries);
-        }
-
-        fn send(&mut self, epoch: u64, commit_index: u64, entries: Vec<WireLogEntry>) {
             let frame = ServerMessage::Replicate {
                 id: 2,
                 epoch,
@@ -2070,90 +1784,18 @@ mod tests {
         let epochs: Vec<u64> = pending.values().map(|e| e.epoch).collect();
         assert_eq!(epochs, [0, 0, 0, 1, 1, 1]);
         {
-            let st = follower.node.state.lock().unwrap();
-            assert_eq!(st.high_water(), 6);
-            assert_eq!(st.last_epoch, 1);
-            assert_eq!(st.entry_at(4).unwrap().epoch, 1);
+            let log = &follower.node.state.lock().unwrap().log;
+            assert_eq!(log.high_water(), 6);
+            assert_eq!(log.last_epoch, 1);
+            assert_eq!(log.entry_at(4).unwrap().epoch, 1);
         }
+        // Having seen epoch 1, it takes nothing more from epoch 0.
+        link.ship(0, 0, &[(7, 0)]);
+        assert_eq!(link.ack(), None, "the stale leader's link is dropped");
+        assert_eq!(follower.status().log_index, 6);
+        assert_eq!(syncs(&follower), before + 2);
         assert!(!follower.status().dead);
         follower.shutdown().unwrap();
-    }
-
-    #[test]
-    fn a_conflict_at_the_commit_point_halts_the_follower() {
-        let (follower, _listener, mut link) = scripted_follower("replica-batch-halt");
-        link.ship(0, 2, &[(1, 0), (2, 0), (3, 0)]);
-        assert_eq!(link.ack(), Some(3));
-        drain_to(&follower, 2);
-        // Entry 2 is quorum-durable; a leader that contradicts it was
-        // promoted over a stale log. Nothing of its frame is appended.
-        let before = syncs(&follower);
-        link.ship(1, 2, &[(2, 1), (3, 1), (4, 1)]);
-        assert_eq!(link.ack(), None, "the link is dropped, unacked");
-        assert!(follower.status().dead);
-        assert_eq!(follower.status().log_index, 3);
-        assert_eq!(syncs(&follower), before);
-        assert_eq!(follower.node.store.current_state().log_index, 3);
-        follower.shutdown().unwrap();
-    }
-
-    /// Entries up to the commit point are quorum-durable whether or not
-    /// this node has applied them: a truncation below it halts the node.
-    #[test]
-    fn a_truncation_below_an_unapplied_commit_point_halts() {
-        let (follower, _listener, mut link) = scripted_follower("replica-halt-unapplied");
-        link.ship(0, 0, &[(1, 0), (2, 0), (3, 0)]);
-        assert_eq!(link.ack(), Some(3));
-        let mut st = follower.node.state.lock().unwrap();
-        st.commit_index = 2; // learned, not yet applied
-        assert_eq!(st.applied, 0);
-        assert!(!follower.node.truncate_suffix(&mut st, 1));
-        assert_eq!(st.high_water(), 3);
-        drop(st);
-        assert!(follower.status().dead);
-        follower.shutdown().unwrap();
-    }
-
-    /// A follower that has seen epoch 1 takes nothing more from epoch 0.
-    #[test]
-    fn a_frame_from_an_epoch_the_follower_left_is_dropped_unacked() {
-        let (follower, _listener, mut link) = scripted_follower("replica-stale-epoch");
-        link.ship(1, 0, &[(1, 1)]);
-        assert_eq!(link.ack(), Some(1));
-        link.ship(0, 0, &[(2, 0)]);
-        assert_eq!(link.ack(), None, "the stale leader's link is dropped");
-        assert_eq!(follower.status().log_index, 1);
-        follower.shutdown().unwrap();
-    }
-
-    /// A follower's ack past the leader's own log confirms nothing beyond
-    /// it: the leader counts it at its high water.
-    #[test]
-    fn an_ack_past_the_leaders_log_counts_at_its_high_water() {
-        let leader = replica("replica-ack-clamp", ReplicaConfig::default());
-        leader.lead();
-        assert_eq!(leader.node.sequence_open("a", 2.0f64.to_bits()), Ok(2.0));
-        let mut link = dial(leader.peer_addr()).unwrap();
-        let catchup = ClientMessage::LogCatchup {
-            id: 2,
-            epoch: 0,
-            from_index: 1,
-            last_epoch: 0,
-        };
-        greet(&mut link, &mut FrameBuf::new(), &mut Vec::new(), &catchup).unwrap();
-        let ack = ClientMessage::ReplicateAck {
-            id: 0,
-            epoch: 0,
-            index: 5,
-        };
-        write_frame(&mut link, &mut Vec::new(), |o| ack.encode_into(o)).unwrap();
-        await_state(&leader, |st| st.follower_acks.values().any(|&a| a > 0));
-        let st = leader.node.state.lock().unwrap();
-        assert!(st.follower_acks.values().all(|&a| a == 1));
-        assert_eq!((st.high_water(), st.commit_index), (1, 1));
-        drop(st);
-        drop(link);
-        leader.shutdown().unwrap();
     }
 
     /// A `LogDiverged` refusal read before a promote and handled after it
@@ -2178,14 +1820,13 @@ mod tests {
             // What `promote` does under the lock, bar the socket cut, so
             // the refusal is read whenever it lands; it is handled only
             // after the lock is released, under the bumped generation.
-            st.epoch += 1;
+            st.log.promote();
             st.follow_target = None;
             st.generation += 1;
-            st.commit_index = st.commit_index.max(st.durable);
         }
         assert_eq!(link.ack(), None, "the stale session ends");
         assert!(!follower.status().dead);
-        assert_eq!(follower.node.state.lock().unwrap().high_water(), 3);
+        assert_eq!(follower.node.state.lock().unwrap().log.high_water(), 3);
         follower.shutdown().unwrap();
     }
 
@@ -2242,7 +1883,7 @@ mod tests {
         script_leader_for(start(tag, StorePlan::scripted([(startup + nth, fault)])).0)
     }
 
-    /// Halt site: `truncate_suffix` below the commit point.
+    /// Halt site: a frame that would cut below the commit point.
     #[test]
     fn a_halt_by_truncation_wakes_what_is_parked_on_the_condvar() {
         let (follower, _listener, mut link) = scripted_follower("replica-halt-trunc");
@@ -2250,10 +1891,16 @@ mod tests {
         assert_eq!(link.ack(), Some(3));
         drain_to(&follower, 2);
         let parked = parked_until_dead(&follower);
-        link.ship(1, 2, &[(2, 1)]);
+        // Entry 2 is quorum-durable; a leader that contradicts it was
+        // promoted over a stale log. Nothing of its frame is appended.
+        let before = syncs(&follower);
+        link.ship(1, 2, &[(2, 1), (3, 1), (4, 1)]);
         assert_woken(&parked);
         assert_eq!(link.ack(), None, "the halt cut the uplink");
         assert!(follower.status().dead);
+        assert_eq!(follower.status().log_index, 3);
+        assert_eq!(syncs(&follower), before);
+        assert_eq!(follower.node.store.current_state().log_index, 3);
         follower.shutdown().unwrap();
     }
 
@@ -2402,129 +2049,6 @@ mod tests {
             ..bf_store::StoreConfig::default()
         };
         Arc::new(Store::open_with(scratch_dir(tag), config).unwrap())
-    }
-
-    /// Spins until `done` holds of the node's state (5 s at most).
-    fn await_state(r: &Replica, done: impl Fn(&NodeState) -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while !done(&r.node.state.lock().unwrap()) {
-            assert!(Instant::now() < deadline, "state never arrived");
-            std::thread::sleep(POLL);
-        }
-    }
-
-    /// The leader ships an entry before its own append is durable, and
-    /// counts itself toward the quorum — and answers — only once it is.
-    #[test]
-    fn a_leader_ships_before_its_own_sync_and_answers_after_it() {
-        let cfg = ReplicaConfig {
-            quorum: 2,
-            ..ReplicaConfig::default()
-        };
-        let leader = Replica::start_on(
-            slow_store("replica-ship-first", 200_000),
-            "127.0.0.1:0",
-            "127.0.0.1:0",
-            cfg,
-            setup,
-        )
-        .unwrap();
-        leader.lead();
-        // This test is the follower: subscribed from the first index.
-        let mut link = dial(leader.peer_addr()).unwrap();
-        let mut buf = FrameBuf::new();
-        let catchup = ClientMessage::LogCatchup {
-            id: 2,
-            epoch: 0,
-            from_index: 1,
-            last_epoch: 0,
-        };
-        greet(&mut link, &mut buf, &mut Vec::new(), &catchup).unwrap();
-        link.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let before = syncs(&leader);
-
-        let node = Arc::clone(&leader.node);
-        let opened = std::thread::spawn(move || node.sequence_open("a", 2.0f64.to_bits()));
-        // The first frame may only carry the commit index.
-        let entries = loop {
-            match read_frame(&mut link, &mut buf, ServerMessage::decode) {
-                Some(ServerMessage::Replicate { entries, .. }) if entries.is_empty() => {}
-                Some(ServerMessage::Replicate { entries, .. }) => break entries,
-                other => panic!("the entry is shipped, got {other:?}"),
-            }
-        };
-        assert_eq!(entries.len(), 1);
-        assert_eq!(entries[0].index, 1);
-        assert_eq!(syncs(&leader), before, "shipped before the leader's sync");
-
-        // The follower's ack alone does not commit: the leader counts
-        // itself at its durable index, still 0.
-        let ack = ClientMessage::ReplicateAck {
-            id: 0,
-            epoch: 0,
-            index: 1,
-        };
-        write_frame(&mut link, &mut Vec::new(), |o| ack.encode_into(o)).unwrap();
-        await_state(&leader, |st| st.follower_acks.values().any(|&a| a == 1));
-        {
-            let st = leader.node.state.lock().unwrap();
-            assert_eq!(syncs(&leader), before, "the sync is still in its delay");
-            assert_eq!((st.durable, st.commit_index, st.applied), (0, 0, 0));
-            assert!(!opened.is_finished(), "answered before the leader's sync");
-        }
-        assert_eq!(opened.join().unwrap(), Ok(2.0));
-        assert!(syncs(&leader) > before);
-        let status = leader.status();
-        assert_eq!((status.log_index, status.applied), (1, 1));
-        drop(link);
-        leader.shutdown().unwrap();
-    }
-
-    /// A follower applies nothing of a frame — even one whose commit
-    /// index covers its own entries — before the frame's fsync returns,
-    /// and acks the index that fsync made durable.
-    #[test]
-    fn a_follower_applies_and_acks_a_frame_only_after_its_sync() {
-        let follower = Replica::start_on(
-            slow_store("replica-apply-durable", 200_000),
-            "127.0.0.1:0",
-            "127.0.0.1:0",
-            ReplicaConfig::default(),
-            setup,
-        )
-        .unwrap();
-        let (follower, _listener, mut link) = script_leader_for(follower);
-        link.ship(0, 1, &[(1, 0)]);
-        assert_eq!(link.ack(), Some(1));
-        drain_to(&follower, 1);
-        let before = syncs(&follower);
-
-        // A write for `n1` that the applier would only stage, in a frame
-        // that commits it.
-        let request = range(0.5, 0, 8);
-        let write = WireLogEntry {
-            epoch: 0,
-            index: 2,
-            analyst: "n1".into(),
-            request_id: 7,
-            op: WireLogOp::Submit {
-                request: bf_net::proto::WireRequest::from_request(&request),
-            },
-        };
-        link.send(0, 2, vec![write]);
-        await_state(&follower, |st| st.high_water() == 2);
-        let window = Instant::now() + Duration::from_millis(20);
-        while Instant::now() < window {
-            let st = follower.node.state.lock().unwrap();
-            assert_eq!((st.durable, st.commit_index, st.applied), (1, 2, 1));
-            drop(st);
-            std::thread::sleep(POLL);
-        }
-        assert_eq!(syncs(&follower), before, "the sync is still in its delay");
-        assert_eq!(link.ack(), Some(2));
-        assert_eq!(syncs(&follower), before + 1);
-        drain_to(&follower, 2);
-        follower.shutdown().unwrap();
     }
 
     /// Starts a named 3-replica cluster (alpha leading, beta and gamma

@@ -77,7 +77,7 @@ suite() {
         -p bf-data --no-fail-fast >"$1.release" 2>&1
       cargo test --release --test replica_failover --test store_recovery \
         --test sensitivity_theorems --test property_based --test hostile_bytes \
-        --no-fail-fast >>"$1.release" 2>&1
+        --test net_integration --no-fail-fast >>"$1.release" 2>&1
       true' _ "$out"
   ) || echo "timed out after ${limit}s" >>"$out.debug"
 }
